@@ -350,6 +350,7 @@ impl Pass for ShardMerge {
 /// objective CAHD maximizes via the RCM band ordering) should not fall
 /// below what naive sequential chunking of the *original* order achieves.
 /// A regression signals the band ordering was ignored or scrambled.
+/// Both totals come from [`intra_group_overlap`], linear in release nnz.
 pub struct BandQuality;
 
 impl Pass for BandQuality {

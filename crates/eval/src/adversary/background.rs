@@ -113,7 +113,11 @@ pub fn background_point(
     let mut postings: Vec<Vec<u32>> = vec![Vec::new(); n_items];
     for (r, row) in flat.rows.iter().enumerate() {
         for &item in row {
-            postings[item as usize].push(r as u32);
+            // A tampered release can carry ids outside the data's universe.
+            // No victim knows such an item, so it never scores.
+            if let Some(posting) = postings.get_mut(item as usize) {
+                posting.push(r as u32);
+            }
         }
     }
     let weight: Vec<f64> = postings

@@ -102,3 +102,74 @@ fn dat_roundtrip_through_disk() {
     // exact.
     assert_eq!(back, data);
 }
+
+/// Strings the JSON parser must carry through unchanged: 2-, 3- and
+/// 4-byte UTF-8, escapes on either side of multibyte characters, control
+/// characters, and the empty string.
+const TRICKY_STRINGS: &[&str] = &[
+    "",
+    "plain ascii",
+    "é",
+    "€",
+    "𝄞",
+    "aé€𝄞z",
+    "é\"€\\𝄞",
+    "\"é\"",
+    "\\€\\",
+    "𝄞\n€\t é\r",
+    "\u{1}é\u{1f}",
+    "/ ✓ /",
+];
+
+#[test]
+fn json_strings_roundtrip_multibyte_and_escapes() {
+    for &s in TRICKY_STRINGS {
+        let json = serde_json::to_string(s).unwrap();
+        let back: String = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, s, "{json}");
+        // Inside a document, next to other strings and structure.
+        let doc = serde_json::to_string_pretty(&vec![s.to_string(), s.to_string()]).unwrap();
+        let back: Vec<String> = serde_json::from_str(&doc).unwrap();
+        assert_eq!(back, vec![s.to_string(), s.to_string()], "{doc}");
+    }
+    // A very long string with multibyte characters and escapes throughout.
+    let long: String = TRICKY_STRINGS.concat().repeat(20_000);
+    let back: String = serde_json::from_str(&serde_json::to_string(&long).unwrap()).unwrap();
+    assert_eq!(back, long);
+}
+
+#[test]
+fn json_unicode_escapes_decode() {
+    let cases = [
+        (r#""\u0041""#, "A"),
+        (r#""\u00e9\u20AC""#, "é€"),
+        (r#""é\u0041€""#, "éA€"),
+        (r#""\u00e9𝄞\/\b\f""#, "é𝄞/\u{8}\u{c}"),
+        (r#""""#, ""),
+    ];
+    for (json, want) in cases {
+        let got: String = serde_json::from_str(json).unwrap();
+        assert_eq!(got, want, "{json}");
+    }
+}
+
+#[test]
+fn json_malformed_strings_report_the_same_errors() {
+    let cases = [
+        ("\"abc", "unterminated string"),
+        ("\"é€𝄞", "unterminated string"),
+        ("[\"ok\", \"é", "unterminated string"),
+        (r#""\x""#, "invalid escape sequence"),
+        ("\"\\é\"", "invalid escape sequence"),
+        ("\"abc\\", "invalid escape sequence"),
+        (r#""\u12"#, "truncated \\u escape"),
+        (r#""é\u12""#, "truncated \\u escape"),
+        (r#""\u12"x"#, "invalid \\u escape"),
+        ("\"\\u00é\"", "invalid \\u escape"),
+        (r#""\ud800""#, "invalid \\u code point"),
+    ];
+    for (json, want) in cases {
+        let err = serde_json::from_str::<serde_json::Value>(json).unwrap_err();
+        assert_eq!(err.to_string(), want, "{json}");
+    }
+}
