@@ -1,6 +1,5 @@
-//! Row-ordering strategy benchmarks: RCM vs GPS vs MinHash vs
-//! lexicographic on BMS-like data (cost side of the `ext-orderings`
-//! experiment).
+//! Row-ordering strategy benchmarks: RCM vs MinHash vs lexicographic on
+//! BMS-like data (cost side of the `ext-orderings` experiment).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -28,7 +27,7 @@ fn bench_orderings_correlated(c: &mut Criterion) {
     let data = profiles::fig6_like(0.9, 7);
     let mut g = c.benchmark_group("orderings/quest_corr0.9");
     g.sample_size(10);
-    for strat in [RowOrder::Rcm, RowOrder::Gps, RowOrder::MinHash] {
+    for strat in [RowOrder::Rcm, RowOrder::MinHash] {
         g.bench_with_input(
             BenchmarkId::from_parameter(strat.name()),
             &strat,

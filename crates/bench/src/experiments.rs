@@ -163,14 +163,14 @@ pub fn fig6(ctx: &ExperimentContext) -> (Table, Vec<String>) {
 /// order. Every experiment point is independently seeded, so parallel
 /// execution leaves results bit-identical to the sequential ones.
 fn parallel_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = items.iter().map(|it| scope.spawn(|_| f(it))).collect();
+    let f = &f;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = items.iter().map(|it| scope.spawn(move || f(it))).collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("experiment thread panicked"))
             .collect()
     })
-    .expect("scope panicked")
 }
 
 /// One CAHD-vs-PM utility comparison row.

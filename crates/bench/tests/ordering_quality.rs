@@ -1,9 +1,9 @@
 //! Golden band-quality and release-quality regression tests for the
 //! ordering strategies (`--ordering {rcm,bfs,cluster}`).
 //!
-//! The frontier-parallel `rcm` strategy is byte-identical to the
-//! sequential reference, so its quality is pinned exactly by the
-//! equivalence suite; this file pins what the *alternative* strategies
+//! The frontier-parallel `rcm` strategy is byte-identical to the Fig. 4
+//! oracle of `cahd-rcm`'s equivalence suites, so its quality is pinned
+//! exactly there; this file pins what the *alternative* strategies
 //! are allowed to give up:
 //!
 //! * per-strategy rectangular-bandwidth bounds on a fixed BMS1-like

@@ -1,17 +1,24 @@
 //! End-to-end exercise of [`cahd_obs::TrackingAllocator`] with the
 //! wrapper actually registered as this binary's global allocator.
 //!
-//! Everything lives in ONE `#[test]`: the allocator counters are
-//! process-global, so concurrent tests in the same binary would pollute
-//! each other's deltas (the zero-cost assertion in particular must see no
-//! foreign allocations between its two readings).
+//! Everything lives in ONE test, run from `main` without the libtest
+//! harness (`harness = false` in Cargo.toml): the allocator counters are
+//! process-global, and the zero-cost assertion must see no foreign
+//! allocations between its two readings. Concurrent tests in the same
+//! binary would pollute each other's deltas, and so does the harness
+//! itself: its main thread books each test it spawns into a map and a
+//! queue (two allocations), which can land inside that window.
 
 use cahd_obs::{memtrack, Recorder, TraceReport, TrackingAllocator};
 
 #[global_allocator]
 static ALLOC: TrackingAllocator = TrackingAllocator::new();
 
-#[test]
+fn main() {
+    tracking_allocator_end_to_end();
+    println!("test tracking_allocator_end_to_end ... ok");
+}
+
 fn tracking_allocator_end_to_end() {
     // --- the wrapper is live and its totals are coherent -----------------
     let warm = vec![1u8; 4096];

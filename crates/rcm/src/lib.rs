@@ -3,62 +3,43 @@
 //! Implements the band-matrix reorganization of Section III of the CAHD
 //! paper:
 //!
-//! * [`level::LevelStructure`] — rooted BFS level structures,
-//! * [`peripheral`] — the George–Liu pseudo-peripheral root finder (the
-//!   paper's "compute pseudo-diameter" step),
-//! * [`cm`] — the Cuthill-McKee ordering of one connected component
-//!   (Fig. 4 of the paper),
-//! * [`rcm`] — multi-component orchestration plus the final reversal,
+//! * [`parallel`] — the ordering engine, the crate's one implementation of
+//!   the paper's Fig. 4: per connected component, a George–Liu
+//!   pseudo-peripheral root search (the "compute pseudo-diameter" step,
+//!   over rooted BFS level structures), the Cuthill-McKee pass, and the
+//!   final reversal. Frontiers expand level by level, in parallel when
+//!   wide enough, with deterministic claim-by-minimum-parent reassembly,
+//!   so the output is the same at every thread count,
 //! * [`unsym`] — bandwidth reduction for *unsymmetric* (rectangular)
 //!   matrices via the `A x A^T` pattern (Fig. 5 of the paper), including the
 //!   column-ordering strategies used for reporting and visualization,
 //! * [`ordering`] — alternative row orderings (MinHash signatures,
 //!   lexicographic) implementing the paper's dimensionality-reduction
 //!   future-work direction, comparable against RCM,
-//! * [`gps`] — the Gibbs–Poole–Stockmeyer algorithm (the other classic
-//!   bandwidth reducer the paper cites), as an ablatable alternative,
-//! * [`parallel`] — the frontier-parallel ordering engine: level-set
-//!   Cuthill-McKee and BFS with deterministic claim-by-minimum-parent
-//!   reassembly, byte-identical to the sequential reference at every
-//!   thread count,
 //! * [`strategy`] — the [`OrderingStrategy`] run-time selector
 //!   (`--ordering {rcm,bfs,cluster}` / `CAHD_ORDERING`).
 //!
-//! The frontier engine and the production drivers work against the
-//! [`cahd_sparse::ParNeighborOracle`] trait (caller-owned per-worker
-//! scratch, `Sync`), so they run identically — and in parallel — on
-//! materialized adjacency and on the inverted-index (implicit)
-//! representation; the sequential reference algorithms keep the simpler
-//! [`cahd_sparse::NeighborOracle`] interface, bridged by
-//! [`cahd_sparse::SeqOracle`]. Representation is selected by
+//! The engine works against the [`cahd_sparse::ParNeighborOracle`] trait
+//! (caller-owned per-worker scratch, `Sync`), so it runs identically — and
+//! in parallel — on materialized adjacency and on the inverted-index
+//! (implicit) representation. Representation is selected by
 //! [`cahd_sparse::RowGraphMode`] (`--rowgraph {auto,explicit,implicit}` /
-//! `CAHD_ROWGRAPH`).
+//! `CAHD_ROWGRAPH`). The test tree checks the engine against a literal
+//! transcription of Fig. 4.
 
-pub mod cm;
-pub mod gps;
-pub mod level;
+mod level;
 pub mod ordering;
 pub mod parallel;
-pub mod peripheral;
-pub mod rcm;
+mod peripheral;
 pub mod strategy;
 pub mod unsym;
 
 pub use cahd_sparse::{resolve_hub_cap, RowGraphMode};
-pub use cm::{cuthill_mckee_component, cuthill_mckee_component_linear};
-pub use gps::gibbs_poole_stockmeyer;
-pub use level::LevelStructure;
 pub use ordering::{
     cluster_order, lexicographic_order, minhash_order, RowOrder, CLUSTER_HASHES, CLUSTER_SEED,
 };
 pub use parallel::{
-    band_order, band_order_seq, band_order_seq_traced, band_order_seq_with, band_order_traced,
-    band_order_with, PARALLEL_FRONTIER_MIN, PARALLEL_THREADS_MIN,
-};
-pub use peripheral::pseudo_peripheral;
-pub use rcm::{
-    cuthill_mckee, cuthill_mckee_traced, reverse_cuthill_mckee, reverse_cuthill_mckee_linear,
-    reverse_cuthill_mckee_traced,
+    band_order, band_order_traced, band_order_with, PARALLEL_FRONTIER_MIN, PARALLEL_THREADS_MIN,
 };
 pub use strategy::OrderingStrategy;
 pub use unsym::{

@@ -13,7 +13,7 @@
 //!   straw-man that clusters shared *prefixes* only.
 //!
 //! Both return a [`Permutation`] in the same convention as
-//! [`crate::reverse_cuthill_mckee`].
+//! [`crate::band_order`].
 
 use cahd_sparse::{CsrMatrix, Permutation};
 
@@ -28,16 +28,13 @@ pub enum RowOrder {
     MinHash,
     /// Sort rows by item list.
     Lexicographic,
-    /// Gibbs–Poole–Stockmeyer on the `A x A^T` pattern (see [`crate::gps`]).
-    Gps,
 }
 
 impl RowOrder {
     /// Every strategy, for sweeps.
-    pub const ALL: [RowOrder; 5] = [
+    pub const ALL: [RowOrder; 4] = [
         RowOrder::Identity,
         RowOrder::Rcm,
-        RowOrder::Gps,
         RowOrder::MinHash,
         RowOrder::Lexicographic,
     ];
@@ -49,7 +46,6 @@ impl RowOrder {
             RowOrder::Rcm => "rcm",
             RowOrder::MinHash => "minhash",
             RowOrder::Lexicographic => "lex",
-            RowOrder::Gps => "gps",
         }
     }
 
@@ -60,14 +56,10 @@ impl RowOrder {
             RowOrder::Identity => Permutation::identity(a.n_rows()),
             RowOrder::Rcm => {
                 let g = cahd_sparse::RowGraph::build(a, cahd_sparse::RowGraph::DEFAULT_EDGE_BUDGET);
-                crate::parallel::band_order_seq(&g, crate::OrderingStrategy::Rcm)
+                crate::parallel::band_order(&g, crate::OrderingStrategy::Rcm, 1)
             }
             RowOrder::MinHash => minhash_order(a, 8, seed),
             RowOrder::Lexicographic => lexicographic_order(a),
-            RowOrder::Gps => {
-                let g = cahd_sparse::RowGraph::build(a, cahd_sparse::RowGraph::DEFAULT_EDGE_BUDGET);
-                crate::gps::gibbs_poole_stockmeyer(&cahd_sparse::SeqOracle::new(&g))
-            }
         }
     }
 }
@@ -88,31 +80,7 @@ fn splitmix64(mut x: u64) -> u64 {
 /// Panics if `n_hashes == 0`.
 pub fn minhash_order(a: &CsrMatrix, n_hashes: usize, seed: u64) -> Permutation {
     assert!(n_hashes > 0, "need at least one hash function");
-    let n = a.n_rows();
-    // Signature matrix, row-major.
-    let mut sig = vec![u64::MAX; n * n_hashes];
-    let hash_seeds: Vec<u64> = (0..n_hashes as u64)
-        .map(|h| splitmix64(seed ^ h.wrapping_mul(0xA24BAED4963EE407)))
-        .collect();
-    for r in 0..n {
-        let s = &mut sig[r * n_hashes..(r + 1) * n_hashes];
-        for &item in a.row(r) {
-            for (h, &hs) in hash_seeds.iter().enumerate() {
-                let v = splitmix64(hs ^ item as u64);
-                if v < s[h] {
-                    s[h] = v;
-                }
-            }
-        }
-    }
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_by(|&x, &y| {
-        let sx = &sig[x as usize * n_hashes..(x as usize + 1) * n_hashes];
-        let sy = &sig[y as usize * n_hashes..(y as usize + 1) * n_hashes];
-        sx.cmp(sy).then(x.cmp(&y))
-    });
-    // cahd-lint: allow(L003, reason = "order is a sort of 0..n, which is a permutation by construction")
-    Permutation::from_new_to_old(order).expect("sorted indices are a permutation")
+    signature_order(a, n_hashes, seed, 1)
 }
 
 /// Fixed seed of the [`cluster_order`] hash family. Pinned so the
@@ -135,10 +103,16 @@ pub const CLUSTER_HASHES: usize = 16;
 /// signature is a pure function of its items, and the final sort breaks
 /// signature ties by row id.
 pub fn cluster_order(a: &CsrMatrix, threads: usize) -> Permutation {
+    signature_order(a, CLUSTER_HASHES, CLUSTER_SEED, threads)
+}
+
+/// Rows sorted by their `h`-long MinHash signatures under the hash family
+/// seeded by `seed`, with signature ties broken by row id. The signatures
+/// are filled over contiguous row chunks by up to `threads` workers.
+fn signature_order(a: &CsrMatrix, h: usize, seed: u64, threads: usize) -> Permutation {
     let n = a.n_rows();
-    let h = CLUSTER_HASHES;
     let hash_seeds: Vec<u64> = (0..h as u64)
-        .map(|k| splitmix64(CLUSTER_SEED ^ k.wrapping_mul(0xA24BAED4963EE407)))
+        .map(|k| splitmix64(seed ^ k.wrapping_mul(0xA24BAED4963EE407)))
         .collect();
     let mut sig = vec![u64::MAX; n * h];
     let fill = |rows: std::ops::Range<usize>, sig: &mut [u64]| {
@@ -205,6 +179,24 @@ mod tests {
         )
     }
 
+    /// A fixed pseudo-random 24-row matrix over 20 items, with empty rows.
+    fn random_matrix() -> CsrMatrix {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let rows: Vec<Vec<u32>> = (0..24)
+            .map(|_| {
+                let len = next() % 5;
+                (0..len).map(|_| (next() % 20) as u32).collect()
+            })
+            .collect();
+        CsrMatrix::from_rows(&rows, 20)
+    }
+
     fn positions(p: &Permutation, rows: &[usize]) -> Vec<usize> {
         let mut v: Vec<usize> = rows.iter().map(|&r| p.old_to_new(r)).collect();
         v.sort_unstable();
@@ -224,11 +216,25 @@ mod tests {
 
     #[test]
     fn minhash_is_deterministic_per_seed() {
-        let a = blocks();
-        assert_eq!(
-            minhash_order(&a, 8, 1).new_to_old_slice(),
-            minhash_order(&a, 8, 1).new_to_old_slice()
-        );
+        // Pinned outputs: the permutations must never drift.
+        let cases: [(CsrMatrix, &[u32], &[u32]); 2] = [
+            (blocks(), &[4, 0, 5, 1, 3, 2], &[2, 0, 4, 5, 1, 3]),
+            (
+                random_matrix(),
+                &[
+                    21, 10, 4, 5, 0, 22, 20, 9, 12, 14, 13, 23, 16, 2, 11, 18, 1, 3, 6, 7, 8, 15,
+                    17, 19,
+                ],
+                &[
+                    16, 4, 21, 10, 18, 20, 13, 2, 23, 5, 0, 11, 9, 22, 14, 12, 1, 3, 6, 7, 8, 15,
+                    17, 19,
+                ],
+            ),
+        ];
+        for (a, h8_seed1, h16_seed7) in cases {
+            assert_eq!(minhash_order(&a, 8, 1).new_to_old_slice(), h8_seed1);
+            assert_eq!(minhash_order(&a, 16, 7).new_to_old_slice(), h16_seed7);
+        }
     }
 
     #[test]
@@ -270,14 +276,25 @@ mod tests {
 
     #[test]
     fn cluster_order_is_thread_count_invariant() {
-        let a = blocks();
-        let reference = cluster_order(&a, 1);
-        for threads in [2usize, 3, 8] {
-            assert_eq!(
-                reference.new_to_old_slice(),
-                cluster_order(&a, threads).new_to_old_slice(),
-                "threads={threads}"
-            );
+        // Pinned outputs: the permutations must never drift.
+        let cases: [(CsrMatrix, &[u32]); 2] = [
+            (blocks(), &[3, 5, 0, 4, 1, 2]),
+            (
+                random_matrix(),
+                &[
+                    20, 13, 18, 16, 23, 21, 22, 9, 12, 2, 10, 4, 11, 14, 5, 0, 1, 3, 6, 7, 8, 15,
+                    17, 19,
+                ],
+            ),
+        ];
+        for (a, pinned) in cases {
+            for threads in [1usize, 2, 3, 8] {
+                assert_eq!(
+                    cluster_order(&a, threads).new_to_old_slice(),
+                    pinned,
+                    "threads={threads}"
+                );
+            }
         }
     }
 

@@ -32,11 +32,9 @@
 //! * **Fixed point.** If the candidate `u` equals `v` itself, `v` is
 //!   returned immediately (an isolated vertex is its own candidate).
 //!
-//! Both the sequential and the frontier-parallel drivers (see
-//! [`crate::parallel`]) funnel through the single [`george_liu_iterate`]
-//! loop below, so the rule cannot drift between them.
-
-use cahd_sparse::NeighborOracle;
+//! The frontier engine (see [`crate::parallel`]) runs the single
+//! [`george_liu_iterate`] loop below at every thread count and for every
+//! representation, so the rule cannot drift between them.
 
 use crate::level::LevelStructure;
 
@@ -45,9 +43,8 @@ use crate::level::LevelStructure;
 /// `build(root)` must return the BFS level structure rooted at `root`.
 ///
 /// This is the *single* home of the pseudo-peripheral restart/tie rule
-/// (see the module docs); every driver — sequential, implicit-oracle, and
-/// frontier-parallel — delegates here so the chosen root is identical
-/// across representations and thread counts.
+/// (see the module docs), so the chosen root is identical across
+/// representations and thread counts.
 pub(crate) fn george_liu_iterate(
     degree: impl Fn(u32) -> usize,
     mut build: impl FnMut(u32) -> LevelStructure,
@@ -76,39 +73,20 @@ pub(crate) fn george_liu_iterate(
     }
 }
 
-/// Finds a pseudo-peripheral vertex of the component containing `start`,
-/// returning it together with its level structure.
-///
-/// `mark`/`stamp_counter` are the reusable visited flags shared with the
-/// other traversals; the function bumps `*stamp_counter` for every BFS it
-/// performs.
-pub fn pseudo_peripheral_with_scratch(
-    g: &impl NeighborOracle,
-    start: u32,
-    mark: &mut [u32],
-    stamp_counter: &mut u32,
-) -> (u32, LevelStructure) {
-    george_liu_iterate(
-        |w| g.degree(w as usize),
-        |root| {
-            *stamp_counter += 1;
-            LevelStructure::build(g, root, mark, *stamp_counter)
-        },
-        start,
-    )
-}
-
-/// Convenience wrapper that allocates its own scratch space.
-pub fn pseudo_peripheral(g: &impl NeighborOracle, start: u32) -> (u32, LevelStructure) {
-    let mut mark = vec![0u32; g.n_vertices()];
-    let mut stamp = 0u32;
-    pseudo_peripheral_with_scratch(g, start, &mut mark, &mut stamp)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::rooted_levels;
     use cahd_sparse::Graph;
+
+    /// The root search as the engine runs it at one worker.
+    fn pseudo_peripheral(g: &Graph, start: u32) -> (u32, LevelStructure) {
+        george_liu_iterate(
+            |w| g.degree(w as usize),
+            |r| rooted_levels(g, &[r]).remove(0),
+            start,
+        )
+    }
 
     #[test]
     fn path_finds_an_end() {
@@ -140,7 +118,7 @@ mod tests {
         let g = Graph::from_edges(2, &[]);
         let (root, l) = pseudo_peripheral(&g, 1);
         assert_eq!(root, 1);
-        assert_eq!(l.n_vertices(), 1);
+        assert_eq!(l.vertices().len(), 1);
     }
 
     #[test]

@@ -10,9 +10,9 @@
 ///
 /// All strategies produce a valid row permutation; they trade ordering
 /// cost against band quality (and hence downstream anonymization
-/// utility). [`OrderingStrategy::Rcm`] is byte-identical to the
-/// sequential reference RCM at every thread count; the cheaper
-/// strategies are deterministic but intentionally different orders.
+/// utility). [`OrderingStrategy::Rcm`] is the paper's Fig. 4, the same
+/// bytes at every thread count; the cheaper strategies are deterministic
+/// but intentionally different orders.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum OrderingStrategy {
     /// Reverse Cuthill-McKee over the `A x A^T` row graph (the paper's

@@ -17,8 +17,7 @@ use cahd_sparse::bandwidth::{rect_band_stats, RectBandStats};
 use cahd_sparse::{resolve_hub_cap, CsrMatrix, Permutation, RowGraph, RowGraphMode};
 
 use crate::ordering::cluster_order;
-use crate::parallel::band_order_traced;
-use crate::rcm::reverse_cuthill_mckee;
+use crate::parallel::{band_order, band_order_traced};
 use crate::strategy::OrderingStrategy;
 
 /// How to order columns after the RCM row permutation.
@@ -127,8 +126,7 @@ pub fn reduce_unsymmetric(a: &CsrMatrix, opts: UnsymOptions) -> BandReduction {
 ///   `pipeline/rcm/columns` (column ordering), and `pipeline/rcm/stats`
 ///   (band statistics before/after);
 /// * the `sparse.*` counters of [`RowGraph::build_traced`] and the
-///   `rcm.components` / `rcm.bfs_levels` counters of
-///   [`crate::cuthill_mckee_traced`];
+///   `rcm.*` ordering counters of [`band_order_traced`];
 /// * gauges `rcm.bandwidth_before` / `rcm.bandwidth_after` (the
 ///   [`RectBandStats::max_diag_distance`] rectangular-bandwidth analogue)
 ///   and `rcm.mean_row_span_before` / `rcm.mean_row_span_after`.
@@ -221,7 +219,7 @@ fn sum_method_orderings(a: &CsrMatrix) -> (Permutation, Permutation) {
         }
     }
     let graph = cahd_sparse::Graph::from_edges(size, &edges);
-    let combined = reverse_cuthill_mckee(&graph);
+    let combined = band_order(&graph, OrderingStrategy::Rcm, 1);
     // Relative order of row vertices / column vertices.
     let mut row_order: Vec<u32> = (0..n as u32).collect();
     row_order.sort_by_key(|&r| combined.old_to_new(r as usize));

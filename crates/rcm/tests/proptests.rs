@@ -1,11 +1,12 @@
 //! Property-based tests for RCM.
 
-use cahd_rcm::{
-    cuthill_mckee, gibbs_poole_stockmeyer, reduce_unsymmetric, reverse_cuthill_mckee,
-    reverse_cuthill_mckee_linear, UnsymOptions,
-};
+mod common;
+
+use cahd_rcm::{band_order, reduce_unsymmetric, OrderingStrategy, UnsymOptions};
 use cahd_sparse::bandwidth::graph_band_stats;
 use cahd_sparse::{CsrMatrix, Graph, Permutation};
+use common::fig4::{fig4, Traversal};
+use common::{adjacency, components_contiguous};
 use proptest::prelude::*;
 
 fn arb_graph() -> impl Strategy<Value = Graph> {
@@ -15,10 +16,16 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
     })
 }
 
+/// The engine's RCM at one worker — the production path on a small host.
+fn rcm(g: &Graph) -> Permutation {
+    band_order(g, OrderingStrategy::Rcm, 1)
+}
+
 proptest! {
     #[test]
-    fn rcm_is_a_permutation(g in arb_graph()) {
-        let p = reverse_cuthill_mckee(&g);
+    fn rcm_matches_fig4_and_is_a_permutation(g in arb_graph()) {
+        let p = rcm(&g);
+        prop_assert_eq!(p.new_to_old_slice(), &fig4(&adjacency(&g), Traversal::Cm).order[..]);
         prop_assert_eq!(p.len(), g.n_vertices());
         // from_new_to_old already validates bijectivity; composing with the
         // inverse must be the identity.
@@ -27,9 +34,10 @@ proptest! {
 
     #[test]
     fn rcm_and_cm_have_equal_bandwidth(g in arb_graph()) {
-        // Reversal cannot change the bandwidth, only the profile.
-        let cm = cuthill_mckee(&g);
-        let rcm = reverse_cuthill_mckee(&g);
+        // Reversal cannot change the bandwidth, only the profile. CM is
+        // the RCM order read forwards.
+        let rcm = rcm(&g);
+        let cm = rcm.reversed();
         let bc = graph_band_stats(&g, &cm).bandwidth;
         let br = graph_band_stats(&g, &rcm).bandwidth;
         prop_assert_eq!(bc, br);
@@ -39,45 +47,16 @@ proptest! {
     fn rcm_profile_le_cm_profile(g in arb_graph()) {
         // The classic Liu–Sherman result: reversing CM never increases the
         // envelope/profile.
-        let cm = cuthill_mckee(&g);
-        let rcm = reverse_cuthill_mckee(&g);
+        let rcm = rcm(&g);
+        let cm = rcm.reversed();
         let pc = graph_band_stats(&g, &cm).profile;
         let pr = graph_band_stats(&g, &rcm).profile;
         prop_assert!(pr <= pc, "rcm profile {} > cm profile {}", pr, pc);
     }
 
     #[test]
-    fn linear_rcm_identical_to_comparison_rcm(g in arb_graph()) {
-        let a = reverse_cuthill_mckee(&g);
-        let b = reverse_cuthill_mckee_linear(&g);
-        prop_assert_eq!(a.new_to_old_slice(), b.new_to_old_slice());
-    }
-
-    #[test]
-    fn gps_is_a_valid_permutation(g in arb_graph()) {
-        let p = gibbs_poole_stockmeyer(&g);
-        prop_assert_eq!(p.len(), g.n_vertices());
-        prop_assert!(p.then(&p.inverse()).is_identity());
-    }
-
-    #[test]
     fn components_stay_contiguous(g in arb_graph()) {
-        let p = reverse_cuthill_mckee(&g);
-        let (comp, _) = g.connected_components();
-        // Vertices of one component must occupy a contiguous position range.
-        let n = g.n_vertices();
-        let mut comp_of_pos: Vec<u32> = vec![0; n];
-        for v in 0..n {
-            comp_of_pos[p.old_to_new(v)] = comp[v];
-        }
-        let mut seen = std::collections::HashSet::new();
-        let mut prev = u32::MAX;
-        for &c in &comp_of_pos {
-            if c != prev {
-                prop_assert!(seen.insert(c), "component {} split", c);
-                prev = c;
-            }
-        }
+        prop_assert!(components_contiguous(&g, &rcm(&g)));
     }
 
     #[test]

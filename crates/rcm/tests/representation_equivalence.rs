@@ -4,14 +4,16 @@
 //! The tentpole contract of the implicit-first ordering backend:
 //!
 //! 1. **Byte-identity across representations**: with the hub cap off,
-//!    [`band_order_with`] over [`ImplicitRowGraph`] equals the same call
-//!    over the explicit [`RowGraph`] — same bytes — for strategies
-//!    `{rcm, bfs}` at thread counts `{1, 8}` (plus `CAHD_TEST_THREADS`),
-//!    with the parallel claim path forced onto every frontier
-//!    (`frontier_min = 1`). The implicit oracle enumerates neighbors in
-//!    posting-list order, not sorted order, so this proves the engine's
-//!    canonical within-parent rule absorbs representation-defined
-//!    enumeration order.
+//!    [`band_order_with`] over [`ImplicitRowGraph`] and over the explicit
+//!    [`RowGraph`] both equal the literal Fig. 4 transcription
+//!    (`common/fig4.rs`) run on the `A x A^T` adjacency computed pair by
+//!    pair from the rows — same bytes — for strategies `{rcm, bfs}` at
+//!    thread counts `{1, 8}` (plus `CAHD_TEST_THREADS`), with the
+//!    parallel claim path forced onto every frontier (`frontier_min = 1`)
+//!    and at the production threshold. The implicit oracle enumerates
+//!    neighbors in posting-list order, not sorted order, so this proves
+//!    the engine's canonical within-parent rule absorbs
+//!    representation-defined enumeration order.
 //! 2. **Counter invariance**: the `rcm.*` counters are identical across
 //!    representations and thread counts (same level sets, same
 //!    expansions), and the `sparse.implicit_*` build counters satisfy the
@@ -24,27 +26,60 @@
 //! The `CAHD_TEST_THREADS` environment variable (used by the CI
 //! representation matrix) adds one more thread count to every sweep.
 
+mod common;
+
 use cahd_obs::Recorder;
-use cahd_rcm::{band_order_with, OrderingStrategy, RowGraphMode, UnsymOptions};
+use cahd_rcm::{
+    band_order_with, OrderingStrategy, RowGraphMode, UnsymOptions, PARALLEL_FRONTIER_MIN,
+};
 use cahd_sparse::{CsrMatrix, ImplicitRowGraph, RowGraph};
+use common::fig4::{fig4, Traversal};
+use common::{aat_adjacency, thread_counts};
 use proptest::prelude::*;
 
-/// Thread counts the matrix sweeps: `{1, 8}` plus an optional override
-/// from `CAHD_TEST_THREADS`.
-fn thread_counts() -> Vec<usize> {
-    let mut counts = vec![1usize, 8];
-    if let Ok(v) = std::env::var("CAHD_TEST_THREADS") {
-        if let Ok(extra) = v.trim().parse::<usize>() {
-            if extra >= 1 && !counts.contains(&extra) {
-                counts.push(extra);
+/// The two graph-traversal strategies the implicit backend serves, with
+/// the oracle traversal of each.
+const STRATEGIES: [(OrderingStrategy, Traversal); 2] = [
+    (OrderingStrategy::Rcm, Traversal::Cm),
+    (OrderingStrategy::Bfs, Traversal::Bfs),
+];
+
+/// Checks both representations of `a`'s row graph against the oracle at
+/// every thread count and eligibility threshold.
+fn assert_representations_match_fig4(a: &CsrMatrix) -> Result<(), String> {
+    let adj = aat_adjacency(a);
+    let ex = RowGraph::build_explicit(a);
+    let im = ImplicitRowGraph::new(a);
+    for (strategy, traversal) in STRATEGIES {
+        let want = fig4(&adj, traversal).order;
+        for threads in thread_counts(&[1, 8]) {
+            for frontier_min in [1, PARALLEL_FRONTIER_MIN] {
+                let rec = Recorder::disabled();
+                for (name, p) in [
+                    (
+                        "explicit",
+                        band_order_with(&ex, strategy, threads, frontier_min, &rec),
+                    ),
+                    (
+                        "implicit",
+                        band_order_with(&im, strategy, threads, frontier_min, &rec),
+                    ),
+                ] {
+                    prop_assert_eq!(
+                        p.new_to_old_slice(),
+                        &want[..],
+                        "{} {} threads={} frontier_min={}",
+                        name,
+                        strategy.name(),
+                        threads,
+                        frontier_min
+                    );
+                }
             }
         }
     }
-    counts
+    Ok(())
 }
-
-/// The two graph-traversal strategies the implicit backend serves.
-const STRATEGIES: [OrderingStrategy; 2] = [OrderingStrategy::Rcm, OrderingStrategy::Bfs];
 
 /// Whether run-time environment overrides would redirect
 /// [`reduce_unsymmetric`] away from the options under test.
@@ -112,38 +147,34 @@ fn arb_matrix() -> impl Strategy<Value = CsrMatrix> {
         })
 }
 
+#[test]
+fn clique_heavy_rows_match_fig4() {
+    // Rows share items heavily, so the implicit enumeration order differs
+    // wildly from the explicit (sorted) order: the canonical within-parent
+    // sort must absorb the difference for both strategies.
+    let rows: Vec<Vec<u32>> = (0..40u32)
+        .map(|i| vec![i % 4, 4 + i % 7, 11 + (i / 3) % 5])
+        .collect();
+    if let Err(e) = assert_representations_match_fig4(&CsrMatrix::from_rows(&rows, 16)) {
+        panic!("{e}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn implicit_ordering_is_byte_identical_to_explicit(a in arb_matrix()) {
-        let ex = RowGraph::build_explicit(&a);
-        let im = ImplicitRowGraph::new(&a);
-        for strategy in STRATEGIES {
-            // The explicit single-threaded run is the reference bytes.
-            let reference = band_order_with(&ex, strategy, 1, 1, &Recorder::disabled());
-            for threads in thread_counts() {
-                for (name, p) in [
-                    ("explicit", band_order_with(&ex, strategy, threads, 1, &Recorder::disabled())),
-                    ("implicit", band_order_with(&im, strategy, threads, 1, &Recorder::disabled())),
-                ] {
-                    prop_assert_eq!(
-                        reference.new_to_old_slice(),
-                        p.new_to_old_slice(),
-                        "{} {} threads={}", name, strategy.name(), threads
-                    );
-                }
-            }
-        }
+    fn both_representations_are_byte_identical_to_fig4(a in arb_matrix()) {
+        assert_representations_match_fig4(&a)?;
     }
 
     #[test]
     fn rcm_counters_are_representation_and_thread_invariant(a in arb_matrix()) {
-        for strategy in STRATEGIES {
+        for (strategy, _) in STRATEGIES {
             let ex = RowGraph::build_explicit(&a);
             let im = ImplicitRowGraph::new(&a);
             let mut seen: Option<(u64, u64, u64, u64, u64)> = None;
-            for threads in thread_counts() {
+            for threads in thread_counts(&[1, 8]) {
                 for explicit in [true, false] {
                     let rec = Recorder::new();
                     if explicit {
@@ -227,9 +258,9 @@ proptest! {
             // cover representation identity under the matrix.
             return Ok(());
         }
-        for strategy in STRATEGIES {
+        for (strategy, _) in STRATEGIES {
             let mut reference: Option<cahd_rcm::BandReduction> = None;
-            for threads in thread_counts() {
+            for threads in thread_counts(&[1, 8]) {
                 for mode in [RowGraphMode::Explicit, RowGraphMode::Implicit] {
                     let red = cahd_rcm::reduce_unsymmetric(
                         &a,

@@ -32,8 +32,7 @@ pub mod perm;
 pub mod viz;
 
 pub use aat::{
-    resolve_hub_cap, ImplicitRowGraph, NeighborOracle, OracleScratch, ParNeighborOracle, RowGraph,
-    RowGraphMode, SeqOracle,
+    resolve_hub_cap, ImplicitRowGraph, OracleScratch, ParNeighborOracle, RowGraph, RowGraphMode,
 };
 pub use bandwidth::{rect_band_stats, GraphBandStats, RectBandStats};
 pub use csr::CsrMatrix;

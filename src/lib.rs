@@ -65,7 +65,7 @@ pub mod prelude {
         estimate_count, evaluate_workload, generate_workload_seeded, kl_divergence, mine_rules,
         reidentification_probability, GroupByQuery,
     };
-    pub use cahd_rcm::{reduce_unsymmetric, reverse_cuthill_mckee, UnsymOptions};
+    pub use cahd_rcm::{band_order, reduce_unsymmetric, OrderingStrategy, UnsymOptions};
     pub use cahd_sparse::{CsrMatrix, Permutation};
 
     /// A seeded standard RNG — saves examples/doc-tests an explicit `rand`
