@@ -137,7 +137,7 @@ pub fn fig6(ctx: &ExperimentContext) -> (Table, Vec<String>) {
         let id_r = Permutation::identity(data.n_transactions());
         let id_c = Permutation::identity(data.n_items());
         let before = DensityGrid::new(data.matrix(), &id_r, &id_c, 30, 60);
-        let after = DensityGrid::new(data.matrix(), &red.row_perm, &red.col_perm, 30, 60);
+        let after = DensityGrid::new(data.matrix(), &red.row_perm, &red.col_perm(), 30, 60);
         panels.push(format!(
             "-- correlation {corr:.1}: original --\n{}-- correlation {corr:.1}: after RCM --\n{}",
             before.to_ascii(),

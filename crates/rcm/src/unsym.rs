@@ -8,12 +8,21 @@
 //! A row permutation alone leaves the non-zeros scattered across the full
 //! column range; for band-structure reporting and the Fig. 6 visualization a
 //! column permutation is also produced (the paper permutes "rows and
-//! columns"). Columns are ordered by a statistic of the permuted row
-//! positions of their non-zeros, selectable via [`ColumnOrder`].
+//! columns"). Columns are ordered by the mean permuted row position of
+//! their non-zeros ([`ColumnOrder`]).
+//!
+//! Sparse data touches few of its items, so on a universe wider than twice
+//! its non-zeros the reduction works in the touched columns' own space:
+//! [`CsrMatrix::compact_columns`] drops the empty columns once, and the row
+//! graph, the column ordering and both band statistics run over the `k`
+//! touched columns in O(nnz + d/64), not O(d). None of them depends on an
+//! empty column, and the relabel keeps column order, so the results are
+//! those of the full-width computation.
 
+use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
-use cahd_sparse::bandwidth::{rect_band_stats, RectBandStats};
+use cahd_sparse::bandwidth::{rect_band_stats_at, RectBandStats};
 use cahd_sparse::{resolve_hub_cap, CsrMatrix, Permutation, RowGraph, RowGraphMode};
 
 use crate::ordering::cluster_order;
@@ -24,13 +33,9 @@ use crate::strategy::OrderingStrategy;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ColumnOrder {
     /// By the mean permuted row position of the column's non-zeros
-    /// (empty columns last). Default; gives the smoothest diagonal band.
+    /// (empty columns last, in id order). Gives the smoothest diagonal
+    /// band.
     MeanRowPos,
-    /// By the first (smallest) permuted row position of the column's
-    /// non-zeros (empty columns last).
-    FirstOccurrence,
-    /// Keep the original column order.
-    Identity,
 }
 
 /// Which symmetrization of the paper's Fig. 5 step 1 to use.
@@ -100,8 +105,6 @@ impl Default for UnsymOptions {
 pub struct BandReduction {
     /// RCM row permutation (`old_to_new` places each original row).
     pub row_perm: Permutation,
-    /// Column permutation per the requested [`ColumnOrder`].
-    pub col_perm: Permutation,
     /// Band statistics of the original matrix (identity permutations).
     pub before: RectBandStats,
     /// Band statistics after applying both permutations.
@@ -110,6 +113,20 @@ pub struct BandReduction {
     pub used_explicit_aat: bool,
     /// Wall-clock time of graph construction + RCM (excludes stats).
     pub rcm_time: Duration,
+    /// Original ids of the placed columns, in placed order; every column
+    /// not listed follows in ascending id (see [`BandReduction::col_perm`]).
+    placed_cols: Vec<u32>,
+    n_cols: usize,
+}
+
+impl BandReduction {
+    /// The column permutation per [`ColumnOrder`], expanded to the full
+    /// item universe on demand: on a wide universe the reduction stores
+    /// only the order of the touched columns, so a release never pays
+    /// for the expansion.
+    pub fn col_perm(&self) -> Permutation {
+        expand_column_order(self.placed_cols.clone(), self.n_cols)
+    }
 }
 
 /// Runs the paper's unsymmetric bandwidth-reduction pipeline on `a`.
@@ -121,10 +138,10 @@ pub fn reduce_unsymmetric(a: &CsrMatrix, opts: UnsymOptions) -> BandReduction {
 /// into `rec`:
 ///
 /// * spans `pipeline/rcm` (whole reduction) with children
-///   `pipeline/rcm/aat_build` (row-graph construction, `Product` method
-///   only), `pipeline/rcm/order` (the Cuthill-McKee ordering),
-///   `pipeline/rcm/columns` (column ordering), and `pipeline/rcm/stats`
-///   (band statistics before/after);
+///   `pipeline/rcm/aat_build` (column compaction and row-graph
+///   construction, `Product` method only), `pipeline/rcm/order` (the
+///   Cuthill-McKee ordering), `pipeline/rcm/columns` (column
+///   ordering), and `pipeline/rcm/stats` (band statistics before/after);
 /// * the `sparse.*` counters of [`RowGraph::build_traced`] and the
 ///   `rcm.*` ordering counters of [`band_order_traced`];
 /// * gauges `rcm.bandwidth_before` / `rcm.bandwidth_after` (the
@@ -139,6 +156,7 @@ pub fn reduce_unsymmetric_traced(
     // cahd-lint: allow(L002, reason = "elapsed-time stat only; release bytes never depend on it")
     let t0 = Instant::now();
     let strategy = opts.ordering.resolved();
+    let mut space = None;
     let (row_perm, sum_col_perm, used_explicit_aat) = match opts.aat_method {
         // Cluster-then-order works on the matrix itself: no `A x A^T`
         // graph is built at all (`used_explicit_aat` is false).
@@ -151,7 +169,9 @@ pub fn reduce_unsymmetric_traced(
             let hub_cap = resolve_hub_cap(opts.hub_cap);
             let rg = {
                 let _s = rec.span("pipeline/rcm/aat_build");
-                RowGraph::build_mode_traced(a, mode, opts.edge_budget, hub_cap, opts.threads, rec)
+                // Adjacency, degrees and supports ignore empty columns.
+                let c = &space.insert(ColumnSpace::of(a)).matrix;
+                RowGraph::build_mode_traced(c, mode, opts.edge_budget, hub_cap, opts.threads, rec)
             };
             let explicit = rg.is_explicit();
             let _s = rec.span("pipeline/rcm/order");
@@ -169,25 +189,40 @@ pub fn reduce_unsymmetric_traced(
     };
     let rcm_time = t0.elapsed();
 
-    let col_perm = {
+    let (placed_cols, col_pos) = {
         let _s = rec.span("pipeline/rcm/columns");
+        let sp = space.get_or_insert_with(|| ColumnSpace::of(a));
         match (opts.column_order, sum_col_perm) {
-            // Method (i) already produced a joint column ordering; the
-            // MeanRowPos default defers to it.
-            (ColumnOrder::MeanRowPos, Some(cp)) => cp,
-            (order, _) => order_columns(a, &row_perm, order),
+            // Method (i) already produced a joint column ordering over
+            // every column; the MeanRowPos default defers to it.
+            (ColumnOrder::MeanRowPos, Some(cp)) => {
+                let pos = (0..sp.matrix.n_cols() as u32)
+                    .map(|j| cp.old_to_new(sp.original(j) as usize))
+                    .collect();
+                (cp.new_to_old_slice().to_vec(), pos)
+            }
+            (ColumnOrder::MeanRowPos, None) => {
+                let order = mean_row_pos_order(&sp.matrix, &row_perm);
+                let mut pos = vec![0usize; order.len()];
+                for (p, &j) in order.iter().enumerate() {
+                    pos[j as usize] = p;
+                }
+                let placed = order.iter().map(|&j| sp.original(j)).collect();
+                (placed, pos)
+            }
         }
     };
 
     let (before, after) = {
         let _s = rec.span("pipeline/rcm/stats");
-        let id_rows = Permutation::identity(a.n_rows());
-        let id_cols = Permutation::identity(a.n_cols());
+        let sp = space.get_or_insert_with(|| ColumnSpace::of(a));
+        let (c, d) = (&sp.matrix, a.n_cols());
         (
-            rect_band_stats(a, &id_rows, &id_cols),
-            rect_band_stats(a, &row_perm, &col_perm),
+            rect_band_stats_at(c, d, |r| r, |j| sp.original(j) as usize),
+            rect_band_stats_at(c, d, |r| row_perm.old_to_new(r), |j| col_pos[j as usize]),
         )
     };
+    drop(space);
     rec.gauge("rcm.bandwidth_before", before.max_diag_distance as f64);
     rec.gauge("rcm.bandwidth_after", after.max_diag_distance as f64);
     rec.gauge("rcm.mean_row_span_before", before.mean_row_span);
@@ -196,11 +231,12 @@ pub fn reduce_unsymmetric_traced(
 
     BandReduction {
         row_perm,
-        col_perm,
         before,
         after,
         used_explicit_aat,
         rcm_time,
+        placed_cols,
+        n_cols: a.n_cols(),
     }
 }
 
@@ -233,40 +269,91 @@ fn sum_method_orderings(a: &CsrMatrix) -> (Permutation, Permutation) {
     )
 }
 
-/// Computes the column permutation for a given row permutation.
+/// Computes the column permutation for a given row permutation: the
+/// non-empty columns by [`ColumnOrder`], then the empty ones in id order.
 pub fn order_columns(a: &CsrMatrix, row_perm: &Permutation, order: ColumnOrder) -> Permutation {
-    let d = a.n_cols();
-    if matches!(order, ColumnOrder::Identity) {
-        return Permutation::identity(d);
+    match order {
+        ColumnOrder::MeanRowPos => {
+            let sp = ColumnSpace::of(a);
+            let placed = mean_row_pos_order(&sp.matrix, row_perm)
+                .into_iter()
+                .map(|j| sp.original(j))
+                .collect();
+            expand_column_order(placed, a.n_cols())
+        }
     }
-    // key[j] = (statistic, j); empty columns sort last.
-    let mut key: Vec<(f64, u32)> = (0..d as u32).map(|j| (f64::INFINITY, j)).collect();
-    let mut sum = vec![0f64; d];
-    let mut cnt = vec![0u32; d];
-    let mut min = vec![usize::MAX; d];
-    for r in 0..a.n_rows() {
+}
+
+/// The columns the reduction works on: `a` without its empty columns when
+/// the universe is wider than twice the non-zeros, else `a` itself. Below
+/// that width every O(d) cost is already O(nnz), and the copy would only
+/// raise the peak.
+struct ColumnSpace<'a> {
+    matrix: Cow<'a, CsrMatrix>,
+    /// The original id of each compacted column (ascending); `None` when
+    /// `matrix` is `a` itself.
+    ids: Option<Vec<u32>>,
+}
+
+impl<'a> ColumnSpace<'a> {
+    fn of(a: &'a CsrMatrix) -> Self {
+        if a.n_cols() > 2 * a.nnz() {
+            let (matrix, ids) = a.compact_columns();
+            ColumnSpace {
+                matrix,
+                ids: Some(ids),
+            }
+        } else {
+            ColumnSpace {
+                matrix: Cow::Borrowed(a),
+                ids: None,
+            }
+        }
+    }
+
+    /// The original id of column `j` of `matrix`.
+    fn original(&self, j: u32) -> u32 {
+        self.ids.as_ref().map_or(j, |ids| ids[j as usize])
+    }
+}
+
+/// The columns of `c` sorted by the mean permuted row position of their
+/// non-zeros, ties by id; empty columns last, in id order.
+fn mean_row_pos_order(c: &CsrMatrix, row_perm: &Permutation) -> Vec<u32> {
+    let k = c.n_cols();
+    let mut sum = vec![0f64; k];
+    let mut cnt = vec![0u32; k];
+    for r in 0..c.n_rows() {
         let pos = row_perm.old_to_new(r);
-        for &c in a.row(r) {
-            let c = c as usize;
-            sum[c] += pos as f64;
-            cnt[c] += 1;
-            min[c] = min[c].min(pos);
+        for &j in c.row(r) {
+            sum[j as usize] += pos as f64;
+            cnt[j as usize] += 1;
         }
     }
-    for j in 0..d {
-        if cnt[j] > 0 {
-            key[j].0 = match order {
-                ColumnOrder::MeanRowPos => sum[j] / cnt[j] as f64,
-                ColumnOrder::FirstOccurrence => min[j] as f64,
-                // cahd-lint: allow(L003, reason = "Identity early-returns at function entry")
-                ColumnOrder::Identity => unreachable!(),
-            };
-        }
+    let mut key: Vec<(f64, u32)> = sum
+        .iter()
+        .zip(&cnt)
+        .zip(0u32..)
+        .map(|((&s, &n), j)| match n {
+            0 => (f64::INFINITY, j),
+            n => (s / n as f64, j),
+        })
+        .collect();
+    // Ids are distinct, so the order is total and the unstable sort exact.
+    key.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    key.into_iter().map(|(_, j)| j).collect()
+}
+
+/// The `d`-column permutation that places the distinct ids of `placed`
+/// first, in order, and every other column after them in ascending id.
+fn expand_column_order(mut placed: Vec<u32>, d: usize) -> Permutation {
+    let mut seen = vec![0u64; d.div_ceil(64)];
+    for &j in &placed {
+        seen[j as usize / 64] |= 1u64 << (j % 64);
     }
-    key.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    let order_vec: Vec<u32> = key.into_iter().map(|(_, j)| j).collect();
-    // cahd-lint: allow(L003, reason = "order_vec is a sort of 0..d, a permutation by construction")
-    Permutation::from_new_to_old(order_vec).expect("each column appears once")
+    placed.extend((0..d as u32).filter(|&j| seen[j as usize / 64] & (1u64 << (j % 64)) == 0));
+    // cahd-lint: allow(L003, reason = "placed ids are distinct and < d, the rest fills 0..d")
+    Permutation::from_new_to_old(placed).expect("each column appears once")
 }
 
 #[cfg(test)]
@@ -314,28 +401,16 @@ mod tests {
         let red = reduce_unsymmetric(&a, UnsymOptions::default());
         // Items of the first row block should occupy the first 3 column
         // positions (whichever block comes first).
+        let col_perm = red.col_perm();
         let mut pos_items_a: Vec<usize> = [0usize, 1, 2]
             .iter()
-            .map(|&c| red.col_perm.old_to_new(c))
+            .map(|&c| col_perm.old_to_new(c))
             .collect();
         pos_items_a.sort_unstable();
         assert!(
             pos_items_a == vec![0, 1, 2] || pos_items_a == vec![3, 4, 5],
             "{pos_items_a:?}"
         );
-    }
-
-    #[test]
-    fn identity_column_order() {
-        let a = scrambled_blocks();
-        let red = reduce_unsymmetric(
-            &a,
-            UnsymOptions {
-                column_order: ColumnOrder::Identity,
-                ..Default::default()
-            },
-        );
-        assert!(red.col_perm.is_identity());
     }
 
     #[test]
@@ -390,8 +465,8 @@ mod tests {
                 "threads={threads}"
             );
             assert_eq!(
-                seq.col_perm.new_to_old_slice(),
-                par.col_perm.new_to_old_slice(),
+                seq.col_perm().new_to_old_slice(),
+                par.col_perm().new_to_old_slice(),
                 "threads={threads}"
             );
         }
@@ -442,9 +517,10 @@ mod tests {
             },
         );
         assert_eq!(red.row_perm.len(), a.n_rows());
-        assert_eq!(red.col_perm.len(), a.n_cols());
+        let col_perm = red.col_perm();
+        assert_eq!(col_perm.len(), a.n_cols());
         assert!(red.row_perm.then(&red.row_perm.inverse()).is_identity());
-        assert!(red.col_perm.then(&red.col_perm.inverse()).is_identity());
+        assert!(col_perm.then(&col_perm.inverse()).is_identity());
         // Note: method (i) shares one index space between rows and columns
         // (row 0 and item 0 are the same vertex), so unlike method (ii) it
         // does NOT cleanly separate the blocks here — exactly the quality
@@ -474,14 +550,5 @@ mod tests {
             product.after.mean_row_span,
             sum.after.mean_row_span
         );
-    }
-
-    #[test]
-    fn first_occurrence_order() {
-        let a = CsrMatrix::from_rows(&[vec![1], vec![0]], 2);
-        let p = order_columns(&a, &Permutation::identity(2), ColumnOrder::FirstOccurrence);
-        // Column 1 first occurs at row 0, column 0 at row 1.
-        assert_eq!(p.old_to_new(1), 0);
-        assert_eq!(p.old_to_new(0), 1);
     }
 }

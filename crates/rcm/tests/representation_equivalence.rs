@@ -284,8 +284,8 @@ proptest! {
                             strategy.name(), mode, threads
                         );
                         prop_assert_eq!(
-                            r.col_perm.new_to_old_slice(),
-                            red.col_perm.new_to_old_slice(),
+                            r.col_perm(),
+                            red.col_perm(),
                             "col perm drifted: {} mode={:?} threads={}",
                             strategy.name(), mode, threads
                         );

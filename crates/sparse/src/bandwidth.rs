@@ -94,9 +94,31 @@ pub fn rect_band_stats(
         a.n_cols(),
         "column permutation length mismatch"
     );
+    rect_band_stats_at(
+        a,
+        a.n_cols(),
+        |r| row_perm.old_to_new(r),
+        |c| col_perm.old_to_new(c as usize),
+    )
+}
+
+/// [`RectBandStats`] of `a` read as an `a.n_rows() x n_cols` matrix: row
+/// `r` sits at `rpos(r)` and stored column `c` at `cpos(c)`.
+///
+/// This lets a caller measure a column-compacted matrix (see
+/// [`CsrMatrix::compact_columns`]) in its original `n_cols`-wide space:
+/// empty columns hold no non-zero, so they change no sum. The sums run
+/// row by row in stored order, so for the same positions the result is
+/// bit-identical to [`rect_band_stats`] on the uncompacted matrix.
+pub fn rect_band_stats_at(
+    a: &CsrMatrix,
+    n_cols: usize,
+    rpos: impl Fn(usize) -> usize,
+    cpos: impl Fn(u32) -> usize,
+) -> RectBandStats {
     let n = a.n_rows().max(1) as f64;
-    let d = a.n_cols().max(1) as f64;
-    let scale = a.n_rows().max(a.n_cols()) as f64;
+    let d = n_cols.max(1) as f64;
+    let scale = a.n_rows().max(n_cols) as f64;
 
     let mut max_row_span = 0usize;
     let mut span_sum = 0u64;
@@ -110,11 +132,11 @@ pub fn rect_band_stats(
         if row.is_empty() {
             continue;
         }
-        let rpos = row_perm.old_to_new(r);
+        let rpos = rpos(r);
         let mut min_c = usize::MAX;
         let mut max_c = 0usize;
         for &c in row {
-            let cpos = col_perm.old_to_new(c as usize);
+            let cpos = cpos(c);
             min_c = min_c.min(cpos);
             max_c = max_c.max(cpos);
             let dist = ((rpos as f64 / n) - (cpos as f64 / d)).abs() * scale;

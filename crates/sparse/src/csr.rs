@@ -5,6 +5,8 @@
 //! information the anonymization pipeline needs — a transaction either
 //! contains an item or it does not.
 
+use std::borrow::Cow;
+
 use crate::perm::Permutation;
 
 /// A binary sparse matrix in compressed sparse row format.
@@ -233,7 +235,58 @@ impl CsrMatrix {
         if self.n_rows != self.n_cols {
             return false;
         }
-        self.transpose().indices == self.indices && self.transpose().indptr == self.indptr
+        let t = self.transpose();
+        t.indices == self.indices && t.indptr == self.indptr
+    }
+
+    /// Drops the empty columns: the touched columns are relabeled `0..k`
+    /// in ascending original id, and the second value lists each one's
+    /// original id (`ids[new] = old`, ascending).
+    ///
+    /// The relabel preserves column order, so every row stays sorted and
+    /// every tie broken by column id breaks the same way. A ⌈d/64⌉-word
+    /// bitmap of touched columns with per-word rank prefixes does the
+    /// relabel in O(nnz + d/64), with no one-word-per-column buffer.
+    /// When every column is touched the matrix is borrowed, not copied.
+    pub fn compact_columns(&self) -> (Cow<'_, CsrMatrix>, Vec<u32>) {
+        let mut bits = vec![0u64; self.n_cols.div_ceil(64)];
+        for &c in &self.indices {
+            bits[c as usize / 64] |= 1u64 << (c % 64);
+        }
+        // rank[w]: touched columns in the words before `w`.
+        let mut rank = Vec::with_capacity(bits.len());
+        let mut k = 0u32;
+        for &w in &bits {
+            rank.push(k);
+            k += w.count_ones();
+        }
+        if k as usize == self.n_cols {
+            return (Cow::Borrowed(self), (0..k).collect());
+        }
+        let mut ids = Vec::with_capacity(k as usize);
+        for (wi, &w) in bits.iter().enumerate() {
+            let mut w = w;
+            while w != 0 {
+                ids.push((wi * 64) as u32 + w.trailing_zeros());
+                w &= w - 1;
+            }
+        }
+        let indices = self
+            .indices
+            .iter()
+            .map(|&c| {
+                let wi = c as usize / 64;
+                let below = (1u64 << (c % 64)) - 1;
+                rank[wi] + (bits[wi] & below).count_ones()
+            })
+            .collect();
+        let compact = CsrMatrix {
+            n_rows: self.n_rows,
+            n_cols: k as usize,
+            indptr: self.indptr.clone(),
+            indices,
+        };
+        (Cow::Owned(compact), ids)
     }
 
     /// Reorders rows: row `r` of the result is row `perm.new_to_old(r)` of
@@ -408,6 +461,70 @@ mod tests {
     #[should_panic(expected = "column index")]
     fn out_of_range_panics() {
         CsrMatrix::from_rows(&[vec![5]], 3);
+    }
+
+    /// Checks `compact_columns` against its definition: the touched
+    /// columns in ascending order, each row relabeled through them.
+    fn assert_compaction(m: &CsrMatrix) {
+        let (c, ids) = m.compact_columns();
+        let mut touched: Vec<u32> = m.indices().to_vec();
+        touched.sort_unstable();
+        touched.dedup();
+        assert_eq!(ids, touched);
+        assert_eq!(c.n_cols(), ids.len());
+        assert_eq!(c.n_rows(), m.n_rows());
+        for r in 0..m.n_rows() {
+            let back: Vec<u32> = c.row(r).iter().map(|&j| ids[j as usize]).collect();
+            assert_eq!(back, m.row(r), "row {r}");
+        }
+    }
+
+    #[test]
+    fn compact_columns_of_empty_matrix() {
+        let m = CsrMatrix::empty();
+        let (c, ids) = m.compact_columns();
+        assert!(matches!(c, Cow::Borrowed(_)));
+        assert_eq!(*c, m);
+        assert!(ids.is_empty());
+    }
+
+    #[test]
+    fn compact_columns_with_no_touched_column() {
+        let m = CsrMatrix::from_rows(&[vec![], vec![]], 100);
+        let (c, ids) = m.compact_columns();
+        assert_eq!((c.n_rows(), c.n_cols(), c.nnz()), (2, 0, 0));
+        assert!(ids.is_empty());
+    }
+
+    #[test]
+    fn compact_columns_with_every_column_touched_is_identity() {
+        let m = sample();
+        let (c, ids) = m.compact_columns();
+        assert!(matches!(c, Cow::Borrowed(_)));
+        assert_eq!(*c, m);
+        assert_eq!(ids, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn compact_columns_keeps_the_last_column() {
+        let m = CsrMatrix::from_rows(&[vec![3, 999], vec![], vec![0, 64, 999]], 1000);
+        let (c, ids) = m.compact_columns();
+        assert_eq!(ids, vec![0, 3, 64, 999]);
+        assert_eq!(c.row(0), &[1, 3]);
+        assert_eq!(c.row(2), &[0, 2, 3]);
+        assert_compaction(&m);
+    }
+
+    #[test]
+    fn compact_columns_at_word_boundaries() {
+        for d in [64usize, 65] {
+            let last = d as u32 - 1;
+            assert_compaction(&CsrMatrix::from_rows(&[vec![0, 63], vec![last]], d));
+            assert_compaction(&CsrMatrix::from_rows(&[vec![1, last], vec![62]], d));
+            let every: Vec<u32> = (0..d as u32).collect();
+            let full = CsrMatrix::from_rows(&[every], d);
+            assert!(matches!(full.compact_columns().0, Cow::Borrowed(_)));
+        }
     }
 
     #[test]

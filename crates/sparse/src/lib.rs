@@ -34,7 +34,7 @@ pub mod viz;
 pub use aat::{
     resolve_hub_cap, ImplicitRowGraph, OracleScratch, ParNeighborOracle, RowGraph, RowGraphMode,
 };
-pub use bandwidth::{rect_band_stats, GraphBandStats, RectBandStats};
+pub use bandwidth::{rect_band_stats, rect_band_stats_at, GraphBandStats, RectBandStats};
 pub use csr::CsrMatrix;
 pub use graph::Graph;
 pub use perm::Permutation;

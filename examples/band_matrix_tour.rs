@@ -39,7 +39,7 @@ fn main() {
         let id_r = Permutation::identity(data.n_transactions());
         let id_c = Permutation::identity(data.n_items());
         let before = DensityGrid::new(data.matrix(), &id_r, &id_c, 20, 40);
-        let after = DensityGrid::new(data.matrix(), &red.row_perm, &red.col_perm, 20, 40);
+        let after = DensityGrid::new(data.matrix(), &red.row_perm, &red.col_perm(), 20, 40);
 
         // Render before and after side by side.
         let left: Vec<&str> = before_lines(&before);
