@@ -432,6 +432,76 @@ mod tests {
         );
     }
 
+    /// Runs the trace pass alone over an implicit row-graph build's
+    /// counters: 8 rows in 5 distinct-row classes, 16 active postings.
+    fn twin_class_trace_findings(tamper: &[(&str, u64)]) -> CheckReport {
+        let rec = cahd_obs::Recorder::new();
+        for (name, value) in [
+            ("sparse.aat_rows", 8),
+            ("sparse.aat_nnz", 16),
+            ("sparse.implicit_builds", 1),
+            ("sparse.implicit_postings", 16),
+            ("sparse.row_classes", 5),
+            ("sparse.degree_work", 40),
+        ] {
+            let value = tamper
+                .iter()
+                .find(|(t, _)| *t == name)
+                .map_or(value, |&(_, v)| v);
+            rec.add(name, value);
+        }
+        let trace = rec.snapshot();
+        let (data, sens, published) = setup();
+        Registry::new().register(TraceObs).run(&CheckInput {
+            data: &data,
+            sensitive: &sens,
+            published: &published,
+            p: 2,
+            trace: Some(&trace),
+            attack: None,
+        })
+    }
+
+    fn assert_o001_mentions(report: &CheckReport, needle: &str) {
+        assert!(
+            report
+                .diagnostics
+                .iter()
+                .any(|d| d.code == "CAHD-O001" && d.message.contains(needle)),
+            "{}",
+            report.render_human()
+        );
+    }
+
+    #[test]
+    fn trace_pass_accepts_coherent_twin_class_counters() {
+        let report = twin_class_trace_findings(&[]);
+        assert!(report.is_clean(), "{}", report.render_human());
+        // The bounds are inclusive: every row its own class, and every
+        // class scanning every active posting.
+        let report =
+            twin_class_trace_findings(&[("sparse.row_classes", 8), ("sparse.degree_work", 128)]);
+        assert!(report.is_clean(), "{}", report.render_human());
+    }
+
+    #[test]
+    fn trace_pass_flags_more_classes_than_rows() {
+        let report = twin_class_trace_findings(&[("sparse.row_classes", 9)]);
+        assert_o001_mentions(&report, "distinct-row classes exceed the 8 recorded rows");
+    }
+
+    #[test]
+    fn trace_pass_flags_degree_work_beyond_postings_times_classes() {
+        let report = twin_class_trace_findings(&[("sparse.degree_work", 81)]);
+        assert_o001_mentions(&report, "more than 16 active postings times 5 classes");
+    }
+
+    #[test]
+    fn trace_pass_flags_degree_pass_counters_without_an_implicit_build() {
+        let report = twin_class_trace_findings(&[("sparse.implicit_builds", 0)]);
+        assert_o001_mentions(&report, "degree-pass counters present");
+    }
+
     #[test]
     fn recovery_pass_accepts_real_recoveries_and_flags_fabricated_ones() {
         use cahd_core::pipeline::{Anonymizer, AnonymizerConfig};

@@ -439,10 +439,15 @@ impl Pass for BandQuality {
 ///   exceeds the recorded `sparse.aat_nnz`, any `sparse.implicit_*`
 ///   activity implies `sparse.implicit_builds >= 1`, and capped postings
 ///   and hub items appear together (`sparse.implicit_capped_postings >=
-///   sparse.implicit_hub_items`, each zero iff the other is). Like the
-///   frontier split, the implicit counters depend only on the matrix and
-///   the hub cap — never on `--threads` or `--rowgraph` scheduling
-///   details.
+///   sparse.implicit_hub_items`, each zero iff the other is). The
+///   twin-class degree pass is bounded by its inputs: there are at most
+///   as many distinct-row classes as rows (`sparse.row_classes <=
+///   sparse.aat_rows`), and an item's class support is bounded by both
+///   its row support and the class count (`sparse.degree_work <=
+///   sparse.implicit_postings * sparse.row_classes`); both are zero unless
+///   `sparse.implicit_builds >= 1`. Like the frontier split, the implicit
+///   counters depend only on the matrix and the hub cap — never on
+///   `--threads` or `--rowgraph` scheduling details.
 ///
 /// A missing counter reads as zero (the recorder drops zero adds), so a
 /// trace from an untraced or partial run stays quiet. When
@@ -614,6 +619,38 @@ impl Pass for TraceObs {
                 format!(
                     "implicit row-graph accounting broken: capped postings ({capped}) and hub \
                      items ({hub_items}) must appear together"
+                ),
+            );
+        }
+        let row_classes = counter("sparse.row_classes");
+        let degree_work = counter("sparse.degree_work");
+        let aat_rows = counter("sparse.aat_rows");
+        if row_classes > aat_rows {
+            Self::balance(
+                out,
+                format!(
+                    "implicit row-graph accounting broken: {row_classes} distinct-row classes \
+                     exceed the {aat_rows} recorded rows"
+                ),
+            );
+        }
+        if u128::from(degree_work) > u128::from(postings) * u128::from(row_classes) {
+            Self::balance(
+                out,
+                format!(
+                    "implicit row-graph accounting broken: the degree pass scanned \
+                     {degree_work} class postings, more than {postings} active postings \
+                     times {row_classes} classes"
+                ),
+            );
+        }
+        if implicit_builds == 0 && (row_classes > 0 || degree_work > 0) {
+            Self::balance(
+                out,
+                format!(
+                    "implicit row-graph accounting broken: degree-pass counters present \
+                     ({row_classes} classes, {degree_work} class postings) without any \
+                     sparse.implicit_builds"
                 ),
             );
         }

@@ -21,14 +21,19 @@
 //!   ([`ParNeighborOracle::visit_neighbors`]) walks each item's posting
 //!   clique at most once per declared segment, so a whole frontier
 //!   expansion costs O(nnz) enumeration — the `k^2` cliques never
-//!   materialize in time either; only the one-shot exact degree pass
-//!   pays `sum(support^2)`.
+//!   materialize in time either. Only the one-shot exact degree pass
+//!   walks cliques, and it runs once per *twin class* (distinct item
+//!   set) over class postings, so it pays `sum(class_support^2)` rather
+//!   than `sum(support^2)`: duplicate-heavy click logs cost what their
+//!   distinct rows cost.
 //!
 //! [`RowGraphMode`] selects between them (`auto` estimates the directed
 //! edge count first and materializes only small graphs); an optional
 //! *hub cap* makes the implicit form skip items whose support exceeds the
 //! cap, trading a bounded amount of band quality for bounding the degree
 //! pass and thinning hub-dominated neighborhoods.
+
+use std::borrow::Cow;
 
 use crate::csr::CsrMatrix;
 use crate::graph::Graph;
@@ -202,12 +207,33 @@ impl<'a> ImplicitRowGraph<'a> {
     /// pure function of the matrix and the cap — identical at every
     /// thread count.
     pub fn with_options(a: &'a CsrMatrix, hub_cap: Option<u32>, threads: usize) -> Self {
-        let cols = a.transpose();
-        let degrees = bulk_degrees(a, &cols, hub_cap, threads);
+        Self::build(a, hub_cap, threads, &cahd_obs::Recorder::disabled())
+    }
+
+    /// [`ImplicitRowGraph::with_options`], recording the two build phases
+    /// as children of `pipeline/rcm/aat_build` (`transpose` and `degrees`)
+    /// and the degree pass's `sparse.row_classes` and `sparse.degree_work`
+    /// counters.
+    fn build(
+        a: &'a CsrMatrix,
+        hub_cap: Option<u32>,
+        threads: usize,
+        rec: &cahd_obs::Recorder,
+    ) -> Self {
+        let cols = {
+            let _s = rec.span("pipeline/rcm/aat_build/transpose");
+            a.transpose()
+        };
+        let pass = {
+            let _s = rec.span("pipeline/rcm/aat_build/degrees");
+            bulk_degrees(a, &cols, hub_cap, threads)
+        };
+        rec.add("sparse.row_classes", pass.classes as u64);
+        rec.add("sparse.degree_work", pass.work);
         ImplicitRowGraph {
             rows: a,
             cols,
-            degrees,
+            degrees: pass.degrees,
             hub_cap,
         }
     }
@@ -301,74 +327,188 @@ fn hub_skipped(support: usize, hub_cap: Option<u32>) -> bool {
     }
 }
 
-/// Exact distinct-neighbor degrees under the hub cap, one contiguous row
-/// chunk per worker. Each worker owns its own mark array, so the counts
-/// are exact and the output is byte-identical at every thread count.
+/// Rows grouped into *twin classes*: one class per distinct item set.
+/// Twins have identical `A x A^T` neighborhoods, so the degree pass runs
+/// once per class instead of once per row.
+struct TwinClasses<'m> {
+    /// Item-major class postings: row `i` lists, ascending, the classes
+    /// whose item set contains item `i`. Borrows the row transpose when
+    /// every row is its own class.
+    postings: Cow<'m, CsrMatrix>,
+    /// One representative row per class (its smallest row id).
+    reps: Vec<u32>,
+    /// Number of rows in each class.
+    mult: Vec<u32>,
+    /// The class of every row.
+    class_of: Vec<u32>,
+}
+
+impl<'m> TwinClasses<'m> {
+    /// Groups the rows of `rows` by item set; `cols` is its transpose.
+    /// One sort of the row ids on `(item set, row id)` puts twins side by
+    /// side, so each class's first row is its smallest and class ids
+    /// follow the lexicographic order of the item sets: classes sharing
+    /// leading items get nearby ids, which keeps the degree pass's slot
+    /// lookups along one posting list close together. When every row is
+    /// distinct the classes are the rows themselves.
+    fn of(rows: &CsrMatrix, cols: &'m CsrMatrix) -> Self {
+        let n = rows.n_rows();
+        // Each row carries its first two items (shifted by one, so a
+        // missing item sorts first) as an inline key that orders rows as
+        // their slices do; only rows sharing a key load and compare their
+        // full slices.
+        let mut order: Vec<(u64, u32)> = (0..n)
+            .map(|r| {
+                let mut key = [0u32; 2];
+                for (k, &i) in key.iter_mut().zip(rows.row(r)) {
+                    *k = i.saturating_add(1);
+                }
+                ((u64::from(key[0]) << 32) | u64::from(key[1]), r as u32)
+            })
+            .collect();
+        order.sort_unstable_by(|&(kx, x), &(ky, y)| {
+            kx.cmp(&ky)
+                .then_with(|| rows.row(x as usize).cmp(rows.row(y as usize)))
+                .then(x.cmp(&y))
+        });
+        let mut class_of = vec![0u32; n];
+        let mut reps: Vec<u32> = Vec::new();
+        let mut mult: Vec<u32> = Vec::new();
+        for (p, &(_, r)) in order.iter().enumerate() {
+            if p == 0 || rows.row(order[p - 1].1 as usize) != rows.row(r as usize) {
+                reps.push(r);
+                mult.push(0);
+            }
+            let c = reps.len() - 1;
+            mult[c] += 1;
+            class_of[r as usize] = c as u32;
+        }
+        drop(order);
+        if reps.len() == n {
+            // Twin-free: every row is its own class, so the row transpose
+            // already is the class postings.
+            let identity: Vec<u32> = (0..n as u32).collect();
+            return TwinClasses {
+                postings: Cow::Borrowed(cols),
+                reps: identity.clone(),
+                mult,
+                class_of: identity,
+            };
+        }
+        TwinClasses {
+            postings: Cow::Owned(rows.transpose_rows(&reps)),
+            reps,
+            mult,
+            class_of,
+        }
+    }
+
+    /// Number of classes.
+    fn len(&self) -> usize {
+        self.reps.len()
+    }
+
+    /// Class postings the degree pass scans: `sum(class_support^2)` over
+    /// the items below the hub cap.
+    fn degree_work(&self, cols: &CsrMatrix, hub_cap: Option<u32>) -> u64 {
+        (0..cols.n_rows())
+            .filter(|&i| !hub_skipped(cols.row_len(i), hub_cap))
+            .map(|i| (self.postings.row_len(i) as u64).pow(2))
+            .sum()
+    }
+}
+
+/// The output of the exact degree pass.
+struct DegreePass {
+    /// Distinct-neighbor degree of every row under the hub cap.
+    degrees: Vec<u32>,
+    /// Number of twin classes (distinct rows).
+    classes: usize,
+    /// Class postings scanned (see [`TwinClasses::degree_work`]).
+    work: u64,
+}
+
+/// Exact distinct-neighbor degrees under the hub cap, computed once per
+/// twin class and expanded back to rows: a row's neighbors are every row
+/// of every class sharing a non-hub item with it, minus the row itself.
+/// Classes are chunked contiguously across workers, each with its own
+/// stamp slots, so the degrees are identical at every thread count.
 fn bulk_degrees(
     rows: &CsrMatrix,
     cols: &CsrMatrix,
     hub_cap: Option<u32>,
     threads: usize,
-) -> Vec<u32> {
-    let n = rows.n_rows();
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 {
-        return degree_chunk(rows, cols, hub_cap, 0, n);
+) -> DegreePass {
+    let classes = TwinClasses::of(rows, cols);
+    let k = classes.len();
+    let threads = threads.max(1).min(k.max(1));
+    let class_degrees = if threads <= 1 {
+        class_degree_chunk(rows, cols, &classes, hub_cap, 0, k)
+    } else {
+        let chunk = k.div_ceil(threads).max(1);
+        let parts: Vec<Vec<u32>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..k.div_ceil(chunk))
+                .map(|wi| {
+                    let classes = &classes;
+                    let lo = wi * chunk;
+                    let hi = (lo + chunk).min(k);
+                    scope.spawn(move || class_degree_chunk(rows, cols, classes, hub_cap, lo, hi))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    h.join()
+                        // cahd-lint: allow(L003, reason = "worker panics only propagate caller bugs; class_degree_chunk itself cannot panic on in-range classes")
+                        .expect("bulk degree worker panicked")
+                })
+                .collect()
+        });
+        parts.concat()
+    };
+    DegreePass {
+        degrees: classes
+            .class_of
+            .iter()
+            .map(|&c| class_degrees[c as usize])
+            .collect(),
+        classes: k,
+        work: classes.degree_work(cols, hub_cap),
     }
-    let chunk = n.div_ceil(threads).max(1);
-    let parts: Vec<Vec<u32>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n.div_ceil(chunk))
-            .map(|wi| {
-                let lo = wi * chunk;
-                let hi = (lo + chunk).min(n);
-                scope.spawn(move || degree_chunk(rows, cols, hub_cap, lo, hi))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    // cahd-lint: allow(L003, reason = "worker panics only propagate caller bugs; degree_chunk itself cannot panic on in-range rows")
-                    .expect("bulk degree worker panicked")
-            })
-            .collect()
-    });
-    let mut out = Vec::with_capacity(n);
-    for p in parts {
-        out.extend_from_slice(&p);
-    }
-    out
 }
 
-/// Degrees of rows `lo..hi`: stamped dedup over the posting lists.
-fn degree_chunk(
+/// Degrees of classes `lo..hi`: a stamped union over the class postings
+/// of each class's non-hub items, weighted by class size. The class
+/// itself is in that union exactly when it holds a non-hub item, and is
+/// then counted once too many (the row itself); an empty or all-hub row
+/// has no neighbors, whatever its multiplicity.
+fn class_degree_chunk(
     rows: &CsrMatrix,
     cols: &CsrMatrix,
+    classes: &TwinClasses<'_>,
     hub_cap: Option<u32>,
     lo: usize,
     hi: usize,
 ) -> Vec<u32> {
-    let n = rows.n_rows();
-    let mut mark = vec![0u32; n];
-    let mut stamp = 0u32;
+    // `(stamp, multiplicity)` per class, side by side so one load serves
+    // both the dedup test and the weight.
+    let mut slots: Vec<[u32; 2]> = classes.mult.iter().map(|&m| [0, m]).collect();
     let mut out = Vec::with_capacity(hi - lo);
-    for v in lo..hi {
-        stamp += 1;
-        mark[v] = stamp;
+    for (stamp, c) in (lo..hi).enumerate() {
+        let stamp = stamp as u32 + 1;
         let mut d = 0u32;
-        for &item in rows.row(v) {
-            let list = cols.row(item as usize);
-            if hub_skipped(list.len(), hub_cap) {
+        for &item in rows.row(classes.reps[c] as usize) {
+            let i = item as usize;
+            if hub_skipped(cols.row_len(i), hub_cap) {
                 continue;
             }
-            for &r in list {
-                if mark[r as usize] != stamp {
-                    mark[r as usize] = stamp;
-                    d += 1;
-                }
+            for &c2 in classes.postings.row(i) {
+                let slot = &mut slots[c2 as usize];
+                d += u32::from(slot[0] != stamp) * slot[1];
+                slot[0] = stamp;
             }
         }
-        out.push(d);
+        out.push(d.saturating_sub(1));
     }
     out
 }
@@ -512,6 +652,12 @@ impl<'a> RowGraph<'a> {
     ///   (implicit form only) — pure functions of the matrix and the hub
     ///   cap, with `implicit_postings + implicit_capped_postings` equal to
     ///   this build's `sparse.aat_nnz` contribution;
+    /// * counters `sparse.row_classes` (distinct rows) and
+    ///   `sparse.degree_work` (class postings the exact degree pass
+    ///   scans: `sum(class_support^2)` over the items below the hub cap),
+    ///   and spans `pipeline/rcm/aat_build/transpose` and
+    ///   `pipeline/rcm/aat_build/degrees` (implicit form only; the spans
+    ///   nest under the caller's `pipeline/rcm/aat_build`);
     /// * gauge `sparse.aat_partition_imbalance` — for the threaded
     ///   explicit build, the heaviest worker chunk's directed-edge count
     ///   over the mean chunk's (1.0 = perfectly balanced), derived from
@@ -557,7 +703,7 @@ impl<'a> RowGraph<'a> {
                 rec.add("sparse.implicit_capped_postings", capped);
                 rec.add("sparse.implicit_hub_items", hubs);
             }
-            return RowGraph::Implicit(ImplicitRowGraph::with_options(a, hub_cap, threads));
+            return RowGraph::Implicit(ImplicitRowGraph::build(a, hub_cap, threads, rec));
         }
         let chunks = explicit_chunks(a, threads);
         if rec.is_enabled() {
@@ -1165,5 +1311,127 @@ mod tests {
         out.sort_unstable();
         assert_eq!(out, vec![0, 2]);
         assert_eq!(s.stamp, 1);
+    }
+
+    /// Degrees by a stamped walk over every row's postings: the per-row
+    /// definition the twin-class pass must reproduce.
+    fn per_row_degrees(a: &CsrMatrix, hub_cap: Option<u32>) -> Vec<u32> {
+        let cols = a.transpose();
+        (0..a.n_rows())
+            .map(|v| {
+                let mut seen = vec![false; a.n_rows()];
+                seen[v] = true;
+                let mut d = 0;
+                for &i in a.row(v) {
+                    let list = cols.row(i as usize);
+                    if hub_skipped(list.len(), hub_cap) {
+                        continue;
+                    }
+                    for &r in list {
+                        d += u32::from(!std::mem::replace(&mut seen[r as usize], true));
+                    }
+                }
+                d
+            })
+            .collect()
+    }
+
+    #[test]
+    fn twin_classes_of_an_empty_matrix() {
+        let a = CsrMatrix::from_rows(&[], 3);
+        let cols = a.transpose();
+        let t = TwinClasses::of(&a, &cols);
+        assert_eq!(t.len(), 0);
+        assert!(t.class_of.is_empty());
+        let pass = bulk_degrees(&a, &cols, None, 4);
+        assert!(pass.degrees.is_empty());
+        assert_eq!((pass.classes, pass.work), (0, 0));
+    }
+
+    #[test]
+    fn identical_rows_form_one_class() {
+        let a = CsrMatrix::from_rows(&vec![vec![1, 3]; 5], 4);
+        let cols = a.transpose();
+        let t = TwinClasses::of(&a, &cols);
+        assert_eq!(
+            (t.len(), t.reps.as_slice(), t.mult.as_slice()),
+            (1, &[0][..], &[5][..])
+        );
+        assert_eq!(t.class_of, vec![0; 5]);
+        assert!(matches!(t.postings, Cow::Owned(_)));
+        for threads in [1, 2, 8] {
+            let pass = bulk_degrees(&a, &cols, None, threads);
+            assert_eq!(pass.degrees, vec![4; 5], "threads {threads}");
+            // Two items, each in the one class.
+            assert_eq!((pass.classes, pass.work), (1, 2));
+        }
+        // Every item over the cap: twins are no longer neighbors.
+        assert_eq!(bulk_degrees(&a, &cols, Some(4), 1).degrees, vec![0; 5]);
+        // Empty twins are never neighbors of each other.
+        let empty = CsrMatrix::from_rows(&vec![vec![]; 3], 2);
+        assert_eq!(
+            bulk_degrees(&empty, &empty.transpose(), None, 1).degrees,
+            vec![0; 3]
+        );
+    }
+
+    #[test]
+    fn distinct_rows_borrow_the_row_transpose() {
+        let a = sample();
+        let cols = a.transpose();
+        let t = TwinClasses::of(&a, &cols);
+        assert!(matches!(t.postings, Cow::Borrowed(_)));
+        assert_eq!(t.reps, vec![0, 1, 2, 3]);
+        assert_eq!(t.class_of, vec![0, 1, 2, 3]);
+        assert_eq!(t.mult, vec![1; 4]);
+        let pass = bulk_degrees(&a, &cols, None, 1);
+        assert_eq!(pass.degrees, per_row_degrees(&a, None));
+        // Items 0 and 2 in two rows, items 1 and 3 in one: 4 + 1 + 4 + 1.
+        assert_eq!((pass.classes, pass.work), (4, 10));
+    }
+
+    #[test]
+    fn classes_follow_item_set_order() {
+        let a = CsrMatrix::from_rows(&[vec![0, 1], vec![2], vec![0, 1], vec![2], vec![]], 3);
+        let cols = a.transpose();
+        let t = TwinClasses::of(&a, &cols);
+        // Classes [], [0, 1], [2], each represented by its smallest row.
+        assert_eq!(t.reps, vec![4, 0, 1]);
+        assert_eq!(t.mult, vec![1, 2, 2]);
+        assert_eq!(t.class_of, vec![1, 2, 1, 2, 0]);
+        assert_eq!(
+            bulk_degrees(&a, &cols, None, 1).degrees,
+            per_row_degrees(&a, None)
+        );
+        // Rows agreeing on their first two items are told apart by the rest.
+        let b = CsrMatrix::from_rows(
+            &[vec![0, 1, 3], vec![0, 1, 2], vec![0, 1], vec![0, 1, 2]],
+            4,
+        );
+        let b_cols = b.transpose();
+        let t = TwinClasses::of(&b, &b_cols);
+        assert_eq!(t.reps, vec![2, 1, 0]);
+        assert_eq!(t.mult, vec![1, 2, 1]);
+        assert_eq!(t.class_of, vec![2, 1, 0, 1]);
+    }
+
+    #[test]
+    fn twin_class_degrees_match_per_row_degrees() {
+        // Duplicate-heavy rows with a hub item (0), empty rows and
+        // all-hub rows, under every cap and thread count.
+        let base: [&[u32]; 6] = [&[0, 1], &[0], &[2, 3], &[], &[1, 4], &[0, 5]];
+        let rows: Vec<Vec<u32>> = (0..40)
+            .map(|i| base[(i * 5 + i / 7) % 6].to_vec())
+            .collect();
+        let a = CsrMatrix::from_rows(&rows, 6);
+        let cols = a.transpose();
+        for hub_cap in [None, Some(1), Some(2), Some(5), Some(20)] {
+            let want = per_row_degrees(&a, hub_cap);
+            for threads in [1, 2, 3, 8] {
+                let pass = bulk_degrees(&a, &cols, hub_cap, threads);
+                assert_eq!(pass.degrees, want, "hub_cap {hub_cap:?} threads {threads}");
+                assert!(pass.classes < a.n_rows());
+            }
+        }
     }
 }
