@@ -6,6 +6,7 @@ use cahd_core::AnonymizedGroup;
 use cahd_eval::{
     posterior_violations, run_attack_suite, unique_match_violations, AttackPlan, AttackTarget,
 };
+use cahd_obs::Recorder;
 
 use crate::diagnostic::Diagnostic;
 use crate::CheckInput;
@@ -952,7 +953,14 @@ impl Pass for AttackRegression {
         let default_plan = AttackPlan::default();
         let plan = input.attack.unwrap_or(&default_plan);
         let targets = [AttackTarget::release("release", input.published)];
-        let report = run_attack_suite(input.data, input.sensitive, input.p, &targets, plan);
+        let report = run_attack_suite(
+            input.data,
+            input.sensitive,
+            input.p,
+            &targets,
+            plan,
+            &Recorder::disabled(),
+        );
         for message in posterior_violations(&report, input.p, plan.tolerance) {
             out.push(Diagnostic::error("CAHD-A001", message));
         }

@@ -2,7 +2,9 @@
 //! unsorted, repeating an item, or carrying item ids outside the
 //! universe (up to `u32::MAX`). The full registry must run without a
 //! panic, `CAHD-Q001` must name the tampered row, and the memory the run
-//! needs must not grow with the item-id values the release carries.
+//! needs must not grow with the item-id values the release carries. A
+//! group whose `sensitive_counts` name a QID item or an id past the
+//! universe must fail `CAHD-S001`/`CAHD-S002`, again without a panic.
 //!
 //! One `#[test]` on purpose: the allocator counters are process-global,
 //! so parallel tests in one binary would interleave their windows.
@@ -10,7 +12,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use cahd_check::{default_registry, CheckInput, CheckReport};
+use cahd_check::{default_registry, CheckInput, CheckReport, Severity};
 use cahd_core::PublishedDataset;
 use cahd_data::io::read_dat_file;
 use cahd_data::{SensitiveSet, TransactionSet};
@@ -99,6 +101,24 @@ fn malformed_qid_rows_fail_closed_in_bounded_memory() {
                 .iter()
                 .any(|d| d.code == "CAHD-Q001" && d.group == Some(gi) && d.member == Some(mi)),
             "{name}: no CAHD-Q001 at group {gi}, member {mi}:\n{}",
+            report.render_human()
+        );
+    }
+
+    // Sensitive counts naming a QID item, or an id past the universe:
+    // the summary check names the group, and no pass panics on the entry.
+    assert!(!clean.sensitive_items.contains(&3));
+    for (name, entry) in [("non-sensitive count", (3, 1)), ("count id 999", (999, 1))] {
+        let mut release = clean.clone();
+        release.groups[0].sensitive_counts.push(entry);
+        let (report, _) = check(&data, &sens, &release);
+        assert!(
+            report
+                .diagnostics
+                .iter()
+                .any(|d| d.severity == Severity::Error
+                    && (d.code == "CAHD-S001" || d.code == "CAHD-S002")),
+            "{name}: no CAHD-S001/S002 error:\n{}",
             report.render_human()
         );
     }

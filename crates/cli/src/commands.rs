@@ -19,8 +19,8 @@ use cahd_data::{
 };
 use cahd_eval::{
     derive_seed, evaluate_workload, evaluate_workload_traced, generate_workload_seeded,
-    posterior_violations, reidentification_probability, run_attack_suite, run_attack_suite_traced,
-    unique_match_violations, AttackPlan, AttackReport, AttackTarget,
+    posterior_violations, reidentification_probability, run_attack_suite, unique_match_violations,
+    AttackPlan, AttackReport, AttackTarget,
 };
 use cahd_obs::{Recorder, TraceReport};
 use cahd_rcm::{OrderingStrategy, RowGraphMode};
@@ -1012,7 +1012,7 @@ pub fn evaluate(args: &Args) -> Result<String, CliError> {
             AttackTarget::raw(),
             AttackTarget::release("release", &release),
         ];
-        let report = run_attack_suite(&data, &sensitive, p, &targets, &plan);
+        let report = run_attack_suite(&data, &sensitive, p, &targets, &plan, &Recorder::disabled());
         out.push('\n');
         out.push_str(&render_attack_human(&report, p));
     }
@@ -1189,14 +1189,16 @@ pub fn attack(args: &Args) -> Result<String, CliError> {
     for (name, rel) in &releases {
         targets.push(AttackTarget::release(name, rel));
     }
-    let report = if let Some(path) = args.value("trace-json") {
-        let rec = Recorder::new();
-        let report = run_attack_suite_traced(&data, &sensitive, p, &targets, &plan, &rec);
-        std::fs::write(path, serde_json::to_string_pretty(&rec.snapshot())?)?;
-        report
+    let trace_path = args.value("trace-json");
+    let rec = if trace_path.is_some() {
+        Recorder::new()
     } else {
-        run_attack_suite(&data, &sensitive, p, &targets, &plan)
+        Recorder::disabled()
     };
+    let report = run_attack_suite(&data, &sensitive, p, &targets, &plan, &rec);
+    if let Some(path) = trace_path {
+        std::fs::write(path, serde_json::to_string_pretty(&rec.snapshot())?)?;
+    }
     if let Some(path) = args.value("out") {
         std::fs::write(path, serde_json::to_string_pretty(&report)?)?;
     }

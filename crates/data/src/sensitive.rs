@@ -123,14 +123,15 @@ impl SensitiveSet {
         self.member.len()
     }
 
-    /// O(1) membership test.
+    /// O(1) membership test; `false` for an id outside the universe.
     #[inline]
     pub fn contains(&self, item: ItemId) -> bool {
-        self.member[item as usize]
+        self.member.get(item as usize).copied().unwrap_or(false)
     }
 
     /// The dense rank of `item` within the set (`0..m`), or `None` if not
-    /// sensitive. Used to index per-sensitive-item histograms.
+    /// sensitive (an id outside the universe included). Used to index
+    /// per-sensitive-item histograms.
     pub fn index_of(&self, item: ItemId) -> Option<usize> {
         if !self.contains(item) {
             return None;
@@ -188,6 +189,9 @@ mod tests {
         assert_eq!(s.index_of(1), Some(0));
         assert_eq!(s.index_of(4), Some(1));
         assert_eq!(s.index_of(2), None);
+        assert!(!s.contains(6));
+        assert!(!s.contains(u32::MAX));
+        assert_eq!(s.index_of(999), None);
     }
 
     #[test]

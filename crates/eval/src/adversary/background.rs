@@ -22,65 +22,17 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use cahd_core::PublishedDataset;
-use cahd_data::{ItemId, SensitiveSet, TransactionSet};
+use cahd_data::ItemId;
 
+use super::index::TargetIndex;
 use super::{AttackPlan, CurvePoint};
 
-/// The flattened view both variants score against: one QID row per
-/// original transaction, plus (for releases) the owning group and its
-/// worst-case sensitive posterior.
-struct FlatRows {
-    /// Sorted QID item sets, one per row.
-    rows: Vec<Vec<ItemId>>,
-    /// Posterior the attacker obtains by claiming each row: for a release
-    /// row, `max_s f_s / |G|` of its group; for a raw row, 1.0 when the
-    /// transaction carries any sensitive item.
-    claim_posterior: Vec<f64>,
-}
-
-fn flatten_release(published: &PublishedDataset) -> FlatRows {
-    let mut rows = Vec::with_capacity(published.n_transactions());
-    let mut claim_posterior = Vec::with_capacity(published.n_transactions());
-    for g in &published.groups {
-        let size = g.size() as f64;
-        let worst = g
-            .sensitive_counts
-            .iter()
-            .map(|&(_, f)| f as f64 / size)
-            .fold(0.0f64, f64::max);
-        for row in &g.qid_rows {
-            rows.push(row.clone());
-            claim_posterior.push(worst);
-        }
-    }
-    FlatRows {
-        rows,
-        claim_posterior,
-    }
-}
-
-fn flatten_raw(data: &TransactionSet, sensitive: &SensitiveSet) -> FlatRows {
-    let mut rows = Vec::with_capacity(data.n_transactions());
-    let mut claim_posterior = Vec::with_capacity(data.n_transactions());
-    for t in 0..data.n_transactions() {
-        let (qid, sens) = sensitive.split_transaction(data.transaction(t));
-        rows.push(qid);
-        claim_posterior.push(if sens.is_empty() { 0.0 } else { 1.0 });
-    }
-    FlatRows {
-        rows,
-        claim_posterior,
-    }
-}
-
-/// One curve point of the background attack: `trials` victims, `k` known
-/// items (`plan.wrong_items` of them corrupted), eccentricity threshold
-/// `plan.phi`. `published: None` attacks the raw data.
+/// One curve point of the background attack on an indexed target:
+/// `trials` victims, `k` known items (`plan.wrong_items` of them
+/// corrupted), eccentricity threshold `plan.phi`. A raw-data index
+/// attacks the raw data.
 pub fn background_point(
-    data: &TransactionSet,
-    sensitive: &SensitiveSet,
-    published: Option<&PublishedDataset>,
+    index: &TargetIndex<'_>,
     k: usize,
     plan: &AttackPlan,
     seed: u64,
@@ -88,58 +40,25 @@ pub fn background_point(
     if k == 0 || plan.trials == 0 {
         return CurvePoint::empty(k);
     }
-    let victims: Vec<u32> = (0..data.n_transactions())
-        .filter(|&t| {
-            let (qid, sens) = sensitive.split_transaction(data.transaction(t));
-            !sens.is_empty() && qid.len() >= k
-        })
-        .map(|t| t as u32)
-        .collect();
+    let population = index.population();
+    let victims = population.victims(k);
     if victims.is_empty() {
         return CurvePoint::empty(k);
     }
-    let flat = match published {
-        Some(release) => flatten_release(release),
-        None => flatten_raw(data, sensitive),
-    };
-    let n_rows = flat.rows.len();
+    let n_rows = index.n_rows();
     if n_rows == 0 {
         return CurvePoint::empty(k);
     }
-
-    // Posting lists over the flattened rows; the weight of an item is
-    // 1 / ln(1 + support), so rare (identifying) items dominate the score.
-    let n_items = data.n_items();
-    let mut postings: Vec<Vec<u32>> = vec![Vec::new(); n_items];
-    for (r, row) in flat.rows.iter().enumerate() {
-        for &item in row {
-            // A tampered release can carry ids outside the data's universe.
-            // No victim knows such an item, so it never scores.
-            if let Some(posting) = postings.get_mut(item as usize) {
-                posting.push(r as u32);
-            }
-        }
-    }
-    let weight: Vec<f64> = postings
-        .iter()
-        .map(|p| {
-            if p.is_empty() {
-                0.0
-            } else {
-                1.0 / (1.0 + p.len() as f64).ln()
-            }
-        })
-        .collect();
+    let data = population.data();
     // Items an attacker could plausibly mis-remember: any QID item that
-    // occurs in the data.
-    let qid_universe: Vec<ItemId> = (0..n_items as u32)
-        .filter(|&i| !sensitive.contains(i) && !postings[i as usize].is_empty())
-        .collect();
+    // occurs in the target.
+    let qid_universe = index.qid_universe();
 
     let mut rng = StdRng::seed_from_u64(seed);
     let mut score = vec![0.0f64; n_rows];
     let mut marked = vec![false; n_rows];
     let mut touched: Vec<u32> = Vec::new();
+    let mut known: Vec<ItemId> = Vec::with_capacity(k);
 
     let mut matches = 0usize;
     let mut successes = 0usize;
@@ -148,13 +67,7 @@ pub fn background_point(
     let mut max_posterior = 0.0f64;
     for _ in 0..plan.trials {
         let v = victims[rng.gen_range(0..victims.len())] as usize;
-        let (mut qid, v_sens) = sensitive.split_transaction(data.transaction(v));
-        debug_assert!(!v_sens.is_empty());
-        for i in 0..k {
-            let j = rng.gen_range(i..qid.len());
-            qid.swap(i, j);
-        }
-        let mut known: Vec<ItemId> = qid[..k].to_vec();
+        population.sample_known(v, k, &mut rng, &mut known);
         // Corrupt the tail of the knowledge with random non-member items.
         let wrong = plan.wrong_items.min(k);
         for slot in known.iter_mut().rev().take(wrong) {
@@ -170,9 +83,11 @@ pub fn background_point(
             }
         }
 
+        // Rare (identifying) items dominate the score: an item weighs
+        // 1 / ln(1 + support).
         for &item in &known {
-            let w = weight[item as usize];
-            for &r in &postings[item as usize] {
+            let w = index.weight(item);
+            for &r in index.postings(item) {
                 if !marked[r as usize] {
                     marked[r as usize] = true;
                     touched.push(r);
@@ -219,10 +134,10 @@ pub fn background_point(
         let claimed = best_row != usize::MAX && sigma > 0.0 && (best - second) / sigma >= plan.phi;
         if claimed {
             matches += 1;
-            let posterior = flat.claim_posterior[best_row];
+            let posterior = index.claim_posterior(index.group_of(best_row));
             sum_posterior += posterior;
             max_posterior = max_posterior.max(posterior);
-            if flat.rows[best_row] == qid_of(data, sensitive, v) {
+            if index.row(best_row) == population.qid(v) {
                 successes += 1;
             }
         }
@@ -248,14 +163,24 @@ pub fn background_point(
     }
 }
 
-fn qid_of(data: &TransactionSet, sensitive: &SensitiveSet, t: usize) -> Vec<ItemId> {
-    sensitive.split_transaction(data.transaction(t)).0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cahd_core::{cahd, verify_published, CahdConfig};
+    use crate::adversary::index::Population;
+    use cahd_core::{cahd, verify_published, CahdConfig, PublishedDataset};
+    use cahd_data::{SensitiveSet, TransactionSet};
+
+    fn point(
+        data: &TransactionSet,
+        sens: &SensitiveSet,
+        published: Option<&PublishedDataset>,
+        k: usize,
+        plan: &AttackPlan,
+        seed: u64,
+    ) -> CurvePoint {
+        let population = Population::new(data, sens);
+        background_point(&TargetIndex::new(&population, published), k, plan, seed)
+    }
 
     fn setup() -> (TransactionSet, SensitiveSet) {
         let mut rows: Vec<Vec<u32>> = Vec::new();
@@ -278,7 +203,7 @@ mod tests {
             trials: 400,
             ..AttackPlan::default()
         };
-        let pt = background_point(&data, &sens, None, 2, &plan, 7);
+        let pt = point(&data, &sens, None, 2, &plan, 7);
         // The (i, 8+i) pairs are globally unique and rare, so the scorer
         // must separate them eccentrically and claim correctly.
         assert!(pt.matches > 0, "{pt:?}");
@@ -298,7 +223,7 @@ mod tests {
             ..AttackPlan::default()
         };
         for k in [1, 2] {
-            let pt = background_point(&data, &sens, Some(&published), k, &plan, 7);
+            let pt = point(&data, &sens, Some(&published), k, &plan, 7);
             assert!(pt.max_posterior <= 1.0 / p as f64 + 1e-9, "k = {k}: {pt:?}");
         }
     }
@@ -313,8 +238,8 @@ mod tests {
             trials: 300,
             ..AttackPlan::default()
         };
-        let raw = background_point(&data, &sens, None, 2, &plan, 11);
-        let rel = background_point(&data, &sens, Some(&published), 2, &plan, 11);
+        let raw = point(&data, &sens, None, 2, &plan, 11);
+        let rel = point(&data, &sens, Some(&published), 2, &plan, 11);
         assert_eq!(raw.matches, rel.matches);
         assert_eq!(raw.successes, rel.successes);
         assert_eq!(raw.unique_matches, rel.unique_matches);
@@ -333,8 +258,8 @@ mod tests {
             wrong_items: 1,
             ..AttackPlan::default()
         };
-        let pt_clean = background_point(&data, &sens, None, 2, &clean, 13);
-        let pt_noisy = background_point(&data, &sens, None, 2, &noisy, 13);
+        let pt_clean = point(&data, &sens, None, 2, &clean, 13);
+        let pt_noisy = point(&data, &sens, None, 2, &noisy, 13);
         // Additive scoring tolerates noise: the attack still runs and the
         // noisy variant cannot *out-succeed* the clean one on this fixture.
         assert!(pt_noisy.trials == pt_clean.trials);
@@ -345,13 +270,13 @@ mod tests {
     fn k_zero_and_empty_data_are_graceful() {
         let (data, sens) = setup();
         assert_eq!(
-            background_point(&data, &sens, None, 0, &AttackPlan::default(), 1),
+            point(&data, &sens, None, 0, &AttackPlan::default(), 1),
             CurvePoint::empty(0)
         );
         let all_sensitive = TransactionSet::from_rows(&[vec![0], vec![1]], 2);
         let sens_all = SensitiveSet::new(vec![0, 1], 2);
         assert_eq!(
-            background_point(
+            point(
                 &all_sensitive,
                 &sens_all,
                 None,

@@ -1,0 +1,437 @@
+//! One index per attack target, shared by every attacker and every `k`.
+//!
+//! Every attacker in the suite asks a target the same questions: which
+//! rows hold all of these known items, which group owns a row, and what
+//! that group discloses. [`TargetIndex`] answers them from structures
+//! built once per target — item → row posting lists, the group of each
+//! row, each group's posterior table — so a trial costs the postings of
+//! its known items instead of a scan over every published row.
+//!
+//! The attacker's side of the data lives in [`Population`], built once
+//! per data set: every transaction split once into its QID items and its
+//! sensitive ranks, which is all victim sampling needs.
+//!
+//! A malformed release is read the way the row-level checks read it. A
+//! QID row is a set: a repeated item counts once and order is ignored.
+//! Ids outside the data's item universe are skipped, since no victim can
+//! know them. A `sensitive_counts` entry naming no member of the
+//! sensitive set is dropped from the per-rank tables. It still counts in
+//! the group's claim posterior, which it can only raise.
+
+use rand::Rng;
+
+use cahd_core::PublishedDataset;
+use cahd_data::{ItemId, SensitiveSet, TransactionSet};
+
+/// The attacker's view of the data: each transaction split once into its
+/// QID items and the ranks of its sensitive items.
+pub struct Population<'a> {
+    data: &'a TransactionSet,
+    sensitive: &'a SensitiveSet,
+    /// QID items of every transaction, concatenated.
+    qid_items: Vec<ItemId>,
+    /// `qid_items` offsets, one per transaction plus one.
+    qid_start: Vec<usize>,
+    /// Sensitive ranks of every transaction, concatenated.
+    sens_ranks: Vec<usize>,
+    /// `sens_ranks` offsets, one per transaction plus one.
+    sens_start: Vec<usize>,
+}
+
+impl<'a> Population<'a> {
+    /// Splits every transaction of `data` against `sensitive`.
+    pub fn new(data: &'a TransactionSet, sensitive: &'a SensitiveSet) -> Self {
+        let n = data.n_transactions();
+        let mut qid_items = Vec::with_capacity(data.total_items());
+        let mut qid_start = Vec::with_capacity(n + 1);
+        let mut sens_ranks = Vec::new();
+        let mut sens_start = Vec::with_capacity(n + 1);
+        qid_start.push(0);
+        sens_start.push(0);
+        for txn in data.iter() {
+            for &item in txn {
+                match sensitive.index_of(item) {
+                    Some(rank) => sens_ranks.push(rank),
+                    None => qid_items.push(item),
+                }
+            }
+            qid_start.push(qid_items.len());
+            sens_start.push(sens_ranks.len());
+        }
+        Population {
+            data,
+            sensitive,
+            qid_items,
+            qid_start,
+            sens_ranks,
+            sens_start,
+        }
+    }
+
+    /// The underlying data.
+    pub fn data(&self) -> &'a TransactionSet {
+        self.data
+    }
+
+    /// The sensitive set the transactions were split against.
+    pub fn sensitive(&self) -> &'a SensitiveSet {
+        self.sensitive
+    }
+
+    /// Number of transactions.
+    pub fn len(&self) -> usize {
+        self.qid_start.len() - 1
+    }
+
+    /// Whether the data has no transactions.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The sorted QID items of transaction `t`.
+    pub fn qid(&self, t: usize) -> &[ItemId] {
+        &self.qid_items[self.qid_start[t]..self.qid_start[t + 1]]
+    }
+
+    /// The sensitive ranks of transaction `t`, ascending.
+    pub fn sensitive_ranks(&self, t: usize) -> &[usize] {
+        &self.sens_ranks[self.sens_start[t]..self.sens_start[t + 1]]
+    }
+
+    /// The victims an attacker knowing `k` items can target: transactions
+    /// with a sensitive item and at least `k` QID items, ascending.
+    pub fn victims(&self, k: usize) -> Vec<u32> {
+        (0..self.len())
+            .filter(|&t| {
+                self.sens_start[t + 1] > self.sens_start[t]
+                    && self.qid_start[t + 1] - self.qid_start[t] >= k
+            })
+            .map(|t| t as u32)
+            .collect()
+    }
+
+    /// Samples the `k` QID items of victim `v` the attacker knows into
+    /// `known`: a partial Fisher–Yates shuffle of the victim's QID items,
+    /// one `gen_range` per known item.
+    pub fn sample_known<R: Rng + ?Sized>(
+        &self,
+        v: usize,
+        k: usize,
+        rng: &mut R,
+        known: &mut Vec<ItemId>,
+    ) {
+        known.clear();
+        known.extend_from_slice(self.qid(v));
+        for i in 0..k {
+            let j = rng.gen_range(i..known.len());
+            known.swap(i, j);
+        }
+        known.truncate(k);
+    }
+}
+
+/// One attack target, indexed for every attacker: a release, or the raw
+/// data read as a release of one-row groups that publish their sensitive
+/// items exactly.
+pub struct TargetIndex<'a> {
+    population: &'a Population<'a>,
+    /// Whether the target is a release (`false`: the raw data).
+    published: bool,
+    /// QID rows in publication order (transaction order for raw data).
+    rows: Vec<&'a [ItemId]>,
+    /// The group of each row; non-decreasing in the row id.
+    row_group: Vec<u32>,
+    /// Rows per group, `|G|`.
+    group_size: Vec<usize>,
+    /// Per group, `max f / |G|` over every published count: what the
+    /// attacker learns by claiming one of its rows.
+    claim_posterior: Vec<f64>,
+    /// `(sensitive rank, f)` entries of every group, in published order.
+    counts: Vec<(usize, u32)>,
+    /// `counts` offsets, one per group plus one.
+    counts_start: Vec<usize>,
+    /// Row ids per item, ascending, concatenated.
+    postings: Vec<u32>,
+    /// `postings` offsets, one per item of the data's universe plus one.
+    postings_start: Vec<usize>,
+    /// `1 / ln(1 + support)` per item (0 for items no row holds).
+    weight: Vec<f64>,
+    /// Non-sensitive items some row holds: what an attacker can
+    /// mis-remember.
+    qid_universe: Vec<ItemId>,
+}
+
+impl<'a> TargetIndex<'a> {
+    /// Indexes `published`, or the raw data when it is `None`.
+    pub fn new(population: &'a Population<'a>, published: Option<&'a PublishedDataset>) -> Self {
+        let sensitive = population.sensitive();
+        let mut rows = Vec::new();
+        let mut row_group = Vec::new();
+        let mut group_size = Vec::new();
+        let mut claim_posterior = Vec::new();
+        let mut counts = Vec::new();
+        let mut counts_start = vec![0];
+        match published {
+            Some(release) => {
+                for (gi, g) in release.groups.iter().enumerate() {
+                    let size = g.size() as f64;
+                    claim_posterior.push(
+                        g.sensitive_counts
+                            .iter()
+                            .map(|&(_, f)| f as f64 / size)
+                            .fold(0.0f64, f64::max),
+                    );
+                    group_size.push(g.size());
+                    counts.extend(
+                        g.sensitive_counts
+                            .iter()
+                            .filter_map(|&(item, f)| sensitive.index_of(item).map(|r| (r, f))),
+                    );
+                    counts_start.push(counts.len());
+                    for row in &g.qid_rows {
+                        rows.push(row.as_slice());
+                        row_group.push(gi as u32);
+                    }
+                }
+            }
+            None => {
+                for t in 0..population.len() {
+                    let ranks = population.sensitive_ranks(t);
+                    rows.push(population.qid(t));
+                    row_group.push(t as u32);
+                    group_size.push(1);
+                    claim_posterior.push(if ranks.is_empty() { 0.0 } else { 1.0 });
+                    counts.extend(ranks.iter().map(|&r| (r, 1)));
+                    counts_start.push(counts.len());
+                }
+            }
+        }
+        let n_items = population.data().n_items();
+        let (postings_start, postings) = item_postings(&rows, n_items);
+        let weight: Vec<f64> = postings_start
+            .windows(2)
+            .map(|w| {
+                let support = w[1] - w[0];
+                if support == 0 {
+                    0.0
+                } else {
+                    1.0 / (1.0 + support as f64).ln()
+                }
+            })
+            .collect();
+        let qid_universe = (0..n_items)
+            .filter(|&i| postings_start[i + 1] > postings_start[i])
+            .map(|i| i as ItemId)
+            .filter(|&i| !sensitive.contains(i))
+            .collect();
+        TargetIndex {
+            population,
+            published: published.is_some(),
+            rows,
+            row_group,
+            group_size,
+            claim_posterior,
+            counts,
+            counts_start,
+            postings,
+            postings_start,
+            weight,
+            qid_universe,
+        }
+    }
+
+    /// The attacker's view of the data this target was indexed against.
+    pub fn population(&self) -> &'a Population<'a> {
+        self.population
+    }
+
+    /// Whether the target is a release (`false`: the raw data).
+    pub fn is_published(&self) -> bool {
+        self.published
+    }
+
+    /// Number of QID rows.
+    pub fn n_rows(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// QID row `r` as published.
+    pub fn row(&self, r: usize) -> &'a [ItemId] {
+        self.rows[r]
+    }
+
+    /// The group owning row `r`.
+    pub fn group_of(&self, r: usize) -> usize {
+        self.row_group[r] as usize
+    }
+
+    /// `max f / |G|` of group `g` (1.0 or 0.0 for a raw transaction).
+    pub fn claim_posterior(&self, g: usize) -> f64 {
+        self.claim_posterior[g]
+    }
+
+    /// The `(sensitive rank, f)` entries group `g` publishes.
+    pub fn group_counts(&self, g: usize) -> &[(usize, u32)] {
+        &self.counts[self.counts_start[g]..self.counts_start[g + 1]]
+    }
+
+    /// Rows holding `item`, ascending (empty outside the universe).
+    pub fn postings(&self, item: ItemId) -> &[u32] {
+        let i = item as usize;
+        if i + 1 >= self.postings_start.len() {
+            return &[];
+        }
+        &self.postings[self.postings_start[i]..self.postings_start[i + 1]]
+    }
+
+    /// The scoring weight `1 / ln(1 + support)` of `item` (0 outside the
+    /// universe or when no row holds it).
+    pub fn weight(&self, item: ItemId) -> f64 {
+        self.weight.get(item as usize).copied().unwrap_or(0.0)
+    }
+
+    /// Non-sensitive items some row holds, ascending.
+    pub fn qid_universe(&self) -> &[ItemId] {
+        &self.qid_universe
+    }
+
+    /// Writes the rows holding every item of `known` into `out`,
+    /// ascending: the smallest posting list, filtered by the others.
+    pub fn candidates(&self, known: &[ItemId], out: &mut Vec<u32>) {
+        out.clear();
+        let Some(&first) = known.iter().min_by_key(|&&i| self.postings(i).len()) else {
+            return;
+        };
+        out.extend_from_slice(self.postings(first));
+        for &item in known {
+            if out.is_empty() {
+                return;
+            }
+            if item != first {
+                let list = self.postings(item);
+                out.retain(|r| list.binary_search(r).is_ok());
+            }
+        }
+    }
+
+    /// Adds `b · f / |G|` to `posterior[rank]` for every group holding
+    /// `b > 0` of the `candidates` (ascending row ids), in group order
+    /// and, within a group, in published order.
+    pub fn add_group_posteriors(&self, candidates: &[u32], posterior: &mut [f64]) {
+        for run in
+            candidates.chunk_by(|&a, &b| self.row_group[a as usize] == self.row_group[b as usize])
+        {
+            let g = self.row_group[run[0] as usize] as usize;
+            let b = run.len();
+            for &(rank, f) in self.group_counts(g) {
+                posterior[rank] += b as f64 * f as f64 / self.group_size[g] as f64;
+            }
+        }
+    }
+}
+
+/// Item → row postings over `rows`, as `(offsets, row ids)`: each list
+/// ascending, a row listed once per distinct item, ids `>= n_items`
+/// skipped.
+fn item_postings(rows: &[&[ItemId]], n_items: usize) -> (Vec<usize>, Vec<u32>) {
+    let mut start = vec![0usize; n_items + 1];
+    let mut last_row = vec![u32::MAX; n_items];
+    for (r, row) in rows.iter().enumerate() {
+        for &item in *row {
+            let i = item as usize;
+            if i < n_items && last_row[i] != r as u32 {
+                last_row[i] = r as u32;
+                start[i + 1] += 1;
+            }
+        }
+    }
+    for i in 0..n_items {
+        start[i + 1] += start[i];
+    }
+    let mut fill = start[..n_items].to_vec();
+    let mut postings = vec![0u32; start[n_items]];
+    last_row.fill(u32::MAX);
+    for (r, row) in rows.iter().enumerate() {
+        for &item in *row {
+            let i = item as usize;
+            if i < n_items && last_row[i] != r as u32 {
+                last_row[i] = r as u32;
+                postings[fill[i]] = r as u32;
+                fill[i] += 1;
+            }
+        }
+    }
+    (start, postings)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cahd_core::AnonymizedGroup;
+
+    fn setup() -> (TransactionSet, SensitiveSet) {
+        let rows = vec![vec![0, 1, 4], vec![1, 2], vec![0, 2, 4], vec![3]];
+        (
+            TransactionSet::from_rows(&rows, 5),
+            SensitiveSet::new(vec![4], 5),
+        )
+    }
+
+    #[test]
+    fn population_splits_and_samples() {
+        let (data, sens) = setup();
+        let pop = Population::new(&data, &sens);
+        assert_eq!(pop.qid(0), &[0, 1]);
+        assert_eq!(pop.sensitive_ranks(0), &[0]);
+        assert!(pop.sensitive_ranks(1).is_empty());
+        assert_eq!(pop.victims(1), vec![0, 2]);
+        assert_eq!(pop.victims(3), Vec::<u32>::new());
+    }
+
+    #[test]
+    fn raw_index_is_one_row_groups() {
+        let (data, sens) = setup();
+        let pop = Population::new(&data, &sens);
+        let idx = TargetIndex::new(&pop, None);
+        assert!(!idx.is_published());
+        assert_eq!(idx.n_rows(), 4);
+        assert_eq!(idx.postings(0), &[0, 2]);
+        assert_eq!(
+            idx.postings(4),
+            &[] as &[u32],
+            "sensitive items are not QID"
+        );
+        assert_eq!(idx.claim_posterior(0), 1.0);
+        assert_eq!(idx.claim_posterior(1), 0.0);
+        assert_eq!(idx.qid_universe(), &[0, 1, 2, 3]);
+        let mut out = Vec::new();
+        idx.candidates(&[2, 0], &mut out);
+        assert_eq!(out, vec![2]);
+    }
+
+    #[test]
+    fn malformed_release_rows_read_as_sets() {
+        let (data, sens) = setup();
+        let pop = Population::new(&data, &sens);
+        let mut group = AnonymizedGroup::from_members(&data, &sens, &[0, 1, 2, 3]);
+        group.qid_rows[0] = vec![1, 0, 1, 999, u32::MAX];
+        group.sensitive_counts.push((3, 1)); // not sensitive
+        group.sensitive_counts.push((999, 3)); // outside the universe
+        let release = PublishedDataset {
+            n_items: 5,
+            sensitive_items: vec![4],
+            groups: vec![group],
+        };
+        let idx = TargetIndex::new(&pop, Some(&release));
+        assert_eq!(idx.postings(1), &[0, 1]);
+        assert_eq!(idx.postings(999), &[] as &[u32]);
+        assert_eq!(idx.group_counts(0), &[(0, 2)]);
+        assert_eq!(idx.claim_posterior(0), 3.0 / 4.0);
+        let mut post = vec![0.0];
+        let mut out = Vec::new();
+        idx.candidates(&[0], &mut out);
+        assert_eq!(out, vec![0, 2]);
+        idx.add_group_posteriors(&out, &mut post);
+        assert_eq!(post, vec![2.0 * 2.0 / 4.0]);
+    }
+}

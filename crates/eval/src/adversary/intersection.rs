@@ -22,11 +22,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
-use cahd_core::PublishedDataset;
-use cahd_data::{ItemId, SensitiveSet, TransactionSet};
+use cahd_data::ItemId;
 
+use super::index::TargetIndex;
 use super::CurvePoint;
 
 /// Outcome of composing one set of releases at one knowledge size.
@@ -85,44 +84,33 @@ impl IntersectionReport {
 }
 
 /// Per-release candidate evidence for one trial: the distinct matching
-/// QID contents and the averaged per-sensitive-item posterior vector.
+/// QID contents (sorted) and the averaged per-sensitive-item posterior
+/// vector.
 struct Evidence<'a> {
-    contents: BTreeSet<&'a [ItemId]>,
+    contents: Vec<&'a [ItemId]>,
     posterior: Vec<f64>,
 }
 
 fn evidence<'a>(
-    release: &'a PublishedDataset,
+    release: &TargetIndex<'a>,
     known: &[ItemId],
     n_sensitive: usize,
-    index_of: &dyn Fn(ItemId) -> Option<usize>,
+    candidates: &mut Vec<u32>,
 ) -> Option<Evidence<'a>> {
-    let mut contents: BTreeSet<&[ItemId]> = BTreeSet::new();
-    let mut posterior = vec![0.0f64; n_sensitive];
-    let mut n_candidates = 0usize;
-    for g in &release.groups {
-        let mut b = 0usize;
-        for row in &g.qid_rows {
-            if known.iter().all(|i| row.binary_search(i).is_ok()) {
-                b += 1;
-                contents.insert(row.as_slice());
-            }
-        }
-        if b == 0 {
-            continue;
-        }
-        n_candidates += b;
-        for &(item, f) in &g.sensitive_counts {
-            if let Some(rank) = index_of(item) {
-                posterior[rank] += b as f64 * f as f64 / g.size() as f64;
-            }
-        }
-    }
-    if n_candidates == 0 {
+    release.candidates(known, candidates);
+    if candidates.is_empty() {
         return None;
     }
+    let mut contents: Vec<&[ItemId]> = candidates
+        .iter()
+        .map(|&r| release.row(r as usize))
+        .collect();
+    contents.sort_unstable();
+    contents.dedup();
+    let mut posterior = vec![0.0f64; n_sensitive];
+    release.add_group_posteriors(candidates, &mut posterior);
     for p in &mut posterior {
-        *p /= n_candidates as f64;
+        *p /= candidates.len() as f64;
     }
     Some(Evidence {
         contents,
@@ -130,33 +118,32 @@ fn evidence<'a>(
     })
 }
 
-/// Runs the composition attack over `releases` at knowledge size `k`.
+/// Runs the composition attack over the indexed `releases` at knowledge
+/// size `k`.
 pub fn intersection_report(
-    data: &TransactionSet,
-    sensitive: &SensitiveSet,
-    releases: &[&PublishedDataset],
+    releases: &[&TargetIndex<'_>],
     names: &[String],
     k: usize,
     trials: usize,
     seed: u64,
 ) -> IntersectionReport {
     let targets: Vec<String> = names.to_vec();
-    if k == 0 || trials == 0 || releases.is_empty() {
+    let Some(first) = releases.first() else {
+        return IntersectionReport::empty(targets, k);
+    };
+    if k == 0 || trials == 0 {
         return IntersectionReport::empty(targets, k);
     }
-    let victims: Vec<u32> = (0..data.n_transactions())
-        .filter(|&t| {
-            let (qid, sens) = sensitive.split_transaction(data.transaction(t));
-            !sens.is_empty() && qid.len() >= k
-        })
-        .map(|t| t as u32)
-        .collect();
+    let population = first.population();
+    let victims = population.victims(k);
     if victims.is_empty() {
         return IntersectionReport::empty(targets, k);
     }
-    let index_of = |item: ItemId| sensitive.index_of(item);
+    let n_sensitive = population.sensitive().len();
 
     let mut rng = StdRng::seed_from_u64(seed);
+    let mut known: Vec<ItemId> = Vec::with_capacity(k);
+    let mut candidates: Vec<u32> = Vec::new();
     let mut composed_trials = 0usize;
     let mut narrowed_trials = 0usize;
     let mut unique = 0usize;
@@ -165,16 +152,12 @@ pub fn intersection_report(
     let mut max_composed = 0.0f64;
     for _ in 0..trials {
         let v = victims[rng.gen_range(0..victims.len())] as usize;
-        let (mut qid, v_sens) = sensitive.split_transaction(data.transaction(v));
-        for i in 0..k {
-            let j = rng.gen_range(i..qid.len());
-            qid.swap(i, j);
-        }
-        let known = &qid[..k];
+        population.sample_known(v, k, &mut rng, &mut known);
+        let v_sens = population.sensitive_ranks(v);
 
         let mut per_release = Vec::with_capacity(releases.len());
         for release in releases {
-            match evidence(release, known, sensitive.len(), &index_of) {
+            match evidence(release, &known, n_sensitive, &mut candidates) {
                 Some(e) => per_release.push(e),
                 None => {
                     per_release.clear();
@@ -197,7 +180,7 @@ pub fn intersection_report(
             .unwrap_or(0);
         let mut intersected = per_release[0].contents.clone();
         for e in &per_release[1..] {
-            intersected = intersected.intersection(&e.contents).copied().collect();
+            intersected.retain(|c| e.contents.binary_search(c).is_ok());
         }
         if intersected.len() < min_contents {
             narrowed_trials += 1;
@@ -208,7 +191,7 @@ pub fn intersection_report(
 
         // Independent-release composition: product of per-release
         // posteriors, renormalized over the sensitive items.
-        let mut composed = vec![1.0f64; sensitive.len()];
+        let mut composed = vec![1.0f64; n_sensitive];
         for e in &per_release {
             for (c, &q) in composed.iter_mut().zip(e.posterior.iter()) {
                 *c *= q;
@@ -254,8 +237,29 @@ pub fn intersection_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adversary::index::Population;
     use cahd_baselines::{perm_mondrian, random_grouping, PmConfig};
-    use cahd_core::{cahd, CahdConfig};
+    use cahd_core::{cahd, CahdConfig, PublishedDataset};
+    use cahd_data::{SensitiveSet, TransactionSet};
+
+    /// Composes `releases` of `data`, each indexed once.
+    fn report(
+        data: &TransactionSet,
+        sens: &SensitiveSet,
+        releases: &[&PublishedDataset],
+        names: &[String],
+        k: usize,
+        trials: usize,
+        seed: u64,
+    ) -> IntersectionReport {
+        let population = Population::new(data, sens);
+        let indexes: Vec<TargetIndex<'_>> = releases
+            .iter()
+            .map(|&r| TargetIndex::new(&population, Some(r)))
+            .collect();
+        let refs: Vec<&TargetIndex<'_>> = indexes.iter().collect();
+        intersection_report(&refs, names, k, trials, seed)
+    }
 
     fn setup() -> (TransactionSet, SensitiveSet) {
         let mut rows: Vec<Vec<u32>> = Vec::new();
@@ -279,7 +283,7 @@ mod tests {
         let (b, _) = perm_mondrian(&data, &sens, &PmConfig::new(p)).unwrap();
         let c = random_grouping(&data, &sens, p, 9).unwrap();
         let names = vec!["cahd".to_string(), "pm".to_string(), "anatomy".to_string()];
-        let report = intersection_report(&data, &sens, &[&a, &b, &c], &names, 2, 200, 3);
+        let report = report(&data, &sens, &[&a, &b, &c], &names, 2, 200, 3);
         // Same population in every release: the victim's own row matches
         // everywhere, so every trial composes.
         assert_eq!(report.composed_trials, report.trials);
@@ -299,7 +303,7 @@ mod tests {
         let churned_data = TransactionSet::from_rows(&churned_rows, 21);
         let (churned, _) = cahd(&churned_data, &sens, &CahdConfig::new(p)).unwrap();
         let names = vec!["full".to_string(), "rerelease".to_string()];
-        let report = intersection_report(&data, &sens, &[&full, &churned], &names, 2, 300, 5);
+        let report = report(&data, &sens, &[&full, &churned], &names, 2, 300, 5);
         // Victims 0..4 have unique QID pairs absent from the re-release,
         // so some trials must fail to compose.
         assert!(report.composed_trials < report.trials, "{report:?}");
@@ -311,8 +315,8 @@ mod tests {
         let (data, sens) = setup();
         let (a, _) = cahd(&data, &sens, &CahdConfig::new(3)).unwrap();
         let names = vec!["cahd".to_string()];
-        let r1 = intersection_report(&data, &sens, &[&a], &names, 1, 100, 17);
-        let r2 = intersection_report(&data, &sens, &[&a], &names, 1, 100, 17);
+        let r1 = report(&data, &sens, &[&a], &names, 1, 100, 17);
+        let r2 = report(&data, &sens, &[&a], &names, 1, 100, 17);
         assert_eq!(r1, r2);
     }
 }

@@ -30,6 +30,7 @@
 //! single-release attacker must stay under it.
 
 pub mod background;
+pub mod index;
 pub mod intersection;
 pub mod vulnerable;
 
@@ -39,6 +40,7 @@ use cahd_core::PublishedDataset;
 use cahd_data::{SensitiveSet, TransactionSet};
 use cahd_obs::Recorder;
 
+use index::{Population, TargetIndex};
 pub use intersection::IntersectionReport;
 pub use vulnerable::{VulnerableReport, VulnerableRow};
 
@@ -246,25 +248,42 @@ fn stream(attacker: u64, target: usize, k: usize) -> u64 {
 /// returns the curves and detail reports. Deterministic in
 /// `(data, sensitive, targets, plan)`: every curve point derives its own
 /// RNG stream, so attacker subsets and call order cannot perturb results.
+///
+/// Each target is indexed once ([`index::TargetIndex`]) and every
+/// attacker and every `k` reads that index. The run is recorded under
+/// the `attack` span, one child per stage (`attack/index` and one per
+/// attacker), and the `eval.attack_*` counters are recorded once from the
+/// finished report (see `docs/OBSERVABILITY.md`). The counters are pure
+/// functions of the report, so they are invariant under scheduling by
+/// construction. Pass [`Recorder::disabled`] to trace nothing.
 pub fn run_attack_suite(
     data: &TransactionSet,
     sensitive: &SensitiveSet,
     p: usize,
     targets: &[AttackTarget<'_>],
     plan: &AttackPlan,
+    rec: &Recorder,
 ) -> AttackReport {
+    let attack_span = rec.span("attack");
+    let index_span = rec.span("attack/index");
+    let population = Population::new(data, sensitive);
+    let indexes: Vec<TargetIndex<'_>> = targets
+        .iter()
+        .map(|t| TargetIndex::new(&population, t.published))
+        .collect();
+    drop(index_span);
+
     let mut curves = Vec::new();
     let mut vulnerable = Vec::new();
-    for (ti, t) in targets.iter().enumerate() {
+    for (ti, (t, index)) in targets.iter().zip(&indexes).enumerate() {
         if plan.wants(ATTACKER_BACKGROUND) {
+            let _span = rec.span("attack/background");
             let points = plan
                 .ks
                 .iter()
                 .map(|&k| {
                     background::background_point(
-                        data,
-                        sensitive,
-                        t.published,
+                        index,
                         k,
                         plan,
                         derive_seed(plan.seed, stream(0, ti, k)),
@@ -278,14 +297,13 @@ pub fn run_attack_suite(
             });
         }
         if plan.wants(ATTACKER_LINKAGE) {
+            let _span = rec.span("attack/linkage");
             let points = plan
                 .ks
                 .iter()
                 .map(|&k| {
                     linkage_point(
-                        data,
-                        sensitive,
-                        t.published,
+                        index,
                         k,
                         plan.trials,
                         derive_seed(plan.seed, stream(1, ti, k)),
@@ -298,58 +316,54 @@ pub fn run_attack_suite(
                 points,
             });
         }
-        if plan.wants(ATTACKER_INTERSECTION) {
-            if let Some(published) = t.published {
-                // Self-composition: the one-release degenerate case keeps
-                // the (attacker x target) curve grid complete.
-                let points = plan
-                    .ks
-                    .iter()
-                    .map(|&k| {
-                        intersection::intersection_report(
-                            data,
-                            sensitive,
-                            &[published],
-                            std::slice::from_ref(&t.name),
-                            k,
-                            plan.trials,
-                            derive_seed(plan.seed, stream(2, ti, k)),
-                        )
-                        .to_point(k)
-                    })
-                    .collect();
-                curves.push(SuccessCurve {
-                    attacker: ATTACKER_INTERSECTION.to_string(),
-                    target: t.name.clone(),
-                    points,
-                });
-            }
+        if plan.wants(ATTACKER_INTERSECTION) && index.is_published() {
+            let _span = rec.span("attack/intersection");
+            // Self-composition: the one-release degenerate case keeps
+            // the (attacker x target) curve grid complete.
+            let points = plan
+                .ks
+                .iter()
+                .map(|&k| {
+                    intersection::intersection_report(
+                        &[index],
+                        std::slice::from_ref(&t.name),
+                        k,
+                        plan.trials,
+                        derive_seed(plan.seed, stream(2, ti, k)),
+                    )
+                    .to_point(k)
+                })
+                .collect();
+            curves.push(SuccessCurve {
+                attacker: ATTACKER_INTERSECTION.to_string(),
+                target: t.name.clone(),
+                points,
+            });
         }
         if plan.wants(ATTACKER_VULNERABLE) {
-            let report = vulnerable::vulnerable_scan(data, sensitive, t.published, p, plan.epsilon);
+            let _span = rec.span("attack/vulnerable");
+            let mut report = vulnerable::vulnerable_scan(index, p, plan.epsilon);
             curves.push(SuccessCurve {
                 attacker: ATTACKER_VULNERABLE.to_string(),
                 target: t.name.clone(),
                 points: vec![report.to_point()],
             });
-            let mut report = report;
             report.target = t.name.clone();
             vulnerable.push(report);
         }
     }
     let mut intersections = Vec::new();
     if plan.wants(ATTACKER_INTERSECTION) {
-        let released: Vec<(&str, &PublishedDataset)> = targets
+        let (names, releases): (Vec<String>, Vec<&TargetIndex<'_>>) = targets
             .iter()
-            .filter_map(|t| t.published.map(|r| (t.name.as_str(), r)))
-            .collect();
-        if released.len() >= 2 {
-            let releases: Vec<&PublishedDataset> = released.iter().map(|(_, r)| *r).collect();
-            let names: Vec<String> = released.iter().map(|(n, _)| (*n).to_string()).collect();
+            .zip(&indexes)
+            .filter(|(_, index)| index.is_published())
+            .map(|(t, index)| (t.name.clone(), index))
+            .unzip();
+        if releases.len() >= 2 {
+            let _span = rec.span("attack/intersection");
             for (ki, &k) in plan.ks.iter().enumerate() {
                 intersections.push(intersection::intersection_report(
-                    data,
-                    sensitive,
                     &releases,
                     &names,
                     k,
@@ -359,31 +373,22 @@ pub fn run_attack_suite(
             }
         }
     }
-    AttackReport {
+    drop(attack_span);
+    let report = AttackReport {
         seed: plan.seed,
         p,
         curves,
         vulnerable,
         intersections,
+    };
+    if rec.is_enabled() {
+        record_counters(rec, &report, p, plan.tolerance);
     }
+    report
 }
 
-/// [`run_attack_suite`] under the `attack` span, with the
-/// `eval.attack_*` counters recorded once from the finished report (see
-/// `docs/OBSERVABILITY.md`). The counters are pure functions of the
-/// report, so they are invariant under scheduling by construction.
-pub fn run_attack_suite_traced(
-    data: &TransactionSet,
-    sensitive: &SensitiveSet,
-    p: usize,
-    targets: &[AttackTarget<'_>],
-    plan: &AttackPlan,
-    rec: &Recorder,
-) -> AttackReport {
-    let report = {
-        let _span = rec.span("attack");
-        run_attack_suite(data, sensitive, p, targets, plan)
-    };
+/// Records the `eval.attack_*` counters of a finished report.
+fn record_counters(rec: &Recorder, report: &AttackReport, p: usize, tolerance: f64) {
     let mut trials = 0u64;
     let mut matches = 0u64;
     let mut successes = 0u64;
@@ -405,9 +410,8 @@ pub fn run_attack_suite_traced(
     rec.add("eval.attack_unique_matches", unique);
     rec.add(
         "eval.attack_violations",
-        posterior_violations(&report, p, plan.tolerance).len() as u64,
+        posterior_violations(report, p, tolerance).len() as u64,
     );
-    report
 }
 
 /// The `1/p` posterior gate: every single-release attacker
@@ -469,22 +473,11 @@ pub fn unique_match_violations(report: &AttackReport, budget: f64) -> Vec<String
 /// Adapts the naive linkage attacker (`crate::attack`) to a curve point:
 /// a "claim" is every trial, a "success" is a unique match (full row
 /// re-identification).
-fn linkage_point(
-    data: &TransactionSet,
-    sensitive: &SensitiveSet,
-    published: Option<&PublishedDataset>,
-    k: usize,
-    trials: usize,
-    seed: u64,
-) -> CurvePoint {
+fn linkage_point(index: &TargetIndex<'_>, k: usize, trials: usize, seed: u64) -> CurvePoint {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     let mut rng = StdRng::seed_from_u64(seed);
-    let outcome = match published {
-        Some(release) => crate::attack_published(data, sensitive, release, k, trials, &mut rng),
-        None => crate::attack_raw(data, sensitive, k, trials, &mut rng),
-    };
-    match outcome {
+    match crate::attack::linkage(index, k, trials, &mut rng) {
         None => CurvePoint::empty(k),
         Some(o) => {
             let unique = (o.unique_match_rate * o.trials as f64).round() as usize;
@@ -540,8 +533,8 @@ mod tests {
             AttackTarget::raw(),
             AttackTarget::release("cahd", &published),
         ];
-        let a = run_attack_suite(&data, &sens, p, &targets, &plan);
-        let b = run_attack_suite(&data, &sens, p, &targets, &plan);
+        let a = run_attack_suite(&data, &sens, p, &targets, &plan, &Recorder::disabled());
+        let b = run_attack_suite(&data, &sens, p, &targets, &plan, &Recorder::disabled());
         assert_eq!(a, b);
         assert!(posterior_violations(&a, p, plan.tolerance).is_empty());
         // The raw data on this fixture is catastrophically linkable, so
@@ -564,7 +557,7 @@ mod tests {
         let plan = AttackPlan::default();
         let targets = [AttackTarget::release("cahd", &published)];
         let rec = Recorder::new();
-        let report = run_attack_suite_traced(&data, &sens, p, &targets, &plan, &rec);
+        let report = run_attack_suite(&data, &sens, p, &targets, &plan, &rec);
         let trace = rec.snapshot();
         let c = |n: &str| trace.counter_or_zero(n);
         assert!(c("eval.attack_curve_points") > 0);
@@ -573,6 +566,23 @@ mod tests {
         assert!(c("eval.attack_unique_matches") <= c("eval.attack_trials"));
         assert_eq!(c("eval.attack_violations"), 0);
         assert!(posterior_violations(&report, p, plan.tolerance).is_empty());
+        let children: Vec<&str> = trace
+            .span_children("attack")
+            .iter()
+            .map(|s| s.path.as_str())
+            .collect();
+        assert_eq!(
+            children,
+            [
+                "attack/background",
+                "attack/index",
+                "attack/intersection",
+                "attack/linkage",
+                "attack/vulnerable"
+            ]
+        );
+        assert!(trace.orphan_spans().is_empty());
+        assert!(trace.consistency_findings().is_empty());
     }
 
     #[test]
@@ -586,13 +596,21 @@ mod tests {
             AttackTarget::raw(),
             AttackTarget::release("cahd", &published),
         ];
-        let full = run_attack_suite(&data, &sens, p, &targets, &AttackPlan::default());
+        let full = run_attack_suite(
+            &data,
+            &sens,
+            p,
+            &targets,
+            &AttackPlan::default(),
+            &Recorder::disabled(),
+        );
         let only = run_attack_suite(
             &data,
             &sens,
             p,
             &targets,
             &AttackPlan::default().with_attackers(vec![ATTACKER_BACKGROUND.to_string()]),
+            &Recorder::disabled(),
         );
         let full_bg: Vec<&SuccessCurve> = full
             .curves

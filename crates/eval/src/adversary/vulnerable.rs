@@ -21,9 +21,9 @@
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-use cahd_core::PublishedDataset;
-use cahd_data::{ItemId, SensitiveSet, TransactionSet};
+use cahd_data::ItemId;
 
+use super::index::TargetIndex;
 use super::CurvePoint;
 
 /// Number of worst rows retained in the report.
@@ -78,73 +78,58 @@ impl VulnerableReport {
     }
 }
 
-/// Scans `published` (or, when `None`, the raw data) for rows whose
-/// empirical posterior approaches `1/p`.
-pub fn vulnerable_scan(
-    data: &TransactionSet,
-    sensitive: &SensitiveSet,
-    published: Option<&PublishedDataset>,
-    p: usize,
-    epsilon: f64,
-) -> VulnerableReport {
+/// Scans an indexed release (or the raw data) for rows whose empirical
+/// posterior approaches `1/p`.
+pub fn vulnerable_scan(index: &TargetIndex<'_>, p: usize, epsilon: f64) -> VulnerableReport {
     let threshold = if p == 0 {
         f64::INFINITY
     } else {
         (1.0 - epsilon) / p as f64
     };
     let mut rows: Vec<VulnerableRow> = Vec::new();
-    match published {
-        Some(release) => {
-            let mut flat = 0usize;
-            for (gi, g) in release.groups.iter().enumerate() {
-                let size = g.size() as f64;
-                let worst = g
-                    .sensitive_counts
-                    .iter()
-                    .map(|&(_, f)| f as f64 / size)
-                    .fold(0.0f64, f64::max);
-                for _ in 0..g.qid_rows.len() {
-                    if worst > 0.0 {
-                        rows.push(VulnerableRow {
-                            transaction: flat,
-                            group: Some(gi),
-                            posterior: worst,
-                        });
-                    }
-                    flat += 1;
-                }
+    if index.is_published() {
+        for r in 0..index.n_rows() {
+            let g = index.group_of(r);
+            let worst = index.claim_posterior(g);
+            if worst > 0.0 {
+                rows.push(VulnerableRow {
+                    transaction: r,
+                    group: Some(g),
+                    posterior: worst,
+                });
             }
         }
-        None => {
-            // Content classes over QID item sets: the posterior of a row
-            // is resolved within its duplicate class.
-            let mut classes: BTreeMap<Vec<ItemId>, Vec<usize>> = BTreeMap::new();
-            for t in 0..data.n_transactions() {
-                let (qid, _) = sensitive.split_transaction(data.transaction(t));
-                classes.entry(qid).or_default().push(t);
-            }
-            for members in classes.values() {
-                let size = members.len() as f64;
-                for &t in members {
-                    let (_, v_sens) = sensitive.split_transaction(data.transaction(t));
-                    if v_sens.is_empty() {
-                        continue;
-                    }
-                    let mut worst = 0.0f64;
-                    for &rank in &v_sens {
-                        let item = sensitive.items()[rank];
-                        let hits = members.iter().filter(|&&m| data.contains(m, item)).count();
-                        worst = worst.max(hits as f64 / size);
-                    }
-                    rows.push(VulnerableRow {
-                        transaction: t,
-                        group: None,
-                        posterior: worst,
-                    });
-                }
-            }
-            rows.sort_by_key(|r| r.transaction);
+    } else {
+        // Content classes over QID item sets: the posterior of a row is
+        // resolved within its duplicate class.
+        let population = index.population();
+        let mut classes: BTreeMap<&[ItemId], Vec<usize>> = BTreeMap::new();
+        for t in 0..population.len() {
+            classes.entry(population.qid(t)).or_default().push(t);
         }
+        for members in classes.values() {
+            let size = members.len() as f64;
+            for &t in members {
+                let v_sens = population.sensitive_ranks(t);
+                if v_sens.is_empty() {
+                    continue;
+                }
+                let mut worst = 0.0f64;
+                for rank in v_sens {
+                    let hits = members
+                        .iter()
+                        .filter(|&&m| population.sensitive_ranks(m).contains(rank))
+                        .count();
+                    worst = worst.max(hits as f64 / size);
+                }
+                rows.push(VulnerableRow {
+                    transaction: t,
+                    group: None,
+                    posterior: worst,
+                });
+            }
+        }
+        rows.sort_by_key(|r| r.transaction);
     }
     let rows_scanned = rows.len();
     let vulnerable_rows = rows.iter().filter(|r| r.posterior >= threshold).count();
@@ -177,7 +162,20 @@ pub fn vulnerable_scan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cahd_core::{cahd, CahdConfig};
+    use crate::adversary::index::Population;
+    use cahd_core::{cahd, CahdConfig, PublishedDataset};
+    use cahd_data::{SensitiveSet, TransactionSet};
+
+    fn scan(
+        data: &TransactionSet,
+        sens: &SensitiveSet,
+        published: Option<&PublishedDataset>,
+        p: usize,
+        epsilon: f64,
+    ) -> VulnerableReport {
+        let population = Population::new(data, sens);
+        vulnerable_scan(&TargetIndex::new(&population, published), p, epsilon)
+    }
 
     fn setup() -> (TransactionSet, SensitiveSet) {
         let mut rows: Vec<Vec<u32>> = Vec::new();
@@ -196,7 +194,7 @@ mod tests {
     #[test]
     fn raw_scan_flags_unique_sensitive_rows() {
         let (data, sens) = setup();
-        let report = vulnerable_scan(&data, &sens, None, 3, 0.05);
+        let report = scan(&data, &sens, None, 3, 0.05);
         // Every sensitive row has a globally unique QID pair: posterior 1.
         assert_eq!(report.rows_scanned, 8);
         assert_eq!(report.vulnerable_rows, 8);
@@ -210,8 +208,8 @@ mod tests {
         let (data, sens) = setup();
         let p = 3;
         let (published, _) = cahd(&data, &sens, &CahdConfig::new(p)).unwrap();
-        let a = vulnerable_scan(&data, &sens, Some(&published), p, 0.05);
-        let b = vulnerable_scan(&data, &sens, Some(&published), p, 0.05);
+        let a = scan(&data, &sens, Some(&published), p, 0.05);
+        let b = scan(&data, &sens, Some(&published), p, 0.05);
         assert_eq!(a, b);
         assert!(a.max_posterior <= 1.0 / p as f64 + 1e-9, "{a:?}");
         assert!(a.rows_scanned > 0);
@@ -232,7 +230,7 @@ mod tests {
             sensitive_items: sens.items().to_vec(),
             groups,
         };
-        let report = vulnerable_scan(&data, &sens, Some(&leaky), p, 0.05);
+        let report = scan(&data, &sens, Some(&leaky), p, 0.05);
         assert!(report.max_posterior > 1.0 / p as f64, "{report:?}");
         assert!(report.vulnerable_rows > 0);
         assert_eq!(report.worst[0].group, Some(0));
@@ -242,7 +240,7 @@ mod tests {
     fn empty_sensitive_set_scans_nothing() {
         let (data, _) = setup();
         let sens = SensitiveSet::new(vec![], 21);
-        let report = vulnerable_scan(&data, &sens, None, 3, 0.05);
+        let report = scan(&data, &sens, None, 3, 0.05);
         assert_eq!(report.rows_scanned, 0);
         assert_eq!(report.vulnerable_rows, 0);
         assert_eq!(report.mean_posterior, 0.0);

@@ -18,7 +18,9 @@
 use rand::Rng;
 
 use cahd_core::PublishedDataset;
-use cahd_data::{ItemId, SensitiveSet, TransactionSet};
+use cahd_data::{SensitiveSet, TransactionSet};
+
+use crate::adversary::index::{Population, TargetIndex};
 
 /// Aggregate outcome of a simulated linkage attack.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -61,57 +63,8 @@ pub fn attack_raw<R: Rng + ?Sized>(
     trials: usize,
     rng: &mut R,
 ) -> Option<AttackOutcome> {
-    if k == 0 {
-        return None;
-    }
-    let victims = eligible_victims(data, sensitive, k);
-    if victims.is_empty() || trials == 0 {
-        return None;
-    }
-    let inv = data.inverted_index();
-    let mut sum_true = 0f64;
-    let mut max_post = 0f64;
-    let mut unique = 0usize;
-    for _ in 0..trials {
-        let v = victims[rng.gen_range(0..victims.len())] as usize;
-        let known = sample_known(data.transaction(v), sensitive, k, rng);
-        // Matching transactions via posting-list intersection.
-        let mut matches = inv.row(known[0] as usize).to_vec();
-        for &item in &known[1..] {
-            matches = intersect(&matches, inv.row(item as usize));
-        }
-        debug_assert!(matches.contains(&(v as u32)));
-        if matches.len() == 1 {
-            unique += 1;
-        }
-        // Posterior per sensitive item = fraction of matches containing it.
-        let denom = matches.len() as f64;
-        let (_, v_sens) = sensitive.split_transaction(data.transaction(v));
-        for &rank in &v_sens {
-            let item = sensitive.items()[rank];
-            let hits = matches
-                .iter()
-                .filter(|&&t| data.contains(t as usize, item))
-                .count();
-            let post = hits as f64 / denom;
-            sum_true += post / v_sens.len() as f64;
-            max_post = max_post.max(post);
-        }
-        // Also track the attacker's best guess over all sensitive items.
-        for &item in sensitive.items() {
-            let hits = matches
-                .iter()
-                .filter(|&&t| data.contains(t as usize, item))
-                .count();
-            max_post = max_post.max(hits as f64 / denom);
-        }
-    }
-    Some(AttackOutcome {
-        trials,
-        mean_true_posterior: sum_true / trials as f64,
-        max_posterior: max_post,
-        unique_match_rate: unique as f64 / trials as f64,
-    })
+    let population = Population::new(data, sensitive);
+    linkage(&TargetIndex::new(&population, None), k, trials, rng)
 }
 
 /// Simulates the attack against a **release**. The attacker matches her
@@ -126,42 +79,45 @@ pub fn attack_published<R: Rng + ?Sized>(
     trials: usize,
     rng: &mut R,
 ) -> Option<AttackOutcome> {
+    let population = Population::new(data, sensitive);
+    linkage(
+        &TargetIndex::new(&population, Some(published)),
+        k,
+        trials,
+        rng,
+    )
+}
+
+/// The linkage attack on an indexed target. The raw data is indexed as
+/// one-row groups publishing their sensitive items exactly, so a
+/// candidate's posterior `f / |G|` is 1 or 0 there and the per-item
+/// posterior is the fraction of matching transactions holding the item.
+pub(crate) fn linkage<R: Rng + ?Sized>(
+    index: &TargetIndex<'_>,
+    k: usize,
+    trials: usize,
+    rng: &mut R,
+) -> Option<AttackOutcome> {
     if k == 0 {
         return None;
     }
-    let victims = eligible_victims(data, sensitive, k);
+    let population = index.population();
+    let victims = population.victims(k);
     if victims.is_empty() || trials == 0 {
         return None;
     }
+    let n_sensitive = population.sensitive().len();
+    let mut known = Vec::with_capacity(k);
+    let mut candidates = Vec::new();
+    let mut per_item = vec![0.0f64; n_sensitive];
     let mut sum_true = 0f64;
     let mut max_post = 0f64;
     let mut unique = 0usize;
     for _ in 0..trials {
         let v = victims[rng.gen_range(0..victims.len())] as usize;
-        let known = sample_known(data.transaction(v), sensitive, k, rng);
-        // Candidate rows across all groups; collect per-group match counts.
-        let mut n_candidates = 0usize;
-        let mut per_item: Vec<f64> = vec![0.0; sensitive.len()];
-        for g in &published.groups {
-            let b = g
-                .qid_rows
-                .iter()
-                .filter(|row| known.iter().all(|i| row.binary_search(i).is_ok()))
-                .count();
-            if b == 0 {
-                continue;
-            }
-            n_candidates += b;
-            for &(item, f) in &g.sensitive_counts {
-                let rank = sensitive
-                    .index_of(item)
-                    // cahd-lint: allow(L003, reason = "sensitive_counts only ever holds members of this SensitiveSet (release invariant CAHD-S001)")
-                    .expect("published item is sensitive");
-                // Each of the b candidate rows carries posterior f/|G|.
-                per_item[rank] += b as f64 * f as f64 / g.size() as f64;
-            }
-        }
-        if n_candidates == 0 {
+        population.sample_known(v, k, rng, &mut known);
+        index.candidates(&known, &mut candidates);
+        if candidates.is_empty() {
             // On a *verified* release the victim's own row always matches;
             // on a tampered one (QID rows rewritten) it may not. The
             // attack-regression pass runs before conformance is known, so
@@ -169,14 +125,16 @@ pub fn attack_published<R: Rng + ?Sized>(
             // being treated as unreachable.
             continue;
         }
-        if n_candidates == 1 {
+        if candidates.len() == 1 {
             unique += 1;
         }
+        per_item.fill(0.0);
+        index.add_group_posteriors(&candidates, &mut per_item);
         for p in &mut per_item {
-            *p /= n_candidates as f64;
+            *p /= candidates.len() as f64;
         }
-        let (_, v_sens) = sensitive.split_transaction(data.transaction(v));
-        for &rank in &v_sens {
+        let v_sens = population.sensitive_ranks(v);
+        for &rank in v_sens {
             sum_true += per_item[rank] / v_sens.len() as f64;
         }
         for &p in &per_item {
@@ -189,52 +147,6 @@ pub fn attack_published<R: Rng + ?Sized>(
         max_posterior: max_post,
         unique_match_rate: unique as f64 / trials as f64,
     })
-}
-
-fn eligible_victims(data: &TransactionSet, sensitive: &SensitiveSet, k: usize) -> Vec<u32> {
-    (0..data.n_transactions())
-        .filter(|&t| {
-            let (qid, sens) = sensitive.split_transaction(data.transaction(t));
-            !sens.is_empty() && qid.len() >= k
-        })
-        .map(|t| t as u32)
-        .collect()
-}
-
-fn sample_known<R: Rng + ?Sized>(
-    txn: &[ItemId],
-    sensitive: &SensitiveSet,
-    k: usize,
-    rng: &mut R,
-) -> Vec<ItemId> {
-    let mut qid: Vec<ItemId> = txn
-        .iter()
-        .copied()
-        .filter(|&i| !sensitive.contains(i))
-        .collect();
-    for i in 0..k {
-        let j = rng.gen_range(i..qid.len());
-        qid.swap(i, j);
-    }
-    qid.truncate(k);
-    qid
-}
-
-fn intersect(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -32,9 +32,9 @@ pub mod rules;
 pub mod runner;
 
 pub use adversary::{
-    derive_seed, posterior_violations, run_attack_suite, run_attack_suite_traced,
-    unique_match_violations, AttackPlan, AttackReport, AttackTarget, CurvePoint,
-    IntersectionReport, SuccessCurve, VulnerableReport, VulnerableRow,
+    derive_seed, posterior_violations, run_attack_suite, unique_match_violations, AttackPlan,
+    AttackReport, AttackTarget, CurvePoint, IntersectionReport, SuccessCurve, VulnerableReport,
+    VulnerableRow,
 };
 pub use attack::{attack_published, attack_raw, AttackOutcome};
 pub use bootstrap::{bootstrap_mean_ci, paired_bootstrap_less, BootstrapInterval};

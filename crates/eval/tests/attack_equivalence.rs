@@ -18,8 +18,10 @@ use cahd_core::shard::{cahd_sharded, ParallelConfig};
 use cahd_core::{CahdConfig, PublishedDataset};
 use cahd_data::{SensitiveSet, TransactionSet};
 use cahd_eval::adversary::background::background_point;
+use cahd_eval::adversary::index::{Population, TargetIndex};
 use cahd_eval::adversary::{ATTACKER_INTERSECTION, TARGET_RAW};
 use cahd_eval::{posterior_violations, run_attack_suite, AttackPlan, AttackTarget};
+use cahd_obs::Recorder;
 use proptest::prelude::*;
 
 const UNIVERSE: usize = 10;
@@ -86,7 +88,7 @@ fn attack_all(
                 .map(|(name, release)| AttackTarget::release(name, release)),
         )
         .collect();
-    run_attack_suite(data, sens, p, &targets, &plan(seed))
+    run_attack_suite(data, sens, p, &targets, &plan(seed), &Recorder::disabled())
 }
 
 proptest! {
@@ -181,9 +183,12 @@ proptest! {
         )
         .unwrap();
         let plan = plan(seed);
+        let population = Population::new(&data, &sens);
+        let raw_index = TargetIndex::new(&population, None);
+        let release_index = TargetIndex::new(&population, Some(&release));
         for &k in &[1usize, 2, 3] {
-            let raw = background_point(&data, &sens, None, k, &plan, seed);
-            let rel = background_point(&data, &sens, Some(&release), k, &plan, seed);
+            let raw = background_point(&raw_index, k, &plan, seed);
+            let rel = background_point(&release_index, k, &plan, seed);
             // The release publishes QID rows verbatim — a permutation of
             // the raw rows — so the score multiset, the eccentricity test
             // and the claimed row's content coincide trial for trial.

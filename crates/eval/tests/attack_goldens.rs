@@ -18,6 +18,7 @@ use cahd_core::PublishedDataset;
 use cahd_data::io::read_dat_file;
 use cahd_data::SensitiveSet;
 use cahd_eval::{posterior_violations, run_attack_suite, AttackPlan, AttackReport, AttackTarget};
+use cahd_obs::Recorder;
 
 /// The demo release was built with `--p 4`.
 const DEMO_P: usize = 4;
@@ -41,7 +42,14 @@ fn demo_report() -> AttackReport {
     ];
     // The committed default plan — the exact configuration CAHD-A001
     // replays in `cahd check`.
-    run_attack_suite(&data, &sens, DEMO_P, &targets, &AttackPlan::default())
+    run_attack_suite(
+        &data,
+        &sens,
+        DEMO_P,
+        &targets,
+        &AttackPlan::default(),
+        &Recorder::disabled(),
+    )
 }
 
 fn assert_close(a: f64, b: f64, what: &str) {
