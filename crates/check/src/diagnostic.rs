@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::Value;
-
 /// How bad a finding is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
@@ -105,18 +103,19 @@ impl Diagnostic {
 }
 
 impl serde::Serialize for Diagnostic {
-    fn to_value(&self) -> Value {
-        let opt = |v: Option<usize>| match v {
-            Some(x) => Value::Num(x as f64),
-            None => Value::Null,
-        };
-        Value::Object(vec![
-            ("code".into(), Value::Str(self.code.into())),
-            ("severity".into(), Value::Str(self.severity.as_str().into())),
-            ("message".into(), Value::Str(self.message.clone())),
-            ("group".into(), opt(self.group)),
-            ("member".into(), opt(self.member)),
-        ])
+    fn serialize(&self, w: &mut serde::Writer<'_>) {
+        w.begin_object();
+        w.field("code");
+        w.str(self.code);
+        w.field("severity");
+        w.str(self.severity.as_str());
+        w.field("message");
+        w.str(&self.message);
+        w.field("group");
+        self.group.serialize(w);
+        w.field("member");
+        self.member.serialize(w);
+        w.end_object();
     }
 }
 

@@ -1,7 +1,5 @@
 //! The aggregated result of a registry run.
 
-use serde::Value;
-
 use crate::diagnostic::{Diagnostic, Severity};
 
 /// Everything a registry run found, plus enough metadata to render it for
@@ -75,35 +73,23 @@ impl CheckReport {
 }
 
 impl serde::Serialize for CheckReport {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("clean".into(), Value::Bool(self.is_clean())),
-            (
-                "required_degree".into(),
-                Value::Num(self.required_degree as f64),
-            ),
-            (
-                "passes_run".into(),
-                Value::Array(
-                    self.passes_run
-                        .iter()
-                        .map(|&p| Value::Str(p.into()))
-                        .collect(),
-                ),
-            ),
-            ("errors".into(), Value::Num(self.error_count() as f64)),
-            ("warnings".into(), Value::Num(self.warning_count() as f64)),
-            ("notes".into(), Value::Num(self.note_count() as f64)),
-            (
-                "diagnostics".into(),
-                Value::Array(
-                    self.diagnostics
-                        .iter()
-                        .map(serde::Serialize::to_value)
-                        .collect(),
-                ),
-            ),
-        ])
+    fn serialize(&self, w: &mut serde::Writer<'_>) {
+        w.begin_object();
+        w.field("clean");
+        w.bool(self.is_clean());
+        w.field("required_degree");
+        w.u64(self.required_degree as u64);
+        w.field("passes_run");
+        self.passes_run.serialize(w);
+        w.field("errors");
+        w.u64(self.error_count() as u64);
+        w.field("warnings");
+        w.u64(self.warning_count() as u64);
+        w.field("notes");
+        w.u64(self.note_count() as u64);
+        w.field("diagnostics");
+        self.diagnostics.serialize(w);
+        w.end_object();
     }
 }
 

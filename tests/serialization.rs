@@ -173,3 +173,64 @@ fn json_malformed_strings_report_the_same_errors() {
         assert_eq!(err.to_string(), want, "{json}");
     }
 }
+
+/// Reads a committed document as `T` and writes it back, compact or
+/// pretty.
+fn rewrite<T: serde::Serialize + serde::Deserialize>(text: &str, pretty: bool) -> String {
+    let value: T = serde_json::from_str(text).unwrap();
+    if pretty {
+        serde_json::to_string_pretty(&value).unwrap()
+    } else {
+        serde_json::to_string(&value).unwrap()
+    }
+}
+
+#[test]
+fn committed_documents_rewrite_byte_identically() {
+    use cahd::core::checkpoint::StreamingCheckpoint;
+    use cahd::eval::AttackReport;
+    use cahd_bench::snapshot::PerfSnapshot;
+
+    type Rewrite = fn(&str, bool) -> String;
+    // (path, reader/writer, pretty, file ends in a newline)
+    let cases: [(&str, Rewrite, bool, bool); 5] = [
+        (
+            "fixtures/demo_release.json",
+            rewrite::<PublishedDataset>,
+            false,
+            false,
+        ),
+        (
+            "fixtures/demo_checkpoint.json",
+            rewrite::<StreamingCheckpoint>,
+            false,
+            false,
+        ),
+        (
+            "fixtures/demo_checkpoint_tampered.json",
+            rewrite::<StreamingCheckpoint>,
+            false,
+            false,
+        ),
+        (
+            "fixtures/demo_attack_curves.json",
+            rewrite::<AttackReport>,
+            true,
+            true,
+        ),
+        (
+            "bench-snapshots/BENCH_1786179307.json",
+            rewrite::<PerfSnapshot>,
+            true,
+            false,
+        ),
+    ];
+    for (path, rewrite, pretty, newline) in cases {
+        let text = std::fs::read_to_string(path).unwrap();
+        let mut out = rewrite(&text, pretty);
+        if newline {
+            out.push('\n');
+        }
+        assert!(out == text, "{path} does not rewrite to itself");
+    }
+}
