@@ -1,14 +1,13 @@
 //! Sharded-pipeline benchmarks: sequential CAHD vs the sharded parallel
-//! entry point, the threaded `A x A^T` row-pattern build, and the threaded
-//! KL evaluation loop. These entries give the BENCH json a perf trajectory
-//! for the parallel path; speedups obviously depend on the host core count.
+//! entry point and the threaded `A x A^T` row-pattern build. These entries
+//! give the BENCH json a perf trajectory for the parallel path; speedups
+//! obviously depend on the host core count.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use cahd_bench::runs::{prepare, run_cahd_sharded, select_sensitive};
 use cahd_core::{cahd, CahdConfig, ParallelConfig};
 use cahd_data::profiles;
-use cahd_eval::{evaluate_workload_threaded, generate_workload_seeded};
 use cahd_rcm::UnsymOptions;
 use cahd_sparse::RowGraph;
 
@@ -53,32 +52,5 @@ fn bench_threaded_aat(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_threaded_eval(c: &mut Criterion) {
-    let data = largest();
-    let sens = select_sensitive(&data, 10, 20, 11);
-    let prep = prepare(data, UnsymOptions::default());
-    let res = run_cahd_sharded(&prep, &sens, 10, 3, ParallelConfig::new(4, 2)).unwrap();
-    let queries = generate_workload_seeded(&prep.data, &sens, 3, 100, 7);
-    let mut g = c.benchmark_group("parallel/kl_eval");
-    g.sample_size(10);
-    for threads in [1usize, 2, 4] {
-        g.bench_with_input(
-            BenchmarkId::from_parameter(threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    evaluate_workload_threaded(&prep.data, &res.published, &queries, threads)
-                });
-            },
-        );
-    }
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_sharded_cahd,
-    bench_threaded_aat,
-    bench_threaded_eval
-);
+criterion_group!(benches, bench_sharded_cahd, bench_threaded_aat);
 criterion_main!(benches);

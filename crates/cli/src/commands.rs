@@ -985,6 +985,7 @@ pub const EVALUATE_FLAGS: &[FlagSpec] = &[
 pub fn evaluate(args: &Args) -> Result<String, CliError> {
     let data = load(args.positional(0, "data.dat")?)?;
     let release = load_release(args.positional(1, "release.json")?)?;
+    require_canonical_rows(&release)?;
     let r: usize = args.parse_or("r", 4)?;
     let n_queries: usize = args.parse_or("queries", 100)?;
     let seed: u64 = resolve_seed(args)?;
@@ -1399,6 +1400,31 @@ fn load(path: &str) -> Result<TransactionSet, CliError> {
         return Err(CliError::Run(format!("no such file: {path}")));
     }
     Ok(io::read_dat_file(path, None)?)
+}
+
+/// Rejects a release with a QID row that is not strictly ascending or
+/// that names an item outside its universe. The workload index answers
+/// cell membership by postings, which equals eq. (2)'s per-row lookup only
+/// on such canonical rows.
+fn require_canonical_rows(release: &PublishedDataset) -> Result<(), CliError> {
+    for (gi, group) in release.groups.iter().enumerate() {
+        for (ri, row) in group.qid_rows.iter().enumerate() {
+            let fault = if let Some(w) = row.windows(2).find(|w| w[0] >= w[1]) {
+                format!("items not strictly ascending ({} then {})", w[0], w[1])
+            } else if let Some(&item) = row.last().filter(|&&i| i as usize >= release.n_items) {
+                format!(
+                    "item {item} outside the universe of {} items",
+                    release.n_items
+                )
+            } else {
+                continue;
+            };
+            return Err(CliError::Run(format!(
+                "release group {gi}, QID row {ri}: {fault}"
+            )));
+        }
+    }
+    Ok(())
 }
 
 fn load_release(path: &str) -> Result<PublishedDataset, CliError> {

@@ -8,6 +8,8 @@ use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
+use cahd_sparse::CsrMatrix;
+
 use crate::transaction::{ItemId, TransactionSet};
 
 /// Reads a `.dat` basket stream into *raw* rows plus the inferred item
@@ -19,29 +21,7 @@ use crate::transaction::{ItemId, TransactionSet};
 /// normalized form ([`crate::TransactionSet::from_rows`] sorts and dedups).
 pub fn read_dat_rows<R: BufRead>(reader: R) -> io::Result<(Vec<Vec<ItemId>>, usize)> {
     let mut rows: Vec<Vec<ItemId>> = Vec::new();
-    let mut max_id: u64 = 0;
-    let mut any_item = false;
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let mut row: Vec<ItemId> = Vec::new();
-        for tok in trimmed.split_ascii_whitespace() {
-            let id: u32 = tok.parse().map_err(|e| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("line {}: bad item id {tok:?}: {e}", lineno + 1),
-                )
-            })?;
-            max_id = max_id.max(id as u64);
-            any_item = true;
-            row.push(id);
-        }
-        rows.push(row);
-    }
-    let inferred = if any_item { max_id as usize + 1 } else { 0 };
+    let inferred = for_each_row(reader, |row| rows.push(row.clone()))?;
     Ok((rows, inferred))
 }
 
@@ -51,9 +31,79 @@ pub fn read_dat_rows<R: BufRead>(reader: R) -> io::Result<(Vec<Vec<ItemId>>, usi
 /// Lines that are empty or start with `#` are skipped. Item ids must parse
 /// as `u32`.
 pub fn read_dat<R: BufRead>(reader: R, n_items: Option<usize>) -> io::Result<TransactionSet> {
-    let (rows, inferred) = read_dat_rows(reader)?;
+    let mut indptr = vec![0usize];
+    let mut indices: Vec<ItemId> = Vec::new();
+    let inferred = for_each_row(reader, |row| {
+        row.sort_unstable();
+        row.dedup();
+        indices.extend_from_slice(row);
+        indptr.push(indices.len());
+    })?;
+    // The set is kept for the whole run: no growth slack.
+    indptr.shrink_to_fit();
+    indices.shrink_to_fit();
     let d = n_items.unwrap_or(0).max(inferred);
-    Ok(TransactionSet::from_rows(&rows, d))
+    let matrix = CsrMatrix::from_raw_parts(indptr.len() - 1, d, indptr, indices);
+    Ok(TransactionSet::from_matrix(matrix))
+}
+
+/// The one `.dat` line loop: calls `row` with the ids of every
+/// transaction line as written (in one reused `Vec`) and returns the
+/// inferred item universe. Lines are read into one reused byte buffer and
+/// checked as UTF-8 like [`BufRead::lines`] does.
+fn for_each_row<R: BufRead>(
+    mut reader: R,
+    mut row: impl FnMut(&mut Vec<ItemId>),
+) -> io::Result<usize> {
+    let mut line: Vec<u8> = Vec::new();
+    let mut ids: Vec<ItemId> = Vec::new();
+    let mut max_id: u64 = 0;
+    let mut any_item = false;
+    let mut lineno = 0usize;
+    loop {
+        line.clear();
+        if reader.read_until(b'\n', &mut line)? == 0 {
+            break;
+        }
+        lineno += 1;
+        let text = std::str::from_utf8(&line).map_err(|_| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            )
+        })?;
+        let trimmed = text.trim();
+        if trimmed.is_empty() || trimmed.starts_with('#') {
+            continue;
+        }
+        ids.clear();
+        for tok in trimmed.split_ascii_whitespace() {
+            let id = parse_id(tok).map_err(|e| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("line {lineno}: bad item id {tok:?}: {e}"),
+                )
+            })?;
+            max_id = max_id.max(id as u64);
+            any_item = true;
+            ids.push(id);
+        }
+        row(&mut ids);
+    }
+    Ok(if any_item { max_id as usize + 1 } else { 0 })
+}
+
+/// Parses one id token: at most 9 ASCII digits straight from the bytes
+/// (below `u32::MAX` by construction), anything else through
+/// `str::parse`, which owns the accepted forms and the error texts.
+fn parse_id(tok: &str) -> Result<ItemId, std::num::ParseIntError> {
+    let bytes = tok.as_bytes();
+    if !bytes.is_empty() && bytes.len() <= 9 && bytes.iter().all(u8::is_ascii_digit) {
+        return Ok(bytes
+            .iter()
+            .fold(0, |id, &b| id * 10 + ItemId::from(b - b'0')));
+    }
+    tok.parse()
 }
 
 /// Reads a `.dat` basket file from disk.
@@ -149,6 +199,32 @@ mod tests {
         // The normalizing reader sorts and dedups the same stream.
         let t = read_dat(Cursor::new("5 2 5\n"), None).unwrap();
         assert_eq!(t.transaction(0), &[2, 5]);
+    }
+
+    #[test]
+    fn ids_past_the_fast_path_parse_like_str() {
+        let t = read_dat(Cursor::new("+5 007 999999999 4294967295\r\n"), None).unwrap();
+        assert_eq!(t.transaction(0), &[5, 7, 999_999_999, 4_294_967_295]);
+        let err = read_dat(Cursor::new("1\n4294967296\n"), None).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 2: bad item id \"4294967296\": number too large to fit in target type"
+        );
+        let err = read_dat_rows(Cursor::new(b"1\n2 \xff\n".as_slice())).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "stream did not contain valid UTF-8");
+    }
+
+    #[test]
+    fn read_dat_builds_the_normalized_csr() {
+        let t = read_dat(Cursor::new("3 1 3\n\n2 0\n5\n"), None).unwrap();
+        let m = t.matrix();
+        assert_eq!(m.indptr(), &[0, 2, 4, 5]);
+        assert_eq!(m.indices(), &[1, 3, 0, 2, 5]);
+        assert_eq!(
+            t,
+            TransactionSet::from_rows(&[vec![3, 1], vec![2, 0], vec![5]], 6)
+        );
     }
 
     #[test]

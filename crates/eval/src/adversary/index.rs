@@ -333,7 +333,7 @@ impl<'a> TargetIndex<'a> {
 /// Item → row postings over `rows`, as `(offsets, row ids)`: each list
 /// ascending, a row listed once per distinct item, ids `>= n_items`
 /// skipped.
-fn item_postings(rows: &[&[ItemId]], n_items: usize) -> (Vec<usize>, Vec<u32>) {
+pub(crate) fn item_postings(rows: &[&[ItemId]], n_items: usize) -> (Vec<usize>, Vec<u32>) {
     let mut start = vec![0usize; n_items + 1];
     let mut last_row = vec![u32::MAX; n_items];
     for (r, row) in rows.iter().enumerate() {

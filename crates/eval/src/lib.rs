@@ -44,10 +44,10 @@ pub use mining::{frequent_itemsets, top_k_itemsets, Itemset};
 pub use query::{
     generate_workload, generate_workload_seeded, GroupByQuery, QidSelection, WorkloadConfig,
 };
-pub use reconstruct::{actual_pdf, estimated_pdf};
+pub use reconstruct::{actual_pdf, estimated_pdf, WorkloadIndex};
 pub use reident::reidentification_probability;
 pub use rules::{confidence_error, mine_rules, published_confidence, AssociationRule};
 pub use runner::{
-    average_relative_error, evaluate_workload, evaluate_workload_threaded,
-    evaluate_workload_traced, workload_kls, ReconstructionSummary,
+    average_relative_error, evaluate_workload, evaluate_workload_traced, workload_kls,
+    ReconstructionSummary,
 };

@@ -6,10 +6,16 @@
 //! member matching a cell contributes `a / |G|` expected occurrences,
 //! because every assignment of the permuted sensitive items to members is
 //! equally likely.
+//!
+//! [`actual_pdf`] and [`estimated_pdf`] answer one query by scanning every
+//! row; they are the literal reference. A workload answers all its queries
+//! from one [`WorkloadIndex`] instead, with bit-identical results.
 
 use cahd_core::PublishedDataset;
-use cahd_data::TransactionSet;
+use cahd_data::{ItemId, TransactionSet};
+use cahd_sparse::CsrMatrix;
 
+use crate::adversary::index::item_postings;
 use crate::cells::{cell_of, n_cells};
 use crate::query::GroupByQuery;
 
@@ -65,6 +71,175 @@ pub fn estimated_pdf(published: &PublishedDataset, query: &GroupByQuery) -> Opti
     let t = total as f64;
     est.iter_mut().for_each(|e| *e /= t);
     Some(est)
+}
+
+/// Postings over one `(data, release)` pair, built once and shared by
+/// every query of a workload.
+///
+/// * Input side: the rows of `data` holding each item, so the actual PDF
+///   runs [`cell_of`] over the holders of the sensitive item only.
+/// * Release side: item → global release-row ids (rows numbered in
+///   release order), the first row of each group, and every group's
+///   nonzero `(sensitive item, a)` summary entry in release order.
+///
+/// A query ORs bit `i` into the cell of every row in the postings of
+/// `qid[i]`, then walks the groups holding the sensitive item in release
+/// order, counting the touched rows per cell; the untouched rest of a
+/// group lands in cell 0. The counts are integers and the eq. (2) float
+/// update runs per group in the scan's order, so every PDF is
+/// bit-identical to [`actual_pdf`]/[`estimated_pdf`] on a release whose
+/// QID rows are strictly ascending. The index reads a row as a set and
+/// skips ids outside the data's item universe, which no workload over
+/// `data` queries.
+pub struct WorkloadIndex<'a> {
+    data: &'a TransactionSet,
+    /// Item → rows of `data` holding it.
+    holders: CsrMatrix,
+    /// Release rows per item, ascending, concatenated.
+    postings: Vec<u32>,
+    /// `postings` offsets, one per item of the data's universe plus one.
+    postings_start: Vec<usize>,
+    /// First release row of each group, plus the total row count.
+    group_start: Vec<usize>,
+    /// `(sensitive item, group, a)` for every `a > 0`, sorted by item and
+    /// then group.
+    sensitive_groups: Vec<(ItemId, u32, u32)>,
+    /// Per release row, the cell bits set by the current query.
+    cell: Vec<u32>,
+    /// Rows with a nonzero `cell`.
+    touched: Vec<u32>,
+    /// Touched rows summed over the queries answered so far.
+    rows_touched: u64,
+}
+
+impl<'a> WorkloadIndex<'a> {
+    /// Indexes `data` and `published`.
+    pub fn new(data: &'a TransactionSet, published: &PublishedDataset) -> Self {
+        let rows: Vec<&[ItemId]> = published
+            .groups
+            .iter()
+            .flat_map(|g| g.qid_rows.iter().map(Vec::as_slice))
+            .collect();
+        let (postings_start, postings) = item_postings(&rows, data.n_items());
+        let mut group_start = Vec::with_capacity(published.groups.len() + 1);
+        group_start.push(0);
+        let mut sensitive_groups = Vec::new();
+        for (gi, g) in published.groups.iter().enumerate() {
+            group_start.push(group_start[gi] + g.size());
+            sensitive_groups.extend(g.sensitive_counts.iter().filter_map(|&(item, _)| {
+                let a = g.sensitive_count_of(item);
+                (a > 0).then_some((item, gi as u32, a))
+            }));
+        }
+        // A repeated summary entry reads the same `a` twice.
+        sensitive_groups.sort_unstable();
+        sensitive_groups.dedup();
+        WorkloadIndex {
+            data,
+            holders: data.inverted_index(),
+            postings,
+            postings_start,
+            cell: vec![0; rows.len()],
+            group_start,
+            sensitive_groups,
+            touched: Vec::new(),
+            rows_touched: 0,
+        }
+    }
+
+    /// The actual and estimated PDFs of `query`, or `None` when the
+    /// sensitive item never occurs in the data or in the release (the same
+    /// verdicts as [`actual_pdf`] and [`estimated_pdf`]).
+    pub fn pdfs(&mut self, query: &GroupByQuery) -> Option<(Vec<f64>, Vec<f64>)> {
+        let act = self.actual_pdf(query)?;
+        let est = self.estimated_pdf(query)?;
+        Some((act, est))
+    }
+
+    /// Release rows touched by the queries answered so far: the rows
+    /// holding at least one of a query's QID items, summed over the
+    /// queries whose sensitive item occurs in both the data and the
+    /// release.
+    pub fn rows_touched(&self) -> u64 {
+        self.rows_touched
+    }
+
+    fn actual_pdf(&self, query: &GroupByQuery) -> Option<Vec<f64>> {
+        let mut counts = vec![0u64; n_cells(query.r())];
+        let s = query.sensitive as usize;
+        let holders = if s < self.holders.n_rows() {
+            self.holders.row(s)
+        } else {
+            &[]
+        };
+        if holders.is_empty() {
+            return None;
+        }
+        for &t in holders {
+            counts[cell_of(self.data.transaction(t as usize), &query.qid) as usize] += 1;
+        }
+        let total = holders.len() as f64;
+        Some(counts.iter().map(|&c| c as f64 / total).collect())
+    }
+
+    fn estimated_pdf(&mut self, query: &GroupByQuery) -> Option<Vec<f64>> {
+        let nc = n_cells(query.r());
+        let lo = self
+            .sensitive_groups
+            .partition_point(|&(item, _, _)| item < query.sensitive);
+        let hi = lo
+            + self.sensitive_groups[lo..].partition_point(|&(item, _, _)| item == query.sensitive);
+        if lo == hi {
+            return None;
+        }
+        for (bit, &item) in query.qid.iter().enumerate() {
+            let i = item as usize;
+            if i + 1 >= self.postings_start.len() {
+                continue;
+            }
+            for &row in &self.postings[self.postings_start[i]..self.postings_start[i + 1]] {
+                let cell = &mut self.cell[row as usize];
+                if *cell == 0 {
+                    self.touched.push(row);
+                }
+                *cell |= 1 << bit;
+            }
+        }
+        self.touched.sort_unstable();
+
+        let mut est = vec![0f64; nc];
+        let mut total = 0u64;
+        let mut b = vec![0u64; nc];
+        let mut next = 0usize;
+        for &(_, g, a) in &self.sensitive_groups[lo..hi] {
+            let (start, end) = (
+                self.group_start[g as usize],
+                self.group_start[g as usize + 1],
+            );
+            total += a as u64;
+            b.fill(0);
+            next += self.touched[next..].partition_point(|&r| (r as usize) < start);
+            let first = next;
+            while next < self.touched.len() && (self.touched[next] as usize) < end {
+                b[self.cell[self.touched[next] as usize] as usize] += 1;
+                next += 1;
+            }
+            b[0] += (end - start - (next - first)) as u64;
+            let g = (end - start) as f64;
+            for (e, &bc) in est.iter_mut().zip(&b) {
+                *e += a as f64 * bc as f64 / g;
+            }
+        }
+        for &row in &self.touched {
+            self.cell[row as usize] = 0;
+        }
+        self.rows_touched += self.touched.len() as u64;
+        self.touched.clear();
+
+        let t = total as f64;
+        est.iter_mut().for_each(|e| *e /= t);
+        Some(est)
+    }
 }
 
 #[cfg(test)]

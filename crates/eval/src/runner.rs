@@ -7,7 +7,7 @@ use cahd_data::TransactionSet;
 
 use crate::kl::{kl_divergence, DEFAULT_SMOOTHING};
 use crate::query::GroupByQuery;
-use crate::reconstruct::{actual_pdf, estimated_pdf};
+use crate::reconstruct::WorkloadIndex;
 
 /// Aggregate reconstruction error over a workload.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -47,10 +47,12 @@ pub fn evaluate_workload(
 }
 
 /// Like [`evaluate_workload`], recording per-query KL timing into `rec`:
-/// the root span `eval`, the scheduling-invariant counters
-/// `eval.queries` (evaluated) and `eval.queries_skipped`, and the
-/// histogram `eval.query_ns` (one observation per evaluated query; its
-/// count always equals `eval.queries`).
+/// the root span `eval` with the child span `eval/index` (building the
+/// [`WorkloadIndex`]), the scheduling-invariant counters `eval.queries`
+/// (evaluated), `eval.queries_skipped` and `eval.rows_touched` (release
+/// rows touched, summed over queries), and the histogram `eval.query_ns`
+/// (one observation per evaluated query; its count always equals
+/// `eval.queries`).
 pub fn evaluate_workload_traced(
     data: &TransactionSet,
     published: &PublishedDataset,
@@ -58,6 +60,9 @@ pub fn evaluate_workload_traced(
     rec: &cahd_obs::Recorder,
 ) -> ReconstructionSummary {
     let _span = rec.span("eval");
+    let index_span = rec.span("eval/index");
+    let mut index = WorkloadIndex::new(data, published);
+    drop(index_span);
     let trace_on = rec.is_enabled();
     let mut query_ns = cahd_obs::Histogram::new();
     let mut kls: Vec<f64> = Vec::with_capacity(queries.len());
@@ -65,56 +70,22 @@ pub fn evaluate_workload_traced(
     for q in queries {
         // cahd-lint: allow(L002, reason = "guarded by trace_on; feeds the eval.query_ns histogram only")
         let t0 = trace_on.then(std::time::Instant::now);
-        match (actual_pdf(data, q), estimated_pdf(published, q)) {
-            (Some(act), Some(est)) => {
+        match index.pdfs(q) {
+            Some((act, est)) => {
                 kls.push(kl_divergence(&act, &est, DEFAULT_SMOOTHING));
                 if let Some(t0) = t0 {
                     query_ns.observe(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
                 }
             }
-            _ => skipped += 1,
+            None => skipped += 1,
         }
     }
     if trace_on {
         rec.add("eval.queries", kls.len() as u64);
         rec.add("eval.queries_skipped", skipped as u64);
+        rec.add("eval.rows_touched", index.rows_touched());
         rec.record_histogram("eval.query_ns", &query_ns);
     }
-    summarize(&mut kls, skipped)
-}
-
-/// Like [`evaluate_workload`], but computing the per-query KL values with
-/// `threads` workers over contiguous query ranges. Each worker writes into
-/// its own slot range, so the result is identical to the sequential path
-/// for every thread count.
-pub fn evaluate_workload_threaded(
-    data: &TransactionSet,
-    published: &PublishedDataset,
-    queries: &[GroupByQuery],
-    threads: usize,
-) -> ReconstructionSummary {
-    let threads = threads.max(1).min(queries.len().max(1));
-    if threads <= 1 {
-        return evaluate_workload(data, published, queries);
-    }
-    let chunk = queries.len().div_ceil(threads);
-    let mut per_query: Vec<Option<f64>> = vec![None; queries.len()];
-    std::thread::scope(|scope| {
-        for (qs, out) in queries.chunks(chunk).zip(per_query.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (q, slot) in qs.iter().zip(out.iter_mut()) {
-                    *slot = match (actual_pdf(data, q), estimated_pdf(published, q)) {
-                        (Some(act), Some(est)) => {
-                            Some(kl_divergence(&act, &est, DEFAULT_SMOOTHING))
-                        }
-                        _ => None,
-                    };
-                }
-            });
-        }
-    });
-    let mut kls: Vec<f64> = per_query.into_iter().flatten().collect();
-    let skipped = queries.len() - kls.len();
     summarize(&mut kls, skipped)
 }
 
@@ -128,14 +99,14 @@ pub fn workload_kls(
     published: &PublishedDataset,
     queries: &[GroupByQuery],
 ) -> Vec<Option<f64>> {
+    let mut index = WorkloadIndex::new(data, published);
     queries
         .iter()
-        .map(
-            |q| match (actual_pdf(data, q), estimated_pdf(published, q)) {
-                (Some(act), Some(est)) => Some(kl_divergence(&act, &est, DEFAULT_SMOOTHING)),
-                _ => None,
-            },
-        )
+        .map(|q| {
+            index
+                .pdfs(q)
+                .map(|(act, est)| kl_divergence(&act, &est, DEFAULT_SMOOTHING))
+        })
         .collect()
 }
 
@@ -149,10 +120,11 @@ pub fn average_relative_error(
     published: &PublishedDataset,
     queries: &[GroupByQuery],
 ) -> Option<f64> {
+    let mut index = WorkloadIndex::new(data, published);
     let mut total = 0.0;
     let mut n = 0usize;
     for q in queries {
-        let (Some(act), Some(est)) = (actual_pdf(data, q), estimated_pdf(published, q)) else {
+        let Some((act, est)) = index.pdfs(q) else {
             continue;
         };
         for (&a, &e) in act.iter().zip(&est) {
@@ -297,29 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_evaluation_matches_sequential() {
-        let (data, _, good, bad) = setup();
-        let queries: Vec<GroupByQuery> = vec![
-            GroupByQuery::new(4, vec![0]),
-            GroupByQuery::new(4, vec![1]),
-            GroupByQuery::new(3, vec![0]), // absent -> skipped
-            GroupByQuery::new(4, vec![0, 1]),
-        ];
-        for published in [&good, &bad] {
-            let seq = evaluate_workload(&data, published, &queries);
-            for threads in [1usize, 2, 3, 16] {
-                let par = evaluate_workload_threaded(&data, published, &queries, threads);
-                assert_eq!(seq, par, "threads={threads}");
-            }
-        }
-        // Degenerate inputs: empty workload, zero threads.
-        let empty = evaluate_workload_threaded(&data, &good, &[], 8);
-        assert_eq!(empty.n_queries, 0);
-        let zero = evaluate_workload_threaded(&data, &good, &queries, 0);
-        assert_eq!(zero, evaluate_workload(&data, &good, &queries));
-    }
-
-    #[test]
     fn traced_evaluation_matches_and_records() {
         let (data, _, good, _) = setup();
         let queries = vec![
@@ -332,9 +281,13 @@ mod tests {
         let report = rec.snapshot();
         assert_eq!(report.counter("eval.queries"), Some(1));
         assert_eq!(report.counter("eval.queries_skipped"), Some(1));
+        // Item 0 sits in release rows 0 and 1; the skipped query touches
+        // nothing.
+        assert_eq!(report.counter("eval.rows_touched"), Some(2));
         let h = report.histogram("eval.query_ns").unwrap();
         assert_eq!(h.count, 1);
         assert!(report.span("eval").is_some());
+        assert!(report.span("eval/index").is_some());
         assert!(report.orphan_spans().is_empty());
         assert!(report.consistency_findings().is_empty());
     }
