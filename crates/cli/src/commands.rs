@@ -428,23 +428,30 @@ pub fn anonymize(args: &Args) -> Result<String, CliError> {
     if args.value("bad-input").is_some() {
         return anonymize_robust_cmd(args, p, seed);
     }
-    let data = load(args.positional(0, "data.dat")?)?;
-    let sensitive = sensitive_from_args(args, &data, p, seed)?;
     let method = args.value("method").unwrap_or("cahd");
+    // The cahd run is traced from ingest to the written release file.
+    let rec = if method == "cahd" {
+        recorder_from_args(args)
+    } else {
+        Recorder::disabled()
+    };
+    let data = {
+        let _s = rec.span("ingest");
+        load(args.positional(0, "data.dat")?)?
+    };
+    let sensitive = sensitive_from_args(args, &data, p, seed)?;
     if tracing && method != "cahd" {
         return Err(CliError::Usage(format!(
             "--trace-json/--metrics require the instrumented cahd method, not {method:?}"
         )));
     }
 
-    let mut trace: Option<TraceReport> = None;
     let mut published: PublishedDataset = match method {
         "cahd" => {
             let cfg = anonymizer_config_from_args(args, p)?;
-            let rec = recorder_from_args(args);
-            let res = Anonymizer::new(cfg).anonymize_traced(&data, &sensitive, &rec)?;
-            trace = res.trace;
-            res.published
+            Anonymizer::new(cfg)
+                .anonymize_traced(&data, &sensitive, &rec)?
+                .published
         }
         "pm" => perm_mondrian(&data, &sensitive, &PmConfig::new(p))?.0,
         "random" => random_grouping(&data, &sensitive, p, seed)?,
@@ -470,11 +477,12 @@ pub fn anonymize(args: &Args) -> Result<String, CliError> {
     let mut out =
         format!("method {method}, p {p}: {n_groups} groups, privacy degree {degree:?}, verified\n");
     if let Some(path) = args.value("out") {
+        let _s = rec.span("serialize");
         std::fs::write(path, serde_json::to_string(&to_write)?)?;
         out.push_str(&format!("release written to {path}\n"));
     }
-    if let Some(trace) = &trace {
-        emit_trace(args, trace, &mut out)?;
+    if rec.is_enabled() {
+        emit_trace(args, &rec.snapshot(), &mut out)?;
     }
     Ok(out)
 }

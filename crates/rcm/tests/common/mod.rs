@@ -5,6 +5,7 @@
 #![allow(dead_code)]
 
 pub mod fig4;
+pub mod stamped_degrees;
 
 use cahd_sparse::{CsrMatrix, Graph, Permutation};
 

@@ -8,9 +8,12 @@
 //! matrices where about half of the rows copy an earlier one:
 //!
 //! 1. **Degrees**: [`ParNeighborOracle::degree`] equals the oracle
-//!    adjacency's list length for every row, under hub caps
+//!    adjacency's list length and the stamped twin-class pass in
+//!    `common/stamped_degrees.rs` for every row, under hub caps
 //!    `{off, 1, 2, 5}` at every thread count — including empty rows,
-//!    single-item rows and rows whose items are all over the cap.
+//!    single-item rows, rows whose items are all over the cap, inputs
+//!    with more multiplicity tiers than a word has bits, and twin-free
+//!    inputs.
 //! 2. **Orders**: [`band_order_traced`] (and the engine with its parallel
 //!    claim path forced onto every frontier) equals the literal Fig. 4
 //!    transcription in `common/fig4.rs` — order, `rcm.components` and
@@ -25,6 +28,7 @@ use cahd_obs::Recorder;
 use cahd_rcm::{band_order_traced, band_order_with, OrderingStrategy};
 use cahd_sparse::{CsrMatrix, ImplicitRowGraph, ParNeighborOracle};
 use common::fig4::{fig4, Traversal};
+use common::stamped_degrees::stamped_degrees;
 use common::{aat_adjacency, thread_counts};
 use proptest::prelude::*;
 
@@ -39,14 +43,20 @@ fn capped_adjacency(a: &CsrMatrix, cap: Option<u32>) -> Vec<Vec<u32>> {
         return aat_adjacency(a);
     };
     let n = a.n_rows();
-    let support = |item: &u32| (0..n).filter(|&r| a.row(r).contains(item)).count();
+    let mut support = vec![0usize; a.n_cols()];
+    for r in 0..n {
+        for &item in a.row(r) {
+            support[item as usize] += 1;
+        }
+    }
     (0..n)
         .map(|i| {
             (0..n as u32)
                 .filter(|&j| {
                     j as usize != i
-                        && a.row(i).iter().any(|item| {
-                            a.row(j as usize).contains(item) && support(item) <= cap as usize
+                        && a.row(i).iter().any(|&item| {
+                            a.row(j as usize).contains(&item)
+                                && support[item as usize] <= cap as usize
                         })
                 })
                 .collect()
@@ -54,24 +64,48 @@ fn capped_adjacency(a: &CsrMatrix, cap: Option<u32>) -> Vec<Vec<u32>> {
         .collect()
 }
 
+/// Checks the implicit graph's degrees against the capped adjacency's list
+/// lengths and the stamped twin-class pass at every thread count.
+fn assert_degrees_match(
+    a: &CsrMatrix,
+    hub_cap: Option<u32>,
+    adj: &[Vec<u32>],
+) -> Result<(), String> {
+    let stamped = stamped_degrees(a, hub_cap);
+    for (v, list) in adj.iter().enumerate() {
+        prop_assert_eq!(
+            stamped[v] as usize,
+            list.len(),
+            "stamped row {} hub_cap={:?}",
+            v,
+            hub_cap
+        );
+    }
+    for threads in thread_counts(&[1, 2, 3, 8]) {
+        let g = ImplicitRowGraph::with_options(a, hub_cap, threads);
+        for (v, list) in adj.iter().enumerate() {
+            prop_assert_eq!(
+                g.degree(v),
+                list.len(),
+                "row {} hub_cap={:?} threads={}",
+                v,
+                hub_cap,
+                threads
+            );
+        }
+    }
+    Ok(())
+}
+
 /// Checks degrees and orders of the implicit graph against the oracle
 /// under every hub cap and thread count.
 fn assert_twin_rows_match_oracle(a: &CsrMatrix) -> Result<(), String> {
     for hub_cap in HUB_CAPS {
         let adj = capped_adjacency(a, hub_cap);
+        assert_degrees_match(a, hub_cap, &adj)?;
         let want_rcm = fig4(&adj, Traversal::Cm);
         for threads in thread_counts(&[1, 2, 3, 8]) {
             let g = ImplicitRowGraph::with_options(a, hub_cap, threads);
-            for (v, list) in adj.iter().enumerate() {
-                prop_assert_eq!(
-                    g.degree(v),
-                    list.len(),
-                    "row {} hub_cap={:?} threads={}",
-                    v,
-                    hub_cap,
-                    threads
-                );
-            }
             // The production entry point, then the engine with its
             // parallel claim path forced onto every frontier.
             for forced in [false, true] {
@@ -165,6 +199,88 @@ fn twins_of_empty_single_item_and_all_hub_rows() {
 #[test]
 fn all_rows_twins() {
     let a = CsrMatrix::from_rows(&vec![vec![1, 4]; 17], 5);
+    if let Err(e) = assert_twin_rows_match_oracle(&a) {
+        panic!("{e}");
+    }
+}
+
+/// `rows` as a matrix over `d` items, taken with a stride of 7 (a prime,
+/// so every row is taken once when 7 does not divide their count): twins
+/// end up scattered over the matrix instead of side by side.
+fn scattered(rows: &[Vec<u32>], d: usize) -> CsrMatrix {
+    let n = rows.len();
+    assert_ne!(n % 7, 0);
+    let shuffled: Vec<Vec<u32>> = (0..n).map(|i| rows[i * 7 % n].clone()).collect();
+    CsrMatrix::from_rows(&shuffled, d)
+}
+
+#[test]
+fn many_multiplicity_tiers_match_the_oracle() {
+    // 67 multiplicity tiers, more than the bits of a word, each with
+    // words of its own, weighted by its own multiplicity:
+    // - multiplicity 1: 150 classes {1, 400 + j}, filling words 0..=2,
+    //   so item 1 is a dense set across two word boundaries; class 149
+    //   also holds item 2;
+    // - multiplicities 2..=66: one class {300 + m} each, in word m + 1,
+    //   plus item 3 for even m (a dense set over 65 words), item 4 for m
+    //   divisible by 7 (a sparse set) and item 2 for m = 66, so item 2's
+    //   two positions sit 65 words apart;
+    // - multiplicity 67: empty rows, in word 68.
+    // Under the swept caps items 1 to 4 are hubs, and every class with
+    // m > cap is all-hub.
+    let mut rows: Vec<Vec<u32>> = (0..150u32)
+        .map(|j| {
+            if j == 149 {
+                vec![1, 2, 400 + j]
+            } else {
+                vec![1, 400 + j]
+            }
+        })
+        .collect();
+    for m in 2..=66u32 {
+        let mut class = vec![300 + m];
+        if m % 2 == 0 {
+            class.push(3);
+        }
+        if m % 7 == 0 {
+            class.push(4);
+        }
+        if m == 66 {
+            class.push(2);
+        }
+        class.sort_unstable();
+        rows.extend(std::iter::repeat_n(class, m as usize));
+    }
+    rows.extend(std::iter::repeat_n(Vec::new(), 67));
+    let a = scattered(&rows, 550);
+    for hub_cap in HUB_CAPS {
+        assert_degrees_match(&a, hub_cap, &capped_adjacency(&a, hub_cap)).unwrap();
+    }
+}
+
+#[test]
+fn twin_free_rows_match_the_oracle() {
+    // Every row distinct, so each row is its own class and the sparse
+    // sets borrow the row postings: item 0 sits in rows 0 and 299 only
+    // (sparse), item 1 in every third row (dense), item 2 in rows 60..140
+    // (dense, across a word boundary), plus one singleton item per row.
+    let rows: Vec<Vec<u32>> = (0..300u32)
+        .map(|j| {
+            let mut row = vec![10 + j];
+            if j == 0 || j == 299 {
+                row.push(0);
+            }
+            if j % 3 == 0 {
+                row.push(1);
+            }
+            if (60..140).contains(&j) {
+                row.push(2);
+            }
+            row.sort_unstable();
+            row
+        })
+        .collect();
+    let a = CsrMatrix::from_rows(&rows, 310);
     if let Err(e) = assert_twin_rows_match_oracle(&a) {
         panic!("{e}");
     }

@@ -23,9 +23,10 @@
 //!   expansion costs O(nnz) enumeration — the `k^2` cliques never
 //!   materialize in time either. Only the one-shot exact degree pass
 //!   walks cliques, and it runs once per *twin class* (distinct item
-//!   set) over class postings, so it pays `sum(class_support^2)` rather
-//!   than `sum(support^2)`: duplicate-heavy click logs cost what their
-//!   distinct rows cost.
+//!   set), so it pairs `sum(class_support^2)` classes rather than
+//!   `sum(support^2)` rows — duplicate-heavy click logs cost what their
+//!   distinct rows cost — and unions them as per-item class bitsets, up
+//!   to 64 classes per word operation.
 //!
 //! [`RowGraphMode`] selects between them (`auto` estimates the directed
 //! edge count first and materializes only small graphs); an optional
@@ -212,8 +213,8 @@ impl<'a> ImplicitRowGraph<'a> {
 
     /// [`ImplicitRowGraph::with_options`], recording the two build phases
     /// as children of `pipeline/rcm/aat_build` (`transpose` and `degrees`)
-    /// and the degree pass's `sparse.row_classes` and `sparse.degree_work`
-    /// counters.
+    /// and the degree pass's `sparse.row_classes`, `sparse.degree_work`
+    /// and `sparse.degree_words` counters.
     fn build(
         a: &'a CsrMatrix,
         hub_cap: Option<u32>,
@@ -230,6 +231,7 @@ impl<'a> ImplicitRowGraph<'a> {
         };
         rec.add("sparse.row_classes", pass.classes as u64);
         rec.add("sparse.degree_work", pass.work);
+        rec.add("sparse.degree_words", pass.words);
         ImplicitRowGraph {
             rows: a,
             cols,
@@ -330,11 +332,7 @@ fn hub_skipped(support: usize, hub_cap: Option<u32>) -> bool {
 /// Rows grouped into *twin classes*: one class per distinct item set.
 /// Twins have identical `A x A^T` neighborhoods, so the degree pass runs
 /// once per class instead of once per row.
-struct TwinClasses<'m> {
-    /// Item-major class postings: row `i` lists, ascending, the classes
-    /// whose item set contains item `i`. Borrows the row transpose when
-    /// every row is its own class.
-    postings: Cow<'m, CsrMatrix>,
+struct TwinClasses {
     /// One representative row per class (its smallest row id).
     reps: Vec<u32>,
     /// Number of rows in each class.
@@ -343,15 +341,14 @@ struct TwinClasses<'m> {
     class_of: Vec<u32>,
 }
 
-impl<'m> TwinClasses<'m> {
-    /// Groups the rows of `rows` by item set; `cols` is its transpose.
-    /// One sort of the row ids on `(item set, row id)` puts twins side by
-    /// side, so each class's first row is its smallest and class ids
-    /// follow the lexicographic order of the item sets: classes sharing
-    /// leading items get nearby ids, which keeps the degree pass's slot
-    /// lookups along one posting list close together. When every row is
-    /// distinct the classes are the rows themselves.
-    fn of(rows: &CsrMatrix, cols: &'m CsrMatrix) -> Self {
+impl TwinClasses {
+    /// Groups the rows of `rows` by item set. One sort of the row ids on
+    /// `(item set, row id)` puts twins side by side, so each class's first
+    /// row is its smallest and class ids follow the lexicographic order of
+    /// the item sets: classes sharing leading items get nearby ids, so
+    /// consecutive classes of the degree pass OR overlapping item sets.
+    /// When every row is distinct the classes are the rows themselves.
+    fn of(rows: &CsrMatrix) -> Self {
         let n = rows.n_rows();
         // Each row carries its first two items (shifted by one, so a
         // missing item sorts first) as an inline key that orders rows as
@@ -385,18 +382,15 @@ impl<'m> TwinClasses<'m> {
         }
         drop(order);
         if reps.len() == n {
-            // Twin-free: every row is its own class, so the row transpose
-            // already is the class postings.
+            // Twin-free: every row is its own class.
             let identity: Vec<u32> = (0..n as u32).collect();
             return TwinClasses {
-                postings: Cow::Borrowed(cols),
                 reps: identity.clone(),
                 mult,
                 class_of: identity,
             };
         }
         TwinClasses {
-            postings: Cow::Owned(rows.transpose_rows(&reps)),
             reps,
             mult,
             class_of,
@@ -407,14 +401,174 @@ impl<'m> TwinClasses<'m> {
     fn len(&self) -> usize {
         self.reps.len()
     }
+}
 
-    /// Class postings the degree pass scans: `sum(class_support^2)` over
-    /// the items below the hub cap.
-    fn degree_work(&self, cols: &CsrMatrix, hub_cap: Option<u32>) -> u64 {
-        (0..cols.n_rows())
-            .filter(|&i| !hub_skipped(cols.row_len(i), hub_cap))
-            .map(|i| (self.postings.row_len(i) as u64).pow(2))
-            .sum()
+/// The dense/sparse crossover of an item's class set: the set is stored
+/// as the 64-bit words of its word range when those take at most this
+/// many times the bytes of its sorted `u32` bit positions, and as the
+/// positions otherwise. A word costs one sequential OR where a position
+/// costs a dependent read-modify-write, so words win well before they
+/// are as compact as positions. Measured on the seed-7 BMS-WebView-1 and
+/// BMS-WebView-2 shapes (full scale, release build, 2-core x86, one
+/// thread, best of 7 runs of the union alone): factor 1 took 71 / 388 ms,
+/// 2 took 38 / 283 ms, 4 took 29 / 209 ms and 16 took 28 / 192 ms, while
+/// the BMS-WebView-2 sets grew from 1.1 MB (1) to 2.0 MB (4) and 4.8 MB
+/// (16). 4 buys nearly all of the time for less than half the memory.
+const DENSE_BYTES_FACTOR: usize = 4;
+
+/// One item's class set over the tiered class numbering of [`ClassSets`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum ItemSet {
+    /// A hub under the cap, or an item no row holds: never ORed.
+    Skip,
+    /// The `len` words at `words[start..]`, standing for accumulator
+    /// words `first..first + len`.
+    Dense { first: u32, len: u32, start: usize },
+    /// The `len` ascending bit positions at `positions[start..]`.
+    Sparse { len: u32, start: usize },
+}
+
+/// The classes of every non-hub item, as sets over one *tiered* class
+/// numbering: classes sorted by multiplicity (then by class id), each
+/// multiplicity tier starting on a fresh 64-bit word, so every word of a
+/// class union stands for classes of one multiplicity and the union's
+/// row count is `Σ_w popcount(acc[w]) · mult(w)`. Built once from the
+/// class representatives and shared read-only by every degree worker.
+struct ClassSets<'m> {
+    /// The multiplicity of the classes in each accumulator word.
+    word_mult: Vec<u32>,
+    /// Every item's set.
+    items: Vec<ItemSet>,
+    /// The words of every dense set, item after item.
+    words: Vec<u64>,
+    /// The positions of every sparse set, item after item. When every row
+    /// is its own class the numbering is the identity and an item's
+    /// positions are its row postings, so this borrows the row transpose.
+    positions: Cow<'m, [u32]>,
+    /// Words ORed plus positions set by the whole pass: each set is
+    /// applied once per class holding its item.
+    degree_words: u64,
+    /// `Σ class-support²` over the non-hub items.
+    degree_work: u64,
+}
+
+impl<'m> ClassSets<'m> {
+    /// The item sets of `classes` (twin classes of `rows`, whose transpose
+    /// is `cols`) under the hub cap.
+    fn build(
+        rows: &CsrMatrix,
+        cols: &'m CsrMatrix,
+        classes: &TwinClasses,
+        hub_cap: Option<u32>,
+    ) -> Self {
+        let k = classes.len();
+        // Twin-free, `TwinClasses::of` numbers the classes by row.
+        let twin_free = k == rows.n_rows();
+        // Tiered numbering: a stable sort by multiplicity keeps class-id
+        // order within each tier, and a new multiplicity opens a new word.
+        // The tier of multiplicity m holds at least m rows, so there are
+        // fewer than √(2n) tiers and under 64·√(2n) bits of padding: the
+        // bits fit `u32` as the row ids do.
+        let mut by_mult: Vec<u32> = (0..k as u32).collect();
+        by_mult.sort_by_key(|&c| classes.mult[c as usize]);
+        let mut bit_of = vec![0u32; k];
+        let mut word_mult: Vec<u32> = Vec::new();
+        let mut next = 0usize;
+        for &c in &by_mult {
+            let m = classes.mult[c as usize];
+            if word_mult.last() != Some(&m) {
+                next = next.next_multiple_of(64);
+            }
+            if next.is_multiple_of(64) {
+                word_mult.push(m);
+            }
+            bit_of[c as usize] = next as u32;
+            next += 1;
+        }
+
+        // Per non-hub item: how many classes hold it, and its first and
+        // last bit.
+        let d = rows.n_cols();
+        let mut count = vec![0u32; d];
+        let mut span = vec![(u32::MAX, 0u32); d];
+        for (c, &bit) in bit_of.iter().enumerate() {
+            for &i in rows.row(classes.reps[c] as usize) {
+                let i = i as usize;
+                if !hub_skipped(cols.row_len(i), hub_cap) {
+                    count[i] += 1;
+                    span[i] = (span[i].0.min(bit), span[i].1.max(bit));
+                }
+            }
+        }
+        let mut items = vec![ItemSet::Skip; d];
+        let (mut n_words, mut n_positions) = (0usize, 0usize);
+        let (mut degree_words, mut degree_work) = (0u64, 0u64);
+        for (i, set) in items.iter_mut().enumerate() {
+            let n = count[i] as usize;
+            if n == 0 {
+                continue;
+            }
+            let first = span[i].0 as usize / 64;
+            let len = span[i].1 as usize / 64 + 1 - first;
+            degree_work += (n as u64).pow(2);
+            if 8 * len <= DENSE_BYTES_FACTOR * 4 * n {
+                *set = ItemSet::Dense {
+                    first: first as u32,
+                    len: len as u32,
+                    start: n_words,
+                };
+                n_words += len;
+                degree_words += (n * len) as u64;
+            } else {
+                *set = ItemSet::Sparse {
+                    len: n as u32,
+                    start: if twin_free {
+                        cols.indptr()[i]
+                    } else {
+                        n_positions
+                    },
+                };
+                n_positions += n;
+                degree_words += (n * n) as u64;
+            }
+        }
+        drop(span);
+
+        // Fill in bit order, so every sparse set comes out ascending;
+        // `count` becomes each sparse set's fill cursor.
+        let mut words = vec![0u64; n_words];
+        let mut owned = vec![0u32; if twin_free { 0 } else { n_positions }];
+        count.fill(0);
+        for &c in &by_mult {
+            let bit = bit_of[c as usize];
+            for &i in rows.row(classes.reps[c as usize] as usize) {
+                match items[i as usize] {
+                    ItemSet::Skip => {}
+                    ItemSet::Dense { first, start, .. } => {
+                        words[start + (bit / 64 - first) as usize] |= 1 << (bit % 64);
+                    }
+                    ItemSet::Sparse { start, .. } => {
+                        if !twin_free {
+                            let cursor = &mut count[i as usize];
+                            owned[start + *cursor as usize] = bit;
+                            *cursor += 1;
+                        }
+                    }
+                }
+            }
+        }
+        ClassSets {
+            word_mult,
+            items,
+            words,
+            positions: if twin_free {
+                Cow::Borrowed(cols.indices())
+            } else {
+                Cow::Owned(owned)
+            },
+            degree_words,
+            degree_work,
+        }
     }
 }
 
@@ -424,48 +578,41 @@ struct DegreePass {
     degrees: Vec<u32>,
     /// Number of twin classes (distinct rows).
     classes: usize,
-    /// Class postings scanned (see [`TwinClasses::degree_work`]).
+    /// `Σ class-support²` over the non-hub items.
     work: u64,
+    /// Words ORed plus positions set (see [`ClassSets::degree_words`]).
+    words: u64,
 }
 
 /// Exact distinct-neighbor degrees under the hub cap, computed once per
 /// twin class and expanded back to rows: a row's neighbors are every row
 /// of every class sharing a non-hub item with it, minus the row itself.
-/// Classes are chunked contiguously across workers, each with its own
-/// stamp slots, so the degrees are identical at every thread count.
+/// Classes are chunked contiguously across workers, each writing its own
+/// slice of the output with its own accumulator, so the degrees are
+/// identical at every thread count.
 fn bulk_degrees(
     rows: &CsrMatrix,
     cols: &CsrMatrix,
     hub_cap: Option<u32>,
     threads: usize,
 ) -> DegreePass {
-    let classes = TwinClasses::of(rows, cols);
+    let classes = TwinClasses::of(rows);
+    let sets = ClassSets::build(rows, cols, &classes, hub_cap);
     let k = classes.len();
+    let mut class_degrees = vec![0u32; k];
     let threads = threads.max(1).min(k.max(1));
-    let class_degrees = if threads <= 1 {
-        class_degree_chunk(rows, cols, &classes, hub_cap, 0, k)
+    if threads <= 1 {
+        class_degree_chunk(rows, &classes, &sets, 0, &mut class_degrees);
     } else {
-        let chunk = k.div_ceil(threads).max(1);
-        let parts: Vec<Vec<u32>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..k.div_ceil(chunk))
-                .map(|wi| {
-                    let classes = &classes;
-                    let lo = wi * chunk;
-                    let hi = (lo + chunk).min(k);
-                    scope.spawn(move || class_degree_chunk(rows, cols, classes, hub_cap, lo, hi))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        // cahd-lint: allow(L003, reason = "worker panics only propagate caller bugs; class_degree_chunk itself cannot panic on in-range classes")
-                        .expect("bulk degree worker panicked")
-                })
-                .collect()
+        let chunk = k.div_ceil(threads);
+        // The scope joins every worker and re-raises any worker's panic.
+        std::thread::scope(|scope| {
+            for (wi, part) in class_degrees.chunks_mut(chunk).enumerate() {
+                let (classes, sets) = (&classes, &sets);
+                scope.spawn(move || class_degree_chunk(rows, classes, sets, wi * chunk, part));
+            }
         });
-        parts.concat()
-    };
+    }
     DegreePass {
         degrees: classes
             .class_of
@@ -473,44 +620,67 @@ fn bulk_degrees(
             .map(|&c| class_degrees[c as usize])
             .collect(),
         classes: k,
-        work: classes.degree_work(cols, hub_cap),
+        work: sets.degree_work,
+        words: sets.degree_words,
     }
 }
 
-/// Degrees of classes `lo..hi`: a stamped union over the class postings
-/// of each class's non-hub items, weighted by class size. The class
-/// itself is in that union exactly when it holds a non-hub item, and is
-/// then counted once too many (the row itself); an empty or all-hub row
-/// has no neighbors, whatever its multiplicity.
+/// Degrees of the classes `lo..lo + out.len()`, into `out`: each class
+/// ORs its non-hub items' sets into one accumulator, so the union of
+/// classes sharing an item with it is a bitset over the tiered numbering,
+/// weighted word by word by multiplicity, then clears the span of words
+/// it touched. The class itself is in that union exactly when it holds a
+/// non-hub item, and is then counted once too many (the row itself); an
+/// empty or all-hub row has no neighbors, whatever its multiplicity.
 fn class_degree_chunk(
     rows: &CsrMatrix,
-    cols: &CsrMatrix,
-    classes: &TwinClasses<'_>,
-    hub_cap: Option<u32>,
+    classes: &TwinClasses,
+    sets: &ClassSets<'_>,
     lo: usize,
-    hi: usize,
-) -> Vec<u32> {
-    // `(stamp, multiplicity)` per class, side by side so one load serves
-    // both the dedup test and the weight.
-    let mut slots: Vec<[u32; 2]> = classes.mult.iter().map(|&m| [0, m]).collect();
-    let mut out = Vec::with_capacity(hi - lo);
-    for (stamp, c) in (lo..hi).enumerate() {
-        let stamp = stamp as u32 + 1;
-        let mut d = 0u32;
+    out: &mut [u32],
+) {
+    let (words, positions): (&[u64], &[u32]) = (&sets.words, &sets.positions);
+    let mut acc = vec![0u64; sets.word_mult.len()];
+    for (degree, c) in out.iter_mut().zip(lo..) {
+        // The accumulator words touched so far: `first..end`.
+        let (mut first, mut end) = (usize::MAX, 0usize);
         for &item in rows.row(classes.reps[c] as usize) {
-            let i = item as usize;
-            if hub_skipped(cols.row_len(i), hub_cap) {
-                continue;
-            }
-            for &c2 in classes.postings.row(i) {
-                let slot = &mut slots[c2 as usize];
-                d += u32::from(slot[0] != stamp) * slot[1];
-                slot[0] = stamp;
+            match sets.items[item as usize] {
+                ItemSet::Skip => {}
+                ItemSet::Dense {
+                    first: w,
+                    len,
+                    start,
+                } => {
+                    let (w, len) = (w as usize, len as usize);
+                    for (a, &x) in acc[w..w + len].iter_mut().zip(&words[start..start + len]) {
+                        *a |= x;
+                    }
+                    first = first.min(w);
+                    end = end.max(w + len);
+                }
+                ItemSet::Sparse { len, start } => {
+                    let set = &positions[start..start + len as usize];
+                    for &bit in set {
+                        acc[bit as usize / 64] |= 1 << (bit % 64);
+                    }
+                    // Ascending, and never empty: its ends bound its words.
+                    first = first.min(set[0] as usize / 64);
+                    end = end.max(set[set.len() - 1] as usize / 64 + 1);
+                }
             }
         }
-        out.push(d.saturating_sub(1));
+        let touched = first.min(end)..end;
+        let mut d = 0u32;
+        for (a, &m) in acc[touched.clone()]
+            .iter_mut()
+            .zip(&sets.word_mult[touched])
+        {
+            d += a.count_ones() * m;
+            *a = 0;
+        }
+        *degree = d.saturating_sub(1);
     }
-    out
 }
 
 /// Representation-selection policy for [`RowGraph::build_mode_traced`].
@@ -652,10 +822,11 @@ impl<'a> RowGraph<'a> {
     ///   (implicit form only) — pure functions of the matrix and the hub
     ///   cap, with `implicit_postings + implicit_capped_postings` equal to
     ///   this build's `sparse.aat_nnz` contribution;
-    /// * counters `sparse.row_classes` (distinct rows) and
-    ///   `sparse.degree_work` (class postings the exact degree pass
-    ///   scans: `sum(class_support^2)` over the items below the hub cap),
-    ///   and spans `pipeline/rcm/aat_build/transpose` and
+    /// * counters `sparse.row_classes` (distinct rows),
+    ///   `sparse.degree_work` (`sum(class_support^2)` over the items below
+    ///   the hub cap: the class pairs the exact degree pass unions) and
+    ///   `sparse.degree_words` (the words it ORs plus the bit positions it
+    ///   sets), and spans `pipeline/rcm/aat_build/transpose` and
     ///   `pipeline/rcm/aat_build/degrees` (implicit form only; the spans
     ///   nest under the caller's `pipeline/rcm/aat_build`);
     /// * gauge `sparse.aat_partition_imbalance` — for the threaded
@@ -1340,30 +1511,34 @@ mod tests {
     fn twin_classes_of_an_empty_matrix() {
         let a = CsrMatrix::from_rows(&[], 3);
         let cols = a.transpose();
-        let t = TwinClasses::of(&a, &cols);
+        let t = TwinClasses::of(&a);
         assert_eq!(t.len(), 0);
         assert!(t.class_of.is_empty());
         let pass = bulk_degrees(&a, &cols, None, 4);
         assert!(pass.degrees.is_empty());
-        assert_eq!((pass.classes, pass.work), (0, 0));
+        assert_eq!((pass.classes, pass.work, pass.words), (0, 0, 0));
     }
 
     #[test]
     fn identical_rows_form_one_class() {
         let a = CsrMatrix::from_rows(&vec![vec![1, 3]; 5], 4);
         let cols = a.transpose();
-        let t = TwinClasses::of(&a, &cols);
+        let t = TwinClasses::of(&a);
         assert_eq!(
             (t.len(), t.reps.as_slice(), t.mult.as_slice()),
             (1, &[0][..], &[5][..])
         );
         assert_eq!(t.class_of, vec![0; 5]);
-        assert!(matches!(t.postings, Cow::Owned(_)));
+        // One class of five rows: one word of weight 5, and positions of
+        // its own (none: both items are a single dense word).
+        let sets = ClassSets::build(&a, &cols, &t, None);
+        assert_eq!(sets.word_mult, vec![5]);
+        assert!(matches!(sets.positions, Cow::Owned(ref p) if p.is_empty()));
         for threads in [1, 2, 8] {
             let pass = bulk_degrees(&a, &cols, None, threads);
             assert_eq!(pass.degrees, vec![4; 5], "threads {threads}");
-            // Two items, each in the one class.
-            assert_eq!((pass.classes, pass.work), (1, 2));
+            // Two items, each in the one class and one word.
+            assert_eq!((pass.classes, pass.work, pass.words), (1, 2, 2));
         }
         // Every item over the cap: twins are no longer neighbors.
         assert_eq!(bulk_degrees(&a, &cols, Some(4), 1).degrees, vec![0; 5]);
@@ -1379,22 +1554,109 @@ mod tests {
     fn distinct_rows_borrow_the_row_transpose() {
         let a = sample();
         let cols = a.transpose();
-        let t = TwinClasses::of(&a, &cols);
-        assert!(matches!(t.postings, Cow::Borrowed(_)));
+        let t = TwinClasses::of(&a);
         assert_eq!(t.reps, vec![0, 1, 2, 3]);
         assert_eq!(t.class_of, vec![0, 1, 2, 3]);
         assert_eq!(t.mult, vec![1; 4]);
         let pass = bulk_degrees(&a, &cols, None, 1);
         assert_eq!(pass.degrees, per_row_degrees(&a, None));
-        // Items 0 and 2 in two rows, items 1 and 3 in one: 4 + 1 + 4 + 1.
-        assert_eq!((pass.classes, pass.work), (4, 10));
+        // Items 0 and 2 in two rows, items 1 and 3 in one: 4 + 1 + 4 + 1,
+        // each set one dense word.
+        assert_eq!((pass.classes, pass.work, pass.words), (4, 10, 6));
+
+        // Twin-free, the numbering is the row order and a sparse set is
+        // the item's own row postings: item 0, in rows 0 and 299, spans
+        // five words for two positions.
+        let rows: Vec<Vec<u32>> = (0..300u32)
+            .map(|j| match j {
+                0 => vec![0, 1],
+                299 => vec![0, 300],
+                _ => vec![j + 1],
+            })
+            .collect();
+        let a = CsrMatrix::from_rows(&rows, 301);
+        let cols = a.transpose();
+        let t = TwinClasses::of(&a);
+        let sets = ClassSets::build(&a, &cols, &t, None);
+        assert_eq!(sets.word_mult, vec![1; 5]);
+        assert_eq!(sets.items[0], ItemSet::Sparse { len: 2, start: 0 });
+        assert!(matches!(sets.positions, Cow::Borrowed(p) if p == cols.indices()));
+        assert_eq!(&sets.positions[..2], &[0, 299]);
+        for threads in [1, 3] {
+            assert_eq!(
+                bulk_degrees(&a, &cols, None, threads).degrees,
+                per_row_degrees(&a, None)
+            );
+        }
+    }
+
+    #[test]
+    fn tiers_start_on_word_boundaries_and_items_pick_an_encoding() {
+        // Multiplicity 1: seventy classes {0, 3 + j}, the first also
+        // holding item 2, so the tier fills bits 0..70 of words 0 and 1.
+        // Then one class per multiplicity 2..=5, each on a fresh word.
+        let mut rows: Vec<Vec<u32>> = (0..70u32)
+            .map(|j| {
+                if j == 0 {
+                    vec![0, 2, 3]
+                } else {
+                    vec![0, 3 + j]
+                }
+            })
+            .collect();
+        for (m, set) in [
+            (2, vec![0, 1]),
+            (3, vec![1]),
+            (4, vec![73, 74]),
+            (5, vec![2]),
+        ] {
+            rows.extend(std::iter::repeat_n(set, m));
+        }
+        let a = CsrMatrix::from_rows(&rows, 75);
+        let cols = a.transpose();
+        let t = TwinClasses::of(&a);
+        let sets = ClassSets::build(&a, &cols, &t, None);
+        assert_eq!(sets.word_mult, vec![1, 1, 2, 3, 4, 5]);
+        // Item 0: bits 0..70 and 128, three words for 71 positions.
+        assert_eq!(
+            sets.items[0],
+            ItemSet::Dense {
+                first: 0,
+                len: 3,
+                start: 0
+            }
+        );
+        // Item 1: bits 128 and 192, two words for two positions.
+        assert!(matches!(
+            sets.items[1],
+            ItemSet::Dense {
+                first: 2,
+                len: 2,
+                ..
+            }
+        ));
+        // Item 2: bits 0 and 320, six words for two positions.
+        assert_eq!(sets.items[2], ItemSet::Sparse { len: 2, start: 0 });
+        assert_eq!(&*sets.positions, &[0, 320]);
+        // Bits 0..64, 64..70 and 128.
+        assert_eq!(&sets.words[..3], &[u64::MAX, (1 << 6) - 1, 1]);
+        // 71·3 + 2·2 + 2·2 + 70 single-word singletons + 2 of item 73/74.
+        assert_eq!(sets.degree_words, 213 + 4 + 4 + 70 + 2);
+        assert_eq!(sets.degree_work, 71 * 71 + 4 + 4 + 70 + 2);
+        for hub_cap in [None, Some(1), Some(4), Some(5), Some(80)] {
+            let want = per_row_degrees(&a, hub_cap);
+            for threads in [1, 2, 3, 8] {
+                let pass = bulk_degrees(&a, &cols, hub_cap, threads);
+                assert_eq!(pass.degrees, want, "hub_cap {hub_cap:?} threads {threads}");
+            }
+        }
     }
 
     #[test]
     fn classes_follow_item_set_order() {
         let a = CsrMatrix::from_rows(&[vec![0, 1], vec![2], vec![0, 1], vec![2], vec![]], 3);
         let cols = a.transpose();
-        let t = TwinClasses::of(&a, &cols);
+        let t = TwinClasses::of(&a);
         // Classes [], [0, 1], [2], each represented by its smallest row.
         assert_eq!(t.reps, vec![4, 0, 1]);
         assert_eq!(t.mult, vec![1, 2, 2]);
@@ -1408,8 +1670,7 @@ mod tests {
             &[vec![0, 1, 3], vec![0, 1, 2], vec![0, 1], vec![0, 1, 2]],
             4,
         );
-        let b_cols = b.transpose();
-        let t = TwinClasses::of(&b, &b_cols);
+        let t = TwinClasses::of(&b);
         assert_eq!(t.reps, vec![2, 1, 0]);
         assert_eq!(t.mult, vec![1, 2, 1]);
         assert_eq!(t.class_of, vec![2, 1, 0, 1]);

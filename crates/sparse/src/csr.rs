@@ -205,50 +205,26 @@ impl CsrMatrix {
     /// The transpose pattern: a `n_cols x n_rows` matrix whose row `j` lists
     /// the rows of `self` containing column `j` (an inverted index).
     pub fn transpose(&self) -> CsrMatrix {
-        self.transpose_of(0..self.n_rows, self.col_counts())
-    }
-
-    /// The transpose of the submatrix made of the listed rows, the `k`-th
-    /// listed row becoming column `k`: row `j` of the result lists, in
-    /// ascending order, the positions in `rows` whose row contains `j`.
-    pub(crate) fn transpose_rows(&self, rows: &[u32]) -> CsrMatrix {
-        let mut counts = vec![0usize; self.n_cols];
-        for &r in rows {
-            for &c in self.row(r as usize) {
-                counts[c as usize] += 1;
-            }
-        }
-        self.transpose_of(rows.iter().map(|&r| r as usize), counts)
-    }
-
-    /// Counting-sort transpose of the rows `rows` yields, in that order,
-    /// given how many of their entries fall in each column.
-    fn transpose_of(
-        &self,
-        rows: impl ExactSizeIterator<Item = usize>,
-        counts: Vec<usize>,
-    ) -> CsrMatrix {
         let mut indptr = Vec::with_capacity(self.n_cols + 1);
         let mut total = 0usize;
         indptr.push(0);
-        for c in counts {
+        for c in self.col_counts() {
             total += c;
             indptr.push(total);
         }
         let mut cursor = indptr[..self.n_cols].to_vec();
         let mut indices = vec![0u32; total];
-        let n_cols = rows.len();
-        for (k, r) in rows.enumerate() {
+        for r in 0..self.n_rows {
             for &c in self.row(r) {
-                indices[cursor[c as usize]] = k as u32;
+                indices[cursor[c as usize]] = r as u32;
                 cursor[c as usize] += 1;
             }
         }
-        // Rows of the transpose are automatically sorted because the
-        // positions `k` are visited in increasing order.
+        // Rows of the transpose are automatically sorted because we visit
+        // rows of `self` in increasing order.
         CsrMatrix {
             n_rows: self.n_cols,
-            n_cols,
+            n_cols: self.n_rows,
             indptr,
             indices,
         }
@@ -430,21 +406,6 @@ mod tests {
         assert_eq!(t.row(1), &[1]);
         assert_eq!(t.row(2), &[0, 3]);
         assert_eq!(t.row(3), &[3]);
-    }
-
-    #[test]
-    fn transpose_rows_indexes_the_listed_rows() {
-        let m = sample();
-        let all: Vec<u32> = (0..m.n_rows() as u32).collect();
-        assert_eq!(m.transpose_rows(&all), m.transpose());
-        // Rows 3 and 1 become columns 0 and 1.
-        let t = m.transpose_rows(&[3, 1]);
-        assert_eq!((t.n_rows(), t.n_cols(), t.nnz()), (4, 2, 4));
-        assert_eq!(t.row(0), &[0]);
-        assert_eq!(t.row(1), &[1]);
-        assert_eq!(t.row(2), &[0]);
-        assert_eq!(t.row(3), &[0]);
-        assert_eq!(m.transpose_rows(&[]).nnz(), 0);
     }
 
     #[test]
