@@ -637,7 +637,9 @@ fn anonymize_robust_cmd(args: &Args, p: usize, seed: u64) -> Result<String, CliE
 /// killed run resumes with `--resume` exactly where it stopped
 /// (already-released chunks are never recomputed); `--max-batches N`
 /// pauses deliberately after `N` releases. At the end the chunks merge
-/// into one release, re-verified against the whole dataset.
+/// into one release, re-verified against the whole dataset. The trace has
+/// root spans `ingest` (`.dat` → rows), `pipeline` (one window per batch),
+/// `merge` (chunks → one verified release) and `serialize` (with `--out`).
 fn anonymize_stream_cmd(args: &Args, p: usize) -> Result<String, CliError> {
     if args.value("method").unwrap_or("cahd") != "cahd" {
         return Err(CliError::Usage(
@@ -657,7 +659,11 @@ fn anonymize_stream_cmd(args: &Args, p: usize) -> Result<String, CliError> {
         ));
     };
     let recovery = recovery_from_args(args)?;
-    let (rows, mut d) = load_rows(args)?;
+    let rec = recorder_from_args(args);
+    let (rows, mut d) = {
+        let _s = rec.span("ingest");
+        load_rows(args)?
+    };
     d = d.max(items.iter().map(|&i| i as usize + 1).max().unwrap_or(0));
     let sensitive = SensitiveSet::new(items, d);
     let cfg = anonymizer_config_from_args(args, p)?;
@@ -669,7 +675,6 @@ fn anonymize_stream_cmd(args: &Args, p: usize) -> Result<String, CliError> {
         ));
     }
 
-    let rec = recorder_from_args(args);
     let mut out = String::new();
     let mut chunks: Vec<ReleaseChunk> = Vec::new();
     let mut chunk_idx = 0usize;
@@ -739,6 +744,7 @@ fn anonymize_stream_cmd(args: &Args, p: usize) -> Result<String, CliError> {
 
     // Merge every chunk — including ones released by earlier, interrupted
     // runs — into a single release over the whole (sanitized) dataset.
+    let merge_span = rec.span("merge");
     let all_chunks: Vec<ReleaseChunk> = match ckpt_dir {
         Some(dir) => {
             let mut all = Vec::with_capacity(chunk_idx);
@@ -773,6 +779,7 @@ fn anonymize_stream_cmd(args: &Args, p: usize) -> Result<String, CliError> {
     };
     verify_published(&data, &sensitive, &merged, p)
         .map_err(|e| CliError::Run(format!("internal error: release failed verification: {e}")))?;
+    drop(merge_span);
     out.push_str(&format!(
         "method cahd (streaming), p {p}: {} chunks, {} groups over {} transactions, \
          {} carried over, verified\n",
@@ -787,6 +794,7 @@ fn anonymize_stream_cmd(args: &Args, p: usize) -> Result<String, CliError> {
         merged
     };
     if let Some(path) = args.value("out") {
+        let _s = rec.span("serialize");
         std::fs::write(path, serde_json::to_string(&to_write)?)?;
         out.push_str(&format!("release written to {path}\n"));
     }

@@ -11,13 +11,26 @@
 //!   `O(|QID(c)|)` random loads; unbeatable for short rows.
 //! * **dense** — the candidate's row packed into cache-line-aligned `u64`
 //!   bitset blocks, scored by an AND + `popcount` sweep against the
-//!   pivot's bitset. Cost is `O(n_items / 64)` sequential word ops;
-//!   unbeatable for long rows over a compact universe.
+//!   pivot's bitset. Cost is `O(width / 64)` sequential word ops, where
+//!   `width` is the kernel's item space (below); unbeatable for long rows
+//!   over a compact universe.
 //!
 //! [`SimilarityKernel`] picks per *candidate* (see
 //! [`SimilarityKernel::DENSE_ITEM_WORDS`] for the crossover rule), so a
 //! dataset with a dense head and a sparse long tail uses both paths in one
-//! run. Packing is lazy and cached: the band-order scan gives consecutive
+//! run.
+//!
+//! Both paths work in the rows' own item space. When the universe is wide
+//! for the rows (`n_items > 2·nnz`, [`CsrMatrix::is_wide`], the rule the
+//! band reduction compacts its columns by), the kernel relabels every
+//! item to its rank among the distinct items the rows use. The relabel is
+//! a bijection on those items, so every `|QID(t) ∩ QID(c)|` is unchanged,
+//! and the stamps, the pivot bitset, the arena stride and the dense
+//! crossover are all sized on the compacted width `k`: a stream batch
+//! over a 2M-item universe allocates for its few thousand items, not for
+//! the universe. Narrower universes borrow the rows as given.
+//!
+//! Packing is lazy and cached: the band-order scan gives consecutive
 //! pivots heavily overlapping `alpha * p` candidate windows, so a bitset
 //! packed for one pivot is almost always reused by the next few — the
 //! cache of packed rows is exactly the "per-candidate partial result"
@@ -38,6 +51,7 @@
 
 use cahd_data::ItemId;
 use cahd_obs::Recorder;
+use cahd_sparse::CsrMatrix;
 
 /// Which scoring path the kernel may take.
 ///
@@ -180,10 +194,91 @@ impl StampSet {
     }
 }
 
+/// An entry of a scored row that names one item: a plain item id, or an
+/// `(item, count)` pair of the count scorer.
+trait ItemEntry: Copy {
+    fn item(self) -> ItemId;
+    fn with_item(self, item: ItemId) -> Self;
+}
+
+impl ItemEntry for ItemId {
+    fn item(self) -> ItemId {
+        self
+    }
+    fn with_item(self, item: ItemId) -> Self {
+        item
+    }
+}
+
+impl ItemEntry for (ItemId, u32) {
+    fn item(self) -> ItemId {
+        self.0
+    }
+    fn with_item(self, item: ItemId) -> Self {
+        (item, self.1)
+    }
+}
+
+/// The scored rows in the kernel's own item space (see the module docs):
+/// borrowed as given, or over a wide universe relabeled to item ranks and
+/// stored back to back.
+struct ItemSpace<'a, T> {
+    rows: &'a [Vec<T>],
+    /// Row `r` of the relabeled rows is `items[offsets[r]..offsets[r + 1]]`;
+    /// `None` when the rows are borrowed as given.
+    compact: Option<(Vec<usize>, Vec<T>)>,
+    /// Items the space covers: `n_items`, or the number of distinct items
+    /// the rows use.
+    width: usize,
+}
+
+impl<'a, T: ItemEntry> ItemSpace<'a, T> {
+    /// The rows over `0..n_items`, relabeled when that universe is wide
+    /// for them. The distinct ids come from a sort of the rows' items, so
+    /// nothing here is sized on `n_items`.
+    fn of(rows: &'a [Vec<T>], n_items: usize) -> Self {
+        let nnz: usize = rows.iter().map(Vec::len).sum();
+        if !CsrMatrix::is_wide(n_items, nnz) {
+            return ItemSpace {
+                rows,
+                compact: None,
+                width: n_items,
+            };
+        }
+        let mut ids: Vec<ItemId> = rows.iter().flatten().map(|e| e.item()).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let mut offsets = Vec::with_capacity(rows.len() + 1);
+        let mut items = Vec::with_capacity(nnz);
+        offsets.push(0);
+        for row in rows {
+            items.extend(row.iter().map(|&e| {
+                let rank = ids.partition_point(|&id| id < e.item());
+                e.with_item(rank as ItemId)
+            }));
+            offsets.push(items.len());
+        }
+        ItemSpace {
+            rows,
+            compact: Some((offsets, items)),
+            width: ids.len(),
+        }
+    }
+
+    #[inline]
+    fn row(&self, r: usize) -> &[T] {
+        match &self.compact {
+            None => &self.rows[r],
+            Some((offsets, items)) => &items[offsets[r]..offsets[r + 1]],
+        }
+    }
+}
+
 /// The reference QID-overlap scorer: `|QID(t) ∩ QID(c)|` via the stamped
-/// sparse scan, always. This is the pre-kernel behavior (minus the stamp
-/// wrap bug) and the ground truth the equivalence property suite scores
-/// [`SimilarityKernel`] against.
+/// sparse scan over the whole universe, always (it never relabels). This
+/// is the pre-kernel behavior (minus the stamp wrap bug) and the ground
+/// truth the equivalence property suite scores [`SimilarityKernel`]
+/// against.
 pub struct QidOverlapScorer<'a> {
     qid_of: &'a [Vec<ItemId>],
     stamps: StampSet,
@@ -220,9 +315,9 @@ impl<'a> QidOverlapScorer<'a> {
 /// paths and the caching scheme; construction is cheap (no packing
 /// happens until a row is actually scored on the dense path).
 pub struct SimilarityKernel<'a> {
-    qid_of: &'a [Vec<ItemId>],
+    space: ItemSpace<'a, ItemId>,
     mode: KernelMode,
-    /// `u64` words needed to cover the item universe.
+    /// `u64` words needed to cover the kernel's item space.
     words: usize,
     /// Arena stride: `words` rounded up to a whole 64-byte cache line, so
     /// every packed row starts line-aligned relative to the arena base
@@ -265,16 +360,19 @@ impl<'a> SimilarityKernel<'a> {
     pub const DENSE_ITEM_WORDS: usize = 1;
 
     /// A kernel over the given QID rows (`score` takes indices into
-    /// `qid_of`); items must lie in `0..n_items`.
+    /// `qid_of`); items must lie in `0..n_items`. Over a wide universe the
+    /// rows are relabeled first (see the module docs), so every buffer
+    /// below is sized on the items the rows use.
     pub fn new(qid_of: &'a [Vec<ItemId>], n_items: usize, mode: KernelMode) -> Self {
-        let words = n_items.div_ceil(64);
+        let space = ItemSpace::of(qid_of, n_items);
+        let words = space.width.div_ceil(64);
         let stride = words.next_multiple_of(LINE_WORDS).max(LINE_WORDS);
         SimilarityKernel {
-            qid_of,
+            stamps: StampSet::new(space.width),
+            space,
             mode,
             words,
             stride,
-            stamps: StampSet::new(n_items),
             pivot_bits: vec![0u64; words],
             pivot_bits_valid: false,
             packed_slot: vec![UNPACKED; qid_of.len()],
@@ -298,9 +396,8 @@ impl<'a> SimilarityKernel<'a> {
     /// physical path per candidate. Exactly equivalent to
     /// [`QidOverlapScorer::score`] in every mode.
     pub fn score(&mut self, t: usize, candidates: &[usize], out: &mut Vec<u64>) {
-        let rows = self.qid_of;
         self.stamps.begin();
-        for &it in &rows[t] {
+        for &it in self.space.row(t) {
             self.stamps.mark(it as usize);
         }
         self.pivot_bits_valid = false;
@@ -309,7 +406,9 @@ impl<'a> SimilarityKernel<'a> {
             let dense = match self.mode {
                 KernelMode::ForceSparse => false,
                 KernelMode::ForceDense => true,
-                KernelMode::Adaptive => Self::DENSE_ITEM_WORDS * rows[c].len() >= self.words,
+                KernelMode::Adaptive => {
+                    Self::DENSE_ITEM_WORDS * self.space.row(c).len() >= self.words
+                }
             };
             let s = if dense {
                 self.score_dense(t, c)
@@ -322,7 +421,8 @@ impl<'a> SimilarityKernel<'a> {
 
     fn score_sparse(&mut self, c: usize) -> u64 {
         self.stats.sparse_scores += 1;
-        self.qid_of[c]
+        self.space
+            .row(c)
             .iter()
             .filter(|&&it| self.stamps.contains(it as usize))
             .count() as u64
@@ -330,10 +430,9 @@ impl<'a> SimilarityKernel<'a> {
 
     fn score_dense(&mut self, t: usize, c: usize) -> u64 {
         self.stats.dense_scores += 1;
-        let rows = self.qid_of;
         if !self.pivot_bits_valid {
             self.pivot_bits.fill(0);
-            for &it in &rows[t] {
+            for &it in self.space.row(t) {
                 self.pivot_bits[(it as usize) >> 6] |= 1u64 << (it & 63);
             }
             self.pivot_bits_valid = true;
@@ -342,7 +441,7 @@ impl<'a> SimilarityKernel<'a> {
             UNPACKED => {
                 let base = self.arena.len();
                 self.arena.resize(base + self.stride, 0);
-                for &it in &rows[c] {
+                for &it in self.space.row(c) {
                     self.arena[base + ((it as usize) >> 6)] |= 1u64 << (it & 63);
                 }
                 self.packed_slot[c] = (base / self.stride) as u32;
@@ -367,9 +466,11 @@ impl<'a> SimilarityKernel<'a> {
 /// ride in a one-bit-per-item bitset, so this is a sparse-only kernel
 /// client — it shares the wrap-safe [`StampSet`] (the stamp carries the
 /// pivot's count alongside the epoch) and reports its work as sparse
-/// kernel scores.
+/// kernel scores. It relabels a wide universe exactly like
+/// [`SimilarityKernel`], so its stamps and counts are sized on the items
+/// the rows use.
 pub struct MinCountScorer<'a> {
-    qid_of: &'a [Vec<(ItemId, u32)>],
+    space: ItemSpace<'a, (ItemId, u32)>,
     stamps: StampSet,
     pivot_count: Vec<u32>,
     stats: KernelStats,
@@ -379,10 +480,11 @@ impl<'a> MinCountScorer<'a> {
     /// A scorer over the given `(item, count)` rows; items must lie in
     /// `0..n_items`.
     pub fn new(qid_of: &'a [Vec<(ItemId, u32)>], n_items: usize) -> Self {
+        let space = ItemSpace::of(qid_of, n_items);
         MinCountScorer {
-            qid_of,
-            stamps: StampSet::new(n_items),
-            pivot_count: vec![0u32; n_items],
+            stamps: StampSet::new(space.width),
+            pivot_count: vec![0u32; space.width],
+            space,
             stats: KernelStats::default(),
         }
     }
@@ -400,16 +502,17 @@ impl<'a> MinCountScorer<'a> {
 
     /// Fills `out` with one min-count similarity per candidate.
     pub fn score(&mut self, t: usize, candidates: &[usize], out: &mut Vec<u64>) {
-        let rows = self.qid_of;
         self.stamps.begin();
-        for &(item, c) in &rows[t] {
+        for &(item, c) in self.space.row(t) {
             self.stamps.mark(item as usize);
             self.pivot_count[item as usize] = c;
         }
         out.clear();
         for &cand in candidates {
             self.stats.sparse_scores += 1;
-            let s: u64 = rows[cand]
+            let s: u64 = self
+                .space
+                .row(cand)
                 .iter()
                 .filter(|&&(item, _)| self.stamps.contains(item as usize))
                 .map(|&(item, c)| u64::from(c.min(self.pivot_count[item as usize])))
@@ -423,10 +526,11 @@ impl<'a> MinCountScorer<'a> {
 mod tests {
     use super::*;
 
-    /// Universe for the mixed fixture: 1024 items = 16 words, so the
-    /// adaptive crossover needs 16+ items for the dense path — the ~25-item
-    /// head rows go dense, the 1-2-item tail stays sparse.
-    const N_ITEMS: usize = 1024;
+    /// Universe for the mixed fixture: 512 items = 8 words, so the
+    /// adaptive crossover needs 8+ items for the dense path — the ~25-item
+    /// head rows go dense, the 1-2-item tail stays sparse. It is not wide
+    /// for the fixture's 318 non-zeros, so the kernel keeps it as given.
+    const N_ITEMS: usize = 512;
 
     /// A mixed fixture: dense head rows and a sparse long tail over a
     /// universe wide enough that Adaptive takes both paths.
@@ -572,6 +676,75 @@ mod tests {
         // (min(3,9)=3).
         fresh.score(0, &[1], &mut want);
         assert_eq!(want, vec![5]);
+    }
+
+    /// `mixed_rows` spread over a 2M-item universe: ids `i * 20_011`, so
+    /// the kernel relabels the 60 items the rows touch.
+    fn wide_rows() -> (Vec<Vec<ItemId>>, usize) {
+        let rows = mixed_rows()
+            .into_iter()
+            .map(|row| row.into_iter().map(|i| i * 20_011).collect())
+            .collect();
+        (rows, 1 << 21)
+    }
+
+    #[test]
+    fn wide_universe_is_relabeled_and_matches_the_reference() {
+        let (rows, n_items) = wide_rows();
+        let kernel = SimilarityKernel::new(&rows, n_items, KernelMode::Adaptive);
+        assert!(kernel.space.compact.is_some());
+        assert_eq!(kernel.space.width, 60);
+        assert_eq!(kernel.words, 1);
+        assert_eq!(kernel.stamps.stamp.len(), 60);
+        for mode in [
+            KernelMode::Adaptive,
+            KernelMode::ForceSparse,
+            KernelMode::ForceDense,
+        ] {
+            assert_matches_reference(&rows, n_items, mode);
+        }
+        // The narrow fixture borrows its rows.
+        let rows = mixed_rows();
+        let kernel = SimilarityKernel::new(&rows, N_ITEMS, KernelMode::Adaptive);
+        assert!(kernel.space.compact.is_none());
+        assert_eq!(kernel.words, N_ITEMS / 64);
+    }
+
+    #[test]
+    fn wide_min_count_scorer_matches_the_uncompacted_one() {
+        let (rows, n_items) = wide_rows();
+        let counted: Vec<Vec<(ItemId, u32)>> = rows
+            .iter()
+            .enumerate()
+            .map(|(r, row)| {
+                row.iter()
+                    .enumerate()
+                    .map(|(j, &i)| (i, 1 + ((r * 7 + j * 3) % 5) as u32))
+                    .collect()
+            })
+            .collect();
+        let mut compacted = MinCountScorer::new(&counted, n_items);
+        assert!(compacted.space.compact.is_some());
+        assert_eq!(compacted.pivot_count.len(), 60);
+        let mut uncompacted = MinCountScorer {
+            space: ItemSpace {
+                rows: &counted,
+                compact: None,
+                width: n_items,
+            },
+            stamps: StampSet::new(n_items),
+            pivot_count: vec![0u32; n_items],
+            stats: KernelStats::default(),
+        };
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        for t in 0..counted.len() {
+            let candidates: Vec<usize> = (0..counted.len()).filter(|&c| c != t).collect();
+            uncompacted.score(t, &candidates, &mut want);
+            compacted.score(t, &candidates, &mut got);
+            assert_eq!(got, want, "pivot {t}");
+        }
+        assert!(want.iter().any(|&s| s > 0), "the fixture must overlap");
+        assert_eq!(compacted.stats(), uncompacted.stats());
     }
 
     #[test]

@@ -102,7 +102,8 @@ pub struct PipelineResult {
     /// Wall-clock time of the whole pipeline.
     pub total_time: Duration,
     /// The observability snapshot, present when the run was traced via
-    /// [`Anonymizer::anonymize_traced`] with an enabled recorder. See
+    /// [`Anonymizer::anonymize_traced`] or
+    /// [`Anonymizer::anonymize_rows_traced`] with an enabled recorder. See
     /// `docs/OBSERVABILITY.md` for the span taxonomy and counter glossary.
     pub trace: Option<TraceReport>,
 }
@@ -151,7 +152,11 @@ impl Anonymizer {
         sensitive: &SensitiveSet,
         rec: &Recorder,
     ) -> Result<PipelineResult, CahdError> {
-        self.anonymize_with_plan(data, sensitive, &FaultPlan::none(), rec)
+        let result = self.anonymize_with_plan(data, sensitive, &FaultPlan::none(), rec)?;
+        Ok(PipelineResult {
+            trace: rec.is_enabled().then(|| rec.snapshot()),
+            ..result
+        })
     }
 
     /// [`Anonymizer::anonymize_traced`] with shard faults injected from
@@ -159,7 +164,9 @@ impl Anonymizer {
     /// through the recovering sharded engine even for a single shard, so
     /// every fault is actually exercised; corrupt-row injections are an
     /// ingestion concern and ignored here (see
-    /// [`Anonymizer::anonymize_rows`]).
+    /// [`Anonymizer::anonymize_rows`]). Records into `rec` but leaves
+    /// [`PipelineResult::trace`] unset: only the public entry points whose
+    /// callers read it take the snapshot.
     fn anonymize_with_plan(
         &self,
         data: &TransactionSet,
@@ -217,7 +224,7 @@ impl Anonymizer {
             band,
             rcm_time,
             total_time: t0.elapsed(),
-            trace: rec.is_enabled().then(|| rec.snapshot()),
+            trace: None,
         })
     }
 
@@ -277,6 +284,21 @@ impl Anonymizer {
         recovery: &RecoveryConfig,
         rec: &Recorder,
     ) -> Result<RobustResult, CahdError> {
+        let mut robust = self.anonymize_rows_into(rows, sensitive, recovery, rec)?;
+        robust.result.trace = rec.is_enabled().then(|| rec.snapshot());
+        Ok(robust)
+    }
+
+    /// [`Anonymizer::anonymize_rows_traced`] without the trace snapshot:
+    /// records into `rec` and leaves [`PipelineResult::trace`] unset, for
+    /// the stream batches, whose recorder outlives the batch.
+    pub(crate) fn anonymize_rows_into(
+        &self,
+        rows: &[Vec<ItemId>],
+        sensitive: &SensitiveSet,
+        recovery: &RecoveryConfig,
+        rec: &Recorder,
+    ) -> Result<RobustResult, CahdError> {
         // cahd-lint: allow(L002, reason = "elapsed-time stat only; release bytes never depend on it")
         let t0 = Instant::now();
         self.config.cahd.validate()?;
@@ -315,10 +337,7 @@ impl Anonymizer {
                     .sharded_stats
                     .as_ref()
                     .map_or(0, |s| s.recovered_shards),
-                result: PipelineResult {
-                    trace: rec.is_enabled().then(|| rec.snapshot()),
-                    ..result
-                },
+                result,
                 data,
                 quarantined,
             });
@@ -460,7 +479,6 @@ impl Anonymizer {
                 .map_or(0, |s| s.recovered_shards),
             result: PipelineResult {
                 total_time: t0.elapsed(),
-                trace: rec.is_enabled().then(|| rec.snapshot()),
                 ..result
             },
             data,

@@ -328,7 +328,7 @@ impl StreamingAnonymizer {
             match offender {
                 None => {
                     let robust = Anonymizer::new(self.config)
-                        .anonymize_rows_traced(&rows, &self.sensitive, &self.recovery, &self.rec)
+                        .anonymize_rows_into(&rows, &self.sensitive, &self.recovery, &self.rec)
                         .map_err(|e| match e {
                             // Batch-local row index -> stream id.
                             CahdError::CorruptRow { row, reason } => CahdError::CorruptRow {

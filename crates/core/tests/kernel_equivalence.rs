@@ -3,7 +3,9 @@
 //!
 //! Two properties, 256 cases each, over random instances whose item
 //! universes range from one bitset word to dozens (so the adaptive
-//! crossover genuinely mixes the sparse and dense paths):
+//! crossover genuinely mixes the sparse and dense paths), plus a 2M-item
+//! universe the kernel relabels to the items the rows use (its compacted
+//! path, where the crossover is taken on the compacted width):
 //!
 //! 1. **score equivalence** — [`SimilarityKernel`] produces the same
 //!    score for every `(pivot, candidate)` pair as the reference
@@ -42,14 +44,31 @@ fn thread_counts() -> Vec<usize> {
 }
 
 /// Universe sizes spanning the adaptive crossover: 1 word (everything
-/// dense-eligible), a few words (mixed), and wide (mostly sparse).
+/// dense-eligible), a few words (mixed), wide (mostly sparse), and 2M
+/// items, far wider than twice any instance's non-zeros, so the kernel
+/// scores in its compacted item space.
 fn arb_universe() -> impl Strategy<Value = usize> {
-    (0usize..4).prop_map(|i| [16usize, 64, 300, 1200][i])
+    (0usize..5).prop_map(|i| [16usize, 64, 300, 1200, 1 << 21][i])
+}
+
+/// Items the rows of a 2M-item instance draw from, spread evenly over
+/// the universe so that rows still overlap.
+const WIDE_POOL: u32 = 256;
+
+/// A random item of a universe of `d` items: uniform over `0..d`, or over
+/// the `WIDE_POOL` multiples of `d / WIDE_POOL` when `d` is 2M.
+fn arb_item(d: usize) -> impl Strategy<Value = u32> {
+    let (pool, step) = if d > 4096 {
+        (WIDE_POOL, d as u32 / WIDE_POOL)
+    } else {
+        (d as u32, 1)
+    };
+    (0..pool).prop_map(move |v| v * step)
 }
 
 /// Random QID rows over a universe of `d` items.
 fn arb_rows(d: usize) -> impl Strategy<Value = Vec<Vec<u32>>> {
-    proptest::collection::vec(proptest::collection::vec(0..d as u32, 1..12), 8usize..40)
+    proptest::collection::vec(proptest::collection::vec(arb_item(d), 1..12), 8usize..40)
 }
 
 /// A random dataset, sensitive set and config with `p in {2,4,8}` and
@@ -58,8 +77,8 @@ fn arb_instance() -> impl Strategy<Value = (TransactionSet, SensitiveSet, CahdCo
     (arb_universe(), 12usize..72, 0usize..3, 2usize..4).prop_flat_map(|(d, n, p_idx, alpha)| {
         let p = [2usize, 4, 8][p_idx];
         (
-            proptest::collection::vec(proptest::collection::vec(0..d as u32, 1..12), n..=n),
-            proptest::collection::btree_set(0..d as u32, 1..3),
+            proptest::collection::vec(proptest::collection::vec(arb_item(d), 1..12), n..=n),
+            proptest::collection::btree_set(arb_item(d), 1..3),
         )
             .prop_map(move |(rows, sens_items)| {
                 let data = TransactionSet::from_rows(&rows, d);

@@ -12,14 +12,26 @@ use rand::Rng;
 
 use crate::transaction::{ItemId, TransactionSet};
 
-/// An immutable set of sensitive items with O(1) membership and O(log m)
-/// rank queries.
+/// An immutable set of `m` sensitive items over a universe of `n_items`,
+/// in O(m) memory: the sorted ids plus a 64-bit mask with bit `i & 63` set
+/// for every sensitive `i`. Membership and rank test the mask first, so
+/// most non-sensitive items are rejected with one AND, and only a mask
+/// hit pays the O(log m) binary search. Nothing is sized on the universe,
+/// which a sparse dataset makes huge (2M items) next to `m` (a handful).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SensitiveSet {
     /// Sorted sensitive item ids.
     items: Vec<ItemId>,
-    /// Dense membership bitmap over the item universe.
-    member: Vec<bool>,
+    /// Size of the item universe.
+    n_items: usize,
+    /// Bit `i & 63` set for every sensitive item `i`.
+    mask: u64,
+}
+
+/// The mask bit of `item`.
+#[inline]
+fn mask_bit(item: ItemId) -> u64 {
+    1u64 << (item & 63)
 }
 
 /// Error from [`SensitiveSet::select_random`].
@@ -51,19 +63,24 @@ impl SensitiveSet {
     pub fn new(mut items: Vec<ItemId>, n_items: usize) -> Self {
         items.sort_unstable();
         items.dedup();
-        let mut member = vec![false; n_items];
+        let mut mask = 0u64;
         for &i in &items {
             assert!((i as usize) < n_items, "sensitive item {i} out of range");
-            member[i as usize] = true;
+            mask |= mask_bit(i);
         }
-        SensitiveSet { items, member }
+        SensitiveSet {
+            items,
+            n_items,
+            mask,
+        }
     }
 
     /// The empty sensitive set over a universe of `n_items`.
     pub fn empty(n_items: usize) -> Self {
         SensitiveSet {
             items: Vec::new(),
-            member: vec![false; n_items],
+            n_items,
+            mask: 0,
         }
     }
 
@@ -120,20 +137,22 @@ impl SensitiveSet {
 
     /// Size of the item universe the set was built over.
     pub fn n_items(&self) -> usize {
-        self.member.len()
+        self.n_items
     }
 
-    /// O(1) membership test; `false` for an id outside the universe.
+    /// Membership test: the mask, then a binary search on a mask hit;
+    /// `false` for an id outside the universe.
     #[inline]
     pub fn contains(&self, item: ItemId) -> bool {
-        self.member.get(item as usize).copied().unwrap_or(false)
+        self.index_of(item).is_some()
     }
 
     /// The dense rank of `item` within the set (`0..m`), or `None` if not
     /// sensitive (an id outside the universe included). Used to index
     /// per-sensitive-item histograms.
+    #[inline]
     pub fn index_of(&self, item: ItemId) -> Option<usize> {
-        if !self.contains(item) {
+        if self.mask & mask_bit(item) == 0 {
             return None;
         }
         self.items.binary_search(&item).ok()
@@ -239,6 +258,51 @@ mod tests {
         let (qid, sens) = s.split_transaction(&[0, 1]);
         assert_eq!(qid, vec![0, 1]);
         assert!(sens.is_empty());
+    }
+
+    #[test]
+    fn mask_collisions_fall_through_to_the_search() {
+        // 3, 67 and 131 share mask bit 3; 195 shares it but is not
+        // sensitive.
+        let s = SensitiveSet::new(vec![131, 3, 67], 200);
+        assert_eq!(s.index_of(3), Some(0));
+        assert_eq!(s.index_of(67), Some(1));
+        assert_eq!(s.index_of(131), Some(2));
+        assert!(!s.contains(195));
+        assert_eq!(s.index_of(195), None);
+        assert!(!s.contains(4));
+        let (qid, sens) = s.split_transaction(&[3, 4, 67, 195]);
+        assert_eq!(qid, vec![4, 195]);
+        assert_eq!(sens, vec![0, 1]);
+    }
+
+    #[test]
+    fn ids_outside_the_universe_are_not_members() {
+        let s = SensitiveSet::new(vec![5, 63], 64);
+        assert_eq!(s.n_items(), 64);
+        // 69 and 127 hit the mask bits of 5 and 63 but lie past n_items.
+        for id in [64, 69, 127, u32::MAX] {
+            assert!(!s.contains(id), "{id}");
+            assert_eq!(s.index_of(id), None, "{id}");
+        }
+        assert!(s.contains(63));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn new_rejects_an_id_past_the_universe() {
+        let _ = SensitiveSet::new(vec![u32::MAX], 10);
+    }
+
+    #[test]
+    fn empty_set_over_a_huge_universe_holds_nothing() {
+        let s = SensitiveSet::empty(1 << 21);
+        assert_eq!(s.n_items(), 1 << 21);
+        assert_eq!(s, SensitiveSet::new(Vec::new(), 1 << 21));
+        for id in [0, 63, 64, (1 << 21) - 1, u32::MAX] {
+            assert!(!s.contains(id), "{id}");
+            assert_eq!(s.index_of(id), None, "{id}");
+        }
     }
 
     #[test]

@@ -285,9 +285,7 @@ pub fn order_columns(a: &CsrMatrix, row_perm: &Permutation, order: ColumnOrder) 
 }
 
 /// The columns the reduction works on: `a` without its empty columns when
-/// the universe is wider than twice the non-zeros, else `a` itself. Below
-/// that width every O(d) cost is already O(nnz), and the copy would only
-/// raise the peak.
+/// its universe is wide ([`CsrMatrix::is_wide`]), else `a` itself.
 struct ColumnSpace<'a> {
     matrix: Cow<'a, CsrMatrix>,
     /// The original id of each compacted column (ascending); `None` when
@@ -297,7 +295,7 @@ struct ColumnSpace<'a> {
 
 impl<'a> ColumnSpace<'a> {
     fn of(a: &'a CsrMatrix) -> Self {
-        if a.n_cols() > 2 * a.nnz() {
+        if CsrMatrix::is_wide(a.n_cols(), a.nnz()) {
             let (matrix, ids) = a.compact_columns();
             ColumnSpace {
                 matrix,

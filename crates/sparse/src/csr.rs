@@ -239,6 +239,16 @@ impl CsrMatrix {
         t.indices == self.indices && t.indptr == self.indptr
     }
 
+    /// Whether a universe of `n_cols` columns is wide for `nnz` non-zeros:
+    /// wider than twice the non-zeros. Only then do the callers relabel to
+    /// the touched columns ([`CsrMatrix::compact_columns`] for the band
+    /// reduction, the QID-similarity kernel in `cahd-core`); below that
+    /// width every O(d) cost is already O(nnz), and the copy would only
+    /// raise the peak.
+    pub fn is_wide(n_cols: usize, nnz: usize) -> bool {
+        n_cols > 2 * nnz
+    }
+
     /// Drops the empty columns: the touched columns are relabeled `0..k`
     /// in ascending original id, and the second value lists each one's
     /// original id (`ids[new] = old`, ascending).
