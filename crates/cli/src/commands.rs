@@ -1,5 +1,6 @@
 //! The CLI subcommands, as plain functions returning their stdout text.
 
+use std::io::{BufWriter, Write as _};
 use std::path::Path;
 
 use rand::rngs::StdRng;
@@ -9,7 +10,7 @@ use cahd_baselines::{perm_mondrian, random_grouping, PmConfig};
 use cahd_core::checkpoint::StreamingCheckpoint;
 use cahd_core::diversity::privacy_report;
 use cahd_core::pipeline::{Anonymizer, AnonymizerConfig};
-use cahd_core::recovery::{sanitize_row, RecoveryConfig};
+use cahd_core::recovery::{sanitize_rows, RecoveryConfig};
 use cahd_core::shard::ParallelConfig;
 use cahd_core::streaming::{ReleaseChunk, StreamingAnonymizer};
 use cahd_core::weighted::{anonymize_weighted_traced, verify_weighted, WeightedSimilarity};
@@ -164,7 +165,7 @@ pub fn audit(args: &Args) -> Result<String, CliError> {
     }
     if let Some(rel_path) = args.value("release") {
         let release = load_release(rel_path)?;
-        let sensitive = SensitiveSet::new(release.sensitive_items.clone(), data.n_items());
+        let sensitive = release_sensitive_set(&release, &data)?;
         out.push_str("\nlinkage attack, mean posterior on the true sensitive item:\n");
         out.push_str("known items ->      raw  released  released max\n");
         for k in 1..=max_k {
@@ -478,7 +479,7 @@ pub fn anonymize(args: &Args) -> Result<String, CliError> {
         format!("method {method}, p {p}: {n_groups} groups, privacy degree {degree:?}, verified\n");
     if let Some(path) = args.value("out") {
         let _s = rec.span("serialize");
-        std::fs::write(path, serde_json::to_string(&to_write)?)?;
+        write_json(path, &to_write)?;
         out.push_str(&format!("release written to {path}\n"));
     }
     if rec.is_enabled() {
@@ -521,7 +522,7 @@ fn anonymize_weighted_cmd(args: &Args, p: usize, seed: u64) -> Result<String, Cl
     }
     let mut out = format!("method cahd (weighted), p {p}: {n_groups} groups, verified\n");
     if let Some(path) = args.value("out") {
-        std::fs::write(path, serde_json::to_string(&release)?)?;
+        write_json(path, &release)?;
         out.push_str(&format!("weighted release written to {path}\n"));
     }
     if rec.is_enabled() {
@@ -596,8 +597,7 @@ fn anonymize_robust_cmd(args: &Args, p: usize, seed: u64) -> Result<String, CliE
     let (rows, d) = load_rows(args)?;
     // Sensitive-set selection needs a normalized view; sanitizing first
     // keeps out-of-range ids in corrupt rows from poisoning the universe.
-    let sanitized: Vec<Vec<ItemId>> = rows.iter().map(|r| sanitize_row(r, d)).collect();
-    let norm = TransactionSet::from_rows(&sanitized, d);
+    let norm = sanitize_rows(rows.iter().map(Vec::as_slice), d);
     let sensitive = sensitive_from_args(args, &norm, p, seed)?;
     let rec = recorder_from_args(args);
     let robust = Anonymizer::new(anonymizer_config_from_args(args, p)?)
@@ -622,7 +622,7 @@ fn anonymize_robust_cmd(args: &Args, p: usize, seed: u64) -> Result<String, CliE
         robust.recovered_shards,
     );
     if let Some(path) = args.value("out") {
-        std::fs::write(path, serde_json::to_string(&to_write)?)?;
+        write_json(path, &to_write)?;
         out.push_str(&format!("release written to {path}\n"));
     }
     if let Some(trace) = &robust.result.trace {
@@ -660,11 +660,15 @@ fn anonymize_stream_cmd(args: &Args, p: usize) -> Result<String, CliError> {
     };
     let recovery = recovery_from_args(args)?;
     let rec = recorder_from_args(args);
-    let (rows, mut d) = {
+    // Ingest builds the raw rows the stream consumes and the sanitized
+    // dataset the merge verifies against, once each.
+    let (rows, d, data) = {
         let _s = rec.span("ingest");
-        load_rows(args)?
+        let (rows, inferred) = load_rows(args)?;
+        let d = inferred.max(items.iter().map(|&i| i as usize + 1).max().unwrap_or(0));
+        let data = sanitize_rows(rows.iter().map(Vec::as_slice), d);
+        (rows, d, data)
     };
-    d = d.max(items.iter().map(|&i| i as usize + 1).max().unwrap_or(0));
     let sensitive = SensitiveSet::new(items, d);
     let cfg = anonymizer_config_from_args(args, p)?;
     let ckpt_dir = args.value("checkpoint");
@@ -710,10 +714,9 @@ fn anonymize_stream_cmd(args: &Args, p: usize) -> Result<String, CliError> {
     }
 
     let mut released_now = 0usize;
-    for row in &rows[start..] {
-        let released = stream
-            .push(row.clone())
-            .map_err(|e| CliError::Run(e.to_string()))?;
+    // Rows move into the stream: each is dropped once its batch releases.
+    for row in rows.into_iter().skip(start) {
+        let released = stream.push(row).map_err(|e| CliError::Run(e.to_string()))?;
         if let Some(chunk) = released {
             if let Some(dir) = ckpt_dir {
                 persist_chunk(dir, chunk_idx, &chunk, &stream.checkpoint())?;
@@ -758,8 +761,6 @@ fn anonymize_stream_cmd(args: &Args, p: usize) -> Result<String, CliError> {
         }
         None => chunks,
     };
-    let sanitized: Vec<Vec<ItemId>> = rows.iter().map(|r| sanitize_row(r, d)).collect();
-    let data = TransactionSet::from_rows(&sanitized, d);
     let mut groups = Vec::new();
     for chunk in &all_chunks {
         for g in &chunk.published.groups {
@@ -779,11 +780,13 @@ fn anonymize_stream_cmd(args: &Args, p: usize) -> Result<String, CliError> {
     };
     verify_published(&data, &sensitive, &merged, p)
         .map_err(|e| CliError::Run(format!("internal error: release failed verification: {e}")))?;
+    let n_chunks = all_chunks.len();
+    // Only the merged release is needed from here on.
+    drop((all_chunks, data));
     drop(merge_span);
     out.push_str(&format!(
-        "method cahd (streaming), p {p}: {} chunks, {} groups over {} transactions, \
+        "method cahd (streaming), p {p}: {n_chunks} chunks, {} groups over {} transactions, \
          {} carried over, verified\n",
-        all_chunks.len(),
         merged.n_groups(),
         merged.n_transactions(),
         stream.carried_over(),
@@ -795,7 +798,7 @@ fn anonymize_stream_cmd(args: &Args, p: usize) -> Result<String, CliError> {
     };
     if let Some(path) = args.value("out") {
         let _s = rec.span("serialize");
-        std::fs::write(path, serde_json::to_string(&to_write)?)?;
+        write_json(path, &to_write)?;
         out.push_str(&format!("release written to {path}\n"));
     }
     if rec.is_enabled() {
@@ -818,8 +821,17 @@ fn persist_chunk(
     chunk: &ReleaseChunk,
     cp: &StreamingCheckpoint,
 ) -> Result<(), CliError> {
-    std::fs::write(chunk_path(dir, idx), serde_json::to_string(chunk)?)?;
-    std::fs::write(format!("{dir}/checkpoint.json"), serde_json::to_string(cp)?)?;
+    write_json(&chunk_path(dir, idx), chunk)?;
+    write_json(&format!("{dir}/checkpoint.json"), cp)
+}
+
+/// Writes `value` to `path` as compact JSON, streamed through a buffered
+/// file writer: the bytes of [`serde_json::to_string`], without the text
+/// ever existing whole in memory.
+fn write_json<T: serde::Serialize + ?Sized>(path: &str, value: &T) -> Result<(), CliError> {
+    let mut file = BufWriter::new(std::fs::File::create(path)?);
+    serde_json::to_writer(&mut file, value)?;
+    file.flush()?;
     Ok(())
 }
 
@@ -865,7 +877,7 @@ pub fn verify(args: &Args) -> Result<String, CliError> {
     let data = load(args.positional(0, "data.dat")?)?;
     let release = load_release(args.positional(1, "release.json")?)?;
     let p: usize = args.parse_or("p", 2)?;
-    let sensitive = SensitiveSet::new(release.sensitive_items.clone(), data.n_items());
+    let sensitive = release_sensitive_set(&release, &data)?;
     match verify_published(&data, &sensitive, &release, p) {
         Ok(()) => Ok(format!("OK: release satisfies privacy degree {p}\n")),
         Err(e) => Err(CliError::Run(format!("verification FAILED: {e}"))),
@@ -910,7 +922,13 @@ pub fn check(args: &Args) -> Result<String, CliError> {
         }
         None => None,
     };
-    let sensitive = SensitiveSet::new(release.sensitive_items.clone(), data.n_items());
+    // A sensitive id past the data's universe cannot be in the set the
+    // passes audit against, so `CAHD-S002` reports the release.
+    let sensitive = release_sensitive_set(&release, &data).unwrap_or_else(|_| {
+        let d = data.n_items();
+        let known = release.sensitive_items.iter().copied();
+        SensitiveSet::new(known.filter(|&i| (i as usize) < d).collect(), d)
+    });
     let plan = AttackPlan {
         seed: resolve_seed(args)?,
         ..AttackPlan::default()
@@ -1005,7 +1023,7 @@ pub fn evaluate(args: &Args) -> Result<String, CliError> {
     let r: usize = args.parse_or("r", 4)?;
     let n_queries: usize = args.parse_or("queries", 100)?;
     let seed: u64 = resolve_seed(args)?;
-    let sensitive = SensitiveSet::new(release.sensitive_items.clone(), data.n_items());
+    let sensitive = release_sensitive_set(&release, &data)?;
     let queries = generate_workload_seeded(&data, &sensitive, r, n_queries, seed);
     if queries.is_empty() {
         return Err(CliError::Run(
@@ -1170,7 +1188,7 @@ pub fn attack(args: &Args) -> Result<String, CliError> {
         );
         releases.push((name, load_release(path)?));
     }
-    let sensitive = SensitiveSet::new(releases[0].1.sensitive_items.clone(), data.n_items());
+    let sensitive = release_sensitive_set(&releases[0].1, &data)?;
     for (name, rel) in &releases {
         if rel.sensitive_items != releases[0].1.sensitive_items {
             return Err(CliError::Usage(format!(
@@ -1441,6 +1459,24 @@ fn require_canonical_rows(release: &PublishedDataset) -> Result<(), CliError> {
         }
     }
     Ok(())
+}
+
+/// The sensitive set `release` declares, over `data`'s item universe.
+///
+/// # Errors
+/// [`CliError::Run`] when the release names a sensitive id outside that
+/// universe: the release was not made from this data.
+fn release_sensitive_set(
+    release: &PublishedDataset,
+    data: &TransactionSet,
+) -> Result<SensitiveSet, CliError> {
+    let d = data.n_items();
+    match release.sensitive_items.iter().find(|&&i| i as usize >= d) {
+        Some(bad) => Err(CliError::Run(format!(
+            "release names sensitive item {bad}, outside the data's universe of {d} items"
+        ))),
+        None => Ok(SensitiveSet::new(release.sensitive_items.clone(), d)),
+    }
 }
 
 fn load_release(path: &str) -> Result<PublishedDataset, CliError> {

@@ -6,7 +6,8 @@
 //! thousand items. Group formation must allocate for those, not for the
 //! universe: a similarity kernel sized on all 2M items would allocate
 //! ~7.6 MiB of stamps per batch, and a universe-wide sensitive bitmap
-//! another ~1.9 MiB.
+//! another ~1.9 MiB. The same run writes its release with `--out`, so
+//! the `serialize` window and the run's peak are bounded too.
 //!
 //! A test binary of its own: the allocator counters are process-global,
 //! so parallel tests in one binary would interleave their windows.
@@ -20,6 +21,18 @@ static ALLOC: TrackingAllocator = TrackingAllocator::new();
 
 /// Ceiling on `pipeline/group`'s allocation per stream batch.
 const GROUP_BYTES_PER_BATCH: u64 = 1 << 20;
+
+/// Ceiling on the `serialize` window's allocation. The merged release is
+/// ~200 KiB of JSON and must stream to disk through a fixed buffer:
+/// building it as one string allocates ~512 KiB.
+const SERIALIZE_BYTES: u64 = 128 << 10;
+
+/// Ceiling on the `anonymize` run's process peak above the bytes live
+/// when it starts. Each row may exist once per form it needs: raw until
+/// its batch releases, and once in the merge dataset. Cloning rows per
+/// batch or sanitizing them again at the merge lifts this run past
+/// 1.2 MiB.
+const PROCESS_PEAK_BYTES: u64 = 1 << 20;
 
 fn tmp(name: &str) -> String {
     std::env::temp_dir()
@@ -38,6 +51,7 @@ fn stream_group_phase_allocates_per_batch_not_per_universe() {
     assert!(memtrack::is_active());
     let data_f = tmp("wide.dat");
     let trace_f = tmp("trace.json");
+    let release_f = tmp("release.json");
     commands::generate(&parse(
         commands::GENERATE_FLAGS,
         &[
@@ -61,6 +75,8 @@ fn stream_group_phase_allocates_per_batch_not_per_universe() {
     let first: Vec<&str> = text.lines().next().unwrap().split(' ').take(2).collect();
     let sensitive = first.join(",");
 
+    memtrack::reset_peak();
+    let live_before = memtrack::stats().live_bytes;
     let out = commands::anonymize(&parse(
         commands::ANONYMIZE_FLAGS,
         &[
@@ -74,9 +90,12 @@ fn stream_group_phase_allocates_per_batch_not_per_universe() {
             "--memory",
             "--trace-json",
             &trace_f,
+            "--out",
+            &release_f,
         ],
     ))
     .unwrap();
+    let run_peak = memtrack::stats().peak_bytes - live_before;
     assert!(out.contains("4 chunks"), "{out}");
     let trace: TraceReport =
         serde_json::from_str(&std::fs::read_to_string(&trace_f).unwrap()).unwrap();
@@ -89,7 +108,18 @@ fn stream_group_phase_allocates_per_batch_not_per_universe() {
         "pipeline/group allocated {per_batch} bytes per batch"
     );
 
-    for f in [&data_f, &trace_f] {
+    let serialize = mem.span("serialize").expect("serialize window");
+    assert!(
+        serialize.alloc_bytes < SERIALIZE_BYTES,
+        "serialize allocated {} bytes",
+        serialize.alloc_bytes
+    );
+    assert!(
+        run_peak < PROCESS_PEAK_BYTES,
+        "anonymize peaked {run_peak} bytes above its start"
+    );
+
+    for f in [&data_f, &trace_f, &release_f] {
         std::fs::remove_file(f).ok();
     }
 }

@@ -11,7 +11,7 @@ use crate::cahd::{cahd_traced, CahdConfig, CahdStats};
 use crate::error::CahdError;
 use crate::group::{AnonymizedGroup, PublishedDataset};
 use crate::invariant::{strict_invariant, strict_invariant_eq};
-use crate::recovery::{bad_row_reason, sanitize_row, FaultPlan, InputPolicy, RecoveryConfig};
+use crate::recovery::{ingest_rows, sanitize_rows, FaultPlan, RecoveryConfig};
 use crate::shard::{cahd_sharded_recovering, ParallelConfig, ShardedStats};
 
 /// Configuration of the full pipeline.
@@ -277,6 +277,9 @@ impl Anonymizer {
     /// [`Anonymizer::anonymize`] reports (parameter errors first, then
     /// shape errors, then infeasibility — all evaluated on the sanitized
     /// dataset).
+    ///
+    /// [`InputPolicy::Strict`]: crate::recovery::InputPolicy::Strict
+    /// [`InputPolicy::Quarantine`]: crate::recovery::InputPolicy::Quarantine
     pub fn anonymize_rows_traced(
         &self,
         rows: &[Vec<ItemId>],
@@ -284,50 +287,35 @@ impl Anonymizer {
         recovery: &RecoveryConfig,
         rec: &Recorder,
     ) -> Result<RobustResult, CahdError> {
-        let mut robust = self.anonymize_rows_into(rows, sensitive, recovery, rec)?;
+        self.config.cahd.validate()?;
+        let (data, quarantined) = ingest_rows(
+            rows.iter().map(Vec::as_slice),
+            sensitive.n_items(),
+            recovery,
+        )?;
+        let mut robust = self.anonymize_ingested(data, quarantined, sensitive, recovery, rec)?;
         robust.result.trace = rec.is_enabled().then(|| rec.snapshot());
         Ok(robust)
     }
 
-    /// [`Anonymizer::anonymize_rows_traced`] without the trace snapshot:
-    /// records into `rec` and leaves [`PipelineResult::trace`] unset, for
-    /// the stream batches, whose recorder outlives the batch.
-    pub(crate) fn anonymize_rows_into(
+    /// The robust pipeline past ingestion: `data` is the sanitized dataset
+    /// and `quarantined` the ascending indices of its rows to pin into the
+    /// final group (see [`crate::recovery::ingest_rows`]). Records into
+    /// `rec` and leaves [`PipelineResult::trace`] unset, for the stream
+    /// batches, whose recorder outlives the batch. The caller validates
+    /// the configuration first.
+    pub(crate) fn anonymize_ingested(
         &self,
-        rows: &[Vec<ItemId>],
+        data: TransactionSet,
+        quarantined: Vec<usize>,
         sensitive: &SensitiveSet,
         recovery: &RecoveryConfig,
         rec: &Recorder,
     ) -> Result<RobustResult, CahdError> {
         // cahd-lint: allow(L002, reason = "elapsed-time stat only; release bytes never depend on it")
         let t0 = Instant::now();
-        self.config.cahd.validate()?;
         let n_items = sensitive.n_items();
         let p = self.config.cahd.p;
-
-        // Ingestion: classify every raw row before any dataset exists.
-        let mut quarantined: Vec<usize> = Vec::new();
-        let mut clean_rows: Vec<Vec<ItemId>> = Vec::with_capacity(rows.len());
-        for (i, row) in rows.iter().enumerate() {
-            let reason = if recovery.plan.row_is_corrupt(i) {
-                Some("injected corruption".to_string())
-            } else {
-                bad_row_reason(row, n_items)
-            };
-            match reason {
-                None => clean_rows.push(row.clone()),
-                Some(reason) => match recovery.policy {
-                    InputPolicy::Strict => {
-                        return Err(CahdError::CorruptRow { row: i, reason });
-                    }
-                    InputPolicy::Quarantine => {
-                        quarantined.push(i);
-                        clean_rows.push(sanitize_row(row, n_items));
-                    }
-                },
-            }
-        }
-        let data = TransactionSet::from_rows(&clean_rows, n_items);
         let n = data.n_transactions();
 
         if quarantined.is_empty() {
@@ -366,8 +354,7 @@ impl Anonymizer {
             in_quarantine[i] = true;
         }
         let good: Vec<usize> = (0..n).filter(|&i| !in_quarantine[i]).collect();
-        let good_rows: Vec<Vec<ItemId>> = good.iter().map(|&i| clean_rows[i].clone()).collect();
-        let good_data = TransactionSet::from_rows(&good_rows, n_items);
+        let good_data = sanitize_rows(good.iter().map(|&i| data.transaction(i)), n_items);
         let good_counts = sensitive.occurrence_counts(&good_data);
         let good_feasible = !good.is_empty() && good_counts.iter().all(|&c| c * p <= good.len());
 
@@ -499,7 +486,7 @@ pub struct RobustResult {
     /// [`crate::verify::verify_all`] must be run against.
     pub data: TransactionSet,
     /// Indices of quarantined rows (ascending). Always empty under
-    /// [`InputPolicy::Strict`].
+    /// [`InputPolicy::Strict`](crate::recovery::InputPolicy::Strict).
     pub quarantined: Vec<usize>,
     /// Shards whose first scan attempt failed and were recovered.
     pub recovered_shards: usize,

@@ -30,7 +30,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use cahd_data::ItemId;
+use cahd_data::{ItemId, TransactionSet};
+use cahd_sparse::CsrMatrix;
+
+use crate::error::CahdError;
 
 /// The failure mode injected into a shard worker attempt.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -204,9 +207,13 @@ impl RecoveryConfig {
 /// Why a raw row is considered corrupt against a universe of `n_items`
 /// items, or `None` for a clean row. A clean row may still be unsorted —
 /// ordering is a representation detail the dataset constructor fixes, not
-/// a corruption.
+/// a corruption. A row already in normal form is answered without
+/// allocating.
 #[must_use]
 pub fn bad_row_reason(row: &[ItemId], n_items: usize) -> Option<String> {
+    if is_normal(row, n_items) {
+        return None;
+    }
     if let Some(&bad) = row.iter().find(|&&i| (i as usize) >= n_items) {
         return Some(format!("item {bad} out of range (universe {n_items})"));
     }
@@ -218,6 +225,12 @@ pub fn bad_row_reason(row: &[ItemId], n_items: usize) -> Option<String> {
         }
     }
     None
+}
+
+/// Whether `row` is already the normal form [`sanitize_row`] produces:
+/// strictly ascending, every item inside a universe of `n_items`.
+fn is_normal(row: &[ItemId], n_items: usize) -> bool {
+    row.windows(2).all(|w| w[0] < w[1]) && row.last().is_none_or(|&i| (i as usize) < n_items)
 }
 
 /// The sanitized form of a possibly-corrupt row: in-range items only,
@@ -234,6 +247,64 @@ pub fn sanitize_row(row: &[ItemId], n_items: usize) -> Vec<ItemId> {
     clean.sort_unstable();
     clean.dedup();
     clean
+}
+
+/// The dataset of every row's [`sanitize_row`] form, built straight into
+/// one CSR allocated at its final size. A row already in normal form (the
+/// common case) is copied in without a per-row allocation.
+pub fn sanitize_rows<'r, I>(rows: I, n_items: usize) -> TransactionSet
+where
+    I: Iterator<Item = &'r [ItemId]> + Clone,
+{
+    let (n_rows, nnz) = rows
+        .clone()
+        .fold((0, 0), |(n, nnz), row| (n + 1, nnz + row.len()));
+    let mut indptr = Vec::with_capacity(n_rows + 1);
+    indptr.push(0);
+    let mut indices: Vec<ItemId> = Vec::with_capacity(nnz);
+    for row in rows {
+        if is_normal(row, n_items) {
+            indices.extend_from_slice(row);
+        } else {
+            indices.extend_from_slice(&sanitize_row(row, n_items));
+        }
+        indptr.push(indices.len());
+    }
+    TransactionSet::from_matrix(CsrMatrix::from_raw_parts(n_rows, n_items, indptr, indices))
+}
+
+/// Ingestion: classifies every raw row against `recovery` (an injected
+/// corruption or a [`bad_row_reason`]), then builds the sanitized dataset
+/// ([`sanitize_rows`]) the pipeline runs on. Returns it with the indices
+/// of the quarantined rows (ascending; always empty under
+/// [`InputPolicy::Strict`]).
+///
+/// # Errors
+/// [`CahdError::CorruptRow`] naming the index (in `rows`) of the first bad
+/// row under [`InputPolicy::Strict`].
+pub(crate) fn ingest_rows<'r, I>(
+    rows: I,
+    n_items: usize,
+    recovery: &RecoveryConfig,
+) -> Result<(TransactionSet, Vec<usize>), CahdError>
+where
+    I: Iterator<Item = &'r [ItemId]> + Clone,
+{
+    let mut quarantined: Vec<usize> = Vec::new();
+    for (i, row) in rows.clone().enumerate() {
+        let reason = if recovery.plan.row_is_corrupt(i) {
+            Some("injected corruption".to_string())
+        } else {
+            bad_row_reason(row, n_items)
+        };
+        if let Some(reason) = reason {
+            match recovery.policy {
+                InputPolicy::Strict => return Err(CahdError::CorruptRow { row: i, reason }),
+                InputPolicy::Quarantine => quarantined.push(i),
+            }
+        }
+    }
+    Ok((sanitize_rows(rows, n_items), quarantined))
 }
 
 /// Installs (once, process-wide) a panic hook that suppresses the stderr
@@ -316,6 +387,92 @@ mod tests {
         // Different seeds almost surely differ; pin one that does.
         let c = FaultPlan::seeded(8, 16, 64);
         assert_ne!(a, c);
+    }
+
+    /// `bad_row_reason` before its allocation-free fast path: range scan,
+    /// then a sorted copy searched for duplicates.
+    fn reference_reason(row: &[ItemId], n_items: usize) -> Option<String> {
+        if let Some(&bad) = row.iter().find(|&&i| (i as usize) >= n_items) {
+            return Some(format!("item {bad} out of range (universe {n_items})"));
+        }
+        let mut seen: Vec<ItemId> = row.to_vec();
+        seen.sort_unstable();
+        for w in seen.windows(2) {
+            if w[0] == w[1] {
+                return Some(format!("duplicate item {}", w[0]));
+            }
+        }
+        None
+    }
+
+    /// 5,000 seeded rows of 0..7 items drawn from `0..8` (a universe of 6,
+    /// so some ids are out of range): sorted, unsorted, repeated.
+    fn seeded_rows() -> Vec<Vec<ItemId>> {
+        (0..5_000u64)
+            .map(|r| {
+                let h = splitmix64(r);
+                let len = (h % 7) as usize;
+                (0..len)
+                    .map(|k| (splitmix64(h ^ k as u64) % 8) as ItemId)
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn bad_row_reason_matches_the_sort_based_reference() {
+        let mut unsorted_clean = 0;
+        for row in seeded_rows() {
+            assert_eq!(
+                bad_row_reason(&row, 6),
+                reference_reason(&row, 6),
+                "{row:?}"
+            );
+            let sorted = row.windows(2).all(|w| w[0] < w[1]);
+            if !sorted && reference_reason(&row, 6).is_none() {
+                unsorted_clean += 1;
+            }
+        }
+        assert!(unsorted_clean > 100, "{unsorted_clean}");
+        // Unsorted rows without duplicates are clean.
+        assert_eq!(bad_row_reason(&[5, 0, 3], 6), None);
+        assert_eq!(bad_row_reason(&[], 6), None);
+        assert!(bad_row_reason(&[0, 6], 6).unwrap().contains("out of range"));
+        assert!(bad_row_reason(&[1, 1], 6).unwrap().contains("duplicate"));
+    }
+
+    #[test]
+    fn sanitize_rows_builds_the_sanitized_rows() {
+        let rows = seeded_rows();
+        let data = sanitize_rows(rows.iter().map(Vec::as_slice), 6);
+        let sanitized: Vec<Vec<ItemId>> = rows.iter().map(|r| sanitize_row(r, 6)).collect();
+        assert_eq!(data, TransactionSet::from_rows(&sanitized, 6));
+    }
+
+    #[test]
+    fn ingest_classifies_like_the_row_checks() {
+        let rows = seeded_rows();
+        let slices = || rows.iter().map(Vec::as_slice);
+        let bad: Vec<usize> = (0..rows.len())
+            .filter(|&i| bad_row_reason(&rows[i], 6).is_some() || i == 7)
+            .collect();
+        let recovery =
+            RecoveryConfig::quarantine().with_plan(FaultPlan::none().with_corrupt_row(7));
+        let (data, quarantined) = ingest_rows(slices(), 6, &recovery).unwrap();
+        assert_eq!(quarantined, bad);
+        assert_eq!(data.n_transactions(), rows.len());
+        let first = rows
+            .iter()
+            .position(|r| bad_row_reason(r, 6).is_some())
+            .unwrap();
+        let err = ingest_rows(slices(), 6, &RecoveryConfig::strict()).unwrap_err();
+        assert_eq!(
+            err,
+            CahdError::CorruptRow {
+                row: first,
+                reason: bad_row_reason(&rows[first], 6).unwrap(),
+            }
+        );
     }
 
     #[test]

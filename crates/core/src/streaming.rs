@@ -25,13 +25,13 @@
 //! up exactly where it stopped — already-released chunks are never
 //! recomputed, and the resumed run emits the identical remaining chunks.
 //! Corrupt input rows are handled per the configured
-//! [`InputPolicy`] ([`StreamingAnonymizer::with_recovery`]): rejected
-//! under `Strict`, quarantined into the chunk's final group under
-//! `Quarantine`. Resumes are counted by the `core.resumed_batches`
+//! [`InputPolicy`](crate::recovery::InputPolicy)
+//! ([`StreamingAnonymizer::with_recovery`]): rejected under `Strict`,
+//! quarantined into the chunk's final group under `Quarantine`. Resumes are counted by the `core.resumed_batches`
 //! counter on the recorder configured with
 //! [`StreamingAnonymizer::with_recorder`].
 
-use cahd_data::{ItemId, SensitiveSet, TransactionSet};
+use cahd_data::{ItemId, SensitiveSet};
 use cahd_obs::Recorder;
 use serde::{Deserialize, Serialize};
 
@@ -40,7 +40,7 @@ use crate::error::CahdError;
 use crate::group::PublishedDataset;
 use crate::invariant::{strict_invariant, strict_invariant_eq};
 use crate::pipeline::{Anonymizer, AnonymizerConfig};
-use crate::recovery::{bad_row_reason, sanitize_row, InputPolicy, RecoveryConfig};
+use crate::recovery::{ingest_rows, RecoveryConfig};
 
 /// A released chunk: the batch's transactions (with their stream
 /// positions) and the anonymized groups over them.
@@ -287,36 +287,20 @@ impl StreamingAnonymizer {
         let p = self.config.cahd.p;
         let n_items = self.sensitive.n_items();
         loop {
-            // Ingestion-aware view of the batch: a corrupt row is either a
-            // hard error (Strict, reported under its *stream* id) or
-            // counted via its sanitized form, which is exactly what the
-            // robust pipeline will publish for it.
-            let mut rows: Vec<Vec<ItemId>> = Vec::with_capacity(self.buffer.len());
-            let mut eff_rows: Vec<Vec<ItemId>> = Vec::with_capacity(self.buffer.len());
-            for (pos, (id, row)) in self.buffer.iter().enumerate() {
-                let reason = if self.recovery.plan.row_is_corrupt(pos) {
-                    Some("injected corruption".to_string())
-                } else {
-                    bad_row_reason(row, n_items)
-                };
-                match (reason, self.recovery.policy) {
-                    (Some(reason), InputPolicy::Strict) => {
-                        return Err(CahdError::CorruptRow {
-                            row: usize::try_from(*id).unwrap_or(usize::MAX),
-                            reason,
-                        });
-                    }
-                    (Some(_), InputPolicy::Quarantine) => {
-                        eff_rows.push(sanitize_row(row, n_items));
-                        rows.push(row.clone());
-                    }
-                    (None, _) => {
-                        eff_rows.push(row.clone());
-                        rows.push(row.clone());
-                    }
-                }
-            }
-            let data = TransactionSet::from_rows(&eff_rows, n_items);
+            // The batch is classified and built into the one sanitized
+            // dataset the robust pipeline publishes for it; the offender
+            // count and, when nothing defers, group formation both run on
+            // it. Under Strict a corrupt row fails the batch under its
+            // *stream* id.
+            let rows = self.buffer.iter().map(|(_, row)| row.as_slice());
+            let (data, quarantined) =
+                ingest_rows(rows, n_items, &self.recovery).map_err(|e| match e {
+                    CahdError::CorruptRow { row, reason } => CahdError::CorruptRow {
+                        row: usize::try_from(self.buffer[row].0).unwrap_or(usize::MAX),
+                        reason,
+                    },
+                    other => other,
+                })?;
             let counts = self.sensitive.occurrence_counts(&data);
             // Find the worst offender, if any.
             let offender = counts
@@ -327,17 +311,17 @@ impl StreamingAnonymizer {
                 .map(|(r, _)| self.sensitive.items()[r]);
             match offender {
                 None => {
-                    let robust = Anonymizer::new(self.config)
-                        .anonymize_rows_into(&rows, &self.sensitive, &self.recovery, &self.rec)
-                        .map_err(|e| match e {
-                            // Batch-local row index -> stream id.
-                            CahdError::CorruptRow { row, reason } => CahdError::CorruptRow {
-                                row: usize::try_from(self.buffer[row].0).unwrap_or(usize::MAX),
-                                reason,
-                            },
-                            other => other,
-                        })?;
-                    let published = robust.result.published;
+                    self.config.cahd.validate()?;
+                    let published = Anonymizer::new(self.config)
+                        .anonymize_ingested(
+                            data,
+                            quarantined,
+                            &self.sensitive,
+                            &self.recovery,
+                            &self.rec,
+                        )?
+                        .result
+                        .published;
                     let stream_ids: Vec<u64> = self.buffer.iter().map(|&(id, _)| id).collect();
                     strict_invariant!(
                         published.satisfies(p),
@@ -387,6 +371,7 @@ impl StreamingAnonymizer {
 mod tests {
     use super::*;
     use crate::verify::verify_published;
+    use cahd_data::TransactionSet;
 
     fn sensitive() -> SensitiveSet {
         SensitiveSet::new(vec![9], 10)

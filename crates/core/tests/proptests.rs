@@ -3,7 +3,7 @@
 
 use cahd_core::pipeline::{Anonymizer, AnonymizerConfig};
 use cahd_core::{cahd, verify_published, CahdConfig, CahdError};
-use cahd_data::{SensitiveSet, TransactionSet};
+use cahd_data::{ItemId, SensitiveSet, TransactionSet};
 use proptest::prelude::*;
 
 /// A random dataset plus a sensitive set and a privacy degree.
@@ -19,6 +19,56 @@ fn arb_instance() -> impl Strategy<Value = (TransactionSet, SensitiveSet, usize)
                 let data = TransactionSet::from_rows(&rows, d);
                 let sens = SensitiveSet::new(sens_items.into_iter().collect(), d);
                 (data, sens, p)
+            })
+    })
+}
+
+/// How a [`arb_stream`] instance ingests its rows.
+#[derive(Clone, Copy, Debug)]
+enum Ingest {
+    /// Every row clean (in range, no duplicate; often unsorted), strict
+    /// policy.
+    Strict,
+    /// Raw rows with out-of-range items and duplicates, quarantined.
+    Quarantine,
+    /// As `Quarantine`, plus an injected corruption at batch position 1.
+    Injected,
+}
+
+/// Raw stream rows over `0..d` (plus the out-of-range ids `d` and
+/// `d + 1` unless the policy is strict), a sensitive set, `p`, a batch
+/// size in `2p..=4p` and the ingestion mode. Sensitive items are dense
+/// enough that batches regularly defer an offender to the next one.
+fn arb_stream() -> impl Strategy<Value = (Vec<Vec<ItemId>>, SensitiveSet, usize, usize, Ingest)> {
+    (12usize..60, 5usize..10, 2usize..4, 0u8..3).prop_flat_map(|(n, d, p, mode)| {
+        (
+            proptest::collection::vec(proptest::collection::vec(0..d as u32 + 2, 1..6), n..=n),
+            proptest::collection::btree_set(0..d as u32, 1..3),
+            Just(d),
+            Just(p),
+            2 * p..=4 * p,
+            Just(mode),
+        )
+            .prop_map(|(rows, sens_items, d, p, batch, mode)| {
+                let ingest = [Ingest::Strict, Ingest::Quarantine, Ingest::Injected][mode as usize];
+                let rows = match ingest {
+                    // In range and first occurrences only, in drawn order.
+                    Ingest::Strict => rows
+                        .into_iter()
+                        .map(|row| {
+                            let mut clean: Vec<ItemId> = Vec::new();
+                            for i in row {
+                                if (i as usize) < d && !clean.contains(&i) {
+                                    clean.push(i);
+                                }
+                            }
+                            clean
+                        })
+                        .collect(),
+                    Ingest::Quarantine | Ingest::Injected => rows,
+                };
+                let sens = SensitiveSet::new(sens_items.into_iter().collect(), d);
+                (rows, sens, p, batch, ingest)
             })
     })
 }
@@ -274,6 +324,49 @@ proptest! {
             let (published, _) =
                 cahd(&data, &sens, &CahdConfig::new(p).with_alpha(alpha)).unwrap();
             prop_assert!(verify_published(&data, &sens, &published, p).is_ok());
+        }
+    }
+
+    #[test]
+    fn stream_chunks_equal_the_robust_pipeline_on_their_batch(
+        (rows, sens, p, batch, ingest) in arb_stream()
+    ) {
+        use cahd_core::recovery::{FaultPlan, RecoveryConfig};
+        use cahd_core::StreamingAnonymizer;
+        let recovery = match ingest {
+            Ingest::Strict => RecoveryConfig::strict(),
+            Ingest::Quarantine => RecoveryConfig::quarantine(),
+            Ingest::Injected => {
+                RecoveryConfig::quarantine().with_plan(FaultPlan::none().with_corrupt_row(1))
+            }
+        };
+        let cfg = AnonymizerConfig::with_privacy_degree(p);
+        let mut s = StreamingAnonymizer::new(cfg, sens.clone(), batch)
+            .with_recovery(recovery.clone());
+        let mut chunks = Vec::new();
+        for row in &rows {
+            match s.push(row.clone()) {
+                Ok(Some(c)) => chunks.push(c),
+                Ok(None) => {}
+                Err(_) => break,
+            }
+        }
+        if let Ok(Some(c)) = s.finish() {
+            chunks.push(c);
+        }
+        // Every chunk released before any final error is exactly the
+        // robust pipeline's release of the same rows, in batch order
+        // (deferred rows open the batch after the one they left).
+        for chunk in &chunks {
+            let batch_rows: Vec<Vec<ItemId>> = chunk
+                .stream_ids
+                .iter()
+                .map(|&id| rows[id as usize].clone())
+                .collect();
+            let expected = Anonymizer::new(cfg)
+                .anonymize_rows(&batch_rows, &sens, &recovery)
+                .unwrap();
+            prop_assert_eq!(&chunk.published, &expected.result.published);
         }
     }
 }

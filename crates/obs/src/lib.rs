@@ -166,6 +166,20 @@ struct Inner {
     histograms: BTreeMap<String, Histogram>,
 }
 
+/// Applies `update` to the value under `key`, inserting `V::default()`
+/// first if the key is new. Only that first insert copies the key:
+/// `BTreeMap::entry` would need an owned `String` on every call.
+fn upsert<V: Default>(map: &mut BTreeMap<String, V>, key: &str, update: impl FnOnce(&mut V)) {
+    match map.get_mut(key) {
+        Some(v) => update(v),
+        None => {
+            let mut v = V::default();
+            update(&mut v);
+            map.insert(key.to_owned(), v);
+        }
+    }
+}
+
 /// A thread-safe sink for trace events.
 ///
 /// Cloning is cheap and shares the underlying store, so one recorder can be
@@ -266,15 +280,17 @@ impl Recorder {
         if let Some(inner) = &self.inner {
             // cahd-lint: allow(L003, reason = "recorder methods never panic while holding the lock; poisoning implies a foreign panic worth re-surfacing")
             let mut g = inner.lock().expect("obs recorder poisoned");
-            let e = g.spans.entry(path.to_string()).or_insert((0, 0));
-            e.0 += 1;
-            e.1 = e.1.saturating_add(ns);
+            upsert(&mut g.spans, path, |e| {
+                e.0 += 1;
+                e.1 = e.1.saturating_add(ns);
+            });
             if let Some((alloc_bytes, dealloc_bytes, peak_bytes)) = mem {
-                let m = g.span_mem.entry(path.to_string()).or_default();
-                m.count += 1;
-                m.alloc_bytes = m.alloc_bytes.saturating_add(alloc_bytes);
-                m.dealloc_bytes = m.dealloc_bytes.saturating_add(dealloc_bytes);
-                m.peak_bytes = m.peak_bytes.max(peak_bytes);
+                upsert(&mut g.span_mem, path, |m| {
+                    m.count += 1;
+                    m.alloc_bytes = m.alloc_bytes.saturating_add(alloc_bytes);
+                    m.dealloc_bytes = m.dealloc_bytes.saturating_add(dealloc_bytes);
+                    m.peak_bytes = m.peak_bytes.max(peak_bytes);
+                });
             }
         }
     }
@@ -306,7 +322,7 @@ impl Recorder {
         if let Some(inner) = &self.inner {
             // cahd-lint: allow(L003, reason = "recorder methods never panic while holding the lock; poisoning implies a foreign panic worth re-surfacing")
             let mut g = inner.lock().expect("obs recorder poisoned");
-            *g.counters.entry(name.to_string()).or_insert(0) += n;
+            upsert(&mut g.counters, name, |c| *c += n);
         }
     }
 
@@ -322,7 +338,7 @@ impl Recorder {
         if let Some(inner) = &self.inner {
             // cahd-lint: allow(L003, reason = "recorder methods never panic while holding the lock; poisoning implies a foreign panic worth re-surfacing")
             let mut g = inner.lock().expect("obs recorder poisoned");
-            g.gauges.insert(name.to_string(), value);
+            upsert(&mut g.gauges, name, |v| *v = value);
         }
     }
 
@@ -331,10 +347,7 @@ impl Recorder {
         if let Some(inner) = &self.inner {
             // cahd-lint: allow(L003, reason = "recorder methods never panic while holding the lock; poisoning implies a foreign panic worth re-surfacing")
             let mut g = inner.lock().expect("obs recorder poisoned");
-            g.histograms
-                .entry(name.to_string())
-                .or_insert_with(Histogram::new)
-                .observe(value);
+            upsert(&mut g.histograms, name, |hist| hist.observe(value));
         }
     }
 
@@ -347,10 +360,7 @@ impl Recorder {
         if let Some(inner) = &self.inner {
             // cahd-lint: allow(L003, reason = "recorder methods never panic while holding the lock; poisoning implies a foreign panic worth re-surfacing")
             let mut g = inner.lock().expect("obs recorder poisoned");
-            g.histograms
-                .entry(name.to_string())
-                .or_insert_with(Histogram::new)
-                .merge(h);
+            upsert(&mut g.histograms, name, |hist| hist.merge(h));
         }
     }
 

@@ -49,6 +49,27 @@ fn tracking_allocator_end_to_end() {
     );
     assert_eq!(before.alloc_bytes, after.alloc_bytes);
 
+    // --- an enabled recorder copies a name on its first insert only -----
+    let rec = Recorder::new();
+    let record = |i: u64| {
+        let _span = rec.span("pipeline/group");
+        rec.add("core.groups_formed", 1);
+        rec.gauge("core.shards", 4.0);
+        rec.observe("core.candidate_list_len", i);
+    };
+    record(0);
+    let before = memtrack::stats();
+    for i in 1..10_000u64 {
+        record(i);
+    }
+    let after = memtrack::stats();
+    assert_eq!(
+        before.allocs, after.allocs,
+        "recording under already-known names allocated"
+    );
+    let report = rec.snapshot();
+    assert_eq!(report.counter("core.groups_formed"), Some(10_000));
+
     // --- enabled + opted-in recorder attributes windows to spans --------
     let rec = Recorder::new().with_memory();
     assert!(rec.memory_tracking());

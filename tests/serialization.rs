@@ -234,3 +234,58 @@ fn committed_documents_rewrite_byte_identically() {
         assert!(out == text, "{path} does not rewrite to itself");
     }
 }
+
+/// Asserts that `to_writer` streams exactly the bytes `to_string` builds.
+fn writes_like_to_string<T: serde::Serialize>(value: &T, what: &str) {
+    let mut bytes = Vec::new();
+    serde_json::to_writer(&mut bytes, value).unwrap();
+    let text = serde_json::to_string(value).unwrap();
+    assert!(bytes == text.as_bytes(), "{what}: to_writer bytes differ");
+}
+
+#[test]
+fn to_writer_matches_to_string_on_releases_checkpoints_and_traces() {
+    use cahd::core::checkpoint::StreamingCheckpoint;
+    use cahd_obs::Recorder;
+
+    let text = std::fs::read_to_string("fixtures/demo_release.json").unwrap();
+    let fixture: PublishedDataset = serde_json::from_str(&text).unwrap();
+    writes_like_to_string(&fixture, "demo_release.json");
+    let text = std::fs::read_to_string("fixtures/demo_checkpoint.json").unwrap();
+    let cp: StreamingCheckpoint = serde_json::from_str(&text).unwrap();
+    writes_like_to_string(&cp, "demo_checkpoint.json");
+
+    // Documents past the writer's drain threshold: a live release and the
+    // trace of the run that made it.
+    let data = cahd::data::profiles::bms1_like(0.1, 3);
+    let sens = SensitiveSet::select_random(&data, 5, 10, &mut rand_seed(5)).unwrap();
+    let rec = Recorder::new();
+    let result = Anonymizer::new(AnonymizerConfig::with_privacy_degree(5))
+        .anonymize_traced(&data, &sens, &rec)
+        .unwrap();
+    let len = serde_json::to_string(&result.published).unwrap().len();
+    assert!(len > 4 * serde::SINK_FLUSH_BYTES, "{len}");
+    writes_like_to_string(&result.published, "live release");
+    writes_like_to_string(&result.trace.expect("traced run"), "live trace");
+}
+
+#[test]
+fn to_writer_on_a_failing_file_is_an_error() {
+    /// Accepts the first 1000 bytes, then reports a full disk.
+    struct FullDisk(usize);
+    impl std::io::Write for FullDisk {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.0 + buf.len() > 1000 {
+                return Err(std::io::Error::other("no space left on device"));
+            }
+            self.0 += buf.len();
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+    let (_, _, release) = release();
+    let err = serde_json::to_writer(FullDisk(0), &release).unwrap_err();
+    assert!(err.to_string().contains("no space left"), "{err}");
+}
