@@ -19,6 +19,7 @@
 //! use cahd_check::{default_registry, CheckInput};
 //! use cahd_core::pipeline::{Anonymizer, AnonymizerConfig};
 //! use cahd_data::{SensitiveSet, TransactionSet};
+//! use cahd_obs::Recorder;
 //!
 //! let data = TransactionSet::from_rows(
 //!     &[vec![0, 1, 4], vec![0, 1], vec![2, 3, 5], vec![2, 3], vec![0, 2]],
@@ -28,21 +29,22 @@
 //! let result = Anonymizer::new(AnonymizerConfig::with_privacy_degree(2))
 //!     .anonymize(&data, &sensitive)
 //!     .unwrap();
-//! let report = default_registry().run(&CheckInput {
+//! let input = CheckInput {
 //!     data: &data,
 //!     sensitive: &sensitive,
 //!     published: &result.published,
 //!     p: 2,
 //!     trace: None,
 //!     attack: None,
-//! });
+//! };
+//! let report = default_registry().run(&input, &Recorder::disabled());
 //! assert!(report.is_clean());
 //! ```
 
 use cahd_core::PublishedDataset;
 use cahd_data::{SensitiveSet, TransactionSet};
 use cahd_eval::AttackPlan;
-use cahd_obs::TraceReport;
+use cahd_obs::{Recorder, TraceReport};
 
 mod diagnostic;
 mod passes;
@@ -99,11 +101,15 @@ impl Registry {
         &self.passes
     }
 
-    /// Runs every pass over `input` and aggregates all findings.
-    pub fn run(&self, input: &CheckInput<'_>) -> CheckReport {
+    /// Runs every pass over `input` and aggregates all findings. `rec`
+    /// records a root `check` span and one `check/<pass>` child per pass
+    /// (pass `Recorder::disabled()` for an untraced run).
+    pub fn run(&self, input: &CheckInput<'_>, rec: &Recorder) -> CheckReport {
+        let _check = rec.span("check");
         let mut diagnostics = Vec::new();
         let mut passes_run = Vec::with_capacity(self.passes.len());
         for pass in &self.passes {
+            let _pass = rec.child_span("check", pass.name());
             pass.run(input, &mut diagnostics);
             passes_run.push(pass.name());
         }
@@ -164,14 +170,17 @@ mod tests {
         pub_: &PublishedDataset,
         p: usize,
     ) -> CheckReport {
-        default_registry().run(&CheckInput {
-            data,
-            sensitive: sens,
-            published: pub_,
-            p,
-            trace: None,
-            attack: None,
-        })
+        default_registry().run(
+            &CheckInput {
+                data,
+                sensitive: sens,
+                published: pub_,
+                p,
+                trace: None,
+                attack: None,
+            },
+            &Recorder::disabled(),
+        )
     }
 
     #[test]
@@ -303,14 +312,17 @@ mod tests {
         let victim = pub_.groups[gi].members[0];
         pub_.groups[gi].members[0] = dup;
         let registry = Registry::new().register(ShardMerge);
-        let report = registry.run(&CheckInput {
-            data: &data,
-            sensitive: &sens,
-            published: &pub_,
-            p: 2,
-            trace: None,
-            attack: None,
-        });
+        let report = registry.run(
+            &CheckInput {
+                data: &data,
+                sensitive: &sens,
+                published: &pub_,
+                p: 2,
+                trace: None,
+                attack: None,
+            },
+            &Recorder::disabled(),
+        );
         assert!(!report.is_clean());
         let msgs: Vec<&str> = report
             .diagnostics
@@ -333,6 +345,78 @@ mod tests {
     }
 
     #[test]
+    fn shard_merge_pass_leaves_out_of_range_members_to_coverage() {
+        let (data, sens, mut pub_) = setup();
+        // Two groups point one member each at the same id past the data:
+        // the two rows they replaced are dropped, and the repeated dangling
+        // id is CAHD-C002's finding, not a duplicate that survived a merge.
+        let mut victims = Vec::new();
+        for g in pub_.groups.iter_mut().take(2) {
+            victims.push(g.members[0]);
+            g.members[0] = 99_999;
+        }
+        assert_eq!(victims.len(), 2);
+        let input = CheckInput {
+            data: &data,
+            sensitive: &sens,
+            published: &pub_,
+            p: 2,
+            trace: None,
+            attack: None,
+        };
+        let report = Registry::new()
+            .register(ShardMerge)
+            .run(&input, &Recorder::disabled());
+        let msgs: Vec<&str> = report
+            .diagnostics
+            .iter()
+            .map(|d| d.message.as_str())
+            .collect();
+        assert!(msgs.iter().all(|m| !m.contains("twice")), "{msgs:?}");
+        victims.sort_unstable();
+        let dropped: Vec<String> = victims
+            .iter()
+            .map(|v| format!("row {v} was dropped by the merge: no group references it"))
+            .collect();
+        assert_eq!(msgs, dropped);
+        let coverage = Registry::new()
+            .register(Coverage)
+            .run(&input, &Recorder::disabled());
+        let dangling = coverage
+            .diagnostics
+            .iter()
+            .filter(|d| d.code == "CAHD-C002")
+            .count();
+        assert_eq!(dangling, 2, "{}", coverage.render_human());
+    }
+
+    #[test]
+    fn registry_records_one_span_per_pass_under_check() {
+        let (data, sens, pub_) = setup();
+        let rec = Recorder::new();
+        let report = default_registry().run(
+            &CheckInput {
+                data: &data,
+                sensitive: &sens,
+                published: &pub_,
+                p: 2,
+                trace: None,
+                attack: None,
+            },
+            &rec,
+        );
+        let trace = rec.snapshot();
+        assert_eq!(trace.span("check").map(|s| s.count), Some(1));
+        for name in &report.passes_run {
+            let span = trace.span(&format!("check/{name}"));
+            assert_eq!(span.map(|s| s.count), Some(1), "check/{name}");
+        }
+        assert_eq!(trace.span_children("check").len(), 12);
+        assert_eq!(trace.orphan_spans(), Vec::<&str>::new());
+        assert_eq!(trace.consistency_findings(), Vec::<String>::new());
+    }
+
+    #[test]
     fn trace_pass_accepts_real_reports_and_flags_tampered_ones() {
         use cahd_core::pipeline::{Anonymizer, AnonymizerConfig};
         use cahd_core::shard::ParallelConfig;
@@ -345,14 +429,17 @@ mod tests {
         .anonymize_traced(&data, &sens, &rec)
         .unwrap();
         let trace = res.trace.expect("traced run yields a report");
-        let report = default_registry().run(&CheckInput {
-            data: &data,
-            sensitive: &sens,
-            published: &res.published,
-            p: 2,
-            trace: Some(&trace),
-            attack: None,
-        });
+        let report = default_registry().run(
+            &CheckInput {
+                data: &data,
+                sensitive: &sens,
+                published: &res.published,
+                p: 2,
+                trace: Some(&trace),
+                attack: None,
+            },
+            &Recorder::disabled(),
+        );
         assert!(report.is_clean(), "{}", report.render_human());
         assert!(report.passes_run.contains(&"trace-obs"));
 
@@ -364,14 +451,17 @@ mod tests {
             .find(|c| c.name == "core.pivots_scanned")
             .expect("traced run scanned pivots")
             .value += 1;
-        let report = Registry::new().register(TraceObs).run(&CheckInput {
-            data: &data,
-            sensitive: &sens,
-            published: &res.published,
-            p: 2,
-            trace: Some(&bad),
-            attack: None,
-        });
+        let report = Registry::new().register(TraceObs).run(
+            &CheckInput {
+                data: &data,
+                sensitive: &sens,
+                published: &res.published,
+                p: 2,
+                trace: Some(&bad),
+                attack: None,
+            },
+            &Recorder::disabled(),
+        );
         assert!(!report.is_clean());
         assert!(report
             .diagnostics
@@ -387,14 +477,17 @@ mod tests {
             .find(|c| c.name == "core.kernel_sparse_scores" || c.name == "core.kernel_dense_scores")
             .expect("traced run scored candidates through the kernel")
             .value += 3;
-        let report = Registry::new().register(TraceObs).run(&CheckInput {
-            data: &data,
-            sensitive: &sens,
-            published: &res.published,
-            p: 2,
-            trace: Some(&bad),
-            attack: None,
-        });
+        let report = Registry::new().register(TraceObs).run(
+            &CheckInput {
+                data: &data,
+                sensitive: &sens,
+                published: &res.published,
+                p: 2,
+                trace: Some(&bad),
+                attack: None,
+            },
+            &Recorder::disabled(),
+        );
         assert!(!report.is_clean());
         assert!(
             report
@@ -413,14 +506,17 @@ mod tests {
             .find(|c| c.name == "rcm.frontier_sequential")
             .expect("traced run recorded ordering frontiers")
             .value += 1;
-        let report = Registry::new().register(TraceObs).run(&CheckInput {
-            data: &data,
-            sensitive: &sens,
-            published: &res.published,
-            p: 2,
-            trace: Some(&bad),
-            attack: None,
-        });
+        let report = Registry::new().register(TraceObs).run(
+            &CheckInput {
+                data: &data,
+                sensitive: &sens,
+                published: &res.published,
+                p: 2,
+                trace: Some(&bad),
+                attack: None,
+            },
+            &Recorder::disabled(),
+        );
         assert!(!report.is_clean());
         assert!(
             report
@@ -452,14 +548,17 @@ mod tests {
         }
         let trace = rec.snapshot();
         let (data, sens, published) = setup();
-        Registry::new().register(TraceObs).run(&CheckInput {
-            data: &data,
-            sensitive: &sens,
-            published: &published,
-            p: 2,
-            trace: Some(&trace),
-            attack: None,
-        })
+        Registry::new().register(TraceObs).run(
+            &CheckInput {
+                data: &data,
+                sensitive: &sens,
+                published: &published,
+                p: 2,
+                trace: Some(&trace),
+                attack: None,
+            },
+            &Recorder::disabled(),
+        )
     }
 
     fn assert_o001_mentions(report: &CheckReport, needle: &str) {
@@ -542,7 +641,7 @@ mod tests {
             trace,
             attack: None,
         };
-        let report = default_registry().run(&input(Some(&trace)));
+        let report = default_registry().run(&input(Some(&trace)), &Recorder::disabled());
         assert!(report.is_clean(), "{}", report.render_human());
         assert!(report.passes_run.contains(&"recovery"));
 
@@ -553,7 +652,9 @@ mod tests {
             .find(|c| c.name == "core.quarantined_rows")
             .expect("quarantine was recorded")
             .value = 100;
-        let report = Registry::new().register(Recovery).run(&input(Some(&bad)));
+        let report = Registry::new()
+            .register(Recovery)
+            .run(&input(Some(&bad)), &Recorder::disabled());
         assert_eq!(report.diagnostics.len(), 2, "{}", report.render_human());
         assert!(report
             .diagnostics
@@ -563,7 +664,9 @@ mod tests {
         // A recovered shard outside a sharded run is a fabricated counter.
         let mut bad = trace.clone();
         bad.gauges.retain(|g| g.name != "core.shards");
-        let report = Registry::new().register(Recovery).run(&input(Some(&bad)));
+        let report = Registry::new()
+            .register(Recovery)
+            .run(&input(Some(&bad)), &Recorder::disabled());
         assert!(
             report
                 .diagnostics
@@ -580,11 +683,15 @@ mod tests {
             .find(|c| c.name == "core.recovered_shards")
             .expect("recovery was recorded")
             .value = 9;
-        let report = Registry::new().register(Recovery).run(&input(Some(&bad)));
+        let report = Registry::new()
+            .register(Recovery)
+            .run(&input(Some(&bad)), &Recorder::disabled());
         assert!(!report.is_clean(), "{}", report.render_human());
 
         // Without a trace the pass is a no-op.
-        let report = Registry::new().register(Recovery).run(&input(None));
+        let report = Registry::new()
+            .register(Recovery)
+            .run(&input(None), &Recorder::disabled());
         assert!(report.is_clean());
     }
 
@@ -632,19 +739,22 @@ mod tests {
             trace,
             attack: None,
         };
-        let report = default_registry().run(&input(Some(&trace)));
+        let report = default_registry().run(&input(Some(&trace)), &Recorder::disabled());
         assert!(report.is_clean(), "{}", report.render_human());
         assert!(report.passes_run.contains(&"memory-audit"));
 
         let o002 = |trace: &TraceReport| {
-            Registry::new().register(MemoryAudit).run(&CheckInput {
-                data: &data,
-                sensitive: &sens,
-                published: &res.published,
-                p: 2,
-                trace: Some(trace),
-                attack: None,
-            })
+            Registry::new().register(MemoryAudit).run(
+                &CheckInput {
+                    data: &data,
+                    sensitive: &sens,
+                    published: &res.published,
+                    p: 2,
+                    trace: Some(trace),
+                    attack: None,
+                },
+                &Recorder::disabled(),
+            )
         };
 
         // Structural tampering: freed more than was ever allocated.
@@ -705,7 +815,7 @@ mod tests {
         assert!(o002(&plain).is_clean());
         assert!(Registry::new()
             .register(MemoryAudit)
-            .run(&input(None))
+            .run(&input(None), &Recorder::disabled())
             .is_clean());
     }
 
@@ -713,14 +823,17 @@ mod tests {
     fn attack_pass_flags_leaky_release_and_accepts_clean_one() {
         let (data, sens, pub_) = setup();
         // Clean CAHD release: the replay stays within 1/2.
-        let report = Registry::new().register(AttackRegression).run(&CheckInput {
-            data: &data,
-            sensitive: &sens,
-            published: &pub_,
-            p: 2,
-            trace: None,
-            attack: None,
-        });
+        let report = Registry::new().register(AttackRegression).run(
+            &CheckInput {
+                data: &data,
+                sensitive: &sens,
+                published: &pub_,
+                p: 2,
+                trace: None,
+                attack: None,
+            },
+            &Recorder::disabled(),
+        );
         assert!(report.is_clean(), "{}", report.render_human());
 
         // A leaky regrouping: row 0 (which carries sensitive item 4) is
@@ -734,14 +847,17 @@ mod tests {
                 cahd_core::AnonymizedGroup::from_members(&data, &sens, &[1, 2, 3, 4, 5]),
             ],
         };
-        let report = Registry::new().register(AttackRegression).run(&CheckInput {
-            data: &data,
-            sensitive: &sens,
-            published: &leaky,
-            p: 2,
-            trace: None,
-            attack: None,
-        });
+        let report = Registry::new().register(AttackRegression).run(
+            &CheckInput {
+                data: &data,
+                sensitive: &sens,
+                published: &leaky,
+                p: 2,
+                trace: None,
+                attack: None,
+            },
+            &Recorder::disabled(),
+        );
         assert!(!report.is_clean(), "{}", report.render_human());
         assert!(report
             .diagnostics
@@ -754,14 +870,17 @@ mod tests {
             trials: 50,
             ..cahd_eval::AttackPlan::default()
         };
-        let report = Registry::new().register(AttackRegression).run(&CheckInput {
-            data: &data,
-            sensitive: &sens,
-            published: &leaky,
-            p: 2,
-            trace: None,
-            attack: Some(&plan),
-        });
+        let report = Registry::new().register(AttackRegression).run(
+            &CheckInput {
+                data: &data,
+                sensitive: &sens,
+                published: &leaky,
+                p: 2,
+                trace: None,
+                attack: Some(&plan),
+            },
+            &Recorder::disabled(),
+        );
         assert!(!report.is_clean(), "{}", report.render_human());
     }
 
@@ -770,14 +889,17 @@ mod tests {
         let (data, sens, mut pub_) = setup();
         pub_.groups[0].qid_rows[0] = vec![3];
         let registry = Registry::new().register(PrivacyDegree);
-        let report = registry.run(&CheckInput {
-            data: &data,
-            sensitive: &sens,
-            published: &pub_,
-            p: 2,
-            trace: None,
-            attack: None,
-        });
+        let report = registry.run(
+            &CheckInput {
+                data: &data,
+                sensitive: &sens,
+                published: &pub_,
+                p: 2,
+                trace: None,
+                attack: None,
+            },
+            &Recorder::disabled(),
+        );
         // The QID tampering is invisible to the privacy pass.
         assert!(report.is_clean());
         assert_eq!(report.passes_run, vec!["privacy-degree"]);

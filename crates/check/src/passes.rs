@@ -1,8 +1,7 @@
 //! The built-in analysis passes and their diagnostic codes.
 
-use cahd_core::refine::intra_group_overlap;
+use cahd_core::refine::OverlapCounter;
 use cahd_core::verify::{verify_all, VerificationError};
-use cahd_core::AnonymizedGroup;
 use cahd_eval::{
     posterior_violations, run_attack_suite, unique_match_violations, AttackPlan, AttackTarget,
 };
@@ -286,7 +285,9 @@ impl Pass for PrivacyDegree {
 ///
 /// Deliberately *not* built on the core verifier: the sharded pipeline's
 /// own invariants use that code path, so this pass re-derives coverage
-/// from a plain sorted scan over all member references.
+/// from a plain sorted scan over all member references. References past
+/// the data (`>= n`) are left to `CAHD-C002`: they are neither duplicates
+/// nor drops here.
 pub struct ShardMerge;
 
 impl Pass for ShardMerge {
@@ -310,7 +311,9 @@ impl Pass for ShardMerge {
         }
         refs.sort_unstable();
         for pair in refs.windows(2) {
-            if pair[0].0 == pair[1].0 {
+            // A reference past the data is Coverage's CAHD-C002, however
+            // often it repeats.
+            if pair[0].0 == pair[1].0 && (pair[0].0 as usize) < n {
                 out.push(
                     Diagnostic::error(
                         "CAHD-P002",
@@ -351,7 +354,14 @@ impl Pass for ShardMerge {
 /// objective CAHD maximizes via the RCM band ordering) should not fall
 /// below what naive sequential chunking of the *original* order achieves.
 /// A regression signals the band ordering was ignored or scrambled.
-/// Both totals come from [`intra_group_overlap`], linear in release nnz.
+///
+/// Both totals come from one [`OverlapCounter`]: the release's groups,
+/// then each `p`-row chunk of the data read straight from its
+/// transactions with the sensitive items skipped (no baseline release is
+/// built). The counter tallies item ids below `min(data.n_items(),
+/// release nonzeros)` in place and counts any id past that cap by
+/// sorting, so the pass is linear in the nonzeros and nothing is sized by
+/// an id value or by the release's own `n_items`.
 pub struct BandQuality;
 
 impl Pass for BandQuality {
@@ -375,20 +385,19 @@ impl Pass for BandQuality {
         if n == 0 || input.published.n_transactions() != n {
             return; // Coverage reports cardinality problems
         }
-        let achieved = intra_group_overlap(input.published);
+        let mut counter = OverlapCounter::for_release(input.published, input.data.n_items());
+        let achieved = counter.release(input.published);
         // Baseline: chunk the original order into groups of p. This ignores
         // privacy entirely — it is only an overlap yardstick.
-        let members: Vec<u32> = (0..n as u32).collect();
-        let baseline_groups: Vec<AnonymizedGroup> = members
-            .chunks(input.p)
-            .map(|chunk| AnonymizedGroup::from_members(input.data, input.sensitive, chunk))
-            .collect();
-        let baseline_release = cahd_core::PublishedDataset {
-            n_items: input.data.n_items(),
-            sensitive_items: input.sensitive.items().to_vec(),
-            groups: baseline_groups,
-        };
-        let baseline = intra_group_overlap(&baseline_release);
+        let sensitive = input.sensitive;
+        let mut baseline = 0u64;
+        for start in (0..n).step_by(input.p) {
+            for t in start..(start + input.p).min(n) {
+                let txn = input.data.transaction(t).iter().copied();
+                counter.add_row(txn.filter(|&i| !sensitive.contains(i)));
+            }
+            baseline += counter.finish_group();
+        }
         if achieved < baseline {
             out.push(Diagnostic::warning(
                 "CAHD-B001",

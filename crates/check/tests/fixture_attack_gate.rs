@@ -49,14 +49,17 @@ fn attack_gate(
     sens: &SensitiveSet,
     release: &PublishedDataset,
 ) -> cahd_check::CheckReport {
-    Registry::new().register(AttackRegression).run(&CheckInput {
-        data,
-        sensitive: sens,
-        published: release,
-        p: DEMO_P,
-        trace: None,
-        attack: None,
-    })
+    Registry::new().register(AttackRegression).run(
+        &CheckInput {
+            data,
+            sensitive: sens,
+            published: release,
+            p: DEMO_P,
+            trace: None,
+            attack: None,
+        },
+        &cahd_obs::Recorder::disabled(),
+    )
 }
 
 /// Dissolves the first sensitive-bearing group of the clean demo release

@@ -42,14 +42,17 @@ fn check(
 ) -> (CheckReport, u64) {
     memtrack::reset_peak();
     let live = memtrack::stats().live_bytes;
-    let report = default_registry().run(&CheckInput {
-        data,
-        sensitive: sens,
-        published: release,
-        p: DEMO_P,
-        trace: None,
-        attack: None,
-    });
+    let report = default_registry().run(
+        &CheckInput {
+            data,
+            sensitive: sens,
+            published: release,
+            p: DEMO_P,
+            trace: None,
+            attack: None,
+        },
+        &cahd_obs::Recorder::disabled(),
+    );
     (report, memtrack::stats().peak_bytes - live)
 }
 

@@ -503,13 +503,19 @@ fn anonymize_weighted_cmd(args: &Args, p: usize, seed: u64) -> Result<String, Cl
             ));
         }
     }
-    let data = cahd_data::weighted::read_wdat_file(path, None)?;
-    let binary = data.to_binary();
+    // Traced from ingest (`.wdat` → counts → binary view) to the written
+    // release, like the batch `cahd` path.
+    let rec = recorder_from_args(args);
+    let (data, binary) = {
+        let _s = rec.span("ingest");
+        let data = cahd_data::weighted::read_wdat_file(path, None)?;
+        let binary = data.to_binary();
+        (data, binary)
+    };
     let sensitive = sensitive_from_args(args, &binary, p, seed)?;
     let cfg = CahdConfig::new(p)
         .with_alpha(args.parse_or("alpha", 3usize)?)
         .with_kernel(kernel_from_args(args)?);
-    let rec = recorder_from_args(args);
     let (mut release, _) =
         anonymize_weighted_traced(&data, &sensitive, &cfg, WeightedSimilarity::MinCount, &rec)?;
     verify_weighted(&data, &sensitive, &release, p)
@@ -522,6 +528,7 @@ fn anonymize_weighted_cmd(args: &Args, p: usize, seed: u64) -> Result<String, Cl
     }
     let mut out = format!("method cahd (weighted), p {p}: {n_groups} groups, verified\n");
     if let Some(path) = args.value("out") {
+        let _s = rec.span("serialize");
         write_json(path, &release)?;
         out.push_str(&format!("weighted release written to {path}\n"));
     }
@@ -899,17 +906,24 @@ pub const CHECK_FLAGS: &[FlagSpec] = &[
         takes_value: true,
     },
     FlagSpec {
+        name: "trace-json",
+        takes_value: true,
+    },
+    FlagSpec {
         name: "seed",
         takes_value: true,
     },
 ];
 
-/// `check <data.dat> <release.json> --p P [--json] [--trace trace.json]`:
-/// run the full `cahd-check` pass registry and report every diagnostic
-/// (the fail-fast alternative is `verify`). With `--trace` the
-/// observability report emitted by `anonymize --trace-json` is audited by
-/// the `CAHD-O001` pass as well. Error-severity findings make the command
-/// fail after the report is printed.
+/// `check <data.dat> <release.json> --p P [--json] [--trace trace.json]
+/// [--trace-json out.json]`: run the full `cahd-check` pass registry and
+/// report every diagnostic (the fail-fast alternative is `verify`). With
+/// `--trace` the observability report emitted by `anonymize --trace-json`
+/// is audited by the `CAHD-O001` pass as well. `--trace-json` writes the
+/// check's own report: a root `check` span with one `check/<pass>` child
+/// per pass (written before the verdict, so a failing check leaves it
+/// too). Error-severity findings make the command fail after the report
+/// is printed.
 pub fn check(args: &Args) -> Result<String, CliError> {
     let data = load(args.positional(0, "data.dat")?)?;
     let release = load_release(args.positional(1, "release.json")?)?;
@@ -933,19 +947,34 @@ pub fn check(args: &Args) -> Result<String, CliError> {
         seed: resolve_seed(args)?,
         ..AttackPlan::default()
     };
-    let report = cahd_check::default_registry().run(&cahd_check::CheckInput {
-        data: &data,
-        sensitive: &sensitive,
-        published: &release,
-        p,
-        trace: trace.as_ref(),
-        attack: Some(&plan),
-    });
-    let out = if args.has("json") {
+    let rec = if args.value("trace-json").is_some() {
+        Recorder::new()
+    } else {
+        Recorder::disabled()
+    };
+    let report = cahd_check::default_registry().run(
+        &cahd_check::CheckInput {
+            data: &data,
+            sensitive: &sensitive,
+            published: &release,
+            p,
+            trace: trace.as_ref(),
+            attack: Some(&plan),
+        },
+        &rec,
+    );
+    let mut out = if args.has("json") {
         format!("{}\n", serde_json::to_string(&report)?)
     } else {
         report.render_human()
     };
+    if let Some(path) = args.value("trace-json") {
+        std::fs::write(path, serde_json::to_string_pretty(&rec.snapshot())?)?;
+        // `--json` keeps stdout one JSON object.
+        if !args.has("json") {
+            out.push_str(&format!("trace written to {path}\n"));
+        }
+    }
     if report.is_clean() {
         Ok(out)
     } else {
@@ -1365,14 +1394,17 @@ pub fn profile(args: &Args) -> Result<String, CliError> {
     let audit = cahd_check::Registry::new()
         .register(cahd_check::TraceObs)
         .register(cahd_check::MemoryAudit)
-        .run(&cahd_check::CheckInput {
-            data: &data,
-            sensitive: &sensitive,
-            published: &res.published,
-            p,
-            trace: Some(&trace),
-            attack: None,
-        });
+        .run(
+            &cahd_check::CheckInput {
+                data: &data,
+                sensitive: &sensitive,
+                published: &res.published,
+                p,
+                trace: Some(&trace),
+                attack: None,
+            },
+            &Recorder::disabled(),
+        );
     if !audit.is_clean() {
         return Err(CliError::Run(format!(
             "internal error: trace report failed its own CAHD-O001/O002 audit:\n{}",

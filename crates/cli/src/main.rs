@@ -44,6 +44,7 @@ usage:
   cahd-cli verify    <data.dat> <release.json> --p P
   cahd-cli check     <data.dat> <release.json> --p P [--json] [--seed N]
                      [--trace trace.json]  (audit a --trace-json report too)
+                     [--trace-json out.json]  (per-pass check spans)
                      (all diagnostics in one run, including the CAHD-A001
                      attack replay; see docs/CHECKS.md)
   cahd-cli lint      [--json] [--root DIR]

@@ -1,8 +1,10 @@
-//! The `anonymize --trace-json` span tree of the batch `cahd` and
-//! `--stream-batch` paths, from the real binary: the trace covers the
-//! whole run from the `.dat` input (`ingest`) through `pipeline` (and, when
-//! streaming, the chunk `merge`) to the written release (`serialize`),
-//! every span is rooted, and `check --trace` audits it clean.
+//! The `anonymize --trace-json` span tree of the batch `cahd`,
+//! `--stream-batch` and `--weighted` paths, from the real binary: the
+//! trace covers the whole run from the input (`ingest`) through `pipeline`
+//! (and, when streaming, the chunk `merge`) to the written release
+//! (`serialize`), every span is rooted, and `check --trace` audits it
+//! clean. `check --trace-json` writes one `check/<pass>` span per default
+//! pass under a root `check` span, and that trace audits clean too.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -135,6 +137,103 @@ fn stream_trace_spans_ingest_merge_and_serialize() {
     assert_eq!(trace.consistency_findings(), Vec::<String>::new());
     assert_check_passes(&data, &release, &trace_f);
     for f in [release, trace_f] {
+        let _ = std::fs::remove_file(f);
+    }
+}
+
+#[test]
+fn check_trace_spans_every_pass_and_audits_clean() {
+    let data = fixture("demo.dat");
+    let release = fixture("demo_release.json");
+    let trace_f = tmp("check_trace.json");
+    let run = cahd_cli(&[
+        "check",
+        path_str(&data),
+        path_str(&release),
+        "--p",
+        "4",
+        "--trace-json",
+        path_str(&trace_f),
+    ]);
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    assert_eq!(run.status.code(), Some(0), "{stdout}");
+    assert!(stdout.contains("trace written to"), "{stdout}");
+    let trace: TraceReport =
+        serde_json::from_str(&std::fs::read_to_string(&trace_f).unwrap()).unwrap();
+    assert_eq!(trace.span("check").map(|s| s.count), Some(1));
+    let registry = cahd_check::default_registry();
+    for pass in registry.passes() {
+        let path = format!("check/{}", pass.name());
+        assert_eq!(trace.span(&path).map(|s| s.count), Some(1), "{path}");
+    }
+    assert_eq!(trace.span_children("check").len(), registry.passes().len());
+    assert_eq!(trace.orphan_spans(), Vec::<&str>::new());
+    assert_eq!(trace.consistency_findings(), Vec::<String>::new());
+    // `--json` keeps stdout one JSON object while still writing the trace.
+    let json = cahd_cli(&[
+        "check",
+        path_str(&data),
+        path_str(&release),
+        "--p",
+        "4",
+        "--json",
+        "--trace-json",
+        path_str(&trace_f),
+    ]);
+    let out = String::from_utf8_lossy(&json.stdout);
+    assert_eq!(json.status.code(), Some(0), "{out}");
+    assert_eq!(out.lines().count(), 1, "{out}");
+    assert!(out.starts_with('{'), "{out}");
+    // The check's own trace passes the trace audit.
+    assert_check_passes(&data, &release, &trace_f);
+    let _ = std::fs::remove_file(trace_f);
+}
+
+#[test]
+fn weighted_trace_spans_ingest_to_serialize() {
+    let wdat = tmp("weighted.wdat");
+    let release = tmp("weighted_release.json");
+    let trace_f = tmp("weighted_trace.json");
+    // Items 0..3 QID-ish with counts, item 3 sensitive in every 12th row.
+    let mut lines = String::new();
+    for i in 0..60 {
+        let sens = if i % 12 == 0 { " 3:1" } else { "" };
+        lines.push_str(&format!("{}:2 2:1{sens}\n", i % 2));
+    }
+    std::fs::write(&wdat, lines).unwrap();
+    let run = cahd_cli(&[
+        "anonymize",
+        path_str(&wdat),
+        "--weighted",
+        "--p",
+        "4",
+        "--sensitive",
+        "3",
+        "--memory",
+        "--out",
+        path_str(&release),
+        "--trace-json",
+        path_str(&trace_f),
+    ]);
+    assert!(
+        run.status.success(),
+        "{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    let trace: TraceReport =
+        serde_json::from_str(&std::fs::read_to_string(&trace_f).unwrap()).unwrap();
+    for root in ["ingest", "pipeline", "serialize"] {
+        let span = trace.span(root).unwrap_or_else(|| panic!("no {root} span"));
+        assert_eq!(span.count, 1, "{root}");
+    }
+    let mem = trace.memory.as_ref().expect("memory section present");
+    for root in ["ingest", "pipeline", "serialize"] {
+        assert!(mem.span(root).is_some(), "no {root} memory window");
+    }
+    assert_eq!(trace.orphan_spans(), Vec::<&str>::new());
+    assert_eq!(trace.consistency_findings(), Vec::<String>::new());
+    assert_eq!(mem.consistency_findings(), Vec::<String>::new());
+    for f in [wdat, release, trace_f] {
         let _ = std::fs::remove_file(f);
     }
 }

@@ -67,7 +67,7 @@ pub use group::{AnonymizedGroup, PublishedDataset};
 pub use kernel::{KernelMode, KernelStats, MinCountScorer, QidOverlapScorer, SimilarityKernel};
 pub use pipeline::{Anonymizer, AnonymizerConfig, PipelineResult, RobustResult};
 pub use recovery::{FaultPlan, InputPolicy, RecoveryConfig, ShardFault};
-pub use refine::{intra_group_overlap, refine_groups, RefineStats};
+pub use refine::{intra_group_overlap, refine_groups, OverlapCounter, RefineStats};
 pub use shard::{
     cahd_sharded, cahd_sharded_recovering, cahd_sharded_traced, ParallelConfig, ShardedStats,
 };

@@ -36,36 +36,133 @@ pub struct RefineStats {
 ///
 /// Computed without visiting pairs: Σ over row pairs of `|a ∩ b|` equals
 /// Σ over items of `C(c, 2)`, where `c` counts the group's rows holding
-/// the item. Each group's rows are concatenated, sorted, and counted in
-/// runs, so the cost is O(nnz log nnz) in the release's nonzeros and no
-/// buffer is sized by an item-id value. Rows are read as sets (a repeated
-/// item counts once), which agrees with the pairwise merge on every
-/// sorted, duplicate-free row — every release `CAHD-Q001` accepts.
+/// the item. An [`OverlapCounter`] with at most one tally slot per
+/// release nonzero does the counting, so the cost is linear in the release's
+/// nonzeros and no buffer is sized by an item-id value. Rows are read as
+/// sets (a repeated item counts once), which agrees with the pairwise
+/// merge on every sorted, duplicate-free row — every release `CAHD-Q001`
+/// accepts.
 pub fn intra_group_overlap(published: &PublishedDataset) -> u64 {
-    let mut items: Vec<ItemId> = Vec::new();
-    let mut total = 0u64;
-    for g in &published.groups {
-        items.clear();
-        for row in &g.qid_rows {
-            if row.windows(2).all(|w| w[0] < w[1]) {
-                items.extend_from_slice(row);
-            } else {
-                let mut set = row.clone();
-                set.sort_unstable();
-                set.dedup();
-                items.extend_from_slice(&set);
-            }
+    // No data universe here: the nonzero count alone caps the tally.
+    OverlapCounter::for_release(published, usize::MAX).release(published)
+}
+
+/// Counts Σ over items of `C(c, 2)` per group, `c` being the number of the
+/// group's rows that hold the item: the intra-group overlap of
+/// [`intra_group_overlap`].
+///
+/// Items below the counter's cap are tallied in one reused slot array
+/// (each new holder of an item adds the holders before it, and a touched
+/// list resets the slots when the group closes); items at or past the cap
+/// are collected and counted by sorting. The cap is the release's nonzero
+/// count, lowered to the data's item universe when the caller has one, so
+/// the tally is never sized by an id or by an `n_items` read from a
+/// release.
+#[derive(Debug, Default)]
+pub struct OverlapCounter {
+    /// Rows of the current group holding each item below the cap.
+    counts: Vec<u32>,
+    /// Items below the cap the current group has touched.
+    touched: Vec<ItemId>,
+    /// The current group's items at or past the cap, one per holding row.
+    wide: Vec<ItemId>,
+    /// Scratch for a row that is not strictly ascending.
+    set: Vec<ItemId>,
+    /// Σ `C(c, 2)` over the current group's tallied items so far.
+    pairs: u64,
+}
+
+impl OverlapCounter {
+    /// A counter for `published` (and rows of the same data): it tallies
+    /// items below `min(n_items, release nonzeros)` in place.
+    pub fn for_release(published: &PublishedDataset, n_items: usize) -> Self {
+        let nnz: usize = published
+            .groups
+            .iter()
+            .flat_map(|g| &g.qid_rows)
+            .map(Vec::len)
+            .sum();
+        OverlapCounter {
+            counts: vec![0; nnz.min(n_items)],
+            ..OverlapCounter::default()
         }
-        items.sort_unstable();
-        total += items
+    }
+
+    /// Adds one row of the current group, read as a set: a strictly
+    /// ascending row is tallied as it comes, any other is sorted and
+    /// deduplicated in a reused buffer first.
+    pub fn add_row<I>(&mut self, row: I)
+    where
+        I: Iterator<Item = ItemId> + Clone,
+    {
+        let mut prev: Option<ItemId> = None;
+        let ascending = row.clone().all(|i| {
+            let ok = prev.is_none_or(|p| p < i);
+            prev = Some(i);
+            ok
+        });
+        if ascending {
+            for item in row {
+                self.tally(item);
+            }
+        } else {
+            let mut set = std::mem::take(&mut self.set);
+            set.clear();
+            set.extend(row);
+            set.sort_unstable();
+            set.dedup();
+            for &item in &set {
+                self.tally(item);
+            }
+            self.set = set;
+        }
+    }
+
+    #[inline]
+    fn tally(&mut self, item: ItemId) {
+        match self.counts.get_mut(item as usize) {
+            Some(c) => {
+                if *c == 0 {
+                    self.touched.push(item);
+                }
+                self.pairs += u64::from(*c);
+                *c += 1;
+            }
+            None => self.wide.push(item),
+        }
+    }
+
+    /// Closes the current group: returns its Σ `C(c, 2)` and resets the
+    /// counter for the next group.
+    pub fn finish_group(&mut self) -> u64 {
+        for &item in &self.touched {
+            self.counts[item as usize] = 0;
+        }
+        self.touched.clear();
+        self.wide.sort_unstable();
+        let wide: u64 = self
+            .wide
             .chunk_by(|a, b| a == b)
             .map(|run| {
                 let c = run.len() as u64;
                 c * (c - 1) / 2
             })
-            .sum::<u64>();
+            .sum();
+        self.wide.clear();
+        std::mem::take(&mut self.pairs) + wide
     }
-    total
+
+    /// The intra-group overlap of every group of `published`.
+    pub fn release(&mut self, published: &PublishedDataset) -> u64 {
+        let mut total = 0;
+        for g in &published.groups {
+            for row in &g.qid_rows {
+                self.add_row(row.iter().copied());
+            }
+            total += self.finish_group();
+        }
+        total
+    }
 }
 
 fn overlap(a: &[ItemId], b: &[ItemId]) -> u64 {

@@ -12,7 +12,7 @@
 
 use std::fmt;
 
-use cahd_data::{SensitiveSet, TransactionSet};
+use cahd_data::{ItemId, SensitiveSet, TransactionSet};
 
 use crate::group::PublishedDataset;
 
@@ -112,6 +112,13 @@ impl std::error::Error for VerificationError {}
 /// Verifies `published` against the original `data`, the sensitive set and
 /// a required privacy degree `p`, collecting **every** violation instead of
 /// stopping at the first. An empty vector means the release is valid.
+///
+/// One pass over the members: each transaction is compared with its
+/// published QID row in place (sensitive items skipped) while its
+/// sensitive ranks are tallied into one reused `m`-slot buffer. Nothing
+/// is allocated per member or per group, and nothing is sized by the item
+/// universe or by a value read from the release: only the `n`-slot
+/// coverage tally and the `m`-slot rank tally.
 pub fn verify_all(
     data: &TransactionSet,
     sensitive: &SensitiveSet,
@@ -132,11 +139,11 @@ pub fn verify_all(
 
     // Coverage: every original transaction in exactly one group, and no
     // group referencing a transaction outside the data.
-    let mut seen = vec![0usize; n];
+    let mut seen = vec![0u32; n];
     for (gi, g) in published.groups.iter().enumerate() {
         for &mt in &g.members {
             if (mt as usize) < n {
-                seen[mt as usize] += 1;
+                seen[mt as usize] = seen[mt as usize].saturating_add(1);
             } else {
                 errors.push(VerificationError::MemberOutOfRange {
                     group: gi,
@@ -150,41 +157,38 @@ pub fn verify_all(
         if c != 1 {
             errors.push(VerificationError::Coverage {
                 transaction: t,
-                times_seen: c,
+                times_seen: c as usize,
             });
         }
     }
 
+    let mut counts: Vec<u32> = vec![0; sensitive.len()];
     for (gi, g) in published.groups.iter().enumerate() {
         // QID rows and sensitive counts must match the members.
         // Out-of-range members were already reported above; skipping them
         // here keeps the remaining checks well-defined.
-        let mut counts: Vec<u32> = vec![0; sensitive.len()];
+        counts.fill(0);
         let mut summary_defined = true;
         for (k, &mt) in g.members.iter().enumerate() {
             if (mt as usize) >= n {
                 summary_defined = false;
                 continue;
             }
-            let (qid, sens_ranks) = sensitive.split_transaction(data.transaction(mt as usize));
-            if g.qid_rows.get(k) != Some(&qid) {
+            let row = g.qid_rows.get(k).map(Vec::as_slice);
+            if !tally_member(data.transaction(mt as usize), sensitive, row, &mut counts) {
                 errors.push(VerificationError::QidMismatch {
                     group: gi,
                     member: k,
                 });
             }
-            for r in sens_ranks {
-                counts[r] += 1;
-            }
         }
         if summary_defined {
-            let expected: Vec<(u32, u32)> = counts
+            let expected = counts
                 .iter()
                 .enumerate()
                 .filter(|&(_, &c)| c > 0)
-                .map(|(r, &c)| (sensitive.items()[r], c))
-                .collect();
-            if expected != g.sensitive_counts {
+                .map(|(r, &c)| (sensitive.items()[r], c));
+            if !expected.eq(g.sensitive_counts.iter().copied()) {
                 errors.push(VerificationError::SensitiveCountMismatch { group: gi });
             }
         }
@@ -198,6 +202,31 @@ pub fn verify_all(
         }
     }
     errors
+}
+
+/// Adds the sensitive ranks of `txn` to `counts` and reports whether
+/// `row` is exactly its QID items in order (`None`: no published row).
+/// The whole transaction is always read, so the tally is complete even
+/// when the row mismatches early.
+fn tally_member(
+    txn: &[ItemId],
+    sensitive: &SensitiveSet,
+    row: Option<&[ItemId]>,
+    counts: &mut [u32],
+) -> bool {
+    let mut matches = row.is_some();
+    let row = row.unwrap_or(&[]);
+    let mut j = 0;
+    for &item in txn {
+        match sensitive.index_of(item) {
+            Some(rank) => counts[rank] += 1,
+            None => {
+                matches &= row.get(j) == Some(&item);
+                j += 1;
+            }
+        }
+    }
+    matches && j == row.len()
 }
 
 /// Fail-fast wrapper over [`verify_all`]: returns the first violation.

@@ -171,14 +171,17 @@ fn corrupt_row_injection_quarantines_exactly_the_planned_rows() {
                 "quarantined rows are still published"
             );
             // The full registry — recovery accounting included — is clean.
-            let report = default_registry().run(&CheckInput {
-                data: &robust.data,
-                sensitive: &sens,
-                published: &robust.result.published,
-                p: P,
-                trace: Some(trace),
-                attack: None,
-            });
+            let report = default_registry().run(
+                &CheckInput {
+                    data: &robust.data,
+                    sensitive: &sens,
+                    published: &robust.result.published,
+                    p: P,
+                    trace: Some(trace),
+                    attack: None,
+                },
+                &cahd_obs::Recorder::disabled(),
+            );
             assert!(
                 report.is_clean(),
                 "shards={shards} threads={threads}:\n{}",
@@ -214,14 +217,17 @@ fn combined_faults_still_produce_a_clean_auditable_release() {
         let trace = robust.result.trace.as_ref().unwrap();
         assert_eq!(trace.counter("core.recovered_shards"), Some(2));
         assert_eq!(trace.counter("core.quarantined_rows"), Some(1));
-        let report = default_registry().run(&CheckInput {
-            data: &robust.data,
-            sensitive: &sens,
-            published: &robust.result.published,
-            p: P,
-            trace: Some(trace),
-            attack: None,
-        });
+        let report = default_registry().run(
+            &CheckInput {
+                data: &robust.data,
+                sensitive: &sens,
+                published: &robust.result.published,
+                p: P,
+                trace: Some(trace),
+                attack: None,
+            },
+            &cahd_obs::Recorder::disabled(),
+        );
         assert!(
             report.is_clean(),
             "threads={threads}:\n{}",

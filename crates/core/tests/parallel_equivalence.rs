@@ -98,7 +98,7 @@ proptest! {
             p: cfg.p,
             trace: None,
             attack: None,
-        });
+        }, &cahd_obs::Recorder::disabled());
         prop_assert!(
             report.is_clean(),
             "shards={}:\n{}",

@@ -232,7 +232,7 @@ proptest! {
                     p,
                     trace: None,
                     attack: None,
-                });
+                }, &cahd_obs::Recorder::disabled());
                 prop_assert!(report.is_clean(), "{}:\n{}", $what, report.render_human());
             }};
         }

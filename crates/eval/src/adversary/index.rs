@@ -139,6 +139,8 @@ pub struct TargetIndex<'a> {
     published: bool,
     /// QID rows in publication order (transaction order for raw data).
     rows: Vec<&'a [ItemId]>,
+    /// [`row_key`] of every row: equal rows have equal keys.
+    row_keys: Vec<u64>,
     /// The group of each row; non-decreasing in the row id.
     row_group: Vec<u32>,
     /// Rows per group, `|G|`.
@@ -206,6 +208,7 @@ impl<'a> TargetIndex<'a> {
                 }
             }
         }
+        let row_keys = rows.iter().map(|row| row_key(row)).collect();
         let n_items = population.data().n_items();
         let (postings_start, postings) = item_postings(&rows, n_items);
         let weight: Vec<f64> = postings_start
@@ -228,6 +231,7 @@ impl<'a> TargetIndex<'a> {
             population,
             published: published.is_some(),
             rows,
+            row_keys,
             row_group,
             group_size,
             claim_posterior,
@@ -258,6 +262,12 @@ impl<'a> TargetIndex<'a> {
     /// QID row `r` as published.
     pub fn row(&self, r: usize) -> &'a [ItemId] {
         self.rows[r]
+    }
+
+    /// The 64-bit FNV-1a [`row_key`] of row `r`: equal rows share it, so
+    /// rows with different keys differ.
+    pub(crate) fn row_key(&self, r: usize) -> u64 {
+        self.row_keys[r]
     }
 
     /// The group owning row `r`.
@@ -328,6 +338,18 @@ impl<'a> TargetIndex<'a> {
             }
         }
     }
+}
+
+/// 64-bit FNV-1a over the little-endian bytes of `row`'s items, in
+/// published order.
+pub(crate) fn row_key(row: &[ItemId]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &item in row {
+        for byte in item.to_le_bytes() {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
 }
 
 /// Item → row postings over `rows`, as `(offsets, row ids)`: each list

@@ -84,11 +84,23 @@ impl IntersectionReport {
 }
 
 /// Per-release candidate evidence for one trial: the distinct matching
-/// QID contents (sorted) and the averaged per-sensitive-item posterior
-/// vector.
+/// QID contents with their row keys (ordered by key, not by content) and
+/// the averaged per-sensitive-item posterior vector.
 struct Evidence<'a> {
-    contents: Vec<&'a [ItemId]>,
+    contents: Vec<(u64, &'a [ItemId])>,
     posterior: Vec<f64>,
+}
+
+impl Evidence<'_> {
+    /// Whether `row` (with key `key`) is one of the contents: a binary
+    /// search on the key, then slices compared within the equal-key run.
+    fn contains(&self, key: u64, row: &[ItemId]) -> bool {
+        let from = self.contents.partition_point(|&(k, _)| k < key);
+        self.contents[from..]
+            .iter()
+            .take_while(|&&(k, _)| k == key)
+            .any(|&(_, c)| c == row)
+    }
 }
 
 fn evidence<'a>(
@@ -96,17 +108,16 @@ fn evidence<'a>(
     known: &[ItemId],
     n_sensitive: usize,
     candidates: &mut Vec<u32>,
+    keyed: &mut Vec<(u64, u32)>,
 ) -> Option<Evidence<'a>> {
     release.candidates(known, candidates);
     if candidates.is_empty() {
         return None;
     }
-    let mut contents: Vec<&[ItemId]> = candidates
-        .iter()
-        .map(|&r| release.row(r as usize))
-        .collect();
-    contents.sort_unstable();
-    contents.dedup();
+    keyed.clear();
+    keyed.extend(candidates.iter().map(|&r| (release.row_key(r as usize), r)));
+    keyed.sort_unstable();
+    let contents = distinct_contents(keyed, |r| release.row(r as usize));
     let mut posterior = vec![0.0f64; n_sensitive];
     release.add_group_posteriors(candidates, &mut posterior);
     for p in &mut posterior {
@@ -116,6 +127,27 @@ fn evidence<'a>(
         contents,
         posterior,
     })
+}
+
+/// The distinct contents of `keyed` (`(row key, row id)` pairs sorted by
+/// key): a row is kept unless an equal slice was already kept under its
+/// key, so slices are compared only when keys are equal.
+fn distinct_contents<'a>(
+    keyed: &[(u64, u32)],
+    row: impl Fn(u32) -> &'a [ItemId],
+) -> Vec<(u64, &'a [ItemId])> {
+    let mut contents: Vec<(u64, &[ItemId])> = Vec::with_capacity(keyed.len());
+    let mut run = 0;
+    for &(key, r) in keyed {
+        if contents.last().is_none_or(|&(k, _)| k != key) {
+            run = contents.len();
+        }
+        let row = row(r);
+        if !contents[run..].iter().any(|&(_, c)| c == row) {
+            contents.push((key, row));
+        }
+    }
+    contents
 }
 
 /// Runs the composition attack over the indexed `releases` at knowledge
@@ -144,6 +176,7 @@ pub fn intersection_report(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut known: Vec<ItemId> = Vec::with_capacity(k);
     let mut candidates: Vec<u32> = Vec::new();
+    let mut keyed: Vec<(u64, u32)> = Vec::new();
     let mut composed_trials = 0usize;
     let mut narrowed_trials = 0usize;
     let mut unique = 0usize;
@@ -157,7 +190,7 @@ pub fn intersection_report(
 
         let mut per_release = Vec::with_capacity(releases.len());
         for release in releases {
-            match evidence(release, &known, n_sensitive, &mut candidates) {
+            match evidence(release, &known, n_sensitive, &mut candidates, &mut keyed) {
                 Some(e) => per_release.push(e),
                 None => {
                     per_release.clear();
@@ -180,7 +213,7 @@ pub fn intersection_report(
             .unwrap_or(0);
         let mut intersected = per_release[0].contents.clone();
         for e in &per_release[1..] {
-            intersected.retain(|c| e.contents.binary_search(c).is_ok());
+            intersected.retain(|&(key, c)| e.contains(key, c));
         }
         if intersected.len() < min_contents {
             narrowed_trials += 1;
@@ -308,6 +341,27 @@ mod tests {
         // so some trials must fail to compose.
         assert!(report.composed_trials < report.trials, "{report:?}");
         assert!(report.composed_trials > 0, "{report:?}");
+    }
+
+    #[test]
+    fn rows_sharing_a_key_are_told_apart_by_content() {
+        // Keys forged to collide: rows 0 and 2 are equal, row 1 differs.
+        let rows: [&[ItemId]; 4] = [&[1, 2], &[3], &[1, 2], &[4]];
+        let keyed = [(7, 0), (7, 1), (7, 2), (9, 3)];
+        let contents = distinct_contents(&keyed, |r| rows[r as usize]);
+        assert_eq!(
+            contents,
+            vec![(7, &[1, 2][..]), (7, &[3][..]), (9, &[4][..])]
+        );
+        let e = Evidence {
+            contents,
+            posterior: Vec::new(),
+        };
+        assert!(e.contains(7, &[3]));
+        assert!(e.contains(7, &[1, 2]));
+        assert!(!e.contains(7, &[4]));
+        assert!(e.contains(9, &[4]));
+        assert!(!e.contains(8, &[1, 2]));
     }
 
     #[test]

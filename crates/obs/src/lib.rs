@@ -55,6 +55,7 @@
 //! assert!(report.consistency_findings().is_empty());
 //! ```
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -254,6 +255,21 @@ impl Recorder {
     /// `CAHD-O001` nesting check enforces it on emitted reports).
     #[must_use]
     pub fn span(&self, path: &'static str) -> Span<'_> {
+        self.open(Cow::Borrowed(path))
+    }
+
+    /// Starts the span `parent/name`, for a child whose name is only known
+    /// at run time (one span per registered pass, say). The path is built
+    /// only when the recorder is enabled.
+    #[must_use]
+    pub fn child_span(&self, parent: &'static str, name: &str) -> Span<'_> {
+        self.open(match self.inner {
+            Some(_) => Cow::Owned(format!("{parent}/{name}")),
+            None => Cow::Borrowed(parent),
+        })
+    }
+
+    fn open(&self, path: Cow<'static, str>) -> Span<'_> {
         Span {
             rec: self,
             path,
@@ -494,7 +510,7 @@ impl Recorder {
 /// [`SpanMemRecord`] for the exact semantics).
 pub struct Span<'a> {
     rec: &'a Recorder,
-    path: &'static str,
+    path: Cow<'static, str>,
     start: Option<Instant>,
     mem_start: Option<(u64, u64)>,
 }
@@ -511,7 +527,7 @@ impl Drop for Span<'_> {
                     s.peak_bytes,
                 )
             });
-            self.rec.record_span(self.path, ns, mem);
+            self.rec.record_span(&self.path, ns, mem);
         }
     }
 }
@@ -1038,6 +1054,7 @@ mod tests {
         assert!(!rec.is_enabled());
         {
             let _s = rec.span("pipeline");
+            let _c = rec.child_span("pipeline", "group");
             rec.add("c", 5);
             rec.gauge("g", 1.0);
             rec.observe("h", 3);
@@ -1055,6 +1072,23 @@ mod tests {
         let report = rec.snapshot();
         assert_eq!(report.spans.len(), 1);
         assert_eq!(report.span("pipeline").unwrap().count, 3);
+    }
+
+    #[test]
+    fn child_spans_nest_under_their_parent() {
+        let rec = Recorder::new();
+        {
+            let _s = rec.span("check");
+            for name in ["coverage", "band-quality", "coverage"] {
+                let _c = rec.child_span("check", name);
+            }
+        }
+        let report = rec.snapshot();
+        assert_eq!(report.span("check/coverage").unwrap().count, 2);
+        assert_eq!(report.span("check/band-quality").unwrap().count, 1);
+        assert_eq!(report.span_children("check").len(), 2);
+        assert!(report.orphan_spans().is_empty());
+        assert!(report.consistency_findings().is_empty());
     }
 
     #[test]
