@@ -863,6 +863,32 @@ mod tests {
             .diagnostics
             .iter()
             .all(|d| d.code == "CAHD-A001" && d.severity == Severity::Error));
+        // The replay leaves the intersection attacker out; the findings
+        // are the gates' over the full default suite, in order.
+        let plan = cahd_eval::AttackPlan::default();
+        let full = cahd_eval::run_attack_suite(
+            &data,
+            &sens,
+            2,
+            &[cahd_eval::AttackTarget::release("release", &leaky)],
+            &plan,
+            &Recorder::disabled(),
+        );
+        assert!(full
+            .curves
+            .iter()
+            .any(|c| c.attacker == cahd_eval::adversary::ATTACKER_INTERSECTION));
+        let mut want = cahd_eval::posterior_violations(&full, 2, plan.tolerance);
+        want.extend(cahd_eval::unique_match_violations(
+            &full,
+            plan.max_unique_match_rate,
+        ));
+        let got: Vec<String> = report
+            .diagnostics
+            .iter()
+            .map(|d| d.message.clone())
+            .collect();
+        assert_eq!(got, want);
 
         // A custom plan travels through CheckInput.
         let plan = cahd_eval::AttackPlan {

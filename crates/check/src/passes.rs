@@ -2,6 +2,7 @@
 
 use cahd_core::refine::OverlapCounter;
 use cahd_core::verify::{verify_all, VerificationError};
+use cahd_eval::adversary::ATTACKER_INTERSECTION;
 use cahd_eval::{
     posterior_violations, run_attack_suite, unique_match_violations, AttackPlan, AttackTarget,
 };
@@ -285,9 +286,12 @@ impl Pass for PrivacyDegree {
 ///
 /// Deliberately *not* built on the core verifier: the sharded pipeline's
 /// own invariants use that code path, so this pass re-derives coverage
-/// from a plain sorted scan over all member references. References past
-/// the data (`>= n`) are left to `CAHD-C002`: they are neither duplicates
-/// nor drops here.
+/// from one walk over all member references, keeping the last group that
+/// referenced each row: a repeat reference is a duplicate, a row never
+/// referenced is a drop. Findings come row by row, duplicates before
+/// drops; only the duplicates are sorted. References past the data
+/// (`>= n`) are left to `CAHD-C002`: they are neither duplicates nor drops
+/// here.
 pub struct ShardMerge;
 
 impl Pass for ShardMerge {
@@ -305,47 +309,39 @@ impl Pass for ShardMerge {
 
     fn run(&self, input: &CheckInput<'_>, out: &mut Vec<Diagnostic>) {
         let n = input.data.n_transactions();
-        let mut refs: Vec<(u32, usize)> = Vec::new();
+        // The last group seen referencing each row; every repeat reference
+        // is a finding against it. Groups are walked in order, so a row's
+        // findings come in group order (a group listing a row twice names
+        // itself twice), and a stable sort by row puts the rows ascending.
+        let mut last_group = vec![usize::MAX; n];
+        let mut dups: Vec<(u32, usize, usize)> = Vec::new();
         for (gi, g) in input.published.groups.iter().enumerate() {
-            refs.extend(g.members.iter().map(|&m| (m, gi)));
-        }
-        refs.sort_unstable();
-        for pair in refs.windows(2) {
-            // A reference past the data is Coverage's CAHD-C002, however
-            // often it repeats.
-            if pair[0].0 == pair[1].0 && (pair[0].0 as usize) < n {
-                out.push(
-                    Diagnostic::error(
-                        "CAHD-P002",
-                        format!(
-                            "row {} survived the merge twice (groups {} and {})",
-                            pair[0].0, pair[0].1, pair[1].1
-                        ),
-                    )
-                    .in_group(pair[1].1),
-                );
+            for &m in &g.members {
+                if let Some(last) = last_group.get_mut(m as usize) {
+                    if *last != usize::MAX {
+                        dups.push((m, *last, gi));
+                    }
+                    *last = gi;
+                }
             }
         }
-        // Dropped rows: everything in 0..n not referenced at all.
-        // Out-of-range references are Coverage's CAHD-C002 territory.
-        let mut next = 0usize;
-        for &(m, _) in &refs {
-            let m = (m as usize).min(n);
-            while next < m {
+        dups.sort_by_key(|&(m, _, _)| m);
+        for (m, prev, gi) in dups {
+            out.push(
+                Diagnostic::error(
+                    "CAHD-P002",
+                    format!("row {m} survived the merge twice (groups {prev} and {gi})"),
+                )
+                .in_group(gi),
+            );
+        }
+        for (m, &last) in last_group.iter().enumerate() {
+            if last == usize::MAX {
                 out.push(Diagnostic::error(
                     "CAHD-P002",
-                    format!("row {next} was dropped by the merge: no group references it"),
+                    format!("row {m} was dropped by the merge: no group references it"),
                 ));
-                next += 1;
             }
-            next = next.max(m + 1);
-        }
-        while next < n {
-            out.push(Diagnostic::error(
-                "CAHD-P002",
-                format!("row {next} was dropped by the merge: no group references it"),
-            ));
-            next += 1;
         }
     }
 }
@@ -914,7 +910,7 @@ impl Pass for MemoryAudit {
 /// against the release and fail when the adversary does measurably
 /// better than the privacy degree promises.
 ///
-/// The pass runs the full adversary suite of `cahd_eval::adversary`
+/// The pass runs the single-release attackers of `cahd_eval::adversary`
 /// (background-knowledge scoring, linkage, and the deterministic
 /// vulnerable-population scan) against the release as its sole target
 /// and turns two kinds of empirical regressions into errors:
@@ -926,12 +922,12 @@ impl Pass for MemoryAudit {
 ///   adversary pins individual rows more often than the regression
 ///   fixture permits.
 ///
-/// Intersection (multi-release composition) curves are measured by the
-/// suite but exempt from the `1/p` gate: composing independent releases
-/// legitimately exceeds the single-release bound, and that exposure is
-/// reported by `cahd-cli attack`, not gated here. Raw-data curves are
-/// likewise exempt — they calibrate the attacker, they do not judge the
-/// release.
+/// Intersection (multi-release composition) curves are exempt from the
+/// `1/p` gate, so the replay leaves that attacker out: composing
+/// independent releases legitimately exceeds the single-release bound,
+/// and that exposure is reported by `cahd-cli attack`, not gated here.
+/// Raw-data curves are likewise exempt — they calibrate the attacker,
+/// they do not judge the release.
 ///
 /// The replay is deterministic for a fixed plan: seeds derive from
 /// `plan.seed` per (attacker, target, k) stream, and the vulnerable
@@ -961,13 +957,22 @@ impl Pass for AttackRegression {
         }
         let default_plan = AttackPlan::default();
         let plan = input.attack.unwrap_or(&default_plan);
+        // Neither gate reads intersection curves, and every attacker
+        // derives its own seed stream, so leaving it out changes no finding.
+        let gated = plan.clone().with_attackers(
+            plan.attackers
+                .iter()
+                .filter(|a| *a != ATTACKER_INTERSECTION)
+                .cloned()
+                .collect(),
+        );
         let targets = [AttackTarget::release("release", input.published)];
         let report = run_attack_suite(
             input.data,
             input.sensitive,
             input.p,
             &targets,
-            plan,
+            &gated,
             &Recorder::disabled(),
         );
         for message in posterior_violations(&report, input.p, plan.tolerance) {

@@ -5,10 +5,10 @@
 //! tally's cap — must give the same `verify_all` error vector (order
 //! included), the same intra-group overlap and the same registry report.
 //!
-//! The oracle registry runs the earlier conformance and band-quality
-//! passes in their registry positions and the shipped code for every
-//! other pass, so a difference in a report is a difference in the
-//! rewritten computations.
+//! The oracle registry runs the earlier conformance, shard-merge and
+//! band-quality passes in their registry positions and the shipped code
+//! for every other pass, so a difference in a report is a difference in
+//! the rewritten computations.
 
 mod common;
 
@@ -17,7 +17,7 @@ use std::path::{Path, PathBuf};
 
 use cahd_check::{
     default_registry, AttackRegression, CheckInput, ConfigSanity, Feasibility, MemoryAudit,
-    Recovery, Registry, ShardMerge, TraceObs,
+    Recovery, Registry, TraceObs,
 };
 use cahd_core::cahd::{cahd, CahdConfig};
 use cahd_core::verify::{verify_all, VerificationError};
@@ -57,8 +57,8 @@ fn fixture(name: &str) -> PathBuf {
         .join(name)
 }
 
-/// The default registry with the earlier conformance and band-quality
-/// passes in place of the shipped ones.
+/// The default registry with the earlier conformance, shard-merge and
+/// band-quality passes in place of the shipped ones.
 fn oracle_registry() -> Registry {
     Registry::new()
         .register(ConfigSanity)
@@ -67,7 +67,7 @@ fn oracle_registry() -> Registry {
         .register(old::QidFidelity)
         .register(old::SensitiveSummary)
         .register(old::PrivacyDegree)
-        .register(ShardMerge)
+        .register(old::ShardMerge)
         .register(old::BandQuality)
         .register(TraceObs)
         .register(MemoryAudit)
@@ -375,6 +375,8 @@ struct Seen {
     privacy: bool,
     sensitive_list: bool,
     band_warnings: usize,
+    merge_duplicates: usize,
+    merge_drops: usize,
     clean: usize,
 }
 
@@ -438,6 +440,13 @@ fn differential(base: &Base, seed: u64) {
             .iter()
             .filter(|d| d.code == "CAHD-B001")
             .count();
+        for d in report.diagnostics.iter().filter(|d| d.code == "CAHD-P002") {
+            if d.message.contains("twice") {
+                seen.merge_duplicates += 1;
+            } else {
+                seen.merge_drops += 1;
+            }
+        }
     }
     assert!(
         seen.coverage
@@ -451,6 +460,11 @@ fn differential(base: &Base, seed: u64) {
         base.name
     );
     assert!(seen.band_warnings > 0, "{}: {seen:?}", base.name);
+    assert!(
+        seen.merge_duplicates > 0 && seen.merge_drops > 0,
+        "{}: {seen:?}",
+        base.name
+    );
     assert!(
         seen.clean > 0,
         "{}: no mutant verified: {seen:?}",

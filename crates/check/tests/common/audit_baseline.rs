@@ -2,8 +2,9 @@
 //! oracle `audit_oracle.rs` checks the shipped code against: the
 //! collect-all verifier (one `split_transaction` row and one expected
 //! summary per member and group), the sort-based intra-group overlap, the
-//! four conformance passes built on that verifier and the band-quality
-//! pass with its materialized baseline release.
+//! four conformance passes built on that verifier, the band-quality
+//! pass with its materialized baseline release and the shard-merge pass
+//! that sorts every `(member, group)` reference.
 //!
 //! The bodies are the earlier library code, copied verbatim apart from
 //! module paths; nothing here reads `cahd_core::refine::OverlapCounter`
@@ -346,6 +347,78 @@ impl Pass for BandQuality {
                      {baseline}: the band ordering was not exploited"
                 ),
             ));
+        }
+    }
+}
+
+/// `CAHD-P002`: shard-merge integrity — the merged release references
+/// every original row exactly once. A duplicated or dropped row is the
+/// signature of a bad shard merge (an offset error when shard-local
+/// indices are rebased, or a leftover funneled into two groups).
+///
+/// Deliberately *not* built on the core verifier: the sharded pipeline's
+/// own invariants use that code path, so this pass re-derives coverage
+/// from a plain sorted scan over all member references. References past
+/// the data (`>= n`) are left to `CAHD-C002`: they are neither duplicates
+/// nor drops here.
+pub struct ShardMerge;
+
+impl Pass for ShardMerge {
+    fn name(&self) -> &'static str {
+        "shard-merge"
+    }
+
+    fn codes(&self) -> &'static [&'static str] {
+        &["CAHD-P002"]
+    }
+
+    fn description(&self) -> &'static str {
+        "shard merging left no duplicate or dropped row"
+    }
+
+    fn run(&self, input: &CheckInput<'_>, out: &mut Vec<Diagnostic>) {
+        let n = input.data.n_transactions();
+        let mut refs: Vec<(u32, usize)> = Vec::new();
+        for (gi, g) in input.published.groups.iter().enumerate() {
+            refs.extend(g.members.iter().map(|&m| (m, gi)));
+        }
+        refs.sort_unstable();
+        for pair in refs.windows(2) {
+            // A reference past the data is Coverage's CAHD-C002, however
+            // often it repeats.
+            if pair[0].0 == pair[1].0 && (pair[0].0 as usize) < n {
+                out.push(
+                    Diagnostic::error(
+                        "CAHD-P002",
+                        format!(
+                            "row {} survived the merge twice (groups {} and {})",
+                            pair[0].0, pair[0].1, pair[1].1
+                        ),
+                    )
+                    .in_group(pair[1].1),
+                );
+            }
+        }
+        // Dropped rows: everything in 0..n not referenced at all.
+        // Out-of-range references are Coverage's CAHD-C002 territory.
+        let mut next = 0usize;
+        for &(m, _) in &refs {
+            let m = (m as usize).min(n);
+            while next < m {
+                out.push(Diagnostic::error(
+                    "CAHD-P002",
+                    format!("row {next} was dropped by the merge: no group references it"),
+                ));
+                next += 1;
+            }
+            next = next.max(m + 1);
+        }
+        while next < n {
+            out.push(Diagnostic::error(
+                "CAHD-P002",
+                format!("row {next} was dropped by the merge: no group references it"),
+            ));
+            next += 1;
         }
     }
 }

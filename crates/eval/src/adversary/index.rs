@@ -152,11 +152,15 @@ pub struct TargetIndex<'a> {
     counts: Vec<(usize, u32)>,
     /// `counts` offsets, one per group plus one.
     counts_start: Vec<usize>,
-    /// Row ids per item, ascending, concatenated.
+    /// The distinct ids below the data's universe that some row holds,
+    /// ascending: the index's item space. An item's slot is its position
+    /// here, found by binary search, so nothing is sized by the universe.
+    items: Vec<ItemId>,
+    /// Row ids per held item, ascending, concatenated.
     postings: Vec<u32>,
-    /// `postings` offsets, one per item of the data's universe plus one.
+    /// `postings` offsets, one per held item plus one.
     postings_start: Vec<usize>,
-    /// `1 / ln(1 + support)` per item (0 for items no row holds).
+    /// `1 / ln(1 + support)` per held item.
     weight: Vec<f64>,
     /// Non-sensitive items some row holds: what an attacker can
     /// mis-remember.
@@ -209,22 +213,15 @@ impl<'a> TargetIndex<'a> {
             }
         }
         let row_keys = rows.iter().map(|row| row_key(row)).collect();
-        let n_items = population.data().n_items();
-        let (postings_start, postings) = item_postings(&rows, n_items);
+        let (items, postings_start, postings) = held_postings(&rows, population.data().n_items());
+        // Every held item has a non-empty posting list.
         let weight: Vec<f64> = postings_start
             .windows(2)
-            .map(|w| {
-                let support = w[1] - w[0];
-                if support == 0 {
-                    0.0
-                } else {
-                    1.0 / (1.0 + support as f64).ln()
-                }
-            })
+            .map(|w| 1.0 / (1.0 + (w[1] - w[0]) as f64).ln())
             .collect();
-        let qid_universe = (0..n_items)
-            .filter(|&i| postings_start[i + 1] > postings_start[i])
-            .map(|i| i as ItemId)
+        let qid_universe = items
+            .iter()
+            .copied()
             .filter(|&i| !sensitive.contains(i))
             .collect();
         TargetIndex {
@@ -237,6 +234,7 @@ impl<'a> TargetIndex<'a> {
             claim_posterior,
             counts,
             counts_start,
+            items,
             postings,
             postings_start,
             weight,
@@ -285,19 +283,23 @@ impl<'a> TargetIndex<'a> {
         &self.counts[self.counts_start[g]..self.counts_start[g + 1]]
     }
 
+    /// The slot of `item` among the held items, if some row holds it.
+    fn slot(&self, item: ItemId) -> Option<usize> {
+        self.items.binary_search(&item).ok()
+    }
+
     /// Rows holding `item`, ascending (empty outside the universe).
     pub fn postings(&self, item: ItemId) -> &[u32] {
-        let i = item as usize;
-        if i + 1 >= self.postings_start.len() {
-            return &[];
+        match self.slot(item) {
+            Some(s) => &self.postings[self.postings_start[s]..self.postings_start[s + 1]],
+            None => &[],
         }
-        &self.postings[self.postings_start[i]..self.postings_start[i + 1]]
     }
 
     /// The scoring weight `1 / ln(1 + support)` of `item` (0 outside the
     /// universe or when no row holds it).
     pub fn weight(&self, item: ItemId) -> f64 {
-        self.weight.get(item as usize).copied().unwrap_or(0.0)
+        self.slot(item).map_or(0.0, |s| self.weight[s])
     }
 
     /// Non-sensitive items some row holds, ascending.
@@ -350,6 +352,39 @@ pub(crate) fn row_key(row: &[ItemId]) -> u64 {
         }
     }
     h
+}
+
+/// Item → row postings over `rows` in their own item space, as `(held
+/// items, offsets, row ids)`: the held items are the distinct ids below
+/// `n_items` some row holds, ascending, and each list is ascending, a row
+/// listed once per distinct item. The same answer as [`item_postings`]
+/// with the empty lists dropped, built without a table per universe id:
+/// the held ids are sorted and deduplicated, and each reference finds its
+/// slot by binary search, so the cost is O(nnz log nnz) whatever the
+/// universe.
+fn held_postings(rows: &[&[ItemId]], n_items: usize) -> (Vec<ItemId>, Vec<usize>, Vec<u32>) {
+    let mut items: Vec<ItemId> = rows
+        .iter()
+        .flat_map(|row| row.iter().copied())
+        .filter(|&i| (i as usize) < n_items)
+        .collect();
+    items.sort_unstable();
+    items.dedup();
+    // Every row relabeled to its items' slots, ids past the universe
+    // dropped.
+    let mut slots: Vec<u32> = Vec::with_capacity(rows.iter().map(|row| row.len()).sum());
+    let mut slot_start: Vec<usize> = Vec::with_capacity(rows.len() + 1);
+    slot_start.push(0);
+    for row in rows {
+        slots.extend(
+            row.iter()
+                .filter_map(|i| items.binary_search(i).ok().map(|s| s as u32)),
+        );
+        slot_start.push(slots.len());
+    }
+    let relabeled: Vec<&[u32]> = slot_start.windows(2).map(|w| &slots[w[0]..w[1]]).collect();
+    let (start, postings) = item_postings(&relabeled, items.len());
+    (items, start, postings)
 }
 
 /// Item → row postings over `rows`, as `(offsets, row ids)`: each list
@@ -429,6 +464,106 @@ mod tests {
         let mut out = Vec::new();
         idx.candidates(&[2, 0], &mut out);
         assert_eq!(out, vec![2]);
+    }
+
+    /// Checks `postings`, `weight` and `qid_universe` of `idx` against a
+    /// scan of its rows, on every id the rows hold and on `probes`.
+    fn assert_matches_row_scan(idx: &TargetIndex<'_>, n_items: usize, probes: &[ItemId]) {
+        let sensitive = idx.population().sensitive();
+        let mut held: Vec<ItemId> = (0..idx.n_rows())
+            .flat_map(|r| idx.row(r).iter().copied())
+            .filter(|&i| (i as usize) < n_items)
+            .collect();
+        held.sort_unstable();
+        held.dedup();
+        let qid: Vec<ItemId> = held
+            .iter()
+            .copied()
+            .filter(|&i| !sensitive.contains(i))
+            .collect();
+        assert_eq!(idx.qid_universe(), &qid[..]);
+        for &item in held.iter().chain(probes) {
+            let want: Vec<u32> = (0..idx.n_rows() as u32)
+                .filter(|&r| (item as usize) < n_items && idx.row(r as usize).contains(&item))
+                .collect();
+            assert_eq!(idx.postings(item), &want[..], "item {item}");
+            let weight = if want.is_empty() {
+                0.0
+            } else {
+                1.0 / (1.0 + want.len() as f64).ln()
+            };
+            assert_eq!(idx.weight(item).to_bits(), weight.to_bits(), "item {item}");
+        }
+    }
+
+    #[test]
+    fn index_is_sized_by_the_rows_not_the_universe() {
+        // A few rows over a 2^31-item universe: a table per universe id
+        // would take tens of GB.
+        let n_items = 1usize << 31;
+        let top = (1u32 << 31) - 1;
+        let rows = vec![
+            vec![0, 5, 1 << 20, top],
+            vec![5, 1 << 30],
+            vec![0, 1 << 20, 1 << 30, top],
+            vec![7],
+        ];
+        let probes = [1, 6, (1 << 20) + 1, top - 1, top + 1, u32::MAX];
+        let data = TransactionSet::from_rows(&rows, n_items);
+        let sens = SensitiveSet::new(vec![top], n_items);
+        let pop = Population::new(&data, &sens);
+        let raw = TargetIndex::new(&pop, None);
+        assert_matches_row_scan(&raw, n_items, &probes);
+        assert_eq!(raw.qid_universe(), &[0, 5, 7, 1 << 20, 1 << 30]);
+        let mut group = AnonymizedGroup::from_members(&data, &sens, &[0, 1, 2, 3]);
+        // Repeated, unsorted and past-the-universe ids read as sets.
+        group.qid_rows[3] = vec![1 << 30, 7, 7, u32::MAX, top];
+        let release = PublishedDataset {
+            n_items,
+            sensitive_items: vec![top],
+            groups: vec![group],
+        };
+        let published = TargetIndex::new(&pop, Some(&release));
+        assert_matches_row_scan(&published, n_items, &probes);
+        assert_eq!(published.postings(top), &[3]);
+
+        // Ids past the universe are dropped; the held items' lists are the
+        // table over the whole universe with its empty lists left out.
+        let rows: Vec<&[ItemId]> = vec![&[3, 1, 3], &[], &[11, 1], &[2, 9, 11, 30]];
+        let held = held_postings(&rows, 12);
+        assert_eq!(held.0, vec![1, 2, 3, 9, 11]);
+        assert_eq!(held.1, vec![0, 2, 3, 4, 5, 7]);
+        assert_eq!(held.2, vec![0, 2, 3, 0, 3, 2, 3]);
+        let wide = held_postings(&rows, 1 << 20);
+        assert_eq!(wide.0, vec![1, 2, 3, 9, 11, 30]);
+        assert_eq!((&wide.1[..6], &wide.2[..7]), (&held.1[..], &held.2[..]));
+        // Seeded rows (unsorted, repeating ids) against `item_postings`
+        // over a universe of 16, compacted.
+        let mut state = 7u64;
+        let mut next = |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 33) % n
+        };
+        for _ in 0..200 {
+            let rows: Vec<Vec<ItemId>> = (0..1 + next(12))
+                .map(|_| (0..next(6)).map(|_| next(20) as ItemId).collect())
+                .collect();
+            let rows: Vec<&[ItemId]> = rows.iter().map(Vec::as_slice).collect();
+            let (start, postings) = item_postings(&rows, 16);
+            let items: Vec<ItemId> = (0..16u32)
+                .filter(|&i| start[i as usize + 1] > start[i as usize])
+                .collect();
+            let start: Vec<usize> = std::iter::once(0)
+                .chain(items.iter().map(|&i| start[i as usize + 1]))
+                .collect();
+            assert_eq!(
+                held_postings(&rows, 16),
+                (items, start, postings),
+                "{rows:?}"
+            );
+        }
     }
 
     #[test]

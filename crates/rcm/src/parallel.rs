@@ -8,7 +8,8 @@
 //! > level `k+1` = for each parent of level `k` **in order**: the fresh
 //! > neighbors *claimed* by that parent (a vertex is claimed by its
 //! > first-in-order parent), sorted within the parent — by `(degree, id)`
-//! > in the CM pass, by `id` in plain level-structure builds.
+//! > in the CM pass, by `id` in the level structures `--ordering bfs`
+//! > outputs.
 //!
 //! Every quantity in that rule — claim ownership, degrees, ids — is a pure
 //! function of the graph and the previous level (a *set*-determined rule,
@@ -23,14 +24,15 @@
 //! 2. **Claim** (parallel): each worker re-enumerates its parents'
 //!    neighbors, keeps the ones it owns (`owner[w] == p`), marks them
 //!    visited, resets `owner[w]` for the next level, and sorts them
-//!    within each parent. Re-enumerating instead of replaying a recorded
-//!    bid buffer keeps the expansion's footprint at O(frontier), not
-//!    O(frontier *edges*) — on clique-heavy transaction graphs the edge
-//!    count of one frontier reaches tens of millions.
+//!    within each parent (level-set probes skip the sort).
+//!    Re-enumerating instead of replaying a recorded bid buffer keeps the
+//!    expansion's footprint at O(frontier), not O(frontier *edges*) — on
+//!    clique-heavy transaction graphs the edge count of one frontier
+//!    reaches tens of millions.
 //! 3. **Concatenate** (sequential): worker outputs are appended in worker
 //!    index order, which is parent order.
 //!
-//! The result is **byte-identical to the textbook queue formulation at
+//! The ordering is **byte-identical to the textbook queue formulation at
 //! every thread count and for every representation** (explicit or implicit
 //! row graph) — the `ordering_equivalence`, `representation_equivalence`
 //! and `proptests` suites check it against a literal transcription of the
@@ -38,6 +40,13 @@
 //! the George–Liu level structures of the pseudo-peripheral search, so
 //! the whole ordering phase parallelizes, not just the final CM pass.
 //! It is the crate's only implementation of Fig. 4.
+//!
+//! The George–Liu probes before a CM pass sort nothing: a probe reads only
+//! its depth and the minimum `(degree, id)` vertex of its deepest level,
+//! and both depend on the level *sets* alone, which claim-by-first-parent
+//! fixes whatever order the fresh vertices arrive in. Those probes push
+//! each claimed vertex straight onto the next level, in the oracle's
+//! enumeration order.
 //!
 //! Workers query the oracle through caller-owned [`OracleScratch`]es —
 //! one per worker, allocated once per ordering by the driver — so the
@@ -131,12 +140,19 @@ impl FrontierStats {
 }
 
 /// What the per-level claim step does with each parent's claimed batch.
-/// Both variants sort by a set-determined key, so the output never
-/// depends on the oracle's neighbor enumeration order.
+/// The sorting variants order by a set-determined key, so their output
+/// never depends on the oracle's neighbor enumeration order; [`Within::Set`]
+/// keeps that order and so fixes only each level's *set*.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Within {
-    /// Sort by vertex `id` (level-structure builds). Over ascending
-    /// neighbor lists this is exactly a textbook BFS's discovery order.
+    /// No sort: each fresh vertex goes straight to the next level. A
+    /// George–Liu probe reads only its depth and the minimum
+    /// `(degree, id)` vertex of its deepest level, both functions of the
+    /// level sets, which claim-by-first-parent fixes in any order.
+    Set,
+    /// Sort by vertex `id` (level structures that become the output,
+    /// `--ordering bfs`). Over ascending neighbor lists this is exactly a
+    /// textbook BFS's discovery order.
     Id,
     /// Sort by `(degree, id)` (the Cuthill-McKee rule).
     DegreeThenId,
@@ -164,9 +180,10 @@ impl BandKind {
     }
 }
 
-/// Pushes one parent's fresh batch onto `out` under the within-parent
-/// rule. `fresh` holds `(key, w)` pairs; for [`Within::Id`] the key *is*
-/// the id (duplicated into the pair for a single sort codepath).
+/// Pushes one parent's fresh batch onto `out` under a sorting
+/// within-parent rule. `fresh` holds `(key, w)` pairs; for [`Within::Id`]
+/// the key *is* the id (duplicated into the pair for a single sort
+/// codepath).
 fn flush_fresh(fresh: &mut Vec<(u32, u32)>, out: &mut Vec<u32>) {
     fresh.sort_unstable();
     out.extend(fresh.iter().map(|&(_, w)| w));
@@ -177,7 +194,7 @@ fn flush_fresh(fresh: &mut Vec<(u32, u32)>, out: &mut Vec<u32>) {
 #[inline]
 fn fresh_key<G: ParNeighborOracle>(g: &G, w: u32, within: Within) -> (u32, u32) {
     match within {
-        Within::Id => (w, w),
+        Within::Set | Within::Id => (w, w),
         Within::DegreeThenId => (g.degree(w as usize) as u32, w),
     }
 }
@@ -243,6 +260,9 @@ impl<'g, G: ParNeighborOracle> Engine<'g, G> {
     /// first parent holding an item reaches the whole clique, so later
     /// parents could only re-find visited rows (the marks filter the
     /// duplicates and `v` itself either way).
+    ///
+    /// Under [`Within::Set`] fresh vertices go straight to `out` in the
+    /// oracle's enumeration order: the same set, no per-parent sort.
     fn expand_seq(&mut self, parents: &[u32], within: Within, out: &mut Vec<u32>) {
         let (g, mark, stamp) = (self.g, &self.mark, self.stamp);
         let (scratch, fresh) = (&mut self.scratches[0], &mut self.fresh);
@@ -251,10 +271,16 @@ impl<'g, G: ParNeighborOracle> Engine<'g, G> {
             g.visit_neighbors(v as usize, scratch, &mut |w| {
                 if mark[w as usize].load(Ordering::Relaxed) != stamp {
                     mark[w as usize].store(stamp, Ordering::Relaxed);
-                    fresh.push(fresh_key(g, w, within));
+                    if within == Within::Set {
+                        out.push(w);
+                    } else {
+                        fresh.push(fresh_key(g, w, within));
+                    }
                 }
             });
-            flush_fresh(fresh, out);
+            if within != Within::Set {
+                flush_fresh(fresh, out);
+            }
         }
     }
 
@@ -315,7 +341,8 @@ impl<'g, G: ParNeighborOracle> Engine<'g, G> {
                         // position: the global minimum lies in this chunk, so
                         // it *is* the worker's first adjacent parent. Vertices
                         // owned elsewhere (or already visited) fail the owner
-                        // check and fall out.
+                        // check and fall out. Level-set probes keep the
+                        // claimed vertices unsorted.
                         let mut mine: Vec<u32> = Vec::new();
                         let mut fresh: Vec<(u32, u32)> = Vec::new();
                         g.begin_segment(scratch);
@@ -325,10 +352,16 @@ impl<'g, G: ParNeighborOracle> Engine<'g, G> {
                                 if owner[w as usize].load(Ordering::Relaxed) == pos {
                                     owner[w as usize].store(u32::MAX, Ordering::Relaxed);
                                     mark[w as usize].store(stamp, Ordering::Relaxed);
-                                    fresh.push(fresh_key(g, w, within));
+                                    if within == Within::Set {
+                                        mine.push(w);
+                                    } else {
+                                        fresh.push(fresh_key(g, w, within));
+                                    }
                                 }
                             });
-                            flush_fresh(&mut fresh, &mut mine);
+                            if within != Within::Set {
+                                flush_fresh(&mut fresh, &mut mine);
+                            }
                         }
                         mine
                     })
@@ -348,8 +381,9 @@ impl<'g, G: ParNeighborOracle> Engine<'g, G> {
         }
     }
 
-    /// The level structure rooted at `root`, confined to its component.
-    fn levels(&mut self, root: u32) -> LevelStructure {
+    /// The level structure rooted at `root`, confined to its component,
+    /// each level ordered by `within`.
+    fn levels(&mut self, root: u32, within: Within) -> LevelStructure {
         self.start(root);
         let mut verts: Vec<u32> = vec![root];
         let mut offsets: Vec<usize> = vec![0];
@@ -357,7 +391,7 @@ impl<'g, G: ParNeighborOracle> Engine<'g, G> {
         let mut next: Vec<u32> = Vec::new();
         loop {
             offsets.push(verts.len());
-            self.expand(&current, Within::Id, &mut next);
+            self.expand(&current, within, &mut next);
             if next.is_empty() {
                 break;
             }
@@ -368,10 +402,10 @@ impl<'g, G: ParNeighborOracle> Engine<'g, G> {
     }
 
     /// The George–Liu pseudo-peripheral root of `start`'s component, with
-    /// its level structure.
-    fn peripheral(&mut self, start: u32) -> (u32, LevelStructure) {
+    /// its level structure, every probe's levels ordered by `within`.
+    fn peripheral(&mut self, start: u32, within: Within) -> (u32, LevelStructure) {
         let g = self.g;
-        george_liu_iterate(|w| g.degree(w as usize), |r| self.levels(r), start)
+        george_liu_iterate(|w| g.degree(w as usize), |r| self.levels(r, within), start)
     }
 
     /// Appends the Cuthill-McKee ordering of `root`'s component to `order`
@@ -392,16 +426,22 @@ impl<'g, G: ParNeighborOracle> Engine<'g, G> {
 
     /// The full-graph driver: per component, in order of its smallest
     /// vertex id, a George–Liu pseudo-peripheral search followed by the
-    /// strategy's traversal.
+    /// strategy's traversal. Before a Cuthill–McKee pass the probes build
+    /// level sets; under `bfs` the root's level structure *is* the output,
+    /// so its probes keep id order.
     fn order(&mut self, kind: BandKind) -> Vec<u32> {
         let n = self.g.n_vertices();
+        let probe = match kind {
+            BandKind::Cm => Within::Set,
+            BandKind::Bfs => Within::Id,
+        };
         let mut order: Vec<u32> = Vec::with_capacity(n);
         let mut in_order = vec![false; n];
         for start in 0..n {
             if in_order[start] {
                 continue;
             }
-            let (root, levels) = self.peripheral(start as u32);
+            let (root, levels) = self.peripheral(start as u32, probe);
             self.stats.components += 1;
             self.stats.bfs_levels += levels.n_levels() as u64;
             let before = order.len();
@@ -521,14 +561,18 @@ pub fn band_order_with<G: ParNeighborOracle>(
 #[cfg(test)]
 pub(crate) fn rooted_levels<G: ParNeighborOracle>(g: &G, roots: &[u32]) -> Vec<LevelStructure> {
     let mut engine = Engine::new(g, 1, PARALLEL_FRONTIER_MIN);
-    roots.iter().map(|&r| engine.levels(r)).collect()
+    roots
+        .iter()
+        .map(|&r| engine.levels(r, Within::Id))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cahd_sparse::bandwidth::graph_band_stats;
-    use cahd_sparse::Graph;
+    use cahd_sparse::{CsrMatrix, Graph, ImplicitRowGraph};
+    use proptest::prelude::*;
 
     fn grid(side: usize) -> Graph {
         let mut edges = Vec::new();
@@ -577,6 +621,139 @@ mod tests {
         band_order(g, OrderingStrategy::Rcm, 1)
             .new_to_old_slice()
             .to_vec()
+    }
+
+    /// Random sparse graphs in the shapes of the `ordering_equivalence`
+    /// suite: plain random edge sets, stars, paths, and random graphs
+    /// behind edge-free leading vertices.
+    fn arb_graph() -> impl Strategy<Value = Graph> {
+        (
+            0usize..4,
+            2usize..40,
+            2usize..16,
+            proptest::collection::vec((0u32..40, 0u32..40), 0..80),
+        )
+            .prop_map(|(kind, n, iso, raw_edges)| {
+                let clamp = |m: usize, shift: u32| -> Vec<(u32, u32)> {
+                    raw_edges
+                        .iter()
+                        .map(|&(a, b)| (a % m as u32 + shift, b % m as u32 + shift))
+                        .collect()
+                };
+                match kind {
+                    0 => Graph::from_edges(n, &clamp(n, 0)),
+                    1 => Graph::from_edges(n, &(1..n as u32).map(|v| (0, v)).collect::<Vec<_>>()),
+                    2 => {
+                        Graph::from_edges(n, &(1..n as u32).map(|v| (v - 1, v)).collect::<Vec<_>>())
+                    }
+                    _ => Graph::from_edges(iso + n, &clamp(n, iso as u32)),
+                }
+            })
+    }
+
+    /// Every level of `l` as an ascending set.
+    fn level_sets(l: &LevelStructure) -> Vec<Vec<u32>> {
+        (0..l.n_levels())
+            .map(|k| {
+                let mut level = l.level(k).to_vec();
+                level.sort_unstable();
+                level
+            })
+            .collect()
+    }
+
+    /// The edge-incidence matrix of `g`: row `v` holds one item per edge
+    /// at `v`, so its row graph is `g` itself. Items are numbered in a
+    /// scrambled edge order, so the implicit graph enumerates a vertex's
+    /// neighbors out of id order.
+    fn incidence(g: &Graph) -> CsrMatrix {
+        let mut edges: Vec<(u32, u32)> = (0..g.n_vertices() as u32)
+            .flat_map(|v| {
+                g.neighbors(v as usize)
+                    .iter()
+                    .filter(move |&&w| w > v)
+                    .map(move |&w| (v, w))
+            })
+            .collect();
+        edges.sort_by_key(|&(a, b)| {
+            (
+                a.wrapping_mul(0x9e37_79b9) ^ b.wrapping_mul(0x85eb_ca6b),
+                a,
+                b,
+            )
+        });
+        let mut rows = vec![Vec::new(); g.n_vertices()];
+        for (item, &(a, b)) in edges.iter().enumerate() {
+            rows[a as usize].push(item as u32);
+            rows[b as usize].push(item as u32);
+        }
+        CsrMatrix::from_rows(&rows, edges.len())
+    }
+
+    /// Level-set probes against id-ordered ones over `g`, from up to six
+    /// start vertices: the same level sets, the same George–Liu root and
+    /// eccentricity, the same counters.
+    fn check_probes<G: ParNeighborOracle>(
+        g: &G,
+        threads: usize,
+        frontier_min: usize,
+    ) -> Result<(), String> {
+        let n = g.n_vertices();
+        let ctx = format!("threads={threads} frontier_min={frontier_min}");
+        let mut ordered = Engine::new(g, threads, frontier_min);
+        let mut unordered = Engine::new(g, threads, frontier_min);
+        for start in (0..n as u32).step_by(n.div_ceil(6).max(1)) {
+            let (a, b) = (
+                ordered.levels(start, Within::Id),
+                unordered.levels(start, Within::Set),
+            );
+            prop_assert_eq!(level_sets(&a), level_sets(&b), "{} start={}", ctx, start);
+            let (ra, la) = ordered.peripheral(start, Within::Id);
+            let (rb, lb) = unordered.peripheral(start, Within::Set);
+            prop_assert_eq!(ra, rb, "{} start={}", ctx, start);
+            prop_assert_eq!(
+                la.eccentricity(),
+                lb.eccentricity(),
+                "{} start={}",
+                ctx,
+                start
+            );
+            prop_assert_eq!(level_sets(&la), level_sets(&lb), "{} start={}", ctx, start);
+        }
+        prop_assert_eq!(ordered.stats, unordered.stats, "{}", ctx);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn unordered_probes_build_the_ordered_level_sets(g in arb_graph()) {
+            let a = incidence(&g);
+            let implicit = ImplicitRowGraph::new(&a);
+            for threads in [1, 8] {
+                for frontier_min in [1, PARALLEL_FRONTIER_MIN] {
+                    check_probes(&g, threads, frontier_min)?;
+                    check_probes(&implicit, threads, frontier_min)?;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn level_set_probes_keep_the_enumeration_order() {
+        // The implicit star enumerates the centre's leaves in scrambled
+        // edge order: the level-set probe keeps that order, the id-ordered
+        // build sorts it, and both hold the same leaves.
+        let g = Graph::from_edges(9, &(1..9u32).map(|v| (0, v)).collect::<Vec<_>>());
+        let a = incidence(&g);
+        let implicit = ImplicitRowGraph::new(&a);
+        let mut engine = Engine::new(&implicit, 1, PARALLEL_FRONTIER_MIN);
+        let ordered = engine.levels(0, Within::Id);
+        let unordered = engine.levels(0, Within::Set);
+        assert_eq!(ordered.level(1), &[1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_ne!(unordered.level(1), ordered.level(1));
+        assert_eq!(level_sets(&unordered), level_sets(&ordered));
     }
 
     #[test]

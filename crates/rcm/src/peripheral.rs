@@ -35,12 +35,19 @@
 //! The frontier engine (see [`crate::parallel`]) runs the single
 //! [`george_liu_iterate`] loop below at every thread count and for every
 //! representation, so the rule cannot drift between them.
+//!
+//! Both rules read level *sets* only — the deepest level's members and the
+//! number of levels — never the order within a level. The engine
+//! therefore builds the probes before a Cuthill–McKee pass as unsorted
+//! level sets; only `--ordering bfs`, whose output is the final level
+//! structure itself, builds them id-ordered.
 
 use crate::level::LevelStructure;
 
 /// The shared George–Liu iteration, generic over how level structures are
 /// built: `degree(w)` must report the set-determined vertex degree and
-/// `build(root)` must return the BFS level structure rooted at `root`.
+/// `build(root)` must return the BFS level structure rooted at `root`, in
+/// any order within each level.
 ///
 /// This is the *single* home of the pseudo-peripheral restart/tie rule
 /// (see the module docs), so the chosen root is identical across

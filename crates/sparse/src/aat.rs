@@ -143,7 +143,12 @@ pub trait ParNeighborOracle: Sync {
     /// [`ParNeighborOracle::begin_segment`] whenever vertices enumerated
     /// earlier must become discoverable again (each BFS level, and each
     /// bid/claim phase of the parallel protocol).
-    fn visit_neighbors(&self, v: usize, scratch: &mut OracleScratch, f: &mut dyn FnMut(u32)) {
+    ///
+    /// `f` is a generic parameter, not a trait object, so the caller's
+    /// visited-mark check inlines into the posting loop. That makes the
+    /// trait usable only through generics (`G: ParNeighborOracle`), which
+    /// is how the ordering engine takes it.
+    fn visit_neighbors(&self, v: usize, scratch: &mut OracleScratch, f: &mut impl FnMut(u32)) {
         let mut tmp = Vec::new();
         self.neighbors_scratch(v, scratch, &mut tmp);
         for w in tmp {
@@ -170,7 +175,7 @@ impl ParNeighborOracle for Graph {
         out.extend_from_slice(self.neighbors(v));
     }
 
-    fn visit_neighbors(&self, v: usize, _scratch: &mut OracleScratch, f: &mut dyn FnMut(u32)) {
+    fn visit_neighbors(&self, v: usize, _scratch: &mut OracleScratch, f: &mut impl FnMut(u32)) {
         // Materialized lists are already distinct and self-free: feed them
         // straight through, no segment state.
         for &w in self.neighbors(v) {
@@ -289,7 +294,7 @@ impl ParNeighborOracle for ImplicitRowGraph<'_> {
         scratch.next_item_stamp();
     }
 
-    fn visit_neighbors(&self, v: usize, s: &mut OracleScratch, f: &mut dyn FnMut(u32)) {
+    fn visit_neighbors(&self, v: usize, s: &mut OracleScratch, f: &mut impl FnMut(u32)) {
         // Each item's posting list is walked at most once per segment:
         // the first enumerating vertex reaches the whole clique, so later
         // vertices sharing the item could only re-find visited rows. This
@@ -348,31 +353,39 @@ impl TwinClasses {
     /// the item sets: classes sharing leading items get nearby ids, so
     /// consecutive classes of the degree pass OR overlapping item sets.
     /// When every row is distinct the classes are the rows themselves.
+    ///
+    /// The sort runs on a packed key: the row's leading `item + 1` values
+    /// at `bits(n_cols)` bits each, first item in the high bits, as many as
+    /// fit 64 bits (7 items over 494 columns, 3 over two million); a
+    /// missing item packs as 0, so a shorter row sorts first. Keys order
+    /// rows as their slices do, and rows of equal keys are equal unless one
+    /// is longer than the packed width, so only equal-key runs holding
+    /// such a row are sorted again by `(slice, row id)`.
     fn of(rows: &CsrMatrix) -> Self {
         let n = rows.n_rows();
-        // Each row carries its first two items (shifted by one, so a
-        // missing item sorts first) as an inline key that orders rows as
-        // their slices do; only rows sharing a key load and compare their
-        // full slices.
+        let (width, packed) = packed_key_shape(rows.n_cols());
         let mut order: Vec<(u64, u32)> = (0..n)
-            .map(|r| {
-                let mut key = [0u32; 2];
-                for (k, &i) in key.iter_mut().zip(rows.row(r)) {
-                    *k = i.saturating_add(1);
-                }
-                ((u64::from(key[0]) << 32) | u64::from(key[1]), r as u32)
-            })
+            .map(|r| (packed_key(rows.row(r), width, packed), r as u32))
             .collect();
-        order.sort_unstable_by(|&(kx, x), &(ky, y)| {
-            kx.cmp(&ky)
-                .then_with(|| rows.row(x as usize).cmp(rows.row(y as usize)))
-                .then(x.cmp(&y))
-        });
+        order.sort_unstable();
+        for run in order.chunk_by_mut(|a, b| a.0 == b.0) {
+            if run.len() > 1 && run.iter().any(|&(_, r)| rows.row_len(r as usize) > packed) {
+                run.sort_unstable_by(|&(_, x), &(_, y)| {
+                    rows.row(x as usize)
+                        .cmp(rows.row(y as usize))
+                        .then(x.cmp(&y))
+                });
+            }
+        }
         let mut class_of = vec![0u32; n];
         let mut reps: Vec<u32> = Vec::new();
         let mut mult: Vec<u32> = Vec::new();
-        for (p, &(_, r)) in order.iter().enumerate() {
-            if p == 0 || rows.row(order[p - 1].1 as usize) != rows.row(r as usize) {
+        for (p, &(key, r)) in order.iter().enumerate() {
+            let twin = p > 0 && {
+                let (prev_key, prev) = order[p - 1];
+                prev_key == key && rows.row(prev as usize) == rows.row(r as usize)
+            };
+            if !twin {
                 reps.push(r);
                 mult.push(0);
             }
@@ -401,6 +414,27 @@ impl TwinClasses {
     fn len(&self) -> usize {
         self.reps.len()
     }
+}
+
+/// The packed twin key's shape over `n_cols` columns: the bits of one
+/// `item + 1` value (`bits(n_cols)`, at least 1) and how many values fit
+/// one `u64`.
+fn packed_key_shape(n_cols: usize) -> (u32, usize) {
+    let width = (usize::BITS - n_cols.leading_zeros()).clamp(1, u64::BITS);
+    (width, (u64::BITS / width) as usize)
+}
+
+/// The first `packed` items of the ascending `row`, each as `item + 1` in
+/// `width` bits, the first item highest; missing items are 0.
+#[inline]
+fn packed_key(row: &[u32], width: u32, packed: usize) -> u64 {
+    let mut key = 0u64;
+    let mut shift = width * packed as u32;
+    for &i in row.iter().take(packed) {
+        shift -= width;
+        key |= (u64::from(i) + 1) << shift;
+    }
+    key
 }
 
 /// The dense/sparse crossover of an item's class set: the set is stored
@@ -959,7 +993,7 @@ impl ParNeighborOracle for RowGraph<'_> {
         }
     }
 
-    fn visit_neighbors(&self, v: usize, scratch: &mut OracleScratch, f: &mut dyn FnMut(u32)) {
+    fn visit_neighbors(&self, v: usize, scratch: &mut OracleScratch, f: &mut impl FnMut(u32)) {
         match self {
             RowGraph::Explicit(g) => ParNeighborOracle::visit_neighbors(g, v, scratch, f),
             RowGraph::Implicit(g) => g.visit_neighbors(v, scratch, f),
@@ -1674,6 +1708,158 @@ mod tests {
         assert_eq!(t.reps, vec![2, 1, 0]);
         assert_eq!(t.mult, vec![1, 2, 1]);
         assert_eq!(t.class_of, vec![2, 1, 0, 1]);
+    }
+
+    /// `TwinClasses::of` as it was before the packed key: a comparator
+    /// sort of the row ids on a two-item inline key, full slices compared
+    /// on ties. Kept verbatim as the oracle of the packed-key sort.
+    fn comparator_twin_classes(rows: &CsrMatrix) -> TwinClasses {
+        let n = rows.n_rows();
+        let mut order: Vec<(u64, u32)> = (0..n)
+            .map(|r| {
+                let mut key = [0u32; 2];
+                for (k, &i) in key.iter_mut().zip(rows.row(r)) {
+                    *k = i.saturating_add(1);
+                }
+                ((u64::from(key[0]) << 32) | u64::from(key[1]), r as u32)
+            })
+            .collect();
+        order.sort_unstable_by(|&(kx, x), &(ky, y)| {
+            kx.cmp(&ky)
+                .then_with(|| rows.row(x as usize).cmp(rows.row(y as usize)))
+                .then(x.cmp(&y))
+        });
+        let mut class_of = vec![0u32; n];
+        let mut reps: Vec<u32> = Vec::new();
+        let mut mult: Vec<u32> = Vec::new();
+        for (p, &(_, r)) in order.iter().enumerate() {
+            if p == 0 || rows.row(order[p - 1].1 as usize) != rows.row(r as usize) {
+                reps.push(r);
+                mult.push(0);
+            }
+            let c = reps.len() - 1;
+            mult[c] += 1;
+            class_of[r as usize] = c as u32;
+        }
+        drop(order);
+        if reps.len() == n {
+            let identity: Vec<u32> = (0..n as u32).collect();
+            return TwinClasses {
+                reps: identity.clone(),
+                mult,
+                class_of: identity,
+            };
+        }
+        TwinClasses {
+            reps,
+            mult,
+            class_of,
+        }
+    }
+
+    /// SplitMix64 step.
+    fn mix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Duplicate-heavy rows over a universe of `n_cols`: items from both
+    /// ends of the universe (so the packed values fill their bits), random
+    /// rows up to three items past the packed width, rows that share their
+    /// packed prefix and differ only past it, and empty rows, each repeated
+    /// up to three times, in a shuffled order.
+    fn twin_rows(n_cols: usize, seed: u64) -> Vec<Vec<u32>> {
+        let (_, packed) = packed_key_shape(n_cols);
+        let mut pool: Vec<u32> = (0..n_cols.min(40) as u32).collect();
+        pool.extend((n_cols.saturating_sub(40)..n_cols).map(|i| i as u32));
+        pool.sort_unstable();
+        pool.dedup();
+        let mut state = seed;
+        let mut distinct: Vec<Vec<u32>> = vec![Vec::new()];
+        for _ in 0..40 {
+            let len = mix(&mut state) as usize % (pool.len().min(packed + 3) + 1);
+            let row: Vec<u32> = (0..len)
+                .map(|_| pool[mix(&mut state) as usize % pool.len()])
+                .collect();
+            distinct.push(row);
+        }
+        if pool.len() > packed + 2 {
+            let prefix = &pool[..packed];
+            let (x, y) = (pool[packed], pool[packed + 1]);
+            for tail in [&[][..], &[x], &[y], &[x, y]] {
+                distinct.push([prefix, tail].concat());
+            }
+        }
+        let mut rows = Vec::new();
+        for row in distinct {
+            for _ in 0..1 + mix(&mut state) % 3 {
+                rows.push(row.clone());
+            }
+        }
+        for i in (1..rows.len()).rev() {
+            rows.swap(i, mix(&mut state) as usize % (i + 1));
+        }
+        rows
+    }
+
+    #[test]
+    fn packed_key_width_follows_the_universe() {
+        assert_eq!(packed_key_shape(0), (1, 64));
+        assert_eq!(packed_key_shape(1), (1, 64));
+        assert_eq!(packed_key_shape(2), (2, 32));
+        assert_eq!(packed_key_shape(494), (9, 7));
+        assert_eq!(packed_key_shape(2_000_000), (21, 3));
+        assert_eq!(packed_key_shape(1 << 21), (22, 2));
+        assert_eq!(packed_key_shape(u32::MAX as usize), (32, 2));
+        assert_eq!(packed_key_shape(u32::MAX as usize + 1), (33, 1));
+        // Packed keys order rows as their slices do; a missing item is 0.
+        let (w, k) = packed_key_shape(494);
+        let rows: [&[u32]; 5] = [&[], &[0], &[0, 493], &[1], &[493]];
+        let keys: Vec<u64> = rows.iter().map(|r| packed_key(r, w, k)).collect();
+        assert!(keys.windows(2).all(|p| p[0] < p[1]), "{keys:?}");
+        assert_eq!(packed_key(&[0, 1, 2, 3, 4, 5, 6], w, k), {
+            (1..=7u64).fold(0, |key, v| (key << 9) | v)
+        });
+        assert_eq!(
+            packed_key(&[0, 1, 2, 3, 4, 5, 6, 7], w, k),
+            packed_key(&[0, 1, 2, 3, 4, 5, 6], w, k)
+        );
+    }
+
+    #[test]
+    fn packed_twin_classes_match_the_comparator_sort() {
+        // Every packed width from 1 to 33 bits (the universes at both ends
+        // of each width), the clickstream and 2M-item shapes, and the
+        // largest `u32` item universe.
+        let mut universes: Vec<usize> = vec![2, 494, 2_000_000, 1 << 21, u32::MAX as usize + 1];
+        for w in 1..=32 {
+            universes.extend([1usize << (w - 1), (1usize << w) - 1]);
+        }
+        for (seed, &n_cols) in universes.iter().enumerate() {
+            let a = CsrMatrix::from_rows(&twin_rows(n_cols, seed as u64), n_cols);
+            let (want, got) = (comparator_twin_classes(&a), TwinClasses::of(&a));
+            assert!(want.len() < a.n_rows(), "{n_cols} columns: no twins");
+            assert_eq!(got.reps, want.reps, "{n_cols} columns");
+            assert_eq!(got.mult, want.mult, "{n_cols} columns");
+            assert_eq!(got.class_of, want.class_of, "{n_cols} columns");
+        }
+        // Twin-free rows (the identity numbering), empty rows alone, and
+        // no rows at all.
+        for rows in [
+            (0..50u32).map(|i| vec![i % 7, 7 + i]).collect::<Vec<_>>(),
+            vec![Vec::new(); 4],
+            Vec::new(),
+        ] {
+            let a = CsrMatrix::from_rows(&rows, 60);
+            let (want, got) = (comparator_twin_classes(&a), TwinClasses::of(&a));
+            assert_eq!(
+                (got.reps, got.mult, got.class_of),
+                (want.reps, want.mult, want.class_of)
+            );
+        }
     }
 
     #[test]
