@@ -179,7 +179,7 @@ pub fn ext_mining(ctx: &ExperimentContext) -> Table {
 
         // Sensitive patterns: each sensitive item paired with its most
         // co-occurring QID item (found by one pass over its transactions).
-        let inv = prep.data.inverted_index();
+        let inv = prep.data.matrix().transpose();
         let mut cooc = vec![0u32; prep.data.n_items()];
         let patterns: Vec<(u32, Vec<u32>)> = sens
             .items()

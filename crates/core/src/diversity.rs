@@ -2,13 +2,11 @@
 //!
 //! The paper's privacy degree `p` is *frequency* ℓ-diversity: no sensitive
 //! item may account for more than `1/p` of a group. The ℓ-diversity paper
-//! (Machanavajjhala et al., cited as \[1\]) defines two stronger instantiations
-//! that data owners often want to audit releases against:
-//!
-//! * **entropy ℓ-diversity** — the entropy of the sensitive-value
-//!   distribution within every group must be at least `log(l)`;
-//! * **recursive (c, l)-diversity** — the most frequent value must satisfy
-//!   `r_1 < c * (r_l + r_{l+1} + ... + r_m)` for frequency-sorted counts.
+//! (Machanavajjhala et al., cited as \[1\]) also defines *entropy*
+//! ℓ-diversity: the entropy of the sensitive-value distribution within
+//! every group must be at least `log(l)`. [`group_entropy`] and
+//! [`effective_l`] measure it per group, and [`privacy_report`] reports
+//! the smallest effective ℓ of a release.
 //!
 //! For transaction groups the "values" are sensitive items, plus an
 //! implicit *none* value for members holding no sensitive item — without
@@ -64,36 +62,6 @@ pub fn group_entropy(group: &AnonymizedGroup) -> f64 {
 /// The effective ℓ of a group under entropy ℓ-diversity: `exp(entropy)`.
 pub fn effective_l(group: &AnonymizedGroup) -> f64 {
     group_entropy(group).exp()
-}
-
-/// Whether a group satisfies entropy ℓ-diversity for the given `l`.
-pub fn entropy_l_diverse(group: &AnonymizedGroup, l: f64) -> bool {
-    if group.sensitive_counts.is_empty() {
-        return true; // nothing sensitive to disclose
-    }
-    group_entropy(group) >= l.ln()
-}
-
-/// Whether a group satisfies recursive (c, l)-diversity: with value counts
-/// sorted descending `r_1 >= r_2 >= ...` (the *none* value included),
-/// `r_1 < c * (r_l + ... + r_m)`.
-pub fn recursive_cl_diverse(group: &AnonymizedGroup, c: f64, l: usize) -> bool {
-    if group.sensitive_counts.is_empty() {
-        return true;
-    }
-    assert!(l >= 1, "l must be at least 1");
-    let occupied: u32 = group.sensitive_counts.iter().map(|&(_, f)| f).sum();
-    let none = (group.size() as i64 - occupied as i64).max(0) as u32;
-    let mut counts: Vec<u32> = group.sensitive_counts.iter().map(|&(_, f)| f).collect();
-    if none > 0 {
-        counts.push(none);
-    }
-    counts.sort_unstable_by(|a, b| b.cmp(a));
-    if counts.len() < l {
-        return false; // fewer than l distinct values present
-    }
-    let tail: u32 = counts[l - 1..].iter().sum();
-    (counts[0] as f64) < c * tail as f64
 }
 
 /// An audit summary of a whole release.
@@ -173,15 +141,13 @@ mod tests {
         let g = group(2, &[(1, 1)]);
         assert!((group_entropy(&g) - 2f64.ln()).abs() < 1e-12);
         assert!((effective_l(&g) - 2.0).abs() < 1e-9);
-        assert!(entropy_l_diverse(&g, 2.0));
-        assert!(!entropy_l_diverse(&g, 2.1));
     }
 
     #[test]
     fn entropy_zero_for_nonsensitive_group() {
         let g = group(3, &[]);
         assert_eq!(group_entropy(&g), 0.0);
-        assert!(entropy_l_diverse(&g, 100.0)); // vacuously safe
+        assert_eq!(effective_l(&g), 1.0);
     }
 
     #[test]
@@ -189,18 +155,6 @@ mod tests {
         let uniform = group(10, &[(1, 5)]);
         let skewed = group(10, &[(1, 9)]);
         assert!(group_entropy(&skewed) < group_entropy(&uniform));
-    }
-
-    #[test]
-    fn recursive_diversity_basic() {
-        // counts sorted: none=6, item=4 -> r1=6 < c*(r2)=c*4 iff c > 1.5.
-        let g = group(10, &[(1, 4)]);
-        assert!(recursive_cl_diverse(&g, 2.0, 2));
-        assert!(!recursive_cl_diverse(&g, 1.4, 2));
-        // l larger than distinct values -> fails.
-        assert!(!recursive_cl_diverse(&g, 10.0, 3));
-        // Non-sensitive group vacuously diverse.
-        assert!(recursive_cl_diverse(&group(3, &[]), 1.0, 5));
     }
 
     #[test]

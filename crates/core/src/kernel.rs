@@ -21,7 +21,8 @@
 //! run.
 //!
 //! Both paths work in the rows' own item space. When the universe is wide
-//! for the rows (`n_items > 2·nnz`, [`CsrMatrix::is_wide`], the rule the
+//! for the rows (`n_items > 2·nnz`, decided by
+//! [`Relabel::when_wide`](cahd_sparse::Relabel::when_wide), the rule the
 //! band reduction compacts its columns by), the kernel relabels every
 //! item to its rank among the distinct items the rows use. The relabel is
 //! a bijection on those items, so every `|QID(t) ∩ QID(c)|` is unchanged,
@@ -51,7 +52,7 @@
 
 use cahd_data::ItemId;
 use cahd_obs::Recorder;
-use cahd_sparse::CsrMatrix;
+use cahd_sparse::Relabel;
 
 /// Which scoring path the kernel may take.
 ///
@@ -234,34 +235,29 @@ struct ItemSpace<'a, T> {
 
 impl<'a, T: ItemEntry> ItemSpace<'a, T> {
     /// The rows over `0..n_items`, relabeled when that universe is wide
-    /// for them. The distinct ids come from a sort of the rows' items, so
-    /// nothing here is sized on `n_items`.
+    /// for them ([`Relabel::when_wide`]).
     fn of(rows: &'a [Vec<T>], n_items: usize) -> Self {
         let nnz: usize = rows.iter().map(Vec::len).sum();
-        if !CsrMatrix::is_wide(n_items, nnz) {
+        let touched = rows.iter().flatten().map(|e| e.item());
+        let Some((relabel, ranks)) = Relabel::when_wide(n_items, nnz, touched) else {
             return ItemSpace {
                 rows,
                 compact: None,
                 width: n_items,
             };
-        }
-        let mut ids: Vec<ItemId> = rows.iter().flatten().map(|e| e.item()).collect();
-        ids.sort_unstable();
-        ids.dedup();
+        };
+        let mut ranks = ranks.into_iter();
         let mut offsets = Vec::with_capacity(rows.len() + 1);
         let mut items = Vec::with_capacity(nnz);
         offsets.push(0);
         for row in rows {
-            items.extend(row.iter().map(|&e| {
-                let rank = ids.partition_point(|&id| id < e.item());
-                e.with_item(rank as ItemId)
-            }));
+            items.extend(row.iter().zip(ranks.by_ref()).map(|(&e, r)| e.with_item(r)));
             offsets.push(items.len());
         }
         ItemSpace {
             rows,
             compact: Some((offsets, items)),
-            width: ids.len(),
+            width: relabel.ids().len(),
         }
     }
 

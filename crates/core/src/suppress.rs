@@ -66,7 +66,7 @@ pub fn enforce_feasibility(
     }
 
     let mut rng = StdRng::seed_from_u64(seed);
-    let inv = data.inverted_index();
+    let inv = data.matrix().transpose();
     // For each offending item, pick the victim transactions.
     let mut drop_item_from: Vec<Vec<bool>> = Vec::new(); // parallel to to_remove
     for &(item, excess) in &to_remove {

@@ -81,11 +81,6 @@ impl TransactionSet {
         self.matrix.col_counts()
     }
 
-    /// The inverted index: item -> sorted list of containing transactions.
-    pub fn inverted_index(&self) -> CsrMatrix {
-        self.matrix.transpose()
-    }
-
     /// Reorders transactions: transaction `t` of the result is transaction
     /// `perm.new_to_old(t)` of `self`. Item ids are unchanged.
     pub fn permute(&self, perm: &Permutation) -> TransactionSet {
@@ -119,7 +114,7 @@ mod tests {
     fn supports_and_inverted_index() {
         let t = sample();
         assert_eq!(t.item_supports(), vec![1, 1, 2]);
-        let inv = t.inverted_index();
+        let inv = t.matrix().transpose();
         assert_eq!(inv.row(2), &[0, 1]);
     }
 

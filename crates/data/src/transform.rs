@@ -1,8 +1,7 @@
 //! Dataset transformation utilities.
 //!
 //! Real deployments rarely anonymize a log verbatim: they subsample for
-//! experimentation, split off held-out sets for utility evaluation, drop
-//! rare items, or merge logs from several sources. These helpers keep such
+//! experimentation, filter, or merge logs from several sources. These helpers keep such
 //! plumbing out of application code; each returns a new
 //! [`TransactionSet`] and, where transaction identity matters, the mapping
 //! back to the original indices.
@@ -53,47 +52,6 @@ pub fn filter_transactions(
         }
     }
     (TransactionSet::from_rows(&rows, data.n_items()), idx)
-}
-
-/// Removes items with support below `min_support` from every transaction
-/// (a standard preprocessing step before mining). The item universe is
-/// unchanged; transactions may become empty.
-pub fn prune_rare_items(data: &TransactionSet, min_support: usize) -> TransactionSet {
-    let supports = data.item_supports();
-    let rows: Vec<Vec<ItemId>> = data
-        .iter()
-        .map(|t| {
-            t.iter()
-                .copied()
-                .filter(|&i| supports[i as usize] >= min_support)
-                .collect()
-        })
-        .collect();
-    TransactionSet::from_rows(&rows, data.n_items())
-}
-
-/// Splits into a (train, test) pair with `test_fraction` of transactions
-/// in the test set, sampled uniformly. Returns
-/// `((train, train_ids), (test, test_ids))`.
-#[allow(clippy::type_complexity)]
-pub fn train_test_split<R: Rng + ?Sized>(
-    data: &TransactionSet,
-    test_fraction: f64,
-    rng: &mut R,
-) -> ((TransactionSet, Vec<u32>), (TransactionSet, Vec<u32>)) {
-    assert!(
-        (0.0..=1.0).contains(&test_fraction),
-        "test_fraction must be in [0, 1]"
-    );
-    let n = data.n_transactions();
-    let k = (n as f64 * test_fraction).round() as usize;
-    let (test, test_ids) = sample_transactions(data, k, rng);
-    let mut in_test = vec![false; n];
-    for &t in &test_ids {
-        in_test[t as usize] = true;
-    }
-    let (train, train_ids) = filter_transactions(data, |t, _| !in_test[t]);
-    ((train, train_ids), (test, test_ids))
 }
 
 /// Concatenates several logs over the same item universe.
@@ -156,27 +114,6 @@ mod tests {
         let (f, ids) = filter_transactions(&d, |_, items| items.contains(&0));
         assert_eq!(f.n_transactions(), 4); // i % 5 == 0: 0, 5, 10, 15
         assert_eq!(ids, vec![0, 5, 10, 15]);
-    }
-
-    #[test]
-    fn prune_removes_rare() {
-        let d = TransactionSet::from_rows(&[vec![0, 1], vec![0, 2], vec![0]], 3);
-        let p = prune_rare_items(&d, 2);
-        assert_eq!(p.transaction(0), &[0]);
-        assert_eq!(p.transaction(1), &[0]);
-        assert_eq!(p.n_items(), 3); // universe unchanged
-    }
-
-    #[test]
-    fn split_partitions() {
-        let d = data();
-        let mut rng = StdRng::seed_from_u64(2);
-        let ((train, train_ids), (test, test_ids)) = train_test_split(&d, 0.25, &mut rng);
-        assert_eq!(test.n_transactions(), 5);
-        assert_eq!(train.n_transactions(), 15);
-        let mut all: Vec<u32> = train_ids.iter().chain(&test_ids).copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..20).collect::<Vec<u32>>());
     }
 
     #[test]

@@ -3,9 +3,7 @@
 
 use std::io::Cursor;
 
-use cahd_data::transform::{
-    concat, filter_transactions, prune_rare_items, sample_transactions, train_test_split,
-};
+use cahd_data::transform::{concat, filter_transactions, sample_transactions};
 use cahd_data::weighted::{read_wdat, write_wdat, WeightedTransactionSet};
 use cahd_data::{io, QuestConfig, QuestGenerator, SensitiveSet, TransactionSet};
 use proptest::prelude::*;
@@ -105,41 +103,20 @@ proptest! {
         use rand::SeedableRng;
         let data = TransactionSet::from_rows(&rows, 40);
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let ((train, train_ids), (test, test_ids)) = train_test_split(&data, frac, &mut rng);
+        // A held-out split: a uniform sample and the rows it left out.
+        let k = (data.n_transactions() as f64 * frac).round() as usize;
+        let (test, test_ids) = sample_transactions(&data, k, &mut rng);
+        let (train, train_ids) = filter_transactions(&data, |t, _| test_ids.binary_search(&(t as u32)).is_err());
         prop_assert_eq!(train.n_transactions() + test.n_transactions(), data.n_transactions());
         for (k, &t) in train_ids.iter().enumerate() {
             prop_assert_eq!(train.transaction(k), data.transaction(t as usize));
         }
-        for (k, &t) in test_ids.iter().enumerate() {
-            prop_assert_eq!(test.transaction(k), data.transaction(t as usize));
+        for (pos, &orig) in test_ids.iter().enumerate() {
+            prop_assert_eq!(test.transaction(pos), data.transaction(orig as usize));
         }
         // concat(train-order) has the right size and universe.
         let joined = concat(&[&train, &test]);
         prop_assert_eq!(joined.n_transactions(), data.n_transactions());
         prop_assert_eq!(joined.n_items(), 40);
-    }
-
-    #[test]
-    fn prune_then_filter_consistency(rows in arb_rows(), min_sup in 1usize..5) {
-        let data = TransactionSet::from_rows(&rows, 40);
-        let pruned = prune_rare_items(&data, min_sup);
-        let supports = data.item_supports();
-        for t in 0..data.n_transactions() {
-            for &i in pruned.transaction(t) {
-                prop_assert!(supports[i as usize] >= min_sup);
-            }
-        }
-        // Sampling k of n keeps subset semantics.
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let k = data.n_transactions() / 2;
-        let (sample, ids) = sample_transactions(&data, k, &mut rng);
-        prop_assert_eq!(sample.n_transactions(), k.min(data.n_transactions()));
-        for (pos, &orig) in ids.iter().enumerate() {
-            prop_assert_eq!(sample.transaction(pos), data.transaction(orig as usize));
-        }
-        // Filtering with always-true is the identity.
-        let (all, _) = filter_transactions(&data, |_, _| true);
-        prop_assert_eq!(all, data);
     }
 }

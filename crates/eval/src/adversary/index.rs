@@ -20,22 +20,21 @@
 
 use rand::Rng;
 
+use std::sync::OnceLock;
+
 use cahd_core::PublishedDataset;
 use cahd_data::{ItemId, SensitiveSet, TransactionSet};
+use cahd_sparse::{row_classes, CsrMatrix, Relabel, RowClasses};
 
 /// The attacker's view of the data: each transaction split once into its
 /// QID items and the ranks of its sensitive items.
 pub struct Population<'a> {
     data: &'a TransactionSet,
     sensitive: &'a SensitiveSet,
-    /// QID items of every transaction, concatenated.
-    qid_items: Vec<ItemId>,
-    /// `qid_items` offsets, one per transaction plus one.
-    qid_start: Vec<usize>,
-    /// Sensitive ranks of every transaction, concatenated.
-    sens_ranks: Vec<usize>,
-    /// `sens_ranks` offsets, one per transaction plus one.
-    sens_start: Vec<usize>,
+    /// The QID items of every transaction, over the data's universe.
+    pub(crate) qid: CsrMatrix,
+    /// The sensitive ranks of every transaction, over `0..m`.
+    ranks: CsrMatrix,
 }
 
 impl<'a> Population<'a> {
@@ -51,7 +50,7 @@ impl<'a> Population<'a> {
         for txn in data.iter() {
             for &item in txn {
                 match sensitive.index_of(item) {
-                    Some(rank) => sens_ranks.push(rank),
+                    Some(rank) => sens_ranks.push(rank as u32),
                     None => qid_items.push(item),
                 }
             }
@@ -61,10 +60,8 @@ impl<'a> Population<'a> {
         Population {
             data,
             sensitive,
-            qid_items,
-            qid_start,
-            sens_ranks,
-            sens_start,
+            qid: CsrMatrix::from_raw_parts(n, data.n_items(), qid_start, qid_items),
+            ranks: CsrMatrix::from_raw_parts(n, sensitive.len(), sens_start, sens_ranks),
         }
     }
 
@@ -80,7 +77,7 @@ impl<'a> Population<'a> {
 
     /// Number of transactions.
     pub fn len(&self) -> usize {
-        self.qid_start.len() - 1
+        self.qid.n_rows()
     }
 
     /// Whether the data has no transactions.
@@ -90,22 +87,19 @@ impl<'a> Population<'a> {
 
     /// The sorted QID items of transaction `t`.
     pub fn qid(&self, t: usize) -> &[ItemId] {
-        &self.qid_items[self.qid_start[t]..self.qid_start[t + 1]]
+        self.qid.row(t)
     }
 
     /// The sensitive ranks of transaction `t`, ascending.
-    pub fn sensitive_ranks(&self, t: usize) -> &[usize] {
-        &self.sens_ranks[self.sens_start[t]..self.sens_start[t + 1]]
+    pub fn sensitive_ranks(&self, t: usize) -> &[u32] {
+        self.ranks.row(t)
     }
 
     /// The victims an attacker knowing `k` items can target: transactions
     /// with a sensitive item and at least `k` QID items, ascending.
     pub fn victims(&self, k: usize) -> Vec<u32> {
         (0..self.len())
-            .filter(|&t| {
-                self.sens_start[t + 1] > self.sens_start[t]
-                    && self.qid_start[t + 1] - self.qid_start[t] >= k
-            })
+            .filter(|&t| self.ranks.row_len(t) > 0 && self.qid.row_len(t) >= k)
             .map(|t| t as u32)
             .collect()
     }
@@ -139,8 +133,6 @@ pub struct TargetIndex<'a> {
     published: bool,
     /// QID rows in publication order (transaction order for raw data).
     rows: Vec<&'a [ItemId]>,
-    /// [`row_key`] of every row: equal rows have equal keys.
-    row_keys: Vec<u64>,
     /// The group of each row; non-decreasing in the row id.
     row_group: Vec<u32>,
     /// Rows per group, `|G|`.
@@ -152,19 +144,20 @@ pub struct TargetIndex<'a> {
     counts: Vec<(usize, u32)>,
     /// `counts` offsets, one per group plus one.
     counts_start: Vec<usize>,
-    /// The distinct ids below the data's universe that some row holds,
-    /// ascending: the index's item space. An item's slot is its position
-    /// here, found by binary search, so nothing is sized by the universe.
-    items: Vec<ItemId>,
-    /// Row ids per held item, ascending, concatenated.
-    postings: Vec<u32>,
-    /// `postings` offsets, one per held item plus one.
-    postings_start: Vec<usize>,
+    /// The items below the data's universe that some row holds: the
+    /// index's item space, so nothing is sized by the universe.
+    items: Relabel,
+    /// Every row read as a set over `items`.
+    sets: CsrMatrix,
+    /// `sets` transposed: the rows holding each held item, ascending.
+    postings: CsrMatrix,
     /// `1 / ln(1 + support)` per held item.
     weight: Vec<f64>,
     /// Non-sensitive items some row holds: what an attacker can
     /// mis-remember.
     qid_universe: Vec<ItemId>,
+    /// Rows grouped by set, built on first use.
+    classes: OnceLock<RowClasses>,
 }
 
 impl<'a> TargetIndex<'a> {
@@ -207,19 +200,20 @@ impl<'a> TargetIndex<'a> {
                     row_group.push(t as u32);
                     group_size.push(1);
                     claim_posterior.push(if ranks.is_empty() { 0.0 } else { 1.0 });
-                    counts.extend(ranks.iter().map(|&r| (r, 1)));
+                    counts.extend(ranks.iter().map(|&r| (r as usize, 1)));
                     counts_start.push(counts.len());
                 }
             }
         }
-        let row_keys = rows.iter().map(|row| row_key(row)).collect();
-        let (items, postings_start, postings) = held_postings(&rows, population.data().n_items());
+        let (sets, items) = CsrMatrix::from_sets(&rows, population.data().n_items());
+        let postings = sets.transpose();
         // Every held item has a non-empty posting list.
-        let weight: Vec<f64> = postings_start
-            .windows(2)
-            .map(|w| 1.0 / (1.0 + (w[1] - w[0]) as f64).ln())
+        let weight: Vec<f64> = postings
+            .rows()
+            .map(|list| 1.0 / (1.0 + list.len() as f64).ln())
             .collect();
         let qid_universe = items
+            .ids()
             .iter()
             .copied()
             .filter(|&i| !sensitive.contains(i))
@@ -228,17 +222,17 @@ impl<'a> TargetIndex<'a> {
             population,
             published: published.is_some(),
             rows,
-            row_keys,
             row_group,
             group_size,
             claim_posterior,
             counts,
             counts_start,
             items,
+            sets,
             postings,
-            postings_start,
             weight,
             qid_universe,
+            classes: OnceLock::new(),
         }
     }
 
@@ -262,10 +256,19 @@ impl<'a> TargetIndex<'a> {
         self.rows[r]
     }
 
-    /// The 64-bit FNV-1a [`row_key`] of row `r`: equal rows share it, so
-    /// rows with different keys differ.
-    pub(crate) fn row_key(&self, r: usize) -> u64 {
-        self.row_keys[r]
+    /// The rows grouped by set: equal sets share a class, and class ids
+    /// follow the sets' lexicographic order.
+    pub(crate) fn classes(&self) -> &RowClasses {
+        self.classes.get_or_init(|| row_classes(&self.sets))
+    }
+
+    /// The set of class `c`, in original ids, ascending.
+    pub(crate) fn class_items(&self, c: u32) -> impl Iterator<Item = ItemId> + Clone + '_ {
+        let rep = self.classes().reps[c as usize];
+        self.sets
+            .row(rep as usize)
+            .iter()
+            .map(|&j| self.items.ids()[j as usize])
     }
 
     /// The group owning row `r`.
@@ -283,15 +286,10 @@ impl<'a> TargetIndex<'a> {
         &self.counts[self.counts_start[g]..self.counts_start[g + 1]]
     }
 
-    /// The slot of `item` among the held items, if some row holds it.
-    fn slot(&self, item: ItemId) -> Option<usize> {
-        self.items.binary_search(&item).ok()
-    }
-
     /// Rows holding `item`, ascending (empty outside the universe).
     pub fn postings(&self, item: ItemId) -> &[u32] {
-        match self.slot(item) {
-            Some(s) => &self.postings[self.postings_start[s]..self.postings_start[s + 1]],
+        match self.items.rank(item) {
+            Some(s) => self.postings.row(s as usize),
             None => &[],
         }
     }
@@ -299,7 +297,9 @@ impl<'a> TargetIndex<'a> {
     /// The scoring weight `1 / ln(1 + support)` of `item` (0 outside the
     /// universe or when no row holds it).
     pub fn weight(&self, item: ItemId) -> f64 {
-        self.slot(item).map_or(0.0, |s| self.weight[s])
+        self.items
+            .rank(item)
+            .map_or(0.0, |s| self.weight[s as usize])
     }
 
     /// Non-sensitive items some row holds, ascending.
@@ -340,85 +340,6 @@ impl<'a> TargetIndex<'a> {
             }
         }
     }
-}
-
-/// 64-bit FNV-1a over the little-endian bytes of `row`'s items, in
-/// published order.
-pub(crate) fn row_key(row: &[ItemId]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &item in row {
-        for byte in item.to_le_bytes() {
-            h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-    h
-}
-
-/// Item → row postings over `rows` in their own item space, as `(held
-/// items, offsets, row ids)`: the held items are the distinct ids below
-/// `n_items` some row holds, ascending, and each list is ascending, a row
-/// listed once per distinct item. The same answer as [`item_postings`]
-/// with the empty lists dropped, built without a table per universe id:
-/// the held ids are sorted and deduplicated, and each reference finds its
-/// slot by binary search, so the cost is O(nnz log nnz) whatever the
-/// universe.
-fn held_postings(rows: &[&[ItemId]], n_items: usize) -> (Vec<ItemId>, Vec<usize>, Vec<u32>) {
-    let mut items: Vec<ItemId> = rows
-        .iter()
-        .flat_map(|row| row.iter().copied())
-        .filter(|&i| (i as usize) < n_items)
-        .collect();
-    items.sort_unstable();
-    items.dedup();
-    // Every row relabeled to its items' slots, ids past the universe
-    // dropped.
-    let mut slots: Vec<u32> = Vec::with_capacity(rows.iter().map(|row| row.len()).sum());
-    let mut slot_start: Vec<usize> = Vec::with_capacity(rows.len() + 1);
-    slot_start.push(0);
-    for row in rows {
-        slots.extend(
-            row.iter()
-                .filter_map(|i| items.binary_search(i).ok().map(|s| s as u32)),
-        );
-        slot_start.push(slots.len());
-    }
-    let relabeled: Vec<&[u32]> = slot_start.windows(2).map(|w| &slots[w[0]..w[1]]).collect();
-    let (start, postings) = item_postings(&relabeled, items.len());
-    (items, start, postings)
-}
-
-/// Item → row postings over `rows`, as `(offsets, row ids)`: each list
-/// ascending, a row listed once per distinct item, ids `>= n_items`
-/// skipped.
-pub(crate) fn item_postings(rows: &[&[ItemId]], n_items: usize) -> (Vec<usize>, Vec<u32>) {
-    let mut start = vec![0usize; n_items + 1];
-    let mut last_row = vec![u32::MAX; n_items];
-    for (r, row) in rows.iter().enumerate() {
-        for &item in *row {
-            let i = item as usize;
-            if i < n_items && last_row[i] != r as u32 {
-                last_row[i] = r as u32;
-                start[i + 1] += 1;
-            }
-        }
-    }
-    for i in 0..n_items {
-        start[i + 1] += start[i];
-    }
-    let mut fill = start[..n_items].to_vec();
-    let mut postings = vec![0u32; start[n_items]];
-    last_row.fill(u32::MAX);
-    for (r, row) in rows.iter().enumerate() {
-        for &item in *row {
-            let i = item as usize;
-            if i < n_items && last_row[i] != r as u32 {
-                last_row[i] = r as u32;
-                postings[fill[i]] = r as u32;
-                fill[i] += 1;
-            }
-        }
-    }
-    (start, postings)
 }
 
 #[cfg(test)]
@@ -527,18 +448,8 @@ mod tests {
         assert_matches_row_scan(&published, n_items, &probes);
         assert_eq!(published.postings(top), &[3]);
 
-        // Ids past the universe are dropped; the held items' lists are the
-        // table over the whole universe with its empty lists left out.
-        let rows: Vec<&[ItemId]> = vec![&[3, 1, 3], &[], &[11, 1], &[2, 9, 11, 30]];
-        let held = held_postings(&rows, 12);
-        assert_eq!(held.0, vec![1, 2, 3, 9, 11]);
-        assert_eq!(held.1, vec![0, 2, 3, 4, 5, 7]);
-        assert_eq!(held.2, vec![0, 2, 3, 0, 3, 2, 3]);
-        let wide = held_postings(&rows, 1 << 20);
-        assert_eq!(wide.0, vec![1, 2, 3, 9, 11, 30]);
-        assert_eq!((&wide.1[..6], &wide.2[..7]), (&held.1[..], &held.2[..]));
-        // Seeded rows (unsorted, repeating ids) against `item_postings`
-        // over a universe of 16, compacted.
+        // Seeded release rows (unsorted, repeating, past the universe of
+        // 16) against the row scan.
         let mut state = 7u64;
         let mut next = |n: u64| {
             state = state
@@ -546,23 +457,24 @@ mod tests {
                 .wrapping_add(1);
             (state >> 33) % n
         };
+        let data = TransactionSet::from_rows(&vec![vec![0, 1]; 12], 16);
+        let sens = SensitiveSet::new(vec![15], 16);
+        let pop = Population::new(&data, &sens);
         for _ in 0..200 {
-            let rows: Vec<Vec<ItemId>> = (0..1 + next(12))
-                .map(|_| (0..next(6)).map(|_| next(20) as ItemId).collect())
-                .collect();
-            let rows: Vec<&[ItemId]> = rows.iter().map(Vec::as_slice).collect();
-            let (start, postings) = item_postings(&rows, 16);
-            let items: Vec<ItemId> = (0..16u32)
-                .filter(|&i| start[i as usize + 1] > start[i as usize])
-                .collect();
-            let start: Vec<usize> = std::iter::once(0)
-                .chain(items.iter().map(|&i| start[i as usize + 1]))
-                .collect();
-            assert_eq!(
-                held_postings(&rows, 16),
-                (items, start, postings),
-                "{rows:?}"
-            );
+            let mut group =
+                AnonymizedGroup::from_members(&data, &sens, &(0..12).collect::<Vec<u32>>());
+            let rows = 1 + next(12) as usize;
+            group.qid_rows.truncate(rows);
+            for row in &mut group.qid_rows {
+                *row = (0..next(6)).map(|_| next(20) as ItemId).collect();
+            }
+            let release = PublishedDataset {
+                n_items: 16,
+                sensitive_items: vec![15],
+                groups: vec![group],
+            };
+            let idx = TargetIndex::new(&pop, Some(&release));
+            assert_matches_row_scan(&idx, 16, &[16, 19, u32::MAX]);
         }
     }
 

@@ -84,40 +84,46 @@ impl IntersectionReport {
 }
 
 /// Per-release candidate evidence for one trial: the distinct matching
-/// QID contents with their row keys (ordered by key, not by content) and
-/// the averaged per-sensitive-item posterior vector.
-struct Evidence<'a> {
-    contents: Vec<(u64, &'a [ItemId])>,
+/// QID contents, as the release's class ids (ascending, so in the
+/// lexicographic order of the contents), and the averaged
+/// per-sensitive-item posterior vector.
+struct Evidence {
+    contents: Vec<u32>,
     posterior: Vec<f64>,
 }
 
-impl Evidence<'_> {
-    /// Whether `row` (with key `key`) is one of the contents: a binary
-    /// search on the key, then slices compared within the equal-key run.
-    fn contains(&self, key: u64, row: &[ItemId]) -> bool {
-        let from = self.contents.partition_point(|&(k, _)| k < key);
-        self.contents[from..]
-            .iter()
-            .take_while(|&&(k, _)| k == key)
-            .any(|&(_, c)| c == row)
+impl Evidence {
+    /// Whether `items` (ascending original ids) is one of the contents of
+    /// `release`, this evidence's release: a binary search over the
+    /// contents, comparing item sets.
+    fn contains(
+        &self,
+        release: &TargetIndex<'_>,
+        items: &(impl Iterator<Item = ItemId> + Clone),
+    ) -> bool {
+        self.contents
+            .binary_search_by(|&c| release.class_items(c).cmp(items.clone()))
+            .is_ok()
     }
 }
 
-fn evidence<'a>(
-    release: &TargetIndex<'a>,
+fn evidence(
+    release: &TargetIndex<'_>,
     known: &[ItemId],
     n_sensitive: usize,
     candidates: &mut Vec<u32>,
-    keyed: &mut Vec<(u64, u32)>,
-) -> Option<Evidence<'a>> {
+) -> Option<Evidence> {
     release.candidates(known, candidates);
     if candidates.is_empty() {
         return None;
     }
-    keyed.clear();
-    keyed.extend(candidates.iter().map(|&r| (release.row_key(r as usize), r)));
-    keyed.sort_unstable();
-    let contents = distinct_contents(keyed, |r| release.row(r as usize));
+    let classes = release.classes();
+    let mut contents: Vec<u32> = candidates
+        .iter()
+        .map(|&r| classes.class_of[r as usize])
+        .collect();
+    contents.sort_unstable();
+    contents.dedup();
     let mut posterior = vec![0.0f64; n_sensitive];
     release.add_group_posteriors(candidates, &mut posterior);
     for p in &mut posterior {
@@ -127,27 +133,6 @@ fn evidence<'a>(
         contents,
         posterior,
     })
-}
-
-/// The distinct contents of `keyed` (`(row key, row id)` pairs sorted by
-/// key): a row is kept unless an equal slice was already kept under its
-/// key, so slices are compared only when keys are equal.
-fn distinct_contents<'a>(
-    keyed: &[(u64, u32)],
-    row: impl Fn(u32) -> &'a [ItemId],
-) -> Vec<(u64, &'a [ItemId])> {
-    let mut contents: Vec<(u64, &[ItemId])> = Vec::with_capacity(keyed.len());
-    let mut run = 0;
-    for &(key, r) in keyed {
-        if contents.last().is_none_or(|&(k, _)| k != key) {
-            run = contents.len();
-        }
-        let row = row(r);
-        if !contents[run..].iter().any(|&(_, c)| c == row) {
-            contents.push((key, row));
-        }
-    }
-    contents
 }
 
 /// Runs the composition attack over the indexed `releases` at knowledge
@@ -176,7 +161,6 @@ pub fn intersection_report(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut known: Vec<ItemId> = Vec::with_capacity(k);
     let mut candidates: Vec<u32> = Vec::new();
-    let mut keyed: Vec<(u64, u32)> = Vec::new();
     let mut composed_trials = 0usize;
     let mut narrowed_trials = 0usize;
     let mut unique = 0usize;
@@ -190,7 +174,7 @@ pub fn intersection_report(
 
         let mut per_release = Vec::with_capacity(releases.len());
         for release in releases {
-            match evidence(release, &known, n_sensitive, &mut candidates, &mut keyed) {
+            match evidence(release, &known, n_sensitive, &mut candidates) {
                 Some(e) => per_release.push(e),
                 None => {
                     per_release.clear();
@@ -211,14 +195,21 @@ pub fn intersection_report(
             .map(|e| e.contents.len())
             .min()
             .unwrap_or(0);
-        let mut intersected = per_release[0].contents.clone();
-        for e in &per_release[1..] {
-            intersected.retain(|&(key, c)| e.contains(key, c));
-        }
-        if intersected.len() < min_contents {
+        let intersected = per_release[0]
+            .contents
+            .iter()
+            .filter(|&&c| {
+                let items = releases[0].class_items(c);
+                per_release[1..]
+                    .iter()
+                    .zip(&releases[1..])
+                    .all(|(e, release)| e.contains(release, &items))
+            })
+            .count();
+        if intersected < min_contents {
             narrowed_trials += 1;
         }
-        if intersected.len() == 1 {
+        if intersected == 1 {
             unique += 1;
         }
 
@@ -245,7 +236,7 @@ pub fn intersection_report(
                 max_composed = max_composed.max(c);
             }
             sum_top += top;
-            if top > 0.0 && v_sens.contains(&top_rank) {
+            if top > 0.0 && v_sens.contains(&(top_rank as u32)) {
                 successes += 1;
             }
         }
@@ -344,24 +335,29 @@ mod tests {
     }
 
     #[test]
-    fn rows_sharing_a_key_are_told_apart_by_content() {
-        // Keys forged to collide: rows 0 and 2 are equal, row 1 differs.
-        let rows: [&[ItemId]; 4] = [&[1, 2], &[3], &[1, 2], &[4]];
-        let keyed = [(7, 0), (7, 1), (7, 2), (9, 3)];
-        let contents = distinct_contents(&keyed, |r| rows[r as usize]);
-        assert_eq!(
-            contents,
-            vec![(7, &[1, 2][..]), (7, &[3][..]), (9, &[4][..])]
-        );
-        let e = Evidence {
-            contents,
-            posterior: Vec::new(),
-        };
-        assert!(e.contains(7, &[3]));
-        assert!(e.contains(7, &[1, 2]));
-        assert!(!e.contains(7, &[4]));
-        assert!(e.contains(9, &[4]));
-        assert!(!e.contains(8, &[1, 2]));
+    fn release_rows_compose_as_sets() {
+        // The same release with every QID row reversed and its first item
+        // repeated: read as sets, its rows are the original rows, so it
+        // composes with the original exactly as the original does.
+        let (data, sens) = setup();
+        let (a, _) = cahd(&data, &sens, &CahdConfig::new(3)).unwrap();
+        let mut b = a.clone();
+        for row in b.groups.iter_mut().flat_map(|g| g.qid_rows.iter_mut()) {
+            row.reverse();
+            if let Some(&last) = row.last() {
+                row.push(last);
+            }
+        }
+        let names = vec!["a".to_string(), "b".to_string()];
+        for k in [1, 2] {
+            let want = report(&data, &sens, &[&a, &a], &names, k, 200, 11);
+            assert!(
+                want.composed_trials > 0 && want.unique_matches > 0,
+                "{want:?}"
+            );
+            assert_eq!(report(&data, &sens, &[&a, &b], &names, k, 200, 11), want);
+            assert_eq!(report(&data, &sens, &[&b, &a], &names, k, 200, 11), want);
+        }
     }
 
     #[test]

@@ -19,9 +19,8 @@
 //! the `CAHD-A001` gate inherits a deterministic detector.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
-use cahd_data::ItemId;
+use cahd_sparse::{row_classes, CsrMatrix};
 
 use super::index::TargetIndex;
 use super::CurvePoint;
@@ -101,35 +100,39 @@ pub fn vulnerable_scan(index: &TargetIndex<'_>, p: usize, epsilon: f64) -> Vulne
         }
     } else {
         // Content classes over QID item sets: the posterior of a row is
-        // resolved within its duplicate class.
+        // resolved within its duplicate class, from one tally per class of
+        // the sensitive ranks its members hold.
         let population = index.population();
-        let mut classes: BTreeMap<&[ItemId], Vec<usize>> = BTreeMap::new();
-        for t in 0..population.len() {
-            classes.entry(population.qid(t)).or_default().push(t);
+        let n = population.len();
+        let classes = row_classes(&population.qid);
+        let (k, class_of) = (classes.reps.len(), classes.class_of);
+        let members = CsrMatrix::from_raw_parts(n, k, (0..=n).collect(), class_of).transpose();
+        let ranks = |t: &u32| {
+            population
+                .sensitive_ranks(*t as usize)
+                .iter()
+                .map(|&r| r as usize)
+        };
+        let mut posterior = vec![0.0f64; n];
+        let mut tally = vec![0u32; population.sensitive().len()];
+        for class in members.rows() {
+            class.iter().flat_map(ranks).for_each(|r| tally[r] += 1);
+            let size = class.len() as f64;
+            for t in class {
+                let worst = ranks(t).fold(0.0f64, |worst, r| worst.max(tally[r] as f64 / size));
+                posterior[*t as usize] = worst;
+            }
+            class.iter().flat_map(ranks).for_each(|r| tally[r] = 0);
         }
-        for members in classes.values() {
-            let size = members.len() as f64;
-            for &t in members {
-                let v_sens = population.sensitive_ranks(t);
-                if v_sens.is_empty() {
-                    continue;
-                }
-                let mut worst = 0.0f64;
-                for rank in v_sens {
-                    let hits = members
-                        .iter()
-                        .filter(|&&m| population.sensitive_ranks(m).contains(rank))
-                        .count();
-                    worst = worst.max(hits as f64 / size);
-                }
-                rows.push(VulnerableRow {
+        rows.extend(
+            (0..n)
+                .filter(|&t| !population.sensitive_ranks(t).is_empty())
+                .map(|t| VulnerableRow {
                     transaction: t,
                     group: None,
-                    posterior: worst,
-                });
-            }
-        }
-        rows.sort_by_key(|r| r.transaction);
+                    posterior: posterior[t],
+                }),
+        );
     }
     let rows_scanned = rows.len();
     let vulnerable_rows = rows.iter().filter(|r| r.posterior >= threshold).count();

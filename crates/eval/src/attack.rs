@@ -135,7 +135,7 @@ pub(crate) fn linkage<R: Rng + ?Sized>(
         }
         let v_sens = population.sensitive_ranks(v);
         for &rank in v_sens {
-            sum_true += per_item[rank] / v_sens.len() as f64;
+            sum_true += per_item[rank as usize] / v_sens.len() as f64;
         }
         for &p in &per_item {
             max_post = max_post.max(p);

@@ -34,7 +34,7 @@ pub fn frequent_itemsets(
     max_len: usize,
 ) -> Vec<Itemset> {
     assert!(min_support >= 1, "min_support must be positive");
-    let inv = data.inverted_index();
+    let inv = data.matrix().transpose();
     let supports = data.item_supports();
 
     // L1.
@@ -116,7 +116,7 @@ pub fn top_k_itemsets(
 
 /// Exact support of an itemset in the original data.
 pub fn itemset_support(data: &TransactionSet, items: &[ItemId]) -> usize {
-    let inv = data.inverted_index();
+    let inv = data.matrix().transpose();
     match items {
         [] => data.n_transactions(),
         [first, rest @ ..] => {

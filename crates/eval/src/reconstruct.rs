@@ -13,9 +13,8 @@
 
 use cahd_core::PublishedDataset;
 use cahd_data::{ItemId, TransactionSet};
-use cahd_sparse::CsrMatrix;
+use cahd_sparse::{ColumnSpace, CsrMatrix, Relabel};
 
-use crate::adversary::index::item_postings;
 use crate::cells::{cell_of, n_cells};
 use crate::query::GroupByQuery;
 
@@ -93,12 +92,14 @@ pub fn estimated_pdf(published: &PublishedDataset, query: &GroupByQuery) -> Opti
 /// `data` queries.
 pub struct WorkloadIndex<'a> {
     data: &'a TransactionSet,
+    /// The data's items, relabeled when its universe is wide for it.
+    held: Option<Relabel>,
     /// Item → rows of `data` holding it.
     holders: CsrMatrix,
-    /// Release rows per item, ascending, concatenated.
-    postings: Vec<u32>,
-    /// `postings` offsets, one per item of the data's universe plus one.
-    postings_start: Vec<usize>,
+    /// The items below the data's universe that some release row holds.
+    released: Relabel,
+    /// Released item → release rows holding it, ascending.
+    postings: CsrMatrix,
     /// First release row of each group, plus the total row count.
     group_start: Vec<usize>,
     /// `(sensitive item, group, a)` for every `a > 0`, sorted by item and
@@ -113,14 +114,15 @@ pub struct WorkloadIndex<'a> {
 }
 
 impl<'a> WorkloadIndex<'a> {
-    /// Indexes `data` and `published`.
+    /// Indexes `data` and `published`, each in the items it holds.
     pub fn new(data: &'a TransactionSet, published: &PublishedDataset) -> Self {
         let rows: Vec<&[ItemId]> = published
             .groups
             .iter()
             .flat_map(|g| g.qid_rows.iter().map(Vec::as_slice))
             .collect();
-        let (postings_start, postings) = item_postings(&rows, data.n_items());
+        let (sets, released) = CsrMatrix::from_sets(&rows, data.n_items());
+        let ColumnSpace { matrix, relabel } = ColumnSpace::of(data.matrix());
         let mut group_start = Vec::with_capacity(published.groups.len() + 1);
         group_start.push(0);
         let mut sensitive_groups = Vec::new();
@@ -136,9 +138,10 @@ impl<'a> WorkloadIndex<'a> {
         sensitive_groups.dedup();
         WorkloadIndex {
             data,
-            holders: data.inverted_index(),
-            postings,
-            postings_start,
+            holders: matrix.transpose(),
+            held: relabel,
+            released,
+            postings: sets.transpose(),
             cell: vec![0; rows.len()],
             group_start,
             sensitive_groups,
@@ -166,11 +169,13 @@ impl<'a> WorkloadIndex<'a> {
 
     fn actual_pdf(&self, query: &GroupByQuery) -> Option<Vec<f64>> {
         let mut counts = vec![0u64; n_cells(query.r())];
-        let s = query.sensitive as usize;
-        let holders = if s < self.holders.n_rows() {
-            self.holders.row(s)
-        } else {
-            &[]
+        let s = self
+            .held
+            .as_ref()
+            .map_or(Some(query.sensitive), |r| r.rank(query.sensitive));
+        let holders = match s.filter(|&s| (s as usize) < self.holders.n_rows()) {
+            Some(s) => self.holders.row(s as usize),
+            None => &[],
         };
         if holders.is_empty() {
             return None;
@@ -193,11 +198,10 @@ impl<'a> WorkloadIndex<'a> {
             return None;
         }
         for (bit, &item) in query.qid.iter().enumerate() {
-            let i = item as usize;
-            if i + 1 >= self.postings_start.len() {
+            let Some(i) = self.released.rank(item) else {
                 continue;
-            }
-            for &row in &self.postings[self.postings_start[i]..self.postings_start[i + 1]] {
+            };
+            for &row in self.postings.row(i as usize) {
                 let cell = &mut self.cell[row as usize];
                 if *cell == 0 {
                     self.touched.push(row);

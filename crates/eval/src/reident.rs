@@ -31,7 +31,7 @@ pub fn reidentification_probability<R: Rng + ?Sized>(
     if k == 0 {
         return None;
     }
-    let inv = data.inverted_index();
+    let inv = data.matrix().transpose();
 
     // Eligible items per transaction (QID items when a sensitive set is
     // given). Collect the indices of attackable transactions.

@@ -220,7 +220,7 @@ pub fn attack_raw<R: Rng + ?Sized>(
     if victims.is_empty() || trials == 0 {
         return None;
     }
-    let inv = data.inverted_index();
+    let inv = data.matrix().transpose();
     let mut sum_true = 0f64;
     let mut max_post = 0f64;
     let mut unique = 0usize;

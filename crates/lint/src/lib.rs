@@ -34,7 +34,7 @@
 //! `--fix`: every violation is either fixed by hand or justified in an
 //! allow comment.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 pub mod lexer;
@@ -163,11 +163,19 @@ impl Analysis {
         }
         findings.sort();
         findings.dedup();
+        let mut non_test_lines: BTreeMap<String, usize> = BTreeMap::new();
+        for file in &self.sources {
+            let lines = (1..=file.raw.lines().count() as u32)
+                .filter(|&l| !lexer::in_ranges(&file.test_ranges, l))
+                .count();
+            *non_test_lines.entry(file.crate_name.clone()).or_default() += lines;
+        }
         LintReport {
             findings,
             honored,
             files_scanned: self.sources.len(),
             rules_run: RULES.iter().map(|r| (r.code, r.name)).collect(),
+            non_test_lines: non_test_lines.into_iter().collect(),
         }
     }
 }
@@ -352,6 +360,28 @@ mod tests {
         assert!(l8.iter().any(|f| f.message.contains("unused allow")));
         assert!(l8.iter().any(|f| f.message.contains("unknown lint code")));
         assert!(l8.iter().any(|f| f.message.contains("without a reason")));
+    }
+
+    #[test]
+    fn non_test_lines_skip_test_items_in_every_crate() {
+        let mut a = Analysis::new();
+        a.add_source(
+            "crates/core/src/x.rs",
+            "pub fn f() {}\n#[cfg(test)]\nfn helper() {}\npub fn g() {}\n\
+             #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {}\n}\n",
+        );
+        a.add_source("crates/core/src/y.rs", "pub fn h() {}\n\n");
+        a.add_source("src/lib.rs", "#![cfg(test)]\nfn t() {}\n");
+        let report = a.run();
+        // Lines 1 and 4 of x.rs (a test helper mid-file is not counted)
+        // and both lines of y.rs; none of the root crate's.
+        assert_eq!(
+            report.non_test_lines,
+            vec![("cahd".to_string(), 0), ("core".to_string(), 4)]
+        );
+        assert!(report
+            .render_json()
+            .ends_with("\"non_test_lines\":{\"total\":4,\"crates\":{\"cahd\":0,\"core\":4}}}"));
     }
 
     #[test]

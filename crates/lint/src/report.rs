@@ -51,6 +51,9 @@ pub struct LintReport {
     pub files_scanned: usize,
     /// `(code, name)` of every rule that ran.
     pub rules_run: Vec<(&'static str, &'static str)>,
+    /// Per crate, by name: its scanned lines outside every `#[cfg(test)]`
+    /// or `#[test]` item.
+    pub non_test_lines: Vec<(String, usize)>,
 }
 
 impl LintReport {
@@ -127,7 +130,17 @@ impl LintReport {
                 json_str(name)
             );
         }
-        out.push_str("]}");
+        let total: usize = self.non_test_lines.iter().map(|(_, n)| n).sum();
+        let crates: Vec<String> = self
+            .non_test_lines
+            .iter()
+            .map(|(name, n)| format!("{}:{n}", json_str(name)))
+            .collect();
+        let crates = crates.join(",");
+        let _ = write!(
+            out,
+            "],\"non_test_lines\":{{\"total\":{total},\"crates\":{{{crates}}}}}}}"
+        );
         out
     }
 }
@@ -173,6 +186,7 @@ mod tests {
             }],
             files_scanned: 2,
             rules_run: vec![("CAHD-L001", "nondeterministic-iteration")],
+            non_test_lines: vec![("x".into(), 12)],
         }
     }
 

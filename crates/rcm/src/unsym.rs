@@ -13,17 +13,18 @@
 //!
 //! Sparse data touches few of its items, so on a universe wider than twice
 //! its non-zeros the reduction works in the touched columns' own space:
-//! [`CsrMatrix::compact_columns`] drops the empty columns once, and the row
-//! graph, the column ordering and both band statistics run over the `k`
-//! touched columns in O(nnz + d/64), not O(d). None of them depends on an
+//! [`ColumnSpace`] drops the empty columns once (the shared
+//! [`Relabel`](cahd_sparse::Relabel): a bitmap with rank prefixes when `⌈d/64⌉ ≤ nnz`, else a
+//! sort of the touched ids), and the row graph, the column ordering and
+//! both band statistics run over the `k` touched columns in
+//! O(nnz + min(d/64, nnz log nnz)), not O(d). None of them depends on an
 //! empty column, and the relabel keeps column order, so the results are
 //! those of the full-width computation.
 
-use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
 use cahd_sparse::bandwidth::{rect_band_stats_at, RectBandStats};
-use cahd_sparse::{resolve_hub_cap, CsrMatrix, Permutation, RowGraph, RowGraphMode};
+use cahd_sparse::{resolve_hub_cap, ColumnSpace, CsrMatrix, Permutation, RowGraph, RowGraphMode};
 
 use crate::ordering::cluster_order;
 use crate::parallel::{band_order, band_order_traced};
@@ -281,37 +282,6 @@ pub fn order_columns(a: &CsrMatrix, row_perm: &Permutation, order: ColumnOrder) 
                 .collect();
             expand_column_order(placed, a.n_cols())
         }
-    }
-}
-
-/// The columns the reduction works on: `a` without its empty columns when
-/// its universe is wide ([`CsrMatrix::is_wide`]), else `a` itself.
-struct ColumnSpace<'a> {
-    matrix: Cow<'a, CsrMatrix>,
-    /// The original id of each compacted column (ascending); `None` when
-    /// `matrix` is `a` itself.
-    ids: Option<Vec<u32>>,
-}
-
-impl<'a> ColumnSpace<'a> {
-    fn of(a: &'a CsrMatrix) -> Self {
-        if CsrMatrix::is_wide(a.n_cols(), a.nnz()) {
-            let (matrix, ids) = a.compact_columns();
-            ColumnSpace {
-                matrix,
-                ids: Some(ids),
-            }
-        } else {
-            ColumnSpace {
-                matrix: Cow::Borrowed(a),
-                ids: None,
-            }
-        }
-    }
-
-    /// The original id of column `j` of `matrix`.
-    fn original(&self, j: u32) -> u32 {
-        self.ids.as_ref().map_or(j, |ids| ids[j as usize])
     }
 }
 

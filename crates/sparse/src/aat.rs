@@ -334,86 +334,84 @@ fn hub_skipped(support: usize, hub_cap: Option<u32>) -> bool {
     }
 }
 
-/// Rows grouped into *twin classes*: one class per distinct item set.
-/// Twins have identical `A x A^T` neighborhoods, so the degree pass runs
-/// once per class instead of once per row.
-struct TwinClasses {
+/// Rows grouped by item set: one class per distinct row. Twins (rows of
+/// one class) have identical `A x A^T` neighborhoods, so the degree pass
+/// runs once per class instead of once per row; the vulnerable-population
+/// scan resolves a posterior within a class; the intersection attacker
+/// compares releases by class content.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RowClasses {
     /// One representative row per class (its smallest row id).
-    reps: Vec<u32>,
+    pub reps: Vec<u32>,
     /// Number of rows in each class.
-    mult: Vec<u32>,
+    pub mult: Vec<u32>,
     /// The class of every row.
-    class_of: Vec<u32>,
+    pub class_of: Vec<u32>,
 }
 
-impl TwinClasses {
-    /// Groups the rows of `rows` by item set. One sort of the row ids on
-    /// `(item set, row id)` puts twins side by side, so each class's first
-    /// row is its smallest and class ids follow the lexicographic order of
-    /// the item sets: classes sharing leading items get nearby ids, so
-    /// consecutive classes of the degree pass OR overlapping item sets.
-    /// When every row is distinct the classes are the rows themselves.
-    ///
-    /// The sort runs on a packed key: the row's leading `item + 1` values
-    /// at `bits(n_cols)` bits each, first item in the high bits, as many as
-    /// fit 64 bits (7 items over 494 columns, 3 over two million); a
-    /// missing item packs as 0, so a shorter row sorts first. Keys order
-    /// rows as their slices do, and rows of equal keys are equal unless one
-    /// is longer than the packed width, so only equal-key runs holding
-    /// such a row are sorted again by `(slice, row id)`.
-    fn of(rows: &CsrMatrix) -> Self {
-        let n = rows.n_rows();
-        let (width, packed) = packed_key_shape(rows.n_cols());
-        let mut order: Vec<(u64, u32)> = (0..n)
-            .map(|r| (packed_key(rows.row(r), width, packed), r as u32))
-            .collect();
-        order.sort_unstable();
-        for run in order.chunk_by_mut(|a, b| a.0 == b.0) {
-            if run.len() > 1 && run.iter().any(|&(_, r)| rows.row_len(r as usize) > packed) {
-                run.sort_unstable_by(|&(_, x), &(_, y)| {
-                    rows.row(x as usize)
-                        .cmp(rows.row(y as usize))
-                        .then(x.cmp(&y))
-                });
-            }
-        }
-        let mut class_of = vec![0u32; n];
-        let mut reps: Vec<u32> = Vec::new();
-        let mut mult: Vec<u32> = Vec::new();
-        for (p, &(key, r)) in order.iter().enumerate() {
-            let twin = p > 0 && {
-                let (prev_key, prev) = order[p - 1];
-                prev_key == key && rows.row(prev as usize) == rows.row(r as usize)
-            };
-            if !twin {
-                reps.push(r);
-                mult.push(0);
-            }
-            let c = reps.len() - 1;
-            mult[c] += 1;
-            class_of[r as usize] = c as u32;
-        }
-        drop(order);
-        if reps.len() == n {
-            // Twin-free: every row is its own class.
-            let identity: Vec<u32> = (0..n as u32).collect();
-            return TwinClasses {
-                reps: identity.clone(),
-                mult,
-                class_of: identity,
-            };
-        }
-        TwinClasses {
-            reps,
-            mult,
-            class_of,
+/// Groups the rows of `rows` by item set. One sort of the row ids on
+/// `(item set, row id)` puts equal rows side by side, so each class's
+/// first row is its smallest and class ids follow the lexicographic order
+/// of the item sets: classes sharing leading items get nearby ids, and a
+/// binary search over class ids can compare item sets.
+///
+/// The sort runs on a packed key: the row's leading `item + 1` values at
+/// `bits(n_cols)` bits each, first item in the high bits, as many as fit
+/// 64 bits (7 items over 494 columns, 3 over two million); a missing item
+/// packs as 0, so a shorter row sorts first. Keys order rows as their
+/// slices do, and rows of equal keys are equal unless one is longer than
+/// the packed width, so only equal-key runs holding such a row are sorted
+/// again by `(slice, row id)`.
+pub fn row_classes(rows: &CsrMatrix) -> RowClasses {
+    let n = rows.n_rows();
+    let (width, packed) = packed_key_shape(rows.n_cols());
+    let mut order: Vec<(u64, u32)> = (0..n)
+        .map(|r| (packed_key(rows.row(r), width, packed), r as u32))
+        .collect();
+    order.sort_unstable();
+    for run in order.chunk_by_mut(|a, b| a.0 == b.0) {
+        if run.len() > 1 && run.iter().any(|&(_, r)| rows.row_len(r as usize) > packed) {
+            run.sort_unstable_by(|&(_, x), &(_, y)| {
+                rows.row(x as usize)
+                    .cmp(rows.row(y as usize))
+                    .then(x.cmp(&y))
+            });
         }
     }
+    let mut class_of = vec![0u32; n];
+    let mut reps: Vec<u32> = Vec::new();
+    let mut mult: Vec<u32> = Vec::new();
+    for (p, &(key, r)) in order.iter().enumerate() {
+        let twin = p > 0 && {
+            let (prev_key, prev) = order[p - 1];
+            prev_key == key && rows.row(prev as usize) == rows.row(r as usize)
+        };
+        if !twin {
+            reps.push(r);
+            mult.push(0);
+        }
+        let c = reps.len() - 1;
+        mult[c] += 1;
+        class_of[r as usize] = c as u32;
+    }
+    RowClasses {
+        reps,
+        mult,
+        class_of,
+    }
+}
 
-    /// Number of classes.
-    fn len(&self) -> usize {
-        self.reps.len()
+/// The classes of the degree pass: [`row_classes`], except that rows that
+/// are all distinct are numbered by row, so [`ClassSets`] borrows the row
+/// transpose as its sets.
+fn degree_classes(rows: &CsrMatrix) -> RowClasses {
+    let mut classes = row_classes(rows);
+    if classes.reps.len() == rows.n_rows() {
+        let identity: Vec<u32> = (0..rows.n_rows() as u32).collect();
+        classes.reps.clone_from(&identity);
+        classes.class_of = identity;
     }
+    classes
 }
 
 /// The packed twin key's shape over `n_cols` columns: the bits of one
@@ -492,11 +490,11 @@ impl<'m> ClassSets<'m> {
     fn build(
         rows: &CsrMatrix,
         cols: &'m CsrMatrix,
-        classes: &TwinClasses,
+        classes: &RowClasses,
         hub_cap: Option<u32>,
     ) -> Self {
-        let k = classes.len();
-        // Twin-free, `TwinClasses::of` numbers the classes by row.
+        let k = classes.reps.len();
+        // Twin-free, `bulk_degrees` numbers the classes by row.
         let twin_free = k == rows.n_rows();
         // Tiered numbering: a stable sort by multiplicity keeps class-id
         // order within each tier, and a new multiplicity opens a new word.
@@ -630,9 +628,9 @@ fn bulk_degrees(
     hub_cap: Option<u32>,
     threads: usize,
 ) -> DegreePass {
-    let classes = TwinClasses::of(rows);
+    let classes = degree_classes(rows);
     let sets = ClassSets::build(rows, cols, &classes, hub_cap);
-    let k = classes.len();
+    let k = classes.reps.len();
     let mut class_degrees = vec![0u32; k];
     let threads = threads.max(1).min(k.max(1));
     if threads <= 1 {
@@ -668,7 +666,7 @@ fn bulk_degrees(
 /// empty or all-hub row has no neighbors, whatever its multiplicity.
 fn class_degree_chunk(
     rows: &CsrMatrix,
-    classes: &TwinClasses,
+    classes: &RowClasses,
     sets: &ClassSets<'_>,
     lo: usize,
     out: &mut [u32],
@@ -1545,8 +1543,8 @@ mod tests {
     fn twin_classes_of_an_empty_matrix() {
         let a = CsrMatrix::from_rows(&[], 3);
         let cols = a.transpose();
-        let t = TwinClasses::of(&a);
-        assert_eq!(t.len(), 0);
+        let t = row_classes(&a);
+        assert!(t.reps.is_empty());
         assert!(t.class_of.is_empty());
         let pass = bulk_degrees(&a, &cols, None, 4);
         assert!(pass.degrees.is_empty());
@@ -1557,9 +1555,9 @@ mod tests {
     fn identical_rows_form_one_class() {
         let a = CsrMatrix::from_rows(&vec![vec![1, 3]; 5], 4);
         let cols = a.transpose();
-        let t = TwinClasses::of(&a);
+        let t = row_classes(&a);
         assert_eq!(
-            (t.len(), t.reps.as_slice(), t.mult.as_slice()),
+            (t.reps.len(), t.reps.as_slice(), t.mult.as_slice()),
             (1, &[0][..], &[5][..])
         );
         assert_eq!(t.class_of, vec![0; 5]);
@@ -1588,7 +1586,7 @@ mod tests {
     fn distinct_rows_borrow_the_row_transpose() {
         let a = sample();
         let cols = a.transpose();
-        let t = TwinClasses::of(&a);
+        let t = row_classes(&a);
         assert_eq!(t.reps, vec![0, 1, 2, 3]);
         assert_eq!(t.class_of, vec![0, 1, 2, 3]);
         assert_eq!(t.mult, vec![1; 4]);
@@ -1610,7 +1608,10 @@ mod tests {
             .collect();
         let a = CsrMatrix::from_rows(&rows, 301);
         let cols = a.transpose();
-        let t = TwinClasses::of(&a);
+        // Row 299's set [0, 300] sorts second; the degree pass renumbers.
+        assert_eq!(row_classes(&a).class_of[299], 1);
+        let t = degree_classes(&a);
+        assert_eq!(t.class_of, (0..300).collect::<Vec<u32>>());
         let sets = ClassSets::build(&a, &cols, &t, None);
         assert_eq!(sets.word_mult, vec![1; 5]);
         assert_eq!(sets.items[0], ItemSet::Sparse { len: 2, start: 0 });
@@ -1648,7 +1649,7 @@ mod tests {
         }
         let a = CsrMatrix::from_rows(&rows, 75);
         let cols = a.transpose();
-        let t = TwinClasses::of(&a);
+        let t = row_classes(&a);
         let sets = ClassSets::build(&a, &cols, &t, None);
         assert_eq!(sets.word_mult, vec![1, 1, 2, 3, 4, 5]);
         // Item 0: bits 0..70 and 128, three words for 71 positions.
@@ -1690,7 +1691,7 @@ mod tests {
     fn classes_follow_item_set_order() {
         let a = CsrMatrix::from_rows(&[vec![0, 1], vec![2], vec![0, 1], vec![2], vec![]], 3);
         let cols = a.transpose();
-        let t = TwinClasses::of(&a);
+        let t = row_classes(&a);
         // Classes [], [0, 1], [2], each represented by its smallest row.
         assert_eq!(t.reps, vec![4, 0, 1]);
         assert_eq!(t.mult, vec![1, 2, 2]);
@@ -1704,16 +1705,17 @@ mod tests {
             &[vec![0, 1, 3], vec![0, 1, 2], vec![0, 1], vec![0, 1, 2]],
             4,
         );
-        let t = TwinClasses::of(&b);
+        let t = row_classes(&b);
         assert_eq!(t.reps, vec![2, 1, 0]);
         assert_eq!(t.mult, vec![1, 2, 1]);
         assert_eq!(t.class_of, vec![2, 1, 0, 1]);
     }
 
-    /// `TwinClasses::of` as it was before the packed key: a comparator
-    /// sort of the row ids on a two-item inline key, full slices compared
-    /// on ties. Kept verbatim as the oracle of the packed-key sort.
-    fn comparator_twin_classes(rows: &CsrMatrix) -> TwinClasses {
+    /// The twin classes as they were found before the packed key: a
+    /// comparator sort of the row ids on a two-item inline key, full slices
+    /// compared on ties. The oracle of the packed-key sort; the twin-free
+    /// renumbering it also did is now `degree_classes`.
+    fn comparator_twin_classes(rows: &CsrMatrix) -> RowClasses {
         let n = rows.n_rows();
         let mut order: Vec<(u64, u32)> = (0..n)
             .map(|r| {
@@ -1741,16 +1743,7 @@ mod tests {
             mult[c] += 1;
             class_of[r as usize] = c as u32;
         }
-        drop(order);
-        if reps.len() == n {
-            let identity: Vec<u32> = (0..n as u32).collect();
-            return TwinClasses {
-                reps: identity.clone(),
-                mult,
-                class_of: identity,
-            };
-        }
-        TwinClasses {
+        RowClasses {
             reps,
             mult,
             class_of,
@@ -1840,8 +1833,8 @@ mod tests {
         }
         for (seed, &n_cols) in universes.iter().enumerate() {
             let a = CsrMatrix::from_rows(&twin_rows(n_cols, seed as u64), n_cols);
-            let (want, got) = (comparator_twin_classes(&a), TwinClasses::of(&a));
-            assert!(want.len() < a.n_rows(), "{n_cols} columns: no twins");
+            let (want, got) = (comparator_twin_classes(&a), row_classes(&a));
+            assert!(want.reps.len() < a.n_rows(), "{n_cols} columns: no twins");
             assert_eq!(got.reps, want.reps, "{n_cols} columns");
             assert_eq!(got.mult, want.mult, "{n_cols} columns");
             assert_eq!(got.class_of, want.class_of, "{n_cols} columns");
@@ -1854,7 +1847,7 @@ mod tests {
             Vec::new(),
         ] {
             let a = CsrMatrix::from_rows(&rows, 60);
-            let (want, got) = (comparator_twin_classes(&a), TwinClasses::of(&a));
+            let (want, got) = (comparator_twin_classes(&a), row_classes(&a));
             assert_eq!(
                 (got.reps, got.mult, got.class_of),
                 (want.reps, want.mult, want.class_of)

@@ -8,6 +8,7 @@
 use std::borrow::Cow;
 
 use crate::perm::Permutation;
+use crate::relabel::Relabel;
 
 /// A binary sparse matrix in compressed sparse row format.
 ///
@@ -240,63 +241,73 @@ impl CsrMatrix {
     }
 
     /// Whether a universe of `n_cols` columns is wide for `nnz` non-zeros:
-    /// wider than twice the non-zeros. Only then do the callers relabel to
-    /// the touched columns ([`CsrMatrix::compact_columns`] for the band
-    /// reduction, the QID-similarity kernel in `cahd-core`); below that
-    /// width every O(d) cost is already O(nnz), and the copy would only
-    /// raise the peak.
+    /// wider than twice the non-zeros. Only then do the callers that could
+    /// borrow their rows relabel them to the touched columns
+    /// ([`Relabel::when_wide`]: the band reduction through
+    /// [`ColumnSpace`](crate::ColumnSpace), the QID-similarity kernel in
+    /// `cahd-core`); below that width every O(d) cost is already O(nnz),
+    /// and the copy would only raise the peak.
     pub fn is_wide(n_cols: usize, nnz: usize) -> bool {
         n_cols > 2 * nnz
     }
 
     /// Drops the empty columns: the touched columns are relabeled `0..k`
-    /// in ascending original id, and the second value lists each one's
-    /// original id (`ids[new] = old`, ascending).
-    ///
-    /// The relabel preserves column order, so every row stays sorted and
-    /// every tie broken by column id breaks the same way. A ⌈d/64⌉-word
-    /// bitmap of touched columns with per-word rank prefixes does the
-    /// relabel in O(nnz + d/64), with no one-word-per-column buffer.
-    /// When every column is touched the matrix is borrowed, not copied.
-    pub fn compact_columns(&self) -> (Cow<'_, CsrMatrix>, Vec<u32>) {
-        let mut bits = vec![0u64; self.n_cols.div_ceil(64)];
-        for &c in &self.indices {
-            bits[c as usize / 64] |= 1u64 << (c % 64);
+    /// in ascending original id ([`Relabel`]), so every row stays sorted
+    /// and every tie broken by column id breaks the same way. When every
+    /// column is touched the matrix is borrowed, not copied.
+    pub fn compact_columns(&self) -> (Cow<'_, CsrMatrix>, Relabel) {
+        let (relabel, indices) = Relabel::of(self.n_cols, self.nnz(), self.indices.iter().copied());
+        let k = relabel.ids().len();
+        if k == self.n_cols {
+            return (Cow::Borrowed(self), relabel);
         }
-        // rank[w]: touched columns in the words before `w`.
-        let mut rank = Vec::with_capacity(bits.len());
-        let mut k = 0u32;
-        for &w in &bits {
-            rank.push(k);
-            k += w.count_ones();
+        let indptr = self.indptr.clone();
+        (
+            Cow::Owned(CsrMatrix::from_raw_parts(self.n_rows, k, indptr, indices)),
+            relabel,
+        )
+    }
+
+    /// `rows` read as sets over `0..n_cols` (a repeated id counts once,
+    /// order is ignored, ids `>= n_cols` are dropped) and relabeled to the
+    /// ids they hold: the sets and the [`Relabel`].
+    pub fn from_sets(rows: &[&[u32]], n_cols: usize) -> (CsrMatrix, Relabel) {
+        let mut indptr = Vec::with_capacity(rows.len() + 1);
+        let mut held: Vec<u32> = Vec::new();
+        indptr.push(0);
+        for row in rows {
+            held.extend(row.iter().filter(|&&c| (c as usize) < n_cols));
+            indptr.push(held.len());
         }
-        if k as usize == self.n_cols {
-            return (Cow::Borrowed(self), (0..k).collect());
-        }
-        let mut ids = Vec::with_capacity(k as usize);
-        for (wi, &w) in bits.iter().enumerate() {
-            let mut w = w;
-            while w != 0 {
-                ids.push((wi * 64) as u32 + w.trailing_zeros());
-                w &= w - 1;
+        let (relabel, mut indices) = Relabel::of(n_cols, held.len(), held.iter().copied());
+        // Rows are moved down over the ids a malformed row dropped; a row
+        // that is not strictly ascending is sorted and deduplicated.
+        let mut kept = 0;
+        for r in 0..rows.len() {
+            let (start, end) = (indptr[r], indptr[r + 1]);
+            if kept < start {
+                indices.copy_within(start..end, kept);
+            }
+            let set = &mut indices[kept..kept + end - start];
+            indptr[r] = kept;
+            kept += set.len();
+            if !set.is_sorted_by(|a, b| a < b) {
+                let mut sorted = set.to_vec();
+                sorted.sort_unstable();
+                sorted.dedup();
+                set[..sorted.len()].copy_from_slice(&sorted);
+                kept -= set.len() - sorted.len();
             }
         }
-        let indices = self
-            .indices
-            .iter()
-            .map(|&c| {
-                let wi = c as usize / 64;
-                let below = (1u64 << (c % 64)) - 1;
-                rank[wi] + (bits[wi] & below).count_ones()
-            })
-            .collect();
-        let compact = CsrMatrix {
-            n_rows: self.n_rows,
-            n_cols: k as usize,
-            indptr: self.indptr.clone(),
+        indptr[rows.len()] = kept;
+        indices.truncate(kept);
+        let sets = CsrMatrix {
+            n_rows: rows.len(),
+            n_cols: relabel.ids().len(),
+            indptr,
             indices,
         };
-        (Cow::Owned(compact), ids)
+        (sets, relabel)
     }
 
     /// Reorders rows: row `r` of the result is row `perm.new_to_old(r)` of
@@ -480,11 +491,11 @@ mod tests {
         let mut touched: Vec<u32> = m.indices().to_vec();
         touched.sort_unstable();
         touched.dedup();
-        assert_eq!(ids, touched);
-        assert_eq!(c.n_cols(), ids.len());
+        assert_eq!(ids.ids(), touched);
+        assert_eq!(c.n_cols(), ids.ids().len());
         assert_eq!(c.n_rows(), m.n_rows());
         for r in 0..m.n_rows() {
-            let back: Vec<u32> = c.row(r).iter().map(|&j| ids[j as usize]).collect();
+            let back: Vec<u32> = c.row(r).iter().map(|&j| ids.ids()[j as usize]).collect();
             assert_eq!(back, m.row(r), "row {r}");
         }
     }
@@ -495,7 +506,7 @@ mod tests {
         let (c, ids) = m.compact_columns();
         assert!(matches!(c, Cow::Borrowed(_)));
         assert_eq!(*c, m);
-        assert!(ids.is_empty());
+        assert!(ids.ids().is_empty());
     }
 
     #[test]
@@ -503,7 +514,7 @@ mod tests {
         let m = CsrMatrix::from_rows(&[vec![], vec![]], 100);
         let (c, ids) = m.compact_columns();
         assert_eq!((c.n_rows(), c.n_cols(), c.nnz()), (2, 0, 0));
-        assert!(ids.is_empty());
+        assert!(ids.ids().is_empty());
     }
 
     #[test]
@@ -512,14 +523,14 @@ mod tests {
         let (c, ids) = m.compact_columns();
         assert!(matches!(c, Cow::Borrowed(_)));
         assert_eq!(*c, m);
-        assert_eq!(ids, vec![0, 1, 2, 3]);
+        assert_eq!(ids.ids(), &[0, 1, 2, 3]);
     }
 
     #[test]
     fn compact_columns_keeps_the_last_column() {
         let m = CsrMatrix::from_rows(&[vec![3, 999], vec![], vec![0, 64, 999]], 1000);
         let (c, ids) = m.compact_columns();
-        assert_eq!(ids, vec![0, 3, 64, 999]);
+        assert_eq!(ids.ids(), &[0, 3, 64, 999]);
         assert_eq!(c.row(0), &[1, 3]);
         assert_eq!(c.row(2), &[0, 2, 3]);
         assert_compaction(&m);

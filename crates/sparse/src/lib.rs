@@ -19,6 +19,9 @@
 //!   they share a column), either materialized or evaluated lazily through a
 //!   `Sync` inverted index ([`aat::ImplicitRowGraph`]) when the explicit edge
 //!   set would be too large, selected by [`aat::RowGraphMode`],
+//! * three tools every row set shares: [`relabel::Relabel`] (the columns
+//!   in use, numbered in order), [`CsrMatrix::transpose`] (item → row
+//!   postings) and [`aat::row_classes`] (rows grouped by item set),
 //! * [`bandwidth`] — bandwidth/profile metrics for square graphs and
 //!   rectangular matrices under row+column permutations,
 //! * [`viz`] — density-grid renderers used to reproduce the paper's Fig. 6
@@ -29,12 +32,15 @@ pub mod bandwidth;
 pub mod csr;
 pub mod graph;
 pub mod perm;
+pub mod relabel;
 pub mod viz;
 
 pub use aat::{
-    resolve_hub_cap, ImplicitRowGraph, OracleScratch, ParNeighborOracle, RowGraph, RowGraphMode,
+    resolve_hub_cap, row_classes, ImplicitRowGraph, OracleScratch, ParNeighborOracle, RowClasses,
+    RowGraph, RowGraphMode,
 };
 pub use bandwidth::{rect_band_stats, rect_band_stats_at, GraphBandStats, RectBandStats};
 pub use csr::CsrMatrix;
 pub use graph::Graph;
 pub use perm::Permutation;
+pub use relabel::{ColumnSpace, Relabel};

@@ -1,6 +1,8 @@
 //! Property-based tests for the sparse substrate.
 
-use cahd_sparse::{CsrMatrix, Graph, ParNeighborOracle, Permutation, RowGraph};
+use cahd_sparse::{
+    row_classes, ColumnSpace, CsrMatrix, Graph, ParNeighborOracle, Permutation, Relabel, RowGraph,
+};
 use proptest::prelude::*;
 
 /// Strategy: a random binary matrix as per-row column lists.
@@ -11,6 +13,33 @@ fn arb_matrix() -> impl Strategy<Value = (Vec<Vec<u32>>, usize)> {
             Just(n_cols),
         )
     })
+}
+
+/// Strategy: raw rows (unsorted, repeating, some ids up to four past the
+/// universe) over a universe wide enough for both [`Relabel`]
+/// representations: ⌈n_cols/64⌉ runs from 1 to 63 words against up to
+/// 200 references.
+fn arb_sets() -> impl Strategy<Value = (Vec<Vec<u32>>, usize)> {
+    (1usize..4000).prop_flat_map(|n_cols| {
+        (
+            proptest::collection::vec(proptest::collection::vec(0..n_cols as u32 + 4, 0..8), 0..25),
+            Just(n_cols),
+        )
+    })
+}
+
+/// The ids below `n_cols` that `rows` hold, ascending: the relabel's
+/// definition.
+fn held_ids(rows: &[Vec<u32>], n_cols: usize) -> Vec<u32> {
+    let mut ids: Vec<u32> = rows
+        .iter()
+        .flatten()
+        .copied()
+        .filter(|&c| (c as usize) < n_cols)
+        .collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids
 }
 
 fn arb_perm(n: usize) -> impl Strategy<Value = Permutation> {
@@ -26,6 +55,90 @@ fn arb_perm(n: usize) -> impl Strategy<Value = Permutation> {
 }
 
 proptest! {
+    #[test]
+    fn relabel_matches_a_sort((rows, n_cols) in arb_sets()) {
+        let want = held_ids(&rows, n_cols);
+        let touched: Vec<u32> = rows
+            .iter()
+            .flatten()
+            .copied()
+            .filter(|&c| (c as usize) < n_cols)
+            .collect();
+        let words = n_cols.div_ceil(64);
+        // The true count, and counts on both sides of the crossover: the
+        // representation changes, the answers do not.
+        for nnz in [touched.len(), words.saturating_sub(1), words, words + 1] {
+            let (r, ranks) = Relabel::of(n_cols, nnz, touched.iter().copied());
+            prop_assert_eq!(r.ids(), &want[..]);
+            let ranked: Vec<u32> = touched.iter().map(|c| want.binary_search(c).unwrap() as u32).collect();
+            prop_assert_eq!(ranks, ranked);
+            for id in 0..n_cols as u32 + 4 {
+                let rank = want.binary_search(&id).ok().map(|p| p as u32);
+                prop_assert_eq!(r.rank(id), rank, "id {}", id);
+            }
+        }
+    }
+
+    #[test]
+    fn from_sets_reads_rows_as_sets((rows, n_cols) in arb_sets()) {
+        let refs: Vec<&[u32]> = rows.iter().map(Vec::as_slice).collect();
+        let (sets, relabel) = CsrMatrix::from_sets(&refs, n_cols);
+        prop_assert_eq!(relabel.ids(), &held_ids(&rows, n_cols)[..]);
+        prop_assert_eq!(sets.n_rows(), rows.len());
+        prop_assert_eq!(sets.n_cols(), relabel.ids().len());
+        for (r, row) in rows.iter().enumerate() {
+            let back: Vec<u32> = sets.row(r).iter().map(|&j| relabel.ids()[j as usize]).collect();
+            prop_assert_eq!(back, held_ids(std::slice::from_ref(row), n_cols));
+        }
+        // The transpose lists, per held item, the rows holding it.
+        let postings = sets.transpose();
+        for (j, &id) in relabel.ids().iter().enumerate() {
+            let want: Vec<u32> = (0..rows.len() as u32)
+                .filter(|&r| rows[r as usize].contains(&id))
+                .collect();
+            prop_assert_eq!(postings.row(j), &want[..]);
+        }
+    }
+
+    #[test]
+    fn compaction_keeps_every_row((rows, n_cols) in arb_sets()) {
+        let rows: Vec<Vec<u32>> = rows
+            .iter()
+            .map(|row| row.iter().copied().filter(|&c| (c as usize) < n_cols).collect())
+            .collect();
+        let m = CsrMatrix::from_rows(&rows, n_cols);
+        let (c, relabel) = m.compact_columns();
+        prop_assert_eq!(relabel.ids(), &held_ids(&rows, n_cols)[..]);
+        for r in 0..m.n_rows() {
+            let back: Vec<u32> = c.row(r).iter().map(|&j| relabel.ids()[j as usize]).collect();
+            prop_assert_eq!(&back[..], m.row(r));
+        }
+        // Compacted only when wide, and then to the same columns.
+        let ColumnSpace { matrix: w, relabel: wide } = ColumnSpace::of(&m);
+        prop_assert_eq!(wide.is_some(), CsrMatrix::is_wide(n_cols, m.nnz()));
+        if wide.is_some() {
+            prop_assert_eq!(&*w, &*c);
+        } else {
+            prop_assert_eq!(&*w, &m);
+        }
+    }
+
+    #[test]
+    fn row_classes_group_equal_rows_in_set_order((rows, n_cols) in arb_matrix()) {
+        let m = CsrMatrix::from_rows(&rows, n_cols);
+        let classes = row_classes(&m);
+        for r in 0..m.n_rows() {
+            let rep = classes.reps[classes.class_of[r] as usize] as usize;
+            prop_assert_eq!(m.row(rep), m.row(r));
+            prop_assert!(rep <= r);
+        }
+        let mult: u32 = classes.mult.iter().sum();
+        prop_assert_eq!(mult as usize, m.n_rows());
+        for w in classes.reps.windows(2) {
+            prop_assert!(m.row(w[0] as usize) < m.row(w[1] as usize));
+        }
+    }
+
     #[test]
     fn transpose_involution((rows, n_cols) in arb_matrix()) {
         let m = CsrMatrix::from_rows(&rows, n_cols);
