@@ -21,7 +21,11 @@ use crate::transaction::{ItemId, TransactionSet};
 /// normalized form ([`crate::TransactionSet::from_rows`] sorts and dedups).
 pub fn read_dat_rows<R: BufRead>(reader: R) -> io::Result<(Vec<Vec<ItemId>>, usize)> {
     let mut rows: Vec<Vec<ItemId>> = Vec::new();
-    let inferred = for_each_row(reader, |row| rows.push(row.clone()))?;
+    let mut ids: Vec<ItemId> = Vec::new();
+    let inferred = for_each_row(reader, &mut ids, |ids, _| {
+        rows.push(ids.clone());
+        ids.clear();
+    })?;
     Ok((rows, inferred))
 }
 
@@ -33,10 +37,21 @@ pub fn read_dat_rows<R: BufRead>(reader: R) -> io::Result<(Vec<Vec<ItemId>>, usi
 pub fn read_dat<R: BufRead>(reader: R, n_items: Option<usize>) -> io::Result<TransactionSet> {
     let mut indptr = vec![0usize];
     let mut indices: Vec<ItemId> = Vec::new();
-    let inferred = for_each_row(reader, |row| {
-        row.sort_unstable();
-        row.dedup();
-        indices.extend_from_slice(row);
+    // Each row is scanned straight onto the end of `indices`; only a row
+    // that is not strictly ascending is sorted and deduplicated in place.
+    let inferred = for_each_row(reader, &mut indices, |indices, start| {
+        let row = &mut indices[start..];
+        if !row.is_sorted_by(|a, b| a < b) {
+            row.sort_unstable();
+            let mut kept = 1;
+            for i in 1..row.len() {
+                if row[i] != row[kept - 1] {
+                    row[kept] = row[i];
+                    kept += 1;
+                }
+            }
+            indices.truncate(start + kept);
+        }
         indptr.push(indices.len());
     })?;
     // The set is kept for the whole run: no growth slack.
@@ -47,63 +62,174 @@ pub fn read_dat<R: BufRead>(reader: R, n_items: Option<usize>) -> io::Result<Tra
     Ok(TransactionSet::from_matrix(matrix))
 }
 
-/// The one `.dat` line loop: calls `row` with the ids of every
-/// transaction line as written (in one reused `Vec`) and returns the
-/// inferred item universe. Lines are read into one reused byte buffer and
-/// checked as UTF-8 like [`BufRead::lines`] does.
+/// The one `.dat` line loop: scans the ids of every transaction line onto
+/// the end of `ids`, calls `row(ids, start)` with the row at
+/// `ids[start..]` as written, and returns the inferred item universe.
+///
+/// The scanner works on the reader's own buffer, chunk by chunk. A line
+/// of ASCII digits (runs of at most 9), spaces, tabs and `\r` is parsed
+/// straight from the bytes: for such a line `trim` plus
+/// `split_ascii_whitespace` yields exactly its digit runs. Every other
+/// line — a comment, a sign, a longer token, `\x0b`/`\x0c`, non-ASCII or
+/// invalid UTF-8 — is read through [`slow_line`], the `str` path of
+/// [`BufRead::lines`]. A line that straddles a refill is copied into a
+/// carry buffer first, so memory holds one chunk and one line.
 fn for_each_row<R: BufRead>(
     mut reader: R,
-    mut row: impl FnMut(&mut Vec<ItemId>),
+    ids: &mut Vec<ItemId>,
+    mut row: impl FnMut(&mut Vec<ItemId>, usize),
 ) -> io::Result<usize> {
-    let mut line: Vec<u8> = Vec::new();
-    let mut ids: Vec<ItemId> = Vec::new();
-    let mut max_id: u64 = 0;
-    let mut any_item = false;
-    let mut lineno = 0usize;
+    let mut scan = Scan::default();
+    let mut carry: Vec<u8> = Vec::new();
     loop {
-        line.clear();
-        if reader.read_until(b'\n', &mut line)? == 0 {
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
             break;
         }
-        lineno += 1;
-        let text = std::str::from_utf8(&line).map_err(|_| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                "stream did not contain valid UTF-8",
-            )
-        })?;
-        let trimmed = text.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
+        let len = chunk.len();
+        let mut rest = chunk;
+        if !carry.is_empty() {
+            match rest.iter().position(|&b| b == b'\n') {
+                Some(i) => {
+                    carry.extend_from_slice(&rest[..=i]);
+                    rest = &rest[i + 1..];
+                    scan.lines(&carry, ids, &mut row)?;
+                    carry.clear();
+                }
+                None => {
+                    carry.extend_from_slice(rest);
+                    rest = &[];
+                }
+            }
         }
-        ids.clear();
-        for tok in trimmed.split_ascii_whitespace() {
-            let id = parse_id(tok).map_err(|e| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("line {lineno}: bad item id {tok:?}: {e}"),
-                )
-            })?;
-            max_id = max_id.max(id as u64);
-            any_item = true;
-            ids.push(id);
-        }
-        row(&mut ids);
+        let complete = rest.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        scan.lines(&rest[..complete], ids, &mut row)?;
+        carry.extend_from_slice(&rest[complete..]);
+        reader.consume(len);
     }
-    Ok(if any_item { max_id as usize + 1 } else { 0 })
+    if !carry.is_empty() {
+        // The last line has no `\n`; one more reads the same.
+        carry.push(b'\n');
+        scan.lines(&carry, ids, &mut row)?;
+    }
+    Ok(if scan.any_item {
+        scan.max_id as usize + 1
+    } else {
+        0
+    })
 }
 
-/// Parses one id token: at most 9 ASCII digits straight from the bytes
-/// (below `u32::MAX` by construction), anything else through
-/// `str::parse`, which owns the accepted forms and the error texts.
-fn parse_id(tok: &str) -> Result<ItemId, std::num::ParseIntError> {
-    let bytes = tok.as_bytes();
-    if !bytes.is_empty() && bytes.len() <= 9 && bytes.iter().all(u8::is_ascii_digit) {
-        return Ok(bytes
-            .iter()
-            .fold(0, |id, &b| id * 10 + ItemId::from(b - b'0')));
+/// The line count and the largest id of the rows scanned so far.
+#[derive(Default)]
+struct Scan {
+    lineno: usize,
+    max_id: ItemId,
+    any_item: bool,
+}
+
+impl Scan {
+    /// Scans `block`, whole lines each ending in `\n`.
+    fn lines(
+        &mut self,
+        block: &[u8],
+        ids: &mut Vec<ItemId>,
+        row: &mut impl FnMut(&mut Vec<ItemId>, usize),
+    ) -> io::Result<()> {
+        let mut at = 0;
+        while at < block.len() {
+            self.lineno += 1;
+            let start = ids.len();
+            let line = &block[at..];
+            let (len, max) = match fast_line(line, ids) {
+                Some(read) => read,
+                None => {
+                    ids.truncate(start);
+                    let len = line
+                        .iter()
+                        .position(|&b| b == b'\n')
+                        .map_or(line.len(), |i| i + 1);
+                    (len, slow_line(&line[..len], self.lineno, ids)?)
+                }
+            };
+            at += len;
+            if ids.len() > start {
+                self.max_id = self.max_id.max(max);
+                self.any_item = true;
+                row(ids, start);
+            }
+        }
+        Ok(())
     }
-    tok.parse()
+}
+
+/// Scans one line of `bytes` (ending in its `\n`) onto `ids` when it is
+/// only digit runs of at most 9 digits — below `u32::MAX` by
+/// construction — and spaces, tabs and `\r`: its length and largest id,
+/// or `None` for the `str` path.
+#[inline]
+fn fast_line(bytes: &[u8], ids: &mut Vec<ItemId>) -> Option<(usize, ItemId)> {
+    let mut max = 0;
+    let mut i = 0;
+    loop {
+        let b = *bytes.get(i)?;
+        i += 1;
+        let d = b.wrapping_sub(b'0');
+        if d < 10 {
+            let (mut id, mut digits) = (ItemId::from(d), 1);
+            loop {
+                let d = bytes.get(i)?.wrapping_sub(b'0');
+                if d >= 10 {
+                    break;
+                }
+                if digits == 9 {
+                    return None;
+                }
+                id = id * 10 + ItemId::from(d);
+                digits += 1;
+                i += 1;
+            }
+            ids.push(id);
+            max = max.max(id);
+            continue;
+        }
+        match b {
+            b'\n' => return Some((i, max)),
+            b' ' | b'\t' | b'\r' => {}
+            _ => return None,
+        }
+    }
+}
+
+/// Reads one line the way [`BufRead::lines`] plus `trim` and
+/// `split_ascii_whitespace` do, pushing its ids onto `ids`: the largest
+/// id, or the error of the first bad token (`lineno` is 1-based).
+fn slow_line(line: &[u8], lineno: usize, ids: &mut Vec<ItemId>) -> io::Result<ItemId> {
+    let text = std::str::from_utf8(line).map_err(|_| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            "stream did not contain valid UTF-8",
+        )
+    })?;
+    let trimmed = text.trim();
+    let mut max = 0;
+    if trimmed.starts_with('#') {
+        return Ok(max);
+    }
+    for tok in trimmed.split_ascii_whitespace() {
+        let id = tok.parse().map_err(|e| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("line {lineno}: bad item id {tok:?}: {e}"),
+            )
+        })?;
+        max = max.max(id);
+        ids.push(id);
+    }
+    Ok(max)
 }
 
 /// Reads a `.dat` basket file from disk.
@@ -114,20 +240,37 @@ pub fn read_dat_file<P: AsRef<Path>>(
     read_dat(BufReader::new(File::open(path)?), n_items)
 }
 
-/// Writes a transaction set in `.dat` format.
+/// Writes a transaction set in `.dat` format: each row's ids in decimal,
+/// space-separated, formatted into one reused line buffer.
 pub fn write_dat<W: Write>(mut writer: W, data: &TransactionSet) -> io::Result<()> {
+    let mut line: Vec<u8> = Vec::new();
     for txn in data.iter() {
-        let mut first = true;
-        for &item in txn {
-            if !first {
-                writer.write_all(b" ")?;
+        line.clear();
+        for (i, &item) in txn.iter().enumerate() {
+            if i > 0 {
+                line.push(b' ');
             }
-            first = false;
-            write!(writer, "{item}")?;
+            push_decimal(&mut line, item);
         }
-        writer.write_all(b"\n")?;
+        line.push(b'\n');
+        writer.write_all(&line)?;
     }
     Ok(())
+}
+
+/// Appends `id` in decimal, as `{id}` formats it.
+fn push_decimal(out: &mut Vec<u8>, mut id: ItemId) {
+    let mut digits = [0u8; 10];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (id % 10) as u8;
+        id /= 10;
+        if id == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
 }
 
 /// Writes a transaction set to a `.dat` file on disk.
@@ -225,6 +368,40 @@ mod tests {
             t,
             TransactionSet::from_rows(&[vec![3, 1], vec![2, 0], vec![5]], 6)
         );
+    }
+
+    #[test]
+    fn write_dat_matches_the_write_macro_formatter() {
+        let mut cfg = crate::profiles::bms1_config(0.25);
+        cfg.n_transactions = 2_000;
+        let mut rows: Vec<Vec<ItemId>> = crate::QuestGenerator::new(cfg, 7)
+            .generate()
+            .iter()
+            .map(<[ItemId]>::to_vec)
+            .collect();
+        // Every digit count a `u32` can take, and an empty row.
+        rows.push(vec![0, 9, 10, 99, 100, 65_535, 999_999_999, 1_000_000_000]);
+        rows.push(vec![u32::MAX - 1, u32::MAX]);
+        rows.push(vec![]);
+        let data = TransactionSet::from_rows(&rows, 1 << 32);
+        let mut want = Vec::new();
+        for txn in data.iter() {
+            let mut first = true;
+            for &item in txn {
+                if !first {
+                    want.write_all(b" ").unwrap();
+                }
+                first = false;
+                write!(want, "{item}").unwrap();
+            }
+            want.write_all(b"\n").unwrap();
+        }
+        let mut got = Vec::new();
+        write_dat(&mut got, &data).unwrap();
+        assert_eq!(got, want);
+        let back = read_dat(Cursor::new(&got), Some(data.n_items())).unwrap();
+        assert_eq!(back.n_transactions(), data.n_transactions() - 1);
+        assert!(back.iter().eq(data.iter().filter(|t| !t.is_empty())));
     }
 
     #[test]

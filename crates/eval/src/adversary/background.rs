@@ -56,8 +56,8 @@ pub fn background_point(
 
     let mut rng = StdRng::seed_from_u64(seed);
     let mut score = vec![0.0f64; n_rows];
-    let mut marked = vec![false; n_rows];
     let mut touched: Vec<u32> = Vec::new();
+    let mut merged: Vec<u32> = Vec::new();
     let mut known: Vec<ItemId> = Vec::with_capacity(k);
 
     let mut matches = 0usize;
@@ -84,18 +84,16 @@ pub fn background_point(
         }
 
         // Rare (identifying) items dominate the score: an item weighs
-        // 1 / ln(1 + support).
+        // 1 / ln(1 + support). Scores add in `known` order; the touched
+        // rows are the ascending union of the posting lists.
         for &item in &known {
             let w = index.weight(item);
-            for &r in index.postings(item) {
-                if !marked[r as usize] {
-                    marked[r as usize] = true;
-                    touched.push(r);
-                }
+            let list = index.postings(item);
+            for &r in list {
                 score[r as usize] += w;
             }
+            union_into(&mut touched, list, &mut merged);
         }
-        touched.sort_unstable();
 
         // Best and runner-up over *all* rows (untouched rows score 0);
         // sigma over the same population. Ties break to the lowest row.
@@ -137,14 +135,16 @@ pub fn background_point(
             let posterior = index.claim_posterior(index.group_of(best_row));
             sum_posterior += posterior;
             max_posterior = max_posterior.max(posterior);
-            if index.row(best_row) == population.qid(v) {
+            if index
+                .row_set(best_row)
+                .eq(population.qid(v).iter().copied())
+            {
                 successes += 1;
             }
         }
 
         for &r in &touched {
             score[r as usize] = 0.0;
-            marked[r as usize] = false;
         }
         touched.clear();
     }
@@ -161,6 +161,26 @@ pub fn background_point(
         },
         max_posterior,
     }
+}
+
+/// Replaces `touched` by its union with `list`, both ascending, using
+/// `merged` as scratch.
+fn union_into(touched: &mut Vec<u32>, list: &[u32], merged: &mut Vec<u32>) {
+    if touched.is_empty() {
+        touched.extend_from_slice(list);
+        return;
+    }
+    merged.clear();
+    let (mut i, mut j) = (0, 0);
+    while i < touched.len() && j < list.len() {
+        let (a, b) = (touched[i], list[j]);
+        merged.push(a.min(b));
+        i += usize::from(a <= b);
+        j += usize::from(b <= a);
+    }
+    merged.extend_from_slice(&touched[i..]);
+    merged.extend_from_slice(&list[j..]);
+    std::mem::swap(touched, merged);
 }
 
 #[cfg(test)]
@@ -244,6 +264,34 @@ mod tests {
         assert_eq!(raw.successes, rel.successes);
         assert_eq!(raw.unique_matches, rel.unique_matches);
         assert!(raw.max_posterior >= rel.max_posterior);
+    }
+
+    #[test]
+    fn malformed_release_rows_succeed_like_their_sets() {
+        // A row published unsorted and repeating an id is the same set:
+        // the index reads it as one, and so does the success test.
+        let (data, sens) = setup();
+        let (published, _) = cahd(&data, &sens, &CahdConfig::new(3)).unwrap();
+        let mut malformed = published.clone();
+        for row in malformed.groups.iter_mut().flat_map(|g| &mut g.qid_rows) {
+            row.reverse();
+            if let Some(&first) = row.last() {
+                row.push(first);
+            }
+        }
+        let plan = AttackPlan {
+            trials: 300,
+            ..AttackPlan::default()
+        };
+        for k in [1, 2] {
+            let clean = point(&data, &sens, Some(&published), k, &plan, 11);
+            assert!(clean.successes > 0, "k = {k}: {clean:?}");
+            assert_eq!(
+                point(&data, &sens, Some(&malformed), k, &plan, 11),
+                clean,
+                "k = {k}"
+            );
+        }
     }
 
     #[test]

@@ -131,9 +131,8 @@ pub struct TargetIndex<'a> {
     population: &'a Population<'a>,
     /// Whether the target is a release (`false`: the raw data).
     published: bool,
-    /// QID rows in publication order (transaction order for raw data).
-    rows: Vec<&'a [ItemId]>,
-    /// The group of each row; non-decreasing in the row id.
+    /// The group of each row (rows in publication order, transaction
+    /// order for raw data); non-decreasing in the row id.
     row_group: Vec<u32>,
     /// Rows per group, `|G|`.
     group_size: Vec<usize>,
@@ -221,7 +220,6 @@ impl<'a> TargetIndex<'a> {
         TargetIndex {
             population,
             published: published.is_some(),
-            rows,
             row_group,
             group_size,
             claim_posterior,
@@ -248,12 +246,7 @@ impl<'a> TargetIndex<'a> {
 
     /// Number of QID rows.
     pub fn n_rows(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// QID row `r` as published.
-    pub fn row(&self, r: usize) -> &'a [ItemId] {
-        self.rows[r]
+        self.row_group.len()
     }
 
     /// The rows grouped by set: equal sets share a class, and class ids
@@ -264,9 +257,14 @@ impl<'a> TargetIndex<'a> {
 
     /// The set of class `c`, in original ids, ascending.
     pub(crate) fn class_items(&self, c: u32) -> impl Iterator<Item = ItemId> + Clone + '_ {
-        let rep = self.classes().reps[c as usize];
+        self.row_set(self.classes().reps[c as usize] as usize)
+    }
+
+    /// QID row `r` read as a set: its ids below the data's universe,
+    /// ascending, each once.
+    pub(crate) fn row_set(&self, r: usize) -> impl Iterator<Item = ItemId> + Clone + '_ {
         self.sets
-            .row(rep as usize)
+            .row(r)
             .iter()
             .map(|&j| self.items.ids()[j as usize])
     }
@@ -387,12 +385,29 @@ mod tests {
         assert_eq!(out, vec![2]);
     }
 
+    /// The QID rows of `release` in publication order.
+    fn release_rows(release: &PublishedDataset) -> Vec<&[ItemId]> {
+        release
+            .groups
+            .iter()
+            .flat_map(|g| g.qid_rows.iter().map(Vec::as_slice))
+            .collect()
+    }
+
     /// Checks `postings`, `weight` and `qid_universe` of `idx` against a
-    /// scan of its rows, on every id the rows hold and on `probes`.
-    fn assert_matches_row_scan(idx: &TargetIndex<'_>, n_items: usize, probes: &[ItemId]) {
+    /// scan of `rows`, the rows it indexed, on every id the rows hold and
+    /// on `probes`.
+    fn assert_matches_row_scan(
+        idx: &TargetIndex<'_>,
+        rows: &[&[ItemId]],
+        n_items: usize,
+        probes: &[ItemId],
+    ) {
         let sensitive = idx.population().sensitive();
-        let mut held: Vec<ItemId> = (0..idx.n_rows())
-            .flat_map(|r| idx.row(r).iter().copied())
+        assert_eq!(idx.n_rows(), rows.len());
+        let mut held: Vec<ItemId> = rows
+            .iter()
+            .flat_map(|row| row.iter().copied())
             .filter(|&i| (i as usize) < n_items)
             .collect();
         held.sort_unstable();
@@ -405,7 +420,7 @@ mod tests {
         assert_eq!(idx.qid_universe(), &qid[..]);
         for &item in held.iter().chain(probes) {
             let want: Vec<u32> = (0..idx.n_rows() as u32)
-                .filter(|&r| (item as usize) < n_items && idx.row(r as usize).contains(&item))
+                .filter(|&r| (item as usize) < n_items && rows[r as usize].contains(&item))
                 .collect();
             assert_eq!(idx.postings(item), &want[..], "item {item}");
             let weight = if want.is_empty() {
@@ -434,7 +449,8 @@ mod tests {
         let sens = SensitiveSet::new(vec![top], n_items);
         let pop = Population::new(&data, &sens);
         let raw = TargetIndex::new(&pop, None);
-        assert_matches_row_scan(&raw, n_items, &probes);
+        let qid_rows: Vec<&[ItemId]> = (0..pop.len()).map(|t| pop.qid(t)).collect();
+        assert_matches_row_scan(&raw, &qid_rows, n_items, &probes);
         assert_eq!(raw.qid_universe(), &[0, 5, 7, 1 << 20, 1 << 30]);
         let mut group = AnonymizedGroup::from_members(&data, &sens, &[0, 1, 2, 3]);
         // Repeated, unsorted and past-the-universe ids read as sets.
@@ -445,7 +461,7 @@ mod tests {
             groups: vec![group],
         };
         let published = TargetIndex::new(&pop, Some(&release));
-        assert_matches_row_scan(&published, n_items, &probes);
+        assert_matches_row_scan(&published, &release_rows(&release), n_items, &probes);
         assert_eq!(published.postings(top), &[3]);
 
         // Seeded release rows (unsorted, repeating, past the universe of
@@ -474,7 +490,7 @@ mod tests {
                 groups: vec![group],
             };
             let idx = TargetIndex::new(&pop, Some(&release));
-            assert_matches_row_scan(&idx, 16, &[16, 19, u32::MAX]);
+            assert_matches_row_scan(&idx, &release_rows(&release), 16, &[16, 19, u32::MAX]);
         }
     }
 

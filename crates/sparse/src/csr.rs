@@ -273,34 +273,44 @@ impl CsrMatrix {
     /// ids they hold: the sets and the [`Relabel`].
     pub fn from_sets(rows: &[&[u32]], n_cols: usize) -> (CsrMatrix, Relabel) {
         let mut indptr = Vec::with_capacity(rows.len() + 1);
-        let mut held: Vec<u32> = Vec::new();
+        let mut held: Vec<u32> = Vec::with_capacity(rows.iter().map(|r| r.len()).sum());
+        // Whether every row is already a strictly ascending set inside the
+        // universe: then the ranks are the sets as they stand.
+        let mut all_sets = true;
         indptr.push(0);
         for row in rows {
-            held.extend(row.iter().filter(|&&c| (c as usize) < n_cols));
+            if row.is_sorted_by(|a, b| a < b) && row.last().is_none_or(|&c| (c as usize) < n_cols) {
+                held.extend_from_slice(row);
+            } else {
+                all_sets = false;
+                held.extend(row.iter().filter(|&&c| (c as usize) < n_cols));
+            }
             indptr.push(held.len());
         }
         let (relabel, mut indices) = Relabel::of(n_cols, held.len(), held.iter().copied());
-        // Rows are moved down over the ids a malformed row dropped; a row
-        // that is not strictly ascending is sorted and deduplicated.
-        let mut kept = 0;
-        for r in 0..rows.len() {
-            let (start, end) = (indptr[r], indptr[r + 1]);
-            if kept < start {
-                indices.copy_within(start..end, kept);
+        if !all_sets {
+            // Rows are moved down over the ids a malformed row dropped; a
+            // row that is not strictly ascending is sorted and deduplicated.
+            let mut kept = 0;
+            for r in 0..rows.len() {
+                let (start, end) = (indptr[r], indptr[r + 1]);
+                if kept < start {
+                    indices.copy_within(start..end, kept);
+                }
+                let set = &mut indices[kept..kept + end - start];
+                indptr[r] = kept;
+                kept += set.len();
+                if !set.is_sorted_by(|a, b| a < b) {
+                    let mut sorted = set.to_vec();
+                    sorted.sort_unstable();
+                    sorted.dedup();
+                    set[..sorted.len()].copy_from_slice(&sorted);
+                    kept -= set.len() - sorted.len();
+                }
             }
-            let set = &mut indices[kept..kept + end - start];
-            indptr[r] = kept;
-            kept += set.len();
-            if !set.is_sorted_by(|a, b| a < b) {
-                let mut sorted = set.to_vec();
-                sorted.sort_unstable();
-                sorted.dedup();
-                set[..sorted.len()].copy_from_slice(&sorted);
-                kept -= set.len() - sorted.len();
-            }
+            indptr[rows.len()] = kept;
+            indices.truncate(kept);
         }
-        indptr[rows.len()] = kept;
-        indices.truncate(kept);
         let sets = CsrMatrix {
             n_rows: rows.len(),
             n_cols: relabel.ids().len(),

@@ -10,11 +10,13 @@ use crate::csr::CsrMatrix;
 /// and each one's rank among them: sorted rows stay sorted.
 ///
 /// The representation follows from the inputs alone. When the universe
-/// takes no more 64-bit words than there are references
-/// (`⌈n_cols/64⌉ ≤ nnz`), a bitmap of touched columns with per-word rank
-/// prefixes answers a rank in O(1). Otherwise one sort of the references
-/// finds the ids, a rank is a binary search, and nothing is sized on the
-/// universe.
+/// is narrower than the references (`n_cols < nnz`), a table of every
+/// column's rank answers a rank with one load. When it takes no more
+/// 64-bit words than there are references (`⌈n_cols/64⌉ ≤ nnz`), a bitmap
+/// of touched columns with per-word rank prefixes answers a rank in O(1).
+/// Otherwise one sort of the references finds the ids, a rank is a binary
+/// search, and nothing is sized on the universe. The rank table takes
+/// fewer bytes than the ranks [`Relabel::of`] returns.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Relabel {
     /// The touched columns, ascending: `ids[rank] = id`.
@@ -24,6 +26,8 @@ pub struct Relabel {
 
 #[derive(Clone, Debug, PartialEq, Eq)]
 enum RankIndex {
+    /// `rank[id]` for every id of the universe; `u32::MAX` when untouched.
+    Dense(Vec<u32>),
     /// `bits` holds bit `id % 64` of word `id / 64` for every touched id;
     /// `prefix[w]` counts the touched ids in the words before `w`.
     Bitmap { bits: Vec<u64>, prefix: Vec<u32> },
@@ -34,8 +38,8 @@ enum RankIndex {
 impl Relabel {
     /// The relabel of the columns `refs` names, out of `0..n_cols`, and
     /// the rank of every reference, in order. `refs` yields `nnz` ids (at
-    /// most `u32::MAX`), each `< n_cols` (the bitmap path panics on any
-    /// other), repeats allowed.
+    /// most `u32::MAX`), each `< n_cols` (the table and bitmap paths
+    /// panic on any other), repeats allowed.
     pub fn of(
         n_cols: usize,
         nnz: usize,
@@ -43,6 +47,22 @@ impl Relabel {
     ) -> (Relabel, Vec<u32>) {
         let refs = refs.into_iter();
         let mut ranks = Vec::with_capacity(nnz);
+        if n_cols < nnz {
+            let mut rank = vec![u32::MAX; n_cols];
+            for c in refs.clone() {
+                rank[c as usize] = 0;
+            }
+            let mut ids = Vec::new();
+            for (c, r) in rank.iter_mut().enumerate() {
+                if *r == 0 {
+                    *r = ids.len() as u32;
+                    ids.push(c as u32);
+                }
+            }
+            ranks.extend(refs.map(|c| rank[c as usize]));
+            let index = RankIndex::Dense(rank);
+            return (Relabel { ids, index }, ranks);
+        }
         let words = n_cols.div_ceil(64);
         if words > nnz {
             // One sort of (id, position) pairs gives the ids in order and
@@ -105,6 +125,7 @@ impl Relabel {
     #[inline]
     pub fn rank(&self, id: u32) -> Option<u32> {
         match &self.index {
+            RankIndex::Dense(rank) => rank.get(id as usize).copied().filter(|&r| r != u32::MAX),
             RankIndex::Bitmap { bits, prefix } => {
                 let w = id as usize / 64;
                 let word = *bits.get(w)?;
@@ -159,6 +180,10 @@ mod tests {
         fn is_bitmap(&self) -> bool {
             matches!(self.index, RankIndex::Bitmap { .. })
         }
+
+        fn is_dense(&self) -> bool {
+            matches!(self.index, RankIndex::Dense(_))
+        }
     }
 
     /// [`Relabel::of`] over `touched`, claiming `nnz` references, with each
@@ -206,6 +231,20 @@ mod tests {
         let wide = relabel(193, 3, &touched);
         assert!(!wide.is_bitmap());
         assert_matches_sort(&wide, &touched, 200);
+    }
+
+    #[test]
+    fn universes_narrower_than_the_references_take_the_table() {
+        // 200 columns against 201 references, then against 200.
+        let touched: Vec<u32> = (0..201).map(|i| (i * 7) % 199).collect();
+        let dense = relabel(200, touched.len(), &touched);
+        assert!(dense.is_dense());
+        assert_matches_sort(&dense, &touched, 256);
+        let bitmap = relabel(200, 200, &touched[..200]);
+        assert!(bitmap.is_bitmap());
+        assert_eq!(dense.ids(), bitmap.ids());
+        // Column 199 is never touched: the table reads it as absent.
+        assert_eq!(dense.rank(199), None);
     }
 
     #[test]

@@ -54,6 +54,33 @@ fn arb_perm(n: usize) -> impl Strategy<Value = Permutation> {
     })
 }
 
+/// Checks [`CsrMatrix::from_sets`] on `rows` against its definition:
+/// each row's held ids, and per held id the rows holding it.
+fn assert_from_sets(rows: &[Vec<u32>], n_cols: usize) -> Result<(), String> {
+    let refs: Vec<&[u32]> = rows.iter().map(Vec::as_slice).collect();
+    let (sets, relabel) = CsrMatrix::from_sets(&refs, n_cols);
+    prop_assert_eq!(relabel.ids(), &held_ids(rows, n_cols)[..]);
+    prop_assert_eq!(sets.n_rows(), rows.len());
+    prop_assert_eq!(sets.n_cols(), relabel.ids().len());
+    for (r, row) in rows.iter().enumerate() {
+        let back: Vec<u32> = sets
+            .row(r)
+            .iter()
+            .map(|&j| relabel.ids()[j as usize])
+            .collect();
+        prop_assert_eq!(back, held_ids(std::slice::from_ref(row), n_cols));
+    }
+    // The transpose lists, per held item, the rows holding it.
+    let postings = sets.transpose();
+    for (j, &id) in relabel.ids().iter().enumerate() {
+        let want: Vec<u32> = (0..rows.len() as u32)
+            .filter(|&r| rows[r as usize].contains(&id))
+            .collect();
+        prop_assert_eq!(postings.row(j), &want[..]);
+    }
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn relabel_matches_a_sort((rows, n_cols) in arb_sets()) {
@@ -67,7 +94,7 @@ proptest! {
         let words = n_cols.div_ceil(64);
         // The true count, and counts on both sides of the crossover: the
         // representation changes, the answers do not.
-        for nnz in [touched.len(), words.saturating_sub(1), words, words + 1] {
+        for nnz in [touched.len(), words.saturating_sub(1), words, words + 1, n_cols + 1] {
             let (r, ranks) = Relabel::of(n_cols, nnz, touched.iter().copied());
             prop_assert_eq!(r.ids(), &want[..]);
             let ranked: Vec<u32> = touched.iter().map(|c| want.binary_search(c).unwrap() as u32).collect();
@@ -81,23 +108,23 @@ proptest! {
 
     #[test]
     fn from_sets_reads_rows_as_sets((rows, n_cols) in arb_sets()) {
-        let refs: Vec<&[u32]> = rows.iter().map(Vec::as_slice).collect();
-        let (sets, relabel) = CsrMatrix::from_sets(&refs, n_cols);
-        prop_assert_eq!(relabel.ids(), &held_ids(&rows, n_cols)[..]);
-        prop_assert_eq!(sets.n_rows(), rows.len());
-        prop_assert_eq!(sets.n_cols(), relabel.ids().len());
-        for (r, row) in rows.iter().enumerate() {
-            let back: Vec<u32> = sets.row(r).iter().map(|&j| relabel.ids()[j as usize]).collect();
-            prop_assert_eq!(back, held_ids(std::slice::from_ref(row), n_cols));
-        }
-        // The transpose lists, per held item, the rows holding it.
-        let postings = sets.transpose();
-        for (j, &id) in relabel.ids().iter().enumerate() {
-            let want: Vec<u32> = (0..rows.len() as u32)
-                .filter(|&r| rows[r as usize].contains(&id))
-                .collect();
-            prop_assert_eq!(postings.row(j), &want[..]);
-        }
+        assert_from_sets(&rows, n_cols)?;
+    }
+
+    #[test]
+    fn from_sets_keeps_rows_that_are_sets((rows, n_cols) in arb_sets()) {
+        // Well-formed rows skip the repair pass; narrow universes take
+        // the relabel's rank table.
+        let sets: Vec<Vec<u32>> = rows
+            .iter()
+            .map(|row| held_ids(std::slice::from_ref(row), n_cols))
+            .collect();
+        assert_from_sets(&sets, n_cols)?;
+        let narrow: Vec<Vec<u32>> = sets
+            .iter()
+            .map(|row| held_ids(&[row.iter().map(|&c| c % 16).collect()], 16))
+            .collect();
+        assert_from_sets(&narrow, 16)?;
     }
 
     #[test]

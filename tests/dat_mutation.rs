@@ -2,14 +2,18 @@
 //! (`common/dat_lines.rs`): seeded mutants of the committed `demo.dat`
 //! must be accepted or rejected alike by `read_dat_rows` and `read_dat`,
 //! with the same rows and the same error kind and message, and must never
-//! panic.
+//! panic. A generated BMS1-sized file with unsorted and repeating rows,
+//! CRLF endings, comments and a row longer than the buffer must read the
+//! same at every buffer capacity.
 
 mod common;
 
 use std::io::{self, BufReader, Cursor};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use cahd::data::io::{read_dat, read_dat_rows};
+use cahd::data::io::{read_dat, read_dat_rows, write_dat};
+use cahd::data::profiles::bms1_config;
+use cahd::data::QuestGenerator;
 use common::dat_lines;
 
 /// Mutants of `demo.dat`.
@@ -224,5 +228,62 @@ fn edge_lines_read_like_the_line_reader() {
             verdict(dat_lines::read_dat(reader(), None)),
             "{show:?}"
         );
+    }
+}
+
+#[test]
+fn bms1_sized_file_reads_like_the_line_reader() {
+    let data = QuestGenerator::new(bms1_config(0.25), 7).generate();
+    let nonempty = data.iter().filter(|t| !t.is_empty()).count();
+    assert!(nonempty > 14_000, "{nonempty}");
+    let mut clean = Vec::new();
+    write_dat(&mut clean, &data).unwrap();
+    // The generated file, roughened the ways real `.dat` files are.
+    let mut doc: Vec<u8> = Vec::new();
+    for (i, line) in clean.split_inclusive(|&b| b == b'\n').enumerate() {
+        let ids: Vec<&[u8]> = line[..line.len() - 1].split(|&b| b == b' ').collect();
+        let mut row: Vec<&[u8]> = ids.clone();
+        if i % 7 == 3 {
+            row.reverse();
+        }
+        if i % 11 == 5 && !ids[0].is_empty() {
+            row.push(ids[0]);
+        }
+        if i % 500 == 0 {
+            doc.extend_from_slice(format!("# block {}\n", i / 500).as_bytes());
+        }
+        if i == 7_000 {
+            // One row longer than the default 8 KiB buffer, unsorted
+            // and repeating ids.
+            let long: Vec<String> = (0..2_500).map(|j| ((j * 37) % 1_200).to_string()).collect();
+            doc.extend_from_slice(long.join(" ").as_bytes());
+            doc.push(b'\n');
+        }
+        doc.extend_from_slice(&row.join(&b' '));
+        doc.extend_from_slice(match i % 4 {
+            0 => b"\r\n".as_slice(),
+            1 => b" \t\n",
+            _ => b"\n",
+        });
+    }
+    assert!(doc.len() > 8192 * 10);
+    for capacity in [8192, 64, 7] {
+        let reader = || BufReader::with_capacity(capacity, Cursor::new(doc.as_slice()));
+        let rows = verdict(read_dat_rows(reader()));
+        assert_eq!(
+            rows,
+            verdict(dat_lines::read_dat_rows(reader())),
+            "{capacity}"
+        );
+        let (rows, _) = rows.unwrap();
+        assert_eq!(rows.len(), nonempty + 1);
+        assert!(rows.iter().any(|r| r.len() == 2_500));
+        let set = verdict(read_dat(reader(), None));
+        assert_eq!(
+            set,
+            verdict(dat_lines::read_dat(reader(), None)),
+            "{capacity}"
+        );
+        assert!(set.unwrap().iter().any(|t| t.len() == 1_200));
     }
 }
