@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use cahd_data::profiles;
 use cahd_rcm::{band_order, reduce_unsymmetric, AatMethod, OrderingStrategy, UnsymOptions};
-use cahd_sparse::RowGraph;
+use cahd_sparse::{ImplicitRowGraph, RowGraph};
 
 fn bench_rcm_correlation(c: &mut Criterion) {
     let mut g = c.benchmark_group("rcm/fig6_correlation");
@@ -36,13 +36,13 @@ fn bench_explicit_vs_implicit(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("explicit", |b| {
         b.iter(|| {
-            let graph = RowGraph::build(data.matrix(), usize::MAX);
+            let graph = RowGraph::build_explicit(data.matrix());
             band_order(&graph, OrderingStrategy::Rcm, 1)
         });
     });
     g.bench_function("implicit", |b| {
         b.iter(|| {
-            let graph = RowGraph::build(data.matrix(), 0);
+            let graph = ImplicitRowGraph::new(data.matrix());
             band_order(&graph, OrderingStrategy::Rcm, 1)
         });
     });

@@ -13,13 +13,6 @@
 //!
 //! The fixtures are deterministic (fixed profile scale and seed), so a
 //! quality regression in any strategy fails `cargo test` outright.
-//!
-//! When the `CAHD_ORDERING` environment variable is set (the CI ordering
-//! matrix does this) it overrides every [`UnsymOptions::ordering`]
-//! request inside the engine, which would silently turn the three
-//! prepared datasets into one; the cross-strategy comparisons are
-//! skipped in that case — the matrix still runs the single-strategy
-//! pipeline smoke below.
 
 use cahd_bench::runs::{kl_of, prepare, run_cahd, select_sensitive, PreparedDataset};
 use cahd_data::profiles;
@@ -49,10 +42,6 @@ fn mean_kl(prep: &PreparedDataset) -> f64 {
 
 #[test]
 fn bandwidth_bounds_per_strategy_on_bms1() {
-    if OrderingStrategy::from_env().is_some() {
-        eprintln!("CAHD_ORDERING set: skipping cross-strategy bandwidth comparison");
-        return;
-    }
     let rcm = prepared(OrderingStrategy::Rcm);
     let bfs = prepared(OrderingStrategy::Bfs);
     let cluster = prepared(OrderingStrategy::Cluster);
@@ -86,14 +75,18 @@ fn bandwidth_bounds_per_strategy_on_bms1() {
 
 #[test]
 fn end_to_end_kl_regression_is_bounded() {
-    if OrderingStrategy::from_env().is_some() {
-        eprintln!("CAHD_ORDERING set: skipping cross-strategy KL comparison");
-        return;
-    }
     let kl_rcm = mean_kl(&prepared(OrderingStrategy::Rcm));
     let kl_bfs = mean_kl(&prepared(OrderingStrategy::Bfs));
     let kl_cluster = mean_kl(&prepared(OrderingStrategy::Cluster));
     eprintln!("mean KL: rcm={kl_rcm:.4} bfs={kl_bfs:.4} cluster={kl_cluster:.4}");
+    // Every strategy runs end to end to a finite, non-negative KL ...
+    for (name, kl) in [("rcm", kl_rcm), ("bfs", kl_bfs), ("cluster", kl_cluster)] {
+        assert!(
+            kl.is_finite() && kl >= 0.0,
+            "{name}: mean KL {kl} not a finite non-negative value"
+        );
+    }
+    // ... and the cheaper strategies stay within a KL budget of RCM.
     // The absolute floor keeps the bound meaningful when the baseline KL
     // is near zero (tiny quick-scale fixtures).
     let budget = (kl_rcm * 1.5).max(kl_rcm + 0.05);
@@ -113,13 +106,6 @@ fn end_to_end_kl_regression_is_bounded() {
 /// cost at most 25% of RCM's band quality and the shared KL budget.
 #[test]
 fn hub_capped_implicit_stays_within_quality_budget() {
-    if OrderingStrategy::from_env().is_some()
-        || std::env::var_os("CAHD_ROWGRAPH").is_some()
-        || std::env::var_os("CAHD_HUB_CAP").is_some()
-    {
-        eprintln!("ordering/rowgraph env override set: skipping hub-cap comparison");
-        return;
-    }
     let rcm = prepared(OrderingStrategy::Rcm);
     // Cap at the 95th-percentile item support so the tail of genuinely
     // frequent items is skipped — the regime the flag exists for.
@@ -163,19 +149,5 @@ fn hub_capped_implicit_stays_within_quality_budget() {
     assert!(
         kl_capped <= kl_budget,
         "hub-capped KL {kl_capped:.4} exceeds budget {kl_budget:.4} (rcm {kl_rcm:.4})"
-    );
-}
-
-/// Pipeline smoke for the strategy the environment selects (or the
-/// default): prepare + anonymize + evaluate must succeed and produce a
-/// finite KL. This is the leg the `CAHD_ORDERING` CI matrix exercises.
-#[test]
-fn env_selected_strategy_runs_end_to_end() {
-    let strategy = OrderingStrategy::from_env().unwrap_or_default();
-    let kl = mean_kl(&prepared(strategy));
-    assert!(
-        kl.is_finite() && kl >= 0.0,
-        "{}: mean KL {kl} not a finite non-negative value",
-        strategy.name()
     );
 }

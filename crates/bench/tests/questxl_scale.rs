@@ -10,9 +10,8 @@
 //! ```
 //!
 //! `CAHD_QUESTXL_SCALE` (default 0.25 = one million rows) shrinks the
-//! workload for quick extrapolation, and `CAHD_HUB_CAP` resolves inside
-//! the engine, so the uncapped configuration the snapshot's `questxl`
-//! entry ships and hub-capped variants can all be measured. The printed
+//! workload for quick extrapolation; the run measures the uncapped
+//! configuration the snapshot's `questxl` entry ships. The printed
 //! posting statistics make the scaling visible alongside the phase
 //! wall-clocks: `sum support^2` is the cost of the one-shot exact
 //! degree pass (the traversals themselves are segment-deduplicated down
@@ -23,7 +22,7 @@ use std::time::Instant;
 use cahd_data::profiles;
 use cahd_obs::Recorder;
 use cahd_rcm::{reduce_unsymmetric_traced, OrderingStrategy, UnsymOptions};
-use cahd_sparse::RowGraph;
+use cahd_sparse::{RowGraph, RowGraphMode};
 
 #[test]
 #[ignore = "full-scale workload; run explicitly with --ignored"]
@@ -67,27 +66,30 @@ fn questxl_orders_under_the_implicit_backend() {
         red.before.max_diag_distance,
         red.after.max_diag_distance,
     );
-    // The auto policy must route this shape to the inverted index unless
-    // an env override redirects it.
-    if std::env::var_os("CAHD_ROWGRAPH").is_none() && std::env::var_os("CAHD_HUB_CAP").is_none() {
-        assert!(
-            !red.used_explicit_aat,
-            "questxl must ride the implicit representation"
-        );
-    }
+    // The auto policy must route this shape to the inverted index.
+    assert!(
+        !red.used_explicit_aat,
+        "questxl must ride the implicit representation"
+    );
     assert_eq!(red.row_perm.len(), data.n_transactions());
 }
 
 /// The auto representation policy routes the XL shape implicit well
 /// before full scale: a quarter-million-row slice already exceeds the
 /// explicit edge budget. Not ignored — this is the cheap always-on guard
-/// that the snapshot entry measures what it claims to measure
-/// ([`RowGraph::build`] applies the pure auto policy, no env override).
+/// that the snapshot entry measures what it claims to measure.
 #[test]
 fn questxl_slice_routes_implicit_under_auto() {
     let data = profiles::quest_xl_like(0.25 / 4.0, 7);
     let budget = UnsymOptions::default().edge_budget;
-    let g = RowGraph::build(data.matrix(), budget);
+    let g = RowGraph::build_mode_traced(
+        data.matrix(),
+        RowGraphMode::Auto,
+        budget,
+        None,
+        1,
+        &Recorder::disabled(),
+    );
     assert!(
         !g.is_explicit(),
         "a 250k-row quest_xl slice must exceed the {budget}-edge explicit budget"

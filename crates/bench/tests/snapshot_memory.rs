@@ -60,9 +60,8 @@ fn explicit_build_reservation_is_clamped_to_real_adjacency() {
     for threads in [1usize, 4] {
         let before = memtrack::stats().live_bytes;
         memtrack::reset_peak();
-        let g = RowGraph::build_with_threads(&a, usize::MAX, threads);
+        let g = RowGraph::build_explicit_threaded(&a, threads);
         let peak = memtrack::stats().peak_bytes.saturating_sub(before);
-        assert!(g.is_explicit());
         // True adjacency: 20k rows x 39 neighbors x 4 bytes ≈ 3.1 MB.
         // Budget: reservation clamp (4 MiB/chunk) + assembly copies +
         // indptr slack, far below the raw-count reservation (~78 MB).

@@ -300,9 +300,7 @@ pub const ANONYMIZE_FLAGS: &[FlagSpec] = &[
     },
 ];
 
-/// Parses `--kernel {adaptive|sparse|dense}` (default: adaptive). The
-/// `CAHD_KERNEL` environment variable still overrides the resolved mode
-/// inside the engine, mirroring library behavior.
+/// Parses `--kernel {adaptive|sparse|dense}` (default: adaptive).
 fn kernel_from_args(args: &Args) -> Result<KernelMode, CliError> {
     match args.value("kernel") {
         None => Ok(KernelMode::Adaptive),
@@ -314,9 +312,7 @@ fn kernel_from_args(args: &Args) -> Result<KernelMode, CliError> {
     }
 }
 
-/// Parses `--ordering {rcm|bfs|cluster}` (default: rcm). The
-/// `CAHD_ORDERING` environment variable still overrides the resolved
-/// strategy inside the engine, mirroring `--kernel`/`CAHD_KERNEL`.
+/// Parses `--ordering {rcm|bfs|cluster}` (default: rcm).
 fn ordering_from_args(args: &Args) -> Result<OrderingStrategy, CliError> {
     match args.value("ordering") {
         None => Ok(OrderingStrategy::Rcm),
@@ -328,9 +324,7 @@ fn ordering_from_args(args: &Args) -> Result<OrderingStrategy, CliError> {
     }
 }
 
-/// Parses `--rowgraph {auto|explicit|implicit}` (default: auto). The
-/// `CAHD_ROWGRAPH` environment variable still overrides the resolved
-/// mode inside the engine, mirroring `--kernel`/`CAHD_KERNEL`.
+/// Parses `--rowgraph {auto|explicit|implicit}` (default: auto).
 fn rowgraph_from_args(args: &Args) -> Result<RowGraphMode, CliError> {
     match args.value("rowgraph") {
         None => Ok(RowGraphMode::Auto),
@@ -345,8 +339,7 @@ fn rowgraph_from_args(args: &Args) -> Result<RowGraphMode, CliError> {
 /// Parses `--hub-cap {off|<support>}` (default: off). Items with support
 /// above the cap are skipped by the implicit row graph's neighbor
 /// enumeration — a quality-budgeted variant gated by the golden
-/// bandwidth/KL tests. `CAHD_HUB_CAP` still overrides the resolved cap
-/// inside the engine.
+/// bandwidth/KL tests.
 fn hub_cap_from_args(args: &Args) -> Result<Option<u32>, CliError> {
     match args.value("hub-cap") {
         None | Some("off") | Some("none") | Some("0") => Ok(None),

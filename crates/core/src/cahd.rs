@@ -49,8 +49,7 @@ pub struct CahdConfig {
     pub proximity_tie_break: bool,
     /// Physical scoring path of the QID-similarity kernel (see
     /// [`crate::kernel`]). Never changes the published output — only where
-    /// the scoring time goes — and can be overridden per process with the
-    /// `CAHD_KERNEL` environment variable.
+    /// the scoring time goes.
     pub kernel: KernelMode,
 }
 
@@ -180,7 +179,7 @@ pub fn cahd_traced(
     }
     let counts = sensitive.occurrence_counts(data);
 
-    let mut kernel = SimilarityKernel::new(&qid_of, data.n_items(), config.kernel.resolved());
+    let mut kernel = SimilarityKernel::new(&qid_of, data.n_items(), config.kernel);
     let formed = form_groups(
         n,
         &sens_of,

@@ -59,7 +59,8 @@ use cahd_sparse::Relabel;
 /// The published output is identical for every mode — the equivalence
 /// property suite pins scores item-for-item against the reference scorer —
 /// so the mode only moves time between the two paths. `ForceSparse` and
-/// `ForceDense` exist for benchmarking and for CI to exercise both paths.
+/// `ForceDense` exist for benchmarking and for the equivalence tests to
+/// exercise both paths.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum KernelMode {
     /// Choose per candidate by the measured row length (the default).
@@ -75,7 +76,7 @@ pub enum KernelMode {
 }
 
 impl KernelMode {
-    /// Parses a mode name as used by `--kernel` and `CAHD_KERNEL`:
+    /// Parses a mode name as used by `--kernel`:
     /// `adaptive`, `sparse` and `dense` (with `force-` prefixes accepted).
     pub fn parse(s: &str) -> Option<KernelMode> {
         match s {
@@ -84,22 +85,6 @@ impl KernelMode {
             "dense" | "force-dense" => Some(KernelMode::ForceDense),
             _ => None,
         }
-    }
-
-    /// The mode named by the `CAHD_KERNEL` environment variable, if set
-    /// to a recognized value.
-    pub fn from_env() -> Option<KernelMode> {
-        std::env::var("CAHD_KERNEL")
-            .ok()
-            .and_then(|v| KernelMode::parse(v.trim()))
-    }
-
-    /// Resolves the effective mode: a recognized `CAHD_KERNEL` value
-    /// overrides the configured one (so CI can force either path through
-    /// any entry point without touching configs). Entry points resolve
-    /// once per run; unrecognized values are ignored.
-    pub fn resolved(self) -> KernelMode {
-        KernelMode::from_env().unwrap_or(self)
     }
 
     /// The canonical name ([`KernelMode::parse`] accepts it back).

@@ -57,8 +57,6 @@ impl AnonymizerConfig {
 
     /// Selects the band-reducing ordering strategy of the RCM phase
     /// (`rcm`, `bfs` or `cluster`; see [`cahd_rcm::OrderingStrategy`]).
-    /// The `CAHD_ORDERING` environment variable still overrides this at
-    /// run time.
     pub fn with_ordering(mut self, ordering: cahd_rcm::OrderingStrategy) -> Self {
         self.rcm.ordering = ordering;
         self
@@ -66,8 +64,7 @@ impl AnonymizerConfig {
 
     /// Selects the `A x A^T` representation policy of the RCM phase
     /// (`auto`, `explicit` or `implicit`; see
-    /// [`cahd_rcm::RowGraphMode`]). The `CAHD_ROWGRAPH` environment
-    /// variable still overrides this at run time.
+    /// [`cahd_rcm::RowGraphMode`]).
     pub fn with_rowgraph(mut self, mode: cahd_rcm::RowGraphMode) -> Self {
         self.rcm.rowgraph = mode;
         self
@@ -76,8 +73,7 @@ impl AnonymizerConfig {
     /// Sets the hub-item support cap of the implicit representation:
     /// items with support above the cap are skipped during neighbor
     /// enumeration (a quality-budgeted variant; under `auto` the cap
-    /// forces the implicit representation). `CAHD_HUB_CAP` still
-    /// overrides this at run time.
+    /// forces the implicit representation).
     pub fn with_hub_cap(mut self, cap: Option<u32>) -> Self {
         self.rcm.hub_cap = cap;
         self

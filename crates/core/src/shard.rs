@@ -284,10 +284,6 @@ pub fn cahd_sharded_recovering(
     // Balanced contiguous boundaries: shard i covers [i*n/k, (i+1)*n/k).
     let bounds: Vec<(usize, usize)> = (0..k).map(|i| (i * n / k, (i + 1) * n / k)).collect();
 
-    // Resolve the kernel mode once so every shard takes the same path
-    // (the env override is read a single time per run, not per worker).
-    let kernel_mode = config.kernel.resolved();
-
     // One scan of shard `i` with the given kernel, recording engine and
     // kernel counters into `scratch` (merged into `rec` only if the
     // attempt is accepted — see `run_shard`).
@@ -332,7 +328,7 @@ pub fn cahd_sharded_recovering(
                 // cahd-lint: allow(L003, reason = "deterministic fault injection, caught by the enclosing catch_unwind")
                 panic!("injected fault: shard {i} attempt {attempt}");
             }
-            scan_shard(i, kernel_mode, scratch)
+            scan_shard(i, config.kernel, scratch)
         }));
         match caught {
             Ok(Ok(out)) => Ok(Ok(out)),

@@ -184,8 +184,7 @@ pub fn cahd_weighted_traced(
                 .iter()
                 .map(|row| row.iter().map(|&(item, _)| item).collect())
                 .collect();
-            let mut kernel =
-                SimilarityKernel::new(&binary_qid, data.n_items(), config.kernel.resolved());
+            let mut kernel = SimilarityKernel::new(&binary_qid, data.n_items(), config.kernel);
             form_groups(
                 n,
                 &sens_of,

@@ -26,7 +26,6 @@ pub mod rand_ext;
 pub mod sensitive;
 pub mod stats;
 pub mod transaction;
-pub mod transform;
 pub mod weighted;
 
 pub use quest::{QuestConfig, QuestGenerator};

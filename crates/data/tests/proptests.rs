@@ -1,9 +1,8 @@
 //! Property-based tests for the data crate: parser robustness, generator
-//! invariants, weighted-data round trips and transform algebra.
+//! invariants and weighted-data round trips.
 
 use std::io::Cursor;
 
-use cahd_data::transform::{concat, filter_transactions, sample_transactions};
 use cahd_data::weighted::{read_wdat, write_wdat, WeightedTransactionSet};
 use cahd_data::{io, QuestConfig, QuestGenerator, SensitiveSet, TransactionSet};
 use proptest::prelude::*;
@@ -96,27 +95,5 @@ proptest! {
             prop_assert_eq!(qid.len() + ranks.len(), data.len_of(t));
             prop_assert!(qid.iter().all(|&i| i != s));
         }
-    }
-
-    #[test]
-    fn transforms_preserve_identity(rows in arb_rows(), frac in 0.0f64..1.0) {
-        use rand::SeedableRng;
-        let data = TransactionSet::from_rows(&rows, 40);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        // A held-out split: a uniform sample and the rows it left out.
-        let k = (data.n_transactions() as f64 * frac).round() as usize;
-        let (test, test_ids) = sample_transactions(&data, k, &mut rng);
-        let (train, train_ids) = filter_transactions(&data, |t, _| test_ids.binary_search(&(t as u32)).is_err());
-        prop_assert_eq!(train.n_transactions() + test.n_transactions(), data.n_transactions());
-        for (k, &t) in train_ids.iter().enumerate() {
-            prop_assert_eq!(train.transaction(k), data.transaction(t as usize));
-        }
-        for (pos, &orig) in test_ids.iter().enumerate() {
-            prop_assert_eq!(test.transaction(pos), data.transaction(orig as usize));
-        }
-        // concat(train-order) has the right size and universe.
-        let joined = concat(&[&train, &test]);
-        prop_assert_eq!(joined.n_transactions(), data.n_transactions());
-        prop_assert_eq!(joined.n_items(), 40);
     }
 }

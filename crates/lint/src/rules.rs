@@ -35,8 +35,9 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         code: "CAHD-L002",
         name: "wall-clock-entropy",
-        description: "Instant::now / SystemTime / thread_rng outside bench and obs: \
-                      clocks and ambient entropy break reproducibility",
+        description: "Instant::now / SystemTime / thread_rng outside bench and obs, or \
+                      env::var* in library crates: clocks, ambient entropy and \
+                      environment overrides break reproducibility",
     },
     RuleInfo {
         code: "CAHD-L003",
@@ -302,42 +303,54 @@ fn is_for_in_target(tokens: &[Token], i: usize) -> bool {
     false
 }
 
-/// `CAHD-L002`: wall-clock and ambient-entropy reads outside `bench`/`obs`.
+/// `CAHD-L002`: wall-clock and ambient-entropy reads outside `bench`/`obs`,
+/// and environment reads in library crates.
 fn l002_wall_clock(file: &SourceFile, findings: &mut Vec<Finding>) {
-    if CLOCK_EXEMPT_CRATES.contains(&file.crate_name.as_str()) {
-        return;
-    }
+    let clock = !CLOCK_EXEMPT_CRATES.contains(&file.crate_name.as_str());
+    let env = LIBRARY_CRATES.contains(&file.crate_name.as_str());
     let tokens = &file.lex.tokens;
+    let path = |i: usize, head: &str, tails: &[&str]| {
+        tokens[i].is_ident(head)
+            && tokens.get(i + 1).is_some_and(|p| p.is_punct(':'))
+            && tokens.get(i + 2).is_some_and(|p| p.is_punct(':'))
+            && tokens
+                .get(i + 3)
+                .is_some_and(|p| tails.iter().any(|t| p.is_ident(t)))
+    };
     for (i, t) in tokens.iter().enumerate() {
         if file.in_test(t.line) {
             continue;
         }
-        let hit = if t.is_ident("Instant")
-            && tokens.get(i + 1).is_some_and(|p| p.is_punct(':'))
-            && tokens.get(i + 2).is_some_and(|p| p.is_punct(':'))
-            && tokens.get(i + 3).is_some_and(|p| p.is_ident("now"))
-        {
+        let hit = if clock && path(i, "Instant", &["now"]) {
             Some("`Instant::now()` reads the wall clock")
-        } else if t.is_ident("SystemTime") {
+        } else if clock && t.is_ident("SystemTime") {
             Some("`SystemTime` reads the wall clock")
-        } else if t.is_ident("thread_rng") {
+        } else if clock && t.is_ident("thread_rng") {
             Some("`thread_rng()` draws ambient entropy")
         } else {
             None
         };
-        if let Some(what) = hit {
-            findings.push(Finding {
-                file: file.path.clone(),
-                line: t.line,
-                code: "CAHD-L002",
-                message: format!(
-                    "{what}: nondeterministic in a release-affecting path; route \
-                     timing through a cahd-obs recorder (disabled recorders never \
-                     read the clock), seed RNGs explicitly, or allow with a \
-                     trace-only reason"
-                ),
-            });
-        }
+        let message = if let Some(what) = hit {
+            format!(
+                "{what}: nondeterministic in a release-affecting path; route \
+                 timing through a cahd-obs recorder (disabled recorders never \
+                 read the clock), seed RNGs explicitly, or allow with a \
+                 trace-only reason"
+            )
+        } else if env && path(i, "env", &["var", "var_os", "vars", "vars_os"]) {
+            "`std::env` read in a library crate: the environment silently \
+             overrides the caller's config; take the setting as a config field \
+             the binary resolves"
+                .to_string()
+        } else {
+            continue;
+        };
+        findings.push(Finding {
+            file: file.path.clone(),
+            line: t.line,
+            code: "CAHD-L002",
+            message,
+        });
     }
 }
 
@@ -799,6 +812,53 @@ mod tests {
         assert_eq!(codes, vec![1, 1, 2]);
         let bench = file("crates/bench/src/x.rs", "bench", "let t = Instant::now();");
         assert!(check_file(&bench, &BTreeSet::new()).is_empty());
+    }
+
+    #[test]
+    fn l002_flags_env_reads_in_library_crates() {
+        // The four environment overrides the libraries once read.
+        let sites = [
+            ("crates/core/src/kernel.rs", "core", "CAHD_KERNEL"),
+            ("crates/rcm/src/strategy.rs", "rcm", "CAHD_ORDERING"),
+            ("crates/sparse/src/aat.rs", "sparse", "CAHD_ROWGRAPH"),
+            ("crates/sparse/src/aat.rs", "sparse", "CAHD_HUB_CAP"),
+        ];
+        for (path, krate, var) in sites {
+            let src = format!("fn f() -> Option<String> {{\n  std::env::var(\"{var}\").ok()\n}}\n");
+            let lines: Vec<u32> = check_file(&file(path, krate, &src), &BTreeSet::new())
+                .iter()
+                .filter(|f| f.code == "CAHD-L002")
+                .map(|f| f.line)
+                .collect();
+            assert_eq!(lines, vec![2], "{path} {var}");
+        }
+        let forms = file(
+            "crates/obs/src/x.rs",
+            "obs",
+            "use std::env;\nfn f() { env::var_os(\"A\"); env::vars(); env::vars_os(); }\n",
+        );
+        let l2 = check_file(&forms, &BTreeSet::new());
+        assert_eq!(l2.iter().filter(|f| f.code == "CAHD-L002").count(), 3);
+        // Binaries, tooling, tests and other `std::env` items stay free.
+        let read = "fn f() { std::env::var(\"CAHD_SEED\"); }";
+        for (path, krate) in [
+            ("crates/cli/src/x.rs", "cli"),
+            ("crates/bench/src/x.rs", "bench"),
+        ] {
+            assert!(check_file(&file(path, krate, read), &BTreeSet::new()).is_empty());
+        }
+        let test = file(
+            "crates/core/src/x.rs",
+            "core",
+            "#[cfg(test)]\nmod tests {\n  fn f() { std::env::var(\"X\"); }\n}\n",
+        );
+        assert!(check_file(&test, &BTreeSet::new()).is_empty());
+        let temp = file(
+            "crates/data/src/x.rs",
+            "data",
+            "fn f() { std::env::temp_dir(); }",
+        );
+        assert!(check_file(&temp, &BTreeSet::new()).is_empty());
     }
 
     #[test]

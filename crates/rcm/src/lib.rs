@@ -17,15 +17,16 @@
 //!   lexicographic) implementing the paper's dimensionality-reduction
 //!   future-work direction, comparable against RCM,
 //! * [`strategy`] — the [`OrderingStrategy`] run-time selector
-//!   (`--ordering {rcm,bfs,cluster}` / `CAHD_ORDERING`).
+//!   (`--ordering {rcm,bfs,cluster}`).
 //!
 //! The engine works against the [`cahd_sparse::ParNeighborOracle`] trait
 //! (caller-owned per-worker scratch, `Sync`), so it runs identically — and
 //! in parallel — on materialized adjacency and on the inverted-index
 //! (implicit) representation. Representation is selected by
-//! [`cahd_sparse::RowGraphMode`] (`--rowgraph {auto,explicit,implicit}` /
-//! `CAHD_ROWGRAPH`). The test tree checks the engine against a literal
-//! transcription of Fig. 4.
+//! [`cahd_sparse::RowGraphMode`] (`--rowgraph {auto,explicit,implicit}`).
+//! Every choice comes from the caller's [`UnsymOptions`]; nothing here
+//! reads the environment. The test tree checks the engine against a
+//! literal transcription of Fig. 4.
 
 mod level;
 pub mod ordering;
@@ -34,7 +35,7 @@ mod peripheral;
 pub mod strategy;
 pub mod unsym;
 
-pub use cahd_sparse::{resolve_hub_cap, RowGraphMode};
+pub use cahd_sparse::RowGraphMode;
 pub use ordering::{
     cluster_order, lexicographic_order, minhash_order, RowOrder, CLUSTER_HASHES, CLUSTER_SEED,
 };

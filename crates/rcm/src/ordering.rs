@@ -15,7 +15,7 @@
 //! Both return a [`Permutation`] in the same convention as
 //! [`crate::band_order`].
 
-use cahd_sparse::{CsrMatrix, Permutation};
+use cahd_sparse::{CsrMatrix, Permutation, RowGraph, RowGraphMode};
 
 /// Strategy selector used by comparison harnesses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,7 +55,14 @@ impl RowOrder {
         match self {
             RowOrder::Identity => Permutation::identity(a.n_rows()),
             RowOrder::Rcm => {
-                let g = cahd_sparse::RowGraph::build(a, cahd_sparse::RowGraph::DEFAULT_EDGE_BUDGET);
+                let g = RowGraph::build_mode_traced(
+                    a,
+                    RowGraphMode::Auto,
+                    RowGraph::DEFAULT_EDGE_BUDGET,
+                    None,
+                    1,
+                    &cahd_obs::Recorder::disabled(),
+                );
                 crate::parallel::band_order(&g, crate::OrderingStrategy::Rcm, 1)
             }
             RowOrder::MinHash => minhash_order(a, 8, seed),

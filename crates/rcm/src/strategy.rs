@@ -1,10 +1,8 @@
 //! Run-time selection of the band-reducing row-ordering strategy.
 //!
 //! Mirrors the `KernelMode` pattern of `cahd-core`: a small enum with a
-//! canonical name per variant, parseable from `--ordering` and the
-//! `CAHD_ORDERING` environment variable, resolved once per run at the
-//! pipeline entry point so CI can force any strategy through any entry
-//! point without touching configs.
+//! canonical name per variant, parseable from `--ordering`. The caller's
+//! [`crate::UnsymOptions::ordering`] is the only way to choose one.
 
 /// Which band-reducing row ordering the unsymmetric reduction runs.
 ///
@@ -39,8 +37,8 @@ impl OrderingStrategy {
         OrderingStrategy::Cluster,
     ];
 
-    /// Parses a strategy name as used by `--ordering` and
-    /// `CAHD_ORDERING`: `rcm`, `bfs` or `cluster`.
+    /// Parses a strategy name as used by `--ordering`: `rcm`, `bfs` or
+    /// `cluster`.
     pub fn parse(s: &str) -> Option<OrderingStrategy> {
         match s {
             "rcm" => Some(OrderingStrategy::Rcm),
@@ -50,19 +48,10 @@ impl OrderingStrategy {
         }
     }
 
-    /// The strategy named by the `CAHD_ORDERING` environment variable, if
-    /// set to a recognized value.
-    pub fn from_env() -> Option<OrderingStrategy> {
-        std::env::var("CAHD_ORDERING")
-            .ok()
-            .and_then(|v| OrderingStrategy::parse(v.trim()))
-    }
-
-    /// Resolves the effective strategy: a recognized `CAHD_ORDERING`
-    /// value overrides the configured one. Entry points resolve once per
-    /// run; unrecognized values are ignored.
+    /// Returns `self`. Kept only because perfbench calls it; it goes with
+    /// the perfbench rewrite (ROADMAP item 2). Nothing else calls it.
     pub fn resolved(self) -> OrderingStrategy {
-        OrderingStrategy::from_env().unwrap_or(self)
+        self
     }
 
     /// The canonical name ([`OrderingStrategy::parse`] accepts it back).

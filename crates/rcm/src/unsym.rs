@@ -24,7 +24,7 @@
 use std::time::{Duration, Instant};
 
 use cahd_sparse::bandwidth::{rect_band_stats_at, RectBandStats};
-use cahd_sparse::{resolve_hub_cap, ColumnSpace, CsrMatrix, Permutation, RowGraph, RowGraphMode};
+use cahd_sparse::{ColumnSpace, CsrMatrix, Permutation, RowGraph, RowGraphMode};
 
 use crate::ordering::cluster_order;
 use crate::parallel::{band_order, band_order_traced};
@@ -59,7 +59,8 @@ pub enum AatMethod {
 #[derive(Clone, Copy, Debug)]
 pub struct UnsymOptions {
     /// Estimated-edge budget above which the implicit `A x A^T`
-    /// representation is used (see [`RowGraph::build`]).
+    /// representation is used under [`RowGraphMode::Auto`] (see
+    /// [`RowGraph::build_mode_traced`]).
     pub edge_budget: usize,
     /// Column ordering strategy.
     pub column_order: ColumnOrder,
@@ -71,19 +72,16 @@ pub struct UnsymOptions {
     /// byte-identical for every thread count.
     pub threads: usize,
     /// Band-reducing ordering strategy ([`OrderingStrategy::Rcm`] by
-    /// default). Resolved against the `CAHD_ORDERING` environment
-    /// variable once per reduction.
+    /// default).
     pub ordering: OrderingStrategy,
     /// `A x A^T` representation policy ([`RowGraphMode::Auto`] by
-    /// default). Resolved against the `CAHD_ROWGRAPH` environment
-    /// variable once per reduction.
+    /// default).
     pub rowgraph: RowGraphMode,
     /// Optional hub-item support cap for the implicit representation:
     /// items whose support exceeds the cap are skipped during neighbor
     /// enumeration (see [`cahd_sparse::ImplicitRowGraph::with_options`]).
-    /// Overridable via `CAHD_HUB_CAP`. A cap under [`RowGraphMode::Auto`]
-    /// forces the implicit representation so it is never silently
-    /// ignored.
+    /// A cap under [`RowGraphMode::Auto`] forces the implicit
+    /// representation so it is never silently ignored.
     pub hub_cap: Option<u32>,
 }
 
@@ -143,7 +141,7 @@ pub fn reduce_unsymmetric(a: &CsrMatrix, opts: UnsymOptions) -> BandReduction {
 ///   construction, `Product` method only), `pipeline/rcm/order` (the
 ///   Cuthill-McKee ordering), `pipeline/rcm/columns` (column
 ///   ordering), and `pipeline/rcm/stats` (band statistics before/after);
-/// * the `sparse.*` counters of [`RowGraph::build_traced`] and the
+/// * the `sparse.*` counters of [`RowGraph::build_mode_traced`] and the
 ///   `rcm.*` ordering counters of [`band_order_traced`];
 /// * gauges `rcm.bandwidth_before` / `rcm.bandwidth_after` (the
 ///   [`RectBandStats::max_diag_distance`] rectangular-bandwidth analogue)
@@ -156,30 +154,34 @@ pub fn reduce_unsymmetric_traced(
     let whole = rec.span("pipeline/rcm");
     // cahd-lint: allow(L002, reason = "elapsed-time stat only; release bytes never depend on it")
     let t0 = Instant::now();
-    let strategy = opts.ordering.resolved();
     let mut space = None;
     let (row_perm, sum_col_perm, used_explicit_aat) = match opts.aat_method {
         // Cluster-then-order works on the matrix itself: no `A x A^T`
         // graph is built at all (`used_explicit_aat` is false).
-        AatMethod::Product if strategy == OrderingStrategy::Cluster => {
+        AatMethod::Product if opts.ordering == OrderingStrategy::Cluster => {
             let _s = rec.span("pipeline/rcm/order");
             (cluster_order(a, opts.threads), None, false)
         }
         AatMethod::Product => {
-            let mode = opts.rowgraph.resolved();
-            let hub_cap = resolve_hub_cap(opts.hub_cap);
             let rg = {
                 let _s = rec.span("pipeline/rcm/aat_build");
                 // Adjacency, degrees and supports ignore empty columns.
                 let c = &space.insert(ColumnSpace::of(a)).matrix;
-                RowGraph::build_mode_traced(c, mode, opts.edge_budget, hub_cap, opts.threads, rec)
+                RowGraph::build_mode_traced(
+                    c,
+                    opts.rowgraph,
+                    opts.edge_budget,
+                    opts.hub_cap,
+                    opts.threads,
+                    rec,
+                )
             };
             let explicit = rg.is_explicit();
             let _s = rec.span("pipeline/rcm/order");
             // Both representations are `Sync` oracles now: the frontier-
             // parallel engine runs either one, with byte-identical output
             // and counters (hub cap off).
-            let perm = band_order_traced(&rg, strategy, opts.threads, rec);
+            let perm = band_order_traced(&rg, opts.ordering, opts.threads, rec);
             (perm, None, explicit)
         }
         AatMethod::Sum => {

@@ -81,18 +81,6 @@ fn assert_representations_match_fig4(a: &CsrMatrix) -> Result<(), String> {
     Ok(())
 }
 
-/// Whether run-time environment overrides would redirect
-/// [`reduce_unsymmetric`] away from the options under test.
-/// `UnsymOptions.{ordering,rowgraph,hub_cap}` resolve against
-/// `CAHD_ORDERING`/`CAHD_ROWGRAPH`/`CAHD_HUB_CAP`, so with any of them
-/// set the end-to-end sweep cannot pin the representation per run (the
-/// CI matrix jobs set them deliberately).
-fn env_overrides_active() -> bool {
-    ["CAHD_ORDERING", "CAHD_ROWGRAPH", "CAHD_HUB_CAP"]
-        .iter()
-        .any(|v| std::env::var_os(v).is_some())
-}
-
 /// Random sparse binary matrices biased toward transaction-data shapes:
 /// plain random rows, hub-heavy rows (a few very frequent items inducing
 /// the k-clique blow-up), block-structured rows, and matrices with empty
@@ -252,12 +240,6 @@ proptest! {
 
     #[test]
     fn reductions_agree_end_to_end_across_representations(a in arb_matrix()) {
-        if env_overrides_active() {
-            // The env override pins every run to one representation or
-            // strategy; the direct band_order_with properties above still
-            // cover representation identity under the matrix.
-            return Ok(());
-        }
         for (strategy, _) in STRATEGIES {
             let mut reference: Option<cahd_rcm::BandReduction> = None;
             for threads in thread_counts(&[1, 8]) {

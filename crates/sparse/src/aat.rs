@@ -716,8 +716,7 @@ fn class_degree_chunk(
 }
 
 /// Representation-selection policy for [`RowGraph::build_mode_traced`].
-/// Mirrors the `KernelMode` pattern: parseable from `--rowgraph` and the
-/// `CAHD_ROWGRAPH` environment variable, resolved once per run.
+/// Mirrors the `KernelMode` pattern: parseable from `--rowgraph`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RowGraphMode {
     /// Materialize only when the estimated directed-edge count fits the
@@ -740,8 +739,8 @@ impl RowGraphMode {
         RowGraphMode::Implicit,
     ];
 
-    /// Parses a mode name as used by `--rowgraph` and `CAHD_ROWGRAPH`:
-    /// `auto`, `explicit` or `implicit`.
+    /// Parses a mode name as used by `--rowgraph`: `auto`, `explicit` or
+    /// `implicit`.
     pub fn parse(s: &str) -> Option<RowGraphMode> {
         match s {
             "auto" => Some(RowGraphMode::Auto),
@@ -751,19 +750,10 @@ impl RowGraphMode {
         }
     }
 
-    /// The mode named by the `CAHD_ROWGRAPH` environment variable, if set
-    /// to a recognized value.
-    pub fn from_env() -> Option<RowGraphMode> {
-        std::env::var("CAHD_ROWGRAPH")
-            .ok()
-            .and_then(|v| RowGraphMode::parse(v.trim()))
-    }
-
-    /// Resolves the effective mode: a recognized `CAHD_ROWGRAPH` value
-    /// overrides the configured one. Entry points resolve once per run;
-    /// unrecognized values are ignored.
+    /// Returns `self`. Kept only because perfbench calls it; it goes with
+    /// the perfbench rewrite (ROADMAP item 2). Nothing else calls it.
     pub fn resolved(self) -> RowGraphMode {
-        RowGraphMode::from_env().unwrap_or(self)
+        self
     }
 
     /// The canonical name ([`RowGraphMode::parse`] accepts it back).
@@ -776,17 +766,10 @@ impl RowGraphMode {
     }
 }
 
-/// Resolves the effective hub cap: a `CAHD_HUB_CAP` value overrides the
-/// configured one when set — a positive integer enables the cap, `off`,
-/// `none` or `0` disables it; unset or unrecognized keeps `cfg`.
+/// Returns `cfg`. Kept only because perfbench calls it; it goes with the
+/// perfbench rewrite (ROADMAP item 2). Nothing else calls it.
 pub fn resolve_hub_cap(cfg: Option<u32>) -> Option<u32> {
-    match std::env::var("CAHD_HUB_CAP") {
-        Ok(v) => match v.trim() {
-            "off" | "none" | "0" => None,
-            t => t.parse::<u32>().ok().filter(|&c| c > 0).or(cfg),
-        },
-        Err(_) => cfg,
-    }
+    cfg
 }
 
 /// The row-similarity graph of a binary matrix, explicit or implicit. The
@@ -819,32 +802,10 @@ impl<'a> RowGraph<'a> {
             .fold(0usize, usize::saturating_add)
     }
 
-    /// Builds the row graph, choosing the explicit form when the estimated
-    /// edge count fits in `edge_budget` and the implicit form otherwise.
-    pub fn build(a: &'a CsrMatrix, edge_budget: usize) -> Self {
-        Self::build_with_threads(a, edge_budget, 1)
-    }
-
-    /// Like [`RowGraph::build`], with `threads` workers for whichever
-    /// representation is chosen (the explicit chunked build, or the
-    /// implicit bulk degree pass).
-    pub fn build_with_threads(a: &'a CsrMatrix, edge_budget: usize, threads: usize) -> Self {
-        Self::build_traced(a, edge_budget, threads, &cahd_obs::Recorder::disabled())
-    }
-
-    /// [`RowGraph::build_with_threads`] with metric recording; the `auto`
-    /// policy with no hub cap. See [`RowGraph::build_mode_traced`].
-    pub fn build_traced(
-        a: &'a CsrMatrix,
-        edge_budget: usize,
-        threads: usize,
-        rec: &cahd_obs::Recorder,
-    ) -> Self {
-        Self::build_mode_traced(a, RowGraphMode::Auto, edge_budget, None, threads, rec)
-    }
-
-    /// Builds the row graph under an explicit representation policy,
-    /// recording `sparse.*` build metrics into `rec`:
+    /// Builds the row graph under a representation policy, with `threads`
+    /// workers for whichever form is chosen (the explicit chunked build,
+    /// or the implicit bulk degree pass), recording `sparse.*` build
+    /// metrics into `rec`:
     ///
     /// * counters `sparse.aat_rows`, `sparse.aat_nnz`,
     ///   `sparse.aat_edges_estimate`, and (explicit form only)
@@ -942,11 +903,6 @@ impl<'a> RowGraph<'a> {
     /// full edge set.
     pub fn build_explicit_threaded(a: &CsrMatrix, threads: usize) -> Graph {
         assemble_chunks(a.n_rows(), &explicit_chunks(a, threads))
-    }
-
-    /// Always uses the implicit form.
-    pub fn build_implicit(a: &'a CsrMatrix) -> ImplicitRowGraph<'a> {
-        ImplicitRowGraph::new(a)
     }
 
     /// Whether the explicit representation was chosen.
@@ -1294,8 +1250,12 @@ mod tests {
         // Zero threads is clamped, and the budget gate still applies.
         let par0 = RowGraph::build_explicit_threaded(&a, 0);
         assert_eq!(sorted_neighbors(&seq, 1), sorted_neighbors(&par0, 1));
-        assert!(RowGraph::build_with_threads(&a, usize::MAX, 4).is_explicit());
-        assert!(!RowGraph::build_with_threads(&a, 0, 4).is_explicit());
+        let auto = |budget| {
+            let rec = cahd_obs::Recorder::disabled();
+            RowGraph::build_mode_traced(&a, RowGraphMode::Auto, budget, None, 4, &rec).is_explicit()
+        };
+        assert!(auto(usize::MAX));
+        assert!(!auto(0));
     }
 
     #[test]
@@ -1305,7 +1265,14 @@ mod tests {
         let mut reports = Vec::new();
         for threads in [1usize, 4] {
             let rec = cahd_obs::Recorder::new();
-            let g = RowGraph::build_traced(&a, usize::MAX, threads, &rec);
+            let g = RowGraph::build_mode_traced(
+                &a,
+                RowGraphMode::Auto,
+                usize::MAX,
+                None,
+                threads,
+                &rec,
+            );
             assert!(g.is_explicit());
             reports.push(rec.snapshot());
         }
@@ -1322,7 +1289,7 @@ mod tests {
         assert!(par.gauge("sparse.aat_partition_imbalance").unwrap() >= 1.0);
         // The implicit fallback records sizes but no edge count.
         let rec = cahd_obs::Recorder::new();
-        let g = RowGraph::build_traced(&a, 0, 4, &rec);
+        let g = RowGraph::build_mode_traced(&a, RowGraphMode::Auto, 0, None, 4, &rec);
         assert!(!g.is_explicit());
         assert_eq!(rec.snapshot().counter("sparse.aat_edges"), None);
     }
@@ -1355,10 +1322,12 @@ mod tests {
     #[test]
     fn mode_overrides_budget() {
         let a = sample();
-        // Auto keeps the budget gate.
-        assert!(RowGraph::build(&a, 1_000).is_explicit());
-        assert!(!RowGraph::build(&a, 1).is_explicit());
         let rec = cahd_obs::Recorder::disabled();
+        // Auto keeps the budget gate.
+        let auto =
+            |budget| RowGraph::build_mode_traced(&a, RowGraphMode::Auto, budget, None, 1, &rec);
+        assert!(auto(1_000).is_explicit());
+        assert!(!auto(1).is_explicit());
         // Forced modes ignore the budget entirely.
         assert!(
             RowGraph::build_mode_traced(&a, RowGraphMode::Explicit, 0, None, 1, &rec).is_explicit()

@@ -1,7 +1,8 @@
 //! Property-based tests for the sparse substrate.
 
 use cahd_sparse::{
-    row_classes, ColumnSpace, CsrMatrix, Graph, ParNeighborOracle, Permutation, Relabel, RowGraph,
+    row_classes, ColumnSpace, CsrMatrix, Graph, ImplicitRowGraph, ParNeighborOracle, Permutation,
+    Relabel, RowGraph,
 };
 use proptest::prelude::*;
 
@@ -203,7 +204,7 @@ proptest! {
     fn aat_implicit_equals_explicit((rows, n_cols) in arb_matrix()) {
         let m = CsrMatrix::from_rows(&rows, n_cols);
         let ex = RowGraph::build_explicit(&m);
-        let im = RowGraph::build_implicit(&m);
+        let im = ImplicitRowGraph::new(&m);
         let mut scratch = im.new_scratch();
         for v in 0..m.n_rows() {
             let mut a = Vec::new();
