@@ -62,9 +62,7 @@ pub fn random_grouping(
         shuffle.swap(i, j);
     }
 
-    let sens_of: Vec<Vec<usize>> = (0..n)
-        .map(|t| sensitive.split_transaction(data.transaction(t)).1)
-        .collect();
+    let sens_of = |t: usize| sensitive.ranks(data.transaction(t));
     let mut hist = SensitiveHistogram::new(counts);
     let mut order = OrderList::new(n);
     let mut remaining = n;
@@ -75,11 +73,11 @@ pub fn random_grouping(
 
     for slot in 0..n {
         let t = shuffle[slot] as usize;
-        if !order.is_alive(slot) || sens_of[t].is_empty() {
+        if !order.is_alive(slot) || sens_of(t).next().is_none() {
             continue;
         }
         cstamp += 1;
-        for &r in &sens_of[t] {
+        for r in sens_of(t) {
             conflict_stamp[r] = cstamp;
         }
         // Nearest non-conflicting neighbors in the shuffled order,
@@ -90,8 +88,8 @@ pub fn random_grouping(
         while members_slots.len() < p && (lo.is_some() || hi.is_some()) {
             if let Some(c) = lo {
                 let tc = shuffle[c] as usize;
-                if !sens_of[tc].iter().any(|&r| conflict_stamp[r] == cstamp) {
-                    for &r in &sens_of[tc] {
+                if !sens_of(tc).any(|r| conflict_stamp[r] == cstamp) {
+                    for r in sens_of(tc) {
                         conflict_stamp[r] = cstamp;
                     }
                     members_slots.push(c);
@@ -103,8 +101,8 @@ pub fn random_grouping(
             }
             if let Some(c) = hi {
                 let tc = shuffle[c] as usize;
-                if !sens_of[tc].iter().any(|&r| conflict_stamp[r] == cstamp) {
-                    for &r in &sens_of[tc] {
+                if !sens_of(tc).any(|r| conflict_stamp[r] == cstamp) {
+                    for r in sens_of(tc) {
                         conflict_stamp[r] = cstamp;
                     }
                     members_slots.push(c);
@@ -117,7 +115,7 @@ pub fn random_grouping(
         }
         // Validate against the histogram, as in CAHD.
         for &s in &members_slots {
-            for &r in &sens_of[shuffle[s] as usize] {
+            for r in sens_of(shuffle[s] as usize) {
                 hist.remove_occurrence(r);
             }
         }
@@ -132,7 +130,7 @@ pub fn random_grouping(
             groups.push(AnonymizedGroup::from_members(data, sensitive, &members));
         } else {
             for &s in &members_slots {
-                for &r in &sens_of[shuffle[s] as usize] {
+                for r in sens_of(shuffle[s] as usize) {
                     hist.restore_occurrence(r);
                 }
             }

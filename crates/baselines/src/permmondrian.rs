@@ -189,23 +189,20 @@ fn try_split(
     let m = sensitive.len();
     let mut best: Option<(f64, Vec<u32>, Vec<u32>)> = None;
     let mut sens_node = vec![0u32; m];
-    let mut node_ranks: Vec<Vec<usize>> = Vec::with_capacity(node.len());
     for &r in node {
-        let (_, ranks) = sensitive.split_transaction(data.transaction(r as usize));
-        for &rk in &ranks {
+        for rk in sensitive.ranks(data.transaction(r as usize)) {
             sens_node[rk] += 1;
         }
-        node_ranks.push(ranks);
     }
     for &(_, q) in &candidates {
         stats.splits_evaluated += 1;
         let mut left: Vec<u32> = Vec::new();
         let mut right: Vec<u32> = Vec::new();
         let mut sens_left = vec![0u32; m];
-        for (k, &r) in node.iter().enumerate() {
+        for &r in node {
             if data.contains(r as usize, q) {
                 left.push(r);
-                for &rk in &node_ranks[k] {
+                for rk in sensitive.ranks(data.transaction(r as usize)) {
                     sens_left[rk] += 1;
                 }
             } else {

@@ -8,6 +8,11 @@
 //! the uncompacted kernel wrote: the digests below were recorded with the
 //! binary from before the kernel relabeled wide universes, for the batch,
 //! `--stream-batch` and sharded paths.
+//!
+//! Each shard's kernel sizes its item space on the shard's own rows. The
+//! sharded run's `core.kernel_*` counters below were recorded when every
+//! shard still scored a copy of its rows, so a shard that saw the other
+//! shard's items (a wider space, another dense crossover) would move them.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -95,6 +100,56 @@ fn wide_universe_releases_match_the_uncompacted_goldens() {
             "{extra:?}: release is {got_len} bytes, fnv1a {got_fnv:016x}"
         );
         let _ = std::fs::remove_file(release);
+    }
+    let _ = std::fs::remove_file(data);
+}
+
+/// `core.kernel_*` counters of `anonymize --shards 2 --threads 2` on a
+/// 4,000-row quest input over 2,000,000 items (seed 3).
+const SHARDED_KERNEL: &[(&str, u64)] = &[
+    ("core.kernel_cache_hits", 13_754),
+    ("core.kernel_dense_scores", 15_351),
+    ("core.kernel_sparse_scores", 4),
+];
+
+#[test]
+fn sharded_kernel_counters_match_the_copied_shard_rows() {
+    let data = tmp("quest_seed3.dat");
+    let data_s = data.to_str().unwrap();
+    cahd_cli(&[
+        "generate",
+        "quest",
+        "--out",
+        data_s,
+        "--transactions",
+        "4000",
+        "--items",
+        "2000000",
+        "--seed",
+        "3",
+    ]);
+    let out = cahd_cli(&[
+        "anonymize",
+        data_s,
+        "--p",
+        "4",
+        "--sensitive",
+        "23253,104823",
+        "--shards",
+        "2",
+        "--threads",
+        "2",
+        "--metrics",
+    ]);
+    let text = String::from_utf8(out.stdout).unwrap();
+    let counter = |name: &str| -> Option<u64> {
+        text.lines().find_map(|line| {
+            let mut words = line.split_whitespace();
+            (words.next() == Some(name)).then(|| words.next()?.parse().ok())?
+        })
+    };
+    for &(name, want) in SHARDED_KERNEL {
+        assert_eq!(counter(name), Some(want), "{name}\n{text}");
     }
     let _ = std::fs::remove_file(data);
 }

@@ -31,6 +31,7 @@ use crate::histogram::SensitiveHistogram;
 use crate::invariant::{strict_invariant, strict_invariant_eq};
 use crate::kernel::{KernelMode, SimilarityKernel};
 use crate::order::OrderList;
+use crate::split::{RowSplit, Rows};
 
 /// Configuration of the CAHD heuristic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -170,20 +171,11 @@ pub fn cahd_traced(
     let t_start = Instant::now();
 
     // Split every transaction into QID items and sensitive ranks once.
-    let mut qid_of: Vec<Vec<ItemId>> = Vec::with_capacity(n);
-    let mut sens_of: Vec<Vec<usize>> = Vec::with_capacity(n);
-    for txn in data.iter() {
-        let (q, s) = sensitive.split_transaction(txn);
-        qid_of.push(q);
-        sens_of.push(s);
-    }
-    let counts = sensitive.occurrence_counts(data);
-
-    let mut kernel = SimilarityKernel::new(&qid_of, data.n_items(), config.kernel);
+    let split = RowSplit::of(data, sensitive);
+    let mut kernel = SimilarityKernel::new(split.qid(), data.n_items(), config.kernel);
     let formed = form_groups(
-        n,
-        &sens_of,
-        counts,
+        split.sens(),
+        split.occurrences().to_vec(),
         sensitive.items(),
         config,
         |t, cl, out| kernel.score(t, cl, out),
@@ -196,10 +188,10 @@ pub fn cahd_traced(
     let mut groups: Vec<AnonymizedGroup> = formed
         .groups
         .iter()
-        .map(|members| make_group(members, sensitive, &qid_of, &sens_of))
+        .map(|members| make_group(members, sensitive, &split))
         .collect();
     if !formed.leftover.is_empty() {
-        groups.push(make_group(&formed.leftover, sensitive, &qid_of, &sens_of));
+        groups.push(make_group(&formed.leftover, sensitive, &split));
     }
     let mut stats = formed.stats;
     stats.elapsed = t_start.elapsed();
@@ -251,9 +243,10 @@ pub(crate) struct FormedGroups {
 /// implementation.
 ///
 /// `score(pivot, candidates, out)` fills `out` with one utility score per
-/// candidate (higher = more similar QID). `sens_of` maps each transaction
-/// to its sensitive-item ranks; `initial_counts` is the per-rank occurrence
-/// histogram; `sens_items` names the items for error reporting.
+/// candidate (higher = more similar QID). Row `t` of `sens` holds
+/// transaction `t`'s sensitive-item ranks (one row per transaction);
+/// `initial_counts` is the per-rank occurrence histogram; `sens_items`
+/// names the items for error reporting.
 ///
 /// Records into `rec` — all scheduling-invariant, accumulated locally and
 /// merged under one lock at the end so the hot loop never contends:
@@ -268,10 +261,8 @@ pub(crate) struct FormedGroups {
 ///   exactly this value);
 /// * histogram `core.candidate_list_len` (one observation per scanned
 ///   pivot).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn form_groups(
-    n: usize,
-    sens_of: &[Vec<usize>],
+    sens: Rows<'_>,
     initial_counts: Vec<usize>,
     sens_items: &[ItemId],
     config: &CahdConfig,
@@ -280,6 +271,7 @@ pub(crate) fn form_groups(
     rec: &Recorder,
 ) -> Result<FormedGroups, CahdError> {
     config.validate()?;
+    let n = sens.len();
     if n == 0 {
         return Err(CahdError::EmptyDataset);
     }
@@ -316,14 +308,14 @@ pub(crate) fn form_groups(
     let trace_on = rec.is_enabled();
 
     for t in 0..n {
-        if !order.is_alive(t) || sens_of[t].is_empty() {
+        if !order.is_alive(t) || sens.row(t).is_empty() {
             continue;
         }
 
         // --- Build the candidate list (predecessors, then successors). ---
         cstamp += 1;
-        for &r in &sens_of[t] {
-            conflict_stamp[r] = cstamp;
+        for &r in sens.row(t) {
+            conflict_stamp[r as usize] = cstamp;
         }
         cl.clear();
         let walk = |mut cur: Option<usize>,
@@ -336,10 +328,13 @@ pub(crate) fn form_groups(
                 if taken >= limit {
                     break;
                 }
-                let conflicting = sens_of[c].iter().any(|&r| conflict_stamp[r] == cstamp);
+                let conflicting = sens
+                    .row(c)
+                    .iter()
+                    .any(|&r| conflict_stamp[r as usize] == cstamp);
                 if !conflicting {
-                    for &r in &sens_of[c] {
-                        conflict_stamp[r] = cstamp;
+                    for &r in sens.row(c) {
+                        conflict_stamp[r as usize] = cstamp;
                     }
                     cl.push(c);
                     taken += 1;
@@ -392,8 +387,8 @@ pub(crate) fn form_groups(
         members.extend(scored[..p - 1].iter().map(|&(_, _, c)| c));
         members.sort_unstable();
         for &mt in &members {
-            for &r in &sens_of[mt] {
-                hist.remove_occurrence(r);
+            for &r in sens.row(mt) {
+                hist.remove_occurrence(r as usize);
             }
         }
         let new_remaining = remaining - members.len();
@@ -407,8 +402,8 @@ pub(crate) fn form_groups(
             stats.groups_formed += 1;
         } else {
             for &mt in &members {
-                for &r in &sens_of[mt] {
-                    hist.restore_occurrence(r);
+                for &r in sens.row(mt) {
+                    hist.restore_occurrence(r as usize);
                 }
             }
             stats.rollbacks += 1;
@@ -441,31 +436,21 @@ pub(crate) fn form_groups(
     })
 }
 
+/// The published form of the group of `members` (row indices of
+/// `split`): each member's QID row written once, straight from the split.
 pub(crate) fn make_group(
     members: &[usize],
     sensitive: &SensitiveSet,
-    qid_of: &[Vec<ItemId>],
-    sens_of: &[Vec<usize>],
+    split: &RowSplit,
 ) -> AnonymizedGroup {
-    let mut counts = vec![0u32; sensitive.len()];
-    let mut qid_rows = Vec::with_capacity(members.len());
-    for &mt in members {
-        qid_rows.push(qid_of[mt].clone());
-        for &r in &sens_of[mt] {
-            counts[r] += 1;
+    let (qid, sens) = (split.qid(), split.sens());
+    let members = members.iter().map(|&mt| mt as u32).collect();
+    AnonymizedGroup::assemble(members, sensitive, |mt, counts| {
+        for &r in sens.row(mt) {
+            counts[r as usize] += 1;
         }
-    }
-    let sensitive_counts: Vec<(ItemId, u32)> = counts
-        .iter()
-        .enumerate()
-        .filter(|&(_, &c)| c > 0)
-        .map(|(r, &c)| (sensitive.items()[r], c))
-        .collect();
-    AnonymizedGroup {
-        members: members.iter().map(|&mt| mt as u32).collect(),
-        qid_rows,
-        sensitive_counts,
-    }
+        qid.row(mt).to_vec()
+    })
 }
 
 #[cfg(test)]

@@ -34,15 +34,32 @@ impl AnonymizedGroup {
     /// transaction indices: exact QID rows plus the sensitive frequency
     /// summary. Used by the baselines and by custom grouping strategies.
     pub fn from_members(data: &TransactionSet, sensitive: &SensitiveSet, members: &[u32]) -> Self {
-        let mut counts = vec![0u32; sensitive.len()];
-        let mut qid_rows = Vec::with_capacity(members.len());
-        for &mt in members {
-            let (qid, sens_ranks) = sensitive.split_transaction(data.transaction(mt as usize));
-            qid_rows.push(qid);
-            for r in sens_ranks {
-                counts[r] += 1;
+        AnonymizedGroup::assemble(members.to_vec(), sensitive, |mt, counts| {
+            let txn = data.transaction(mt);
+            let mut qid = Vec::with_capacity(txn.len());
+            for &item in txn {
+                match sensitive.index_of(item) {
+                    Some(r) => counts[r] += 1,
+                    None => qid.push(item),
+                }
             }
-        }
+            qid
+        })
+    }
+
+    /// The group of `members`, in one pass over them: `row(member,
+    /// counts)` returns the member's published QID row and adds one to
+    /// `counts[r]` for each of its sensitive ranks `r`.
+    pub(crate) fn assemble(
+        members: Vec<u32>,
+        sensitive: &SensitiveSet,
+        mut row: impl FnMut(usize, &mut [u32]) -> Vec<ItemId>,
+    ) -> Self {
+        let mut counts = vec![0u32; sensitive.len()];
+        let qid_rows: Vec<Vec<ItemId>> = members
+            .iter()
+            .map(|&mt| row(mt as usize, &mut counts))
+            .collect();
         let sensitive_counts: Vec<(ItemId, u32)> = counts
             .iter()
             .enumerate()
@@ -59,7 +76,7 @@ impl AnonymizedGroup {
             "sensitive summary must be sorted by item id"
         );
         AnonymizedGroup {
-            members: members.to_vec(),
+            members,
             qid_rows,
             sensitive_counts,
         }

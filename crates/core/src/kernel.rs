@@ -20,16 +20,21 @@
 //! dataset with a dense head and a sparse long tail uses both paths in one
 //! run.
 //!
-//! Both paths work in the rows' own item space. When the universe is wide
-//! for the rows (`n_items > 2·nnz`, decided by
+//! Both paths read the rows as one borrowed flat view ([`Rows`]: offsets
+//! into one item array, the form [`RowSplit`](crate::split::RowSplit)
+//! fills), in the rows' own item space. When the universe is wide for
+//! the rows (`n_items > 2·nnz`, decided by
 //! [`Relabel::when_wide`](cahd_sparse::Relabel::when_wide), the rule the
-//! band reduction compacts its columns by), the kernel relabels every
-//! item to its rank among the distinct items the rows use. The relabel is
-//! a bijection on those items, so every `|QID(t) ∩ QID(c)|` is unchanged,
-//! and the stamps, the pivot bitset, the arena stride and the dense
-//! crossover are all sized on the compacted width `k`: a stream batch
-//! over a 2M-item universe allocates for its few thousand items, not for
-//! the universe. Narrower universes borrow the rows as given.
+//! band reduction compacts its columns by), the kernel keeps one more
+//! array: the rank of every entry among the distinct items the rows use.
+//! The relabel is a bijection on those items, so every
+//! `|QID(t) ∩ QID(c)|` is unchanged, and the stamps, the pivot bitset, the
+//! arena stride and the dense crossover are all sized on the compacted
+//! width `k`: a stream batch over a 2M-item universe allocates for its
+//! few thousand items, not for the universe. Only the view's own entries
+//! count, so a shard's kernel over rows `lo..hi` of the shared split is
+//! sized exactly as one over a copy of those rows. Narrower universes
+//! score the borrowed items as they stand.
 //!
 //! Packing is lazy and cached: the band-order scan gives consecutive
 //! pivots heavily overlapping `alpha * p` candidate windows, so a bitset
@@ -53,6 +58,8 @@
 use cahd_data::ItemId;
 use cahd_obs::Recorder;
 use cahd_sparse::Relabel;
+
+use crate::split::Rows;
 
 /// Which scoring path the kernel may take.
 ///
@@ -180,77 +187,47 @@ impl StampSet {
     }
 }
 
-/// An entry of a scored row that names one item: a plain item id, or an
-/// `(item, count)` pair of the count scorer.
-trait ItemEntry: Copy {
-    fn item(self) -> ItemId;
-    fn with_item(self, item: ItemId) -> Self;
-}
-
-impl ItemEntry for ItemId {
-    fn item(self) -> ItemId {
-        self
-    }
-    fn with_item(self, item: ItemId) -> Self {
-        item
-    }
-}
-
-impl ItemEntry for (ItemId, u32) {
-    fn item(self) -> ItemId {
-        self.0
-    }
-    fn with_item(self, item: ItemId) -> Self {
-        (item, self.1)
-    }
-}
-
 /// The scored rows in the kernel's own item space (see the module docs):
-/// borrowed as given, or over a wide universe relabeled to item ranks and
-/// stored back to back.
-struct ItemSpace<'a, T> {
-    rows: &'a [Vec<T>],
-    /// Row `r` of the relabeled rows is `items[offsets[r]..offsets[r + 1]]`;
-    /// `None` when the rows are borrowed as given.
-    compact: Option<(Vec<usize>, Vec<T>)>,
+/// the borrowed flat rows, plus their items relabeled to ranks when the
+/// universe is wide for them.
+struct ItemSpace<'a> {
+    rows: Rows<'a>,
+    /// The rank of every entry of `rows.entries()`, in order; `None` when
+    /// the rows are used as given.
+    relabeled: Option<Vec<ItemId>>,
     /// Items the space covers: `n_items`, or the number of distinct items
     /// the rows use.
     width: usize,
 }
 
-impl<'a, T: ItemEntry> ItemSpace<'a, T> {
+impl<'a> ItemSpace<'a> {
     /// The rows over `0..n_items`, relabeled when that universe is wide
-    /// for them ([`Relabel::when_wide`]).
-    fn of(rows: &'a [Vec<T>], n_items: usize) -> Self {
-        let nnz: usize = rows.iter().map(Vec::len).sum();
-        let touched = rows.iter().flatten().map(|e| e.item());
-        let Some((relabel, ranks)) = Relabel::when_wide(n_items, nnz, touched) else {
-            return ItemSpace {
+    /// for them ([`Relabel::when_wide`]). Only the view's own entries
+    /// count: a shard's space is sized on its rows alone.
+    fn of(rows: Rows<'a>, n_items: usize) -> Self {
+        let entries = rows.entries();
+        match Relabel::when_wide(n_items, entries.len(), entries.iter().copied()) {
+            None => ItemSpace {
                 rows,
-                compact: None,
+                relabeled: None,
                 width: n_items,
-            };
-        };
-        let mut ranks = ranks.into_iter();
-        let mut offsets = Vec::with_capacity(rows.len() + 1);
-        let mut items = Vec::with_capacity(nnz);
-        offsets.push(0);
-        for row in rows {
-            items.extend(row.iter().zip(ranks.by_ref()).map(|(&e, r)| e.with_item(r)));
-            offsets.push(items.len());
-        }
-        ItemSpace {
-            rows,
-            compact: Some((offsets, items)),
-            width: relabel.ids().len(),
+            },
+            Some((relabel, ranks)) => ItemSpace {
+                rows,
+                relabeled: Some(ranks),
+                width: relabel.ids().len(),
+            },
         }
     }
 
     #[inline]
-    fn row(&self, r: usize) -> &[T] {
-        match &self.compact {
-            None => &self.rows[r],
-            Some((offsets, items)) => &items[offsets[r]..offsets[r + 1]],
+    fn row(&self, r: usize) -> &[ItemId] {
+        match &self.relabeled {
+            None => self.rows.row(r),
+            Some(ranks) => {
+                let (base, at) = (self.rows.base(), self.rows.range(r));
+                &ranks[at.start - base..at.end - base]
+            }
         }
     }
 }
@@ -296,7 +273,7 @@ impl<'a> QidOverlapScorer<'a> {
 /// paths and the caching scheme; construction is cheap (no packing
 /// happens until a row is actually scored on the dense path).
 pub struct SimilarityKernel<'a> {
-    space: ItemSpace<'a, ItemId>,
+    space: ItemSpace<'a>,
     mode: KernelMode,
     /// `u64` words needed to cover the kernel's item space.
     words: usize,
@@ -340,12 +317,12 @@ impl<'a> SimilarityKernel<'a> {
     /// `popcount` for a 15-25% group-phase win.
     pub const DENSE_ITEM_WORDS: usize = 1;
 
-    /// A kernel over the given QID rows (`score` takes indices into
-    /// `qid_of`); items must lie in `0..n_items`. Over a wide universe the
+    /// A kernel over the given QID rows (`score` takes row indices of
+    /// `qid`); items must lie in `0..n_items`. Over a wide universe the
     /// rows are relabeled first (see the module docs), so every buffer
     /// below is sized on the items the rows use.
-    pub fn new(qid_of: &'a [Vec<ItemId>], n_items: usize, mode: KernelMode) -> Self {
-        let space = ItemSpace::of(qid_of, n_items);
+    pub fn new(qid: Rows<'a>, n_items: usize, mode: KernelMode) -> Self {
+        let space = ItemSpace::of(qid, n_items);
         let words = space.width.div_ceil(64);
         let stride = words.next_multiple_of(LINE_WORDS).max(LINE_WORDS);
         SimilarityKernel {
@@ -356,7 +333,7 @@ impl<'a> SimilarityKernel<'a> {
             stride,
             pivot_bits: vec![0u64; words],
             pivot_bits_valid: false,
-            packed_slot: vec![UNPACKED; qid_of.len()],
+            packed_slot: vec![UNPACKED; qid.len()],
             arena: Vec::new(),
             stats: KernelStats::default(),
         }
@@ -451,21 +428,26 @@ impl<'a> SimilarityKernel<'a> {
 /// [`SimilarityKernel`], so its stamps and counts are sized on the items
 /// the rows use.
 pub struct MinCountScorer<'a> {
-    space: ItemSpace<'a, (ItemId, u32)>,
+    space: ItemSpace<'a>,
+    /// The count of every entry of the rows' item array.
+    counts: &'a [u32],
     stamps: StampSet,
     pivot_count: Vec<u32>,
     stats: KernelStats,
 }
 
 impl<'a> MinCountScorer<'a> {
-    /// A scorer over the given `(item, count)` rows; items must lie in
-    /// `0..n_items`.
-    pub fn new(qid_of: &'a [Vec<(ItemId, u32)>], n_items: usize) -> Self {
-        let space = ItemSpace::of(qid_of, n_items);
+    /// A scorer over the given QID rows, whose entry at position `k` of
+    /// the rows' item array has count `counts[k]` (see
+    /// [`RowSplit::weights`](crate::split::RowSplit::weights)); items
+    /// must lie in `0..n_items`.
+    pub fn new(qid: Rows<'a>, counts: &'a [u32], n_items: usize) -> Self {
+        let space = ItemSpace::of(qid, n_items);
         MinCountScorer {
             stamps: StampSet::new(space.width),
             pivot_count: vec![0u32; space.width],
             space,
+            counts,
             stats: KernelStats::default(),
         }
     }
@@ -483,20 +465,26 @@ impl<'a> MinCountScorer<'a> {
 
     /// Fills `out` with one min-count similarity per candidate.
     pub fn score(&mut self, t: usize, candidates: &[usize], out: &mut Vec<u64>) {
-        self.stamps.begin();
-        for &(item, c) in self.space.row(t) {
-            self.stamps.mark(item as usize);
-            self.pivot_count[item as usize] = c;
+        let MinCountScorer {
+            space,
+            counts,
+            stamps,
+            pivot_count,
+            stats,
+        } = self;
+        // Row `r`'s `(item, count)` entries, in the scorer's item space.
+        let entries = |r: usize| space.row(r).iter().zip(&counts[space.rows.range(r)]);
+        stamps.begin();
+        for (&item, &c) in entries(t) {
+            stamps.mark(item as usize);
+            pivot_count[item as usize] = c;
         }
         out.clear();
         for &cand in candidates {
-            self.stats.sparse_scores += 1;
-            let s: u64 = self
-                .space
-                .row(cand)
-                .iter()
-                .filter(|&&(item, _)| self.stamps.contains(item as usize))
-                .map(|&(item, c)| u64::from(c.min(self.pivot_count[item as usize])))
+            stats.sparse_scores += 1;
+            let s: u64 = entries(cand)
+                .filter(|&(&item, _)| stamps.contains(item as usize))
+                .map(|(&item, &c)| u64::from(c.min(pivot_count[item as usize])))
                 .sum();
             out.push(s);
         }
@@ -506,6 +494,7 @@ impl<'a> MinCountScorer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::split::FlatRows;
 
     /// Universe for the mixed fixture: 512 items = 8 words, so the
     /// adaptive crossover needs 8+ items for the dense path — the ~25-item
@@ -538,7 +527,8 @@ mod tests {
 
     fn assert_matches_reference(rows: &[Vec<ItemId>], n_items: usize, mode: KernelMode) {
         let mut reference = QidOverlapScorer::new(rows, n_items);
-        let mut kernel = SimilarityKernel::new(rows, n_items, mode);
+        let flat = FlatRows::from_rows(rows);
+        let mut kernel = SimilarityKernel::new(flat.rows(), n_items, mode);
         let mut want = Vec::new();
         let mut got = Vec::new();
         for t in 0..rows.len() {
@@ -563,8 +553,8 @@ mod tests {
 
     #[test]
     fn adaptive_uses_both_paths_and_caches_across_windows() {
-        let rows = mixed_rows();
-        let mut kernel = SimilarityKernel::new(&rows, N_ITEMS, KernelMode::Adaptive);
+        let rows = FlatRows::from_rows(&mixed_rows());
+        let mut kernel = SimilarityKernel::new(rows.rows(), N_ITEMS, KernelMode::Adaptive);
         let mut out = Vec::new();
         // Overlapping windows, like consecutive band-order pivots.
         for t in 0..6 {
@@ -584,14 +574,14 @@ mod tests {
 
     #[test]
     fn force_modes_take_exactly_one_path() {
-        let rows = mixed_rows();
-        let candidates: Vec<usize> = (1..rows.len()).collect();
+        let rows = FlatRows::from_rows(&mixed_rows());
+        let candidates: Vec<usize> = (1..rows.rows().len()).collect();
         let mut out = Vec::new();
-        let mut dense = SimilarityKernel::new(&rows, N_ITEMS, KernelMode::ForceDense);
+        let mut dense = SimilarityKernel::new(rows.rows(), N_ITEMS, KernelMode::ForceDense);
         dense.score(0, &candidates, &mut out);
         assert_eq!(dense.stats().sparse_scores, 0);
         assert_eq!(dense.stats().dense_scores, candidates.len() as u64);
-        let mut sparse = SimilarityKernel::new(&rows, N_ITEMS, KernelMode::ForceSparse);
+        let mut sparse = SimilarityKernel::new(rows.rows(), N_ITEMS, KernelMode::ForceSparse);
         sparse.score(0, &candidates, &mut out);
         assert_eq!(sparse.stats().dense_scores, 0);
         assert_eq!(sparse.stats().sparse_scores, candidates.len() as u64);
@@ -621,11 +611,11 @@ mod tests {
 
     #[test]
     fn adaptive_kernel_survives_stamp_wrap() {
-        let rows = mixed_rows();
-        let mut fresh = SimilarityKernel::new(&rows, N_ITEMS, KernelMode::Adaptive);
-        let mut wrapping = SimilarityKernel::new(&rows, N_ITEMS, KernelMode::Adaptive);
+        let rows = FlatRows::from_rows(&mixed_rows());
+        let mut fresh = SimilarityKernel::new(rows.rows(), N_ITEMS, KernelMode::Adaptive);
+        let mut wrapping = SimilarityKernel::new(rows.rows(), N_ITEMS, KernelMode::Adaptive);
         wrapping.stamps.force_epoch(u32::MAX - 1);
-        let candidates: Vec<usize> = (1..rows.len()).collect();
+        let candidates: Vec<usize> = (1..rows.rows().len()).collect();
         let (mut want, mut got) = (Vec::new(), Vec::new());
         for t in 0..3 {
             fresh.score(t, &candidates, &mut want);
@@ -636,14 +626,14 @@ mod tests {
 
     #[test]
     fn min_count_scorer_survives_stamp_wrap() {
-        let rows: Vec<Vec<(ItemId, u32)>> = vec![
+        let (rows, counts) = flat_counted(&[
             vec![(0, 5), (1, 3), (7, 2)],
             vec![(0, 2), (1, 9)],
             vec![(1, 1), (7, 4)],
             vec![(2, 6)],
-        ];
-        let mut fresh = MinCountScorer::new(&rows, 10);
-        let mut wrapping = MinCountScorer::new(&rows, 10);
+        ]);
+        let mut fresh = MinCountScorer::new(rows.rows(), &counts, 10);
+        let mut wrapping = MinCountScorer::new(rows.rows(), &counts, 10);
         wrapping.stamps.force_epoch(u32::MAX - 1);
         let candidates = vec![1usize, 2, 3];
         let (mut want, mut got) = (Vec::new(), Vec::new());
@@ -659,6 +649,16 @@ mod tests {
         assert_eq!(want, vec![5]);
     }
 
+    /// `(item, count)` rows as flat QID rows plus their aligned counts.
+    fn flat_counted(rows: &[Vec<(ItemId, u32)>]) -> (FlatRows, Vec<u32>) {
+        let items: Vec<Vec<ItemId>> = rows
+            .iter()
+            .map(|row| row.iter().map(|&(item, _)| item).collect())
+            .collect();
+        let counts = rows.iter().flatten().map(|&(_, c)| c).collect();
+        (FlatRows::from_rows(&items), counts)
+    }
+
     /// `mixed_rows` spread over a 2M-item universe: ids `i * 20_011`, so
     /// the kernel relabels the 60 items the rows touch.
     fn wide_rows() -> (Vec<Vec<ItemId>>, usize) {
@@ -672,8 +672,9 @@ mod tests {
     #[test]
     fn wide_universe_is_relabeled_and_matches_the_reference() {
         let (rows, n_items) = wide_rows();
-        let kernel = SimilarityKernel::new(&rows, n_items, KernelMode::Adaptive);
-        assert!(kernel.space.compact.is_some());
+        let flat = FlatRows::from_rows(&rows);
+        let kernel = SimilarityKernel::new(flat.rows(), n_items, KernelMode::Adaptive);
+        assert!(kernel.space.relabeled.is_some());
         assert_eq!(kernel.space.width, 60);
         assert_eq!(kernel.words, 1);
         assert_eq!(kernel.stamps.stamp.len(), 60);
@@ -685,10 +686,42 @@ mod tests {
             assert_matches_reference(&rows, n_items, mode);
         }
         // The narrow fixture borrows its rows.
-        let rows = mixed_rows();
-        let kernel = SimilarityKernel::new(&rows, N_ITEMS, KernelMode::Adaptive);
-        assert!(kernel.space.compact.is_none());
+        let rows = FlatRows::from_rows(&mixed_rows());
+        let kernel = SimilarityKernel::new(rows.rows(), N_ITEMS, KernelMode::Adaptive);
+        assert!(kernel.space.relabeled.is_none());
         assert_eq!(kernel.words, N_ITEMS / 64);
+    }
+
+    /// A shard scores rows `lo..hi` of the one split every shard shares.
+    /// Its item space must be sized on those rows alone, exactly as if
+    /// they had been copied out: same width, scores and path counters.
+    #[test]
+    fn a_slice_of_shared_rows_scores_like_a_copy_of_them() {
+        let (rows, n_items) = wide_rows();
+        let shared = FlatRows::from_rows(&rows);
+        let (lo, hi) = (6, 18);
+        let copy = FlatRows::from_rows(&rows[lo..hi]);
+        for mode in [
+            KernelMode::Adaptive,
+            KernelMode::ForceSparse,
+            KernelMode::ForceDense,
+        ] {
+            let mut sliced = SimilarityKernel::new(shared.rows().slice(lo, hi), n_items, mode);
+            let mut copied = SimilarityKernel::new(copy.rows(), n_items, mode);
+            assert!(sliced.space.relabeled.is_some());
+            assert_eq!(sliced.space.width, copied.space.width);
+            assert_eq!(sliced.space.width, 46, "only the slice's own items count");
+            assert_eq!(sliced.words, copied.words);
+            let n = hi - lo;
+            let (mut want, mut got) = (Vec::new(), Vec::new());
+            for t in 0..n {
+                let candidates: Vec<usize> = (0..n).filter(|&c| c != t).collect();
+                copied.score(t, &candidates, &mut want);
+                sliced.score(t, &candidates, &mut got);
+                assert_eq!(got, want, "{mode:?}, pivot {t}");
+            }
+            assert_eq!(sliced.stats(), copied.stats(), "{mode:?}");
+        }
     }
 
     #[test]
@@ -704,15 +737,17 @@ mod tests {
                     .collect()
             })
             .collect();
-        let mut compacted = MinCountScorer::new(&counted, n_items);
-        assert!(compacted.space.compact.is_some());
+        let (flat, counts) = flat_counted(&counted);
+        let mut compacted = MinCountScorer::new(flat.rows(), &counts, n_items);
+        assert!(compacted.space.relabeled.is_some());
         assert_eq!(compacted.pivot_count.len(), 60);
         let mut uncompacted = MinCountScorer {
             space: ItemSpace {
-                rows: &counted,
-                compact: None,
+                rows: flat.rows(),
+                relabeled: None,
                 width: n_items,
             },
+            counts: &counts,
             stamps: StampSet::new(n_items),
             pivot_count: vec![0u32; n_items],
             stats: KernelStats::default(),
@@ -751,13 +786,13 @@ mod tests {
 
     #[test]
     fn empty_rows_and_tiny_universes_score_zero() {
-        let rows: Vec<Vec<ItemId>> = vec![vec![], vec![0], vec![]];
+        let rows = FlatRows::from_rows(&[vec![], vec![0], vec![]]);
         for mode in [
             KernelMode::Adaptive,
             KernelMode::ForceSparse,
             KernelMode::ForceDense,
         ] {
-            let mut kernel = SimilarityKernel::new(&rows, 1, mode);
+            let mut kernel = SimilarityKernel::new(rows.rows(), 1, mode);
             let mut out = Vec::new();
             kernel.score(0, &[1, 2], &mut out);
             assert_eq!(out, vec![0, 0], "{mode:?}");
@@ -766,10 +801,10 @@ mod tests {
 
     #[test]
     fn stats_flush_is_additive_across_instances() {
-        let rows = mixed_rows();
+        let rows = FlatRows::from_rows(&mixed_rows());
         let rec = Recorder::new();
         for lo in [0usize, 6] {
-            let mut kernel = SimilarityKernel::new(&rows, N_ITEMS, KernelMode::Adaptive);
+            let mut kernel = SimilarityKernel::new(rows.rows(), N_ITEMS, KernelMode::Adaptive);
             let mut out = Vec::new();
             let candidates: Vec<usize> = (lo + 1..lo + 8).collect();
             kernel.score(lo, &candidates, &mut out);

@@ -54,6 +54,7 @@ pub mod pipeline;
 pub mod recovery;
 pub mod refine;
 pub mod shard;
+pub mod split;
 pub mod streaming;
 pub mod suppress;
 pub mod verify;

@@ -354,8 +354,7 @@ impl Anonymizer {
         let good_counts = sensitive.occurrence_counts(&good_data);
         let good_feasible = !good.is_empty() && good_counts.iter().all(|&c| c * p <= good.len());
 
-        let sens_ranks_of =
-            |m: u32| -> Vec<usize> { sensitive.split_transaction(data.transaction(m as usize)).1 };
+        let sens_ranks_of = |m: u32| sensitive.ranks(data.transaction(m as usize));
 
         let result = if good_feasible {
             // Anonymize the good subset, then splice the quarantine into

@@ -193,20 +193,21 @@ fn affinity(group: &AnonymizedGroup, row: &[ItemId], skip: usize) -> u64 {
         .sum()
 }
 
-/// Whether replacing the member carrying `outgoing` ranks by one carrying
-/// `incoming` ranks keeps every sensitive item within `|G| / p`.
+/// Whether replacing the member with transaction `outgoing` by the one
+/// with transaction `incoming` keeps every sensitive item within
+/// `|G| / p`.
 fn swap_keeps_privacy(
     group: &AnonymizedGroup,
-    outgoing: &[usize],
-    incoming: &[usize],
+    outgoing: &[ItemId],
+    incoming: &[ItemId],
     sensitive: &SensitiveSet,
     p: usize,
 ) -> bool {
     let size = group.size();
-    for &r in incoming {
+    for r in sensitive.ranks(incoming) {
         let item = sensitive.items()[r];
         let current = group.sensitive_count_of(item) as usize;
-        let leaving = usize::from(outgoing.contains(&r));
+        let leaving = usize::from(sensitive.ranks(outgoing).any(|o| o == r));
         if (current - leaving + 1) * p > size {
             return false;
         }
@@ -214,12 +215,12 @@ fn swap_keeps_privacy(
     true
 }
 
-/// Adjusts a group's sensitive summary for one member leaving (`out`) and
-/// one joining (`inc`).
+/// Adjusts a group's sensitive summary for one member leaving (with
+/// transaction `out`) and one joining (with transaction `inc`).
 fn adjust_counts(
     group: &mut AnonymizedGroup,
-    out: &[usize],
-    inc: &[usize],
+    out: &[ItemId],
+    inc: &[ItemId],
     sensitive: &SensitiveSet,
 ) {
     let mut counts: Vec<(ItemId, i64)> = group
@@ -233,10 +234,10 @@ fn adjust_counts(
         Ok(k) => counts[k].1 += delta,
         Err(k) => counts.insert(k, (item, delta)),
     };
-    for &r in out {
+    for r in sensitive.ranks(out) {
         bump(sensitive.items()[r], -1, &mut counts);
     }
-    for &r in inc {
+    for r in sensitive.ranks(inc) {
         bump(sensitive.items()[r], 1, &mut counts);
     }
     group.sensitive_counts = counts
@@ -269,8 +270,7 @@ pub fn refine_groups(
     window: usize,
     max_sweeps: usize,
 ) -> RefineStats {
-    let member_sens =
-        |id: u32| -> Vec<usize> { sensitive.split_transaction(data.transaction(id as usize)).1 };
+    let txn = |id: u32| data.transaction(id as usize);
     let mut stats = RefineStats::default();
     for _ in 0..max_sweeps {
         stats.sweeps += 1;
@@ -295,25 +295,23 @@ pub fn refine_groups(
                         if gain <= best.map_or(0, |(g, _, _)| g) {
                             continue;
                         }
-                        let sens_a = member_sens(ga.members[a]);
-                        let sens_b = member_sens(gb.members[b]);
-                        if swap_keeps_privacy(ga, &sens_a, &sens_b, sensitive, p)
-                            && swap_keeps_privacy(gb, &sens_b, &sens_a, sensitive, p)
+                        let (txn_a, txn_b) = (txn(ga.members[a]), txn(gb.members[b]));
+                        if swap_keeps_privacy(ga, txn_a, txn_b, sensitive, p)
+                            && swap_keeps_privacy(gb, txn_b, txn_a, sensitive, p)
                         {
                             best = Some((gain, a, b));
                         }
                     }
                 }
                 if let Some((gain, a, b)) = best {
-                    let sens_a = member_sens(ga.members[a]);
-                    let sens_b = member_sens(gb.members[b]);
+                    let (txn_a, txn_b) = (txn(ga.members[a]), txn(gb.members[b]));
                     std::mem::swap(&mut ga.members[a], &mut gb.members[b]);
                     let row_a = std::mem::take(&mut ga.qid_rows[a]);
                     let row_b = std::mem::take(&mut gb.qid_rows[b]);
                     ga.qid_rows[a] = row_b;
                     gb.qid_rows[b] = row_a;
-                    adjust_counts(ga, &sens_a, &sens_b, sensitive);
-                    adjust_counts(gb, &sens_b, &sens_a, sensitive);
+                    adjust_counts(ga, txn_a, txn_b, sensitive);
+                    adjust_counts(gb, txn_b, txn_a, sensitive);
                     strict_invariant!(
                         ga.satisfies(p) && gb.satisfies(p),
                         "an applied swap must preserve privacy degree p"

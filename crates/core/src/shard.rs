@@ -46,7 +46,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use cahd_data::{ItemId, SensitiveSet, TransactionSet};
+use cahd_data::{SensitiveSet, TransactionSet};
 use cahd_obs::{Histogram, Recorder};
 
 use crate::cahd::{cahd_traced, form_groups, make_group, CahdConfig, CahdStats, FeasibilityCheck};
@@ -55,6 +55,7 @@ use crate::group::{AnonymizedGroup, PublishedDataset};
 use crate::invariant::{strict_invariant, strict_invariant_eq};
 use crate::kernel::{KernelMode, SimilarityKernel};
 use crate::recovery::{FaultPlan, ShardFault};
+use crate::split::RowSplit;
 
 /// How to distribute the anonymization across shards and worker threads.
 ///
@@ -259,18 +260,11 @@ pub fn cahd_sharded_recovering(
 
     // Split every transaction into QID items and sensitive ranks once;
     // shards borrow disjoint slices of these.
-    let mut qid_of: Vec<Vec<ItemId>> = Vec::with_capacity(n);
-    let mut sens_of: Vec<Vec<usize>> = Vec::with_capacity(n);
-    for txn in data.iter() {
-        let (q, s) = sensitive.split_transaction(txn);
-        qid_of.push(q);
-        sens_of.push(s);
-    }
+    let split = RowSplit::of(data, sensitive);
 
     // Global feasibility (Section IV): checked once, up front. Shards
     // skip their local check — see `FeasibilityCheck::Skip`.
-    let counts = sensitive.occurrence_counts(data);
-    for (r, &c) in counts.iter().enumerate() {
+    for (r, &c) in split.occurrences().iter().enumerate() {
         if c * p > n {
             return Err(CahdError::Infeasible {
                 item: sensitive.items()[r],
@@ -290,16 +284,13 @@ pub fn cahd_sharded_recovering(
     let scan_shard =
         |i: usize, mode: KernelMode, scratch: &Recorder| -> Result<ShardScan, CahdError> {
             let (lo, hi) = bounds[i];
-            let shard_sens = &sens_of[lo..hi];
+            let shard_sens = split.sens().slice(lo, hi);
             let mut shard_counts = vec![0usize; sensitive.len()];
-            for ranks in shard_sens {
-                for &r in ranks {
-                    shard_counts[r] += 1;
-                }
+            for &r in shard_sens.entries() {
+                shard_counts[r as usize] += 1;
             }
-            let mut kernel = SimilarityKernel::new(&qid_of[lo..hi], data.n_items(), mode);
+            let mut kernel = SimilarityKernel::new(split.qid().slice(lo, hi), data.n_items(), mode);
             let formed = form_groups(
-                hi - lo,
                 shard_sens,
                 shard_counts,
                 sensitive.items(),
@@ -454,10 +445,11 @@ pub fn cahd_sharded_recovering(
     // |leftover|` holds for every sensitive item. Global feasibility
     // guarantees termination: dissolving everything reproduces the whole
     // dataset, which satisfies the bound by the up-front check.
+    let sens = split.sens();
     let mut hist = vec![0usize; sensitive.len()];
     for &t in &leftover {
-        for &r in &sens_of[t] {
-            hist[r] += 1;
+        for &r in sens.row(t) {
+            hist[r as usize] += 1;
         }
     }
     while hist.iter().any(|&c| c * p > leftover.len()) {
@@ -468,8 +460,8 @@ pub fn cahd_sharded_recovering(
         stats.cahd.groups_formed -= 1;
         stats.merge_dissolved += 1;
         for &t in &g {
-            for &r in &sens_of[t] {
-                hist[r] += 1;
+            for &r in sens.row(t) {
+                hist[r as usize] += 1;
             }
         }
         leftover.extend(g);
@@ -484,10 +476,10 @@ pub fn cahd_sharded_recovering(
 
     let mut groups: Vec<AnonymizedGroup> = member_groups
         .iter()
-        .map(|members| make_group(members, sensitive, &qid_of, &sens_of))
+        .map(|members| make_group(members, sensitive, &split))
         .collect();
     if !leftover.is_empty() {
-        groups.push(make_group(&leftover, sensitive, &qid_of, &sens_of));
+        groups.push(make_group(&leftover, sensitive, &split));
     }
     stats.cahd.elapsed = t_start.elapsed();
 

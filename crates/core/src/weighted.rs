@@ -27,6 +27,7 @@ use crate::error::CahdError;
 use crate::group::{AnonymizedGroup, PublishedDataset};
 use crate::invariant::strict_invariant;
 use crate::kernel::{MinCountScorer, SimilarityKernel};
+use crate::split::RowSplit;
 
 /// How candidate similarity is computed from counts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -142,7 +143,6 @@ pub fn cahd_weighted_traced(
     rec: &cahd_obs::Recorder,
 ) -> Result<(WeightedPublished, CahdStats), CahdError> {
     config.validate()?;
-    let n = data.n_transactions();
     if sensitive.n_items() != data.n_items() {
         return Err(CahdError::UniverseMismatch {
             data_items: data.n_items(),
@@ -152,25 +152,9 @@ pub fn cahd_weighted_traced(
     // cahd-lint: allow(L002, reason = "elapsed-time stat only; release bytes never depend on it")
     let t_start = Instant::now();
 
-    // Split rows into QID (item, count) pairs and sensitive ranks.
-    let mut qid_of: Vec<Vec<(ItemId, u32)>> = Vec::with_capacity(n);
-    let mut sens_of: Vec<Vec<usize>> = Vec::with_capacity(n);
-    let mut counts = vec![0usize; sensitive.len()];
-    for t in 0..n {
-        let mut q = Vec::new();
-        let mut s = Vec::new();
-        for (item, c) in data.transaction(t) {
-            match sensitive.index_of(item) {
-                Some(r) => {
-                    s.push(r);
-                    counts[r] += 1;
-                }
-                None => q.push((item, c)),
-            }
-        }
-        qid_of.push(q);
-        sens_of.push(s);
-    }
+    // Split rows into QID items, their counts and sensitive ranks.
+    let split = RowSplit::of_weighted(data, sensitive);
+    let (qid, sens, weights) = (split.qid(), split.sens(), split.weights());
 
     // Both similarities score through the kernel layer (crate::kernel).
     // PresenceOverlap is the binary overlap on the item sets, so it rides
@@ -178,16 +162,12 @@ pub fn cahd_weighted_traced(
     // pivot's counts alongside the stamps, which a one-bit bitset cannot
     // carry, so it uses the sparse-only count scorer.
     let group_span = rec.span("pipeline/group");
+    let counts = split.occurrences().to_vec();
     let formed = match similarity {
         WeightedSimilarity::PresenceOverlap => {
-            let binary_qid: Vec<Vec<ItemId>> = qid_of
-                .iter()
-                .map(|row| row.iter().map(|&(item, _)| item).collect())
-                .collect();
-            let mut kernel = SimilarityKernel::new(&binary_qid, data.n_items(), config.kernel);
+            let mut kernel = SimilarityKernel::new(qid, data.n_items(), config.kernel);
             form_groups(
-                n,
-                &sens_of,
+                sens,
                 counts,
                 sensitive.items(),
                 config,
@@ -197,10 +177,9 @@ pub fn cahd_weighted_traced(
             )?
         }
         WeightedSimilarity::MinCount => {
-            let mut scorer = MinCountScorer::new(&qid_of, data.n_items());
+            let mut scorer = MinCountScorer::new(qid, weights, data.n_items());
             form_groups(
-                n,
-                &sens_of,
+                sens,
                 counts,
                 sensitive.items(),
                 config,
@@ -216,9 +195,10 @@ pub fn cahd_weighted_traced(
         let mut scounts = vec![0u32; sensitive.len()];
         let mut qid_rows = Vec::with_capacity(members.len());
         for &mt in members {
-            qid_rows.push(qid_of[mt].clone());
-            for &r in &sens_of[mt] {
-                scounts[r] += 1;
+            let row = qid.row(mt).iter().zip(&weights[qid.range(mt)]);
+            qid_rows.push(row.map(|(&item, &c)| (item, c)).collect());
+            for &r in sens.row(mt) {
+                scounts[r as usize] += 1;
             }
         }
         WeightedGroup {

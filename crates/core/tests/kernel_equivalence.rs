@@ -20,6 +20,7 @@
 
 use cahd_core::kernel::{KernelMode, QidOverlapScorer, SimilarityKernel};
 use cahd_core::shard::{cahd_sharded, ParallelConfig};
+use cahd_core::split::FlatRows;
 use cahd_core::CahdConfig;
 use cahd_data::{SensitiveSet, TransactionSet};
 use proptest::prelude::*;
@@ -105,9 +106,10 @@ proptest! {
             })
             .collect();
         let n = rows.len();
+        let flat = FlatRows::from_rows(&rows);
         for mode in MODES {
             let mut reference = QidOverlapScorer::new(&rows, d);
-            let mut kernel = SimilarityKernel::new(&rows, d, mode);
+            let mut kernel = SimilarityKernel::new(flat.rows(), d, mode);
             let (mut want, mut got) = (Vec::new(), Vec::new());
             for t in 0..n {
                 let candidates: Vec<usize> = (0..n).filter(|&c| c != t).collect();

@@ -158,6 +158,12 @@ impl SensitiveSet {
         self.items.binary_search(&item).ok()
     }
 
+    /// The ranks of `txn`'s sensitive items, in order, without
+    /// allocating: the second half of [`SensitiveSet::split_transaction`].
+    pub fn ranks<'a>(&'a self, txn: &'a [ItemId]) -> impl Iterator<Item = usize> + 'a {
+        txn.iter().filter_map(|&item| self.index_of(item))
+    }
+
     /// Splits a transaction into (QID items, sensitive-item ranks).
     pub fn split_transaction(&self, txn: &[ItemId]) -> (Vec<ItemId>, Vec<usize>) {
         let mut qid = Vec::with_capacity(txn.len());
@@ -219,6 +225,8 @@ mod tests {
         let (qid, sens) = s.split_transaction(&[0, 1, 4, 5]);
         assert_eq!(qid, vec![0, 5]);
         assert_eq!(sens, vec![0, 1]);
+        assert_eq!(s.ranks(&[0, 1, 4, 5]).collect::<Vec<_>>(), sens);
+        assert_eq!(s.ranks(&[0, 2, 9]).count(), 0);
     }
 
     #[test]
