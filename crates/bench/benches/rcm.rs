@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use cahd_data::profiles;
+use cahd_obs::Recorder;
 use cahd_rcm::{band_order, reduce_unsymmetric, AatMethod, OrderingStrategy, UnsymOptions};
 use cahd_sparse::{ImplicitRowGraph, RowGraph};
 
@@ -12,7 +13,13 @@ fn bench_rcm_correlation(c: &mut Criterion) {
     for corr in [0.1, 0.5, 0.9] {
         let data = profiles::fig6_like(corr, 7);
         g.bench_with_input(BenchmarkId::from_parameter(corr), &data, |b, data| {
-            b.iter(|| reduce_unsymmetric(data.matrix(), UnsymOptions::default()));
+            b.iter(|| {
+                reduce_unsymmetric(
+                    data.matrix(),
+                    UnsymOptions::default(),
+                    &Recorder::disabled(),
+                )
+            });
         });
     }
     g.finish();
@@ -24,7 +31,13 @@ fn bench_rcm_dataset_scale(c: &mut Criterion) {
     for scale in [0.05, 0.1, 0.2] {
         let data = profiles::bms1_like(scale, 7);
         g.bench_with_input(BenchmarkId::from_parameter(scale), &data, |b, data| {
-            b.iter(|| reduce_unsymmetric(data.matrix(), UnsymOptions::default()));
+            b.iter(|| {
+                reduce_unsymmetric(
+                    data.matrix(),
+                    UnsymOptions::default(),
+                    &Recorder::disabled(),
+                )
+            });
         });
     }
     g.finish();
@@ -54,7 +67,13 @@ fn bench_aat_methods(c: &mut Criterion) {
     let mut g = c.benchmark_group("rcm/aat_method");
     g.sample_size(10);
     g.bench_function("product", |b| {
-        b.iter(|| reduce_unsymmetric(data.matrix(), UnsymOptions::default()));
+        b.iter(|| {
+            reduce_unsymmetric(
+                data.matrix(),
+                UnsymOptions::default(),
+                &Recorder::disabled(),
+            )
+        });
     });
     g.bench_function("sum", |b| {
         b.iter(|| {
@@ -64,6 +83,7 @@ fn bench_aat_methods(c: &mut Criterion) {
                     aat_method: AatMethod::Sum,
                     ..Default::default()
                 },
+                &Recorder::disabled(),
             )
         });
     });

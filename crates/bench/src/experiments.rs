@@ -19,6 +19,7 @@
 use cahd_core::verify_published;
 use cahd_data::{DatasetStats, SensitiveSet};
 use cahd_eval::reidentification_probability;
+use cahd_obs::Recorder;
 use cahd_rcm::UnsymOptions;
 use cahd_sparse::viz::DensityGrid;
 use cahd_sparse::Permutation;
@@ -114,7 +115,11 @@ pub fn fig6(ctx: &ExperimentContext) -> (Table, Vec<String>) {
     let mut panels = Vec::new();
     for corr in [0.1, 0.5, 0.9] {
         let data = cahd_data::profiles::fig6_like(corr, ctx.sub_seed("fig6"));
-        let red = cahd_rcm::reduce_unsymmetric(data.matrix(), UnsymOptions::default());
+        let red = cahd_rcm::reduce_unsymmetric(
+            data.matrix(),
+            UnsymOptions::default(),
+            &Recorder::disabled(),
+        );
         // The paper's bandwidth metric lives on the A*A^T graph: mean edge
         // span |pos(u) - pos(v)| under the identity vs the RCM labeling.
         let graph = cahd_sparse::RowGraph::build_explicit(data.matrix());

@@ -20,6 +20,7 @@ use cahd_core::{cahd, CahdConfig};
 use cahd_eval::kl::{kl_divergence, DEFAULT_SMOOTHING};
 use cahd_eval::mining::{published_qid_support, sensitive_support_error, top_k_itemsets};
 use cahd_eval::{actual_pdf, evaluate_workload, generate_workload_seeded};
+use cahd_obs::Recorder;
 use cahd_rcm::{RowOrder, UnsymOptions};
 
 use crate::context::{DatasetId, ExperimentContext};
@@ -57,7 +58,7 @@ pub fn ext_orderings(ctx: &ExperimentContext) -> Table {
         let queries_seed = ctx.sub_seed("extord-q");
         for strat in RowOrder::ALL {
             let t0 = Instant::now();
-            let perm = strat.order(data.matrix(), ctx.sub_seed("extord-mh"));
+            let perm = strat.order(data.matrix());
             let order_time = t0.elapsed();
             let permuted = data.permute(&perm);
             // Mean number of items shared by consecutive transactions — the
@@ -256,7 +257,11 @@ pub fn ext_weighted(ctx: &ExperimentContext) -> Table {
         .collect();
     let data = WeightedTransactionSet::from_rows(&rows, 600);
     let sens = select_sensitive(&data.to_binary(), 8, 20, ctx.sub_seed("extw-sens"));
-    let red = cahd_rcm::reduce_unsymmetric(data.pattern(), UnsymOptions::default());
+    let red = cahd_rcm::reduce_unsymmetric(
+        data.pattern(),
+        UnsymOptions::default(),
+        &Recorder::disabled(),
+    );
     let permuted = data.permute(&red.row_perm);
 
     for sim in [
@@ -264,8 +269,14 @@ pub fn ext_weighted(ctx: &ExperimentContext) -> Table {
         WeightedSimilarity::MinCount,
     ] {
         let t0 = Instant::now();
-        let (pub_, _) =
-            cahd_weighted(&permuted, &sens, &CahdConfig::new(10), sim).expect("feasible");
+        let (pub_, _) = cahd_weighted(
+            &permuted,
+            &sens,
+            &CahdConfig::new(10),
+            sim,
+            &Recorder::disabled(),
+        )
+        .expect("feasible");
         let secs = t0.elapsed();
         // Within-group rating coherence: mean |count_a - count_b| over
         // shared items of member pairs (lower = groups preserve rating

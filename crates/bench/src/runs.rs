@@ -10,6 +10,7 @@ use std::time::{Duration, Instant};
 use cahd_core::{cahd, cahd_sharded, CahdConfig, CahdError, ParallelConfig, PublishedDataset};
 use cahd_data::{SensitiveSet, TransactionSet};
 use cahd_eval::{evaluate_workload, generate_workload_seeded, ReconstructionSummary};
+use cahd_obs::Recorder;
 use cahd_rcm::{reduce_unsymmetric, BandReduction, UnsymOptions};
 
 use cahd_baselines::{perm_mondrian, random_grouping, PmConfig};
@@ -26,7 +27,7 @@ pub struct PreparedDataset {
 
 /// Runs RCM once and caches the permuted dataset.
 pub fn prepare(data: TransactionSet, options: UnsymOptions) -> PreparedDataset {
-    let band = reduce_unsymmetric(data.matrix(), options);
+    let band = reduce_unsymmetric(data.matrix(), options, &Recorder::disabled());
     let permuted = data.permute(&band.row_perm);
     PreparedDataset {
         data,

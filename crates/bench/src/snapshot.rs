@@ -112,10 +112,10 @@ fn run_entry(
         let mem_before = memtrack::stats();
         let rec = Recorder::new();
         let res = Anonymizer::new(cfg)
-            .anonymize_traced(data, &sensitive, &rec)
+            .anonymize(data, &sensitive, &rec)
             .expect("reference workload is feasible");
         let mem_after = memtrack::stats();
-        let trace = res.trace.expect("traced run yields a report");
+        let trace = rec.snapshot();
         let entry = SnapshotEntry {
             name: name.to_string(),
             n_transactions: data.n_transactions() as u64,

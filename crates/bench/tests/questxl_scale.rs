@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use cahd_data::profiles;
 use cahd_obs::Recorder;
-use cahd_rcm::{reduce_unsymmetric_traced, OrderingStrategy, UnsymOptions};
+use cahd_rcm::{reduce_unsymmetric, OrderingStrategy, UnsymOptions};
 use cahd_sparse::{RowGraph, RowGraphMode};
 
 #[test]
@@ -46,7 +46,7 @@ fn questxl_orders_under_the_implicit_backend() {
     );
     let rec = Recorder::new();
     let t1 = Instant::now();
-    let red = reduce_unsymmetric_traced(
+    let red = reduce_unsymmetric(
         a,
         UnsymOptions {
             ordering: OrderingStrategy::Rcm,

@@ -27,7 +27,7 @@
 //! );
 //! let sensitive = SensitiveSet::new(vec![4, 5], 6);
 //! let result = Anonymizer::new(AnonymizerConfig::with_privacy_degree(2))
-//!     .anonymize(&data, &sensitive)
+//!     .anonymize(&data, &sensitive, &Recorder::disabled())
 //!     .unwrap();
 //! let input = CheckInput {
 //!     data: &data,
@@ -426,9 +426,9 @@ mod tests {
         let res = Anonymizer::new(
             AnonymizerConfig::with_privacy_degree(2).with_parallel(ParallelConfig::new(3, 2)),
         )
-        .anonymize_traced(&data, &sens, &rec)
+        .anonymize(&data, &sens, &rec)
         .unwrap();
-        let trace = res.trace.expect("traced run yields a report");
+        let trace = rec.snapshot();
         let report = default_registry().run(
             &CheckInput {
                 data: &data,
@@ -628,11 +628,11 @@ mod tests {
         let robust = Anonymizer::new(
             AnonymizerConfig::with_privacy_degree(2).with_parallel(ParallelConfig::new(2, 2)),
         )
-        .anonymize_rows_traced(&rows, &sens, &recovery, &rec)
+        .anonymize_rows(&rows, &sens, &recovery, &rec)
         .unwrap();
         assert_eq!(robust.quarantined, vec![6]);
         assert_eq!(robust.recovered_shards, 1);
-        let trace = robust.result.trace.expect("traced run yields a report");
+        let trace = rec.snapshot();
         let input = |trace| CheckInput {
             data: &robust.data,
             sensitive: &sens,
@@ -702,13 +702,13 @@ mod tests {
         let (data, sens, _) = setup();
         let rec = Recorder::new();
         let res = Anonymizer::new(AnonymizerConfig::with_privacy_degree(2))
-            .anonymize_traced(&data, &sens, &rec)
+            .anonymize(&data, &sens, &rec)
             .unwrap();
         // This test binary runs on the default allocator, so a real run
         // cannot produce a memory section; graft a coherent one onto the
         // real report (windows matching recorded spans, counts within
         // their execution counts).
-        let mut trace = res.trace.expect("traced run yields a report");
+        let mut trace = rec.snapshot();
         let window = |path: &str, alloc: u64, dealloc: u64, peak: u64| SpanMemRecord {
             path: path.to_string(),
             count: 1,

@@ -13,8 +13,8 @@ use cahd_core::pipeline::{Anonymizer, AnonymizerConfig};
 use cahd_core::recovery::{sanitize_rows, RecoveryConfig};
 use cahd_core::shard::ParallelConfig;
 use cahd_core::streaming::{ReleaseChunk, StreamingAnonymizer};
-use cahd_core::weighted::{anonymize_weighted_traced, verify_weighted, WeightedSimilarity};
-use cahd_core::{verify_published, AnonymizedGroup, CahdConfig, KernelMode, PublishedDataset};
+use cahd_core::weighted::{anonymize_weighted, verify_weighted, WeightedSimilarity};
+use cahd_core::{verify_published, AnonymizedGroup, CahdConfig, PublishedDataset};
 use cahd_data::{
     io, profiles, DatasetStats, ItemId, QuestConfig, QuestGenerator, SensitiveSet, TransactionSet,
 };
@@ -259,10 +259,6 @@ pub const ANONYMIZE_FLAGS: &[FlagSpec] = &[
         takes_value: false,
     },
     FlagSpec {
-        name: "kernel",
-        takes_value: true,
-    },
-    FlagSpec {
         name: "ordering",
         takes_value: true,
     },
@@ -299,18 +295,6 @@ pub const ANONYMIZE_FLAGS: &[FlagSpec] = &[
         takes_value: true,
     },
 ];
-
-/// Parses `--kernel {adaptive|sparse|dense}` (default: adaptive).
-fn kernel_from_args(args: &Args) -> Result<KernelMode, CliError> {
-    match args.value("kernel") {
-        None => Ok(KernelMode::Adaptive),
-        Some(v) => KernelMode::parse(v).ok_or_else(|| {
-            CliError::Usage(format!(
-                "unknown kernel mode {v:?}; expected adaptive, sparse or dense"
-            ))
-        }),
-    }
-}
 
 /// Parses `--ordering {rcm|bfs|cluster}` (default: rcm).
 fn ordering_from_args(args: &Args) -> Result<OrderingStrategy, CliError> {
@@ -444,7 +428,7 @@ pub fn anonymize(args: &Args) -> Result<String, CliError> {
         "cahd" => {
             let cfg = anonymizer_config_from_args(args, p)?;
             Anonymizer::new(cfg)
-                .anonymize_traced(&data, &sensitive, &rec)?
+                .anonymize(&data, &sensitive, &rec)?
                 .published
         }
         "pm" => perm_mondrian(&data, &sensitive, &PmConfig::new(p))?.0,
@@ -506,11 +490,9 @@ fn anonymize_weighted_cmd(args: &Args, p: usize, seed: u64) -> Result<String, Cl
         (data, binary)
     };
     let sensitive = sensitive_from_args(args, &binary, p, seed)?;
-    let cfg = CahdConfig::new(p)
-        .with_alpha(args.parse_or("alpha", 3usize)?)
-        .with_kernel(kernel_from_args(args)?);
+    let cfg = CahdConfig::new(p).with_alpha(args.parse_or("alpha", 3usize)?);
     let (mut release, _) =
-        anonymize_weighted_traced(&data, &sensitive, &cfg, WeightedSimilarity::MinCount, &rec)?;
+        anonymize_weighted(&data, &sensitive, &cfg, WeightedSimilarity::MinCount, &rec)?;
     verify_weighted(&data, &sensitive, &release, p)
         .map_err(|e| CliError::Run(format!("internal error: release failed verification: {e}")))?;
     let n_groups = release.groups.len();
@@ -538,9 +520,7 @@ fn anonymizer_config_from_args(args: &Args, p: usize) -> Result<AnonymizerConfig
         .with_ordering(ordering_from_args(args)?)
         .with_rowgraph(rowgraph_from_args(args)?)
         .with_hub_cap(hub_cap_from_args(args)?);
-    cfg.cahd = CahdConfig::new(p)
-        .with_alpha(args.parse_or("alpha", 3usize)?)
-        .with_kernel(kernel_from_args(args)?);
+    cfg.cahd = CahdConfig::new(p).with_alpha(args.parse_or("alpha", 3usize)?);
     if args.has("no-rcm") {
         cfg = cfg.without_rcm();
     }
@@ -585,7 +565,8 @@ fn io_to_run(path: &str) -> impl Fn(std::io::Error) -> CliError + '_ {
 /// The `--bad-input` path of [`anonymize`]: raw rows go through the
 /// robust pipeline, which rejects (strict) or quarantines corrupt rows
 /// into the final group instead of trusting the normalizing reader to
-/// paper over them.
+/// paper over them. The trace has root spans `ingest` (`.dat` → raw rows
+/// and their sanitized view), `pipeline` and `serialize` (with `--out`).
 fn anonymize_robust_cmd(args: &Args, p: usize, seed: u64) -> Result<String, CliError> {
     if args.value("method").unwrap_or("cahd") != "cahd" {
         return Err(CliError::Usage(
@@ -594,14 +575,18 @@ fn anonymize_robust_cmd(args: &Args, p: usize, seed: u64) -> Result<String, CliE
     }
     let policy = args.value("bad-input").unwrap_or("strict");
     let recovery = recovery_from_args(args)?;
-    let (rows, d) = load_rows(args)?;
-    // Sensitive-set selection needs a normalized view; sanitizing first
-    // keeps out-of-range ids in corrupt rows from poisoning the universe.
-    let norm = sanitize_rows(rows.iter().map(Vec::as_slice), d);
-    let sensitive = sensitive_from_args(args, &norm, p, seed)?;
     let rec = recorder_from_args(args);
+    let (rows, norm) = {
+        let _s = rec.span("ingest");
+        let (rows, d) = load_rows(args)?;
+        // Sensitive-set selection needs a normalized view; sanitizing first
+        // keeps out-of-range ids in corrupt rows from poisoning the universe.
+        let norm = sanitize_rows(rows.iter().map(Vec::as_slice), d);
+        (rows, norm)
+    };
+    let sensitive = sensitive_from_args(args, &norm, p, seed)?;
     let robust = Anonymizer::new(anonymizer_config_from_args(args, p)?)
-        .anonymize_rows_traced(&rows, &sensitive, &recovery, &rec)?;
+        .anonymize_rows(&rows, &sensitive, &recovery, &rec)?;
     let mut published = robust.result.published;
     if args.has("refine") {
         cahd_core::refine::refine_groups(&mut published, &robust.data, &sensitive, p, 2, 3);
@@ -622,11 +607,12 @@ fn anonymize_robust_cmd(args: &Args, p: usize, seed: u64) -> Result<String, CliE
         robust.recovered_shards,
     );
     if let Some(path) = args.value("out") {
+        let _s = rec.span("serialize");
         write_json(path, &to_write)?;
         out.push_str(&format!("release written to {path}\n"));
     }
-    if let Some(trace) = &robust.result.trace {
-        emit_trace(args, trace, &mut out)?;
+    if rec.is_enabled() {
+        emit_trace(args, &rec.snapshot(), &mut out)?;
     }
     Ok(out)
 }
@@ -695,8 +681,7 @@ fn anonymize_stream_cmd(args: &Args, p: usize) -> Result<String, CliError> {
             "resumed from {cp_path} (stream position {}, {chunk_idx} chunks released)\n",
             cp.next_id
         ));
-        StreamingAnonymizer::resume_traced(cfg, sensitive.clone(), &cp, &rec)?
-            .with_recovery(recovery)
+        StreamingAnonymizer::resume(cfg, sensitive.clone(), &cp, &rec)?.with_recovery(recovery)
     } else {
         if let Some(dir) = ckpt_dir {
             std::fs::create_dir_all(dir).map_err(io_to_run(dir))?;
@@ -1330,10 +1315,6 @@ pub const PROFILE_FLAGS: &[FlagSpec] = &[
         takes_value: false,
     },
     FlagSpec {
-        name: "kernel",
-        takes_value: true,
-    },
-    FlagSpec {
         name: "ordering",
         takes_value: true,
     },
@@ -1371,7 +1352,7 @@ pub fn profile(args: &Args) -> Result<String, CliError> {
     } else {
         Recorder::new()
     };
-    let res = Anonymizer::new(cfg).anonymize_traced(&data, &sensitive, &rec)?;
+    let res = Anonymizer::new(cfg).anonymize(&data, &sensitive, &rec)?;
     verify_published(&data, &sensitive, &res.published, p)
         .map_err(|e| CliError::Run(format!("internal error: release failed verification: {e}")))?;
 

@@ -25,7 +25,6 @@ usage:
                      [--release release.json]  (adds a linkage-attack audit)
   cahd-cli anonymize <data.dat> --p P (--sensitive 1,2,3 | --random-m M)
                      [--method cahd|pm|random] [--alpha A] [--no-rcm] [--refine]
-                     [--kernel adaptive|sparse|dense]  (similarity kernel)
                      [--ordering rcm|bfs|cluster]  (band-reducing ordering)
                      [--rowgraph auto|explicit|implicit]  (A·Aᵀ representation)
                      [--hub-cap S|off]  (skip items with support > S in the
@@ -61,8 +60,8 @@ usage:
                      [--attack]  (adds attacker-success curves)
   cahd-cli profile   <data.dat> --p P (--sensitive 1,2,3 | --random-m M)
                      [--alpha A] [--no-rcm] [--shards K] [--threads T]
-                     [--kernel adaptive|sparse|dense] [--ordering rcm|bfs|cluster]
-                     [--rowgraph auto|explicit|implicit] [--hub-cap S|off]
+                     [--ordering rcm|bfs|cluster] [--rowgraph auto|explicit|implicit]
+                     [--hub-cap S|off]
                      [--r R] [--queries N] [--seed N] [--trace-json trace.json]
                      [--memory]  (adds per-phase allocator attribution)
                      (traced pipeline + workload; see docs/OBSERVABILITY.md)

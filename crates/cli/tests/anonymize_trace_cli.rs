@@ -1,5 +1,6 @@
 //! The `anonymize --trace-json` span tree of the batch `cahd`,
-//! `--stream-batch` and `--weighted` paths, from the real binary: the
+//! `--stream-batch`, `--weighted` and `--bad-input` paths, from the real
+//! binary: the
 //! trace covers the whole run from the input (`ingest`) through `pipeline`
 //! (and, when streaming, the chunk `merge`) to the written release
 //! (`serialize`), every span is rooted, and `check --trace` audits it
@@ -234,6 +235,57 @@ fn weighted_trace_spans_ingest_to_serialize() {
     assert_eq!(trace.consistency_findings(), Vec::<String>::new());
     assert_eq!(mem.consistency_findings(), Vec::<String>::new());
     for f in [wdat, release, trace_f] {
+        let _ = std::fs::remove_file(f);
+    }
+}
+
+#[test]
+fn bad_input_trace_spans_ingest_to_serialize() {
+    let data = tmp("bad_input.dat");
+    let release = tmp("bad_input_release.json");
+    let trace_f = tmp("bad_input_trace.json");
+    // The demo rows plus one that repeats an item: quarantined, sanitized
+    // and published in the final group.
+    let mut text = std::fs::read_to_string(fixture("demo.dat")).unwrap();
+    text.push_str("3 5 5 9\n");
+    std::fs::write(&data, text).unwrap();
+    let run = cahd_cli(&[
+        "anonymize",
+        path_str(&data),
+        "--p",
+        "4",
+        "--sensitive",
+        "14,26,28",
+        "--bad-input",
+        "quarantine",
+        "--memory",
+        "--out",
+        path_str(&release),
+        "--trace-json",
+        path_str(&trace_f),
+    ]);
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    assert!(
+        run.status.success(),
+        "{stdout}{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    assert!(stdout.contains("1 quarantined rows"), "{stdout}");
+    let trace: TraceReport =
+        serde_json::from_str(&std::fs::read_to_string(&trace_f).unwrap()).unwrap();
+    for root in ["ingest", "pipeline", "serialize"] {
+        let span = trace.span(root).unwrap_or_else(|| panic!("no {root} span"));
+        assert_eq!(span.count, 1, "{root}");
+    }
+    let mem = trace.memory.as_ref().expect("memory section present");
+    for root in ["ingest", "pipeline", "serialize"] {
+        assert!(mem.span(root).is_some(), "no {root} memory window");
+    }
+    assert_eq!(trace.counter("core.quarantined_rows"), Some(1));
+    assert_eq!(trace.orphan_spans(), Vec::<&str>::new());
+    assert_eq!(trace.consistency_findings(), Vec::<String>::new());
+    assert_check_passes(&data, &release, &trace_f);
+    for f in [data, release, trace_f] {
         let _ = std::fs::remove_file(f);
     }
 }

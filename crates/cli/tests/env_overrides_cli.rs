@@ -1,9 +1,9 @@
 //! The command line is the only way to choose an algorithm path: the
 //! `CAHD_ORDERING`, `CAHD_HUB_CAP`, `CAHD_ROWGRAPH` and `CAHD_KERNEL`
 //! environment variables, which once overrode `--ordering`, `--hub-cap`,
-//! `--rowgraph` and `--kernel` inside the libraries, must change neither
-//! the release bytes nor the deterministic work counters of a real
-//! `anonymize` run. The input is the BMS1-shaped quarter-scale click log,
+//! `--rowgraph` and the similarity kernel inside the libraries, must
+//! change neither the release bytes nor the deterministic work counters
+//! of a real `anonymize` run. The input is the BMS1-shaped quarter-scale click log,
 //! where the old overrides changed the release (195 groups under RCM, 169
 //! under the cluster ordering, 197 with a hub cap of 5) or the counters
 //! (explicit row graph, dense kernel).

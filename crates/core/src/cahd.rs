@@ -48,9 +48,8 @@ pub struct CahdConfig {
     /// order). Disabling this is an ablation switch; ties then fall back to
     /// slot order.
     pub proximity_tie_break: bool,
-    /// Physical scoring path of the QID-similarity kernel (see
-    /// [`crate::kernel`]). Never changes the published output — only where
-    /// the scoring time goes.
+    /// Read by nothing: the similarity kernel is always the adaptive one
+    /// (see [`crate::kernel`]).
     pub kernel: KernelMode,
 }
 
@@ -72,7 +71,7 @@ impl CahdConfig {
         self
     }
 
-    /// Sets the similarity-kernel mode.
+    /// Sets [`CahdConfig::kernel`], which nothing reads.
     pub fn with_kernel(mut self, kernel: KernelMode) -> Self {
         self.kernel = kernel;
         self
@@ -172,7 +171,7 @@ pub fn cahd_traced(
 
     // Split every transaction into QID items and sensitive ranks once.
     let split = RowSplit::of(data, sensitive);
-    let mut kernel = SimilarityKernel::new(split.qid(), data.n_items(), config.kernel);
+    let mut kernel = SimilarityKernel::new(split.qid(), data.n_items());
     let formed = form_groups(
         split.sens(),
         split.occurrences().to_vec(),

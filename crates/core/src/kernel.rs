@@ -61,53 +61,22 @@ use cahd_sparse::Relabel;
 
 use crate::split::Rows;
 
-/// Which scoring path the kernel may take.
-///
-/// The published output is identical for every mode — the equivalence
-/// property suite pins scores item-for-item against the reference scorer —
-/// so the mode only moves time between the two paths. `ForceSparse` and
-/// `ForceDense` exist for benchmarking and for the equivalence tests to
-/// exercise both paths.
+/// The similarity kernel's configuration. There is one kernel, the
+/// adaptive one: each candidate takes the dense path when
+/// `DENSE_ITEM_WORDS · |row| ≥ words` (see
+/// [`SimilarityKernel::DENSE_ITEM_WORDS`]). The type stays only as the
+/// value of [`CahdConfig::kernel`](crate::cahd::CahdConfig::kernel), which
+/// no code path reads.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum KernelMode {
-    /// Choose per candidate by the measured row length (the default).
+    /// Choose per candidate by the measured row length.
     #[default]
     Adaptive,
-    /// Always take the stamped sparse scan (the pre-kernel behavior).
-    ForceSparse,
-    /// Always pack and score over bitset blocks. On a huge sparse
-    /// universe this packs every scored row, trading memory for the
-    /// sequential sweep; it is an explicit override, never chosen
-    /// adaptively.
-    ForceDense,
-}
-
-impl KernelMode {
-    /// Parses a mode name as used by `--kernel`:
-    /// `adaptive`, `sparse` and `dense` (with `force-` prefixes accepted).
-    pub fn parse(s: &str) -> Option<KernelMode> {
-        match s {
-            "adaptive" => Some(KernelMode::Adaptive),
-            "sparse" | "force-sparse" => Some(KernelMode::ForceSparse),
-            "dense" | "force-dense" => Some(KernelMode::ForceDense),
-            _ => None,
-        }
-    }
-
-    /// The canonical name ([`KernelMode::parse`] accepts it back).
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelMode::Adaptive => "adaptive",
-            KernelMode::ForceSparse => "sparse",
-            KernelMode::ForceDense => "dense",
-        }
-    }
 }
 
 /// Path counters of a kernel instance. Deterministic functions of the
-/// scored workload and the mode — never of thread scheduling — so sums
-/// over shards are reproducible and the `CAHD-O001` identities hold for
-/// any layout.
+/// scored workload — never of thread scheduling — so sums over shards are
+/// reproducible and the `CAHD-O001` identities hold for any layout.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KernelStats {
     /// Candidates scored by the bitset `popcount` path.
@@ -274,7 +243,6 @@ impl<'a> QidOverlapScorer<'a> {
 /// happens until a row is actually scored on the dense path).
 pub struct SimilarityKernel<'a> {
     space: ItemSpace<'a>,
-    mode: KernelMode,
     /// `u64` words needed to cover the kernel's item space.
     words: usize,
     /// Arena stride: `words` rounded up to a whole 64-byte cache line, so
@@ -321,14 +289,13 @@ impl<'a> SimilarityKernel<'a> {
     /// `qid`); items must lie in `0..n_items`. Over a wide universe the
     /// rows are relabeled first (see the module docs), so every buffer
     /// below is sized on the items the rows use.
-    pub fn new(qid: Rows<'a>, n_items: usize, mode: KernelMode) -> Self {
+    pub fn new(qid: Rows<'a>, n_items: usize) -> Self {
         let space = ItemSpace::of(qid, n_items);
         let words = space.width.div_ceil(64);
         let stride = words.next_multiple_of(LINE_WORDS).max(LINE_WORDS);
         SimilarityKernel {
             stamps: StampSet::new(space.width),
             space,
-            mode,
             words,
             stride,
             pivot_bits: vec![0u64; words],
@@ -352,7 +319,7 @@ impl<'a> SimilarityKernel<'a> {
 
     /// Fills `out` with one overlap score per candidate, choosing the
     /// physical path per candidate. Exactly equivalent to
-    /// [`QidOverlapScorer::score`] in every mode.
+    /// [`QidOverlapScorer::score`].
     pub fn score(&mut self, t: usize, candidates: &[usize], out: &mut Vec<u64>) {
         self.stamps.begin();
         for &it in self.space.row(t) {
@@ -361,14 +328,7 @@ impl<'a> SimilarityKernel<'a> {
         self.pivot_bits_valid = false;
         out.clear();
         for &c in candidates {
-            let dense = match self.mode {
-                KernelMode::ForceSparse => false,
-                KernelMode::ForceDense => true,
-                KernelMode::Adaptive => {
-                    Self::DENSE_ITEM_WORDS * self.space.row(c).len() >= self.words
-                }
-            };
-            let s = if dense {
+            let s = if Self::DENSE_ITEM_WORDS * self.space.row(c).len() >= self.words {
                 self.score_dense(t, c)
             } else {
                 self.score_sparse(c)
@@ -525,36 +485,61 @@ mod tests {
         rows
     }
 
-    fn assert_matches_reference(rows: &[Vec<ItemId>], n_items: usize, mode: KernelMode) {
+    /// Scores every pivot against every other row with the kernel and the
+    /// reference scorer, asserts equal scores, and returns the kernel's
+    /// path counters.
+    fn assert_matches_reference(rows: &[Vec<ItemId>], n_items: usize) -> KernelStats {
         let mut reference = QidOverlapScorer::new(rows, n_items);
         let flat = FlatRows::from_rows(rows);
-        let mut kernel = SimilarityKernel::new(flat.rows(), n_items, mode);
+        let mut kernel = SimilarityKernel::new(flat.rows(), n_items);
         let mut want = Vec::new();
         let mut got = Vec::new();
+        let mut overlapping = false;
         for t in 0..rows.len() {
             let candidates: Vec<usize> = (0..rows.len()).filter(|&c| c != t).collect();
             reference.score(t, &candidates, &mut want);
             kernel.score(t, &candidates, &mut got);
-            assert_eq!(got, want, "mode {mode:?}, pivot {t}");
+            assert_eq!(got, want, "pivot {t}");
+            overlapping |= want.iter().any(|&s| s > 0);
         }
+        assert!(overlapping, "the fixture must overlap");
+        kernel.stats()
     }
 
     #[test]
-    fn every_mode_matches_the_reference_scorer() {
-        let rows = mixed_rows();
-        for mode in [
-            KernelMode::Adaptive,
-            KernelMode::ForceSparse,
-            KernelMode::ForceDense,
-        ] {
-            assert_matches_reference(&rows, N_ITEMS, mode);
-        }
+    fn kernel_matches_the_reference_scorer() {
+        let stats = assert_matches_reference(&mixed_rows(), N_ITEMS);
+        assert!(stats.dense_scores > 0, "{stats:?}");
+        assert!(stats.sparse_scores > 0, "{stats:?}");
+    }
+
+    /// Each path on its own, reached by the input alone: the mixed
+    /// fixture's ~25-item head rows all clear the 8-word crossover, and
+    /// two-item rows over a 256-item universe (4 words, not wide for
+    /// their ~190 non-zeros) all fall below it.
+    #[test]
+    fn each_path_alone_matches_the_reference_scorer() {
+        let dense = assert_matches_reference(&mixed_rows()[..12], N_ITEMS);
+        assert!(dense.dense_scores > 0, "{dense:?}");
+        assert_eq!(dense.sparse_scores, 0, "{dense:?}");
+
+        let short: Vec<Vec<ItemId>> = (0..96u32)
+            .map(|i| {
+                let mut row = vec![i % 200, (i * 7 + 3) % 200];
+                row.sort_unstable();
+                row.dedup();
+                row
+            })
+            .collect();
+        let sparse = assert_matches_reference(&short, 256);
+        assert!(sparse.sparse_scores > 0, "{sparse:?}");
+        assert_eq!(sparse.dense_scores, 0, "{sparse:?}");
     }
 
     #[test]
     fn adaptive_uses_both_paths_and_caches_across_windows() {
         let rows = FlatRows::from_rows(&mixed_rows());
-        let mut kernel = SimilarityKernel::new(rows.rows(), N_ITEMS, KernelMode::Adaptive);
+        let mut kernel = SimilarityKernel::new(rows.rows(), N_ITEMS);
         let mut out = Vec::new();
         // Overlapping windows, like consecutive band-order pivots.
         for t in 0..6 {
@@ -570,21 +555,6 @@ mod tests {
         );
         assert!(stats.cache_hits < stats.dense_scores, "{stats:?}");
         assert_eq!(stats.total_scores(), 6 * 12);
-    }
-
-    #[test]
-    fn force_modes_take_exactly_one_path() {
-        let rows = FlatRows::from_rows(&mixed_rows());
-        let candidates: Vec<usize> = (1..rows.rows().len()).collect();
-        let mut out = Vec::new();
-        let mut dense = SimilarityKernel::new(rows.rows(), N_ITEMS, KernelMode::ForceDense);
-        dense.score(0, &candidates, &mut out);
-        assert_eq!(dense.stats().sparse_scores, 0);
-        assert_eq!(dense.stats().dense_scores, candidates.len() as u64);
-        let mut sparse = SimilarityKernel::new(rows.rows(), N_ITEMS, KernelMode::ForceSparse);
-        sparse.score(0, &candidates, &mut out);
-        assert_eq!(sparse.stats().dense_scores, 0);
-        assert_eq!(sparse.stats().sparse_scores, candidates.len() as u64);
     }
 
     /// The satellite regression test for the stamp-aliasing bug: with the
@@ -612,8 +582,8 @@ mod tests {
     #[test]
     fn adaptive_kernel_survives_stamp_wrap() {
         let rows = FlatRows::from_rows(&mixed_rows());
-        let mut fresh = SimilarityKernel::new(rows.rows(), N_ITEMS, KernelMode::Adaptive);
-        let mut wrapping = SimilarityKernel::new(rows.rows(), N_ITEMS, KernelMode::Adaptive);
+        let mut fresh = SimilarityKernel::new(rows.rows(), N_ITEMS);
+        let mut wrapping = SimilarityKernel::new(rows.rows(), N_ITEMS);
         wrapping.stamps.force_epoch(u32::MAX - 1);
         let candidates: Vec<usize> = (1..rows.rows().len()).collect();
         let (mut want, mut got) = (Vec::new(), Vec::new());
@@ -673,21 +643,15 @@ mod tests {
     fn wide_universe_is_relabeled_and_matches_the_reference() {
         let (rows, n_items) = wide_rows();
         let flat = FlatRows::from_rows(&rows);
-        let kernel = SimilarityKernel::new(flat.rows(), n_items, KernelMode::Adaptive);
+        let kernel = SimilarityKernel::new(flat.rows(), n_items);
         assert!(kernel.space.relabeled.is_some());
         assert_eq!(kernel.space.width, 60);
         assert_eq!(kernel.words, 1);
         assert_eq!(kernel.stamps.stamp.len(), 60);
-        for mode in [
-            KernelMode::Adaptive,
-            KernelMode::ForceSparse,
-            KernelMode::ForceDense,
-        ] {
-            assert_matches_reference(&rows, n_items, mode);
-        }
+        assert_matches_reference(&rows, n_items);
         // The narrow fixture borrows its rows.
         let rows = FlatRows::from_rows(&mixed_rows());
-        let kernel = SimilarityKernel::new(rows.rows(), N_ITEMS, KernelMode::Adaptive);
+        let kernel = SimilarityKernel::new(rows.rows(), N_ITEMS);
         assert!(kernel.space.relabeled.is_none());
         assert_eq!(kernel.words, N_ITEMS / 64);
     }
@@ -701,27 +665,21 @@ mod tests {
         let shared = FlatRows::from_rows(&rows);
         let (lo, hi) = (6, 18);
         let copy = FlatRows::from_rows(&rows[lo..hi]);
-        for mode in [
-            KernelMode::Adaptive,
-            KernelMode::ForceSparse,
-            KernelMode::ForceDense,
-        ] {
-            let mut sliced = SimilarityKernel::new(shared.rows().slice(lo, hi), n_items, mode);
-            let mut copied = SimilarityKernel::new(copy.rows(), n_items, mode);
-            assert!(sliced.space.relabeled.is_some());
-            assert_eq!(sliced.space.width, copied.space.width);
-            assert_eq!(sliced.space.width, 46, "only the slice's own items count");
-            assert_eq!(sliced.words, copied.words);
-            let n = hi - lo;
-            let (mut want, mut got) = (Vec::new(), Vec::new());
-            for t in 0..n {
-                let candidates: Vec<usize> = (0..n).filter(|&c| c != t).collect();
-                copied.score(t, &candidates, &mut want);
-                sliced.score(t, &candidates, &mut got);
-                assert_eq!(got, want, "{mode:?}, pivot {t}");
-            }
-            assert_eq!(sliced.stats(), copied.stats(), "{mode:?}");
+        let mut sliced = SimilarityKernel::new(shared.rows().slice(lo, hi), n_items);
+        let mut copied = SimilarityKernel::new(copy.rows(), n_items);
+        assert!(sliced.space.relabeled.is_some());
+        assert_eq!(sliced.space.width, copied.space.width);
+        assert_eq!(sliced.space.width, 46, "only the slice's own items count");
+        assert_eq!(sliced.words, copied.words);
+        let n = hi - lo;
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        for t in 0..n {
+            let candidates: Vec<usize> = (0..n).filter(|&c| c != t).collect();
+            copied.score(t, &candidates, &mut want);
+            sliced.score(t, &candidates, &mut got);
+            assert_eq!(got, want, "pivot {t}");
         }
+        assert_eq!(sliced.stats(), copied.stats());
     }
 
     #[test]
@@ -764,39 +722,12 @@ mod tests {
     }
 
     #[test]
-    fn mode_parsing_round_trips() {
-        for mode in [
-            KernelMode::Adaptive,
-            KernelMode::ForceSparse,
-            KernelMode::ForceDense,
-        ] {
-            assert_eq!(KernelMode::parse(mode.name()), Some(mode));
-        }
-        assert_eq!(
-            KernelMode::parse("force-dense"),
-            Some(KernelMode::ForceDense)
-        );
-        assert_eq!(
-            KernelMode::parse("force-sparse"),
-            Some(KernelMode::ForceSparse)
-        );
-        assert_eq!(KernelMode::parse("quantum"), None);
-        assert_eq!(KernelMode::default(), KernelMode::Adaptive);
-    }
-
-    #[test]
     fn empty_rows_and_tiny_universes_score_zero() {
         let rows = FlatRows::from_rows(&[vec![], vec![0], vec![]]);
-        for mode in [
-            KernelMode::Adaptive,
-            KernelMode::ForceSparse,
-            KernelMode::ForceDense,
-        ] {
-            let mut kernel = SimilarityKernel::new(rows.rows(), 1, mode);
-            let mut out = Vec::new();
-            kernel.score(0, &[1, 2], &mut out);
-            assert_eq!(out, vec![0, 0], "{mode:?}");
-        }
+        let mut kernel = SimilarityKernel::new(rows.rows(), 1);
+        let mut out = Vec::new();
+        kernel.score(0, &[1, 2], &mut out);
+        assert_eq!(out, vec![0, 0]);
     }
 
     #[test]
@@ -804,7 +735,7 @@ mod tests {
         let rows = FlatRows::from_rows(&mixed_rows());
         let rec = Recorder::new();
         for lo in [0usize, 6] {
-            let mut kernel = SimilarityKernel::new(rows.rows(), N_ITEMS, KernelMode::Adaptive);
+            let mut kernel = SimilarityKernel::new(rows.rows(), N_ITEMS);
             let mut out = Vec::new();
             let candidates: Vec<usize> = (lo + 1..lo + 8).collect();
             kernel.score(lo, &candidates, &mut out);

@@ -22,6 +22,7 @@
 //! ```
 //! use cahd_core::pipeline::{Anonymizer, AnonymizerConfig};
 //! use cahd_data::{SensitiveSet, TransactionSet};
+//! use cahd_obs::Recorder;
 //!
 //! // Five transactions over items 0..6; items 4 and 5 are sensitive.
 //! let data = TransactionSet::from_rows(
@@ -36,7 +37,7 @@
 //! );
 //! let sensitive = SensitiveSet::new(vec![4, 5], 6);
 //! let result = Anonymizer::new(AnonymizerConfig::with_privacy_degree(2))
-//!     .anonymize(&data, &sensitive)
+//!     .anonymize(&data, &sensitive, &Recorder::disabled())
 //!     .unwrap();
 //! assert!(result.published.satisfies(2));
 //! ```
@@ -56,7 +57,6 @@ pub mod refine;
 pub mod shard;
 pub mod split;
 pub mod streaming;
-pub mod suppress;
 pub mod verify;
 pub mod weighted;
 
@@ -73,6 +73,5 @@ pub use shard::{
     cahd_sharded, cahd_sharded_recovering, cahd_sharded_traced, ParallelConfig, ShardedStats,
 };
 pub use streaming::{ReleaseChunk, StreamingAnonymizer};
-pub use suppress::{enforce_feasibility, SuppressionReport};
 pub use verify::{verify_all, verify_published, VerificationError};
 pub use weighted::{cahd_weighted, verify_weighted, WeightedPublished, WeightedSimilarity};

@@ -4,8 +4,8 @@
 use std::time::{Duration, Instant};
 
 use cahd_data::{ItemId, SensitiveSet, TransactionSet};
-use cahd_obs::{Recorder, TraceReport};
-use cahd_rcm::{reduce_unsymmetric_traced, BandReduction, UnsymOptions};
+use cahd_obs::Recorder;
+use cahd_rcm::{reduce_unsymmetric, BandReduction, UnsymOptions};
 
 use crate::cahd::{cahd_traced, CahdConfig, CahdStats};
 use crate::error::CahdError;
@@ -97,11 +97,6 @@ pub struct PipelineResult {
     pub rcm_time: Duration,
     /// Wall-clock time of the whole pipeline.
     pub total_time: Duration,
-    /// The observability snapshot, present when the run was traced via
-    /// [`Anonymizer::anonymize_traced`] or
-    /// [`Anonymizer::anonymize_rows_traced`] with an enabled recorder. See
-    /// `docs/OBSERVABILITY.md` for the span taxonomy and counter glossary.
-    pub trace: Option<TraceReport>,
 }
 
 /// The reusable pipeline object.
@@ -121,48 +116,31 @@ impl Anonymizer {
         &self.config
     }
 
-    /// Anonymizes `data` with sensitive set `sensitive`.
-    pub fn anonymize(
-        &self,
-        data: &TransactionSet,
-        sensitive: &SensitiveSet,
-    ) -> Result<PipelineResult, CahdError> {
-        self.anonymize_traced(data, sensitive, &Recorder::disabled())
-    }
-
-    /// Like [`Anonymizer::anonymize`], recording the run into `rec` and
-    /// snapshotting it into [`PipelineResult::trace`] (left `None` when
-    /// `rec` is disabled — the plain entry point pays nothing for the
-    /// instrumentation).
+    /// Anonymizes `data` with sensitive set `sensitive`, recording the run
+    /// into `rec` (pass [`Recorder::disabled`] to record nothing; the
+    /// caller takes the report with [`Recorder::snapshot`]).
     ///
     /// The recorded span tree is rooted at `pipeline` with children
-    /// `pipeline/rcm` (and its sub-phases, see
-    /// [`reduce_unsymmetric_traced`]), `pipeline/permute`,
-    /// `pipeline/group` (see [`cahd_traced`] /
+    /// `pipeline/rcm` (and its sub-phases, see [`reduce_unsymmetric`]),
+    /// `pipeline/permute`, `pipeline/group` (see [`cahd_traced`] /
     /// [`crate::shard::cahd_sharded_traced`]) and `pipeline/unpermute`;
     /// direct children always sum to within the `pipeline` total, which
     /// the `CAHD-O001` check pass enforces.
-    pub fn anonymize_traced(
+    pub fn anonymize(
         &self,
         data: &TransactionSet,
         sensitive: &SensitiveSet,
         rec: &Recorder,
     ) -> Result<PipelineResult, CahdError> {
-        let result = self.anonymize_with_plan(data, sensitive, &FaultPlan::none(), rec)?;
-        Ok(PipelineResult {
-            trace: rec.is_enabled().then(|| rec.snapshot()),
-            ..result
-        })
+        self.anonymize_with_plan(data, sensitive, &FaultPlan::none(), rec)
     }
 
-    /// [`Anonymizer::anonymize_traced`] with shard faults injected from
-    /// `plan`. A plan with shard faults forces the group-formation phase
-    /// through the recovering sharded engine even for a single shard, so
-    /// every fault is actually exercised; corrupt-row injections are an
+    /// [`Anonymizer::anonymize`] with shard faults injected from `plan`.
+    /// A plan with shard faults forces the group-formation phase through
+    /// the recovering sharded engine even for a single shard, so every
+    /// fault is actually exercised; corrupt-row injections are an
     /// ingestion concern and ignored here (see
-    /// [`Anonymizer::anonymize_rows`]). Records into `rec` but leaves
-    /// [`PipelineResult::trace`] unset: only the public entry points whose
-    /// callers read it take the snapshot.
+    /// [`Anonymizer::anonymize_rows`]).
     fn anonymize_with_plan(
         &self,
         data: &TransactionSet,
@@ -174,7 +152,7 @@ impl Anonymizer {
         let t0 = Instant::now();
         let pipeline_span = rec.span("pipeline");
         let (band, work): (Option<BandReduction>, TransactionSet) = if self.config.use_rcm {
-            let red = reduce_unsymmetric_traced(data.matrix(), self.config.rcm, rec);
+            let red = reduce_unsymmetric(data.matrix(), self.config.rcm, rec);
             let _s = rec.span("pipeline/permute");
             let permuted = data.permute(&red.row_perm);
             (Some(red), permuted)
@@ -220,23 +198,7 @@ impl Anonymizer {
             band,
             rcm_time,
             total_time: t0.elapsed(),
-            trace: None,
         })
-    }
-
-    /// Anonymizes raw `rows` with input validation and fault recovery.
-    ///
-    /// See [`Anonymizer::anonymize_rows_traced`].
-    ///
-    /// # Errors
-    /// As [`Anonymizer::anonymize_rows_traced`].
-    pub fn anonymize_rows(
-        &self,
-        rows: &[Vec<ItemId>],
-        sensitive: &SensitiveSet,
-        recovery: &RecoveryConfig,
-    ) -> Result<RobustResult, CahdError> {
-        self.anonymize_rows_traced(rows, sensitive, recovery, &Recorder::disabled())
     }
 
     /// The robust pipeline entry point: raw rows in, a validated release
@@ -263,10 +225,9 @@ impl Anonymizer {
     /// [`cahd_sharded_recovering`]. Recovery actions are recorded on
     /// `rec` as the scheduling-invariant counters
     /// `core.quarantined_rows` and `core.recovered_shards` (audited by
-    /// the `CAHD-R001` check pass), and the returned trace snapshot
-    /// includes them. With no bad rows and an empty plan the release is
-    /// byte-identical to [`Anonymizer::anonymize_traced`] over the same
-    /// rows.
+    /// the `CAHD-R001` check pass). With no bad rows and an empty plan the
+    /// release is byte-identical to [`Anonymizer::anonymize`] over the
+    /// same rows.
     ///
     /// # Errors
     /// [`CahdError::CorruptRow`] under the strict policy, then everything
@@ -276,7 +237,7 @@ impl Anonymizer {
     ///
     /// [`InputPolicy::Strict`]: crate::recovery::InputPolicy::Strict
     /// [`InputPolicy::Quarantine`]: crate::recovery::InputPolicy::Quarantine
-    pub fn anonymize_rows_traced(
+    pub fn anonymize_rows(
         &self,
         rows: &[Vec<ItemId>],
         sensitive: &SensitiveSet,
@@ -289,17 +250,13 @@ impl Anonymizer {
             sensitive.n_items(),
             recovery,
         )?;
-        let mut robust = self.anonymize_ingested(data, quarantined, sensitive, recovery, rec)?;
-        robust.result.trace = rec.is_enabled().then(|| rec.snapshot());
-        Ok(robust)
+        self.anonymize_ingested(data, quarantined, sensitive, recovery, rec)
     }
 
     /// The robust pipeline past ingestion: `data` is the sanitized dataset
     /// and `quarantined` the ascending indices of its rows to pin into the
     /// final group (see [`crate::recovery::ingest_rows`]). Records into
-    /// `rec` and leaves [`PipelineResult::trace`] unset, for the stream
-    /// batches, whose recorder outlives the batch. The caller validates
-    /// the configuration first.
+    /// `rec`. The caller validates the configuration first.
     pub(crate) fn anonymize_ingested(
         &self,
         data: TransactionSet,
@@ -437,7 +394,6 @@ impl Anonymizer {
                 band: None,
                 rcm_time: Duration::ZERO,
                 total_time: Duration::ZERO,
-                trace: None,
             }
         };
         rec.add("core.quarantined_rows", quarantined.len() as u64);
@@ -469,13 +425,11 @@ impl Anonymizer {
     }
 }
 
-/// Output of the robust entry points
-/// ([`Anonymizer::anonymize_rows`] / [`Anonymizer::anonymize_rows_traced`]).
+/// Output of the robust entry point ([`Anonymizer::anonymize_rows`]).
 #[derive(Debug)]
 pub struct RobustResult {
     /// The pipeline output. `result.published` covers **every** submitted
-    /// row (quarantined ones included, sanitized), and `result.trace`
-    /// additionally carries the recovery counters.
+    /// row (quarantined ones included, sanitized).
     pub result: PipelineResult,
     /// The sanitized dataset the release publishes — what
     /// [`crate::verify::verify_all`] must be run against.
@@ -515,7 +469,7 @@ mod tests {
     fn pipeline_members_are_original_indices() {
         let (data, sens) = block_data();
         let res = Anonymizer::new(AnonymizerConfig::with_privacy_degree(2))
-            .anonymize(&data, &sens)
+            .anonymize(&data, &sens, &Recorder::disabled())
             .unwrap();
         verify_published(&data, &sens, &res.published, 2).unwrap();
         assert!(res.band.is_some());
@@ -525,7 +479,7 @@ mod tests {
     fn rcm_groups_same_block_together() {
         let (data, sens) = block_data();
         let res = Anonymizer::new(AnonymizerConfig::with_privacy_degree(2))
-            .anonymize(&data, &sens)
+            .anonymize(&data, &sens, &Recorder::disabled())
             .unwrap();
         // The group containing transaction 0 (block A, items {0,1,2,8})
         // must contain only block-A members.
@@ -550,7 +504,7 @@ mod tests {
     fn without_rcm_still_private() {
         let (data, sens) = block_data();
         let res = Anonymizer::new(AnonymizerConfig::with_privacy_degree(2).without_rcm())
-            .anonymize(&data, &sens)
+            .anonymize(&data, &sens, &Recorder::disabled())
             .unwrap();
         verify_published(&data, &sens, &res.published, 2).unwrap();
         assert!(res.band.is_none());
@@ -564,10 +518,10 @@ mod tests {
             let rec = Recorder::new();
             let res =
                 Anonymizer::new(AnonymizerConfig::with_privacy_degree(2).with_parallel(parallel))
-                    .anonymize_traced(&data, &sens, &rec)
+                    .anonymize(&data, &sens, &rec)
                     .unwrap();
             verify_published(&data, &sens, &res.published, 2).unwrap();
-            let trace = res.trace.expect("enabled recorder yields a trace");
+            let trace = rec.snapshot();
             assert!(
                 trace.consistency_findings().is_empty(),
                 "{:?}",
@@ -616,11 +570,6 @@ mod tests {
                 assert!(trace.span("pipeline/group/merge").is_some());
             }
         }
-        // The untraced entry point carries no trace.
-        let res = Anonymizer::new(AnonymizerConfig::with_privacy_degree(2))
-            .anonymize(&data, &sens)
-            .unwrap();
-        assert!(res.trace.is_none());
     }
 
     #[test]
@@ -628,7 +577,7 @@ mod tests {
         let (data, _) = block_data();
         let sens = SensitiveSet::new(vec![0], 10); // item 0: support 3 of 8
         let err = Anonymizer::new(AnonymizerConfig::with_privacy_degree(4))
-            .anonymize(&data, &sens)
+            .anonymize(&data, &sens, &Recorder::disabled())
             .unwrap_err();
         assert!(matches!(err, CahdError::Infeasible { .. }));
     }
@@ -644,10 +593,16 @@ mod tests {
         let (rows, sens) = block_rows();
         let anon = Anonymizer::new(AnonymizerConfig::with_privacy_degree(2));
         let plain = anon
-            .anonymize(&TransactionSet::from_rows(&rows, 10), &sens)
+            .anonymize(
+                &TransactionSet::from_rows(&rows, 10),
+                &sens,
+                &Recorder::disabled(),
+            )
             .unwrap();
         for recovery in [RecoveryConfig::strict(), RecoveryConfig::quarantine()] {
-            let robust = anon.anonymize_rows(&rows, &sens, &recovery).unwrap();
+            let robust = anon
+                .anonymize_rows(&rows, &sens, &recovery, &Recorder::disabled())
+                .unwrap();
             assert_eq!(robust.result.published, plain.published);
             assert!(robust.quarantined.is_empty());
             assert_eq!(robust.recovered_shards, 0);
@@ -661,7 +616,12 @@ mod tests {
         rows[5] = vec![4, 4]; // duplicate item
         let anon = Anonymizer::new(AnonymizerConfig::with_privacy_degree(2));
         let err = anon
-            .anonymize_rows(&rows, &sens, &RecoveryConfig::strict())
+            .anonymize_rows(
+                &rows,
+                &sens,
+                &RecoveryConfig::strict(),
+                &Recorder::disabled(),
+            )
             .unwrap_err();
         assert!(
             matches!(err, CahdError::CorruptRow { row: 3, ref reason }
@@ -670,7 +630,12 @@ mod tests {
         );
         // Parameter errors still take precedence over ingestion.
         let err = Anonymizer::new(AnonymizerConfig::with_privacy_degree(1))
-            .anonymize_rows(&rows, &sens, &RecoveryConfig::strict())
+            .anonymize_rows(
+                &rows,
+                &sens,
+                &RecoveryConfig::strict(),
+                &Recorder::disabled(),
+            )
             .unwrap_err();
         assert!(matches!(err, CahdError::InvalidPrivacyDegree(1)));
     }
@@ -683,7 +648,7 @@ mod tests {
         let anon = Anonymizer::new(AnonymizerConfig::with_privacy_degree(2));
         let rec = Recorder::new();
         let robust = anon
-            .anonymize_rows_traced(&rows, &sens, &RecoveryConfig::quarantine(), &rec)
+            .anonymize_rows(&rows, &sens, &RecoveryConfig::quarantine(), &rec)
             .unwrap();
         assert_eq!(robust.quarantined, vec![3, 6]);
         let pub_ = &robust.result.published;
@@ -699,7 +664,7 @@ mod tests {
         }
         assert_eq!(robust.data.transaction(3), &[4, 5, 9]);
         assert_eq!(robust.data.transaction(6), &[1, 2]);
-        let trace = robust.result.result_trace();
+        let trace = &rec.snapshot();
         assert_eq!(trace.counter("core.quarantined_rows"), Some(2));
         assert!(
             trace.counter_or_zero("core.fallback_group_size")
@@ -713,7 +678,9 @@ mod tests {
         let anon = Anonymizer::new(AnonymizerConfig::with_privacy_degree(2));
         let recovery = RecoveryConfig::quarantine()
             .with_plan(FaultPlan::none().with_corrupt_row(1).with_corrupt_row(5));
-        let robust = anon.anonymize_rows(&rows, &sens, &recovery).unwrap();
+        let robust = anon
+            .anonymize_rows(&rows, &sens, &recovery, &Recorder::disabled())
+            .unwrap();
         assert_eq!(robust.quarantined, vec![1, 5]);
         assert_eq!(robust.result.published.n_transactions(), rows.len());
         // The rows themselves were clean, so their published form is
@@ -743,7 +710,12 @@ mod tests {
         }
         let anon = Anonymizer::new(AnonymizerConfig::with_privacy_degree(4));
         let robust = anon
-            .anonymize_rows(&rows, &sens, &RecoveryConfig::quarantine().with_plan(plan))
+            .anonymize_rows(
+                &rows,
+                &sens,
+                &RecoveryConfig::quarantine().with_plan(plan),
+                &Recorder::disabled(),
+            )
             .unwrap();
         // Good subset {0, 7} carries the sensitive occurrence with 1*4 > 2
         // -> the whole dataset degrades to one group (1*4 <= 8 globally).
@@ -765,7 +737,12 @@ mod tests {
         let sens = SensitiveSet::new(vec![8], 9);
         let anon = Anonymizer::new(AnonymizerConfig::with_privacy_degree(2));
         let robust = anon
-            .anonymize_rows(&rows, &sens, &RecoveryConfig::quarantine())
+            .anonymize_rows(
+                &rows,
+                &sens,
+                &RecoveryConfig::quarantine(),
+                &Recorder::disabled(),
+            )
             .unwrap();
         assert_eq!(robust.quarantined, vec![12, 13]);
         let pub_ = &robust.result.published;
@@ -776,11 +753,5 @@ mod tests {
         // Both sensitive occurrences live in the final group: it needs
         // size >= 4, more than the two quarantined rows alone.
         assert!(pub_.groups.last().unwrap().size() >= 4);
-    }
-
-    impl PipelineResult {
-        fn result_trace(&self) -> &TraceReport {
-            self.trace.as_ref().expect("traced run yields a trace")
-        }
     }
 }

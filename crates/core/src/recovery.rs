@@ -5,7 +5,7 @@
 //!
 //! * a **shard worker** that panics or exceeds its deadline (see
 //!   [`crate::shard::cahd_sharded_recovering`]): retried once, then its
-//!   slice falls back to the sequential reference path;
+//!   slice is rescanned uncaught, outside the fault plan;
 //! * a **corrupt input row** (out-of-range items, duplicate item ids):
 //!   under [`InputPolicy::Quarantine`] the row is sanitized and pinned to
 //!   the final leftover group instead of aborting the run (see

@@ -53,7 +53,7 @@ use crate::cahd::{cahd_traced, form_groups, make_group, CahdConfig, CahdStats, F
 use crate::error::CahdError;
 use crate::group::{AnonymizedGroup, PublishedDataset};
 use crate::invariant::{strict_invariant, strict_invariant_eq};
-use crate::kernel::{KernelMode, SimilarityKernel};
+use crate::kernel::SimilarityKernel;
 use crate::recovery::{FaultPlan, ShardFault};
 use crate::split::RowSplit;
 
@@ -198,11 +198,10 @@ pub fn cahd_sharded_traced(
 ///
 /// Each shard scan runs under a panic boundary: a worker attempt that
 /// panics or exceeds its (injected) deadline is retried once, and if the
-/// retry also fails the slice is recomputed on the **sequential reference
-/// path** — the stamped sparse scan ([`KernelMode::ForceSparse`]), run
-/// uncaught and never fault-injected. Both the retry and the fallback
-/// recompute exactly the groups the healthy scan would have produced
-/// (kernel modes are output-equivalent), so the merged release is
+/// retry also fails the slice is recomputed on the **fallback path** —
+/// the same scan, run uncaught and never fault-injected. Both the retry
+/// and the fallback recompute exactly the groups and kernel counters the
+/// healthy scan would have produced, so the merged release is
 /// byte-identical whether or not a fault fired, and with an empty `plan`
 /// this function *is* [`cahd_sharded_traced`].
 ///
@@ -278,30 +277,29 @@ pub fn cahd_sharded_recovering(
     // Balanced contiguous boundaries: shard i covers [i*n/k, (i+1)*n/k).
     let bounds: Vec<(usize, usize)> = (0..k).map(|i| (i * n / k, (i + 1) * n / k)).collect();
 
-    // One scan of shard `i` with the given kernel, recording engine and
-    // kernel counters into `scratch` (merged into `rec` only if the
-    // attempt is accepted — see `run_shard`).
-    let scan_shard =
-        |i: usize, mode: KernelMode, scratch: &Recorder| -> Result<ShardScan, CahdError> {
-            let (lo, hi) = bounds[i];
-            let shard_sens = split.sens().slice(lo, hi);
-            let mut shard_counts = vec![0usize; sensitive.len()];
-            for &r in shard_sens.entries() {
-                shard_counts[r as usize] += 1;
-            }
-            let mut kernel = SimilarityKernel::new(split.qid().slice(lo, hi), data.n_items(), mode);
-            let formed = form_groups(
-                shard_sens,
-                shard_counts,
-                sensitive.items(),
-                config,
-                |t, cl, out| kernel.score(t, cl, out),
-                FeasibilityCheck::Skip,
-                scratch,
-            )?;
-            kernel.flush_to(scratch);
-            Ok((formed.groups, formed.leftover, formed.stats))
-        };
+    // One scan of shard `i`, recording engine and kernel counters into
+    // `scratch` (merged into `rec` only if the attempt is accepted — see
+    // `run_shard`).
+    let scan_shard = |i: usize, scratch: &Recorder| -> Result<ShardScan, CahdError> {
+        let (lo, hi) = bounds[i];
+        let shard_sens = split.sens().slice(lo, hi);
+        let mut shard_counts = vec![0usize; sensitive.len()];
+        for &r in shard_sens.entries() {
+            shard_counts[r as usize] += 1;
+        }
+        let mut kernel = SimilarityKernel::new(split.qid().slice(lo, hi), data.n_items());
+        let formed = form_groups(
+            shard_sens,
+            shard_counts,
+            sensitive.items(),
+            config,
+            |t, cl, out| kernel.score(t, cl, out),
+            FeasibilityCheck::Skip,
+            scratch,
+        )?;
+        kernel.flush_to(scratch);
+        Ok((formed.groups, formed.leftover, formed.stats))
+    };
 
     // Scan attempt under the fault plan and a panic boundary. The outer
     // `Result` is a genuine input error (never retried); the inner one a
@@ -319,7 +317,7 @@ pub fn cahd_sharded_recovering(
                 // cahd-lint: allow(L003, reason = "deterministic fault injection, caught by the enclosing catch_unwind")
                 panic!("injected fault: shard {i} attempt {attempt}");
             }
-            scan_shard(i, config.kernel, scratch)
+            scan_shard(i, scratch)
         }));
         match caught {
             Ok(Ok(out)) => Ok(Ok(out)),
@@ -355,17 +353,15 @@ pub fn cahd_sharded_recovering(
         let (groups, leftover, stats) = match accepted {
             Some(out) => out,
             None => {
-                // Both attempts failed: recompute the slice on the
-                // sequential reference path — the stamped sparse scan,
-                // uncaught and never injected. Output-equivalence of the
-                // kernel modes makes this byte-identical to a healthy
-                // scan.
+                // Both attempts failed: recompute the slice with the
+                // same scan, uncaught and never injected, so its groups
+                // and counters are the healthy scan's.
                 let scratch = if rec.is_enabled() {
                     Recorder::new()
                 } else {
                     Recorder::disabled()
                 };
-                let out = scan_shard(i, KernelMode::ForceSparse, &scratch)?;
+                let out = scan_shard(i, &scratch)?;
                 rec.merge_from(&scratch);
                 recovered = true;
                 out

@@ -178,19 +178,6 @@ impl StreamingAnonymizer {
         cp
     }
 
-    /// Thaws a checkpointed stream. See
-    /// [`StreamingAnonymizer::resume_traced`].
-    ///
-    /// # Errors
-    /// As [`StreamingAnonymizer::resume_traced`].
-    pub fn resume(
-        config: AnonymizerConfig,
-        sensitive: SensitiveSet,
-        cp: &StreamingCheckpoint,
-    ) -> Result<Self, CahdError> {
-        Self::resume_traced(config, sensitive, cp, &Recorder::disabled())
-    }
-
     /// Thaws a checkpointed stream, fail-closed: the checkpoint is
     /// validated ([`StreamingCheckpoint::validate`]) and cross-checked
     /// against the live `config` and `sensitive` set before any of its
@@ -205,7 +192,7 @@ impl StreamingAnonymizer {
     /// # Errors
     /// [`CahdError::CorruptCheckpoint`] if validation or any cross-check
     /// fails.
-    pub fn resume_traced(
+    pub fn resume(
         config: AnonymizerConfig,
         sensitive: SensitiveSet,
         cp: &StreamingCheckpoint,
@@ -265,11 +252,10 @@ impl StreamingAnonymizer {
     }
 
     /// Flushes the remaining buffer as a final chunk (no carry-over
-    /// allowed: infeasibility is now a hard error the caller must handle,
-    /// e.g. with [`crate::suppress::enforce_feasibility`]). Closes the
-    /// stream: later [`push`](Self::push) calls error with
-    /// [`CahdError::StreamFinished`], and calling `finish` again is a
-    /// no-op returning `Ok(None)`.
+    /// allowed: infeasibility is now a hard error the caller must
+    /// handle). Closes the stream: later [`push`](Self::push) calls
+    /// error with [`CahdError::StreamFinished`], and calling `finish`
+    /// again is a no-op returning `Ok(None)`.
     pub fn finish(&mut self) -> Result<Option<ReleaseChunk>, CahdError> {
         if self.finished {
             return Ok(None);
@@ -526,7 +512,7 @@ mod tests {
         let cp = s.checkpoint();
         drop(s); // the "killed" process
         let rec = Recorder::new();
-        let mut s = StreamingAnonymizer::resume_traced(config(2), sensitive(), &cp, &rec).unwrap();
+        let mut s = StreamingAnonymizer::resume(config(2), sensitive(), &cp, &rec).unwrap();
         assert_eq!(s.buffered(), 3); // 11 pushed, 8 released
         for row in &rows[11..] {
             if let Some(c) = s.push(row.clone()).unwrap() {
@@ -546,17 +532,24 @@ mod tests {
         s.push(vec![0]).unwrap();
         let cp = s.checkpoint();
         // Wrong privacy degree.
-        let err = StreamingAnonymizer::resume(config(3), sensitive(), &cp).unwrap_err();
+        let err = StreamingAnonymizer::resume(config(3), sensitive(), &cp, &Recorder::disabled())
+            .unwrap_err();
         assert!(matches!(err, CahdError::CorruptCheckpoint { ref reason }
             if reason.contains("privacy degree")));
         // Wrong sensitive set.
-        let err = StreamingAnonymizer::resume(config(2), SensitiveSet::new(vec![8], 10), &cp)
-            .unwrap_err();
+        let err = StreamingAnonymizer::resume(
+            config(2),
+            SensitiveSet::new(vec![8], 10),
+            &cp,
+            &Recorder::disabled(),
+        )
+        .unwrap_err();
         assert!(matches!(err, CahdError::CorruptCheckpoint { .. }));
         // Tampered payload.
         let mut bad = cp.clone();
         bad.buffer[0].1 = vec![7];
-        let err = StreamingAnonymizer::resume(config(2), sensitive(), &bad).unwrap_err();
+        let err = StreamingAnonymizer::resume(config(2), sensitive(), &bad, &Recorder::disabled())
+            .unwrap_err();
         assert!(matches!(err, CahdError::CorruptCheckpoint { ref reason }
             if reason.contains("digest")));
     }

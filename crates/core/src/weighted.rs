@@ -21,6 +21,7 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 
 use cahd_data::{ItemId, SensitiveSet, WeightedTransactionSet};
+use cahd_obs::Recorder;
 
 use crate::cahd::{form_groups, CahdConfig, CahdStats, FeasibilityCheck};
 use crate::error::CahdError;
@@ -116,31 +117,15 @@ impl WeightedPublished {
 }
 
 /// Runs CAHD over count-valued data (assumed band-ordered, exactly like
-/// [`crate::cahd::cahd`]).
+/// [`crate::cahd::cahd`]), recording the `pipeline/group` span and the
+/// greedy engine's `core.*` counters into `rec` (the weighted analogue of
+/// [`crate::cahd::cahd_traced`]).
 pub fn cahd_weighted(
     data: &WeightedTransactionSet,
     sensitive: &SensitiveSet,
     config: &CahdConfig,
     similarity: WeightedSimilarity,
-) -> Result<(WeightedPublished, CahdStats), CahdError> {
-    cahd_weighted_traced(
-        data,
-        sensitive,
-        config,
-        similarity,
-        &cahd_obs::Recorder::disabled(),
-    )
-}
-
-/// Like [`cahd_weighted`], recording the `pipeline/group` span and the
-/// greedy engine's `core.*` counters into `rec` (the weighted analogue of
-/// [`crate::cahd::cahd_traced`]).
-pub fn cahd_weighted_traced(
-    data: &WeightedTransactionSet,
-    sensitive: &SensitiveSet,
-    config: &CahdConfig,
-    similarity: WeightedSimilarity,
-    rec: &cahd_obs::Recorder,
+    rec: &Recorder,
 ) -> Result<(WeightedPublished, CahdStats), CahdError> {
     config.validate()?;
     if sensitive.n_items() != data.n_items() {
@@ -149,6 +134,7 @@ pub fn cahd_weighted_traced(
             sensitive_items: sensitive.n_items(),
         });
     }
+    let _group_span = rec.span("pipeline/group");
     // cahd-lint: allow(L002, reason = "elapsed-time stat only; release bytes never depend on it")
     let t_start = Instant::now();
 
@@ -161,11 +147,10 @@ pub fn cahd_weighted_traced(
     // the adaptive sparse/dense kernel directly; MinCount needs the
     // pivot's counts alongside the stamps, which a one-bit bitset cannot
     // carry, so it uses the sparse-only count scorer.
-    let group_span = rec.span("pipeline/group");
     let counts = split.occurrences().to_vec();
     let formed = match similarity {
         WeightedSimilarity::PresenceOverlap => {
-            let mut kernel = SimilarityKernel::new(qid, data.n_items(), config.kernel);
+            let mut kernel = SimilarityKernel::new(qid, data.n_items());
             form_groups(
                 sens,
                 counts,
@@ -189,7 +174,6 @@ pub fn cahd_weighted_traced(
             )?
         }
     };
-    drop(group_span);
 
     let make = |members: &[usize]| -> WeightedGroup {
         let mut scounts = vec![0u32; sensitive.len()];
@@ -235,43 +219,27 @@ pub fn cahd_weighted_traced(
 /// pattern, then [`cahd_weighted`], with group members mapped back to
 /// original transaction indices. The weighted analogue of
 /// [`crate::pipeline::Anonymizer`].
+///
+/// Records the full pipeline span taxonomy (`pipeline`,
+/// `pipeline/rcm/*`, `pipeline/permute`, `pipeline/group`,
+/// `pipeline/unpermute`), the `rcm.*`/`sparse.*`/`core.*` metrics of the
+/// phases, and — under a memory-tracking recorder — the `mem.*` gauges
+/// into `rec`. This is what backs `--trace-json`/`--metrics`/`--memory`
+/// on `cahd-cli anonymize --weighted`.
 pub fn anonymize_weighted(
     data: &WeightedTransactionSet,
     sensitive: &SensitiveSet,
     config: &CahdConfig,
     similarity: WeightedSimilarity,
-) -> Result<(WeightedPublished, CahdStats), CahdError> {
-    anonymize_weighted_traced(
-        data,
-        sensitive,
-        config,
-        similarity,
-        &cahd_obs::Recorder::disabled(),
-    )
-}
-
-/// Like [`anonymize_weighted`], recording the full pipeline span taxonomy
-/// (`pipeline`, `pipeline/rcm/*`, `pipeline/permute`, `pipeline/group`,
-/// `pipeline/unpermute`), the `rcm.*`/`sparse.*`/`core.*` metrics of the
-/// phases, and — under a memory-tracking recorder — the `mem.*` gauges
-/// into `rec`. This is what backs `--trace-json`/`--metrics`/`--memory`
-/// on `cahd-cli anonymize-weighted`.
-pub fn anonymize_weighted_traced(
-    data: &WeightedTransactionSet,
-    sensitive: &SensitiveSet,
-    config: &CahdConfig,
-    similarity: WeightedSimilarity,
-    rec: &cahd_obs::Recorder,
+    rec: &Recorder,
 ) -> Result<(WeightedPublished, CahdStats), CahdError> {
     let pipeline_span = rec.span("pipeline");
-    let red =
-        cahd_rcm::reduce_unsymmetric_traced(data.pattern(), cahd_rcm::UnsymOptions::default(), rec);
+    let red = cahd_rcm::reduce_unsymmetric(data.pattern(), cahd_rcm::UnsymOptions::default(), rec);
     let permuted = {
         let _s = rec.span("pipeline/permute");
         data.permute(&red.row_perm)
     };
-    let (mut published, stats) =
-        cahd_weighted_traced(&permuted, sensitive, config, similarity, rec)?;
+    let (mut published, stats) = cahd_weighted(&permuted, sensitive, config, similarity, rec)?;
     {
         let _s = rec.span("pipeline/unpermute");
         for g in &mut published.groups {
@@ -390,6 +358,7 @@ mod tests {
             &sens,
             &CahdConfig::new(2),
             WeightedSimilarity::MinCount,
+            &Recorder::disabled(),
         )
         .unwrap();
         verify_weighted(&data, &sens, &pub_, 2).unwrap();
@@ -408,6 +377,7 @@ mod tests {
             &sens,
             &CahdConfig::new(2),
             WeightedSimilarity::MinCount,
+            &Recorder::disabled(),
         )
         .unwrap();
         let g0 = &pub_.groups[0];
@@ -423,6 +393,7 @@ mod tests {
             &sens,
             &CahdConfig::new(2),
             WeightedSimilarity::PresenceOverlap,
+            &Recorder::disabled(),
         )
         .unwrap();
         let (bpub, _) = crate::cahd::cahd(&data.to_binary(), &sens, &CahdConfig::new(2)).unwrap();
@@ -438,15 +409,28 @@ mod tests {
             3,
         );
         let sens = SensitiveSet::new(vec![2], 3);
-        let err = cahd_weighted(&data, &sens, &CahdConfig::new(2), Default::default()).unwrap_err();
+        let err = cahd_weighted(
+            &data,
+            &sens,
+            &CahdConfig::new(2),
+            Default::default(),
+            &Recorder::disabled(),
+        )
+        .unwrap_err();
         assert!(matches!(err, CahdError::Infeasible { item: 2, .. }));
     }
 
     #[test]
     fn verifier_catches_count_tampering() {
         let (data, sens) = ratings();
-        let (mut pub_, _) =
-            cahd_weighted(&data, &sens, &CahdConfig::new(2), Default::default()).unwrap();
+        let (mut pub_, _) = cahd_weighted(
+            &data,
+            &sens,
+            &CahdConfig::new(2),
+            Default::default(),
+            &Recorder::disabled(),
+        )
+        .unwrap();
         pub_.groups[0].qid_rows[0][0].1 += 1; // corrupt a count
         let err = verify_weighted(&data, &sens, &pub_, 2).unwrap_err();
         assert!(matches!(
@@ -458,16 +442,28 @@ mod tests {
     #[test]
     fn binary_projection_verifies() {
         let (data, sens) = ratings();
-        let (pub_, _) =
-            cahd_weighted(&data, &sens, &CahdConfig::new(2), Default::default()).unwrap();
+        let (pub_, _) = cahd_weighted(
+            &data,
+            &sens,
+            &CahdConfig::new(2),
+            Default::default(),
+            &Recorder::disabled(),
+        )
+        .unwrap();
         crate::verify::verify_published(&data.to_binary(), &sens, &pub_.to_binary(), 2).unwrap();
     }
 
     #[test]
     fn serde_roundtrip() {
         let (data, sens) = ratings();
-        let (pub_, _) =
-            cahd_weighted(&data, &sens, &CahdConfig::new(2), Default::default()).unwrap();
+        let (pub_, _) = cahd_weighted(
+            &data,
+            &sens,
+            &CahdConfig::new(2),
+            Default::default(),
+            &Recorder::disabled(),
+        )
+        .unwrap();
         let json = serde_json::to_string(&pub_).unwrap();
         let back: WeightedPublished = serde_json::from_str(&json).unwrap();
         assert_eq!(back, pub_);

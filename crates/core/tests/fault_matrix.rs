@@ -90,7 +90,7 @@ fn every_shard_fault_mode_recovers_byte_identically() {
     let (data, sens, cfg) = instance();
     // (plan builder, expected recovered shards) per fault mode and depth:
     // one failed attempt is retried, two exhaust the retry and fall back
-    // to the sequential reference path — both count as one recovery.
+    // to an uncaught rescan — both count as one recovery.
     let fault_cases: Vec<(FaultPlan, usize)> = vec![
         (
             FaultPlan::none().with_shard_fault(0, ShardFault::Panic, 1),
@@ -141,6 +141,51 @@ fn every_shard_fault_mode_recovers_byte_identically() {
     }
 }
 
+/// A shard whose two attempts both fail is rescanned with the same
+/// kernel, so a recovered run records every `core.*` counter of the clean
+/// run (the kernel's path counters included) plus `core.recovered_shards`.
+/// The fixture's rows all clear the dense crossover of its one-word
+/// universe, so a sparse-only fallback would zero the dense scores.
+#[test]
+fn a_recovered_shard_counts_like_a_healthy_one() {
+    silence_injected_panics();
+    let (data, sens, cfg) = instance();
+    let counters = |rec: &Recorder| -> Vec<(String, u64)> {
+        rec.snapshot()
+            .counters
+            .into_iter()
+            .filter(|c| c.name.starts_with("core.") && c.name != "core.recovered_shards")
+            .map(|c| (c.name, c.value))
+            .collect()
+    };
+    for threads in thread_counts() {
+        let par = ParallelConfig::new(4, threads);
+        let clean_rec = Recorder::new();
+        cahd_sharded_recovering(&data, &sens, &cfg, &par, &FaultPlan::none(), &clean_rec).unwrap();
+        let clean = counters(&clean_rec);
+        let dense = clean
+            .iter()
+            .find(|(name, _)| name == "core.kernel_dense_scores")
+            .map_or(0, |&(_, v)| v);
+        assert!(dense > 0, "the fixture must score dense: {clean:?}");
+        for plan in [
+            FaultPlan::none().with_shard_fault(0, ShardFault::Panic, 2),
+            FaultPlan::none().with_shard_fault(0, ShardFault::Deadline, 2),
+            FaultPlan::none()
+                .with_shard_fault(1, ShardFault::Panic, 2)
+                .with_shard_fault(3, ShardFault::Deadline, 2),
+        ] {
+            let rec = Recorder::new();
+            cahd_sharded_recovering(&data, &sens, &cfg, &par, &plan, &rec).unwrap();
+            assert_eq!(counters(&rec), clean, "threads={threads} plan={plan:?}");
+            assert_eq!(
+                rec.snapshot().counter("core.recovered_shards"),
+                Some(plan.expected_recovered_shards(4) as u64)
+            );
+        }
+    }
+}
+
 #[test]
 fn corrupt_row_injection_quarantines_exactly_the_planned_rows() {
     silence_injected_panics();
@@ -155,7 +200,7 @@ fn corrupt_row_injection_quarantines_exactly_the_planned_rows() {
             }
             let rec = Recorder::new();
             let robust = Anonymizer::new(acfg)
-                .anonymize_rows_traced(
+                .anonymize_rows(
                     &raw,
                     &sens,
                     &RecoveryConfig::quarantine().with_plan(plan.clone()),
@@ -163,7 +208,7 @@ fn corrupt_row_injection_quarantines_exactly_the_planned_rows() {
                 )
                 .unwrap();
             assert_eq!(robust.quarantined, vec![2, 5], "shards={shards}");
-            let trace = robust.result.trace.as_ref().expect("traced run");
+            let trace = &rec.snapshot();
             assert_eq!(trace.counter("core.quarantined_rows"), Some(2));
             assert_eq!(
                 robust.result.published.n_transactions(),
@@ -205,7 +250,7 @@ fn combined_faults_still_produce_a_clean_auditable_release() {
         let robust = Anonymizer::new(
             AnonymizerConfig::with_privacy_degree(P).with_parallel(ParallelConfig::new(4, threads)),
         )
-        .anonymize_rows_traced(
+        .anonymize_rows(
             &raw,
             &sens,
             &RecoveryConfig::quarantine().with_plan(plan.clone()),
@@ -214,7 +259,7 @@ fn combined_faults_still_produce_a_clean_auditable_release() {
         .unwrap();
         assert_eq!(robust.quarantined, vec![7]);
         assert_eq!(robust.recovered_shards, 2);
-        let trace = robust.result.trace.as_ref().unwrap();
+        let trace = &rec.snapshot();
         assert_eq!(trace.counter("core.recovered_shards"), Some(2));
         assert_eq!(trace.counter("core.quarantined_rows"), Some(1));
         let report = default_registry().run(

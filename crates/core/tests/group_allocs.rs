@@ -16,7 +16,7 @@
 //! so parallel tests in one binary would interleave their windows.
 
 use cahd_core::shard::{cahd_sharded_traced, ParallelConfig};
-use cahd_core::weighted::{cahd_weighted_traced, WeightedSimilarity};
+use cahd_core::weighted::{cahd_weighted, WeightedSimilarity};
 use cahd_core::{cahd_traced, CahdConfig};
 use cahd_data::{profiles, SensitiveSet, WeightedTransactionSet};
 use cahd_obs::{memtrack, Recorder, TrackingAllocator};
@@ -42,7 +42,9 @@ fn ceiling(n_rows: usize, n_groups: usize) -> u64 {
 fn group_formation_allocates_per_published_row_not_per_split() {
     assert!(memtrack::is_active());
     let raw = profiles::bms1_like(0.25, 7);
-    let data = raw.permute(&reduce_unsymmetric(raw.matrix(), UnsymOptions::default()).row_perm);
+    let data = raw.permute(
+        &reduce_unsymmetric(raw.matrix(), UnsymOptions::default(), &Recorder::disabled()).row_perm,
+    );
     let mut rng = StdRng::seed_from_u64(7);
     let sens = SensitiveSet::select_random(&data, 4, 4, &mut rng).unwrap();
     let cfg = CahdConfig::new(4);
@@ -80,7 +82,7 @@ fn group_formation_allocates_per_published_row_not_per_split() {
         WeightedSimilarity::PresenceOverlap,
     ] {
         let (allocs, out) =
-            allocs_of(|| cahd_weighted_traced(&wdata, &sens, &cfg, similarity, &rec).unwrap());
+            allocs_of(|| cahd_weighted(&wdata, &sens, &cfg, similarity, &rec).unwrap());
         let groups = out.0.groups.len();
         assert!(
             allocs <= ceiling(n, groups),

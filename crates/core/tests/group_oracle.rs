@@ -1,7 +1,7 @@
 //! Every production grouping path against the literal Figs. 7/8 oracle
 //! (`common/fig8.rs`), byte for byte on seeded inputs:
 //!
-//! * [`cahd`] under each [`KernelMode`], over the rows as given;
+//! * [`cahd`] over the rows as given;
 //! * [`cahd_sharded`] with one shard;
 //! * the pipeline's clean-row [`Anonymizer::anonymize_rows`];
 //! * a [`StreamingAnonymizer`] whose one batch holds every row;
@@ -19,21 +19,16 @@ mod common;
 use cahd_core::shard::{cahd_sharded, ParallelConfig};
 use cahd_core::weighted::anonymize_weighted;
 use cahd_core::{
-    cahd, Anonymizer, AnonymizerConfig, CahdConfig, KernelMode, PublishedDataset, RecoveryConfig,
+    cahd, Anonymizer, AnonymizerConfig, CahdConfig, PublishedDataset, RecoveryConfig,
     StreamingAnonymizer, WeightedSimilarity,
 };
 use cahd_data::{profiles, SensitiveSet, TransactionSet, WeightedTransactionSet};
+use cahd_obs::Recorder;
 use cahd_rcm::{reduce_unsymmetric, UnsymOptions};
 use common::fig8::{fig8, release, Fig8};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-const MODES: [KernelMode; 3] = [
-    KernelMode::ForceSparse,
-    KernelMode::Adaptive,
-    KernelMode::ForceDense,
-];
 
 fn json(release: &PublishedDataset) -> String {
     serde_json::to_string(release).unwrap()
@@ -76,17 +71,20 @@ fn assert_paths_match_the_oracle(
     // The engine over the rows as given, which it takes to be in band order.
     let want = fig8(&rows, s, p, alpha);
     let want_json = json(&release(&rows, s, d, &want.groups, |t| t as u32));
-    for mode in MODES {
-        let (got, stats) = cahd(data, sens, &cfg.with_kernel(mode)).unwrap();
-        assert_eq!(json(&got), want_json, "cahd, {mode:?}");
-        assert_eq!(counters(&stats), oracle_counters(&want), "cahd, {mode:?}");
-    }
+    let (got, stats) = cahd(data, sens, &cfg).unwrap();
+    assert_eq!(json(&got), want_json, "cahd");
+    assert_eq!(counters(&stats), oracle_counters(&want), "cahd");
     let (got, stats) = cahd_sharded(data, sens, &cfg, &ParallelConfig::new(1, 2)).unwrap();
     assert_eq!(json(&got), want_json, "one shard");
     assert_eq!(counters(&stats.cahd), oracle_counters(&want), "one shard");
 
     // The pipeline paths, over the band order of their RCM phase.
-    let perm = reduce_unsymmetric(data.matrix(), UnsymOptions::default()).row_perm;
+    let perm = reduce_unsymmetric(
+        data.matrix(),
+        UnsymOptions::default(),
+        &Recorder::disabled(),
+    )
+    .row_perm;
     let band: Vec<Vec<u32>> = (0..n).map(|i| rows[perm.new_to_old(i)].clone()).collect();
     let want = fig8(&band, s, p, alpha);
     let want_json = json(&release(&band, s, d, &want.groups, |t| {
@@ -98,7 +96,12 @@ fn assert_paths_match_the_oracle(
     };
 
     let robust = Anonymizer::new(config)
-        .anonymize_rows(&rows, sens, &RecoveryConfig::strict())
+        .anonymize_rows(
+            &rows,
+            sens,
+            &RecoveryConfig::strict(),
+            &Recorder::disabled(),
+        )
         .unwrap();
     assert_eq!(json(&robust.result.published), want_json, "anonymize_rows");
     assert_eq!(
@@ -127,7 +130,8 @@ fn assert_paths_match_the_oracle(
         WeightedSimilarity::PresenceOverlap,
         WeightedSimilarity::MinCount,
     ] {
-        let (got, stats) = anonymize_weighted(&wdata, sens, &cfg, similarity).unwrap();
+        let (got, stats) =
+            anonymize_weighted(&wdata, sens, &cfg, similarity, &Recorder::disabled()).unwrap();
         let all_unit = got
             .groups
             .iter()

@@ -9,27 +9,20 @@
 //!
 //! 1. **score equivalence** — [`SimilarityKernel`] produces the same
 //!    score for every `(pivot, candidate)` pair as the reference
-//!    [`QidOverlapScorer`], item-for-item, in every mode;
+//!    [`QidOverlapScorer`], item-for-item;
 //! 2. **release equivalence** — the published dataset is byte-identical
-//!    (same serialized JSON) across kernel modes {reference/sparse,
-//!    adaptive, dense} and thread counts {1, 8}, at each shard count:
-//!    the kernel moves time, never output.
+//!    (same serialized JSON) across thread counts {1, 8}, at each shard
+//!    count.
 //!
 //! `CAHD_TEST_THREADS` (used by the CI matrix) adds one more thread count
 //! to the sweep, mirroring `parallel_equivalence.rs`.
 
-use cahd_core::kernel::{KernelMode, QidOverlapScorer, SimilarityKernel};
+use cahd_core::kernel::{QidOverlapScorer, SimilarityKernel};
 use cahd_core::shard::{cahd_sharded, ParallelConfig};
 use cahd_core::split::FlatRows;
 use cahd_core::CahdConfig;
 use cahd_data::{SensitiveSet, TransactionSet};
 use proptest::prelude::*;
-
-const MODES: [KernelMode; 3] = [
-    KernelMode::ForceSparse,
-    KernelMode::Adaptive,
-    KernelMode::ForceDense,
-];
 
 /// Thread counts the release sweep covers, plus the CI override.
 fn thread_counts() -> Vec<usize> {
@@ -107,68 +100,49 @@ proptest! {
             .collect();
         let n = rows.len();
         let flat = FlatRows::from_rows(&rows);
-        for mode in MODES {
-            let mut reference = QidOverlapScorer::new(&rows, d);
-            let mut kernel = SimilarityKernel::new(flat.rows(), d, mode);
-            let (mut want, mut got) = (Vec::new(), Vec::new());
-            for t in 0..n {
-                let candidates: Vec<usize> = (0..n).filter(|&c| c != t).collect();
-                reference.score(t, &candidates, &mut want);
-                kernel.score(t, &candidates, &mut got);
-                prop_assert_eq!(&got, &want, "mode {:?}, pivot {}", mode, t);
-            }
-            // Path accounting covers every score exactly once.
-            let stats = kernel.stats();
-            prop_assert_eq!(
-                stats.total_scores(),
-                (n * (n - 1)) as u64,
-                "mode {:?}: {:?}", mode, stats
-            );
-            prop_assert!(stats.cache_hits <= stats.dense_scores, "{:?}", stats);
-            match mode {
-                KernelMode::ForceSparse => prop_assert_eq!(stats.dense_scores, 0),
-                KernelMode::ForceDense => prop_assert_eq!(stats.sparse_scores, 0),
-                KernelMode::Adaptive => {}
-            }
+        let mut reference = QidOverlapScorer::new(&rows, d);
+        let mut kernel = SimilarityKernel::new(flat.rows(), d);
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        for t in 0..n {
+            let candidates: Vec<usize> = (0..n).filter(|&c| c != t).collect();
+            reference.score(t, &candidates, &mut want);
+            kernel.score(t, &candidates, &mut got);
+            prop_assert_eq!(&got, &want, "pivot {}", t);
         }
+        // Path accounting covers every score exactly once.
+        let stats = kernel.stats();
+        prop_assert_eq!(stats.total_scores(), (n * (n - 1)) as u64, "{:?}", stats);
+        prop_assert!(stats.cache_hits <= stats.dense_scores, "{:?}", stats);
     }
 
     #[test]
-    fn published_release_is_identical_across_modes_and_threads(
+    fn published_release_is_identical_across_threads(
         (data, sens, cfg) in arb_instance(),
         shards in (0usize..2).prop_map(|i| [1usize, 4][i]),
     ) {
         let counts = sens.occurrence_counts(&data);
         prop_assume!(counts.iter().all(|&c| c * cfg.p <= data.n_transactions()));
-        let base_cfg = cfg.with_kernel(KernelMode::ForceSparse);
         let (reference, ref_stats) =
-            cahd_sharded(&data, &sens, &base_cfg, &ParallelConfig::new(shards, 1)).unwrap();
+            cahd_sharded(&data, &sens, &cfg, &ParallelConfig::new(shards, 1)).unwrap();
         let reference_json = serde_json::to_string(&reference).unwrap();
-        for mode in MODES {
-            for threads in thread_counts() {
-                let (out, stats) = cahd_sharded(
-                    &data,
-                    &sens,
-                    &cfg.with_kernel(mode),
-                    &ParallelConfig::new(shards, threads),
-                )
-                .unwrap();
-                // Byte-identical release: same serialized bytes, not just
-                // structural equality.
-                let out_json = serde_json::to_string(&out).unwrap();
-                prop_assert_eq!(
-                    &out_json, &reference_json,
-                    "mode {:?}, shards {}, threads {}", mode, shards, threads
-                );
-                // The engine made the same decisions along the way.
-                prop_assert_eq!(
-                    stats.cahd.candidates_considered,
-                    ref_stats.cahd.candidates_considered,
-                    "mode {:?}, threads {}", mode, threads
-                );
-                prop_assert_eq!(stats.cahd.groups_formed, ref_stats.cahd.groups_formed);
-                prop_assert_eq!(stats.cahd.rollbacks, ref_stats.cahd.rollbacks);
-            }
+        for threads in thread_counts() {
+            let (out, stats) =
+                cahd_sharded(&data, &sens, &cfg, &ParallelConfig::new(shards, threads)).unwrap();
+            // Byte-identical release: same serialized bytes, not just
+            // structural equality.
+            let out_json = serde_json::to_string(&out).unwrap();
+            prop_assert_eq!(
+                &out_json, &reference_json,
+                "shards {}, threads {}", shards, threads
+            );
+            // The engine made the same decisions along the way.
+            prop_assert_eq!(
+                stats.cahd.candidates_considered,
+                ref_stats.cahd.candidates_considered,
+                "threads {}", threads
+            );
+            prop_assert_eq!(stats.cahd.groups_formed, ref_stats.cahd.groups_formed);
+            prop_assert_eq!(stats.cahd.rollbacks, ref_stats.cahd.rollbacks);
         }
     }
 }

@@ -4,21 +4,27 @@
 //!
 //! One `#[test]` on purpose: the allocator counters are process-global,
 //! so parallel tests in the same binary would contaminate each other's
-//! deltas. Three contracts are pinned here:
+//! deltas. Four contracts are pinned here:
 //!
-//! 1. **Zero cost when off** — a pipeline run with a disabled recorder
-//!    performs exactly the allocations of the untraced entry point.
+//! 1. **Nothing kept when off** — every pipeline run with a disabled
+//!    recorder performs exactly the same allocations.
 //! 2. **Coherent attribution when on** — a memory-tracking run emits a
 //!    `memory` section whose invariants (the `CAHD-O002` surface) hold,
 //!    for sequential, sharded and streaming/checkpoint execution.
 //! 3. **Cross-section agreement** — every memory window belongs to a
 //!    recorded wall-clock span, and the `mem.*` gauges never exceed the
 //!    snapshot totals.
+//! 4. **The weighted split belongs to its group phase** — the flat row
+//!    split of the weighted engine allocates inside `pipeline/group`, not
+//!    in the parent `pipeline` window.
 
 use cahd_core::pipeline::{Anonymizer, AnonymizerConfig};
 use cahd_core::shard::ParallelConfig;
+use cahd_core::split::RowSplit;
 use cahd_core::streaming::StreamingAnonymizer;
-use cahd_data::{ItemId, SensitiveSet, TransactionSet};
+use cahd_core::weighted::{anonymize_weighted, WeightedSimilarity};
+use cahd_core::CahdConfig;
+use cahd_data::{ItemId, SensitiveSet, TransactionSet, WeightedTransactionSet};
 use cahd_obs::{memtrack, Recorder, TraceReport, TrackingAllocator};
 
 #[global_allocator]
@@ -104,29 +110,30 @@ fn memory_observability_end_to_end() {
     let cfg = AnonymizerConfig::with_privacy_degree(P);
     let anon = Anonymizer::new(cfg);
 
-    // --- 1. zero cost when off ------------------------------------------
-    // Warm up caches and lazy initialization, then compare the untraced
-    // entry point against an explicit disabled-recorder traced run: the
-    // instrumentation must add no allocations when tracing is off.
+    // --- 1. nothing kept when off ---------------------------------------
+    // Warm up caches and lazy initialization, then compare two runs with
+    // a disabled recorder: tracing off must keep no state between runs.
     for _ in 0..2 {
-        anon.anonymize(&data, &sens).expect("feasible");
+        anon.anonymize(&data, &sens, &Recorder::disabled())
+            .expect("feasible");
     }
     let plain = alloc_delta(|| {
-        anon.anonymize(&data, &sens).expect("feasible");
+        anon.anonymize(&data, &sens, &Recorder::disabled())
+            .expect("feasible");
     });
     let disabled = alloc_delta(|| {
-        anon.anonymize_traced(&data, &sens, &Recorder::disabled())
+        anon.anonymize(&data, &sens, &Recorder::disabled())
             .expect("feasible");
     });
     assert_eq!(
         plain, disabled,
-        "disabled-recorder tracing changed the pipeline's allocations"
+        "a disabled recorder changed the pipeline's allocations"
     );
 
     // --- 2. sequential attribution --------------------------------------
     let rec = Recorder::new().with_memory();
-    let res = anon.anonymize_traced(&data, &sens, &rec).expect("feasible");
-    let report = res.trace.expect("traced run yields a report");
+    anon.anonymize(&data, &sens, &rec).expect("feasible");
+    let report = rec.snapshot();
     audit_memory(&report);
     let mem = report.memory.as_ref().expect("memory section present");
     for path in [
@@ -146,7 +153,7 @@ fn memory_observability_end_to_end() {
         AnonymizerConfig::with_privacy_degree(P).with_parallel(ParallelConfig::new(2, 2));
     let rec = Recorder::new().with_memory();
     Anonymizer::new(sharded_cfg)
-        .anonymize_traced(&data, &sens, &rec)
+        .anonymize(&data, &sens, &rec)
         .expect("feasible");
     let report = rec.snapshot();
     audit_memory(&report);
@@ -179,4 +186,42 @@ fn memory_observability_end_to_end() {
     let mem = report.memory.as_ref().expect("memory section present");
     let root = mem.span("pipeline").expect("batched pipeline windows");
     assert!(root.count >= 2, "expected multiple batch windows");
+
+    // --- 5. weighted split inside pipeline/group -------------------------
+    let counted: Vec<Vec<(ItemId, u32)>> = rows()
+        .iter()
+        .enumerate()
+        .map(|(t, row)| row.iter().map(|&i| (i, 1 + (t as u32 + i) % 3)).collect())
+        .collect();
+    let wdata = WeightedTransactionSet::from_rows(&counted, D);
+    let (_, split_bytes) = alloc_delta(|| drop(RowSplit::of_weighted(&wdata, &sens)));
+    let rec = Recorder::new().with_memory();
+    anonymize_weighted(
+        &wdata,
+        &sens,
+        &CahdConfig::new(P),
+        WeightedSimilarity::MinCount,
+        &rec,
+    )
+    .expect("feasible");
+    let report = rec.snapshot();
+    audit_memory(&report);
+    let mem = report.memory.as_ref().expect("memory section present");
+    let root = mem.span("pipeline").expect("weighted pipeline window");
+    let group = mem.span("pipeline/group").expect("weighted group window");
+    let children: u64 = mem
+        .span_children("pipeline")
+        .iter()
+        .map(|w| w.alloc_bytes)
+        .sum();
+    assert!(
+        group.alloc_bytes >= split_bytes,
+        "pipeline/group allocated {} bytes, the split alone {split_bytes}",
+        group.alloc_bytes
+    );
+    assert!(
+        root.alloc_bytes - children < split_bytes,
+        "pipeline allocated {} bytes outside its phases, the split {split_bytes}",
+        root.alloc_bytes - children
+    );
 }

@@ -20,6 +20,7 @@ use cahd_core::streaming::{ReleaseChunk, StreamingAnonymizer};
 use cahd_core::verify::verify_all;
 use cahd_core::CahdConfig;
 use cahd_data::{ItemId, SensitiveSet, TransactionSet};
+use cahd_obs::Recorder;
 use proptest::prelude::*;
 
 /// A random raw-row instance with `p in {2,4,8}` and `alpha in {2,3}`
@@ -101,7 +102,12 @@ fn run_interrupted(
             drop(s); // the killed process
             let json = serde_json::to_string(&cp).expect("checkpoint serializes");
             let cp: StreamingCheckpoint = serde_json::from_str(&json).expect("and parses back");
-            s = StreamingAnonymizer::resume(anonymizer_config(cfg), sens.clone(), &cp)?;
+            s = StreamingAnonymizer::resume(
+                anonymizer_config(cfg),
+                sens.clone(),
+                &cp,
+                &Recorder::disabled(),
+            )?;
             assert_eq!(
                 s.next_stream_id() as usize,
                 pushed,
@@ -196,7 +202,7 @@ proptest! {
             matches!(err, CahdError::CorruptCheckpoint { .. }),
             "{:?}", err
         );
-        let err = StreamingAnonymizer::resume(anonymizer_config(&cfg), sens.clone(), &bad)
+        let err = StreamingAnonymizer::resume(anonymizer_config(&cfg), sens.clone(), &bad, &Recorder::disabled())
             .expect_err("resume refuses a tampered checkpoint");
         prop_assert!(matches!(err, CahdError::CorruptCheckpoint { .. }));
     }

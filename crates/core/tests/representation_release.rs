@@ -12,6 +12,7 @@ use cahd_core::pipeline::{Anonymizer, AnonymizerConfig};
 use cahd_core::shard::ParallelConfig;
 use cahd_core::CahdConfig;
 use cahd_data::{SensitiveSet, TransactionSet};
+use cahd_obs::Recorder;
 use cahd_rcm::{OrderingStrategy, RowGraphMode};
 use proptest::prelude::*;
 
@@ -66,7 +67,7 @@ proptest! {
                     if threads > 1 {
                         cfg = cfg.with_parallel(ParallelConfig::new(1, threads));
                     }
-                    let res = Anonymizer::new(cfg).anonymize(&data, &sens).unwrap();
+                    let res = Anonymizer::new(cfg).anonymize(&data, &sens, &Recorder::disabled()).unwrap();
                     let band = res.band.as_ref().expect("RCM phase ran");
                     prop_assert_eq!(
                         band.used_explicit_aat,

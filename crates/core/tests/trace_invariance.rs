@@ -70,10 +70,10 @@ fn traced_report(
     let rec = Recorder::new();
     let mut config = AnonymizerConfig::with_privacy_degree(cfg.p).with_parallel(parallel);
     config.cahd = cfg;
-    let res = Anonymizer::new(config)
-        .anonymize_traced(data, sens, &rec)
+    Anonymizer::new(config)
+        .anonymize(data, sens, &rec)
         .expect("instance was assumed feasible");
-    let trace = res.trace.expect("enabled recorder yields a trace");
+    let trace = rec.snapshot();
     assert!(
         trace.consistency_findings().is_empty(),
         "{:?}",

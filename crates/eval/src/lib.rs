@@ -22,13 +22,11 @@ pub mod adversary;
 pub mod attack;
 pub mod bootstrap;
 pub mod cells;
-pub mod estimate;
 pub mod kl;
 pub mod mining;
 pub mod query;
 pub mod reconstruct;
 pub mod reident;
-pub mod rules;
 pub mod runner;
 
 pub use adversary::{
@@ -38,7 +36,6 @@ pub use adversary::{
 };
 pub use attack::{attack_published, attack_raw, AttackOutcome};
 pub use bootstrap::{bootstrap_mean_ci, paired_bootstrap_less, BootstrapInterval};
-pub use estimate::{estimate_count, CountEstimate};
 pub use kl::{kl_divergence, DEFAULT_SMOOTHING};
 pub use mining::{frequent_itemsets, top_k_itemsets, Itemset};
 pub use query::{
@@ -46,7 +43,6 @@ pub use query::{
 };
 pub use reconstruct::{actual_pdf, estimated_pdf, WorkloadIndex};
 pub use reident::reidentification_probability;
-pub use rules::{confidence_error, mine_rules, published_confidence, AssociationRule};
 pub use runner::{
     average_relative_error, evaluate_workload, evaluate_workload_traced, workload_kls,
     ReconstructionSummary,

@@ -3,9 +3,7 @@
 use cahd_core::{cahd, AnonymizedGroup, CahdConfig, PublishedDataset};
 use cahd_data::{SensitiveSet, TransactionSet};
 use cahd_eval::cells::{cell_of, n_cells};
-use cahd_eval::estimate::estimate_count;
 use cahd_eval::mining::{frequent_itemsets, itemset_support};
-use cahd_eval::rules::mine_rules;
 use cahd_eval::{actual_pdf, estimated_pdf, kl_divergence, GroupByQuery, DEFAULT_SMOOTHING};
 use proptest::prelude::*;
 
@@ -55,18 +53,6 @@ proptest! {
     }
 
     #[test]
-    fn estimated_count_matches_pdf_mass(data in arb_data(), s in 0u32..12, chunk in 1usize..6) {
-        // estimate_count with an empty predicate must equal the total
-        // occurrences; with one item it equals sum over groups a*b/|G|.
-        let sens = SensitiveSet::new(vec![s], 12);
-        let published = chunk_release(&data, &sens, chunk);
-        let total: u32 = published.total_sensitive_count(s);
-        let est = estimate_count(&published, s, &[]);
-        prop_assert!((est.estimate - total as f64).abs() < 1e-9);
-        prop_assert!(est.variance >= -1e-12);
-    }
-
-    #[test]
     fn apriori_matches_brute_force(data in arb_data(), min_sup in 1usize..4) {
         let sets = frequent_itemsets(&data, min_sup, 3);
         for set in &sets {
@@ -89,20 +75,6 @@ proptest! {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn rules_have_consistent_statistics(data in arb_data()) {
-        let rules = mine_rules(&data, 2, 0.0, 3);
-        for r in &rules {
-            prop_assert!((0.0..=1.0 + 1e-12).contains(&r.confidence));
-            let mut items = r.antecedent.clone();
-            items.push(r.consequent);
-            items.sort_unstable();
-            prop_assert_eq!(r.support, itemset_support(&data, &items));
-            let asup = itemset_support(&data, &r.antecedent);
-            prop_assert!((r.confidence - r.support as f64 / asup as f64).abs() < 1e-12);
         }
     }
 

@@ -13,9 +13,8 @@
 //! * [`unsym`] — bandwidth reduction for *unsymmetric* (rectangular)
 //!   matrices via the `A x A^T` pattern (Fig. 5 of the paper), including the
 //!   column-ordering strategies used for reporting and visualization,
-//! * [`ordering`] — alternative row orderings (MinHash signatures,
-//!   lexicographic) implementing the paper's dimensionality-reduction
-//!   future-work direction, comparable against RCM,
+//! * [`ordering`] — the MinHash-signature cluster ordering and the
+//!   identity-vs-RCM selector of the `ext-orderings` experiment,
 //! * [`strategy`] — the [`OrderingStrategy`] run-time selector
 //!   (`--ordering {rcm,bfs,cluster}`).
 //!
@@ -36,14 +35,9 @@ pub mod strategy;
 pub mod unsym;
 
 pub use cahd_sparse::RowGraphMode;
-pub use ordering::{
-    cluster_order, lexicographic_order, minhash_order, RowOrder, CLUSTER_HASHES, CLUSTER_SEED,
-};
+pub use ordering::{cluster_order, RowOrder, CLUSTER_HASHES, CLUSTER_SEED};
 pub use parallel::{
     band_order, band_order_traced, band_order_with, PARALLEL_FRONTIER_MIN, PARALLEL_THREADS_MIN,
 };
 pub use strategy::OrderingStrategy;
-pub use unsym::{
-    reduce_unsymmetric, reduce_unsymmetric_traced, AatMethod, BandReduction, ColumnOrder,
-    UnsymOptions,
-};
+pub use unsym::{reduce_unsymmetric, AatMethod, BandReduction, ColumnOrder, UnsymOptions};

@@ -1,16 +1,12 @@
-//! Alternative row-ordering strategies.
+//! Row orderings outside the Cuthill-McKee engine.
 //!
-//! The paper's future work proposes "dimensionality-reduction techniques
-//! for more effective anonymization". This module implements two such
-//! orderings as drop-in alternatives to RCM, so their band quality and
-//! downstream anonymization utility can be compared (see the
-//! `ext-orderings` experiment):
-//!
-//! * [`minhash_order`] — per-row MinHash signatures sorted
-//!   lexicographically: rows with high Jaccard similarity receive similar
-//!   signatures and end up nearby. Linear time, no graph construction.
-//! * [`lexicographic_order`] — rows sorted by their item lists. A cheap
-//!   straw-man that clusters shared *prefixes* only.
+//! * [`cluster_order`] — the cluster-then-order strategy
+//!   ([`crate::OrderingStrategy::Cluster`]): per-row MinHash signatures
+//!   sorted lexicographically, so rows with high Jaccard similarity
+//!   receive similar signatures and end up nearby. Linear time, no graph
+//!   construction.
+//! * [`RowOrder`] — the identity order against RCM, the pair the
+//!   `ext-orderings` experiment compares on band locality and utility.
 //!
 //! Both return a [`Permutation`] in the same convention as
 //! [`crate::band_order`].
@@ -24,34 +20,22 @@ pub enum RowOrder {
     Identity,
     /// Reverse Cuthill-McKee on the `A x A^T` pattern (the paper's method).
     Rcm,
-    /// MinHash-signature lexicographic order.
-    MinHash,
-    /// Sort rows by item list.
-    Lexicographic,
 }
 
 impl RowOrder {
     /// Every strategy, for sweeps.
-    pub const ALL: [RowOrder; 4] = [
-        RowOrder::Identity,
-        RowOrder::Rcm,
-        RowOrder::MinHash,
-        RowOrder::Lexicographic,
-    ];
+    pub const ALL: [RowOrder; 2] = [RowOrder::Identity, RowOrder::Rcm];
 
     /// Display name.
     pub fn name(self) -> &'static str {
         match self {
             RowOrder::Identity => "identity",
             RowOrder::Rcm => "rcm",
-            RowOrder::MinHash => "minhash",
-            RowOrder::Lexicographic => "lex",
         }
     }
 
     /// Computes the row permutation of `a` under this strategy.
-    /// `seed` only affects [`RowOrder::MinHash`].
-    pub fn order(self, a: &CsrMatrix, seed: u64) -> Permutation {
+    pub fn order(self, a: &CsrMatrix) -> Permutation {
         match self {
             RowOrder::Identity => Permutation::identity(a.n_rows()),
             RowOrder::Rcm => {
@@ -65,8 +49,6 @@ impl RowOrder {
                 );
                 crate::parallel::band_order(&g, crate::OrderingStrategy::Rcm, 1)
             }
-            RowOrder::MinHash => minhash_order(a, 8, seed),
-            RowOrder::Lexicographic => lexicographic_order(a),
         }
     }
 }
@@ -78,16 +60,6 @@ fn splitmix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
     x ^ (x >> 31)
-}
-
-/// Orders rows by lexicographic comparison of their `n_hashes`-long MinHash
-/// signatures. Empty rows sort last; ties keep input order (stable).
-///
-/// # Panics
-/// Panics if `n_hashes == 0`.
-pub fn minhash_order(a: &CsrMatrix, n_hashes: usize, seed: u64) -> Permutation {
-    assert!(n_hashes > 0, "need at least one hash function");
-    signature_order(a, n_hashes, seed, 1)
 }
 
 /// Fixed seed of the [`cluster_order`] hash family. Pinned so the
@@ -114,8 +86,9 @@ pub fn cluster_order(a: &CsrMatrix, threads: usize) -> Permutation {
 }
 
 /// Rows sorted by their `h`-long MinHash signatures under the hash family
-/// seeded by `seed`, with signature ties broken by row id. The signatures
-/// are filled over contiguous row chunks by up to `threads` workers.
+/// seeded by `seed`, with signature ties broken by row id; empty rows sort
+/// last. The signatures are filled over contiguous row chunks by up to
+/// `threads` workers.
 fn signature_order(a: &CsrMatrix, h: usize, seed: u64, threads: usize) -> Permutation {
     let n = a.n_rows();
     let hash_seeds: Vec<u64> = (0..h as u64)
@@ -155,14 +128,6 @@ fn signature_order(a: &CsrMatrix, h: usize, seed: u64, threads: usize) -> Permut
         let sy = &sig[y as usize * h..(y as usize + 1) * h];
         sx.cmp(sy).then(x.cmp(&y))
     });
-    // cahd-lint: allow(L003, reason = "order is a sort of 0..n, which is a permutation by construction")
-    Permutation::from_new_to_old(order).expect("sorted indices are a permutation")
-}
-
-/// Orders rows by their sorted item lists (empty rows first).
-pub fn lexicographic_order(a: &CsrMatrix) -> Permutation {
-    let mut order: Vec<u32> = (0..a.n_rows() as u32).collect();
-    order.sort_by(|&x, &y| a.row(x as usize).cmp(a.row(y as usize)).then(x.cmp(&y)));
     // cahd-lint: allow(L003, reason = "order is a sort of 0..n, which is a permutation by construction")
     Permutation::from_new_to_old(order).expect("sorted indices are a permutation")
 }
@@ -213,7 +178,7 @@ mod tests {
     #[test]
     fn minhash_groups_similar_rows() {
         let a = blocks();
-        let p = minhash_order(&a, 16, 7);
+        let p = signature_order(&a, 16, 7, 1);
         let pa = positions(&p, &[0, 2, 4]);
         assert!(
             pa == vec![0, 1, 2] || pa == vec![3, 4, 5],
@@ -239,15 +204,15 @@ mod tests {
             ),
         ];
         for (a, h8_seed1, h16_seed7) in cases {
-            assert_eq!(minhash_order(&a, 8, 1).new_to_old_slice(), h8_seed1);
-            assert_eq!(minhash_order(&a, 16, 7).new_to_old_slice(), h16_seed7);
+            assert_eq!(signature_order(&a, 8, 1, 1).new_to_old_slice(), h8_seed1);
+            assert_eq!(signature_order(&a, 16, 7, 1).new_to_old_slice(), h16_seed7);
         }
     }
 
     #[test]
     fn identical_rows_are_adjacent_under_minhash() {
         let a = CsrMatrix::from_rows(&[vec![5], vec![1, 2], vec![5], vec![1, 2]], 6);
-        let p = minhash_order(&a, 8, 3);
+        let p = signature_order(&a, 8, 3, 1);
         assert_eq!(
             p.old_to_new(0).abs_diff(p.old_to_new(2)),
             1,
@@ -257,22 +222,14 @@ mod tests {
     }
 
     #[test]
-    fn lexicographic_sorts_by_items() {
-        let a = CsrMatrix::from_rows(&[vec![2], vec![0, 1], vec![], vec![0]], 3);
-        let p = lexicographic_order(&a);
-        // Empty first, then [0], [0,1], [2].
-        assert_eq!(p.new_to_old_slice(), &[2, 3, 1, 0]);
-    }
-
-    #[test]
     fn all_strategies_produce_valid_permutations() {
         let a = blocks();
         for strat in RowOrder::ALL {
-            let p = strat.order(&a, 11);
+            let p = strat.order(&a);
             assert_eq!(p.len(), a.n_rows(), "{}", strat.name());
             assert!(p.then(&p.inverse()).is_identity());
         }
-        assert!(RowOrder::Identity.order(&a, 0).is_identity());
+        assert!(RowOrder::Identity.order(&a).is_identity());
     }
 
     #[test]

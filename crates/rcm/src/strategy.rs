@@ -1,7 +1,7 @@
 //! Run-time selection of the band-reducing row-ordering strategy.
 //!
-//! Mirrors the `KernelMode` pattern of `cahd-core`: a small enum with a
-//! canonical name per variant, parseable from `--ordering`. The caller's
+//! A small enum with a canonical name per variant, parseable from
+//! `--ordering`. The caller's
 //! [`crate::UnsymOptions::ordering`] is the only way to choose one.
 
 /// Which band-reducing row ordering the unsymmetric reduction runs.

@@ -128,13 +128,10 @@ impl BandReduction {
     }
 }
 
-/// Runs the paper's unsymmetric bandwidth-reduction pipeline on `a`.
-pub fn reduce_unsymmetric(a: &CsrMatrix, opts: UnsymOptions) -> BandReduction {
-    reduce_unsymmetric_traced(a, opts, &cahd_obs::Recorder::disabled())
-}
-
-/// Like [`reduce_unsymmetric`], recording per-phase spans and band metrics
-/// into `rec`:
+/// Runs the paper's unsymmetric bandwidth-reduction pipeline on `a`,
+/// recording per-phase spans and band metrics into `rec` (pass
+/// [`Recorder::disabled`](cahd_obs::Recorder::disabled) to record
+/// nothing):
 ///
 /// * spans `pipeline/rcm` (whole reduction) with children
 ///   `pipeline/rcm/aat_build` (column compaction and row-graph
@@ -146,7 +143,7 @@ pub fn reduce_unsymmetric(a: &CsrMatrix, opts: UnsymOptions) -> BandReduction {
 /// * gauges `rcm.bandwidth_before` / `rcm.bandwidth_after` (the
 ///   [`RectBandStats::max_diag_distance`] rectangular-bandwidth analogue)
 ///   and `rcm.mean_row_span_before` / `rcm.mean_row_span_after`.
-pub fn reduce_unsymmetric_traced(
+pub fn reduce_unsymmetric(
     a: &CsrMatrix,
     opts: UnsymOptions,
     rec: &cahd_obs::Recorder,
@@ -329,6 +326,7 @@ fn expand_column_order(mut placed: Vec<u32>, d: usize) -> Permutation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cahd_obs::Recorder;
 
     /// A block-structured matrix scrambled by an interleaving row order:
     /// rows 0,2,4 use items {0,1,2}; rows 1,3,5 use items {3,4,5}.
@@ -349,7 +347,7 @@ mod tests {
     #[test]
     fn blocks_are_grouped() {
         let a = scrambled_blocks();
-        let red = reduce_unsymmetric(&a, UnsymOptions::default());
+        let red = reduce_unsymmetric(&a, UnsymOptions::default(), &Recorder::disabled());
         // After RCM the two blocks must be contiguous in row order: the
         // positions of even (block A) rows must be {0,1,2} or {3,4,5}.
         let mut pos_a: Vec<usize> = [0usize, 2, 4]
@@ -368,7 +366,7 @@ mod tests {
     #[test]
     fn column_order_mean_groups_items() {
         let a = scrambled_blocks();
-        let red = reduce_unsymmetric(&a, UnsymOptions::default());
+        let red = reduce_unsymmetric(&a, UnsymOptions::default(), &Recorder::disabled());
         // Items of the first row block should occupy the first 3 column
         // positions (whichever block comes first).
         let col_perm = red.col_perm();
@@ -400,6 +398,7 @@ mod tests {
                 edge_budget: usize::MAX,
                 ..Default::default()
             },
+            &Recorder::disabled(),
         );
         let implicit = reduce_unsymmetric(
             &a,
@@ -407,6 +406,7 @@ mod tests {
                 edge_budget: 0,
                 ..Default::default()
             },
+            &Recorder::disabled(),
         );
         assert!(explicit.used_explicit_aat);
         assert!(!implicit.used_explicit_aat);
@@ -420,7 +420,7 @@ mod tests {
     #[test]
     fn threaded_aat_build_gives_identical_reduction() {
         let a = scrambled_blocks();
-        let seq = reduce_unsymmetric(&a, UnsymOptions::default());
+        let seq = reduce_unsymmetric(&a, UnsymOptions::default(), &Recorder::disabled());
         for threads in [2usize, 4, 16] {
             let par = reduce_unsymmetric(
                 &a,
@@ -428,6 +428,7 @@ mod tests {
                     threads,
                     ..Default::default()
                 },
+                &Recorder::disabled(),
             );
             assert_eq!(
                 seq.row_perm.new_to_old_slice(),
@@ -446,7 +447,7 @@ mod tests {
     fn traced_reduction_records_phases_and_gauges() {
         let a = scrambled_blocks();
         let rec = cahd_obs::Recorder::new();
-        let red = reduce_unsymmetric_traced(&a, UnsymOptions::default(), &rec);
+        let red = reduce_unsymmetric(&a, UnsymOptions::default(), &rec);
         let report = rec.snapshot();
         for path in [
             "pipeline/rcm",
@@ -468,8 +469,9 @@ mod tests {
             "{:?}",
             report.consistency_findings()
         );
-        // The untraced entry point is the disabled-recorder special case.
-        let plain = reduce_unsymmetric(&a, UnsymOptions::default());
+        // Recording never changes the order: a disabled recorder gives the
+        // same permutation.
+        let plain = reduce_unsymmetric(&a, UnsymOptions::default(), &Recorder::disabled());
         assert_eq!(
             plain.row_perm.new_to_old_slice(),
             red.row_perm.new_to_old_slice()
@@ -485,6 +487,7 @@ mod tests {
                 aat_method: AatMethod::Sum,
                 ..Default::default()
             },
+            &Recorder::disabled(),
         );
         assert_eq!(red.row_perm.len(), a.n_rows());
         let col_perm = red.col_perm();
@@ -506,13 +509,14 @@ mod tests {
             .map(|i| vec![(i / 3) * 4, (i / 3) * 4 + 1, (i / 3) * 4 + 3])
             .collect();
         let a = CsrMatrix::from_rows(&rows, 40);
-        let product = reduce_unsymmetric(&a, UnsymOptions::default());
+        let product = reduce_unsymmetric(&a, UnsymOptions::default(), &Recorder::disabled());
         let sum = reduce_unsymmetric(
             &a,
             UnsymOptions {
                 aat_method: AatMethod::Sum,
                 ..Default::default()
             },
+            &Recorder::disabled(),
         );
         assert!(
             product.after.mean_row_span <= sum.after.mean_row_span + 1e-9,

@@ -155,7 +155,7 @@ proptest! {
 
     #[test]
     fn compacted_reduction_matches_the_dense_reference(a in arb_matrix()) {
-        let reduce = |rowgraph| reduce_unsymmetric(&a, UnsymOptions { rowgraph, ..Default::default() });
+        let reduce = |rowgraph| reduce_unsymmetric(&a, UnsymOptions { rowgraph, ..Default::default() }, &Recorder::disabled());
         let explicit = reduce(RowGraphMode::Explicit);
         let implicit = reduce(RowGraphMode::Implicit);
         prop_assert_eq!(&explicit.row_perm, &implicit.row_perm);

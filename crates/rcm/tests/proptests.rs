@@ -2,6 +2,7 @@
 
 mod common;
 
+use cahd_obs::Recorder;
 use cahd_rcm::{band_order, reduce_unsymmetric, OrderingStrategy, UnsymOptions};
 use cahd_sparse::bandwidth::graph_band_stats;
 use cahd_sparse::{CsrMatrix, Graph, Permutation};
@@ -64,7 +65,7 @@ proptest! {
         rows in proptest::collection::vec(proptest::collection::vec(0u32..15, 0..6), 1..20)
     ) {
         let a = CsrMatrix::from_rows(&rows, 15);
-        let red = reduce_unsymmetric(&a, UnsymOptions::default());
+        let red = reduce_unsymmetric(&a, UnsymOptions::default(), &Recorder::disabled());
         prop_assert_eq!(red.row_perm.len(), a.n_rows());
         let col_perm = red.col_perm();
         prop_assert_eq!(col_perm.len(), a.n_cols());

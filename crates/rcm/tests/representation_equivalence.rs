@@ -251,8 +251,7 @@ proptest! {
                             ordering: strategy,
                             rowgraph: mode,
                             ..Default::default()
-                        },
-                    );
+                        }, &Recorder::disabled());
                     prop_assert_eq!(
                         red.used_explicit_aat,
                         mode == RowGraphMode::Explicit,

@@ -716,7 +716,8 @@ fn class_degree_chunk(
 }
 
 /// Representation-selection policy for [`RowGraph::build_mode_traced`].
-/// Mirrors the `KernelMode` pattern: parseable from `--rowgraph`.
+/// A small enum with a canonical name per variant, parseable from
+/// `--rowgraph`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RowGraphMode {
     /// Materialize only when the estimated directed-edge count fits the

@@ -17,7 +17,11 @@ fn main() {
         // 1000 x 1000 Quest data with ~20 items per transaction, exactly
         // like the paper's Fig. 6 workload.
         let data = cahd::data::profiles::fig6_like(corr, 2026);
-        let red = reduce_unsymmetric(data.matrix(), UnsymOptions::default());
+        let red = reduce_unsymmetric(
+            data.matrix(),
+            UnsymOptions::default(),
+            &Recorder::disabled(),
+        );
 
         println!("=== correlation {corr:.1} ===");
         println!(
@@ -59,7 +63,11 @@ fn main() {
     // Why the band matters: neighboring rows share items, so CAHD groups
     // of adjacent rows have high QID overlap and low reconstruction error.
     let data = cahd::data::profiles::fig6_like(0.9, 2026);
-    let red = reduce_unsymmetric(data.matrix(), UnsymOptions::default());
+    let red = reduce_unsymmetric(
+        data.matrix(),
+        UnsymOptions::default(),
+        &Recorder::disabled(),
+    );
     let permuted = data.permute(&red.row_perm);
     let mut overlap_band = 0usize;
     let mut overlap_orig = 0usize;

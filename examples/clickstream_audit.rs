@@ -35,7 +35,11 @@ fn main() {
 
     println!("\nutility comparison (mean KL over 100 queries, r = 4):");
     println!("{:>4}  {:>8}  {:>8}  {:>8}", "p", "CAHD", "PM", "Random");
-    let band = reduce_unsymmetric(data.matrix(), UnsymOptions::default());
+    let band = reduce_unsymmetric(
+        data.matrix(),
+        UnsymOptions::default(),
+        &Recorder::disabled(),
+    );
     let permuted = data.permute(&band.row_perm);
     for p in [5usize, 10, 20] {
         // CAHD on the band-ordered data.

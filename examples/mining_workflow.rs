@@ -2,16 +2,14 @@
 //! *published* data and compare with ground truth.
 //!
 //! Pipeline: synthesize a basket log -> anonymize with CAHD (p = 10) ->
-//! mine frequent itemsets and association rules on both sides -> report
-//! what survived exactly (QID-only patterns) and how accurate the
-//! estimated sensitive rules are.
+//! mine frequent itemsets on the original data -> check that every
+//! QID-only itemset keeps its exact support in the release.
 //!
 //! ```sh
 //! cargo run --release --example mining_workflow
 //! ```
 
 use cahd::eval::mining::{published_qid_support, top_k_itemsets};
-use cahd::eval::rules::{confidence_error, mine_rules, published_confidence};
 use cahd::prelude::*;
 
 fn main() {
@@ -22,7 +20,7 @@ fn main() {
     let sensitive = SensitiveSet::select_random(&data, 10, 20, &mut rng).unwrap();
     let p = 10;
     let release = Anonymizer::new(AnonymizerConfig::with_privacy_degree(p))
-        .anonymize(&data, &sensitive)
+        .anonymize(&data, &sensitive, &Recorder::disabled())
         .unwrap()
         .published;
     verify_published(&data, &sensitive, &release, p).unwrap();
@@ -47,63 +45,5 @@ fn main() {
             if ok { "(exact)" } else { "(MISMATCH!)" }
         );
     }
-    println!("-> {preserved} QID itemsets preserved exactly\n");
-
-    // --- Association rules: QID rules exact; sensitive-consequent rules
-    // estimated with bounded error.
-    let min_support = (data.n_transactions() / 200).max(3);
-    let rules = mine_rules(&data, min_support, 0.3, 3);
-    println!(
-        "mined {} rules (support >= {min_support}, confidence >= 0.3)",
-        rules.len()
-    );
-
-    let qid_rules: Vec<_> = rules
-        .iter()
-        .filter(|r| {
-            !sensitive.contains(r.consequent)
-                && r.antecedent.iter().all(|&i| !sensitive.contains(i))
-        })
-        .cloned()
-        .collect();
-    let sens_rules: Vec<_> = rules
-        .iter()
-        .filter(|r| {
-            sensitive.contains(r.consequent) && r.antecedent.iter().all(|&i| !sensitive.contains(i))
-        })
-        .cloned()
-        .collect();
-    if let Some(err) = confidence_error(&data, &release, &qid_rules) {
-        println!(
-            "QID-only rules ({}): mean confidence error {err:.6}",
-            qid_rules.len()
-        );
-    }
-    match confidence_error(&data, &release, &sens_rules) {
-        Some(err) => println!(
-            "sensitive-consequent rules ({}): mean confidence error {err:.4}",
-            sens_rules.len()
-        ),
-        None => println!("no sensitive-consequent rules above thresholds"),
-    }
-
-    // --- A single rule, end to end, with the analytic uncertainty the
-    // release supports (hypergeometric CI on the joint count).
-    if let Some(rule) = sens_rules.first() {
-        let est_conf = published_confidence(&release, rule).unwrap();
-        let ce = cahd::eval::estimate_count(&release, rule.consequent, &rule.antecedent);
-        let (lo, hi) = ce.interval(1.96);
-        println!(
-            "\nexample sensitive rule {:?} -> {}: actual confidence {:.3}, \
-             estimated {:.3}; joint count {} estimated as {:.2} (95% CI {:.2}..{:.2})",
-            rule.antecedent,
-            rule.consequent,
-            rule.confidence,
-            est_conf,
-            rule.support,
-            ce.estimate,
-            lo,
-            hi
-        );
-    }
+    println!("-> {preserved} QID itemsets preserved exactly");
 }

@@ -27,7 +27,7 @@ fn main() {
     //    to a sensitive item with probability above 1/10.
     let p = 10;
     let result = Anonymizer::new(AnonymizerConfig::with_privacy_degree(p))
-        .anonymize(&data, &sensitive)
+        .anonymize(&data, &sensitive, &Recorder::disabled())
         .expect("feasible: sensitive supports are bounded");
 
     println!(

@@ -79,6 +79,7 @@ fn main() {
         &sensitive,
         &CahdConfig::new(p),
         WeightedSimilarity::MinCount,
+        &Recorder::disabled(),
     )
     .expect("support-bounded sensitive titles keep p feasible");
     verify_weighted(&ratings, &sensitive, &release, p).expect("release is valid");

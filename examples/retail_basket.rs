@@ -97,7 +97,7 @@ fn main() {
     // --- Anonymize.
     let p = 10;
     let result = Anonymizer::new(AnonymizerConfig::with_privacy_degree(p))
-        .anonymize(&data, &sensitive)
+        .anonymize(&data, &sensitive, &Recorder::disabled())
         .expect("2% sensitive incidence keeps p = 10 feasible");
     verify_published(&data, &sensitive, &result.published, p).unwrap();
     println!(

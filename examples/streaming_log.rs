@@ -3,8 +3,7 @@
 //! A retailer releases anonymized batches continuously instead of
 //! re-processing the full history. Demonstrates the
 //! [`StreamingAnonymizer`]: batch releases, burst carry-over when a
-//! sensitive item spikes, and suppression as the last-resort repair for a
-//! final infeasible flush.
+//! sensitive item spikes, and the error a final infeasible flush reports.
 //!
 //! ```sh
 //! cargo run --release --example streaming_log
@@ -59,7 +58,7 @@ fn main() {
         stream.carried_over()
     );
 
-    // Final flush; if the tail is infeasible, suppress and retry manually.
+    // Final flush; an infeasible tail is an error the caller handles.
     match stream.finish() {
         Ok(Some(chunk)) => {
             println!(
@@ -75,7 +74,7 @@ fn main() {
         }) => {
             println!(
                 "final batch infeasible (item {item}: {support} of {n}); \
-                 a real deployment would suppress via enforce_feasibility"
+                 its rows stay unreleased"
             );
         }
         Err(e) => println!("final batch failed: {e}"),

@@ -17,6 +17,7 @@
 //! | [`core`] | `cahd-core` | privacy model, the CAHD heuristic, pipeline, verifier |
 //! | [`baselines`] | `cahd-baselines` | PermMondrian and random (Anatomy-style) grouping |
 //! | [`eval`] | `cahd-eval` | group-by queries, PDF reconstruction, KL divergence, re-identification |
+//! | [`obs`] | `cahd-obs` | the `Recorder` every entry point records its spans and counters into |
 //!
 //! # Quick start
 //!
@@ -33,7 +34,7 @@
 //!
 //! // Anonymize with privacy degree 10: band-matrix reorganization + CAHD.
 //! let result = Anonymizer::new(AnonymizerConfig::with_privacy_degree(10))
-//!     .anonymize(&data, &sensitive)
+//!     .anonymize(&data, &sensitive, &Recorder::disabled())
 //!     .unwrap();
 //!
 //! // Independently verify the release.
@@ -45,6 +46,7 @@ pub use cahd_baselines as baselines;
 pub use cahd_core as core;
 pub use cahd_data as data;
 pub use cahd_eval as eval;
+pub use cahd_obs as obs;
 pub use cahd_rcm as rcm;
 pub use cahd_sparse as sparse;
 
@@ -56,15 +58,16 @@ pub mod prelude {
     // crate itself.
     pub use cahd_core::cahd::cahd;
     pub use cahd_core::{
-        cahd_sharded, enforce_feasibility, privacy_report, verify_published, AnonymizedGroup,
-        Anonymizer, AnonymizerConfig, CahdConfig, CahdError, ParallelConfig, PrivacyReport,
-        PublishedDataset, ShardedStats, StreamingAnonymizer, SuppressionReport,
+        cahd_sharded, privacy_report, verify_published, AnonymizedGroup, Anonymizer,
+        AnonymizerConfig, CahdConfig, CahdError, ParallelConfig, PrivacyReport, PublishedDataset,
+        ShardedStats, StreamingAnonymizer,
     };
     pub use cahd_data::{DatasetStats, ItemId, SensitiveSet, TransactionSet};
     pub use cahd_eval::{
-        estimate_count, evaluate_workload, generate_workload_seeded, kl_divergence, mine_rules,
-        reidentification_probability, GroupByQuery,
+        evaluate_workload, generate_workload_seeded, kl_divergence, reidentification_probability,
+        GroupByQuery,
     };
+    pub use cahd_obs::Recorder;
     pub use cahd_rcm::{band_order, reduce_unsymmetric, OrderingStrategy, UnsymOptions};
     pub use cahd_sparse::{CsrMatrix, Permutation};
 

@@ -30,11 +30,11 @@ fn rcm_improves_cahd_utility() {
     let p = 6;
 
     let with_rcm = Anonymizer::new(AnonymizerConfig::with_privacy_degree(p))
-        .anonymize(&data, &sens)
+        .anonymize(&data, &sens, &Recorder::disabled())
         .unwrap()
         .published;
     let without_rcm = Anonymizer::new(AnonymizerConfig::with_privacy_degree(p).without_rcm())
-        .anonymize(&data, &sens)
+        .anonymize(&data, &sens, &Recorder::disabled())
         .unwrap()
         .published;
 
@@ -54,7 +54,11 @@ fn rcm_improves_cahd_utility() {
 #[test]
 fn wider_candidate_lists_do_not_hurt_utility_much() {
     let (data, sens) = setup();
-    let band = reduce_unsymmetric(data.matrix(), UnsymOptions::default());
+    let band = reduce_unsymmetric(
+        data.matrix(),
+        UnsymOptions::default(),
+        &Recorder::disabled(),
+    );
     let permuted = data.permute(&band.row_perm);
     let queries = generate_workload_seeded(&data, &sens, 4, 50, 31);
     let mut kls = Vec::new();
@@ -80,8 +84,8 @@ fn explicit_and_implicit_aat_give_identical_pipelines() {
         edge_budget: 0,
         ..Default::default()
     };
-    let red_e = reduce_unsymmetric(data.matrix(), explicit);
-    let red_i = reduce_unsymmetric(data.matrix(), implicit);
+    let red_e = reduce_unsymmetric(data.matrix(), explicit, &Recorder::disabled());
+    let red_i = reduce_unsymmetric(data.matrix(), implicit, &Recorder::disabled());
     assert!(red_e.used_explicit_aat);
     assert!(!red_i.used_explicit_aat);
     assert_eq!(
@@ -119,7 +123,11 @@ fn pm_enhanced_split_forms_no_fewer_groups() {
 #[test]
 fn proximity_tie_break_is_behavior_preserving_for_privacy() {
     let (data, sens) = setup();
-    let band = reduce_unsymmetric(data.matrix(), UnsymOptions::default());
+    let band = reduce_unsymmetric(
+        data.matrix(),
+        UnsymOptions::default(),
+        &Recorder::disabled(),
+    );
     let permuted = data.permute(&band.row_perm);
     for proximity in [true, false] {
         let cfg = CahdConfig {

@@ -22,7 +22,7 @@ fn cahd_pipeline_verifies_across_privacy_degrees() {
     let (data, sens) = bms1_small();
     for p in [2usize, 5, 10, 20] {
         let res = Anonymizer::new(AnonymizerConfig::with_privacy_degree(p))
-            .anonymize(&data, &sens)
+            .anonymize(&data, &sens, &Recorder::disabled())
             .unwrap_or_else(|e| panic!("p={p}: {e}"));
         verify_published(&data, &sens, &res.published, p).unwrap_or_else(|e| panic!("p={p}: {e}"));
         // Published degree meets or exceeds the requirement.
@@ -35,7 +35,7 @@ fn all_methods_verify_on_both_profiles() {
     for (data, sens) in [bms1_small(), bms2_small()] {
         let p = 10;
         let cahd_pub = Anonymizer::new(AnonymizerConfig::with_privacy_degree(p))
-            .anonymize(&data, &sens)
+            .anonymize(&data, &sens, &Recorder::disabled())
             .unwrap()
             .published;
         let (pm_pub, _) = perm_mondrian(&data, &sens, &PmConfig::new(p)).unwrap();
@@ -65,7 +65,7 @@ fn cahd_beats_pm_on_correlated_data() {
     let p = 5;
 
     let cahd_pub = Anonymizer::new(AnonymizerConfig::with_privacy_degree(p))
-        .anonymize(&data, &sens)
+        .anonymize(&data, &sens, &Recorder::disabled())
         .unwrap()
         .published;
     let rnd_pub = random_grouping(&data, &sens, p, 3).unwrap();
@@ -91,7 +91,7 @@ fn cahd_beats_pm_on_correlated_data() {
 fn qid_patterns_survive_exactly() {
     let (data, sens) = bms1_small();
     let res = Anonymizer::new(AnonymizerConfig::with_privacy_degree(10))
-        .anonymize(&data, &sens)
+        .anonymize(&data, &sens, &Recorder::disabled())
         .unwrap();
     // Pick the two most frequent QID items; pair support must be identical
     // in the release (permutation publishing is lossless on QID).
@@ -124,7 +124,7 @@ fn anonymization_reduces_sensitive_linkability() {
     let (data, sens) = bms1_small();
     let p = 10;
     let res = Anonymizer::new(AnonymizerConfig::with_privacy_degree(p))
-        .anonymize(&data, &sens)
+        .anonymize(&data, &sens, &Recorder::disabled())
         .unwrap();
     // In every group, the association probability of any member with any
     // sensitive item is at most 1/p by construction; check the exact bound
@@ -141,14 +141,14 @@ fn sharded_pipeline_verifies_and_matches_sequential_at_one_shard() {
     let (data, sens) = bms1_small();
     for p in [2usize, 5, 10] {
         let seq = Anonymizer::new(AnonymizerConfig::with_privacy_degree(p))
-            .anonymize(&data, &sens)
+            .anonymize(&data, &sens, &Recorder::disabled())
             .unwrap();
         // shards = 1: the parallel config must not change the release,
         // whatever the thread count (threads only touch the A·Aᵀ build).
         let one = Anonymizer::new(
             AnonymizerConfig::with_privacy_degree(p).with_parallel(ParallelConfig::new(1, 8)),
         )
-        .anonymize(&data, &sens)
+        .anonymize(&data, &sens, &Recorder::disabled())
         .unwrap();
         assert_eq!(seq.published, one.published, "p={p}");
         assert!(one.sharded_stats.is_none());
@@ -158,7 +158,7 @@ fn sharded_pipeline_verifies_and_matches_sequential_at_one_shard() {
                 AnonymizerConfig::with_privacy_degree(p)
                     .with_parallel(ParallelConfig::new(shards, 4)),
             )
-            .anonymize(&data, &sens)
+            .anonymize(&data, &sens, &Recorder::disabled())
             .unwrap();
             verify_published(&data, &sens, &par.published, p)
                 .unwrap_or_else(|e| panic!("p={p} shards={shards}: {e}"));
@@ -224,7 +224,7 @@ fn infeasible_privacy_reported_not_violated() {
     let sens = SensitiveSet::new(vec![top], data.n_items());
     let p = data.n_transactions() / supports[top as usize] + 1;
     let err = Anonymizer::new(AnonymizerConfig::with_privacy_degree(p))
-        .anonymize(&data, &sens)
+        .anonymize(&data, &sens, &Recorder::disabled())
         .unwrap_err();
     assert!(matches!(err, CahdError::Infeasible { item, .. } if item == top));
 }

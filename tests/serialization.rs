@@ -8,7 +8,7 @@ fn release() -> (TransactionSet, SensitiveSet, PublishedDataset) {
     let mut rng = rand_seed(5);
     let sens = SensitiveSet::select_random(&data, 5, 10, &mut rng).unwrap();
     let pub_ = Anonymizer::new(AnonymizerConfig::with_privacy_degree(5))
-        .anonymize(&data, &sens)
+        .anonymize(&data, &sens, &Recorder::disabled())
         .unwrap()
         .published;
     (data, sens, pub_)
@@ -59,9 +59,13 @@ fn checkpoint_fixture_resumes_and_tampered_one_fails_closed() {
     cp.validate().unwrap();
     assert_eq!(cp.next_id, 40);
     let sens = SensitiveSet::new(vec![14, 26, 28], 30);
-    let mut s =
-        StreamingAnonymizer::resume(AnonymizerConfig::with_privacy_degree(4), sens.clone(), &cp)
-            .unwrap();
+    let mut s = StreamingAnonymizer::resume(
+        AnonymizerConfig::with_privacy_degree(4),
+        sens.clone(),
+        &cp,
+        &Recorder::disabled(),
+    )
+    .unwrap();
     assert_eq!(s.next_stream_id(), 40);
     // It is live: feeding the rest of demo.dat releases the stream's
     // remaining chunks.
@@ -86,9 +90,13 @@ fn checkpoint_fixture_resumes_and_tampered_one_fails_closed() {
         matches!(err, CahdError::CorruptCheckpoint { ref reason } if reason.contains("digest")),
         "{err:?}"
     );
-    assert!(
-        StreamingAnonymizer::resume(AnonymizerConfig::with_privacy_degree(4), sens, &bad,).is_err()
-    );
+    assert!(StreamingAnonymizer::resume(
+        AnonymizerConfig::with_privacy_degree(4),
+        sens,
+        &bad,
+        &Recorder::disabled()
+    )
+    .is_err());
 }
 
 #[test]
@@ -246,7 +254,6 @@ fn writes_like_to_string<T: serde::Serialize>(value: &T, what: &str) {
 #[test]
 fn to_writer_matches_to_string_on_releases_checkpoints_and_traces() {
     use cahd::core::checkpoint::StreamingCheckpoint;
-    use cahd_obs::Recorder;
 
     let text = std::fs::read_to_string("fixtures/demo_release.json").unwrap();
     let fixture: PublishedDataset = serde_json::from_str(&text).unwrap();
@@ -261,12 +268,12 @@ fn to_writer_matches_to_string_on_releases_checkpoints_and_traces() {
     let sens = SensitiveSet::select_random(&data, 5, 10, &mut rand_seed(5)).unwrap();
     let rec = Recorder::new();
     let result = Anonymizer::new(AnonymizerConfig::with_privacy_degree(5))
-        .anonymize_traced(&data, &sens, &rec)
+        .anonymize(&data, &sens, &rec)
         .unwrap();
     let len = serde_json::to_string(&result.published).unwrap().len();
     assert!(len > 4 * serde::SINK_FLUSH_BYTES, "{len}");
     writes_like_to_string(&result.published, "live release");
-    writes_like_to_string(&result.trace.expect("traced run"), "live trace");
+    writes_like_to_string(&rec.snapshot(), "live trace");
 }
 
 #[test]
