@@ -127,13 +127,14 @@ pub fn fig6(ctx: &ExperimentContext) -> (Table, Vec<String>) {
         let span_before = cahd_sparse::bandwidth::graph_band_stats(&graph, &id).mean_edge_span;
         let span_after =
             cahd_sparse::bandwidth::graph_band_stats(&graph, &red.row_perm).mean_edge_span;
+        let stats = red.band_stats(data.matrix());
         t.row(&[
             format!("{corr:.1}"),
-            format!("{:.1}", red.before.mean_row_span),
-            format!("{:.1}", red.after.mean_row_span),
+            format!("{:.1}", stats.before.mean_row_span),
+            format!("{:.1}", stats.after.mean_row_span),
             format!(
                 "{:.2}x",
-                red.before.mean_row_span / red.after.mean_row_span.max(1e-9)
+                stats.before.mean_row_span / stats.after.mean_row_span.max(1e-9)
             ),
             format!("{span_before:.1}"),
             format!("{span_after:.1}"),
@@ -142,7 +143,7 @@ pub fn fig6(ctx: &ExperimentContext) -> (Table, Vec<String>) {
         let id_r = Permutation::identity(data.n_transactions());
         let id_c = Permutation::identity(data.n_items());
         let before = DensityGrid::new(data.matrix(), &id_r, &id_c, 30, 60);
-        let after = DensityGrid::new(data.matrix(), &red.row_perm, &red.col_perm(), 30, 60);
+        let after = DensityGrid::new(data.matrix(), &red.row_perm, &stats.col_perm(), 30, 60);
         panels.push(format!(
             "-- correlation {corr:.1}: original --\n{}-- correlation {corr:.1}: after RCM --\n{}",
             before.to_ascii(),

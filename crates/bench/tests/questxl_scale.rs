@@ -57,14 +57,15 @@ fn questxl_orders_under_the_implicit_backend() {
     );
     let order_s = t1.elapsed().as_secs_f64();
     let report = rec.snapshot();
+    let stats = red.band_stats(a);
     let span_s = |p: &str| report.span(p).map_or(0.0, |s| s.total_ns as f64 / 1e9);
     eprintln!(
         "order={order_s:.1}s (aat_build={:.1}s order={:.1}s) explicit={} bandwidth {} -> {}",
         span_s("pipeline/rcm/aat_build"),
         span_s("pipeline/rcm/order"),
         red.used_explicit_aat,
-        red.before.max_diag_distance,
-        red.after.max_diag_distance,
+        stats.before.max_diag_distance,
+        stats.after.max_diag_distance,
     );
     // The auto policy must route this shape to the inverted index.
     assert!(

@@ -5,7 +5,10 @@
 //! (and, when streaming, the chunk `merge`) to the written release
 //! (`serialize`), every span is rooted, and `check --trace` audits it
 //! clean. `check --trace-json` writes one `check/<pass>` span per default
-//! pass under a root `check` span, and that trace audits clean too.
+//! pass under a root `check` span, and that trace audits clean too. A
+//! traced run writes the same release bytes as an untraced one on the
+//! batch and `--stream-batch` paths, and its band gauges are the
+//! statistics `BandReduction::band_stats` computes on request.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -234,6 +237,16 @@ fn weighted_trace_spans_ingest_to_serialize() {
     assert_eq!(trace.orphan_spans(), Vec::<&str>::new());
     assert_eq!(trace.consistency_findings(), Vec::<String>::new());
     assert_eq!(mem.consistency_findings(), Vec::<String>::new());
+    // The scorer's path counters balance the scanned candidates
+    // (`CAHD-O001`). `check` cannot read a weighted input or release, but
+    // its trace passes read only the trace, so they run beside the demo
+    // pair.
+    assert!(trace.counter_or_zero("core.candidates_scanned") > 0);
+    assert_check_passes(
+        &fixture("demo.dat"),
+        &fixture("demo_release.json"),
+        &trace_f,
+    );
     for f in [wdat, release, trace_f] {
         let _ = std::fs::remove_file(f);
     }
@@ -286,6 +299,96 @@ fn bad_input_trace_spans_ingest_to_serialize() {
     assert_eq!(trace.consistency_findings(), Vec::<String>::new());
     assert_check_passes(&data, &release, &trace_f);
     for f in [data, release, trace_f] {
+        let _ = std::fs::remove_file(f);
+    }
+}
+
+#[test]
+fn traced_and_untraced_releases_are_the_same_bytes() {
+    // 600 rows over a 2M-item universe: every row holds an item of its
+    // own, every third row one of 24 shared items, and the sensitive items
+    // 100 and 101 sit in one row in ten each, so about half the rows
+    // share no item with another row.
+    let data = tmp("same_bytes.dat");
+    let mut text = String::new();
+    for i in 0..600u32 {
+        let mut row = Vec::new();
+        if i % 3 == 0 {
+            row.push(i % 24);
+        }
+        match i % 10 {
+            1 => row.push(100),
+            6 => row.push(101),
+            _ => {}
+        }
+        row.push(1_000_000 + 2 * i);
+        let row: Vec<String> = row.iter().map(u32::to_string).collect();
+        text.push_str(&row.join(" "));
+        text.push('\n');
+    }
+    std::fs::write(&data, text).unwrap();
+    let trace_f = tmp("same_bytes_trace.json");
+    for (name, extra) in [
+        ("batch", &[][..]),
+        ("stream", &["--stream-batch", "200"][..]),
+    ] {
+        let release = |traced: bool| {
+            let out = tmp(&format!("same_bytes_{name}_{traced}.json"));
+            let mut args = vec![
+                "anonymize",
+                path_str(&data),
+                "--p",
+                "4",
+                "--sensitive",
+                "100,101",
+                "--out",
+                path_str(&out),
+            ];
+            args.extend_from_slice(extra);
+            if traced {
+                args.extend_from_slice(&["--trace-json", path_str(&trace_f), "--memory"]);
+            }
+            let run = cahd_cli(&args);
+            assert!(
+                run.status.success(),
+                "{name}: {}",
+                String::from_utf8_lossy(&run.stderr)
+            );
+            let bytes = std::fs::read(&out).unwrap();
+            let _ = std::fs::remove_file(out);
+            bytes
+        };
+        assert!(
+            release(false) == release(true),
+            "{name}: traced release differs"
+        );
+        let trace: TraceReport =
+            serde_json::from_str(&std::fs::read_to_string(&trace_f).unwrap()).unwrap();
+        for span in ["pipeline/rcm/columns", "pipeline/rcm/stats"] {
+            assert!(trace.span(span).is_some(), "{name}: no {span} span");
+        }
+        if name == "batch" {
+            // The traced run's gauges are the statistics the reduction
+            // computes on request.
+            let set = cahd_data::io::read_dat_file(&data, None).unwrap();
+            let a = set.matrix();
+            let opts = cahd_rcm::UnsymOptions::default();
+            let red = cahd_rcm::reduce_unsymmetric(a, opts, &cahd_obs::Recorder::disabled());
+            let stats = red.band_stats(a);
+            for (gauge, want) in [
+                (
+                    "rcm.bandwidth_before",
+                    stats.before.max_diag_distance as f64,
+                ),
+                ("rcm.bandwidth_after", stats.after.max_diag_distance as f64),
+                ("rcm.mean_row_span_before", stats.before.mean_row_span),
+                ("rcm.mean_row_span_after", stats.after.mean_row_span),
+            ] {
+                assert_eq!(trace.gauge(gauge), Some(want), "{gauge}");
+            }
+        }
+    }
+    for f in [data, trace_f] {
         let _ = std::fs::remove_file(f);
     }
 }

@@ -104,8 +104,52 @@ fn wide_universe_releases_match_the_uncompacted_goldens() {
     let _ = std::fs::remove_file(data);
 }
 
-/// `core.kernel_*` counters of `anonymize --shards 2 --threads 2` on a
-/// 4,000-row quest input over 2,000,000 items (seed 3).
+/// Generates the 4,000-row quest input over 2,000,000 items (seed 3) at
+/// `tmp(name)`.
+fn quest_seed3(name: &str) -> PathBuf {
+    let data = tmp(name);
+    cahd_cli(&[
+        "generate",
+        "quest",
+        "--out",
+        data.to_str().unwrap(),
+        "--transactions",
+        "4000",
+        "--items",
+        "2000000",
+        "--seed",
+        "3",
+    ]);
+    data
+}
+
+/// Runs `anonymize --p 4 --metrics` with `extra` flags on `data` and
+/// checks each `(counter, value)` of `want` against its metrics output.
+fn assert_metrics(data: &Path, extra: &[&str], want: &[(&str, u64)]) {
+    let mut args = vec![
+        "anonymize",
+        data.to_str().unwrap(),
+        "--p",
+        "4",
+        "--sensitive",
+        "23253,104823",
+        "--metrics",
+    ];
+    args.extend_from_slice(extra);
+    let text = String::from_utf8(cahd_cli(&args).stdout).unwrap();
+    let counter = |name: &str| -> Option<u64> {
+        text.lines().find_map(|line| {
+            let mut words = line.split_whitespace();
+            (words.next() == Some(name)).then(|| words.next()?.parse().ok())?
+        })
+    };
+    for &(name, value) in want {
+        assert_eq!(counter(name), Some(value), "{extra:?} {name}\n{text}");
+    }
+}
+
+/// `core.kernel_*` counters of `anonymize --shards 2 --threads 2` on
+/// [`quest_seed3`].
 const SHARDED_KERNEL: &[(&str, u64)] = &[
     ("core.kernel_cache_hits", 13_754),
     ("core.kernel_dense_scores", 15_351),
@@ -114,42 +158,24 @@ const SHARDED_KERNEL: &[(&str, u64)] = &[
 
 #[test]
 fn sharded_kernel_counters_match_the_copied_shard_rows() {
-    let data = tmp("quest_seed3.dat");
-    let data_s = data.to_str().unwrap();
-    cahd_cli(&[
-        "generate",
-        "quest",
-        "--out",
-        data_s,
-        "--transactions",
-        "4000",
-        "--items",
-        "2000000",
-        "--seed",
-        "3",
-    ]);
-    let out = cahd_cli(&[
-        "anonymize",
-        data_s,
-        "--p",
-        "4",
-        "--sensitive",
-        "23253,104823",
-        "--shards",
-        "2",
-        "--threads",
-        "2",
-        "--metrics",
-    ]);
-    let text = String::from_utf8(out.stdout).unwrap();
-    let counter = |name: &str| -> Option<u64> {
-        text.lines().find_map(|line| {
-            let mut words = line.split_whitespace();
-            (words.next() == Some(name)).then(|| words.next()?.parse().ok())?
-        })
-    };
-    for &(name, want) in SHARDED_KERNEL {
-        assert_eq!(counter(name), Some(want), "{name}\n{text}");
-    }
+    let data = quest_seed3("quest_seed3.dat");
+    assert_metrics(&data, &["--shards", "2", "--threads", "2"], SHARDED_KERNEL);
+    let _ = std::fs::remove_file(data);
+}
+
+/// `rcm.*` counters of `anonymize --stream-batch 1000` on [`quest_seed3`]:
+/// each of the four batches orders as one component.
+const STREAM_RCM: &[(&str, u64)] = &[
+    ("rcm.bfs_levels", 15),
+    ("rcm.components", 4),
+    ("rcm.frontier_parallel", 19),
+    ("rcm.frontier_sequential", 35),
+    ("rcm.levels", 54),
+];
+
+#[test]
+fn stream_batch_ordering_counters_are_pinned() {
+    let data = quest_seed3("quest_seed3_stream.dat");
+    assert_metrics(&data, &["--stream-batch", "1000"], STREAM_RCM);
     let _ = std::fs::remove_file(data);
 }

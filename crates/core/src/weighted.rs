@@ -151,7 +151,7 @@ pub fn cahd_weighted(
     let formed = match similarity {
         WeightedSimilarity::PresenceOverlap => {
             let mut kernel = SimilarityKernel::new(qid, data.n_items());
-            form_groups(
+            let formed = form_groups(
                 sens,
                 counts,
                 sensitive.items(),
@@ -159,11 +159,13 @@ pub fn cahd_weighted(
                 |t, cl, out| kernel.score(t, cl, out),
                 FeasibilityCheck::Enforce,
                 rec,
-            )?
+            )?;
+            kernel.flush_to(rec);
+            formed
         }
         WeightedSimilarity::MinCount => {
             let mut scorer = MinCountScorer::new(qid, weights, data.n_items());
-            form_groups(
+            let formed = form_groups(
                 sens,
                 counts,
                 sensitive.items(),
@@ -171,7 +173,9 @@ pub fn cahd_weighted(
                 |t, cl, out| scorer.score(t, cl, out),
                 FeasibilityCheck::Enforce,
                 rec,
-            )?
+            )?;
+            scorer.flush_to(rec);
+            formed
         }
     };
 
@@ -400,6 +404,24 @@ mod tests {
         let wm: Vec<Vec<u32>> = wpub.groups.iter().map(|g| g.members.clone()).collect();
         let bm: Vec<Vec<u32>> = bpub.groups.iter().map(|g| g.members.clone()).collect();
         assert_eq!(wm, bm, "presence scorer must reproduce binary grouping");
+    }
+
+    #[test]
+    fn both_scorers_flush_their_path_counters() {
+        let (data, sens) = ratings();
+        for similarity in [
+            WeightedSimilarity::PresenceOverlap,
+            WeightedSimilarity::MinCount,
+        ] {
+            let rec = Recorder::new();
+            cahd_weighted(&data, &sens, &CahdConfig::new(2), similarity, &rec).unwrap();
+            let report = rec.snapshot();
+            let scanned = report.counter_or_zero("core.candidates_scanned");
+            let scored = report.counter_or_zero("core.kernel_dense_scores")
+                + report.counter_or_zero("core.kernel_sparse_scores");
+            assert!(scanned > 0, "{similarity:?}");
+            assert_eq!(scored, scanned, "{similarity:?}");
+        }
     }
 
     #[test]

@@ -40,4 +40,6 @@ pub use parallel::{
     band_order, band_order_traced, band_order_with, PARALLEL_FRONTIER_MIN, PARALLEL_THREADS_MIN,
 };
 pub use strategy::OrderingStrategy;
-pub use unsym::{reduce_unsymmetric, AatMethod, BandReduction, ColumnOrder, UnsymOptions};
+pub use unsym::{
+    reduce_unsymmetric, AatMethod, BandReduction, BandStats, ColumnOrder, UnsymOptions,
+};

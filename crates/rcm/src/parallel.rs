@@ -428,7 +428,9 @@ impl<'g, G: ParNeighborOracle> Engine<'g, G> {
     /// vertex id, a George–Liu pseudo-peripheral search followed by the
     /// strategy's traversal. Before a Cuthill–McKee pass the probes build
     /// level sets; under `bfs` the root's level structure *is* the output,
-    /// so its probes keep id order.
+    /// so its probes keep id order. A vertex of degree 0 (a row sharing no
+    /// item with another) is placed directly, with the counters of the
+    /// traversals it skips.
     fn order(&mut self, kind: BandKind) -> Vec<u32> {
         let n = self.g.n_vertices();
         let probe = match kind {
@@ -439,6 +441,20 @@ impl<'g, G: ParNeighborOracle> Engine<'g, G> {
         let mut in_order = vec![false; n];
         for start in 0..n {
             if in_order[start] {
+                continue;
+            }
+            if self.g.degree(start) == 0 {
+                // An isolated vertex is its own component, its own root and
+                // its own one-level structure: place it without a traversal,
+                // counting the one-vertex frontiers the probe (and the CM
+                // pass) would have expanded.
+                self.stats.components += 1;
+                self.stats.bfs_levels += 1;
+                self.stats.record(1, self.frontier_min);
+                if kind == BandKind::Cm {
+                    self.stats.record(1, self.frontier_min);
+                }
+                order.push(start as u32);
                 continue;
             }
             let (root, levels) = self.peripheral(start as u32, probe);

@@ -3,13 +3,18 @@
 //! The paper's Fig. 5: build the symmetric pattern `B = A x A^T`, run RCM on
 //! `B`, and apply the resulting permutation to the *rows* of `A`. Rows that
 //! share many items end up adjacent, which is the property the CAHD group
-//! formation exploits.
+//! formation exploits. Group formation reads only that row order, so the
+//! reduction returns only it.
 //!
 //! A row permutation alone leaves the non-zeros scattered across the full
 //! column range; for band-structure reporting and the Fig. 6 visualization a
 //! column permutation is also produced (the paper permutes "rows and
 //! columns"). Columns are ordered by the mean permuted row position of
-//! their non-zeros ([`ColumnOrder`]).
+//! their non-zeros ([`ColumnOrder`]). The column order and the before/after
+//! band statistics are computed on demand by [`BandReduction::band_stats`];
+//! [`reduce_unsymmetric`] calls it only for a recorder that is enabled, to
+//! record the `pipeline/rcm/columns` and `pipeline/rcm/stats` spans and the
+//! band gauges, so an untraced release never pays for them.
 //!
 //! Sparse data touches few of its items, so on a universe wider than twice
 //! its non-zeros the reduction works in the touched columns' own space:
@@ -104,27 +109,94 @@ impl Default for UnsymOptions {
 pub struct BandReduction {
     /// RCM row permutation (`old_to_new` places each original row).
     pub row_perm: Permutation,
+    /// Whether the explicit `A x A^T` pattern was materialized.
+    pub used_explicit_aat: bool,
+    /// Wall-clock time of graph construction + RCM (excludes the column
+    /// order and the band statistics).
+    pub rcm_time: Duration,
+    /// The joint column order of [`AatMethod::Sum`], which orders rows
+    /// and columns in one pass; `None` under [`AatMethod::Product`].
+    sum_col_perm: Option<Permutation>,
+    column_order: ColumnOrder,
+}
+
+/// The column order and band statistics of a [`BandReduction`] (see
+/// [`BandReduction::band_stats`]).
+#[derive(Clone, Debug)]
+pub struct BandStats {
     /// Band statistics of the original matrix (identity permutations).
     pub before: RectBandStats,
     /// Band statistics after applying both permutations.
     pub after: RectBandStats,
-    /// Whether the explicit `A x A^T` pattern was materialized.
-    pub used_explicit_aat: bool,
-    /// Wall-clock time of graph construction + RCM (excludes stats).
-    pub rcm_time: Duration,
     /// Original ids of the placed columns, in placed order; every column
-    /// not listed follows in ascending id (see [`BandReduction::col_perm`]).
+    /// not listed follows in ascending id (see [`BandStats::col_perm`]).
     placed_cols: Vec<u32>,
     n_cols: usize,
 }
 
-impl BandReduction {
+impl BandStats {
     /// The column permutation per [`ColumnOrder`], expanded to the full
-    /// item universe on demand: on a wide universe the reduction stores
-    /// only the order of the touched columns, so a release never pays
-    /// for the expansion.
+    /// item universe on demand: on a wide universe only the order of the
+    /// touched columns is stored.
     pub fn col_perm(&self) -> Permutation {
         expand_column_order(self.placed_cols.clone(), self.n_cols)
+    }
+}
+
+impl BandReduction {
+    /// The column order and the before/after band statistics of this
+    /// reduction on `a`, the matrix it reduced. Group formation reads only
+    /// [`BandReduction::row_perm`], so these are computed on request: for
+    /// the Fig. 6 measurements and pictures, and by [`reduce_unsymmetric`]
+    /// for an enabled recorder.
+    pub fn band_stats(&self, a: &CsrMatrix) -> BandStats {
+        self.band_stats_in(a, None, &cahd_obs::Recorder::disabled())
+    }
+
+    /// [`BandReduction::band_stats`] over `space` (the column space of `a`,
+    /// built here when `None`), recording the `pipeline/rcm/columns` and
+    /// `pipeline/rcm/stats` spans into `rec`.
+    fn band_stats_in(
+        &self,
+        a: &CsrMatrix,
+        space: Option<&ColumnSpace>,
+        rec: &cahd_obs::Recorder,
+    ) -> BandStats {
+        let columns = rec.span("pipeline/rcm/columns");
+        let mut built = None;
+        let sp = match space {
+            Some(sp) => sp,
+            None => built.insert(ColumnSpace::of(a)),
+        };
+        let (placed_cols, col_pos) = match (self.column_order, &self.sum_col_perm) {
+            // Method (i) already produced a joint column ordering over
+            // every column; the MeanRowPos default defers to it.
+            (ColumnOrder::MeanRowPos, Some(cp)) => {
+                let pos = (0..sp.matrix.n_cols() as u32)
+                    .map(|j| cp.old_to_new(sp.original(j) as usize))
+                    .collect();
+                (cp.new_to_old_slice().to_vec(), pos)
+            }
+            (ColumnOrder::MeanRowPos, None) => {
+                let order = mean_row_pos_order(&sp.matrix, &self.row_perm);
+                let mut pos = vec![0usize; order.len()];
+                for (p, &j) in order.iter().enumerate() {
+                    pos[j as usize] = p;
+                }
+                let placed = order.iter().map(|&j| sp.original(j)).collect();
+                (placed, pos)
+            }
+        };
+        drop(columns);
+
+        let _s = rec.span("pipeline/rcm/stats");
+        let (c, d, row_perm) = (&sp.matrix, a.n_cols(), &self.row_perm);
+        BandStats {
+            before: rect_band_stats_at(c, d, |r| r, |j| sp.original(j) as usize),
+            after: rect_band_stats_at(c, d, |r| row_perm.old_to_new(r), |j| col_pos[j as usize]),
+            placed_cols,
+            n_cols: d,
+        }
     }
 }
 
@@ -135,12 +207,14 @@ impl BandReduction {
 ///
 /// * spans `pipeline/rcm` (whole reduction) with children
 ///   `pipeline/rcm/aat_build` (column compaction and row-graph
-///   construction, `Product` method only), `pipeline/rcm/order` (the
-///   Cuthill-McKee ordering), `pipeline/rcm/columns` (column
-///   ordering), and `pipeline/rcm/stats` (band statistics before/after);
+///   construction, `Product` method only) and `pipeline/rcm/order` (the
+///   Cuthill-McKee ordering);
 /// * the `sparse.*` counters of [`RowGraph::build_mode_traced`] and the
 ///   `rcm.*` ordering counters of [`band_order_traced`];
-/// * gauges `rcm.bandwidth_before` / `rcm.bandwidth_after` (the
+/// * for an enabled recorder only, [`BandReduction::band_stats`] under
+///   the spans `pipeline/rcm/columns` (column ordering) and
+///   `pipeline/rcm/stats` (band statistics before/after), and from it the
+///   gauges `rcm.bandwidth_before` / `rcm.bandwidth_after` (the
 ///   [`RectBandStats::max_diag_distance`] rectangular-bandwidth analogue)
 ///   and `rcm.mean_row_span_before` / `rcm.mean_row_span_after`.
 pub fn reduce_unsymmetric(
@@ -187,57 +261,26 @@ pub fn reduce_unsymmetric(
             (rp, Some(cp), true)
         }
     };
-    let rcm_time = t0.elapsed();
-
-    let (placed_cols, col_pos) = {
-        let _s = rec.span("pipeline/rcm/columns");
-        let sp = space.get_or_insert_with(|| ColumnSpace::of(a));
-        match (opts.column_order, sum_col_perm) {
-            // Method (i) already produced a joint column ordering over
-            // every column; the MeanRowPos default defers to it.
-            (ColumnOrder::MeanRowPos, Some(cp)) => {
-                let pos = (0..sp.matrix.n_cols() as u32)
-                    .map(|j| cp.old_to_new(sp.original(j) as usize))
-                    .collect();
-                (cp.new_to_old_slice().to_vec(), pos)
-            }
-            (ColumnOrder::MeanRowPos, None) => {
-                let order = mean_row_pos_order(&sp.matrix, &row_perm);
-                let mut pos = vec![0usize; order.len()];
-                for (p, &j) in order.iter().enumerate() {
-                    pos[j as usize] = p;
-                }
-                let placed = order.iter().map(|&j| sp.original(j)).collect();
-                (placed, pos)
-            }
-        }
-    };
-
-    let (before, after) = {
-        let _s = rec.span("pipeline/rcm/stats");
-        let sp = space.get_or_insert_with(|| ColumnSpace::of(a));
-        let (c, d) = (&sp.matrix, a.n_cols());
-        (
-            rect_band_stats_at(c, d, |r| r, |j| sp.original(j) as usize),
-            rect_band_stats_at(c, d, |r| row_perm.old_to_new(r), |j| col_pos[j as usize]),
-        )
-    };
-    drop(space);
-    rec.gauge("rcm.bandwidth_before", before.max_diag_distance as f64);
-    rec.gauge("rcm.bandwidth_after", after.max_diag_distance as f64);
-    rec.gauge("rcm.mean_row_span_before", before.mean_row_span);
-    rec.gauge("rcm.mean_row_span_after", after.mean_row_span);
-    drop(whole);
-
-    BandReduction {
+    let red = BandReduction {
         row_perm,
-        before,
-        after,
         used_explicit_aat,
-        rcm_time,
-        placed_cols,
-        n_cols: a.n_cols(),
+        rcm_time: t0.elapsed(),
+        sum_col_perm,
+        column_order: opts.column_order,
+    };
+    if rec.is_enabled() {
+        let stats = red.band_stats_in(a, space.as_ref(), rec);
+        rec.gauge(
+            "rcm.bandwidth_before",
+            stats.before.max_diag_distance as f64,
+        );
+        rec.gauge("rcm.bandwidth_after", stats.after.max_diag_distance as f64);
+        rec.gauge("rcm.mean_row_span_before", stats.before.mean_row_span);
+        rec.gauge("rcm.mean_row_span_after", stats.after.mean_row_span);
     }
+    drop(space);
+    drop(whole);
+    red
 }
 
 /// The `A + A^T` orderings (paper Fig. 5 method *(i)*): one RCM run over
@@ -360,7 +403,8 @@ mod tests {
             "{pos_a:?}"
         );
         // Band quality must improve.
-        assert!(red.after.mean_diag_distance < red.before.mean_diag_distance);
+        let stats = red.band_stats(&a);
+        assert!(stats.after.mean_diag_distance < stats.before.mean_diag_distance);
     }
 
     #[test]
@@ -369,7 +413,7 @@ mod tests {
         let red = reduce_unsymmetric(&a, UnsymOptions::default(), &Recorder::disabled());
         // Items of the first row block should occupy the first 3 column
         // positions (whichever block comes first).
-        let col_perm = red.col_perm();
+        let col_perm = red.band_stats(&a).col_perm();
         let mut pos_items_a: Vec<usize> = [0usize, 1, 2]
             .iter()
             .map(|&c| col_perm.old_to_new(c))
@@ -436,8 +480,8 @@ mod tests {
                 "threads={threads}"
             );
             assert_eq!(
-                seq.col_perm().new_to_old_slice(),
-                par.col_perm().new_to_old_slice(),
+                seq.band_stats(&a).col_perm().new_to_old_slice(),
+                par.band_stats(&a).col_perm().new_to_old_slice(),
                 "threads={threads}"
             );
         }
@@ -458,10 +502,23 @@ mod tests {
         ] {
             assert!(report.span(path).is_some(), "missing span {path}");
         }
-        assert_eq!(
-            report.gauge("rcm.bandwidth_after"),
-            Some(red.after.max_diag_distance as f64)
-        );
+        // The gauges are the on-demand statistics.
+        let stats = red.band_stats(&a);
+        for (gauge, want) in [
+            (
+                "rcm.bandwidth_before",
+                stats.before.max_diag_distance as f64,
+            ),
+            ("rcm.bandwidth_after", stats.after.max_diag_distance as f64),
+            ("rcm.mean_row_span_before", stats.before.mean_row_span),
+            ("rcm.mean_row_span_after", stats.after.mean_row_span),
+        ] {
+            assert_eq!(
+                report.gauge(gauge).map(f64::to_bits),
+                Some(want.to_bits()),
+                "{gauge}"
+            );
+        }
         assert!(report.counter("rcm.components").unwrap() >= 1);
         assert!(report.counter("rcm.bfs_levels").unwrap() >= 1);
         assert!(
@@ -470,12 +527,13 @@ mod tests {
             report.consistency_findings()
         );
         // Recording never changes the order: a disabled recorder gives the
-        // same permutation.
+        // same permutation, and the same statistics on request.
         let plain = reduce_unsymmetric(&a, UnsymOptions::default(), &Recorder::disabled());
         assert_eq!(
             plain.row_perm.new_to_old_slice(),
             red.row_perm.new_to_old_slice()
         );
+        assert_eq!(plain.band_stats(&a).col_perm(), stats.col_perm());
     }
 
     #[test]
@@ -490,7 +548,7 @@ mod tests {
             &Recorder::disabled(),
         );
         assert_eq!(red.row_perm.len(), a.n_rows());
-        let col_perm = red.col_perm();
+        let col_perm = red.band_stats(&a).col_perm();
         assert_eq!(col_perm.len(), a.n_cols());
         assert!(red.row_perm.then(&red.row_perm.inverse()).is_identity());
         assert!(col_perm.then(&col_perm.inverse()).is_identity());
@@ -518,11 +576,12 @@ mod tests {
             },
             &Recorder::disabled(),
         );
+        let (product, sum) = (product.band_stats(&a).after, sum.band_stats(&a).after);
         assert!(
-            product.after.mean_row_span <= sum.after.mean_row_span + 1e-9,
+            product.mean_row_span <= sum.mean_row_span + 1e-9,
             "product {} > sum {}",
-            product.after.mean_row_span,
-            sum.after.mean_row_span
+            product.mean_row_span,
+            sum.mean_row_span
         );
     }
 }

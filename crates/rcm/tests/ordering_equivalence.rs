@@ -18,6 +18,12 @@
 //! 4. **Counter identities**: `rcm.frontier_parallel +
 //!    rcm.frontier_sequential == rcm.levels >= rcm.bfs_levels`, at every
 //!    thread count — the `CAHD-O001` contract.
+//! 5. **Isolated vertices**: the engine places a degree-0 vertex without
+//!    a traversal. On all-isolated and mixed graphs (explicit, implicit,
+//!    and implicit under a hub cap that isolates an all-hub row) the
+//!    orders and every `rcm.*` counter equal literal values recorded from
+//!    full traversals; the oracle checks only `rcm.components` and
+//!    `rcm.bfs_levels`.
 //!
 //! The `CAHD_TEST_THREADS` environment variable (used by the CI matrix)
 //! adds one more thread count to every sweep.
@@ -26,7 +32,7 @@ mod common;
 
 use cahd_obs::Recorder;
 use cahd_rcm::{band_order, band_order_with, OrderingStrategy, PARALLEL_FRONTIER_MIN};
-use cahd_sparse::Graph;
+use cahd_sparse::{CsrMatrix, Graph, ImplicitRowGraph, ParNeighborOracle, RowGraph};
 use common::fig4::{self, fig4, Traversal};
 use common::{adjacency, components_contiguous, thread_counts};
 use proptest::prelude::*;
@@ -160,6 +166,120 @@ fn fixed_graphs_match_fig4() {
             panic!("{name}: {e}");
         }
     }
+}
+
+/// One ordering's recorded outcome: the permutation's `new_to_old`, and
+/// `rcm.components`, `rcm.bfs_levels` and `rcm.levels`.
+type Pin = (&'static [u32], u64, u64, u64);
+
+/// Checks `g` against its `rcm` and `bfs` pins at every thread count and
+/// both eligibility thresholds. Every frontier of these graphs is under
+/// [`PARALLEL_FRONTIER_MIN`], so `rcm.levels` is all parallel at
+/// `frontier_min = 1` and all sequential at the production threshold.
+fn assert_pinned<G: ParNeighborOracle>(name: &str, g: &G, rcm: Pin, bfs: Pin) {
+    for (strategy, (order, components, bfs_levels, levels)) in
+        [(OrderingStrategy::Rcm, rcm), (OrderingStrategy::Bfs, bfs)]
+    {
+        for threads in thread_counts(&[1, 2, 8]) {
+            for frontier_min in [1, PARALLEL_FRONTIER_MIN] {
+                let rec = Recorder::new();
+                let p = band_order_with(g, strategy, threads, frontier_min, &rec);
+                let ctx = format!(
+                    "{name} {} threads={threads} frontier_min={frontier_min}",
+                    strategy.name()
+                );
+                assert_eq!(p.new_to_old_slice(), order, "{ctx}");
+                let (parallel, sequential) = if frontier_min == 1 {
+                    (levels, 0)
+                } else {
+                    (0, levels)
+                };
+                let report = rec.snapshot();
+                for (counter, want) in [
+                    ("rcm.components", components),
+                    ("rcm.bfs_levels", bfs_levels),
+                    ("rcm.levels", levels),
+                    ("rcm.frontier_parallel", parallel),
+                    ("rcm.frontier_sequential", sequential),
+                ] {
+                    assert_eq!(report.counter_or_zero(counter), want, "{ctx} {counter}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn isolated_vertices_keep_their_orders_and_counters() {
+    // Every vertex isolated: each one is a probe and a CM pass (`rcm`) or
+    // a probe (`bfs`) over a one-vertex frontier.
+    const ISOLATED: [Pin; 2] = [(&[4, 3, 2, 1, 0], 5, 5, 10), (&[4, 3, 2, 1, 0], 5, 5, 5)];
+    // Rows 1 (its item alone), 3 (its item alone), 4 (empty) and 6 are
+    // isolated; 0-2-5-7 is a path through items 1, 3 and 5.
+    const MIXED_ROWS: [Pin; 2] = [
+        (&[6, 4, 3, 1, 7, 5, 2, 0], 5, 8, 20),
+        (&[6, 4, 3, 1, 7, 5, 2, 0], 5, 8, 12),
+    ];
+    let isolated_rows =
+        CsrMatrix::from_rows(&[vec![0], vec![1, 2], vec![], vec![3], vec![4, 5]], 6);
+    let mixed_rows = CsrMatrix::from_rows(
+        &[
+            vec![0, 1],
+            vec![2],
+            vec![1, 3],
+            vec![4],
+            vec![],
+            vec![3, 5],
+            vec![6],
+            vec![5],
+        ],
+        7,
+    );
+    // Item 0 is held by five rows: under a hub cap of 3 it links nothing,
+    // so row 4, whose only item it is, becomes isolated, like row 5.
+    let hub_rows = CsrMatrix::from_rows(
+        &[
+            vec![0, 1],
+            vec![0, 1, 2],
+            vec![0, 2],
+            vec![0, 3],
+            vec![0],
+            vec![5],
+            vec![3, 6],
+        ],
+        7,
+    );
+    let [rcm, bfs] = ISOLATED;
+    assert_pinned("graph_isolated", &Graph::from_edges(5, &[]), rcm, bfs);
+    assert_pinned(
+        "explicit_isolated",
+        &RowGraph::build_explicit(&isolated_rows),
+        rcm,
+        bfs,
+    );
+    let implicit = ImplicitRowGraph::with_options(&isolated_rows, None, 1);
+    assert_pinned("implicit_isolated", &implicit, rcm, bfs);
+    assert_pinned(
+        "graph_mixed",
+        &Graph::from_edges(9, &[(1, 4), (4, 7), (2, 8), (5, 6), (6, 8)]),
+        (&[3, 5, 6, 8, 2, 7, 4, 1, 0], 4, 9, 25),
+        (&[3, 5, 6, 8, 2, 7, 4, 1, 0], 4, 9, 16),
+    );
+    let [rcm, bfs] = MIXED_ROWS;
+    assert_pinned(
+        "explicit_mixed",
+        &RowGraph::build_explicit(&mixed_rows),
+        rcm,
+        bfs,
+    );
+    let implicit = ImplicitRowGraph::with_options(&mixed_rows, None, 1);
+    assert_pinned("implicit_mixed", &implicit, rcm, bfs);
+    assert_pinned(
+        "implicit_hub_capped",
+        &ImplicitRowGraph::with_options(&hub_rows, Some(3), 1),
+        (&[5, 4, 6, 3, 2, 1, 0], 4, 7, 19),
+        (&[5, 4, 6, 3, 2, 1, 0], 4, 7, 12),
+    );
 }
 
 #[test]

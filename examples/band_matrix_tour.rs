@@ -23,12 +23,14 @@ fn main() {
             &Recorder::disabled(),
         );
 
+        let stats = red.band_stats(data.matrix());
+
         println!("=== correlation {corr:.1} ===");
         println!(
             "mean row span: {:>6.1} -> {:>6.1}   ({:.1}x tighter)",
-            red.before.mean_row_span,
-            red.after.mean_row_span,
-            red.before.mean_row_span / red.after.mean_row_span.max(1e-9),
+            stats.before.mean_row_span,
+            stats.after.mean_row_span,
+            stats.before.mean_row_span / stats.after.mean_row_span.max(1e-9),
         );
         println!(
             "rcm time: {:.3}s ({} A*A^T)",
@@ -43,7 +45,7 @@ fn main() {
         let id_r = Permutation::identity(data.n_transactions());
         let id_c = Permutation::identity(data.n_items());
         let before = DensityGrid::new(data.matrix(), &id_r, &id_c, 20, 40);
-        let after = DensityGrid::new(data.matrix(), &red.row_perm, &red.col_perm(), 20, 40);
+        let after = DensityGrid::new(data.matrix(), &red.row_perm, &stats.col_perm(), 20, 40);
 
         // Render before and after side by side.
         let left: Vec<&str> = before_lines(&before);

@@ -38,9 +38,10 @@ fn main() {
         result.cahd_stats.elapsed.as_secs_f64(),
     );
     if let Some(band) = &result.band {
+        let stats = band.band_stats(data.matrix());
         println!(
             "band reorganization: mean row span {:.1} -> {:.1}",
-            band.before.mean_row_span, band.after.mean_row_span
+            stats.before.mean_row_span, stats.after.mean_row_span
         );
     }
 
