@@ -746,28 +746,19 @@ fn anonymize_stream_cmd(args: &Args, p: usize) -> Result<String, CliError> {
         }
         None => chunks,
     };
-    let mut groups = Vec::new();
-    for chunk in &all_chunks {
-        for g in &chunk.published.groups {
-            let mut members: Vec<u32> = g
-                .members
-                .iter()
-                .map(|&m| u32::try_from(chunk.stream_ids[m as usize]).unwrap_or(u32::MAX))
-                .collect();
-            members.sort_unstable();
-            groups.push(AnonymizedGroup::from_members(&data, &sensitive, &members));
-        }
-    }
+    let n_chunks = all_chunks.len();
     let merged = PublishedDataset {
         n_items: d,
         sensitive_items: sensitive.items().to_vec(),
-        groups,
+        groups: merge_chunks(all_chunks)?,
     };
+    // The chunks' rows were moved, not rebuilt from the data, and a chunk
+    // read back from disk may have been edited: the whole-dataset check
+    // of every member, row and count is what guards the merge.
     verify_published(&data, &sensitive, &merged, p)
-        .map_err(|e| CliError::Run(format!("internal error: release failed verification: {e}")))?;
-    let n_chunks = all_chunks.len();
+        .map_err(|e| CliError::Run(format!("merged stream release failed verification: {e}")))?;
     // Only the merged release is needed from here on.
-    drop((all_chunks, data));
+    drop(data);
     drop(merge_span);
     out.push_str(&format!(
         "method cahd (streaming), p {p}: {n_chunks} chunks, {} groups over {} transactions, \
@@ -790,6 +781,56 @@ fn anonymize_stream_cmd(args: &Args, p: usize) -> Result<String, CliError> {
         emit_trace(args, &rec.snapshot(), &mut out)?;
     }
     Ok(out)
+}
+
+/// The groups of every chunk in chunk order, each moved out of its chunk
+/// with its members renumbered to stream positions: members and QID rows
+/// are reordered together by stream position, and the sensitive summary
+/// (sorted by item, order-free) moves as it is. A member that indexes past
+/// its chunk's stream positions, or a group whose rows and members differ
+/// in number, fails the merge (a chunk file can say anything).
+fn merge_chunks(chunks: Vec<ReleaseChunk>) -> Result<Vec<AnonymizedGroup>, CliError> {
+    let mut groups = Vec::new();
+    let mut rows: Vec<(u32, Vec<ItemId>)> = Vec::new();
+    for (ci, chunk) in chunks.into_iter().enumerate() {
+        let ReleaseChunk {
+            stream_ids,
+            published,
+        } = chunk;
+        for (gi, mut g) in published.groups.into_iter().enumerate() {
+            let bad = |what: String| {
+                CliError::Run(format!("stream merge: chunk {ci}, group {gi}: {what}"))
+            };
+            if g.qid_rows.len() != g.members.len() {
+                return Err(bad(format!(
+                    "{} QID rows for {} members",
+                    g.qid_rows.len(),
+                    g.members.len()
+                )));
+            }
+            rows.clear();
+            for (&m, row) in g.members.iter().zip(g.qid_rows.drain(..)) {
+                let id = stream_ids
+                    .get(m as usize)
+                    .and_then(|&id| u32::try_from(id).ok())
+                    .ok_or_else(|| {
+                        bad(format!(
+                            "member {m} has no stream position (the chunk holds {})",
+                            stream_ids.len()
+                        ))
+                    })?;
+                rows.push((id, row));
+            }
+            rows.sort_unstable_by_key(|&(id, _)| id);
+            g.members.clear();
+            for (id, row) in rows.drain(..) {
+                g.members.push(id);
+                g.qid_rows.push(row);
+            }
+            groups.push(g);
+        }
+    }
+    Ok(groups)
 }
 
 fn chunk_path(dir: &str, idx: usize) -> String {

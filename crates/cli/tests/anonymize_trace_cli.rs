@@ -55,6 +55,25 @@ fn assert_check_passes(data: &Path, release: &Path, trace: &Path) {
     assert!(!report.contains("CAHD-O001"), "{report}");
 }
 
+/// The committed trace fixture (what CI's traced fixture run writes:
+/// `anonymize fixtures/demo.dat --sensitive 14,26,28 --p 4 --shards 4
+/// --threads 2 --trace-json --metrics`) and the release it describes audit
+/// clean, and the trace reads back with the run's root spans.
+#[test]
+fn committed_trace_fixture_audits_clean() {
+    let trace_f = fixture("demo_trace.json");
+    assert_check_passes(
+        &fixture("demo.dat"),
+        &fixture("demo_trace_release.json"),
+        &trace_f,
+    );
+    let report: TraceReport =
+        serde_json::from_str(&std::fs::read_to_string(&trace_f).unwrap()).unwrap();
+    for root in ["ingest", "pipeline", "serialize"] {
+        assert!(report.span(root).is_some(), "missing root span {root}");
+    }
+}
+
 #[test]
 fn batch_trace_spans_ingest_to_serialize() {
     let data = fixture("demo.dat");

@@ -9,7 +9,11 @@
 
 /// A BFS level structure rooted at some vertex, confined to that vertex's
 /// connected component.
-#[derive(Clone, Debug)]
+///
+/// The engine refills one structure per George–Liu probe ([`Self::reset`],
+/// then [`Self::push_level`] per level), so the buffers are allocated once
+/// per ordering and reused across every probe of every component.
+#[derive(Clone, Debug, Default)]
 pub(crate) struct LevelStructure {
     /// Concatenated vertices, level by level (the root first).
     verts: Vec<u32>,
@@ -18,13 +22,19 @@ pub(crate) struct LevelStructure {
 }
 
 impl LevelStructure {
-    /// Assembles a level structure from the engine's parts: `offsets[k]`
-    /// is the start of level `k` in `verts`, with a final entry equal to
-    /// `verts.len()`.
-    pub(crate) fn from_raw(verts: Vec<u32>, offsets: Vec<usize>) -> Self {
-        debug_assert!(offsets.len() >= 2);
-        debug_assert_eq!(*offsets.last().unwrap_or(&0), verts.len());
-        LevelStructure { verts, offsets }
+    /// Empties the structure, keeping its capacity, and opens it at
+    /// `root` as level 0.
+    pub(crate) fn reset(&mut self, root: u32) {
+        self.verts.clear();
+        self.offsets.clear();
+        self.offsets.push(0);
+        self.push_level(&[root]);
+    }
+
+    /// Appends `level` as the next (deepest) level.
+    pub(crate) fn push_level(&mut self, level: &[u32]) {
+        self.verts.extend_from_slice(level);
+        self.offsets.push(self.verts.len());
     }
 
     /// Number of levels (`h + 1` where `h` is the eccentricity).

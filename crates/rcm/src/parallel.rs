@@ -200,9 +200,11 @@ fn fresh_key<G: ParNeighborOracle>(g: &G, w: u32, within: Within) -> (u32, u32) 
 }
 
 /// One ordering run's working state: the visited marks and claim slots
-/// the workers share, one oracle scratch per worker (allocated once per
-/// ordering and reused across every frontier of every component), the
-/// stamp of the current traversal, and the counters.
+/// the workers share, one oracle scratch per worker, the two George–Liu
+/// level structures and the next-level buffer, the stamp of the current
+/// traversal, and the counters. Every buffer is allocated once per
+/// ordering and reused across every frontier, probe and component, so a
+/// graph of many small components costs no allocation per component.
 struct Engine<'g, G: ParNeighborOracle> {
     g: &'g G,
     threads: usize,
@@ -211,6 +213,13 @@ struct Engine<'g, G: ParNeighborOracle> {
     owner: Vec<AtomicU32>,
     scratches: Vec<OracleScratch>,
     fresh: Vec<(u32, u32)>,
+    /// The current root's level structure (after [`Engine::peripheral`]:
+    /// the chosen root's).
+    best: LevelStructure,
+    /// The candidate probe's level structure.
+    probe: LevelStructure,
+    /// The level being expanded into.
+    next: Vec<u32>,
     stamp: u32,
     stats: FrontierStats,
 }
@@ -226,6 +235,9 @@ impl<'g, G: ParNeighborOracle> Engine<'g, G> {
             owner: (0..n).map(|_| AtomicU32::new(u32::MAX)).collect(),
             scratches: (0..threads).map(|_| g.new_scratch()).collect(),
             fresh: Vec::new(),
+            best: LevelStructure::default(),
+            probe: LevelStructure::default(),
+            next: Vec::new(),
             stamp: 0,
             stats: FrontierStats::default(),
         }
@@ -381,47 +393,58 @@ impl<'g, G: ParNeighborOracle> Engine<'g, G> {
         }
     }
 
-    /// The level structure rooted at `root`, confined to its component,
-    /// each level ordered by `within`.
-    fn levels(&mut self, root: u32, within: Within) -> LevelStructure {
+    /// Fills `ls` with the level structure rooted at `root`, confined to
+    /// its component, each level ordered by `within`.
+    fn levels(&mut self, root: u32, within: Within, ls: &mut LevelStructure) {
         self.start(root);
-        let mut verts: Vec<u32> = vec![root];
-        let mut offsets: Vec<usize> = vec![0];
-        let mut current: Vec<u32> = vec![root];
-        let mut next: Vec<u32> = Vec::new();
+        ls.reset(root);
+        let mut next = std::mem::take(&mut self.next);
         loop {
-            offsets.push(verts.len());
-            self.expand(&current, within, &mut next);
+            self.expand(ls.last_level(), within, &mut next);
             if next.is_empty() {
                 break;
             }
-            verts.extend_from_slice(&next);
-            std::mem::swap(&mut current, &mut next);
+            ls.push_level(&next);
         }
-        LevelStructure::from_raw(verts, offsets)
+        self.next = next;
     }
 
-    /// The George–Liu pseudo-peripheral root of `start`'s component, with
-    /// its level structure, every probe's levels ordered by `within`.
-    fn peripheral(&mut self, start: u32, within: Within) -> (u32, LevelStructure) {
+    /// The George–Liu pseudo-peripheral root of `start`'s component,
+    /// every probe's levels ordered by `within`; its level structure is
+    /// left in `self.best`.
+    fn peripheral(&mut self, start: u32, within: Within) -> u32 {
         let g = self.g;
-        george_liu_iterate(|w| g.degree(w as usize), |r| self.levels(r, within), start)
+        let mut best = std::mem::take(&mut self.best);
+        let mut probe = std::mem::take(&mut self.probe);
+        let root = george_liu_iterate(
+            |w| g.degree(w as usize),
+            |r, ls| self.levels(r, within, ls),
+            start,
+            &mut best,
+            &mut probe,
+        );
+        (self.best, self.probe) = (best, probe);
+        root
     }
 
     /// Appends the Cuthill-McKee ordering of `root`'s component to `order`
-    /// (the paper's Fig. 4, steps 2–13, level by level).
+    /// (the paper's Fig. 4, steps 2–13, level by level). Each level is
+    /// expanded from where it already sits in `order`.
     fn cm_component(&mut self, root: u32, order: &mut Vec<u32>) {
         self.start(root);
-        let mut current: Vec<u32> = vec![root];
-        let mut next: Vec<u32> = Vec::new();
+        let mut next = std::mem::take(&mut self.next);
+        let mut lo = order.len();
+        order.push(root);
         loop {
-            self.expand(&current, Within::DegreeThenId, &mut next);
-            order.extend_from_slice(&current);
+            let hi = order.len();
+            self.expand(&order[lo..hi], Within::DegreeThenId, &mut next);
             if next.is_empty() {
                 break;
             }
-            std::mem::swap(&mut current, &mut next);
+            order.extend_from_slice(&next);
+            lo = hi;
         }
+        self.next = next;
     }
 
     /// The full-graph driver: per component, in order of its smallest
@@ -457,13 +480,13 @@ impl<'g, G: ParNeighborOracle> Engine<'g, G> {
                 order.push(start as u32);
                 continue;
             }
-            let (root, levels) = self.peripheral(start as u32, probe);
+            let root = self.peripheral(start as u32, probe);
             self.stats.components += 1;
-            self.stats.bfs_levels += levels.n_levels() as u64;
+            self.stats.bfs_levels += self.best.n_levels() as u64;
             let before = order.len();
             match kind {
                 BandKind::Cm => self.cm_component(root, &mut order),
-                BandKind::Bfs => order.extend_from_slice(levels.vertices()),
+                BandKind::Bfs => order.extend_from_slice(self.best.vertices()),
             }
             for &v in &order[before..] {
                 in_order[v as usize] = true;
@@ -579,8 +602,24 @@ pub(crate) fn rooted_levels<G: ParNeighborOracle>(g: &G, roots: &[u32]) -> Vec<L
     let mut engine = Engine::new(g, 1, PARALLEL_FRONTIER_MIN);
     roots
         .iter()
-        .map(|&r| engine.levels(r, Within::Id))
+        .map(|&r| engine.levels_of(r, Within::Id))
         .collect()
+}
+
+#[cfg(test)]
+impl<G: ParNeighborOracle> Engine<'_, G> {
+    /// [`Engine::levels`] into a structure of its own.
+    fn levels_of(&mut self, root: u32, within: Within) -> LevelStructure {
+        let mut ls = LevelStructure::default();
+        self.levels(root, within, &mut ls);
+        ls
+    }
+
+    /// [`Engine::peripheral`] with a copy of the root's level structure.
+    fn peripheral_of(&mut self, start: u32, within: Within) -> (u32, LevelStructure) {
+        let root = self.peripheral(start, within);
+        (root, self.best.clone())
+    }
 }
 
 #[cfg(test)]
@@ -720,12 +759,12 @@ mod tests {
         let mut unordered = Engine::new(g, threads, frontier_min);
         for start in (0..n as u32).step_by(n.div_ceil(6).max(1)) {
             let (a, b) = (
-                ordered.levels(start, Within::Id),
-                unordered.levels(start, Within::Set),
+                ordered.levels_of(start, Within::Id),
+                unordered.levels_of(start, Within::Set),
             );
             prop_assert_eq!(level_sets(&a), level_sets(&b), "{} start={}", ctx, start);
-            let (ra, la) = ordered.peripheral(start, Within::Id);
-            let (rb, lb) = unordered.peripheral(start, Within::Set);
+            let (ra, la) = ordered.peripheral_of(start, Within::Id);
+            let (rb, lb) = unordered.peripheral_of(start, Within::Set);
             prop_assert_eq!(ra, rb, "{} start={}", ctx, start);
             prop_assert_eq!(
                 la.eccentricity(),
@@ -765,8 +804,8 @@ mod tests {
         let a = incidence(&g);
         let implicit = ImplicitRowGraph::new(&a);
         let mut engine = Engine::new(&implicit, 1, PARALLEL_FRONTIER_MIN);
-        let ordered = engine.levels(0, Within::Id);
-        let unordered = engine.levels(0, Within::Set);
+        let ordered = engine.levels_of(0, Within::Id);
+        let unordered = engine.levels_of(0, Within::Set);
         assert_eq!(ordered.level(1), &[1, 2, 3, 4, 5, 6, 7, 8]);
         assert_ne!(unordered.level(1), ordered.level(1));
         assert_eq!(level_sets(&unordered), level_sets(&ordered));

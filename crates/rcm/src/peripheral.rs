@@ -46,36 +46,45 @@ use crate::level::LevelStructure;
 
 /// The shared George–Liu iteration, generic over how level structures are
 /// built: `degree(w)` must report the set-determined vertex degree and
-/// `build(root)` must return the BFS level structure rooted at `root`, in
-/// any order within each level.
+/// `build(root, ls)` must fill `ls` with the BFS level structure rooted at
+/// `root`, in any order within each level.
+///
+/// The caller owns both structures the loop needs: `best` receives the
+/// structure of the current root and `probe` that of each candidate, and
+/// the two trade places on a restart. On return `best` holds the returned
+/// root's level structure; `probe` is scratch. Nothing is allocated here,
+/// so a driver that keeps the pair across components pays for its
+/// buffers once.
 ///
 /// This is the *single* home of the pseudo-peripheral restart/tie rule
 /// (see the module docs), so the chosen root is identical across
 /// representations and thread counts.
 pub(crate) fn george_liu_iterate(
     degree: impl Fn(u32) -> usize,
-    mut build: impl FnMut(u32) -> LevelStructure,
+    mut build: impl FnMut(u32, &mut LevelStructure),
     start: u32,
-) -> (u32, LevelStructure) {
+    best: &mut LevelStructure,
+    probe: &mut LevelStructure,
+) -> u32 {
     let mut v = start;
-    let mut lv = build(v);
+    build(v, best);
     loop {
         // Minimum-(degree, id) vertex in the deepest level.
-        let u = *lv
+        let u = *best
             .last_level()
             .iter()
             .min_by_key(|&&w| (degree(w), w))
             // cahd-lint: allow(L003, reason = "a BFS level structure rooted at v always has a non-empty last level (it contains v at minimum)")
             .expect("levels are non-empty");
         if u == v {
-            return (v, lv);
+            return v;
         }
-        let lu = build(u);
-        if lu.eccentricity() > lv.eccentricity() {
+        build(u, probe);
+        if probe.eccentricity() > best.eccentricity() {
             v = u;
-            lv = lu;
+            std::mem::swap(best, probe);
         } else {
-            return (v, lv);
+            return v;
         }
     }
 }
@@ -88,11 +97,15 @@ mod tests {
 
     /// The root search as the engine runs it at one worker.
     fn pseudo_peripheral(g: &Graph, start: u32) -> (u32, LevelStructure) {
-        george_liu_iterate(
+        let (mut best, mut probe) = (LevelStructure::default(), LevelStructure::default());
+        let root = george_liu_iterate(
             |w| g.degree(w as usize),
-            |r| rooted_levels(g, &[r]).remove(0),
+            |r, ls| *ls = rooted_levels(g, &[r]).remove(0),
             start,
-        )
+            &mut best,
+            &mut probe,
+        );
+        (root, best)
     }
 
     #[test]

@@ -30,8 +30,9 @@ pub enum Traversal {
     Bfs,
 }
 
-/// What the oracle produced: the reversed order plus the two counters it
-/// can state without reference to how the engine schedules its work.
+/// What the oracle produced: the reversed order, the two counters it can
+/// state without reference to how the engine schedules its work, and the
+/// frontiers the traversals expand.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Fig4 {
     /// `order[i]` is the old id of the vertex placed at position `i`.
@@ -41,6 +42,35 @@ pub struct Fig4 {
     /// Levels of the chosen roots' level structures, summed over the
     /// components (`rcm.bfs_levels`).
     pub bfs_levels: u64,
+    /// The width of every level of every level structure built (each
+    /// George–Liu probe's, then, for Cuthill-McKee, the chosen root's
+    /// again, since the queue visits the same levels): one entry per
+    /// frontier expansion.
+    pub frontiers: Vec<usize>,
+    /// Components whose root search moved off its start vertex (at least
+    /// one strict eccentricity increase).
+    pub restarted: u64,
+}
+
+impl Fig4 {
+    /// The five `rcm.*` counters at the eligibility threshold
+    /// `frontier_min`: components, bfs_levels, levels, frontier_parallel
+    /// and frontier_sequential.
+    pub fn counters(&self, frontier_min: usize) -> [u64; 5] {
+        let parallel = self
+            .frontiers
+            .iter()
+            .filter(|&&w| w >= frontier_min)
+            .count() as u64;
+        let levels = self.frontiers.len() as u64;
+        [
+            self.components,
+            self.bfs_levels,
+            levels,
+            parallel,
+            levels - parallel,
+        ]
+    }
 }
 
 /// The BFS level structure of `root`: `levels[k]` lists the vertices at
@@ -68,16 +98,27 @@ pub fn levels(adj: &[Vec<u32>], root: u32) -> Vec<Vec<u32>> {
 
 /// George–Liu pseudo-peripheral root search from `start`.
 pub fn pseudo_peripheral(adj: &[Vec<u32>], start: u32) -> (u32, Vec<Vec<u32>>) {
+    probing(adj, start, &mut Vec::new())
+}
+
+/// [`pseudo_peripheral`], appending each probe's level widths to
+/// `frontiers`.
+fn probing(adj: &[Vec<u32>], start: u32, frontiers: &mut Vec<usize>) -> (u32, Vec<Vec<u32>>) {
     let degree = |w: u32| adj[w as usize].len();
+    let mut probe = |root: u32| {
+        let lv = levels(adj, root);
+        frontiers.extend(lv.iter().map(Vec::len));
+        lv
+    };
     let mut v = start;
-    let mut lv = levels(adj, v);
+    let mut lv = probe(v);
     loop {
         let last = lv.last().unwrap();
         let u = *last.iter().min_by_key(|&&w| (degree(w), w)).unwrap();
         if u == v {
             return (v, lv);
         }
-        let lu = levels(adj, u);
+        let lu = probe(u);
         if lu.len() > lv.len() {
             v = u;
             lv = lu;
@@ -114,16 +155,21 @@ pub fn cuthill_mckee(adj: &[Vec<u32>], root: u32) -> Vec<u32> {
 pub fn fig4(adj: &[Vec<u32>], traversal: Traversal) -> Fig4 {
     let mut placed = vec![false; adj.len()];
     let mut order = Vec::with_capacity(adj.len());
-    let (mut components, mut bfs_levels) = (0, 0);
+    let (mut components, mut bfs_levels, mut restarted) = (0, 0, 0);
+    let mut frontiers = Vec::new();
     for start in 0..adj.len() as u32 {
         if placed[start as usize] {
             continue;
         }
-        let (root, lv) = pseudo_peripheral(adj, start);
+        let (root, lv) = probing(adj, start, &mut frontiers);
         components += 1;
         bfs_levels += lv.len() as u64;
+        restarted += u64::from(root != start);
         let component = match traversal {
-            Traversal::Cm => cuthill_mckee(adj, root),
+            Traversal::Cm => {
+                frontiers.extend(lv.iter().map(Vec::len));
+                cuthill_mckee(adj, root)
+            }
             Traversal::Bfs => lv.concat(),
         };
         for &v in &component {
@@ -136,5 +182,7 @@ pub fn fig4(adj: &[Vec<u32>], traversal: Traversal) -> Fig4 {
         order,
         components,
         bfs_levels,
+        frontiers,
+        restarted,
     }
 }

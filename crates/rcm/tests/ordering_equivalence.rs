@@ -24,6 +24,13 @@
 //!    orders and every `rcm.*` counter equal literal values recorded from
 //!    full traversals; the oracle checks only `rcm.components` and
 //!    `rcm.bfs_levels`.
+//! 6. **Many small components**: on graphs of interleaved paths, stars
+//!    and cliques (the shape of a streamed batch's row graph), where some
+//!    root searches restart on a strict eccentricity increase and some
+//!    stop on a tie, the orders and all five `rcm.*` counters equal the
+//!    oracle's, which counts every frontier its traversals expand. The
+//!    engine reuses its level buffers from one component to the next, so
+//!    this is where a stale buffer would show.
 //!
 //! The `CAHD_TEST_THREADS` environment variable (used by the CI matrix)
 //! adds one more thread count to every sweep.
@@ -402,5 +409,138 @@ proptest! {
                 seen = Some(tuple);
             }
         }
+    }
+}
+
+/// One small component: its shape, its vertex count, and whether its
+/// smallest id (where the root search starts) sits inside it.
+#[derive(Clone, Copy, Debug)]
+enum Shape {
+    /// A path; entered inside, the search restarts toward an end.
+    Path(usize, bool),
+    /// A star; entered at the centre, the search restarts at a leaf.
+    Star(usize, bool),
+    /// A clique: every candidate ties, so the search never restarts.
+    Clique(usize),
+}
+
+/// The components of `shapes` plus `isolated` edge-free vertices over ids
+/// scrambled by `seed`, so every component's ids interleave with the
+/// others' and components are met in no particular order.
+fn mixed_components(shapes: &[Shape], isolated: usize, seed: u32) -> Graph {
+    let size = |s: &Shape| match *s {
+        Shape::Path(n, _) | Shape::Star(n, _) | Shape::Clique(n) => n,
+    };
+    let n = shapes.iter().map(size).sum::<usize>() + isolated;
+    let mut ids: Vec<u32> = (0..n as u32).collect();
+    ids.sort_by_key(|&v| (v.wrapping_mul(0x9e37_79b9) ^ seed, v));
+    let mut edges = Vec::new();
+    let mut next = 0;
+    for shape in shapes {
+        let k = size(shape);
+        let mut mine = ids[next..next + k].to_vec();
+        next += k;
+        mine.sort_unstable();
+        // `first` is the local vertex that receives the smallest id.
+        let first = match *shape {
+            Shape::Path(k, true) => k / 2,
+            Shape::Star(_, false) => 1,
+            _ => 0,
+        };
+        let local = |i: usize| match i.cmp(&first) {
+            std::cmp::Ordering::Equal => mine[0],
+            std::cmp::Ordering::Less => mine[i + 1],
+            std::cmp::Ordering::Greater => mine[i],
+        };
+        match *shape {
+            Shape::Path(k, _) => edges.extend((1..k).map(|i| (local(i - 1), local(i)))),
+            Shape::Star(k, _) => edges.extend((1..k).map(|i| (local(0), local(i)))),
+            Shape::Clique(k) => {
+                for i in 0..k {
+                    edges.extend((i + 1..k).map(|j| (local(i), local(j))));
+                }
+            }
+        }
+    }
+    Graph::from_edges(n, &edges)
+}
+
+/// Checks orders and all five `rcm.*` counters against the oracle under
+/// `rcm` and `bfs`, at every thread count and both thresholds.
+fn assert_counters_match_fig4(g: &Graph) -> Result<(), String> {
+    let adj = adjacency(g);
+    for strategy in [OrderingStrategy::Rcm, OrderingStrategy::Bfs] {
+        let want = fig4(&adj, traversal(strategy));
+        for threads in thread_counts(&[1, 2, 8]) {
+            for frontier_min in [1, PARALLEL_FRONTIER_MIN] {
+                let rec = Recorder::new();
+                let p = band_order_with(g, strategy, threads, frontier_min, &rec);
+                let ctx = format!(
+                    "{} threads={threads} frontier_min={frontier_min}",
+                    strategy.name()
+                );
+                prop_assert_eq!(p.new_to_old_slice(), &want.order[..], "{}", ctx);
+                let report = rec.snapshot();
+                let got = [
+                    "rcm.components",
+                    "rcm.bfs_levels",
+                    "rcm.levels",
+                    "rcm.frontier_parallel",
+                    "rcm.frontier_sequential",
+                ]
+                .map(|c| report.counter_or_zero(c));
+                prop_assert_eq!(got, want.counters(frontier_min), "{}", ctx);
+            }
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn many_small_components_match_fig4_orders_and_counters() {
+    // 1,200 components of two to six vertices, every shape entered both
+    // ways, one 300-leaf star whose centre frontier reaches the parallel
+    // threshold, and 400 isolated vertices.
+    let mut shapes = Vec::new();
+    for i in 0..1200usize {
+        let k = 2 + i % 5;
+        shapes.push(match i % 5 {
+            0 | 1 => Shape::Path(k, i % 2 == 0),
+            2 | 3 => Shape::Star(k.max(3), i % 2 == 0),
+            _ => Shape::Clique(k.min(4)),
+        });
+    }
+    shapes.push(Shape::Star(301, true));
+    let g = mixed_components(&shapes, 400, 7);
+    let want = fig4(&adjacency(&g), Traversal::Cm);
+    assert_eq!(want.components, 1601);
+    assert!(
+        want.restarted > 100 && want.restarted < 1000,
+        "some searches must restart and some stop: {} of {}",
+        want.restarted,
+        want.components
+    );
+    assert!(want.counters(PARALLEL_FRONTIER_MIN)[3] > 0);
+    assert_counters_match_fig4(&g).unwrap();
+}
+
+fn arb_shape() -> impl Strategy<Value = Shape> {
+    (0usize..3, 2usize..8, 0u8..2).prop_map(|(kind, k, inside)| match kind {
+        0 => Shape::Path(k, inside == 1),
+        1 => Shape::Star(k.max(3), inside == 1),
+        _ => Shape::Clique(k.min(5)),
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn mixed_small_components_match_fig4_counters(
+        shapes in proptest::collection::vec(arb_shape(), 1..40),
+        isolated in 0usize..12,
+        seed in 0u32..u32::MAX,
+    ) {
+        assert_counters_match_fig4(&mixed_components(&shapes, isolated, seed))?;
     }
 }

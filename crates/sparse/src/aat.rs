@@ -1013,9 +1013,11 @@ fn assemble_chunks(n: usize, chunks: &[ChunkAdjacency]) -> Graph {
 const MAX_CHUNK_RESERVE: usize = 1 << 20;
 
 /// Builds the sorted distinct neighbor lists of rows `lo..hi` (each
-/// excluding the row itself) as one flat chunk. The transpose rows are
-/// ascending, so one- and two-item rows emit pre-sorted lists by a plain
-/// merge; wider rows use a stamped gather plus one per-row sort.
+/// excluding the row itself) as one flat chunk. An item held by the row
+/// alone lists only the row, which is filtered out anyway, so only the
+/// items shared with another row are merged. The transpose rows are
+/// ascending, so rows with one or two shared items emit pre-sorted lists
+/// by a plain merge; wider rows merge their lists in balanced rounds.
 fn fill_chunk(a: &CsrMatrix, cols: &CsrMatrix, lo: usize, hi: usize) -> ChunkAdjacency {
     let mut indptr: Vec<usize> = Vec::with_capacity(hi - lo + 1);
     indptr.push(0);
@@ -1032,8 +1034,15 @@ fn fill_chunk(a: &CsrMatrix, cols: &CsrMatrix, lo: usize, hi: usize) -> ChunkAdj
     }
     let mut indices: Vec<u32> = Vec::with_capacity(reserve.min(MAX_CHUNK_RESERVE));
     let mut scratch = MergeScratch::default();
+    let mut items: Vec<u32> = Vec::new();
     for v in lo..hi {
-        let items = a.row(v);
+        items.clear();
+        items.extend(
+            a.row(v)
+                .iter()
+                .copied()
+                .filter(|&i| cols.row(i as usize).len() > 1),
+        );
         let vv = v as u32;
         match *items {
             [] => {}
@@ -1057,7 +1066,7 @@ fn fill_chunk(a: &CsrMatrix, cols: &CsrMatrix, lo: usize, hi: usize) -> ChunkAdj
                 indices.extend(y[q..].iter().copied().filter(|&r| r != vv));
             }
             _ => {
-                merge_lists(cols, items, vv, &mut indices, &mut scratch);
+                merge_lists(cols, &items, vv, &mut indices, &mut scratch);
             }
         }
         indptr.push(indices.len());
@@ -1166,6 +1175,24 @@ mod tests {
         assert_eq!(sorted_neighbors(&g, 1), vec![0, 2]);
         assert_eq!(sorted_neighbors(&g, 2), vec![1]);
         assert_eq!(sorted_neighbors(&g, 3), Vec::<u32>::new());
+    }
+
+    #[test]
+    fn rows_of_single_holder_items_have_no_neighbors() {
+        // Row 0 holds three items nobody else holds, row 1 two such items
+        // plus item 5, which it shares with row 2 only; row 3 holds one
+        // private item. Every path of the builder (1, 2 and ≥ 3 items)
+        // sees its private items dropped.
+        let a = CsrMatrix::from_rows(
+            &[vec![0, 1, 2], vec![3, 4, 5], vec![5, 6, 7, 8], vec![9]],
+            10,
+        );
+        let g = RowGraph::build_explicit(&a);
+        assert!(g.neighbors(0).is_empty());
+        assert_eq!(g.neighbors(1), &[2]);
+        assert_eq!(g.neighbors(2), &[1]);
+        assert!(g.neighbors(3).is_empty());
+        assert_eq!(g.n_edges(), 1);
     }
 
     #[test]

@@ -29,6 +29,24 @@ fn arb_sets() -> impl Strategy<Value = (Vec<Vec<u32>>, usize)> {
     })
 }
 
+/// Strategy: rows of three to ten items, most of them held by that row
+/// alone (the shape of a batch over a wide universe). Each row draws up to
+/// three shared items from a pool of eight and numbers its private items
+/// past the pool.
+fn arb_mostly_private_rows() -> impl Strategy<Value = Vec<Vec<u32>>> {
+    proptest::collection::vec((proptest::collection::vec(0u32..8, 0..4), 3usize..8), 0..30)
+        .prop_map(|spec| {
+            let mut next = 8u32;
+            spec.into_iter()
+                .map(|(mut row, private)| {
+                    row.extend(next..next + private as u32);
+                    next += private as u32;
+                    row
+                })
+                .collect()
+        })
+}
+
 /// The ids below `n_cols` that `rows` hold, ascending: the relabel's
 /// definition.
 fn held_ids(rows: &[Vec<u32>], n_cols: usize) -> Vec<u32> {
@@ -215,6 +233,22 @@ proptest! {
             b.sort_unstable();
             prop_assert_eq!(&a, &b, "vertex {}", v);
             prop_assert_eq!(ex.degree(v), ParNeighborOracle::degree(&im, v));
+        }
+    }
+
+    #[test]
+    fn explicit_builder_matches_pair_enumeration(rows in arb_mostly_private_rows()) {
+        let n_cols = rows.iter().flatten().max().map_or(0, |&c| c as usize + 1);
+        let m = CsrMatrix::from_rows(&rows, n_cols);
+        for threads in [1, 3] {
+            let g = RowGraph::build_explicit_threaded(&m, threads);
+            for v in 0..m.n_rows() {
+                let want: Vec<u32> = (0..m.n_rows())
+                    .filter(|&w| w != v && CsrMatrix::intersection_len(m.row(v), m.row(w)) > 0)
+                    .map(|w| w as u32)
+                    .collect();
+                prop_assert_eq!(g.neighbors(v), &want[..], "vertex {} threads {}", v, threads);
+            }
         }
     }
 
