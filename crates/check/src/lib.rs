@@ -608,15 +608,15 @@ mod tests {
         use cahd_core::shard::ParallelConfig;
         use cahd_obs::Recorder;
         silence_injected_panics();
-        let rows = vec![
-            vec![0, 1, 4],
-            vec![0, 1],
-            vec![2, 3],
-            vec![2, 3, 5],
-            vec![0, 3],
-            vec![1, 2],
-            vec![1, 1, 99], // quarantined: duplicate + out-of-range item
-            vec![0, 2],
+        let rows: [&[u32]; 8] = [
+            &[0, 1, 4],
+            &[0, 1],
+            &[2, 3],
+            &[2, 3, 5],
+            &[0, 3],
+            &[1, 2],
+            &[1, 1, 99], // quarantined: duplicate + out-of-range item
+            &[0, 2],
         ];
         let sens = SensitiveSet::new(vec![4, 5], 6);
         let recovery = RecoveryConfig::quarantine().with_plan(FaultPlan::none().with_shard_fault(
@@ -628,7 +628,7 @@ mod tests {
         let robust = Anonymizer::new(
             AnonymizerConfig::with_privacy_degree(2).with_parallel(ParallelConfig::new(2, 2)),
         )
-        .anonymize_rows(&rows, &sens, &recovery, &rec)
+        .anonymize_rows(rows.into_iter(), &sens, &recovery, &rec)
         .unwrap();
         assert_eq!(robust.quarantined, vec![6]);
         assert_eq!(robust.recovered_shards, 1);

@@ -2,6 +2,7 @@
 
 use cahd_core::refine::OverlapCounter;
 use cahd_core::verify::{verify_all, VerificationError};
+use cahd_core::PublishedDataset;
 use cahd_eval::adversary::ATTACKER_INTERSECTION;
 use cahd_eval::{
     posterior_violations, run_attack_suite, unique_match_violations, AttackPlan, AttackTarget,
@@ -83,14 +84,25 @@ fn diagnose(err: &VerificationError) -> Diagnostic {
 }
 
 /// Runs the core collect-all verifier and keeps the findings whose code is
-/// in `codes` — the shared engine behind the conformance passes.
+/// in `codes` — the shared engine behind the conformance passes. On a
+/// release whose member lists were stripped the findings that read the
+/// members (`CAHD-C001`, `CAHD-S001`) are left out: `CAHD-C004` names
+/// their one cause instead.
 fn conformance(input: &CheckInput<'_>, codes: &[&str], out: &mut Vec<Diagnostic>) {
+    let stripped = members_stripped(input.published);
     for err in verify_all(input.data, input.sensitive, input.published, input.p) {
         let d = diagnose(&err);
-        if codes.contains(&d.code) {
+        let reads_members = matches!(d.code, "CAHD-C001" | "CAHD-S001");
+        if codes.contains(&d.code) && !(stripped && reads_members) {
             out.push(d);
         }
     }
+}
+
+/// Whether the release's member lists were stripped (`anonymize
+/// --strip-members`): it publishes rows, but no group names a member.
+fn members_stripped(published: &PublishedDataset) -> bool {
+    published.n_transactions() > 0 && published.groups.iter().all(|g| g.members.is_empty())
 }
 
 /// `CAHD-G001`: parameter sanity (privacy degree vs. dataset size).
@@ -200,7 +212,7 @@ impl Pass for Coverage {
     }
 
     fn codes(&self) -> &'static [&'static str] {
-        &["CAHD-C001", "CAHD-C002", "CAHD-C003"]
+        &["CAHD-C001", "CAHD-C002", "CAHD-C003", "CAHD-C004"]
     }
 
     fn description(&self) -> &'static str {
@@ -208,6 +220,17 @@ impl Pass for Coverage {
     }
 
     fn run(&self, input: &CheckInput<'_>, out: &mut Vec<Diagnostic>) {
+        if members_stripped(input.published) {
+            out.push(Diagnostic::error(
+                "CAHD-C004",
+                format!(
+                    "the release's member lists were stripped (--strip-members): which of the \
+                     {} transactions each group publishes cannot be checked, so coverage, \
+                     sensitive summaries and the shard merge go unverified",
+                    input.data.n_transactions()
+                ),
+            ));
+        }
         conformance(input, self.codes(), out);
     }
 }
@@ -308,6 +331,9 @@ impl Pass for ShardMerge {
     }
 
     fn run(&self, input: &CheckInput<'_>, out: &mut Vec<Diagnostic>) {
+        if members_stripped(input.published) {
+            return; // CAHD-C004 reports it
+        }
         let n = input.data.n_transactions();
         // The last group seen referencing each row; every repeat reference
         // is a finding against it. Groups are walked in order, so a row's

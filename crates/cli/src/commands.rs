@@ -10,13 +10,14 @@ use cahd_baselines::{perm_mondrian, random_grouping, PmConfig};
 use cahd_core::checkpoint::StreamingCheckpoint;
 use cahd_core::diversity::privacy_report;
 use cahd_core::pipeline::{Anonymizer, AnonymizerConfig};
-use cahd_core::recovery::{sanitize_rows, RecoveryConfig};
+use cahd_core::recovery::{RecoveryConfig, SanitizedRows};
 use cahd_core::shard::ParallelConfig;
 use cahd_core::streaming::{ReleaseChunk, StreamingAnonymizer};
 use cahd_core::weighted::{anonymize_weighted, verify_weighted, WeightedSimilarity};
 use cahd_core::{verify_published, AnonymizedGroup, CahdConfig, PublishedDataset};
 use cahd_data::{
-    io, profiles, DatasetStats, ItemId, QuestConfig, QuestGenerator, SensitiveSet, TransactionSet,
+    io, profiles, DatasetStats, ItemId, QuestConfig, QuestGenerator, RawRows, SensitiveSet,
+    TransactionSet,
 };
 use cahd_eval::{
     derive_seed, evaluate_workload, evaluate_workload_traced, generate_workload_seeded,
@@ -543,17 +544,18 @@ fn recovery_from_args(args: &Args) -> Result<RecoveryConfig, CliError> {
     }
 }
 
-/// Reads a `.dat` file as *raw* rows (duplicates and order preserved, so
-/// malformed rows are visible to the ingestion policy) plus the item
-/// universe: the larger of the inferred `max_id + 1` and `--items`.
-fn load_rows(args: &Args) -> Result<(Vec<Vec<ItemId>>, usize), CliError> {
+/// Reads a `.dat` file as *raw* rows in one CSR (duplicates and order
+/// preserved, so malformed rows are visible to the ingestion policy) plus
+/// the item universe: the larger of the inferred `max_id + 1` and
+/// `--items`.
+fn load_raw(args: &Args) -> Result<(RawRows, usize), CliError> {
     let path = args.positional(0, "data.dat")?;
     if !Path::new(path).exists() {
         return Err(CliError::Run(format!("no such file: {path}")));
     }
     let file = std::fs::File::open(path).map_err(io_to_run(path))?;
     let (rows, inferred) =
-        io::read_dat_rows(std::io::BufReader::new(file)).map_err(io_to_run(path))?;
+        io::read_dat_raw(std::io::BufReader::new(file)).map_err(io_to_run(path))?;
     let d = inferred.max(args.parse_or("items", 0usize)?);
     Ok((rows, d))
 }
@@ -566,7 +568,8 @@ fn io_to_run(path: &str) -> impl Fn(std::io::Error) -> CliError + '_ {
 /// robust pipeline, which rejects (strict) or quarantines corrupt rows
 /// into the final group instead of trusting the normalizing reader to
 /// paper over them. The trace has root spans `ingest` (`.dat` → raw rows
-/// and their sanitized view), `pipeline` and `serialize` (with `--out`).
+/// and their sanitized view, one CSR when every row is clean),
+/// `pipeline` and `serialize` (with `--out`).
 fn anonymize_robust_cmd(args: &Args, p: usize, seed: u64) -> Result<String, CliError> {
     if args.value("method").unwrap_or("cahd") != "cahd" {
         return Err(CliError::Usage(
@@ -576,17 +579,21 @@ fn anonymize_robust_cmd(args: &Args, p: usize, seed: u64) -> Result<String, CliE
     let policy = args.value("bad-input").unwrap_or("strict");
     let recovery = recovery_from_args(args)?;
     let rec = recorder_from_args(args);
-    let (rows, norm) = {
+    let rows = {
         let _s = rec.span("ingest");
-        let (rows, d) = load_rows(args)?;
+        let (raw, d) = load_raw(args)?;
         // Sensitive-set selection needs a normalized view; sanitizing first
         // keeps out-of-range ids in corrupt rows from poisoning the universe.
-        let norm = sanitize_rows(rows.iter().map(Vec::as_slice), d);
-        (rows, norm)
+        SanitizedRows::new(raw, d)
     };
-    let sensitive = sensitive_from_args(args, &norm, p, seed)?;
-    let robust = Anonymizer::new(anonymizer_config_from_args(args, p)?)
-        .anonymize_rows(&rows, &sensitive, &recovery, &rec)?;
+    let sensitive = sensitive_from_args(args, rows.data(), p, seed)?;
+    let robust = Anonymizer::new(anonymizer_config_from_args(args, p)?).anonymize_rows(
+        rows.raw_rows(),
+        &sensitive,
+        &recovery,
+        &rec,
+    )?;
+    drop(rows);
     let mut published = robust.result.published;
     if args.has("refine") {
         cahd_core::refine::refine_groups(&mut published, &robust.data, &sensitive, p, 2, 3);
@@ -624,7 +631,8 @@ fn anonymize_robust_cmd(args: &Args, p: usize, seed: u64) -> Result<String, CliE
 /// (already-released chunks are never recomputed); `--max-batches N`
 /// pauses deliberately after `N` releases. At the end the chunks merge
 /// into one release, re-verified against the whole dataset. The trace has
-/// root spans `ingest` (`.dat` → rows), `pipeline` (one window per batch),
+/// root spans `ingest` (`.dat` → one raw CSR and its sanitized view, the
+/// same CSR when every row is clean), `pipeline` (one window per batch),
 /// `merge` (chunks → one verified release) and `serialize` (with `--out`).
 fn anonymize_stream_cmd(args: &Args, p: usize) -> Result<String, CliError> {
     if args.value("method").unwrap_or("cahd") != "cahd" {
@@ -646,15 +654,16 @@ fn anonymize_stream_cmd(args: &Args, p: usize) -> Result<String, CliError> {
     };
     let recovery = recovery_from_args(args)?;
     let rec = recorder_from_args(args);
-    // Ingest builds the raw rows the stream consumes and the sanitized
-    // dataset the merge verifies against, once each.
-    let (rows, d, data) = {
+    // Ingest reads the raw rows the stream consumes and builds the
+    // sanitized dataset the merge verifies against: one CSR for both
+    // when every row is clean.
+    let (rows, d) = {
         let _s = rec.span("ingest");
-        let (rows, inferred) = load_rows(args)?;
+        let (raw, inferred) = load_raw(args)?;
         let d = inferred.max(items.iter().map(|&i| i as usize + 1).max().unwrap_or(0));
-        let data = sanitize_rows(rows.iter().map(Vec::as_slice), d);
-        (rows, d, data)
+        (SanitizedRows::new(raw, d), d)
     };
+    let n_rows = rows.data().n_transactions();
     let sensitive = SensitiveSet::new(items, d);
     let cfg = anonymizer_config_from_args(args, p)?;
     let ckpt_dir = args.value("checkpoint");
@@ -691,17 +700,19 @@ fn anonymize_stream_cmd(args: &Args, p: usize) -> Result<String, CliError> {
             .with_recorder(&rec)
     };
     let start = usize::try_from(stream.next_stream_id()).unwrap_or(usize::MAX);
-    if start > rows.len() {
+    if start > n_rows {
         return Err(CliError::Run(format!(
-            "checkpoint is ahead of the input: stream position {start} > {} rows",
-            rows.len()
+            "checkpoint is ahead of the input: stream position {start} > {n_rows} rows"
         )));
     }
 
     let mut released_now = 0usize;
-    // Rows move into the stream: each is dropped once its batch releases.
-    for row in rows.into_iter().skip(start) {
-        let released = stream.push(row).map_err(|e| CliError::Run(e.to_string()))?;
+    // Each row is copied into the stream's flat buffer, which the batch
+    // borrows as its dataset when every row of it is clean.
+    for row in rows.raw_rows().skip(start) {
+        let released = stream
+            .push_row(row)
+            .map_err(|e| CliError::Run(e.to_string()))?;
         if let Some(chunk) = released {
             if let Some(dir) = ckpt_dir {
                 persist_chunk(dir, chunk_idx, &chunk, &stream.checkpoint())?;
@@ -755,10 +766,10 @@ fn anonymize_stream_cmd(args: &Args, p: usize) -> Result<String, CliError> {
     // The chunks' rows were moved, not rebuilt from the data, and a chunk
     // read back from disk may have been edited: the whole-dataset check
     // of every member, row and count is what guards the merge.
-    verify_published(&data, &sensitive, &merged, p)
+    verify_published(rows.data(), &sensitive, &merged, p)
         .map_err(|e| CliError::Run(format!("merged stream release failed verification: {e}")))?;
     // Only the merged release is needed from here on.
-    drop(data);
+    drop(rows);
     drop(merge_span);
     out.push_str(&format!(
         "method cahd (streaming), p {p}: {n_chunks} chunks, {} groups over {} transactions, \

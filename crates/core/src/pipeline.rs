@@ -237,20 +237,28 @@ impl Anonymizer {
     ///
     /// [`InputPolicy::Strict`]: crate::recovery::InputPolicy::Strict
     /// [`InputPolicy::Quarantine`]: crate::recovery::InputPolicy::Quarantine
-    pub fn anonymize_rows(
+    pub fn anonymize_rows<'r, I>(
         &self,
-        rows: &[Vec<ItemId>],
+        rows: I,
         sensitive: &SensitiveSet,
         recovery: &RecoveryConfig,
         rec: &Recorder,
-    ) -> Result<RobustResult, CahdError> {
+    ) -> Result<RobustResult, CahdError>
+    where
+        I: Iterator<Item = &'r [ItemId]> + Clone,
+    {
         self.config.cahd.validate()?;
-        let (data, quarantined) = ingest_rows(
-            rows.iter().map(Vec::as_slice),
-            sensitive.n_items(),
-            recovery,
-        )?;
-        self.anonymize_ingested(data, quarantined, sensitive, recovery, rec)
+        let (data, quarantined) = ingest_rows(rows, sensitive.n_items(), recovery)?;
+        let result = self.anonymize_ingested(&data, &quarantined, sensitive, recovery, rec)?;
+        Ok(RobustResult {
+            recovered_shards: result
+                .sharded_stats
+                .as_ref()
+                .map_or(0, |s| s.recovered_shards),
+            result,
+            data,
+            quarantined,
+        })
     }
 
     /// The robust pipeline past ingestion: `data` is the sanitized dataset
@@ -259,12 +267,12 @@ impl Anonymizer {
     /// `rec`. The caller validates the configuration first.
     pub(crate) fn anonymize_ingested(
         &self,
-        data: TransactionSet,
-        quarantined: Vec<usize>,
+        data: &TransactionSet,
+        quarantined: &[usize],
         sensitive: &SensitiveSet,
         recovery: &RecoveryConfig,
         rec: &Recorder,
-    ) -> Result<RobustResult, CahdError> {
+    ) -> Result<PipelineResult, CahdError> {
         // cahd-lint: allow(L002, reason = "elapsed-time stat only; release bytes never depend on it")
         let t0 = Instant::now();
         let n_items = sensitive.n_items();
@@ -272,16 +280,7 @@ impl Anonymizer {
         let n = data.n_transactions();
 
         if quarantined.is_empty() {
-            let result = self.anonymize_with_plan(&data, sensitive, &recovery.plan, rec)?;
-            return Ok(RobustResult {
-                recovered_shards: result
-                    .sharded_stats
-                    .as_ref()
-                    .map_or(0, |s| s.recovered_shards),
-                result,
-                data,
-                quarantined,
-            });
+            return self.anonymize_with_plan(data, sensitive, &recovery.plan, rec);
         }
 
         // --- Quarantine path. ---
@@ -291,7 +290,7 @@ impl Anonymizer {
         // Global feasibility over the *sanitized* dataset: quarantined
         // rows are published too, so they count toward both sides of the
         // bound. This also guarantees the dissolve repair terminates.
-        let counts = sensitive.occurrence_counts(&data);
+        let counts = sensitive.occurrence_counts(data);
         for (r, &c) in counts.iter().enumerate() {
             if c * p > n {
                 return Err(CahdError::Infeasible {
@@ -303,7 +302,7 @@ impl Anonymizer {
             }
         }
         let mut in_quarantine = vec![false; n];
-        for &i in &quarantined {
+        for &i in quarantined {
             in_quarantine[i] = true;
         }
         let good: Vec<usize> = (0..n).filter(|&i| !in_quarantine[i]).collect();
@@ -357,7 +356,7 @@ impl Anonymizer {
             }
             final_members.sort_unstable();
             groups.push(AnonymizedGroup::from_members(
-                &data,
+                data,
                 sensitive,
                 &final_members,
             ));
@@ -378,7 +377,7 @@ impl Anonymizer {
             let members: Vec<u32> =
                 // cahd-lint: allow(L003, reason = "TransactionSet indexes rows with u32, so n <= u32::MAX structurally")
                 (0..u32::try_from(n).expect("dataset fits u32 indices")).collect();
-            let group = AnonymizedGroup::from_members(&data, sensitive, &members);
+            let group = AnonymizedGroup::from_members(data, sensitive, &members);
             rec.add("core.fallback_group_size", n as u64);
             PipelineResult {
                 published: PublishedDataset {
@@ -410,17 +409,9 @@ impl Anonymizer {
         // Refresh the allocator gauges past the quarantine merge (the
         // degraded path never enters `anonymize_with_plan`).
         rec.record_memory_gauges();
-        Ok(RobustResult {
-            recovered_shards: result
-                .sharded_stats
-                .as_ref()
-                .map_or(0, |s| s.recovered_shards),
-            result: PipelineResult {
-                total_time: t0.elapsed(),
-                ..result
-            },
-            data,
-            quarantined,
+        Ok(PipelineResult {
+            total_time: t0.elapsed(),
+            ..result
         })
     }
 }
@@ -582,6 +573,10 @@ mod tests {
         assert!(matches!(err, CahdError::Infeasible { .. }));
     }
 
+    fn slices(rows: &[Vec<u32>]) -> impl Iterator<Item = &[u32]> + Clone {
+        rows.iter().map(Vec::as_slice)
+    }
+
     fn block_rows() -> (Vec<Vec<u32>>, SensitiveSet) {
         let (data, sens) = block_data();
         let rows: Vec<Vec<u32>> = data.iter().map(<[u32]>::to_vec).collect();
@@ -601,7 +596,7 @@ mod tests {
             .unwrap();
         for recovery in [RecoveryConfig::strict(), RecoveryConfig::quarantine()] {
             let robust = anon
-                .anonymize_rows(&rows, &sens, &recovery, &Recorder::disabled())
+                .anonymize_rows(slices(&rows), &sens, &recovery, &Recorder::disabled())
                 .unwrap();
             assert_eq!(robust.result.published, plain.published);
             assert!(robust.quarantined.is_empty());
@@ -617,7 +612,7 @@ mod tests {
         let anon = Anonymizer::new(AnonymizerConfig::with_privacy_degree(2));
         let err = anon
             .anonymize_rows(
-                &rows,
+                slices(&rows),
                 &sens,
                 &RecoveryConfig::strict(),
                 &Recorder::disabled(),
@@ -631,7 +626,7 @@ mod tests {
         // Parameter errors still take precedence over ingestion.
         let err = Anonymizer::new(AnonymizerConfig::with_privacy_degree(1))
             .anonymize_rows(
-                &rows,
+                slices(&rows),
                 &sens,
                 &RecoveryConfig::strict(),
                 &Recorder::disabled(),
@@ -648,7 +643,7 @@ mod tests {
         let anon = Anonymizer::new(AnonymizerConfig::with_privacy_degree(2));
         let rec = Recorder::new();
         let robust = anon
-            .anonymize_rows(&rows, &sens, &RecoveryConfig::quarantine(), &rec)
+            .anonymize_rows(slices(&rows), &sens, &RecoveryConfig::quarantine(), &rec)
             .unwrap();
         assert_eq!(robust.quarantined, vec![3, 6]);
         let pub_ = &robust.result.published;
@@ -679,7 +674,7 @@ mod tests {
         let recovery = RecoveryConfig::quarantine()
             .with_plan(FaultPlan::none().with_corrupt_row(1).with_corrupt_row(5));
         let robust = anon
-            .anonymize_rows(&rows, &sens, &recovery, &Recorder::disabled())
+            .anonymize_rows(slices(&rows), &sens, &recovery, &Recorder::disabled())
             .unwrap();
         assert_eq!(robust.quarantined, vec![1, 5]);
         assert_eq!(robust.result.published.n_transactions(), rows.len());
@@ -711,7 +706,7 @@ mod tests {
         let anon = Anonymizer::new(AnonymizerConfig::with_privacy_degree(4));
         let robust = anon
             .anonymize_rows(
-                &rows,
+                slices(&rows),
                 &sens,
                 &RecoveryConfig::quarantine().with_plan(plan),
                 &Recorder::disabled(),
@@ -738,7 +733,7 @@ mod tests {
         let anon = Anonymizer::new(AnonymizerConfig::with_privacy_degree(2));
         let robust = anon
             .anonymize_rows(
-                &rows,
+                slices(&rows),
                 &sens,
                 &RecoveryConfig::quarantine(),
                 &Recorder::disabled(),

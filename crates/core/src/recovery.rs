@@ -30,7 +30,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use cahd_data::{ItemId, TransactionSet};
+use cahd_data::{ItemId, RawRows, TransactionSet};
 use cahd_sparse::CsrMatrix;
 
 use crate::error::CahdError;
@@ -229,7 +229,7 @@ pub fn bad_row_reason(row: &[ItemId], n_items: usize) -> Option<String> {
 
 /// Whether `row` is already the normal form [`sanitize_row`] produces:
 /// strictly ascending, every item inside a universe of `n_items`.
-fn is_normal(row: &[ItemId], n_items: usize) -> bool {
+pub(crate) fn is_normal(row: &[ItemId], n_items: usize) -> bool {
     row.windows(2).all(|w| w[0] < w[1]) && row.last().is_none_or(|&i| (i as usize) < n_items)
 }
 
@@ -273,6 +273,88 @@ where
     TransactionSet::from_matrix(CsrMatrix::from_raw_parts(n_rows, n_items, indptr, indices))
 }
 
+/// The dataset of `rows` when every row is already in normal form: the
+/// CSR arrays move in unchanged.
+fn adopt_normal(rows: RawRows, n_items: usize) -> TransactionSet {
+    let n = rows.len();
+    let (indptr, ids) = rows.into_parts();
+    TransactionSet::from_matrix(CsrMatrix::from_raw_parts(n, n_items, indptr, ids))
+}
+
+/// Raw rows and their sanitized dataset ([`sanitize_rows`]), kept as one
+/// CSR when they are the same: when every row is already in normal form
+/// the raw arrays *are* the dataset, moved, and only an input with a
+/// non-normal row keeps a second, sanitized CSR beside the raw one.
+#[derive(Debug)]
+pub struct SanitizedRows {
+    data: TransactionSet,
+    /// The rows as written, when some row differs from its sanitized form.
+    raw: Option<RawRows>,
+}
+
+impl SanitizedRows {
+    /// Sanitizes `raw` against a universe of `n_items` items.
+    #[must_use]
+    pub fn new(raw: RawRows, n_items: usize) -> Self {
+        if raw.iter().all(|row| is_normal(row, n_items)) {
+            SanitizedRows {
+                data: adopt_normal(raw, n_items),
+                raw: None,
+            }
+        } else {
+            SanitizedRows {
+                data: sanitize_rows(raw.iter(), n_items),
+                raw: Some(raw),
+            }
+        }
+    }
+
+    /// The sanitized dataset.
+    #[must_use]
+    pub fn data(&self) -> &TransactionSet {
+        &self.data
+    }
+
+    /// Row `r` as written.
+    #[must_use]
+    pub fn raw_row(&self, r: usize) -> &[ItemId] {
+        match &self.raw {
+            Some(raw) => raw.row(r),
+            None => self.data.transaction(r),
+        }
+    }
+
+    /// Every row as written, in order.
+    pub fn raw_rows(&self) -> impl ExactSizeIterator<Item = &[ItemId]> + Clone + '_ {
+        (0..self.data.n_transactions()).map(move |r| self.raw_row(r))
+    }
+
+    /// Whether the dataset and the raw rows are one CSR (every row was
+    /// already in normal form).
+    #[must_use]
+    pub fn is_shared(&self) -> bool {
+        self.raw.is_none()
+    }
+}
+
+/// Runs `f` on the sanitized dataset of `rows`. When every row is already
+/// in normal form the dataset is `rows`' own arrays, lent to `f` and put
+/// back afterwards; otherwise it is a sanitized copy.
+pub(crate) fn with_sanitized<R>(
+    rows: &mut RawRows,
+    n_items: usize,
+    f: impl FnOnce(&TransactionSet) -> R,
+) -> R {
+    if !rows.iter().all(|row| is_normal(row, n_items)) {
+        return f(&sanitize_rows(rows.iter(), n_items));
+    }
+    let data = adopt_normal(std::mem::take(rows), n_items);
+    let out = f(&data);
+    let (indptr, ids) = data.into_matrix().into_raw_parts();
+    *rows = RawRows::from_parts(indptr, ids);
+    out
+}
+
 /// Ingestion: classifies every raw row against `recovery` (an injected
 /// corruption or a [`bad_row_reason`]), then builds the sanitized dataset
 /// ([`sanitize_rows`]) the pipeline runs on. Returns it with the indices
@@ -290,8 +372,23 @@ pub(crate) fn ingest_rows<'r, I>(
 where
     I: Iterator<Item = &'r [ItemId]> + Clone,
 {
+    let quarantined = classify_rows(rows.clone(), n_items, recovery)?;
+    Ok((sanitize_rows(rows, n_items), quarantined))
+}
+
+/// The classification half of [`ingest_rows`]: the ascending indices of
+/// the rows to quarantine.
+///
+/// # Errors
+/// [`CahdError::CorruptRow`] naming the index (in `rows`) of the first bad
+/// row under [`InputPolicy::Strict`].
+pub(crate) fn classify_rows<'r>(
+    rows: impl Iterator<Item = &'r [ItemId]>,
+    n_items: usize,
+    recovery: &RecoveryConfig,
+) -> Result<Vec<usize>, CahdError> {
     let mut quarantined: Vec<usize> = Vec::new();
-    for (i, row) in rows.clone().enumerate() {
+    for (i, row) in rows.enumerate() {
         let reason = if recovery.plan.row_is_corrupt(i) {
             Some("injected corruption".to_string())
         } else {
@@ -304,7 +401,7 @@ where
             }
         }
     }
-    Ok((sanitize_rows(rows, n_items), quarantined))
+    Ok(quarantined)
 }
 
 /// Installs (once, process-wide) a panic hook that suppresses the stderr
@@ -447,6 +544,46 @@ mod tests {
         let data = sanitize_rows(rows.iter().map(Vec::as_slice), 6);
         let sanitized: Vec<Vec<ItemId>> = rows.iter().map(|r| sanitize_row(r, 6)).collect();
         assert_eq!(data, TransactionSet::from_rows(&sanitized, 6));
+    }
+
+    fn raw(rows: &[Vec<ItemId>]) -> RawRows {
+        let mut raw = RawRows::new();
+        for row in rows {
+            raw.push(row);
+        }
+        raw
+    }
+
+    #[test]
+    fn sanitized_rows_share_the_csr_only_when_every_row_is_normal() {
+        let rows = seeded_rows();
+        let clean: Vec<Vec<ItemId>> = rows.iter().map(|r| sanitize_row(r, 6)).collect();
+        for (input, shared) in [(&rows, false), (&clean, true)] {
+            let view = SanitizedRows::new(raw(input), 6);
+            assert_eq!(view.is_shared(), shared);
+            assert_eq!(view.data(), &TransactionSet::from_rows(&clean, 6));
+            assert!(view.raw_rows().eq(input.iter().map(Vec::as_slice)));
+            assert_eq!(view.raw_row(3), input[3].as_slice());
+        }
+    }
+
+    #[test]
+    fn with_sanitized_lends_normal_rows_and_puts_them_back() {
+        let rows = seeded_rows();
+        let clean: Vec<Vec<ItemId>> = rows.iter().map(|r| sanitize_row(r, 6)).collect();
+        let want = TransactionSet::from_rows(&clean, 6);
+        for input in [&rows, &clean] {
+            let mut buffer = raw(input);
+            let ids = buffer.clone().into_parts().1;
+            let lent = with_sanitized(&mut buffer, 6, |data| {
+                assert_eq!(data, &want);
+                data.matrix().indices().as_ptr()
+            });
+            // A clean buffer is the dataset itself: same array, moved back.
+            assert_eq!(lent == buffer.row(0).as_ptr(), input == &clean);
+            assert!(buffer.iter().eq(input.iter().map(Vec::as_slice)));
+            assert_eq!(buffer.into_parts().1, ids);
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! counter on the recorder configured with
 //! [`StreamingAnonymizer::with_recorder`].
 
-use cahd_data::{ItemId, SensitiveSet};
+use cahd_data::{ItemId, RawRows, SensitiveSet};
 use cahd_obs::Recorder;
 use serde::{Deserialize, Serialize};
 
@@ -40,7 +40,7 @@ use crate::error::CahdError;
 use crate::group::PublishedDataset;
 use crate::invariant::{strict_invariant, strict_invariant_eq};
 use crate::pipeline::{Anonymizer, AnonymizerConfig};
-use crate::recovery::{ingest_rows, RecoveryConfig};
+use crate::recovery::{classify_rows, is_normal, sanitize_row, with_sanitized, RecoveryConfig};
 
 /// A released chunk: the batch's transactions (with their stream
 /// positions) and the anonymized groups over them.
@@ -53,15 +53,62 @@ pub struct ReleaseChunk {
     pub published: PublishedDataset,
 }
 
+/// Unreleased rows in arrival order: their stream ids, and their items
+/// as written in one flat CSR.
+#[derive(Debug, Default)]
+struct Pending {
+    ids: Vec<u64>,
+    rows: RawRows,
+}
+
+impl Pending {
+    fn from_pairs(pairs: &[(u64, Vec<ItemId>)]) -> Self {
+        let mut pending = Pending::default();
+        for (id, row) in pairs {
+            pending.push(*id, row);
+        }
+        pending
+    }
+
+    /// The `(stream id, items)` pairs a checkpoint stores.
+    fn to_pairs(&self) -> Vec<(u64, Vec<ItemId>)> {
+        self.ids
+            .iter()
+            .zip(self.rows.iter())
+            .map(|(&id, row)| (id, row.to_vec()))
+            .collect()
+    }
+
+    fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    fn push(&mut self, id: u64, row: &[ItemId]) {
+        self.ids.push(id);
+        self.rows.push(row);
+    }
+
+    fn append(&mut self, other: &mut Pending) {
+        self.ids.append(&mut other.ids);
+        self.rows.append(&mut other.rows);
+    }
+
+    /// Moves row `r` onto the end of `to`.
+    fn move_row(&mut self, r: usize, to: &mut Pending) {
+        to.push(self.ids.remove(r), self.rows.row(r));
+        self.rows.remove(r);
+    }
+}
+
 /// Buffers a transaction stream and anonymizes it batch by batch.
 pub struct StreamingAnonymizer {
     config: AnonymizerConfig,
     sensitive: SensitiveSet,
     batch_size: usize,
-    buffer: Vec<(u64, Vec<ItemId>)>,
+    buffer: Pending,
     /// Transactions deferred from an infeasible batch, prepended to the
     /// next one.
-    stash: Vec<(u64, Vec<ItemId>)>,
+    stash: Pending,
     next_id: u64,
     /// Total occurrences carried over so far, for monitoring.
     carried_over: usize,
@@ -102,8 +149,8 @@ impl StreamingAnonymizer {
             config,
             sensitive,
             batch_size,
-            buffer: Vec::new(),
-            stash: Vec::new(),
+            buffer: Pending::default(),
+            stash: Pending::default(),
             next_id: 0,
             carried_over: 0,
             finished: false,
@@ -155,7 +202,7 @@ impl StreamingAnonymizer {
 
     /// Freezes the resumable state — buffered rows, carry-over stash,
     /// stream cursor, and the remaining-occurrence histogram — into a
-    /// sealed, self-digesting checkpoint. Cheap (clones the buffer);
+    /// sealed, self-digesting checkpoint. Cheap (copies the buffer);
     /// callers typically checkpoint right after each released chunk, so
     /// a resume re-anonymizes nothing already published.
     #[must_use]
@@ -168,8 +215,8 @@ impl StreamingAnonymizer {
             next_id: self.next_id,
             carried_over: self.carried_over as u64,
             finished: self.finished,
-            buffer: self.buffer.clone(),
-            stash: self.stash.clone(),
+            buffer: self.buffer.to_pairs(),
+            stash: self.stash.to_pairs(),
             sensitive_items: self.sensitive.items().to_vec(),
             remaining_counts: Vec::new(),
             digest: 0,
@@ -221,8 +268,8 @@ impl StreamingAnonymizer {
             config,
             sensitive,
             batch_size: cp.batch_size as usize,
-            buffer: cp.buffer.clone(),
-            stash: cp.stash.clone(),
+            buffer: Pending::from_pairs(&cp.buffer),
+            stash: Pending::from_pairs(&cp.stash),
             next_id: cp.next_id,
             carried_over: cp.carried_over as usize,
             finished: cp.finished,
@@ -237,13 +284,26 @@ impl StreamingAnonymizer {
     /// # Errors
     /// [`CahdError::StreamFinished`] after [`StreamingAnonymizer::finish`];
     /// otherwise whatever the per-batch pipeline reports.
+    #[allow(
+        clippy::needless_pass_by_value,
+        reason = "the owned-row API callers already use; push_row borrows"
+    )]
     pub fn push(&mut self, items: Vec<ItemId>) -> Result<Option<ReleaseChunk>, CahdError> {
+        self.push_row(&items)
+    }
+
+    /// [`StreamingAnonymizer::push`] from a borrowed row: its items are
+    /// copied into the stream's one flat buffer.
+    ///
+    /// # Errors
+    /// As [`StreamingAnonymizer::push`].
+    pub fn push_row(&mut self, items: &[ItemId]) -> Result<Option<ReleaseChunk>, CahdError> {
         if self.finished {
             return Err(CahdError::StreamFinished);
         }
         let id = self.next_id;
         self.next_id += 1;
-        self.buffer.push((id, items));
+        self.buffer.push(id, items);
         if self.buffer.len() >= self.batch_size {
             self.release_batch(false).map(Some)
         } else {
@@ -261,9 +321,8 @@ impl StreamingAnonymizer {
             return Ok(None);
         }
         self.finished = true;
-        let mut stash = std::mem::take(&mut self.stash);
-        self.buffer.append(&mut stash);
-        if self.buffer.is_empty() {
+        self.buffer.append(&mut self.stash);
+        if self.buffer.len() == 0 {
             return Ok(None);
         }
         self.release_batch(true).map(Some)
@@ -273,42 +332,38 @@ impl StreamingAnonymizer {
         let p = self.config.cahd.p;
         let n_items = self.sensitive.n_items();
         loop {
-            // The batch is classified and built into the one sanitized
-            // dataset the robust pipeline publishes for it; the offender
-            // count and, when nothing defers, group formation both run on
-            // it. Under Strict a corrupt row fails the batch under its
+            // The batch is classified and its sanitized rows counted;
+            // under Strict a corrupt row fails the batch under its
             // *stream* id.
-            let rows = self.buffer.iter().map(|(_, row)| row.as_slice());
-            let (data, quarantined) =
-                ingest_rows(rows, n_items, &self.recovery).map_err(|e| match e {
+            let quarantined = classify_rows(self.buffer.rows.iter(), n_items, &self.recovery)
+                .map_err(|e| match e {
                     CahdError::CorruptRow { row, reason } => CahdError::CorruptRow {
-                        row: usize::try_from(self.buffer[row].0).unwrap_or(usize::MAX),
+                        row: usize::try_from(self.buffer.ids[row]).unwrap_or(usize::MAX),
                         reason,
                     },
                     other => other,
                 })?;
-            let counts = self.sensitive.occurrence_counts(&data);
+            let n = self.buffer.len();
+            let counts = self.sanitized_counts();
             // Find the worst offender, if any.
             let offender = counts
                 .iter()
                 .enumerate()
-                .filter(|&(_, &c)| c * p > data.n_transactions())
+                .filter(|&(_, &c)| c * p > n)
                 .max_by_key(|&(_, &c)| c)
                 .map(|(r, _)| self.sensitive.items()[r]);
             match offender {
                 None => {
                     self.config.cahd.validate()?;
-                    let published = Anonymizer::new(self.config)
-                        .anonymize_ingested(
-                            data,
-                            quarantined,
-                            &self.sensitive,
-                            &self.recovery,
-                            &self.rec,
-                        )?
-                        .result
-                        .published;
-                    let stream_ids: Vec<u64> = self.buffer.iter().map(|&(id, _)| id).collect();
+                    // A batch of normal-form rows lends its flat buffer as
+                    // the dataset; any other batch is sanitized into one.
+                    let anonymizer = Anonymizer::new(self.config);
+                    let (sensitive, recovery, rec) = (&self.sensitive, &self.recovery, &self.rec);
+                    let published = with_sanitized(&mut self.buffer.rows, n_items, |data| {
+                        anonymizer.anonymize_ingested(data, &quarantined, sensitive, recovery, rec)
+                    })?
+                    .published;
+                    let stream_ids = std::mem::take(&mut self.buffer.ids);
                     strict_invariant!(
                         published.satisfies(p),
                         "a released chunk must satisfy the privacy degree"
@@ -328,15 +383,13 @@ impl StreamingAnonymizer {
                 Some(item) if !final_flush => {
                     // Defer one transaction holding the offender to the
                     // next batch and retry.
-                    let pos = self
-                        .buffer
-                        .iter()
-                        .rposition(|(_, r)| r.contains(&item))
+                    let pos = (0..n)
+                        .rev()
+                        .find(|&r| self.buffer.rows.row(r).contains(&item))
                         // cahd-lint: allow(L003, reason = "item was counted from this same buffer, so at least one holder is present")
                         .expect("offender has holders");
-                    let deferred = self.buffer.remove(pos);
+                    self.buffer.move_row(pos, &mut self.stash);
                     self.carried_over += 1;
-                    self.stash.push(deferred);
                 }
                 Some(item) => {
                     // cahd-lint: allow(L003, reason = "item came out of a scan over this same SensitiveSet, so index_of is Some")
@@ -345,11 +398,32 @@ impl StreamingAnonymizer {
                         item,
                         support,
                         p,
-                        n: data.n_transactions(),
+                        n,
                     });
                 }
             }
         }
+    }
+
+    /// The occurrence count of every sensitive item over the buffer's
+    /// sanitized rows ([`SensitiveSet::occurrence_counts`] of the batch
+    /// dataset), without building it.
+    fn sanitized_counts(&self) -> Vec<usize> {
+        let n_items = self.sensitive.n_items();
+        let mut counts = vec![0usize; self.sensitive.len()];
+        let mut tally = |row: &[ItemId]| {
+            for r in self.sensitive.ranks(row) {
+                counts[r] += 1;
+            }
+        };
+        for row in self.buffer.rows.iter() {
+            if is_normal(row, n_items) {
+                tally(row);
+            } else {
+                tally(&sanitize_row(row, n_items));
+            }
+        }
+        counts
     }
 }
 

@@ -201,7 +201,7 @@ fn corrupt_row_injection_quarantines_exactly_the_planned_rows() {
             let rec = Recorder::new();
             let robust = Anonymizer::new(acfg)
                 .anonymize_rows(
-                    &raw,
+                    raw.iter().map(Vec::as_slice),
                     &sens,
                     &RecoveryConfig::quarantine().with_plan(plan.clone()),
                     &rec,
@@ -251,7 +251,7 @@ fn combined_faults_still_produce_a_clean_auditable_release() {
             AnonymizerConfig::with_privacy_degree(P).with_parallel(ParallelConfig::new(4, threads)),
         )
         .anonymize_rows(
-            &raw,
+            raw.iter().map(Vec::as_slice),
             &sens,
             &RecoveryConfig::quarantine().with_plan(plan.clone()),
             &rec,

@@ -97,7 +97,7 @@ fn assert_paths_match_the_oracle(
 
     let robust = Anonymizer::new(config)
         .anonymize_rows(
-            &rows,
+            rows.iter().map(Vec::as_slice),
             sens,
             &RecoveryConfig::strict(),
             &Recorder::disabled(),

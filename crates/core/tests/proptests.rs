@@ -344,7 +344,12 @@ proptest! {
                 .map(|&id| rows[id as usize].clone())
                 .collect();
             let expected = Anonymizer::new(cfg)
-                .anonymize_rows(&batch_rows, &sens, &recovery, &Recorder::disabled())
+                .anonymize_rows(
+                    batch_rows.iter().map(Vec::as_slice),
+                    &sens,
+                    &recovery,
+                    &Recorder::disabled(),
+                )
                 .unwrap();
             prop_assert_eq!(&chunk.published, &expected.result.published);
         }

@@ -10,23 +10,30 @@ use std::path::Path;
 
 use cahd_sparse::CsrMatrix;
 
+use crate::raw::RawRows;
 use crate::transaction::{ItemId, TransactionSet};
 
-/// Reads a `.dat` basket stream into *raw* rows plus the inferred item
-/// universe (`0..=max_id`, or 0 when every row is empty).
+/// Reads a `.dat` basket stream into *raw* rows, one CSR, plus the
+/// inferred item universe (`0..=max_id`, or 0 when every row is empty).
 ///
 /// Lines that are empty or start with `#` are skipped. Item ids must parse
-/// as `u32`. Rows are returned exactly as written — unsorted, duplicates
-/// kept — so ingestion layers can distinguish a malformed row from its
-/// normalized form ([`crate::TransactionSet::from_rows`] sorts and dedups).
-pub fn read_dat_rows<R: BufRead>(reader: R) -> io::Result<(Vec<Vec<ItemId>>, usize)> {
-    let mut rows: Vec<Vec<ItemId>> = Vec::new();
+/// as `u32`. Rows are kept exactly as written — unsorted, duplicates and
+/// every id kept — so ingestion layers can distinguish a malformed row
+/// from its normalized form ([`read_dat`] sorts and dedups).
+pub fn read_dat_raw<R: BufRead>(reader: R) -> io::Result<(RawRows, usize)> {
+    let mut indptr = vec![0usize];
     let mut ids: Vec<ItemId> = Vec::new();
-    let inferred = for_each_row(reader, &mut ids, |ids, _| {
-        rows.push(ids.clone());
-        ids.clear();
-    })?;
-    Ok((rows, inferred))
+    let inferred = for_each_row(reader, &mut ids, |ids, _| indptr.push(ids.len()))?;
+    // The rows are kept for the whole run: no growth slack.
+    indptr.shrink_to_fit();
+    ids.shrink_to_fit();
+    Ok((RawRows::from_parts(indptr, ids), inferred))
+}
+
+/// [`read_dat_raw`] with every row copied out into its own `Vec`.
+pub fn read_dat_rows<R: BufRead>(reader: R) -> io::Result<(Vec<Vec<ItemId>>, usize)> {
+    let (rows, inferred) = read_dat_raw(reader)?;
+    Ok((rows.iter().map(<[ItemId]>::to_vec).collect(), inferred))
 }
 
 /// Reads a `.dat` basket stream. The item universe is `0..=max_id` unless
@@ -336,9 +343,13 @@ mod tests {
 
     #[test]
     fn raw_rows_keep_duplicates_and_order() {
-        let (rows, inferred) = read_dat_rows(Cursor::new("# header\n\n5 2 5\n7 1\n")).unwrap();
+        let src = "# header\n\n5 2 5\n7 1\n";
+        let (rows, inferred) = read_dat_rows(Cursor::new(src)).unwrap();
         assert_eq!(rows, vec![vec![5, 2, 5], vec![7, 1]]);
         assert_eq!(inferred, 8);
+        let (raw, raw_inferred) = read_dat_raw(Cursor::new(src)).unwrap();
+        assert_eq!(raw.into_parts(), (vec![0, 3, 5], vec![5, 2, 5, 7, 1]));
+        assert_eq!(raw_inferred, 8);
         // The normalizing reader sorts and dedups the same stream.
         let t = read_dat(Cursor::new("5 2 5\n"), None).unwrap();
         assert_eq!(t.transaction(0), &[2, 5]);

@@ -23,12 +23,14 @@ pub mod io;
 pub mod profiles;
 pub mod quest;
 pub mod rand_ext;
+pub mod raw;
 pub mod sensitive;
 pub mod stats;
 pub mod transaction;
 pub mod weighted;
 
 pub use quest::{QuestConfig, QuestGenerator};
+pub use raw::RawRows;
 pub use sensitive::SensitiveSet;
 pub use stats::DatasetStats;
 pub use transaction::{ItemId, TransactionSet};

@@ -76,6 +76,11 @@ impl TransactionSet {
         &self.matrix
     }
 
+    /// The underlying binary matrix, moved out.
+    pub fn into_matrix(self) -> CsrMatrix {
+        self.matrix
+    }
+
     /// Support (number of containing transactions) of every item.
     pub fn item_supports(&self) -> Vec<usize> {
         self.matrix.col_counts()

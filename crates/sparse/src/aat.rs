@@ -793,6 +793,32 @@ impl<'a> RowGraph<'a> {
     /// data can reach.
     pub const DEFAULT_EDGE_BUDGET: usize = 2_000_000;
 
+    /// Density limit of the `auto` policy: beyond this many estimated
+    /// directed edges per row the implicit representation is used, even
+    /// under the edge budget.
+    ///
+    /// Measured on 1,000- and 2,500-row quest batches over a 2M-item
+    /// universe (`pipeline/rcm` median of 7 runs per form): explicit wins
+    /// up to ~20 estimated edges per row, the forms cross between ~25 and
+    /// ~70, and from ~100 per row on implicit is 2–25× faster (a dense
+    /// stream batch of ~920 per row: 14.4 against 1.0 ms).
+    pub const DEFAULT_EDGES_PER_ROW: usize = 64;
+
+    /// Whether [`RowGraphMode::Auto`] materializes the adjacency of an
+    /// `n_rows`-row matrix with `estimate` estimated directed edges: no
+    /// hub cap, at most `edge_budget` edges and at most
+    /// [`RowGraph::DEFAULT_EDGES_PER_ROW`] per row.
+    pub fn auto_explicit(
+        n_rows: usize,
+        estimate: usize,
+        edge_budget: usize,
+        hub_cap: Option<u32>,
+    ) -> bool {
+        hub_cap.is_none()
+            && estimate <= edge_budget
+            && estimate <= n_rows.saturating_mul(Self::DEFAULT_EDGES_PER_ROW)
+    }
+
     /// Upper bound on the number of directed edges of the `A x A^T`
     /// pattern: every column containing `k` rows contributes at most
     /// `k (k - 1)` ordered pairs.
@@ -848,7 +874,7 @@ impl<'a> RowGraph<'a> {
         let explicit = match mode {
             RowGraphMode::Explicit => true,
             RowGraphMode::Implicit => false,
-            RowGraphMode::Auto => hub_cap.is_none() && estimate <= edge_budget,
+            RowGraphMode::Auto => Self::auto_explicit(n, estimate, edge_budget, hub_cap),
         };
         if !explicit {
             if rec.is_enabled() {
@@ -1166,6 +1192,41 @@ mod tests {
         o.neighbors_scratch(v, &mut o.new_scratch(), &mut out);
         out.sort_unstable();
         out
+    }
+
+    #[test]
+    fn auto_goes_implicit_past_the_budget_or_the_density_limit() {
+        let per_row = RowGraph::DEFAULT_EDGES_PER_ROW;
+        let budget = RowGraph::DEFAULT_EDGE_BUDGET;
+        // Sparse batches under the budget stay explicit.
+        assert!(RowGraph::auto_explicit(10_000, 8_526, budget, None));
+        assert!(RowGraph::auto_explicit(
+            1_000,
+            1_000 * per_row,
+            budget,
+            None
+        ));
+        // One edge per row past the density limit goes implicit, under
+        // the budget: a dense 1,000-row stream batch.
+        assert!(!RowGraph::auto_explicit(
+            1_000,
+            1_000 * per_row + 1,
+            budget,
+            None
+        ));
+        assert!(!RowGraph::auto_explicit(1_000, 923_290, budget, None));
+        // The budget still binds on its own, and a hub cap forces implicit.
+        assert!(!RowGraph::auto_explicit(100_000, budget + 1, budget, None));
+        assert!(!RowGraph::auto_explicit(10, 0, budget, Some(5)));
+        assert!(RowGraph::auto_explicit(0, 0, budget, None));
+        // The built form follows the rule: two rows sharing one item have
+        // two directed edges (one per row), a clique of 66 rows 65 per row.
+        let rec = cahd_obs::Recorder::disabled();
+        let sparse = CsrMatrix::from_rows(&[vec![0], vec![0]], 1);
+        let dense = CsrMatrix::from_rows(&vec![vec![0]; per_row + 2], 1);
+        let auto = |a| RowGraph::build_mode_traced(a, RowGraphMode::Auto, budget, None, 1, &rec);
+        assert!(auto(&sparse).is_explicit());
+        assert!(!auto(&dense).is_explicit());
     }
 
     #[test]

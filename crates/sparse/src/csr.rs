@@ -194,6 +194,12 @@ impl CsrMatrix {
         &self.indices
     }
 
+    /// The `indptr` and column-index arrays, moved out
+    /// ([`CsrMatrix::from_raw_parts`] takes them back).
+    pub fn into_raw_parts(self) -> (Vec<usize>, Vec<u32>) {
+        (self.indptr, self.indices)
+    }
+
     /// Number of non-zeros in each column.
     pub fn col_counts(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.n_cols];

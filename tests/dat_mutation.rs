@@ -1,8 +1,8 @@
 //! The `.dat` reader against the line-based reader it replaced
 //! (`common/dat_lines.rs`): seeded mutants of the committed `demo.dat`
-//! must be accepted or rejected alike by `read_dat_rows` and `read_dat`,
-//! with the same rows and the same error kind and message, and must never
-//! panic. A generated BMS1-sized file with unsorted and repeating rows,
+//! must be accepted or rejected alike by `read_dat_raw` (one raw CSR),
+//! `read_dat_rows` and `read_dat`, with the same rows and the same error
+//! kind and message, and must never panic. A generated BMS1-sized file with unsorted and repeating rows,
 //! CRLF endings, comments and a row longer than the buffer must read the
 //! same at every buffer capacity.
 
@@ -11,7 +11,7 @@ mod common;
 use std::io::{self, BufReader, Cursor};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use cahd::data::io::{read_dat, read_dat_rows, write_dat};
+use cahd::data::io::{read_dat, read_dat_raw, read_dat_rows, write_dat};
 use cahd::data::profiles::bms1_config;
 use cahd::data::QuestGenerator;
 use common::dat_lines;
@@ -139,6 +139,13 @@ fn verdict<T>(r: io::Result<T>) -> Result<T, (io::ErrorKind, String)> {
     r.map_err(|e| (e.kind(), e.to_string()))
 }
 
+/// [`read_dat_raw`] with its CSR rows copied out, to compare with the
+/// nested rows of the other readers.
+fn raw_rows<R: io::BufRead>(reader: R) -> io::Result<(Vec<Vec<u32>>, usize)> {
+    read_dat_raw(reader)
+        .map(|(raw, inferred)| (raw.iter().map(<[u32]>::to_vec).collect(), inferred))
+}
+
 /// How the mutants fared.
 #[derive(Debug, Default)]
 struct Tally {
@@ -168,6 +175,9 @@ fn dat_mutants_read_like_the_line_reader() {
             "read_dat_rows, mutant {i}: {:?}",
             show()
         );
+        let raw = catch_unwind(AssertUnwindSafe(|| verdict(raw_rows(reader()))))
+            .unwrap_or_else(|_| panic!("mutant {i} panics read_dat_raw: {:?}", show()));
+        assert_eq!(raw, rows, "read_dat_raw, mutant {i}: {:?}", show());
         let set = catch_unwind(AssertUnwindSafe(|| verdict(read_dat(reader(), n_items))))
             .unwrap_or_else(|_| panic!("mutant {i} panics read_dat: {:?}", show()));
         assert_eq!(
@@ -224,6 +234,11 @@ fn edge_lines_read_like_the_line_reader() {
             "{show:?}"
         );
         assert_eq!(
+            verdict(raw_rows(reader())),
+            verdict(dat_lines::read_dat_rows(reader())),
+            "{show:?}"
+        );
+        assert_eq!(
             verdict(read_dat(reader(), None)),
             verdict(dat_lines::read_dat(reader(), None)),
             "{show:?}"
@@ -275,6 +290,7 @@ fn bms1_sized_file_reads_like_the_line_reader() {
             verdict(dat_lines::read_dat_rows(reader())),
             "{capacity}"
         );
+        assert_eq!(verdict(raw_rows(reader())), rows, "{capacity}");
         let (rows, _) = rows.unwrap();
         assert_eq!(rows.len(), nonempty + 1);
         assert!(rows.iter().any(|r| r.len() == 2_500));
