@@ -20,9 +20,9 @@ use cahd_data::{
     TransactionSet,
 };
 use cahd_eval::{
-    derive_seed, evaluate_workload, evaluate_workload_traced, generate_workload_seeded,
-    posterior_violations, reidentification_probability, run_attack_suite, unique_match_violations,
-    AttackPlan, AttackReport, AttackTarget,
+    derive_seed, evaluate_workload_traced, generate_workload_seeded, posterior_violations,
+    reidentification_probability, run_attack_suite, unique_match_violations, AttackPlan,
+    AttackReport, AttackTarget,
 };
 use cahd_obs::{Recorder, TraceReport};
 use cahd_rcm::{OrderingStrategy, RowGraphMode};
@@ -37,22 +37,11 @@ pub fn stats(args: &Args) -> Result<String, CliError> {
 }
 
 /// Resolves the Monte-Carlo seed shared by every randomized command:
-/// `--seed` wins, then the `CAHD_SEED` environment variable, then 42.
-/// Commands derive per-experiment streams from this one value with
-/// [`cahd_eval::derive_seed`], so a single setting reproduces a whole
-/// run.
+/// `--seed`, else 42. Commands derive per-experiment streams from this
+/// one value with [`cahd_eval::derive_seed`], so a single setting
+/// reproduces a whole run.
 fn resolve_seed(args: &Args) -> Result<u64, CliError> {
-    if let Some(v) = args.value("seed") {
-        return v
-            .parse()
-            .map_err(|_| CliError::Usage(format!("--seed: cannot parse {v:?}")));
-    }
-    if let Ok(v) = std::env::var("CAHD_SEED") {
-        return v
-            .parse()
-            .map_err(|_| CliError::Usage(format!("CAHD_SEED: cannot parse {v:?}")));
-    }
-    Ok(42)
+    args.parse_or("seed", 42)
 }
 
 /// Flags accepted by [`generate`].
@@ -142,15 +131,11 @@ pub const AUDIT_FLAGS: &[FlagSpec] = &[
         name: "seed",
         takes_value: true,
     },
-    FlagSpec {
-        name: "release",
-        takes_value: true,
-    },
 ];
 
-/// `audit <data.dat>`: re-identification risk per number of known items.
-/// With `--release release.json`, additionally simulates the linkage
-/// attack of the paper's threat model against raw data vs the release.
+/// `audit <data.dat>`: re-identification risk per number of known items
+/// (the paper's Table II). The linkage attack against a release is
+/// `attack --attacker linkage`.
 pub fn audit(args: &Args) -> Result<String, CliError> {
     let data = load(args.positional(0, "data.dat")?)?;
     let max_k: usize = args.parse_or("max-k", 4)?;
@@ -162,32 +147,6 @@ pub fn audit(args: &Args) -> Result<String, CliError> {
         match reidentification_probability(&data, None, k, trials, &mut rng) {
             Some(p) => out.push_str(&format!("{k:>11} -> {:.2}%\n", p * 100.0)),
             None => out.push_str(&format!("{k:>11} -> (no transaction has {k} items)\n")),
-        }
-    }
-    if let Some(rel_path) = args.value("release") {
-        let release = load_release(rel_path)?;
-        let sensitive = release_sensitive_set(&release, &data)?;
-        out.push_str("\nlinkage attack, mean posterior on the true sensitive item:\n");
-        out.push_str("known items ->      raw  released  released max\n");
-        for k in 1..=max_k {
-            let mut rng = StdRng::seed_from_u64(derive_seed(seed, 100 + k as u64));
-            let raw = cahd_eval::attack_raw(&data, &sensitive, k, trials.min(2_000), &mut rng);
-            let mut rng = StdRng::seed_from_u64(derive_seed(seed, 100 + k as u64));
-            let rel = cahd_eval::attack_published(
-                &data,
-                &sensitive,
-                &release,
-                k,
-                trials.min(2_000),
-                &mut rng,
-            );
-            match (raw, rel) {
-                (Some(raw), Some(rel)) => out.push_str(&format!(
-                    "{k:>11} ->  {:.4}    {:.4}        {:.4}\n",
-                    raw.mean_true_posterior, rel.mean_true_posterior, rel.max_posterior
-                )),
-                _ => out.push_str(&format!("{k:>11} ->  (no eligible victims)\n")),
-            }
         }
     }
     Ok(out)
@@ -344,7 +303,8 @@ fn tracing_requested(args: &Args) -> bool {
 
 /// Builds the recorder implied by the observability flags: memory-tracking
 /// when `--memory`, plain when only `--trace-json`/`--metrics`, disabled
-/// otherwise (so untraced runs pay nothing).
+/// otherwise (so untraced runs pay nothing). Commands that accept only
+/// `--trace-json` get a plain or a disabled one.
 fn recorder_from_args(args: &Args) -> Recorder {
     if args.has("memory") {
         Recorder::new().with_memory()
@@ -587,13 +547,11 @@ fn anonymize_robust_cmd(args: &Args, p: usize, seed: u64) -> Result<String, CliE
         SanitizedRows::new(raw, d)
     };
     let sensitive = sensitive_from_args(args, rows.data(), p, seed)?;
-    let robust = Anonymizer::new(anonymizer_config_from_args(args, p)?).anonymize_rows(
-        rows.raw_rows(),
-        &sensitive,
-        &recovery,
-        &rec,
-    )?;
-    drop(rows);
+    // The pipeline classifies the rows as written and runs on their
+    // sanitized dataset, which the result then holds: one CSR throughout
+    // when every row is clean.
+    let robust = Anonymizer::new(anonymizer_config_from_args(args, p)?)
+        .anonymize_sanitized(rows, &sensitive, &recovery, &rec)?;
     let mut published = robust.result.published;
     if args.has("refine") {
         cahd_core::refine::refine_groups(&mut published, &robust.data, &sensitive, p, 2, 3);
@@ -903,24 +861,6 @@ pub fn report(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Flags accepted by [`verify`].
-pub const VERIFY_FLAGS: &[FlagSpec] = &[FlagSpec {
-    name: "p",
-    takes_value: true,
-}];
-
-/// `verify <data.dat> <release.json> --p P`: re-check a release.
-pub fn verify(args: &Args) -> Result<String, CliError> {
-    let data = load(args.positional(0, "data.dat")?)?;
-    let release = load_release(args.positional(1, "release.json")?)?;
-    let p: usize = args.parse_or("p", 2)?;
-    let sensitive = release_sensitive_set(&release, &data)?;
-    match verify_published(&data, &sensitive, &release, p) {
-        Ok(()) => Ok(format!("OK: release satisfies privacy degree {p}\n")),
-        Err(e) => Err(CliError::Run(format!("verification FAILED: {e}"))),
-    }
-}
-
 /// Flags accepted by [`check`].
 pub const CHECK_FLAGS: &[FlagSpec] = &[
     FlagSpec {
@@ -947,13 +887,12 @@ pub const CHECK_FLAGS: &[FlagSpec] = &[
 
 /// `check <data.dat> <release.json> --p P [--json] [--trace trace.json]
 /// [--trace-json out.json]`: run the full `cahd-check` pass registry and
-/// report every diagnostic (the fail-fast alternative is `verify`). With
-/// `--trace` the observability report emitted by `anonymize --trace-json`
-/// is audited by the `CAHD-O001` pass as well. `--trace-json` writes the
-/// check's own report: a root `check` span with one `check/<pass>` child
-/// per pass (written before the verdict, so a failing check leaves it
-/// too). Error-severity findings make the command fail after the report
-/// is printed.
+/// report every diagnostic. With `--trace` the observability report
+/// emitted by `anonymize --trace-json` is audited by the `CAHD-O001` pass
+/// as well. `--trace-json` writes the check's own report: a root `check`
+/// span with one `check/<pass>` child per pass (written before the
+/// verdict, so a failing check leaves it too). Error-severity findings
+/// make the command fail after the report is printed.
 pub fn check(args: &Args) -> Result<String, CliError> {
     let data = load(args.positional(0, "data.dat")?)?;
     let release = load_release(args.positional(1, "release.json")?)?;
@@ -977,11 +916,7 @@ pub fn check(args: &Args) -> Result<String, CliError> {
         seed: resolve_seed(args)?,
         ..AttackPlan::default()
     };
-    let rec = if args.value("trace-json").is_some() {
-        Recorder::new()
-    } else {
-        Recorder::disabled()
-    };
+    let rec = recorder_from_args(args);
     let report = cahd_check::default_registry().run(
         &cahd_check::CheckInput {
             data: &data,
@@ -1069,12 +1004,19 @@ pub const EVALUATE_FLAGS: &[FlagSpec] = &[
         name: "attack",
         takes_value: false,
     },
+    FlagSpec {
+        name: "trace-json",
+        takes_value: true,
+    },
 ];
 
 /// `evaluate <data.dat> <release.json>`: reconstruction-error summary.
 /// With `--attack`, the deterministic adversary suite runs against the
 /// raw data and the release and the attacker-success curves are printed
-/// alongside the KL summary (see `docs/ATTACKS.md`).
+/// alongside the KL summary (see `docs/ATTACKS.md`). `--trace-json`
+/// writes the run's observability report: the `eval` span with its
+/// `eval/index` child and the `eval.*` counters, plus the `attack/*`
+/// spans with `--attack`.
 pub fn evaluate(args: &Args) -> Result<String, CliError> {
     let data = load(args.positional(0, "data.dat")?)?;
     let release = load_release(args.positional(1, "release.json")?)?;
@@ -1089,7 +1031,9 @@ pub fn evaluate(args: &Args) -> Result<String, CliError> {
             "no queries could be generated (sensitive items absent?)".into(),
         ));
     }
-    let s = evaluate_workload(&data, &release, &queries);
+    let trace_path = args.value("trace-json");
+    let rec = recorder_from_args(args);
+    let s = evaluate_workload_traced(&data, &release, &queries, &rec);
     let mut out = format!(
         "reconstruction error over {} queries (r = {r}): mean KL {:.4}, median {:.4}, max {:.4}, std {:.4}\n",
         s.n_queries, s.mean_kl, s.median_kl, s.max_kl, s.std_kl
@@ -1106,9 +1050,13 @@ pub fn evaluate(args: &Args) -> Result<String, CliError> {
             AttackTarget::raw(),
             AttackTarget::release("release", &release),
         ];
-        let report = run_attack_suite(&data, &sensitive, p, &targets, &plan, &Recorder::disabled());
+        let report = run_attack_suite(&data, &sensitive, p, &targets, &plan, &rec);
         out.push('\n');
         out.push_str(&render_attack_human(&report, p));
+    }
+    if let Some(path) = trace_path {
+        std::fs::write(path, serde_json::to_string_pretty(&rec.snapshot())?)?;
+        out.push_str(&format!("trace written to {path}\n"));
     }
     Ok(out)
 }
@@ -1284,11 +1232,7 @@ pub fn attack(args: &Args) -> Result<String, CliError> {
         targets.push(AttackTarget::release(name, rel));
     }
     let trace_path = args.value("trace-json");
-    let rec = if trace_path.is_some() {
-        Recorder::new()
-    } else {
-        Recorder::disabled()
-    };
+    let rec = recorder_from_args(args);
     let report = run_attack_suite(&data, &sensitive, p, &targets, &plan, &rec);
     if let Some(path) = trace_path {
         std::fs::write(path, serde_json::to_string_pretty(&rec.snapshot())?)?;
@@ -1314,149 +1258,6 @@ pub fn attack(args: &Args) -> Result<String, CliError> {
         }
         Err(CliError::Check(out))
     }
-}
-
-/// Flags accepted by [`profile`].
-pub const PROFILE_FLAGS: &[FlagSpec] = &[
-    FlagSpec {
-        name: "p",
-        takes_value: true,
-    },
-    FlagSpec {
-        name: "sensitive",
-        takes_value: true,
-    },
-    FlagSpec {
-        name: "random-m",
-        takes_value: true,
-    },
-    FlagSpec {
-        name: "alpha",
-        takes_value: true,
-    },
-    FlagSpec {
-        name: "no-rcm",
-        takes_value: false,
-    },
-    FlagSpec {
-        name: "shards",
-        takes_value: true,
-    },
-    FlagSpec {
-        name: "threads",
-        takes_value: true,
-    },
-    FlagSpec {
-        name: "r",
-        takes_value: true,
-    },
-    FlagSpec {
-        name: "queries",
-        takes_value: true,
-    },
-    FlagSpec {
-        name: "seed",
-        takes_value: true,
-    },
-    FlagSpec {
-        name: "trace-json",
-        takes_value: true,
-    },
-    FlagSpec {
-        name: "memory",
-        takes_value: false,
-    },
-    FlagSpec {
-        name: "ordering",
-        takes_value: true,
-    },
-    FlagSpec {
-        name: "rowgraph",
-        takes_value: true,
-    },
-    FlagSpec {
-        name: "hub-cap",
-        takes_value: true,
-    },
-];
-
-/// `profile <data.dat> --p P ...`: run the traced pipeline plus a traced
-/// query workload, self-check the combined report with the `CAHD-O001`
-/// and `CAHD-O002` passes, and print the human rendering (span tree,
-/// counters, gauges, histogram digests). `--memory` adds per-phase
-/// allocator attribution (peak and net bytes per span) to the report.
-/// `--trace-json <path>` additionally writes the raw report.
-pub fn profile(args: &Args) -> Result<String, CliError> {
-    let p: usize = args.parse_or("p", 0).and_then(|p: usize| {
-        if p == 0 {
-            Err(CliError::Usage("--p <degree> is required".into()))
-        } else {
-            Ok(p)
-        }
-    })?;
-    let seed: u64 = resolve_seed(args)?;
-    let data = load(args.positional(0, "data.dat")?)?;
-    let sensitive = sensitive_from_args(args, &data, p, seed)?;
-    let cfg = anonymizer_config_from_args(args, p)?;
-
-    let rec = if args.has("memory") {
-        Recorder::new().with_memory()
-    } else {
-        Recorder::new()
-    };
-    let res = Anonymizer::new(cfg).anonymize(&data, &sensitive, &rec)?;
-    verify_published(&data, &sensitive, &res.published, p)
-        .map_err(|e| CliError::Run(format!("internal error: release failed verification: {e}")))?;
-
-    let r: usize = args.parse_or("r", 4)?;
-    let n_queries: usize = args.parse_or("queries", 50)?;
-    let queries = generate_workload_seeded(&data, &sensitive, r, n_queries, seed);
-    let summary = (!queries.is_empty())
-        .then(|| evaluate_workload_traced(&data, &res.published, &queries, &rec));
-
-    // One combined report for pipeline + workload; audit it before
-    // presenting — a profile that fails its own accounting is a bug.
-    let trace = rec.snapshot();
-    let audit = cahd_check::Registry::new()
-        .register(cahd_check::TraceObs)
-        .register(cahd_check::MemoryAudit)
-        .run(
-            &cahd_check::CheckInput {
-                data: &data,
-                sensitive: &sensitive,
-                published: &res.published,
-                p,
-                trace: Some(&trace),
-                attack: None,
-            },
-            &Recorder::disabled(),
-        );
-    if !audit.is_clean() {
-        return Err(CliError::Run(format!(
-            "internal error: trace report failed its own CAHD-O001/O002 audit:\n{}",
-            audit.render_human()
-        )));
-    }
-
-    let mut out = format!(
-        "profile: p {p}, {} groups over {} transactions, pipeline {:.1} ms\n",
-        res.published.n_groups(),
-        data.n_transactions(),
-        res.total_time.as_secs_f64() * 1e3,
-    );
-    if let Some(s) = summary {
-        out.push_str(&format!(
-            "workload: {} queries (r = {r}), mean KL {:.4}\n",
-            s.n_queries, s.mean_kl
-        ));
-    }
-    out.push('\n');
-    out.push_str(&trace.render_human());
-    if let Some(path) = args.value("trace-json") {
-        std::fs::write(path, serde_json::to_string_pretty(&trace)?)?;
-        out.push_str(&format!("trace written to {path}\n"));
-    }
-    Ok(out)
 }
 
 fn sensitive_from_args(
@@ -1584,7 +1385,7 @@ mod tests {
     }
 
     #[test]
-    fn anonymize_verify_evaluate_flow() {
+    fn anonymize_check_evaluate_flow() {
         let data_f = tmp("flow.dat");
         let rel_f = tmp("flow.json");
         generate(&parse(
@@ -1608,8 +1409,8 @@ mod tests {
         ))
         .unwrap();
         assert!(out.contains("verified"), "{out}");
-        let v = verify(&parse(VERIFY_FLAGS, &[&data_f, &rel_f, "--p", "5"])).unwrap();
-        assert!(v.starts_with("OK"));
+        let v = check(&parse(CHECK_FLAGS, &[&data_f, &rel_f, "--p", "5"])).unwrap();
+        assert!(v.contains("check: PASS"), "{v}");
         let e = evaluate(&parse(EVALUATE_FLAGS, &[&data_f, &rel_f, "--r", "3"])).unwrap();
         assert!(e.contains("mean KL"));
         std::fs::remove_file(&data_f).ok();
@@ -1926,7 +1727,7 @@ mod tests {
     }
 
     #[test]
-    fn traced_anonymize_check_and_profile_flow() {
+    fn traced_anonymize_check_and_evaluate_flow() {
         let data_f = tmp("trace.dat");
         let rel_f = tmp("trace_rel.json");
         let trace_f = tmp("trace_report.json");
@@ -2006,25 +1807,28 @@ mod tests {
             )),
             Err(CliError::Usage(_))
         ));
-        // The profile subcommand self-checks and renders the span tree.
-        let prof = profile(&parse(
-            PROFILE_FLAGS,
-            &[
-                &data_f,
-                "--p",
-                "5",
-                "--random-m",
-                "4",
-                "--shards",
-                "3",
-                "--threads",
-                "2",
-            ],
+        // A traced evaluate records the query workload; its trace passes
+        // CAHD-O001 and its stdout is the untraced run's plus one line.
+        let eval_f = tmp("trace_eval.json");
+        let plain = evaluate(&parse(EVALUATE_FLAGS, &[&data_f, &rel_f])).unwrap();
+        let traced = evaluate(&parse(
+            EVALUATE_FLAGS,
+            &[&data_f, &rel_f, "--trace-json", &eval_f],
         ))
         .unwrap();
-        assert!(prof.contains("profile: p 5"), "{prof}");
-        assert!(prof.contains("spans:") && prof.contains("merge"), "{prof}");
-        assert!(prof.contains("eval.queries"), "{prof}");
+        assert_eq!(traced, format!("{plain}trace written to {eval_f}\n"));
+        let trace: TraceReport =
+            serde_json::from_str(&std::fs::read_to_string(&eval_f).unwrap()).unwrap();
+        assert!(trace.span("eval").is_some());
+        assert!(trace.span("eval/index").is_some());
+        assert_eq!(trace.counter("eval.queries"), Some(100));
+        let ok = check(&parse(
+            CHECK_FLAGS,
+            &[&data_f, &rel_f, "--p", "5", "--trace", &eval_f],
+        ))
+        .unwrap();
+        assert!(ok.contains("check: PASS"), "{ok}");
+        std::fs::remove_file(&eval_f).ok();
         for f in [&data_f, &rel_f, &trace_f] {
             std::fs::remove_file(f).ok();
         }

@@ -1,22 +1,22 @@
 //! The `cahd-cli` command-line tool: anonymize, audit and evaluate sparse
-//! transaction datasets from the shell.
+//! transaction datasets from the shell. Each command answers one question:
 //!
 //! ```text
-//! cahd-cli stats     <data.dat>
-//! cahd-cli generate  {bms1|bms2|quest} --out data.dat [--scale F] [--seed N] ...
-//! cahd-cli audit     <data.dat> [--max-k K] [--trials N] [--seed N]
-//! cahd-cli anonymize <data.dat> --p P (--sensitive 1,2,3 | --random-m M)
-//!                    [--method cahd|pm|random] [--alpha A] [--no-rcm]
-//!                    [--shards K] [--threads T]
-//!                    [--strip-members] [--out release.json] [--seed N]
-//! cahd-cli verify    <data.dat> <release.json> --p P
-//! cahd-cli check     <data.dat> <release.json> --p P [--json]
-//! cahd-cli evaluate  <data.dat> <release.json> [--r R] [--queries N] [--seed N]
+//! cahd-cli stats     <data.dat>                          dataset characteristics
+//! cahd-cli generate  {bms1|bms2|quest} --out data.dat    synthetic data
+//! cahd-cli audit     <data.dat>                          Table II re-identification risk
+//! cahd-cli anonymize <data.dat> --p P (--sensitive ..|--random-m M)   make a release
+//! cahd-cli report    <release.json>                      privacy summary of a release
+//! cahd-cli check     <data.dat> <release.json> --p P     every diagnostic, one run
+//! cahd-cli lint                                          audit this workspace's sources
+//! cahd-cli attack    <data.dat> <release.json>.. --p P   adversary replay, 1/p gate
+//! cahd-cli evaluate  <data.dat> <release.json>           query reconstruction error (KL)
 //! ```
 //!
-//! The command functions live in [`commands`] and return strings/results so
-//! the integration tests can drive them without spawning processes; `main`
-//! is a thin argument-parsing shim ([`args`]).
+//! `cahd-cli --help` lists every flag. The command functions live in
+//! [`commands`] and return strings/results so the integration tests can
+//! drive them without spawning processes; `main` is a thin
+//! argument-parsing shim ([`args`]).
 
 pub mod args;
 pub mod commands;

@@ -22,7 +22,6 @@ usage:
                      [--transactions N] [--items N] [--avg-len F]
                      [--patterns N] [--correlation F]
   cahd-cli audit     <data.dat> [--max-k K] [--trials N] [--seed N]
-                     [--release release.json]  (adds a linkage-attack audit)
   cahd-cli anonymize <data.dat> --p P (--sensitive 1,2,3 | --random-m M)
                      [--method cahd|pm|random] [--alpha A] [--no-rcm] [--refine]
                      [--ordering rcm|bfs|cluster]  (band-reducing ordering)
@@ -40,7 +39,6 @@ usage:
                      (observability; --memory adds allocator attribution)
                      [--strip-members] [--out release.json] [--seed N]
   cahd-cli report    <release.json>
-  cahd-cli verify    <data.dat> <release.json> --p P
   cahd-cli check     <data.dat> <release.json> --p P [--json] [--seed N]
                      [--trace trace.json]  (audit a --trace-json report too)
                      [--trace-json out.json]  (per-pass check spans)
@@ -58,13 +56,8 @@ usage:
                      posterior exceeds 1/p — see docs/ATTACKS.md)
   cahd-cli evaluate  <data.dat> <release.json> [--r R] [--queries N] [--seed N]
                      [--attack]  (adds attacker-success curves)
-  cahd-cli profile   <data.dat> --p P (--sensitive 1,2,3 | --random-m M)
-                     [--alpha A] [--no-rcm] [--shards K] [--threads T]
-                     [--ordering rcm|bfs|cluster] [--rowgraph auto|explicit|implicit]
-                     [--hub-cap S|off]
-                     [--r R] [--queries N] [--seed N] [--trace-json trace.json]
-                     [--memory]  (adds per-phase allocator attribution)
-                     (traced pipeline + workload; see docs/OBSERVABILITY.md)
+                     [--trace-json trace.json]  (eval spans and counters;
+                     see docs/OBSERVABILITY.md)
 ";
 
 fn main() -> ExitCode {
@@ -82,7 +75,6 @@ fn main() -> ExitCode {
         "anonymize" => {
             Args::parse(rest, commands::ANONYMIZE_FLAGS).and_then(|a| commands::anonymize(&a))
         }
-        "verify" => Args::parse(rest, commands::VERIFY_FLAGS).and_then(|a| commands::verify(&a)),
         "check" => Args::parse(rest, commands::CHECK_FLAGS).and_then(|a| commands::check(&a)),
         "lint" => Args::parse(rest, commands::LINT_FLAGS).and_then(|a| commands::lint(&a)),
         "report" => Args::parse(rest, &[]).and_then(|a| commands::report(&a)),
@@ -90,7 +82,6 @@ fn main() -> ExitCode {
         "evaluate" => {
             Args::parse(rest, commands::EVALUATE_FLAGS).and_then(|a| commands::evaluate(&a))
         }
-        "profile" => Args::parse(rest, commands::PROFILE_FLAGS).and_then(|a| commands::profile(&a)),
         "--help" | "-h" | "help" => {
             print!("{USAGE}");
             return ExitCode::SUCCESS;

@@ -1,12 +1,13 @@
-//! The command line is the only way to choose an algorithm path: the
-//! `CAHD_ORDERING`, `CAHD_HUB_CAP`, `CAHD_ROWGRAPH` and `CAHD_KERNEL`
-//! environment variables, which once overrode `--ordering`, `--hub-cap`,
-//! `--rowgraph` and the similarity kernel inside the libraries, must
-//! change neither the release bytes nor the deterministic work counters
-//! of a real `anonymize` run. The input is the BMS1-shaped quarter-scale click log,
-//! where the old overrides changed the release (195 groups under RCM, 169
-//! under the cluster ordering, 197 with a hub cap of 5) or the counters
-//! (explicit row graph, dense kernel).
+//! The command line is the only way to choose an algorithm path or a
+//! seed: the `CAHD_ORDERING`, `CAHD_HUB_CAP`, `CAHD_ROWGRAPH` and
+//! `CAHD_KERNEL` environment variables, which once overrode `--ordering`,
+//! `--hub-cap`, `--rowgraph` and the similarity kernel inside the
+//! libraries, must change neither the release bytes nor the deterministic
+//! work counters of a real `anonymize` run. The input is the BMS1-shaped
+//! quarter-scale click log, where the old overrides changed the release
+//! (195 groups under RCM, 169 under the cluster ordering, 197 with a hub
+//! cap of 5) or the counters (explicit row graph, dense kernel). Nor does
+//! `CAHD_SEED`, which once stood in for a missing `--seed`.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -30,6 +31,7 @@ fn cahd_cli(args: &[&str], env: Option<(&str, &str)>) -> Output {
         "CAHD_HUB_CAP",
         "CAHD_ROWGRAPH",
         "CAHD_KERNEL",
+        "CAHD_SEED",
     ] {
         cmd.env_remove(var);
     }
@@ -116,4 +118,27 @@ fn environment_never_overrides_the_command_line() {
         );
     }
     std::fs::remove_file(&data).ok();
+}
+
+#[test]
+fn seed_comes_only_from_the_command_line() {
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../fixtures");
+    let data = fixtures.join("demo.dat");
+    let release = fixtures.join("demo_release.json");
+    let args = [
+        "attack",
+        path_str(&data),
+        path_str(&release),
+        "--p",
+        "4",
+        "--json",
+    ];
+    let run = cahd_cli(&args, Some(("CAHD_SEED", "7")));
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    assert!(
+        run.status.success(),
+        "{stdout}{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    assert!(stdout.contains("\"seed\":42"), "{stdout}");
 }

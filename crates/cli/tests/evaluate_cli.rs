@@ -26,7 +26,6 @@ fn tmp(name: &str) -> PathBuf {
 fn cahd_cli(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_cahd-cli"))
         .args(args)
-        .env_remove("CAHD_SEED")
         .output()
         .unwrap()
 }

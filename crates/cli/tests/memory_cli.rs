@@ -153,16 +153,56 @@ fn memory_flag_reports_per_phase_allocation_everywhere() {
     assert!(out.contains("memory (tracking allocator"), "{out}");
     assert!(out.contains("pipeline"), "{out}");
 
-    // --- profile --memory: rendered report self-audits under O002 -------
-    let prof = commands::profile(&parse(
-        commands::PROFILE_FLAGS,
-        &[&data_f, "--p", "5", "--random-m", "4", "--memory"],
+    // --- bad-input on a clean file: the raw rows are the dataset -------
+    // The robust path sanitizes once, so on a clean input its peak is the
+    // batch path's: no second copy of the input CSR beside it.
+    let peak = |argv: &[&str]| {
+        commands::anonymize(&parse(commands::ANONYMIZE_FLAGS, argv)).unwrap();
+        let t: TraceReport =
+            serde_json::from_str(&std::fs::read_to_string(&trace_f).unwrap()).unwrap();
+        t.memory.expect("memory section present").totals.peak_bytes
+    };
+    let base = [
+        data_f.as_str(),
+        "--p",
+        "5",
+        "--random-m",
+        "4",
+        "--memory",
+        "--trace-json",
+        &trace_f,
+    ];
+    let batch_peak = peak(&base);
+    let robust_peak = peak(&[&base[..], &["--bad-input", "strict"]].concat());
+    let data = cahd_data::io::read_dat_file(&data_f, None).unwrap();
+    let csr_bytes = 4 * data.matrix().nnz() + 8 * (data.n_transactions() + 1);
+    assert!(
+        robust_peak < batch_peak + csr_bytes as u64 / 8,
+        "--bad-input peak {robust_peak} vs batch {batch_peak}: a second copy of the \
+         {csr_bytes}-byte input CSR"
+    );
+
+    // --- evaluate --trace-json: the query workload, audited -------------
+    let plain = commands::evaluate(&parse(commands::EVALUATE_FLAGS, &[&data_f, &rel_f])).unwrap();
+    let eval_f = tmp("mem_eval_trace.json");
+    let traced = commands::evaluate(&parse(
+        commands::EVALUATE_FLAGS,
+        &[&data_f, &rel_f, "--trace-json", &eval_f],
     ))
     .unwrap();
-    assert!(prof.contains("profile: p 5"), "{prof}");
-    assert!(prof.contains("memory (tracking allocator"), "{prof}");
+    assert_eq!(traced, format!("{plain}trace written to {eval_f}\n"));
+    let trace: TraceReport =
+        serde_json::from_str(&std::fs::read_to_string(&eval_f).unwrap()).unwrap();
+    assert!(trace.span("eval").is_some() && trace.span("eval/index").is_some());
+    assert!(trace.counter("eval.queries").is_some_and(|q| q > 0));
+    let ok = commands::check(&parse(
+        commands::CHECK_FLAGS,
+        &[&data_f, &rel_f, "--p", "5", "--trace", &eval_f],
+    ))
+    .unwrap();
+    assert!(ok.contains("check: PASS"), "{ok}");
 
-    for f in [&data_f, &rel_f, &trace_f, &wdat_f, &stream_f] {
+    for f in [&data_f, &rel_f, &trace_f, &wdat_f, &stream_f, &eval_f] {
         std::fs::remove_file(f).ok();
     }
 }

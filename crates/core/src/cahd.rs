@@ -147,7 +147,7 @@ pub fn cahd(
 
 /// Like [`cahd`], recording the group-formation phase into `rec`: the span
 /// `pipeline/group`, the scheduling-invariant `core.*` counters of the
-/// engine (see [`form_groups`]), the kernel path counters
+/// engine (see `form_groups`), the kernel path counters
 /// (`core.kernel_dense_scores`, `core.kernel_sparse_scores`,
 /// `core.kernel_cache_hits` — see [`crate::kernel`]), and the counter
 /// `core.fallback_group_size` (size of the final leftover group).

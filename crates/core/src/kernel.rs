@@ -45,7 +45,7 @@
 //! a delta update against the previous pivot would have to inspect both
 //! pivot rows, which already costs as much as scoring from scratch.)
 //!
-//! Every scorer here shares the wrap-safe [`StampSet`] epoch allocator,
+//! Every scorer here shares the wrap-safe `StampSet` epoch allocator,
 //! which clears the marker array when the `u32` epoch overflows instead
 //! of letting stale stamps alias fresh ones.
 //!
@@ -382,7 +382,7 @@ impl<'a> SimilarityKernel<'a> {
 /// [`WeightedSimilarity::MinCount`](crate::weighted::WeightedSimilarity):
 /// `Σ_{i ∈ QID(t) ∩ QID(c)} min(count_t(i), count_c(i))`. Counts cannot
 /// ride in a one-bit-per-item bitset, so this is a sparse-only kernel
-/// client — it shares the wrap-safe [`StampSet`] (the stamp carries the
+/// client — it shares the wrap-safe `StampSet` (the stamp carries the
 /// pivot's count alongside the epoch) and reports its work as sparse
 /// kernel scores. It relabels a wide universe exactly like
 /// [`SimilarityKernel`], so its stamps and counts are sized on the items

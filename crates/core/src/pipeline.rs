@@ -11,7 +11,9 @@ use crate::cahd::{cahd_traced, CahdConfig, CahdStats};
 use crate::error::CahdError;
 use crate::group::{AnonymizedGroup, PublishedDataset};
 use crate::invariant::{strict_invariant, strict_invariant_eq};
-use crate::recovery::{ingest_rows, sanitize_rows, FaultPlan, RecoveryConfig};
+use crate::recovery::{
+    classify_rows, ingest_rows, sanitize_rows, FaultPlan, RecoveryConfig, SanitizedRows,
+};
 use crate::shard::{cahd_sharded_recovering, ParallelConfig, ShardedStats};
 
 /// Configuration of the full pipeline.
@@ -249,6 +251,49 @@ impl Anonymizer {
     {
         self.config.cahd.validate()?;
         let (data, quarantined) = ingest_rows(rows, sensitive.n_items(), recovery)?;
+        self.robust_result(data, quarantined, sensitive, recovery, rec)
+    }
+
+    /// [`Anonymizer::anonymize_rows`] over rows already read and sanitized
+    /// against `sensitive`'s universe: the rows are classified as written,
+    /// and the pipeline runs on `rows`' own dataset, which the result takes
+    /// over. The input is never sanitized twice, so a clean input stays
+    /// one CSR for the whole run. Release and counters equal
+    /// [`Anonymizer::anonymize_rows`] over `rows.raw_rows()`.
+    ///
+    /// # Errors
+    /// [`CahdError::UniverseMismatch`] when `rows` was sanitized against
+    /// another universe, then everything [`Anonymizer::anonymize_rows`]
+    /// reports.
+    pub fn anonymize_sanitized(
+        &self,
+        rows: SanitizedRows,
+        sensitive: &SensitiveSet,
+        recovery: &RecoveryConfig,
+        rec: &Recorder,
+    ) -> Result<RobustResult, CahdError> {
+        self.config.cahd.validate()?;
+        let n_items = sensitive.n_items();
+        if rows.data().n_items() != n_items {
+            return Err(CahdError::UniverseMismatch {
+                data_items: rows.data().n_items(),
+                sensitive_items: n_items,
+            });
+        }
+        let quarantined = classify_rows(rows.raw_rows(), n_items, recovery)?;
+        self.robust_result(rows.into_data(), quarantined, sensitive, recovery, rec)
+    }
+
+    /// Runs [`Anonymizer::anonymize_ingested`] and keeps its dataset beside
+    /// the release.
+    fn robust_result(
+        &self,
+        data: TransactionSet,
+        quarantined: Vec<usize>,
+        sensitive: &SensitiveSet,
+        recovery: &RecoveryConfig,
+        rec: &Recorder,
+    ) -> Result<RobustResult, CahdError> {
         let result = self.anonymize_ingested(&data, &quarantined, sensitive, recovery, rec)?;
         Ok(RobustResult {
             recovered_shards: result
@@ -416,7 +461,8 @@ impl Anonymizer {
     }
 }
 
-/// Output of the robust entry point ([`Anonymizer::anonymize_rows`]).
+/// Output of the robust entry points ([`Anonymizer::anonymize_rows`] and
+/// [`Anonymizer::anonymize_sanitized`]).
 #[derive(Debug)]
 pub struct RobustResult {
     /// The pipeline output. `result.published` covers **every** submitted
@@ -602,6 +648,54 @@ mod tests {
             assert!(robust.quarantined.is_empty());
             assert_eq!(robust.recovered_shards, 0);
         }
+    }
+
+    #[test]
+    fn sanitized_rows_run_like_anonymize_rows() {
+        let (clean, sens) = block_rows();
+        let mut dirty = clean.clone();
+        dirty[3] = vec![4, 5, 9, 99];
+        dirty[6] = vec![1, 1, 2];
+        let anon = Anonymizer::new(AnonymizerConfig::with_privacy_degree(2));
+        for rows in [&clean, &dirty] {
+            for recovery in [RecoveryConfig::strict(), RecoveryConfig::quarantine()] {
+                let (rec_rows, rec_sanitized) = (Recorder::new(), Recorder::new());
+                let want = anon.anonymize_rows(slices(rows), &sens, &recovery, &rec_rows);
+                let mut raw = cahd_data::RawRows::new();
+                for row in rows {
+                    raw.push(row);
+                }
+                let got = anon.anonymize_sanitized(
+                    SanitizedRows::new(raw, sens.n_items()),
+                    &sens,
+                    &recovery,
+                    &rec_sanitized,
+                );
+                match (want, got) {
+                    (Ok(want), Ok(got)) => {
+                        assert_eq!(got.result.published, want.result.published);
+                        assert_eq!(got.quarantined, want.quarantined);
+                        assert!(got.data.iter().eq(want.data.iter()));
+                    }
+                    (Err(want), Err(got)) => assert_eq!(got, want),
+                    (want, got) => panic!("{want:?} vs {got:?}"),
+                }
+                assert_eq!(
+                    rec_sanitized.snapshot().counters,
+                    rec_rows.snapshot().counters
+                );
+            }
+        }
+        // Rows sanitized against another universe are refused up front.
+        let err = anon
+            .anonymize_sanitized(
+                SanitizedRows::new(cahd_data::RawRows::new(), 11),
+                &sens,
+                &RecoveryConfig::strict(),
+                &Recorder::disabled(),
+            )
+            .unwrap_err();
+        assert!(matches!(err, CahdError::UniverseMismatch { .. }), "{err:?}");
     }
 
     #[test]

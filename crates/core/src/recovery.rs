@@ -335,6 +335,12 @@ impl SanitizedRows {
     pub fn is_shared(&self) -> bool {
         self.raw.is_none()
     }
+
+    /// The sanitized dataset, dropping the raw rows kept beside it.
+    #[must_use]
+    pub fn into_data(self) -> TransactionSet {
+        self.data
+    }
 }
 
 /// Runs `f` on the sanitized dataset of `rows`. When every row is already

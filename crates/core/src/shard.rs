@@ -12,7 +12,7 @@
 //!
 //! # Merge semantics and the `1/p` bound
 //!
-//! Each shard runs the verified [`form_groups`] engine over its own rows
+//! Each shard runs the verified `form_groups` engine over its own rows
 //! with a *per-shard* remaining-occurrence histogram. The merged release
 //! is deterministic and scheduling-independent:
 //!
@@ -174,7 +174,7 @@ pub fn cahd_sharded(
 ///   deterministic merge plus the dissolve repair loop), both on the
 ///   calling thread;
 /// * the scheduling-invariant `core.*` engine counters of
-///   [`form_groups`] and the kernel path counters
+///   `form_groups` and the kernel path counters
 ///   (`core.kernel_dense_scores`, `core.kernel_sparse_scores`,
 ///   `core.kernel_cache_hits`, from each shard's own
 ///   [`SimilarityKernel`]), summed over shards (sums commute, so the
