@@ -751,16 +751,12 @@ impl Pass for TraceObs {
 /// `CAHD-R001` — recovery accounting: the release's recovery counters are
 /// consistent with each other and with the release itself.
 ///
-/// Recovery actions (shard retries/fallbacks, row quarantine, stream
-/// resumes) are *silent* by design — the release still verifies — so this
-/// pass is the only place their bookkeeping is audited:
-///
-/// * quarantined rows end up in the final (leftover) group, so
-///   `core.quarantined_rows` can exceed neither the accumulated
-///   `core.fallback_group_size` nor the number of published transactions;
-/// * `core.recovered_shards` implies a sharded run: the `core.shards`
-///   gauge must be present and at least as large (a recovery without a
-///   shard is a fabricated counter).
+/// Recovery actions (row quarantine, stream resumes) are *silent* by
+/// design — the release still verifies — so this pass is the only place
+/// their bookkeeping is audited: quarantined rows end up in the final
+/// (leftover) group, so `core.quarantined_rows` can exceed neither the
+/// accumulated `core.fallback_group_size` nor the number of published
+/// transactions.
 ///
 /// `core.resumed_batches` has no cross-check (any count of successful
 /// resumes is coherent on its own); it is surfaced by the trace itself.
@@ -784,7 +780,7 @@ impl Pass for Recovery {
     }
 
     fn description(&self) -> &'static str {
-        "recovery counters (quarantine, shard retries, resumes) are coherent"
+        "recovery counters (quarantine, resumes) are coherent"
     }
 
     fn run(&self, input: &CheckInput<'_>, out: &mut Vec<Diagnostic>) {
@@ -813,23 +809,6 @@ impl Pass for Recovery {
                      transactions"
                 ),
             );
-        }
-        let recovered = counter("core.recovered_shards");
-        if recovered > 0 {
-            match trace.gauge("core.shards") {
-                None => Self::finding(
-                    out,
-                    format!(
-                        "{recovered} recovered shards recorded but no core.shards gauge: \
-                         recovery cannot happen outside a sharded run"
-                    ),
-                ),
-                Some(shards) if (recovered as f64) > shards => Self::finding(
-                    out,
-                    format!("{recovered} recovered shards exceed the {shards}-shard run"),
-                ),
-                Some(_) => {}
-            }
         }
     }
 }

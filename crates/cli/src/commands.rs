@@ -385,7 +385,7 @@ pub fn anonymize(args: &Args) -> Result<String, CliError> {
         )));
     }
 
-    let mut published: PublishedDataset = match method {
+    let published: PublishedDataset = match method {
         "cahd" => {
             let cfg = anonymizer_config_from_args(args, p)?;
             Anonymizer::new(cfg)
@@ -400,12 +400,27 @@ pub fn anonymize(args: &Args) -> Result<String, CliError> {
             )))
         }
     };
-    if args.has("refine") {
-        cahd_core::refine::refine_groups(&mut published, &data, &sensitive, p, 2, 3);
-    }
-    verify_published(&data, &sensitive, &published, p)
-        .map_err(|e| CliError::Run(format!("internal error: release failed verification: {e}")))?;
+    let (to_write, n_groups, degree) = finish_release(args, published, &data, &sensitive, p)?;
+    let out =
+        format!("method {method}, p {p}: {n_groups} groups, privacy degree {degree:?}, verified\n");
+    write_release(args, &rec, &to_write, "release", out)
+}
 
+/// The tail the batch and `--bad-input` paths share: `--refine`, the
+/// verification against `data`, then `--strip-members`. Returns the
+/// release to write with its group count and privacy degree.
+fn finish_release(
+    args: &Args,
+    mut published: PublishedDataset,
+    data: &TransactionSet,
+    sensitive: &SensitiveSet,
+    p: usize,
+) -> Result<(PublishedDataset, usize, Option<usize>), CliError> {
+    if args.has("refine") {
+        cahd_core::refine::refine_groups(&mut published, data, sensitive, p, 2, 3);
+    }
+    verify_published(data, sensitive, &published, p)
+        .map_err(|e| CliError::Run(format!("internal error: release failed verification: {e}")))?;
     let degree = published.privacy_degree();
     let n_groups = published.n_groups();
     let to_write = if args.has("strip-members") {
@@ -413,12 +428,23 @@ pub fn anonymize(args: &Args) -> Result<String, CliError> {
     } else {
         published
     };
-    let mut out =
-        format!("method {method}, p {p}: {n_groups} groups, privacy degree {degree:?}, verified\n");
+    Ok((to_write, n_groups, degree))
+}
+
+/// The tail every anonymize path ends with: writes `release` to `--out`
+/// (span `serialize`, and the line "`{what}` written to `<path>`"), then
+/// appends the trace outputs when `rec` is enabled. Returns `out`.
+fn write_release<T: serde::Serialize + ?Sized>(
+    args: &Args,
+    rec: &Recorder,
+    release: &T,
+    what: &str,
+    mut out: String,
+) -> Result<String, CliError> {
     if let Some(path) = args.value("out") {
         let _s = rec.span("serialize");
-        write_json(path, &to_write)?;
-        out.push_str(&format!("release written to {path}\n"));
+        write_json(path, release)?;
+        out.push_str(&format!("{what} written to {path}\n"));
     }
     if rec.is_enabled() {
         emit_trace(args, &rec.snapshot(), &mut out)?;
@@ -462,16 +488,8 @@ fn anonymize_weighted_cmd(args: &Args, p: usize, seed: u64) -> Result<String, Cl
             g.members.clear();
         }
     }
-    let mut out = format!("method cahd (weighted), p {p}: {n_groups} groups, verified\n");
-    if let Some(path) = args.value("out") {
-        let _s = rec.span("serialize");
-        write_json(path, &release)?;
-        out.push_str(&format!("weighted release written to {path}\n"));
-    }
-    if rec.is_enabled() {
-        emit_trace(args, &rec.snapshot(), &mut out)?;
-    }
-    Ok(out)
+    let out = format!("method cahd (weighted), p {p}: {n_groups} groups, verified\n");
+    write_release(args, &rec, &release, "weighted release", out)
 }
 
 /// Builds the cahd engine configuration shared by the plain, robust and
@@ -552,34 +570,14 @@ fn anonymize_robust_cmd(args: &Args, p: usize, seed: u64) -> Result<String, CliE
     // when every row is clean.
     let robust = Anonymizer::new(anonymizer_config_from_args(args, p)?)
         .anonymize_sanitized(rows, &sensitive, &recovery, &rec)?;
-    let mut published = robust.result.published;
-    if args.has("refine") {
-        cahd_core::refine::refine_groups(&mut published, &robust.data, &sensitive, p, 2, 3);
-    }
-    verify_published(&robust.data, &sensitive, &published, p)
-        .map_err(|e| CliError::Run(format!("internal error: release failed verification: {e}")))?;
-    let degree = published.privacy_degree();
-    let n_groups = published.n_groups();
-    let to_write = if args.has("strip-members") {
-        published.strip_members()
-    } else {
-        published
-    };
-    let mut out = format!(
+    let (to_write, n_groups, degree) =
+        finish_release(args, robust.result.published, &robust.data, &sensitive, p)?;
+    let out = format!(
         "method cahd ({policy}), p {p}: {n_groups} groups, privacy degree {degree:?}, \
-         {} quarantined rows, {} recovered shards, verified\n",
+         {} quarantined rows, verified\n",
         robust.quarantined.len(),
-        robust.recovered_shards,
     );
-    if let Some(path) = args.value("out") {
-        let _s = rec.span("serialize");
-        write_json(path, &to_write)?;
-        out.push_str(&format!("release written to {path}\n"));
-    }
-    if rec.is_enabled() {
-        emit_trace(args, &rec.snapshot(), &mut out)?;
-    }
-    Ok(out)
+    write_release(args, &rec, &to_write, "release", out)
 }
 
 /// The `--stream-batch` path of [`anonymize`]: feed the file through
@@ -741,15 +739,7 @@ fn anonymize_stream_cmd(args: &Args, p: usize) -> Result<String, CliError> {
     } else {
         merged
     };
-    if let Some(path) = args.value("out") {
-        let _s = rec.span("serialize");
-        write_json(path, &to_write)?;
-        out.push_str(&format!("release written to {path}\n"));
-    }
-    if rec.is_enabled() {
-        emit_trace(args, &rec.snapshot(), &mut out)?;
-    }
-    Ok(out)
+    write_release(args, &rec, &to_write, "release", out)
 }
 
 /// The groups of every chunk in chunk order, each moved out of its chunk
@@ -1014,25 +1004,33 @@ pub const EVALUATE_FLAGS: &[FlagSpec] = &[
 /// With `--attack`, the deterministic adversary suite runs against the
 /// raw data and the release and the attacker-success curves are printed
 /// alongside the KL summary (see `docs/ATTACKS.md`). `--trace-json`
-/// writes the run's observability report: the `eval` span with its
-/// `eval/index` child and the `eval.*` counters, plus the `attack/*`
-/// spans with `--attack`.
+/// writes the run's observability report: root spans `ingest` (the
+/// `.dat` and the release read), `workload` (the query workload drawn)
+/// and `eval` with its `eval/index` child, the `eval.*` counters, plus
+/// the `attack/*` spans with `--attack`.
 pub fn evaluate(args: &Args) -> Result<String, CliError> {
-    let data = load(args.positional(0, "data.dat")?)?;
-    let release = load_release(args.positional(1, "release.json")?)?;
+    let rec = recorder_from_args(args);
+    let (data, release) = {
+        let _s = rec.span("ingest");
+        let data = load(args.positional(0, "data.dat")?)?;
+        let release = load_release(args.positional(1, "release.json")?)?;
+        (data, release)
+    };
     require_canonical_rows(&release)?;
     let r: usize = args.parse_or("r", 4)?;
     let n_queries: usize = args.parse_or("queries", 100)?;
     let seed: u64 = resolve_seed(args)?;
     let sensitive = release_sensitive_set(&release, &data)?;
-    let queries = generate_workload_seeded(&data, &sensitive, r, n_queries, seed);
+    let queries = {
+        let _s = rec.span("workload");
+        generate_workload_seeded(&data, &sensitive, r, n_queries, seed)
+    };
     if queries.is_empty() {
         return Err(CliError::Run(
             "no queries could be generated (sensitive items absent?)".into(),
         ));
     }
     let trace_path = args.value("trace-json");
-    let rec = recorder_from_args(args);
     let s = evaluate_workload_traced(&data, &release, &queries, &rec);
     let mut out = format!(
         "reconstruction error over {} queries (r = {r}): mean KL {:.4}, median {:.4}, max {:.4}, std {:.4}\n",
@@ -1807,8 +1805,9 @@ mod tests {
             )),
             Err(CliError::Usage(_))
         ));
-        // A traced evaluate records the query workload; its trace passes
-        // CAHD-O001 and its stdout is the untraced run's plus one line.
+        // A traced evaluate records the whole command (reading the inputs,
+        // drawing the workload, answering it); its trace passes CAHD-O001
+        // and its stdout is the untraced run's plus one line.
         let eval_f = tmp("trace_eval.json");
         let plain = evaluate(&parse(EVALUATE_FLAGS, &[&data_f, &rel_f])).unwrap();
         let traced = evaluate(&parse(
@@ -1819,8 +1818,9 @@ mod tests {
         assert_eq!(traced, format!("{plain}trace written to {eval_f}\n"));
         let trace: TraceReport =
             serde_json::from_str(&std::fs::read_to_string(&eval_f).unwrap()).unwrap();
-        assert!(trace.span("eval").is_some());
-        assert!(trace.span("eval/index").is_some());
+        for path in ["ingest", "workload", "eval", "eval/index"] {
+            assert!(trace.span(path).is_some(), "missing {path}");
+        }
         assert_eq!(trace.counter("eval.queries"), Some(100));
         let ok = check(&parse(
             CHECK_FLAGS,

@@ -66,7 +66,7 @@ pub enum CahdError {
         sensitive_items: usize,
     },
     /// An input row failed validation under
-    /// [`crate::recovery::InputPolicy::Strict`] (out-of-range item or
+    /// [`crate::recovery::RecoveryConfig::Strict`] (out-of-range item or
     /// duplicate item id).
     CorruptRow {
         /// Index of the offending row in the submitted batch.

@@ -67,11 +67,9 @@ pub use error::CahdError;
 pub use group::{AnonymizedGroup, PublishedDataset};
 pub use kernel::{KernelMode, KernelStats, MinCountScorer, QidOverlapScorer, SimilarityKernel};
 pub use pipeline::{Anonymizer, AnonymizerConfig, PipelineResult, RobustResult};
-pub use recovery::{FaultPlan, InputPolicy, RecoveryConfig, ShardFault};
+pub use recovery::RecoveryConfig;
 pub use refine::{intra_group_overlap, refine_groups, OverlapCounter, RefineStats};
-pub use shard::{
-    cahd_sharded, cahd_sharded_recovering, cahd_sharded_traced, ParallelConfig, ShardedStats,
-};
+pub use shard::{cahd_sharded, cahd_sharded_traced, ParallelConfig, ShardedStats};
 pub use streaming::{ReleaseChunk, StreamingAnonymizer};
 pub use verify::{verify_all, verify_published, VerificationError};
 pub use weighted::{cahd_weighted, verify_weighted, WeightedPublished, WeightedSimilarity};

@@ -11,10 +11,8 @@ use crate::cahd::{cahd_traced, CahdConfig, CahdStats};
 use crate::error::CahdError;
 use crate::group::{AnonymizedGroup, PublishedDataset};
 use crate::invariant::{strict_invariant, strict_invariant_eq};
-use crate::recovery::{
-    classify_rows, ingest_rows, sanitize_rows, FaultPlan, RecoveryConfig, SanitizedRows,
-};
-use crate::shard::{cahd_sharded_recovering, ParallelConfig, ShardedStats};
+use crate::recovery::{classify_rows, ingest_rows, sanitize_rows, RecoveryConfig, SanitizedRows};
+use crate::shard::{cahd_sharded_traced, ParallelConfig, ShardedStats};
 
 /// Configuration of the full pipeline.
 #[derive(Clone, Copy, Debug)]
@@ -134,22 +132,6 @@ impl Anonymizer {
         sensitive: &SensitiveSet,
         rec: &Recorder,
     ) -> Result<PipelineResult, CahdError> {
-        self.anonymize_with_plan(data, sensitive, &FaultPlan::none(), rec)
-    }
-
-    /// [`Anonymizer::anonymize`] with shard faults injected from `plan`.
-    /// A plan with shard faults forces the group-formation phase through
-    /// the recovering sharded engine even for a single shard, so every
-    /// fault is actually exercised; corrupt-row injections are an
-    /// ingestion concern and ignored here (see
-    /// [`Anonymizer::anonymize_rows`]).
-    fn anonymize_with_plan(
-        &self,
-        data: &TransactionSet,
-        sensitive: &SensitiveSet,
-        plan: &FaultPlan,
-        rec: &Recorder,
-    ) -> Result<PipelineResult, CahdError> {
         // cahd-lint: allow(L002, reason = "elapsed-time stat only; release bytes never depend on it")
         let t0 = Instant::now();
         let pipeline_span = rec.span("pipeline");
@@ -163,21 +145,19 @@ impl Anonymizer {
         };
         let rcm_time = band.as_ref().map(|b| b.rcm_time).unwrap_or_default();
 
-        let (mut published, cahd_stats, sharded_stats) =
-            if self.config.parallel.is_sequential() && !plan.has_shard_faults() {
-                let (published, stats) = cahd_traced(&work, sensitive, &self.config.cahd, rec)?;
-                (published, stats, None)
-            } else {
-                let (published, sharded) = cahd_sharded_recovering(
-                    &work,
-                    sensitive,
-                    &self.config.cahd,
-                    &self.config.parallel,
-                    plan,
-                    rec,
-                )?;
-                (published, sharded.cahd, Some(sharded))
-            };
+        let (mut published, cahd_stats, sharded_stats) = if self.config.parallel.is_sequential() {
+            let (published, stats) = cahd_traced(&work, sensitive, &self.config.cahd, rec)?;
+            (published, stats, None)
+        } else {
+            let (published, sharded) = cahd_sharded_traced(
+                &work,
+                sensitive,
+                &self.config.cahd,
+                &self.config.parallel,
+                rec,
+            )?;
+            (published, sharded.cahd, Some(sharded))
+        };
 
         // Map group members back to original transaction indices.
         if let Some(red) = &band {
@@ -204,17 +184,16 @@ impl Anonymizer {
     }
 
     /// The robust pipeline entry point: raw rows in, a validated release
-    /// out, surviving corrupt input and injected shard faults.
+    /// out, surviving corrupt input.
     ///
     /// Rows are validated against the sensitive set's universe *before*
     /// dataset construction (which would silently sort, de-duplicate, and
     /// re-infer the universe). A row with an out-of-range item or a
-    /// duplicate item id — or one injected as corrupt by
-    /// `recovery.plan` — is handled per `recovery.policy`:
+    /// duplicate item id is handled per `recovery`:
     ///
-    /// * [`InputPolicy::Strict`] — the run fails with
+    /// * [`RecoveryConfig::Strict`] — the run fails with
     ///   [`CahdError::CorruptRow`] naming the first bad row;
-    /// * [`InputPolicy::Quarantine`] — the row is sanitized (in-range
+    /// * [`RecoveryConfig::Quarantine`] — the row is sanitized (in-range
     ///   items, de-duplicated) and pinned into the **final leftover
     ///   group**: it is published, but never acts as a pivot or candidate
     ///   during group formation. If absorbing the quarantine overloads
@@ -223,22 +202,16 @@ impl Anonymizer {
     ///   until the bound holds — global feasibility of the sanitized
     ///   dataset guarantees termination.
     ///
-    /// Shard faults in `recovery.plan` are recovered by
-    /// [`cahd_sharded_recovering`]. Recovery actions are recorded on
-    /// `rec` as the scheduling-invariant counters
-    /// `core.quarantined_rows` and `core.recovered_shards` (audited by
-    /// the `CAHD-R001` check pass). With no bad rows and an empty plan the
-    /// release is byte-identical to [`Anonymizer::anonymize`] over the
-    /// same rows.
+    /// Quarantined rows are recorded on `rec` as the scheduling-invariant
+    /// counter `core.quarantined_rows` (audited by the `CAHD-R001` check
+    /// pass). With no bad rows the release is byte-identical to
+    /// [`Anonymizer::anonymize`] over the same rows.
     ///
     /// # Errors
     /// [`CahdError::CorruptRow`] under the strict policy, then everything
     /// [`Anonymizer::anonymize`] reports (parameter errors first, then
     /// shape errors, then infeasibility — all evaluated on the sanitized
     /// dataset).
-    ///
-    /// [`InputPolicy::Strict`]: crate::recovery::InputPolicy::Strict
-    /// [`InputPolicy::Quarantine`]: crate::recovery::InputPolicy::Quarantine
     pub fn anonymize_rows<'r, I>(
         &self,
         rows: I,
@@ -251,7 +224,7 @@ impl Anonymizer {
     {
         self.config.cahd.validate()?;
         let (data, quarantined) = ingest_rows(rows, sensitive.n_items(), recovery)?;
-        self.robust_result(data, quarantined, sensitive, recovery, rec)
+        self.robust_result(data, quarantined, sensitive, rec)
     }
 
     /// [`Anonymizer::anonymize_rows`] over rows already read and sanitized
@@ -281,7 +254,7 @@ impl Anonymizer {
             });
         }
         let quarantined = classify_rows(rows.raw_rows(), n_items, recovery)?;
-        self.robust_result(rows.into_data(), quarantined, sensitive, recovery, rec)
+        self.robust_result(rows.into_data(), quarantined, sensitive, rec)
     }
 
     /// Runs [`Anonymizer::anonymize_ingested`] and keeps its dataset beside
@@ -291,15 +264,10 @@ impl Anonymizer {
         data: TransactionSet,
         quarantined: Vec<usize>,
         sensitive: &SensitiveSet,
-        recovery: &RecoveryConfig,
         rec: &Recorder,
     ) -> Result<RobustResult, CahdError> {
-        let result = self.anonymize_ingested(&data, &quarantined, sensitive, recovery, rec)?;
+        let result = self.anonymize_ingested(&data, &quarantined, sensitive, rec)?;
         Ok(RobustResult {
-            recovered_shards: result
-                .sharded_stats
-                .as_ref()
-                .map_or(0, |s| s.recovered_shards),
             result,
             data,
             quarantined,
@@ -315,7 +283,6 @@ impl Anonymizer {
         data: &TransactionSet,
         quarantined: &[usize],
         sensitive: &SensitiveSet,
-        recovery: &RecoveryConfig,
         rec: &Recorder,
     ) -> Result<PipelineResult, CahdError> {
         // cahd-lint: allow(L002, reason = "elapsed-time stat only; release bytes never depend on it")
@@ -325,7 +292,7 @@ impl Anonymizer {
         let n = data.n_transactions();
 
         if quarantined.is_empty() {
-            return self.anonymize_with_plan(data, sensitive, &recovery.plan, rec);
+            return self.anonymize(data, sensitive, rec);
         }
 
         // --- Quarantine path. ---
@@ -360,8 +327,7 @@ impl Anonymizer {
         let result = if good_feasible {
             // Anonymize the good subset, then splice the quarantine into
             // the final leftover group.
-            let mut result =
-                self.anonymize_with_plan(&good_data, sensitive, &recovery.plan, rec)?;
+            let mut result = self.anonymize(&good_data, sensitive, rec)?;
             for g in &mut result.published.groups {
                 for m in &mut g.members {
                     *m = good[*m as usize] as u32;
@@ -452,7 +418,7 @@ impl Anonymizer {
             "robust pipeline must publish every row exactly once"
         );
         // Refresh the allocator gauges past the quarantine merge (the
-        // degraded path never enters `anonymize_with_plan`).
+        // degraded path never enters `anonymize`).
         rec.record_memory_gauges();
         Ok(PipelineResult {
             total_time: t0.elapsed(),
@@ -472,10 +438,8 @@ pub struct RobustResult {
     /// [`crate::verify::verify_all`] must be run against.
     pub data: TransactionSet,
     /// Indices of quarantined rows (ascending). Always empty under
-    /// [`InputPolicy::Strict`](crate::recovery::InputPolicy::Strict).
+    /// [`RecoveryConfig::Strict`].
     pub quarantined: Vec<usize>,
-    /// Shards whose first scan attempt failed and were recovered.
-    pub recovered_shards: usize,
 }
 
 #[cfg(test)]
@@ -646,7 +610,6 @@ mod tests {
                 .unwrap();
             assert_eq!(robust.result.published, plain.published);
             assert!(robust.quarantined.is_empty());
-            assert_eq!(robust.recovered_shards, 0);
         }
     }
 
@@ -762,50 +725,32 @@ mod tests {
     }
 
     #[test]
-    fn injected_corruption_quarantines_clean_rows() {
-        let (rows, sens) = block_rows();
-        let anon = Anonymizer::new(AnonymizerConfig::with_privacy_degree(2));
-        let recovery = RecoveryConfig::quarantine()
-            .with_plan(FaultPlan::none().with_corrupt_row(1).with_corrupt_row(5));
-        let robust = anon
-            .anonymize_rows(slices(&rows), &sens, &recovery, &Recorder::disabled())
-            .unwrap();
-        assert_eq!(robust.quarantined, vec![1, 5]);
-        assert_eq!(robust.result.published.n_transactions(), rows.len());
-        // The rows themselves were clean, so their published form is
-        // untouched.
-        assert_eq!(robust.data.transaction(1), &[4, 5]);
-    }
-
-    #[test]
     fn infeasible_good_subset_degrades_to_a_single_group() {
         // Both sensitive rows quarantined: the good subset has zero
         // occurrences (feasible), so instead force infeasibility of the
-        // good subset by quarantining most NON-sensitive rows.
+        // good subset by quarantining most NON-sensitive rows (1..7, each
+        // with a duplicate or an out-of-range item).
         let rows: Vec<Vec<u32>> = vec![
             vec![0, 8],
-            vec![0],
-            vec![1],
-            vec![2],
-            vec![0, 1],
-            vec![1, 2],
-            vec![2, 0],
+            vec![0, 0],
+            vec![1, 99],
+            vec![2, 2],
+            vec![0, 1, 9],
+            vec![1, 2, 2],
+            vec![2, 0, 0],
             vec![1],
         ];
         let sens = SensitiveSet::new(vec![8], 9);
-        let mut plan = FaultPlan::none();
-        for r in 1..7 {
-            plan = plan.with_corrupt_row(r);
-        }
         let anon = Anonymizer::new(AnonymizerConfig::with_privacy_degree(4));
         let robust = anon
             .anonymize_rows(
                 slices(&rows),
                 &sens,
-                &RecoveryConfig::quarantine().with_plan(plan),
+                &RecoveryConfig::quarantine(),
                 &Recorder::disabled(),
             )
             .unwrap();
+        assert_eq!(robust.quarantined, (1..7).collect::<Vec<_>>());
         // Good subset {0, 7} carries the sensitive occurrence with 1*4 > 2
         // -> the whole dataset degrades to one group (1*4 <= 8 globally).
         assert_eq!(robust.result.published.n_groups(), 1);

@@ -1,53 +1,25 @@
-//! Fault tolerance: deterministic fault injection and input hygiene.
+//! Input hygiene: how the robust entry points treat corrupt rows.
 //!
-//! A production anonymization service must survive three failure classes
-//! without discarding work or weakening the release:
-//!
-//! * a **shard worker** that panics or exceeds its deadline (see
-//!   [`crate::shard::cahd_sharded_recovering`]): retried once, then its
-//!   slice is rescanned uncaught, outside the fault plan;
-//! * a **corrupt input row** (out-of-range items, duplicate item ids):
-//!   under [`InputPolicy::Quarantine`] the row is sanitized and pinned to
-//!   the final leftover group instead of aborting the run (see
-//!   [`crate::pipeline::Anonymizer::anonymize_rows`]);
-//! * a **killed process** mid-stream: the
-//!   [`crate::streaming::StreamingAnonymizer`] state serializes to a
-//!   [`crate::checkpoint::StreamingCheckpoint`] and resumes exactly.
-//!
-//! Every recovery action is observable through three scheduling-invariant
-//! `cahd-obs` counters (`core.recovered_shards`, `core.quarantined_rows`,
-//! `core.resumed_batches`), audited by the `CAHD-R001` check pass.
-//!
-//! # Determinism
-//!
-//! Faults are injected from a [`FaultPlan`] keyed by *shard index and
-//! attempt* (or row index) — never by wall clock or thread identity — so
-//! every recovery path is drivable from tests and the resulting release
-//! and counters are byte-identical across thread counts. In particular a
-//! "deadline" fault *simulates* an exceeded deadline deterministically;
-//! real preemption would make counters scheduling-dependent, which the
-//! observability determinism contract forbids.
-
-use std::collections::{BTreeMap, BTreeSet};
+//! A row with an out-of-range item or a duplicate item id is either
+//! rejected or, under [`RecoveryConfig::Quarantine`], sanitized and pinned
+//! to the final leftover group instead of aborting the run (see
+//! [`crate::pipeline::Anonymizer::anonymize_rows`]). Quarantined rows are
+//! counted by the scheduling-invariant `cahd-obs` counter
+//! `core.quarantined_rows`, audited by the `CAHD-R001` check pass. A
+//! killed stream resumes from a
+//! [`crate::checkpoint::StreamingCheckpoint`] (counted by
+//! `core.resumed_batches`).
 
 use cahd_data::{ItemId, RawRows, TransactionSet};
 use cahd_sparse::CsrMatrix;
 
 use crate::error::CahdError;
 
-/// The failure mode injected into a shard worker attempt.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ShardFault {
-    /// The worker panics mid-scan (caught by the recovery wrapper).
-    Panic,
-    /// The worker reports its deadline as exceeded and abandons the
-    /// attempt (simulated deterministically — see the module docs).
-    Deadline,
-}
-
-/// How ingestion treats rows with out-of-range items or duplicate ids.
+/// How ingestion treats rows with out-of-range items or duplicate ids,
+/// threaded through the robust entry points
+/// ([`crate::pipeline::Anonymizer::anonymize_rows`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum InputPolicy {
+pub enum RecoveryConfig {
     /// Reject the run with [`crate::CahdError::CorruptRow`] on the first
     /// bad row (the default: nothing unexpected is ever published).
     #[default]
@@ -58,149 +30,17 @@ pub enum InputPolicy {
     Quarantine,
 }
 
-/// A deterministic fault-injection plan: which shard attempts fail, with
-/// which failure mode, and which input rows read as corrupt.
-///
-/// An empty plan (the default) injects nothing and leaves every recovery
-/// code path byte-identical to the fault-free pipeline.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct FaultPlan {
-    /// shard index -> (failure mode, number of failing attempts).
-    shard_faults: BTreeMap<usize, (ShardFault, u32)>,
-    /// Row indices (pre-pipeline order) treated as corrupt on ingestion.
-    corrupt_rows: BTreeSet<usize>,
-}
-
-impl FaultPlan {
-    /// The empty plan: no injected faults.
-    #[must_use]
-    pub fn none() -> Self {
-        FaultPlan::default()
-    }
-
-    /// Whether the plan injects nothing at all.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.shard_faults.is_empty() && self.corrupt_rows.is_empty()
-    }
-
-    /// Whether any shard-level fault is planned.
-    #[must_use]
-    pub fn has_shard_faults(&self) -> bool {
-        !self.shard_faults.is_empty()
-    }
-
-    /// Makes the first `attempts` attempts of shard `shard` fail with
-    /// `fault`. `attempts = 1` exercises the retry path; `attempts >= 2`
-    /// forces the sequential fallback (the worker only retries once).
-    #[must_use]
-    pub fn with_shard_fault(mut self, shard: usize, fault: ShardFault, attempts: u32) -> Self {
-        if attempts > 0 {
-            self.shard_faults.insert(shard, (fault, attempts));
-        }
-        self
-    }
-
-    /// Marks row `row` as corrupt on ingestion.
-    #[must_use]
-    pub fn with_corrupt_row(mut self, row: usize) -> Self {
-        self.corrupt_rows.insert(row);
-        self
-    }
-
-    /// A pseudo-random plan derived only from `seed` (splitmix64 over the
-    /// shard/row index — no wall clock, no thread identity): roughly one
-    /// in four of the first `shards` shards faults (alternating mode and
-    /// retry depth) and roughly one in sixteen of the first `rows` rows is
-    /// corrupt. Used by the fuzzing harness; identical seeds give
-    /// identical plans forever.
-    #[must_use]
-    pub fn seeded(seed: u64, shards: usize, rows: usize) -> Self {
-        let mut plan = FaultPlan::none();
-        for s in 0..shards {
-            let h = splitmix64(seed ^ 0x5348_4152_4400_0000 ^ s as u64);
-            if h.is_multiple_of(4) {
-                let fault = if h & 16 == 0 {
-                    ShardFault::Panic
-                } else {
-                    ShardFault::Deadline
-                };
-                let attempts = if h & 32 == 0 { 1 } else { 2 };
-                plan = plan.with_shard_fault(s, fault, attempts);
-            }
-        }
-        for r in 0..rows {
-            if splitmix64(seed ^ 0x524f_5753_0000_0000 ^ r as u64).is_multiple_of(16) {
-                plan = plan.with_corrupt_row(r);
-            }
-        }
-        plan
-    }
-
-    /// The fault injected into attempt `attempt` (0-based) of shard
-    /// `shard`, if any.
-    #[must_use]
-    pub fn shard_fault(&self, shard: usize, attempt: u32) -> Option<ShardFault> {
-        self.shard_faults
-            .get(&shard)
-            .and_then(|&(fault, attempts)| (attempt < attempts).then_some(fault))
-    }
-
-    /// Whether row `row` is injected as corrupt.
-    #[must_use]
-    pub fn row_is_corrupt(&self, row: usize) -> bool {
-        self.corrupt_rows.contains(&row)
-    }
-
-    /// Number of planned shard faults targeting shards `< shards` — the
-    /// exact value `core.recovered_shards` must reach when the plan runs
-    /// against a `shards`-shard layout (every injected fault recovers).
-    #[must_use]
-    pub fn expected_recovered_shards(&self, shards: usize) -> usize {
-        self.shard_faults.keys().filter(|&&s| s < shards).count()
-    }
-
-    /// Number of planned corrupt rows with index `< rows` — the exact
-    /// value `core.quarantined_rows` must reach on an otherwise-clean
-    /// `rows`-row dataset under [`InputPolicy::Quarantine`].
-    #[must_use]
-    pub fn expected_corrupt_rows(&self, rows: usize) -> usize {
-        self.corrupt_rows.iter().filter(|&&r| r < rows).count()
-    }
-}
-
-/// Ingestion policy plus fault plan, threaded through the robust entry
-/// points ([`crate::pipeline::Anonymizer::anonymize_rows`]).
-#[derive(Clone, Debug, Default)]
-pub struct RecoveryConfig {
-    /// Treatment of corrupt input rows.
-    pub policy: InputPolicy,
-    /// Injected faults (empty in production).
-    pub plan: FaultPlan,
-}
-
 impl RecoveryConfig {
-    /// Strict policy, no injected faults — validation without degradation.
+    /// The strict policy: validation without degradation.
     #[must_use]
     pub fn strict() -> Self {
-        RecoveryConfig::default()
+        RecoveryConfig::Strict
     }
 
-    /// Quarantine policy, no injected faults — the graceful-degradation
-    /// production configuration.
+    /// The quarantine policy: the graceful-degradation configuration.
     #[must_use]
     pub fn quarantine() -> Self {
-        RecoveryConfig {
-            policy: InputPolicy::Quarantine,
-            plan: FaultPlan::none(),
-        }
-    }
-
-    /// Replaces the fault plan (testing hook).
-    #[must_use]
-    pub fn with_plan(mut self, plan: FaultPlan) -> Self {
-        self.plan = plan;
-        self
+        RecoveryConfig::Quarantine
     }
 }
 
@@ -361,15 +201,15 @@ pub(crate) fn with_sanitized<R>(
     out
 }
 
-/// Ingestion: classifies every raw row against `recovery` (an injected
-/// corruption or a [`bad_row_reason`]), then builds the sanitized dataset
+/// Ingestion: classifies every raw row against `recovery` (by its
+/// [`bad_row_reason`]), then builds the sanitized dataset
 /// ([`sanitize_rows`]) the pipeline runs on. Returns it with the indices
 /// of the quarantined rows (ascending; always empty under
-/// [`InputPolicy::Strict`]).
+/// [`RecoveryConfig::Strict`]).
 ///
 /// # Errors
 /// [`CahdError::CorruptRow`] naming the index (in `rows`) of the first bad
-/// row under [`InputPolicy::Strict`].
+/// row under [`RecoveryConfig::Strict`].
 pub(crate) fn ingest_rows<'r, I>(
     rows: I,
     n_items: usize,
@@ -387,7 +227,7 @@ where
 ///
 /// # Errors
 /// [`CahdError::CorruptRow`] naming the index (in `rows`) of the first bad
-/// row under [`InputPolicy::Strict`].
+/// row under [`RecoveryConfig::Strict`].
 pub(crate) fn classify_rows<'r>(
     rows: impl Iterator<Item = &'r [ItemId]>,
     n_items: usize,
@@ -395,101 +235,26 @@ pub(crate) fn classify_rows<'r>(
 ) -> Result<Vec<usize>, CahdError> {
     let mut quarantined: Vec<usize> = Vec::new();
     for (i, row) in rows.enumerate() {
-        let reason = if recovery.plan.row_is_corrupt(i) {
-            Some("injected corruption".to_string())
-        } else {
-            bad_row_reason(row, n_items)
-        };
-        if let Some(reason) = reason {
-            match recovery.policy {
-                InputPolicy::Strict => return Err(CahdError::CorruptRow { row: i, reason }),
-                InputPolicy::Quarantine => quarantined.push(i),
+        if let Some(reason) = bad_row_reason(row, n_items) {
+            match recovery {
+                RecoveryConfig::Strict => return Err(CahdError::CorruptRow { row: i, reason }),
+                RecoveryConfig::Quarantine => quarantined.push(i),
             }
         }
     }
     Ok(quarantined)
 }
 
-/// Installs (once, process-wide) a panic hook that suppresses the stderr
-/// report for panics whose payload starts with `"injected fault"` — the
-/// message every [`FaultPlan`]-injected panic carries — and delegates any
-/// other panic to the previously installed hook unchanged. Test harnesses
-/// that drive fault plans call this so recovered injections don't flood
-/// the output while real panics keep their full report.
-pub fn silence_injected_panics() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| info.payload().downcast_ref::<&str>().copied())
-                .is_some_and(|s| s.starts_with("injected fault"));
-            if !injected {
-                prev(info);
-            }
-        }));
-    });
-}
-
-/// The splitmix64 mixing function — the standard seedable 64-bit mixer,
-/// used to derive per-key fault decisions from a single seed.
-#[must_use]
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn empty_plan_injects_nothing() {
-        let plan = FaultPlan::none();
-        assert!(plan.is_empty());
-        assert!(!plan.has_shard_faults());
-        assert_eq!(plan.shard_fault(0, 0), None);
-        assert!(!plan.row_is_corrupt(0));
-        assert_eq!(plan.expected_recovered_shards(8), 0);
-        assert_eq!(plan.expected_corrupt_rows(100), 0);
-    }
-
-    #[test]
-    fn shard_faults_fire_per_attempt() {
-        let plan = FaultPlan::none()
-            .with_shard_fault(1, ShardFault::Panic, 1)
-            .with_shard_fault(3, ShardFault::Deadline, 2);
-        assert_eq!(plan.shard_fault(1, 0), Some(ShardFault::Panic));
-        assert_eq!(plan.shard_fault(1, 1), None); // retry succeeds
-        assert_eq!(plan.shard_fault(3, 0), Some(ShardFault::Deadline));
-        assert_eq!(plan.shard_fault(3, 1), Some(ShardFault::Deadline));
-        assert_eq!(plan.shard_fault(3, 2), None); // fallback is never injected
-        assert_eq!(plan.shard_fault(0, 0), None);
-        // Expected counters scale with the effective shard count.
-        assert_eq!(plan.expected_recovered_shards(8), 2);
-        assert_eq!(plan.expected_recovered_shards(2), 1);
-        assert_eq!(plan.expected_recovered_shards(1), 0);
-    }
-
-    #[test]
-    fn zero_attempt_fault_is_dropped() {
-        let plan = FaultPlan::none().with_shard_fault(0, ShardFault::Panic, 0);
-        assert!(plan.is_empty());
-    }
-
-    #[test]
-    fn seeded_plans_are_reproducible_and_seed_sensitive() {
-        let a = FaultPlan::seeded(7, 16, 64);
-        let b = FaultPlan::seeded(7, 16, 64);
-        assert_eq!(a, b);
-        // Different seeds almost surely differ; pin one that does.
-        let c = FaultPlan::seeded(8, 16, 64);
-        assert_ne!(a, c);
+    /// The splitmix64 mixer, seeding the test rows.
+    fn splitmix64(mut x: u64) -> u64 {
+        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        x ^ (x >> 31)
     }
 
     /// `bad_row_reason` before its allocation-free fast path: range scan,
@@ -597,11 +362,9 @@ mod tests {
         let rows = seeded_rows();
         let slices = || rows.iter().map(Vec::as_slice);
         let bad: Vec<usize> = (0..rows.len())
-            .filter(|&i| bad_row_reason(&rows[i], 6).is_some() || i == 7)
+            .filter(|&i| bad_row_reason(&rows[i], 6).is_some())
             .collect();
-        let recovery =
-            RecoveryConfig::quarantine().with_plan(FaultPlan::none().with_corrupt_row(7));
-        let (data, quarantined) = ingest_rows(slices(), 6, &recovery).unwrap();
+        let (data, quarantined) = ingest_rows(slices(), 6, &RecoveryConfig::quarantine()).unwrap();
         assert_eq!(quarantined, bad);
         assert_eq!(data.n_transactions(), rows.len());
         let first = rows

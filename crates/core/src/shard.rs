@@ -39,9 +39,10 @@
 //! With `shards = 1` the computation is the sequential scan of
 //! [`cahd`](crate::cahd::cahd) and produces byte-identical output. With any shard count the
 //! output is independent of `threads` — workers only decide *when* a
-//! shard is computed, never *what* it computes.
+//! shard is computed, never *what* it computes. A shard is never retried:
+//! its scan is a deterministic function of its slice, so a rerun would
+//! fail the same way, and an error is returned as it is.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -54,7 +55,6 @@ use crate::error::CahdError;
 use crate::group::{AnonymizedGroup, PublishedDataset};
 use crate::invariant::{strict_invariant, strict_invariant_eq};
 use crate::kernel::SimilarityKernel;
-use crate::recovery::{FaultPlan, ShardFault};
 use crate::split::RowSplit;
 
 /// How to distribute the anonymization across shards and worker threads.
@@ -115,10 +115,6 @@ pub struct ShardedStats {
     /// Regular groups dissolved back into the final group by the merge
     /// re-validation. Zero whenever every shard was locally feasible.
     pub merge_dissolved: usize,
-    /// Shards whose first scan attempt failed (panic or deadline) and
-    /// whose slice was recovered by a retry or the sequential fallback.
-    /// Zero on every fault-free run.
-    pub recovered_shards: usize,
 }
 
 /// Rows and outcome of one shard, in shard-local indices.
@@ -130,23 +126,6 @@ struct ShardOutcome {
     /// ran it — a scheduling-dependent measurement, reported through the
     /// `core.shard_scan_ns` histogram, never a counter).
     scan_ns: u64,
-    /// Whether the first scan attempt failed and the slice was recovered
-    /// (by the retry or the sequential fallback).
-    recovered: bool,
-}
-
-/// Raw product of one shard scan: groups and leftover in shard-local
-/// ranks, plus the engine stats of the scan.
-type ShardScan = (Vec<Vec<usize>>, Vec<usize>, CahdStats);
-
-/// Why one shard scan attempt produced no outcome. Recoverable — unlike a
-/// [`CahdError`], which reflects the input and propagates un-retried.
-enum ShardFailure {
-    /// The worker panicked mid-scan (caught at the attempt boundary).
-    Panicked,
-    /// The worker reported its deadline as exceeded and abandoned the
-    /// attempt (only ever injected — see [`crate::recovery`]).
-    Deadline,
 }
 
 /// Runs CAHD on `data` (assumed band-ordered) split into
@@ -191,37 +170,6 @@ pub fn cahd_sharded_traced(
     parallel: &ParallelConfig,
     rec: &Recorder,
 ) -> Result<(PublishedDataset, ShardedStats), CahdError> {
-    cahd_sharded_recovering(data, sensitive, config, parallel, &FaultPlan::none(), rec)
-}
-
-/// Like [`cahd_sharded_traced`], with fault recovery driven by `plan`.
-///
-/// Each shard scan runs under a panic boundary: a worker attempt that
-/// panics or exceeds its (injected) deadline is retried once, and if the
-/// retry also fails the slice is recomputed on the **fallback path** —
-/// the same scan, run uncaught and never fault-injected. Both the retry
-/// and the fallback recompute exactly the groups and kernel counters the
-/// healthy scan would have produced, so the merged release is
-/// byte-identical whether or not a fault fired, and with an empty `plan`
-/// this function *is* [`cahd_sharded_traced`].
-///
-/// Every attempt records its engine and kernel counters into a private
-/// scratch [`Recorder`], merged into `rec` only when the attempt is
-/// accepted — a failed attempt leaves no trace, keeping the
-/// scheduling-invariant counter identities audited by `CAHD-O001` intact.
-/// Recovered slices are counted by `core.recovered_shards` (audited by
-/// `CAHD-R001`) and [`ShardedStats::recovered_shards`].
-///
-/// Genuine input errors ([`CahdError`]) are never retried: they are
-/// deterministic properties of the data, not transient faults.
-pub fn cahd_sharded_recovering(
-    data: &TransactionSet,
-    sensitive: &SensitiveSet,
-    config: &CahdConfig,
-    parallel: &ParallelConfig,
-    plan: &FaultPlan,
-    rec: &Recorder,
-) -> Result<(PublishedDataset, ShardedStats), CahdError> {
     config.validate()?;
     let n = data.n_transactions();
     if sensitive.n_items() != data.n_items() {
@@ -234,10 +182,9 @@ pub fn cahd_sharded_recovering(
         return Err(CahdError::EmptyDataset);
     }
     let k = parallel.shards.max(1).min(n);
-    if k == 1 && !plan.has_shard_faults() {
+    if k == 1 {
         // Delegate to the sequential entry point: same engine, same
-        // output bytes, and the equivalence property test pins it. With a
-        // planned fault even a single shard runs the recovery machinery.
+        // output bytes, and the equivalence property test pins it.
         let (published, stats) = cahd_traced(data, sensitive, config, rec)?;
         let sharded = ShardedStats {
             shard_groups: vec![stats.groups_formed],
@@ -245,7 +192,6 @@ pub fn cahd_sharded_recovering(
             shards: 1,
             threads: 1,
             merge_dissolved: 0,
-            recovered_shards: 0,
         };
         return Ok((published, sharded));
     }
@@ -277,10 +223,12 @@ pub fn cahd_sharded_recovering(
     // Balanced contiguous boundaries: shard i covers [i*n/k, (i+1)*n/k).
     let bounds: Vec<(usize, usize)> = (0..k).map(|i| (i * n / k, (i + 1) * n / k)).collect();
 
-    // One scan of shard `i`, recording engine and kernel counters into
-    // `scratch` (merged into `rec` only if the attempt is accepted — see
-    // `run_shard`).
-    let scan_shard = |i: usize, scratch: &Recorder| -> Result<ShardScan, CahdError> {
+    // One scan of shard `i`. Its engine and kernel counters go straight
+    // into `rec`: counter adds and histogram merges commute, so the totals
+    // are independent of which worker ran which shard.
+    let run_shard = |i: usize| -> Result<ShardOutcome, CahdError> {
+        // cahd-lint: allow(L002, reason = "feeds the core.shard_scan_ns histogram; merge order of shard outputs is index-based, never time-based")
+        let t_shard = Instant::now();
         let (lo, hi) = bounds[i];
         let shard_sens = split.sens().slice(lo, hi);
         let mut shard_counts = vec![0usize; sensitive.len()];
@@ -295,84 +243,14 @@ pub fn cahd_sharded_recovering(
             config,
             |t, cl, out| kernel.score(t, cl, out),
             FeasibilityCheck::Skip,
-            scratch,
+            rec,
         )?;
-        kernel.flush_to(scratch);
-        Ok((formed.groups, formed.leftover, formed.stats))
-    };
-
-    // Scan attempt under the fault plan and a panic boundary. The outer
-    // `Result` is a genuine input error (never retried); the inner one a
-    // recoverable failure of this attempt.
-    let attempt_shard = |i: usize,
-                         attempt: u32,
-                         scratch: &Recorder|
-     -> Result<Result<ShardScan, ShardFailure>, CahdError> {
-        match plan.shard_fault(i, attempt) {
-            Some(ShardFault::Deadline) => return Ok(Err(ShardFailure::Deadline)),
-            Some(ShardFault::Panic) | None => {}
-        }
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            if plan.shard_fault(i, attempt) == Some(ShardFault::Panic) {
-                // cahd-lint: allow(L003, reason = "deterministic fault injection, caught by the enclosing catch_unwind")
-                panic!("injected fault: shard {i} attempt {attempt}");
-            }
-            scan_shard(i, scratch)
-        }));
-        match caught {
-            Ok(Ok(out)) => Ok(Ok(out)),
-            Ok(Err(e)) => Err(e),
-            Err(_payload) => Ok(Err(ShardFailure::Panicked)),
-        }
-    };
-
-    let run_shard = |i: usize| -> Result<ShardOutcome, CahdError> {
-        // cahd-lint: allow(L002, reason = "feeds the core.shard_scan_ns histogram; merge order of shard outputs is index-based, never time-based")
-        let t_shard = Instant::now();
-        let mut accepted = None;
-        let mut recovered = false;
-        // Attempt 0 plus one retry. Attempt counters go to a scratch
-        // recorder so a failed attempt leaves no trace; counter adds
-        // commute, so merged totals stay worker-scheduling-independent.
-        for attempt in 0..2u32 {
-            let scratch = if rec.is_enabled() {
-                Recorder::new()
-            } else {
-                Recorder::disabled()
-            };
-            match attempt_shard(i, attempt, &scratch)? {
-                Ok(out) => {
-                    rec.merge_from(&scratch);
-                    recovered = attempt > 0;
-                    accepted = Some(out);
-                    break;
-                }
-                Err(ShardFailure::Panicked | ShardFailure::Deadline) => {}
-            }
-        }
-        let (groups, leftover, stats) = match accepted {
-            Some(out) => out,
-            None => {
-                // Both attempts failed: recompute the slice with the
-                // same scan, uncaught and never injected, so its groups
-                // and counters are the healthy scan's.
-                let scratch = if rec.is_enabled() {
-                    Recorder::new()
-                } else {
-                    Recorder::disabled()
-                };
-                let out = scan_shard(i, &scratch)?;
-                rec.merge_from(&scratch);
-                recovered = true;
-                out
-            }
-        };
+        kernel.flush_to(rec);
         Ok(ShardOutcome {
-            groups,
-            leftover,
-            stats,
+            groups: formed.groups,
+            leftover: formed.leftover,
+            stats: formed.stats,
             scan_ns: u64::try_from(t_shard.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            recovered,
         })
     };
 
@@ -422,7 +300,6 @@ pub fn cahd_sharded_recovering(
     for (outcome, &(lo, _)) in outcomes.into_iter().zip(&bounds) {
         let out = outcome?;
         scan_hist.observe(out.scan_ns);
-        stats.recovered_shards += usize::from(out.recovered);
         stats.shard_groups.push(out.stats.groups_formed);
         stats.cahd.groups_formed += out.stats.groups_formed;
         stats.cahd.rollbacks += out.stats.rollbacks;
@@ -467,7 +344,6 @@ pub fn cahd_sharded_recovering(
     rec.record_histogram("core.shard_scan_ns", &scan_hist);
     rec.add("core.merge_dissolved", stats.merge_dissolved as u64);
     rec.add("core.fallback_group_size", leftover.len() as u64);
-    rec.add("core.recovered_shards", stats.recovered_shards as u64);
     drop(merge_span);
 
     let mut groups: Vec<AnonymizedGroup> = member_groups
@@ -666,111 +542,6 @@ mod tests {
         let s2 = SensitiveSet::new(vec![2], 3);
         assert!(matches!(
             cahd_sharded(&dense, &s2, &CahdConfig::new(2), &par),
-            Err(CahdError::Infeasible { item: 2, .. })
-        ));
-    }
-
-    #[test]
-    fn injected_faults_recover_byte_identically() {
-        use crate::recovery::{silence_injected_panics, FaultPlan, ShardFault};
-        silence_injected_panics();
-        let (data, sens) = blocky(4, 8);
-        let cfg = CahdConfig::new(3);
-        let par = ParallelConfig::new(4, 2);
-        let (clean, clean_stats) = cahd_sharded(&data, &sens, &cfg, &par).unwrap();
-        assert_eq!(clean_stats.recovered_shards, 0);
-        let plans = [
-            // Retry recovers the slice.
-            FaultPlan::none().with_shard_fault(1, ShardFault::Panic, 1),
-            // Retry also fails -> sequential fallback.
-            FaultPlan::none().with_shard_fault(2, ShardFault::Deadline, 2),
-            // Several shards at once, mixed modes.
-            FaultPlan::none()
-                .with_shard_fault(0, ShardFault::Panic, 2)
-                .with_shard_fault(3, ShardFault::Deadline, 1),
-        ];
-        for plan in &plans {
-            let (pub_, stats) =
-                cahd_sharded_recovering(&data, &sens, &cfg, &par, plan, &Recorder::disabled())
-                    .unwrap();
-            assert_eq!(pub_, clean, "release must not depend on faults: {plan:?}");
-            assert_eq!(
-                stats.recovered_shards,
-                plan.expected_recovered_shards(stats.shards),
-                "{plan:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn recovered_run_counters_match_clean_run() {
-        use crate::recovery::{silence_injected_panics, FaultPlan, ShardFault};
-        silence_injected_panics();
-        let (data, sens) = blocky(4, 8);
-        let cfg = CahdConfig::new(3);
-        let par = ParallelConfig::new(4, 1);
-        let clean_rec = Recorder::new();
-        cahd_sharded_traced(&data, &sens, &cfg, &par, &clean_rec).unwrap();
-        let clean = clean_rec.snapshot();
-
-        // A panic-then-retry recovery must not double-count any engine or
-        // kernel counter: the failed attempt's scratch recorder is dropped.
-        let rec = Recorder::new();
-        let plan = FaultPlan::none().with_shard_fault(1, ShardFault::Panic, 1);
-        cahd_sharded_recovering(&data, &sens, &cfg, &par, &plan, &rec).unwrap();
-        let trace = rec.snapshot();
-        for c in &clean.counters {
-            assert_eq!(
-                trace.counter(&c.name),
-                Some(c.value),
-                "counter {} drifted across a recovery",
-                c.name
-            );
-        }
-        assert_eq!(trace.counter("core.recovered_shards"), Some(1));
-        assert_eq!(clean.counter("core.recovered_shards"), None);
-    }
-
-    #[test]
-    fn single_shard_fault_runs_the_recovery_machinery() {
-        use crate::recovery::{silence_injected_panics, FaultPlan, ShardFault};
-        silence_injected_panics();
-        let (data, sens) = blocky(2, 6);
-        let cfg = CahdConfig::new(2);
-        let clean = cahd_sharded(&data, &sens, &cfg, &ParallelConfig::new(1, 1))
-            .unwrap()
-            .0;
-        let plan = FaultPlan::none().with_shard_fault(0, ShardFault::Panic, 2);
-        let (pub_, stats) = cahd_sharded_recovering(
-            &data,
-            &sens,
-            &cfg,
-            &ParallelConfig::new(1, 1),
-            &plan,
-            &Recorder::disabled(),
-        )
-        .unwrap();
-        assert_eq!(stats.recovered_shards, 1);
-        assert_eq!(pub_, clean);
-    }
-
-    #[test]
-    fn genuine_errors_are_never_retried() {
-        use crate::recovery::{FaultPlan, ShardFault};
-        // Globally infeasible input: the error must surface even though a
-        // fault (and therefore a retry budget) is planned.
-        let dense = TransactionSet::from_rows(&[vec![0, 2], vec![1, 2], vec![1]], 3);
-        let s2 = SensitiveSet::new(vec![2], 3);
-        let plan = FaultPlan::none().with_shard_fault(0, ShardFault::Panic, 1);
-        assert!(matches!(
-            cahd_sharded_recovering(
-                &dense,
-                &s2,
-                &CahdConfig::new(2),
-                &ParallelConfig::new(2, 1),
-                &plan,
-                &Recorder::disabled(),
-            ),
             Err(CahdError::Infeasible { item: 2, .. })
         ));
     }

@@ -25,9 +25,9 @@
 //! up exactly where it stopped — already-released chunks are never
 //! recomputed, and the resumed run emits the identical remaining chunks.
 //! Corrupt input rows are handled per the configured
-//! [`InputPolicy`](crate::recovery::InputPolicy)
-//! ([`StreamingAnonymizer::with_recovery`]): rejected under `Strict`,
-//! quarantined into the chunk's final group under `Quarantine`. Resumes are counted by the `core.resumed_batches`
+//! [`RecoveryConfig`] ([`StreamingAnonymizer::with_recovery`]): rejected
+//! under `Strict`, quarantined into the chunk's final group under
+//! `Quarantine`. Resumes are counted by the `core.resumed_batches`
 //! counter on the recorder configured with
 //! [`StreamingAnonymizer::with_recorder`].
 
@@ -114,7 +114,7 @@ pub struct StreamingAnonymizer {
     carried_over: usize,
     /// Whether [`StreamingAnonymizer::finish`] already ran.
     finished: bool,
-    /// Corrupt-row policy and fault plan for the per-batch pipeline runs.
+    /// Corrupt-row policy for the per-batch pipeline runs.
     recovery: RecoveryConfig,
     /// Recorder the per-batch pipeline runs and recovery counters flow
     /// into (disabled unless configured).
@@ -159,11 +159,9 @@ impl StreamingAnonymizer {
         }
     }
 
-    /// Sets the corrupt-row policy and fault plan for every batch this
-    /// stream releases. The default is [`RecoveryConfig::strict`]: a bad
-    /// row fails the batch with [`CahdError::CorruptRow`]. Planned
-    /// corrupt-row injections key on the row's *position within the batch*
-    /// at release time, not its stream id.
+    /// Sets the corrupt-row policy for every batch this stream releases.
+    /// The default is [`RecoveryConfig::strict`]: a bad row fails the
+    /// batch with [`CahdError::CorruptRow`].
     #[must_use]
     pub fn with_recovery(mut self, recovery: RecoveryConfig) -> Self {
         self.recovery = recovery;
@@ -358,9 +356,9 @@ impl StreamingAnonymizer {
                     // A batch of normal-form rows lends its flat buffer as
                     // the dataset; any other batch is sanitized into one.
                     let anonymizer = Anonymizer::new(self.config);
-                    let (sensitive, recovery, rec) = (&self.sensitive, &self.recovery, &self.rec);
+                    let (sensitive, rec) = (&self.sensitive, &self.rec);
                     let published = with_sanitized(&mut self.buffer.rows, n_items, |data| {
-                        anonymizer.anonymize_ingested(data, &quarantined, sensitive, recovery, rec)
+                        anonymizer.anonymize_ingested(data, &quarantined, sensitive, rec)
                     })?
                     .published;
                     let stream_ids = std::mem::take(&mut self.buffer.ids);

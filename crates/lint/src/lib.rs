@@ -3,7 +3,7 @@
 //!
 //! Every guarantee this workspace makes — the 1/p privacy bound and the
 //! byte-identical releases proven across shards, threads, kernels and
-//! fault recovery — rests on the pipeline being *deterministic*. Nothing
+//! checkpoint resumes — rests on the pipeline being *deterministic*. Nothing
 //! in the type system enforces that: one `HashMap` iteration or wall-clock
 //! read in a release-affecting path silently breaks reproducibility until
 //! a property test happens to catch it. This crate holds the line at the

@@ -42,8 +42,8 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         code: "CAHD-L003",
         name: "panic-discipline",
-        description: "unwrap/expect/panic! in library crates outside tests and fault \
-                      injection: library code must return errors",
+        description: "unwrap/expect/panic! in library crates outside tests: library code \
+                      must return errors",
     },
     RuleInfo {
         code: "CAHD-L004",
@@ -105,10 +105,6 @@ pub const LIBRARY_CRATES: &[&str] = &[
 
 /// Crates where float accumulation order is release-visible.
 pub const FLOAT_ORDER_CRATES: &[&str] = &["core", "eval"];
-
-/// Files exempt from `L003`: deterministic fault injection panics by
-/// design.
-pub const FAULT_INJECTION_FILES: &[&str] = &["crates/core/src/recovery.rs"];
 
 /// Files exempt from `L007`: where the feature-gated macros are defined.
 pub const INVARIANT_MACRO_FILES: &[&str] = &["crates/core/src/invariant.rs"];
@@ -354,12 +350,9 @@ fn l002_wall_clock(file: &SourceFile, findings: &mut Vec<Finding>) {
     }
 }
 
-/// `CAHD-L003`: panics in library crates outside tests and fault
-/// injection.
+/// `CAHD-L003`: panics in library crates outside tests.
 fn l003_panic_discipline(file: &SourceFile, findings: &mut Vec<Finding>) {
-    if !LIBRARY_CRATES.contains(&file.crate_name.as_str())
-        || FAULT_INJECTION_FILES.contains(&file.path.as_str())
-    {
+    if !LIBRARY_CRATES.contains(&file.crate_name.as_str()) {
         return;
     }
     let tokens = &file.lex.tokens;
@@ -862,7 +855,7 @@ mod tests {
     }
 
     #[test]
-    fn l003_flags_panics_outside_tests_and_fault_injection() {
+    fn l003_flags_panics_outside_tests() {
         let f = file(
             "crates/data/src/x.rs",
             "data",
@@ -874,12 +867,14 @@ mod tests {
             .filter(|f| f.code == "CAHD-L003")
             .collect();
         assert_eq!(hits.len(), 3, "{hits:?}");
-        let fault = file(
+        // No library file is exempt, the recovery module included.
+        let recovery = file(
             "crates/core/src/recovery.rs",
             "core",
-            "fn f() { panic!(\"injected\"); }",
+            "fn f() { panic!(\"no\"); }",
         );
-        assert!(check_file(&fault, &BTreeSet::new()).is_empty());
+        let hits = check_file(&recovery, &BTreeSet::new());
+        assert!(hits.len() == 1 && hits[0].code == "CAHD-L003", "{hits:?}");
     }
 
     #[test]

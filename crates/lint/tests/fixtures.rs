@@ -145,12 +145,12 @@ fn l003_fires_on_panics_in_library_code() {
 }
 
 #[test]
-fn l003_silent_in_cli_tests_and_fault_injection() {
+fn l003_silent_in_cli_and_tests() {
     let panicky = "pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
     // cli is a binary crate, not a library.
     assert!(lint_one("crates/cli/src/fix.rs", panicky).is_clean());
-    // The deterministic fault-injection module panics by design.
-    assert!(lint_one("crates/core/src/recovery.rs", panicky).is_clean());
+    // No library module is exempt, the recovery module included.
+    assert!(!lint_one("crates/core/src/recovery.rs", panicky).is_clean());
     // Test code panics freely.
     let test_src =
         "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { Option::<u32>::None.unwrap(); }\n}\n";

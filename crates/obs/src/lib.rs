@@ -386,8 +386,7 @@ impl Recorder {
     ///
     /// This is the *speculative attempt* pattern: run an attempt against a
     /// scratch recorder and merge it only if the attempt is accepted, so a
-    /// retried computation (e.g. a recovered shard) never double-counts
-    /// its deterministic counters. A disabled recorder on either side
+    /// retried computation never double-counts its deterministic counters. A disabled recorder on either side
     /// makes this a no-op.
     pub fn merge_from(&self, other: &Recorder) {
         let (Some(inner), Some(other_inner)) = (&self.inner, &other.inner) else {
