@@ -196,7 +196,7 @@ mod tests {
         // The acceptance scenario: several independent tamperings must all
         // surface in a single registry run.
         let (data, sens, mut pub_) = setup();
-        pub_.groups[0].qid_rows[0] = vec![3]; // CAHD-Q001
+        pub_.groups[0].qid_rows.edit_rows(|rows| rows[0] = vec![3]); // CAHD-Q001
         pub_.groups[0].members[1] = 99; // CAHD-C002 (+ C001 for the orphan)
         if let Some(g) = pub_
             .groups
@@ -879,7 +879,7 @@ mod tests {
     #[test]
     fn custom_registry_runs_selected_passes_only() {
         let (data, sens, mut pub_) = setup();
-        pub_.groups[0].qid_rows[0] = vec![3];
+        pub_.groups[0].qid_rows.edit_rows(|rows| rows[0] = vec![3]);
         let registry = Registry::new().register(PrivacyDegree);
         let report = registry.run(
             &CheckInput {

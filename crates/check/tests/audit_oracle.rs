@@ -114,12 +114,7 @@ fn wide_base() -> Base {
         WIDE_ITEMS,
     );
     let (release, _) = cahd(&data, &sensitive, &CahdConfig::new(4)).unwrap();
-    let nnz: usize = release
-        .groups
-        .iter()
-        .flat_map(|g| &g.qid_rows)
-        .map(Vec::len)
-        .sum();
+    let nnz: usize = release.groups.iter().map(|g| g.qid_rows.nnz()).sum();
     // The tally's cap (the nonzero count, below the universe) splits the
     // QID ids: low ones are tallied in place, high ones sorted.
     let top = data.iter().flatten().copied().max().unwrap();
@@ -189,9 +184,12 @@ fn tamper(base: &Base, rng: &mut Rng) -> PublishedDataset {
                 if let Some((ga, ma)) = pick(&r, rng, both) {
                     let gb = rng.below(r.groups.len());
                     let m = r.groups[ga].members.remove(ma);
-                    let row = r.groups[ga].qid_rows.remove(ma);
+                    let mut row = Vec::new();
+                    r.groups[ga]
+                        .qid_rows
+                        .edit_rows(|rows| row = rows.remove(ma));
                     r.groups[gb].members.push(m);
-                    r.groups[gb].qid_rows.push(row);
+                    r.groups[gb].qid_rows.edit_rows(|rows| rows.push(row));
                 }
             }
             // Duplicate a member id.
@@ -207,7 +205,9 @@ fn tamper(base: &Base, rng: &mut Rng) -> PublishedDataset {
                 if let Some((gi, mi)) = pick(&r, rng, both) {
                     r.groups[gi].members.remove(mi);
                     if rng.below(2) == 0 {
-                        r.groups[gi].qid_rows.remove(mi);
+                        r.groups[gi].qid_rows.edit_rows(|rows| {
+                            rows.remove(mi);
+                        });
                     }
                 }
             }
@@ -224,60 +224,68 @@ fn tamper(base: &Base, rng: &mut Rng) -> PublishedDataset {
             // Edit a row: replace, insert or remove one item.
             5 => {
                 if let Some((gi, mi)) = pick(&r, rng, rows) {
-                    let row = &mut r.groups[gi].qid_rows[mi];
-                    let item = rng.below(n_items) as u32;
-                    match rng.below(3) {
-                        0 if !row.is_empty() => {
-                            let at = rng.below(row.len());
-                            row[at] = item;
+                    r.groups[gi].qid_rows.edit_rows(|rows| {
+                        let row = &mut rows[mi];
+                        let item = rng.below(n_items) as u32;
+                        match rng.below(3) {
+                            0 if !row.is_empty() => {
+                                let at = rng.below(row.len());
+                                row[at] = item;
+                            }
+                            1 => {
+                                let at = rng.below(row.len() + 1);
+                                row.insert(at, item);
+                            }
+                            _ if !row.is_empty() => {
+                                row.remove(rng.below(row.len()));
+                            }
+                            _ => row.push(item),
                         }
-                        1 => {
-                            let at = rng.below(row.len() + 1);
-                            row.insert(at, item);
-                        }
-                        _ if !row.is_empty() => {
-                            row.remove(rng.below(row.len()));
-                        }
-                        _ => row.push(item),
-                    }
+                    });
                 }
             }
             // An unsorted row.
             6 => {
                 if let Some((gi, mi)) = pick(&r, rng, rows) {
-                    r.groups[gi].qid_rows[mi].reverse();
+                    r.groups[gi].qid_rows.edit_rows(|rows| rows[mi].reverse());
                 }
             }
             // A row repeating an item.
             7 => {
                 if let Some((gi, mi)) = pick(&r, rng, rows) {
-                    let row = &mut r.groups[gi].qid_rows[mi];
-                    if let Some(&first) = row.first() {
-                        row.insert(rng.below(row.len() + 1), first);
-                    }
+                    r.groups[gi].qid_rows.edit_rows(|rows| {
+                        let row = &mut rows[mi];
+                        if let Some(&first) = row.first() {
+                            row.insert(rng.below(row.len() + 1), first);
+                        }
+                    });
                 }
             }
             // Ids past the universe or near u32::MAX, in place or sorted.
             8 => {
                 if let Some((gi, mi)) = pick(&r, rng, rows) {
-                    let row = &mut r.groups[gi].qid_rows[mi];
-                    for _ in 0..1 + rng.below(3) {
-                        row.push(hostile_id(n_items, rng));
-                    }
-                    if rng.below(2) == 0 {
-                        row.sort_unstable();
-                    }
+                    r.groups[gi].qid_rows.edit_rows(|rows| {
+                        let row = &mut rows[mi];
+                        for _ in 0..1 + rng.below(3) {
+                            row.push(hostile_id(n_items, rng));
+                        }
+                        if rng.below(2) == 0 {
+                            row.sort_unstable();
+                        }
+                    });
                 }
             }
             // The same hostile id in several rows of one group.
             9 => {
                 let gi = rng.below(r.groups.len());
                 let id = hostile_id(n_items, rng);
-                for row in &mut r.groups[gi].qid_rows {
-                    if rng.below(2) == 0 {
-                        row.push(id);
+                r.groups[gi].qid_rows.edit_rows(|rows| {
+                    for row in rows {
+                        if rng.below(2) == 0 {
+                            row.push(id);
+                        }
                     }
-                }
+                });
             }
             // A tampered n_items.
             10 => {
@@ -332,7 +340,7 @@ fn tamper(base: &Base, rng: &mut Rng) -> PublishedDataset {
             15 => {
                 let gi = rng.below(r.groups.len());
                 if rng.below(2) == 0 {
-                    r.groups[gi].qid_rows.push(Vec::new());
+                    r.groups[gi].qid_rows.edit_rows(|rows| rows.push(Vec::new()));
                 } else {
                     r.groups[gi].members.push(rng.below(n) as u32);
                 }
@@ -354,8 +362,11 @@ fn tamper(base: &Base, rng: &mut Rng) -> PublishedDataset {
             _ => {
                 if let Some((ga, ma)) = pick(&r, rng, rows) {
                     let gb = rng.below(r.groups.len());
-                    let row = r.groups[ga].qid_rows.remove(ma);
-                    r.groups[gb].qid_rows.push(row);
+                    let mut row = Vec::new();
+                    r.groups[ga]
+                        .qid_rows
+                        .edit_rows(|rows| row = rows.remove(ma));
+                    r.groups[gb].qid_rows.edit_rows(|rows| rows.push(row));
                 }
             }
         }

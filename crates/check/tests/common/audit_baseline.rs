@@ -73,7 +73,7 @@ pub fn verify_all(
                 continue;
             }
             let (qid, sens_ranks) = sensitive.split_transaction(data.transaction(mt as usize));
-            if g.qid_rows.get(k) != Some(&qid) {
+            if g.qid_rows.get(k) != Some(qid.as_slice()) {
                 errors.push(VerificationError::QidMismatch {
                     group: gi,
                     member: k,
@@ -126,7 +126,7 @@ pub fn intra_group_overlap(published: &PublishedDataset) -> u64 {
             if row.windows(2).all(|w| w[0] < w[1]) {
                 items.extend_from_slice(row);
             } else {
-                let mut set = row.clone();
+                let mut set = row.to_vec();
                 set.sort_unstable();
                 set.dedup();
                 items.extend_from_slice(&set);

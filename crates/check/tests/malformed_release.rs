@@ -4,7 +4,9 @@
 //! panic, `CAHD-Q001` must name the tampered row, and the memory the run
 //! needs must not grow with the item-id values the release carries. A
 //! group whose `sensitive_counts` name a QID item or an id past the
-//! universe must fail `CAHD-S001`/`CAHD-S002`, again without a panic.
+//! universe must fail `CAHD-S001`/`CAHD-S002`, again without a panic, and
+//! so must a group listing more or fewer QID rows than members: error
+//! findings with `CAHD-*` codes, never a panic.
 //!
 //! One `#[test]` on purpose: the allocator counters are process-global,
 //! so parallel tests in one binary would interleave their windows.
@@ -81,7 +83,9 @@ fn malformed_qid_rows_fail_closed_in_bounded_memory() {
     let n_items = clean.n_items as u32;
     let tamper = |edit: &dyn Fn(&mut Vec<u32>)| {
         let mut release = clean.clone();
-        edit(&mut release.groups[gi].qid_rows[mi]);
+        release.groups[gi]
+            .qid_rows
+            .edit_rows(|rows| edit(&mut rows[mi]));
         release
     };
 
@@ -122,6 +126,41 @@ fn malformed_qid_rows_fail_closed_in_bounded_memory() {
                 .any(|d| d.severity == Severity::Error
                     && (d.code == "CAHD-S001" || d.code == "CAHD-S002")),
             "{name}: no CAHD-S001/S002 error:\n{}",
+            report.render_human()
+        );
+    }
+
+    // More or fewer published rows than members: findings, not a panic.
+    // The release is read back from its JSON, as `check` reads it.
+    for (name, rows) in [
+        ("a row more", 1isize),
+        ("a row fewer", -1),
+        ("no rows", -99),
+    ] {
+        let mut release = clean.clone();
+        release.groups[gi].qid_rows.edit_rows(|qid| {
+            if rows > 0 {
+                qid.push(vec![0]);
+            } else {
+                qid.truncate(qid.len().saturating_sub(rows.unsigned_abs()));
+            }
+        });
+        assert_ne!(
+            release.groups[gi].qid_rows.len(),
+            release.groups[gi].members.len()
+        );
+        let text = serde_json::to_string(&release).unwrap();
+        let release: PublishedDataset = serde_json::from_str(&text).unwrap();
+        let (report, _) = check(&data, &sens, &release);
+        let errors: Vec<&str> = report
+            .diagnostics
+            .iter()
+            .filter(|d| d.severity == Severity::Error)
+            .map(|d| d.code)
+            .collect();
+        assert!(
+            !errors.is_empty() && errors.iter().all(|c| c.starts_with("CAHD-")),
+            "{name}: {errors:?}\n{}",
             report.render_human()
         );
     }

@@ -14,10 +14,9 @@ use cahd_core::recovery::{RecoveryConfig, SanitizedRows};
 use cahd_core::shard::ParallelConfig;
 use cahd_core::streaming::{ReleaseChunk, StreamingAnonymizer};
 use cahd_core::weighted::{anonymize_weighted, verify_weighted, WeightedSimilarity};
-use cahd_core::{verify_published, AnonymizedGroup, CahdConfig, PublishedDataset};
+use cahd_core::{verify_published, AnonymizedGroup, CahdConfig, FlatRows, PublishedDataset};
 use cahd_data::{
-    io, profiles, DatasetStats, ItemId, QuestConfig, QuestGenerator, RawRows, SensitiveSet,
-    TransactionSet,
+    io, profiles, DatasetStats, QuestConfig, QuestGenerator, RawRows, SensitiveSet, TransactionSet,
 };
 use cahd_eval::{
     derive_seed, evaluate_workload_traced, generate_workload_seeded, posterior_violations,
@@ -744,13 +743,15 @@ fn anonymize_stream_cmd(args: &Args, p: usize) -> Result<String, CliError> {
 
 /// The groups of every chunk in chunk order, each moved out of its chunk
 /// with its members renumbered to stream positions: members and QID rows
-/// are reordered together by stream position, and the sensitive summary
-/// (sorted by item, order-free) moves as it is. A member that indexes past
-/// its chunk's stream positions, or a group whose rows and members differ
-/// in number, fails the merge (a chunk file can say anything).
+/// are reordered together by stream position (the rows in one gather),
+/// and the sensitive summary (sorted by item, order-free) moves as it is.
+/// A member that indexes past its chunk's stream positions, or a group
+/// whose rows and members differ in number, fails the merge (a chunk file
+/// can say anything).
 fn merge_chunks(chunks: Vec<ReleaseChunk>) -> Result<Vec<AnonymizedGroup>, CliError> {
     let mut groups = Vec::new();
-    let mut rows: Vec<(u32, Vec<ItemId>)> = Vec::new();
+    let mut order: Vec<(u32, usize)> = Vec::new();
+    let mut picks: Vec<usize> = Vec::new();
     for (ci, chunk) in chunks.into_iter().enumerate() {
         let ReleaseChunk {
             stream_ids,
@@ -767,8 +768,8 @@ fn merge_chunks(chunks: Vec<ReleaseChunk>) -> Result<Vec<AnonymizedGroup>, CliEr
                     g.members.len()
                 )));
             }
-            rows.clear();
-            for (&m, row) in g.members.iter().zip(g.qid_rows.drain(..)) {
+            order.clear();
+            for (k, &m) in g.members.iter().enumerate() {
                 let id = stream_ids
                     .get(m as usize)
                     .and_then(|&id| u32::try_from(id).ok())
@@ -778,14 +779,14 @@ fn merge_chunks(chunks: Vec<ReleaseChunk>) -> Result<Vec<AnonymizedGroup>, CliEr
                             stream_ids.len()
                         ))
                     })?;
-                rows.push((id, row));
+                order.push((id, k));
             }
-            rows.sort_unstable_by_key(|&(id, _)| id);
+            order.sort_unstable();
             g.members.clear();
-            for (id, row) in rows.drain(..) {
-                g.members.push(id);
-                g.qid_rows.push(row);
-            }
+            g.members.extend(order.iter().map(|&(id, _)| id));
+            picks.clear();
+            picks.extend(order.iter().map(|&(_, k)| k));
+            g.qid_rows = FlatRows::gather(g.qid_rows.rows(), &picks);
             groups.push(g);
         }
     }
@@ -884,8 +885,21 @@ pub const CHECK_FLAGS: &[FlagSpec] = &[
 /// verdict, so a failing check leaves it too). Error-severity findings
 /// make the command fail after the report is printed.
 pub fn check(args: &Args) -> Result<String, CliError> {
-    let data = load(args.positional(0, "data.dat")?)?;
-    let release = load_release(args.positional(1, "release.json")?)?;
+    let rec = recorder_from_args(args);
+    let (data, release) = {
+        let _s = rec.span("ingest");
+        let data = load(args.positional(0, "data.dat")?)?;
+        let release = load_release(args.positional(1, "release.json")?)?;
+        (data, release)
+    };
+    if rec.is_enabled() {
+        // The audit's size: the row pairs the band-quality pass weighs
+        // and the largest group any pass walks.
+        let sizes = release.groups.iter().map(|g| g.size() as u64);
+        let pairs = sizes.clone().map(|s| s * s.saturating_sub(1) / 2).sum();
+        rec.add("check.band_pairs", pairs);
+        rec.add("check.largest_group", sizes.max().unwrap_or(0));
+    }
     let p: usize = args.parse_or("p", 2)?;
     let trace: Option<TraceReport> = match args.value("trace") {
         Some(path) => {
@@ -906,7 +920,6 @@ pub fn check(args: &Args) -> Result<String, CliError> {
         seed: resolve_seed(args)?,
         ..AttackPlan::default()
     };
-    let rec = recorder_from_args(args);
     let report = cahd_check::default_registry().run(
         &cahd_check::CheckInput {
             data: &data,
@@ -1708,7 +1721,9 @@ mod tests {
         // scramble a QID row, then expect a failing check naming both codes.
         let mut release = load_release(&rel_f).unwrap();
         release.groups[0].members[0] = 9_999;
-        release.groups[0].qid_rows[1] = vec![0];
+        release.groups[0]
+            .qid_rows
+            .edit_rows(|rows| rows[1] = vec![0]);
         std::fs::write(&rel_f, serde_json::to_string(&release).unwrap()).unwrap();
         let err = check(&parse(
             CHECK_FLAGS,

@@ -4,8 +4,10 @@
 //! trace covers the whole run from the input (`ingest`) through `pipeline`
 //! (and, when streaming, the chunk `merge`) to the written release
 //! (`serialize`), every span is rooted, and `check --trace` audits it
-//! clean. `check --trace-json` writes one `check/<pass>` span per default
-//! pass under a root `check` span, and that trace audits clean too. A
+//! clean. `check --trace-json` writes a root `ingest` span (reading the
+//! data and the release), one `check/<pass>` span per default pass under
+//! a root `check` span and the `check.*` size counters, and that trace
+//! audits clean too. A
 //! traced run writes the same release bytes as an untraced one on the
 //! batch and `--stream-batch` paths, and its band gauges are the
 //! statistics `BandReduction::band_stats` computes on request.
@@ -183,7 +185,19 @@ fn check_trace_spans_every_pass_and_audits_clean() {
     assert!(stdout.contains("trace written to"), "{stdout}");
     let trace: TraceReport =
         serde_json::from_str(&std::fs::read_to_string(&trace_f).unwrap()).unwrap();
+    assert_eq!(trace.span("ingest").map(|s| s.count), Some(1));
     assert_eq!(trace.span("check").map(|s| s.count), Some(1));
+    let published: cahd_core::PublishedDataset =
+        serde_json::from_str(&std::fs::read_to_string(&release).unwrap()).unwrap();
+    let sizes: Vec<u64> = published.groups.iter().map(|g| g.size() as u64).collect();
+    assert_eq!(
+        trace.counter_or_zero("check.band_pairs"),
+        sizes.iter().map(|&s| s * (s - 1) / 2).sum::<u64>()
+    );
+    assert_eq!(
+        trace.counter_or_zero("check.largest_group"),
+        *sizes.iter().max().unwrap()
+    );
     let registry = cahd_check::default_registry();
     for pass in registry.passes() {
         let path = format!("check/{}", pass.name());

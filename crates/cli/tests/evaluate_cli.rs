@@ -134,7 +134,7 @@ fn evaluate_aggregates_match_the_golden_bits() {
 fn non_canonical_rows_fail_closed() {
     let data = fixture("demo.dat");
     let clean = read_release(&fixture("demo_release.json"));
-    let row = clean.groups[2].qid_rows[1].clone();
+    let row = clean.groups[2].qid_rows.row(1).to_vec();
     let mut unsorted = row.clone();
     unsorted.swap(0, 1);
     let mut repeated = row.clone();
@@ -147,7 +147,9 @@ fn non_canonical_rows_fail_closed() {
         ("past_universe", past_universe, "outside the universe"),
     ] {
         let mut release = clean.clone();
-        release.groups[2].qid_rows[1] = bad_row;
+        release.groups[2]
+            .qid_rows
+            .edit_rows(|rows| rows[1] = bad_row);
         let path = tmp(&format!("{tag}.json"));
         std::fs::write(&path, serde_json::to_string(&release).unwrap()).unwrap();
         let out = cahd_cli(&["evaluate", path_str(&data), path_str(&path)]);

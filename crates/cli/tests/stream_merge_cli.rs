@@ -117,12 +117,13 @@ fn an_edited_qid_id_fails_verification() {
     let (dir, out) = (tmp("qid"), tmp("qid.json"));
     paused(&dir);
     edit_first_chunk(&dir, |chunk| {
-        let row = chunk.published.groups[0]
-            .qid_rows
-            .iter_mut()
-            .find(|row| !row.is_empty())
-            .expect("the fixture's first group has a QID item");
-        row[0] += 1;
+        chunk.published.groups[0].qid_rows.edit_rows(|rows| {
+            let row = rows
+                .iter_mut()
+                .find(|row| !row.is_empty())
+                .expect("the fixture's first group has a QID item");
+            row[0] += 1;
+        });
     });
     let run = resume(&dir, &out);
     assert_refused(
@@ -155,7 +156,9 @@ fn a_dropped_qid_row_fails_the_merge() {
     let (dir, out) = (tmp("rows"), tmp("rows.json"));
     paused(&dir);
     edit_first_chunk(&dir, |chunk| {
-        chunk.published.groups[0].qid_rows.pop();
+        chunk.published.groups[0].qid_rows.edit_rows(|rows| {
+            rows.pop();
+        });
     });
     assert_refused(
         &resume(&dir, &out),

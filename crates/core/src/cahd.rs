@@ -182,17 +182,11 @@ pub fn cahd_traced(
         rec,
     )?;
     kernel.flush_to(rec);
+    drop(kernel);
     rec.add("core.fallback_group_size", formed.leftover.len() as u64);
 
-    let mut groups: Vec<AnonymizedGroup> = formed
-        .groups
-        .iter()
-        .map(|members| make_group(members, sensitive, &split))
-        .collect();
-    if !formed.leftover.is_empty() {
-        groups.push(make_group(&formed.leftover, sensitive, &split));
-    }
     let mut stats = formed.stats;
+    let groups = publish_groups(formed.groups, formed.leftover, sensitive, &split);
     stats.elapsed = t_start.elapsed();
 
     let published = PublishedDataset {
@@ -435,20 +429,37 @@ pub(crate) fn form_groups(
     })
 }
 
-/// The published form of the group of `members` (row indices of
-/// `split`): each member's QID row written once, straight from the split.
-pub(crate) fn make_group(
-    members: &[usize],
+/// The published groups, regular ones in formation order and then the
+/// leftover (when not empty): each group's members (row indices of
+/// `split`) and QID rows copied once, straight from the split, into
+/// arrays of exactly the group's size. Each engine member list is freed
+/// once its ids are copied, before its group's rows are.
+pub(crate) fn publish_groups(
+    groups: Vec<Vec<usize>>,
+    leftover: Vec<usize>,
     sensitive: &SensitiveSet,
     split: &RowSplit,
-) -> AnonymizedGroup {
+) -> Vec<AnonymizedGroup> {
+    let mut published = Vec::with_capacity(groups.len() + usize::from(!leftover.is_empty()));
+    for members in groups.into_iter().chain(Some(leftover)) {
+        if members.is_empty() {
+            continue;
+        }
+        let ids: Vec<u32> = members.iter().map(|&mt| mt as u32).collect();
+        drop(members);
+        published.push(make_group(ids, sensitive, split));
+    }
+    published
+}
+
+fn make_group(members: Vec<u32>, sensitive: &SensitiveSet, split: &RowSplit) -> AnonymizedGroup {
     let (qid, sens) = (split.qid(), split.sens());
-    let members = members.iter().map(|&mt| mt as u32).collect();
-    AnonymizedGroup::assemble(members, sensitive, |mt, counts| {
+    let nnz = members.iter().map(|&mt| qid.range(mt as usize).len()).sum();
+    AnonymizedGroup::assemble(members, sensitive, nnz, |mt, counts| {
         for &r in sens.row(mt) {
             counts[r as usize] += 1;
         }
-        qid.row(mt).to_vec()
+        qid.row(mt).iter().copied()
     })
 }
 

@@ -130,7 +130,7 @@ mod tests {
     fn group(size: usize, counts: &[(ItemId, u32)]) -> AnonymizedGroup {
         AnonymizedGroup {
             members: (0..size as u32).collect(),
-            qid_rows: vec![vec![]; size],
+            qid_rows: crate::FlatRows::from_rows(&vec![vec![]; size]),
             sensitive_counts: counts.to_vec(),
         }
     }

@@ -12,6 +12,7 @@ use serde::{Deserialize, Serialize};
 use cahd_data::{ItemId, SensitiveSet, TransactionSet};
 
 use crate::invariant::{strict_invariant, strict_invariant_eq};
+use crate::split::FlatRows;
 
 /// One anonymized group: exact QID rows plus a sensitive-item frequency
 /// summary.
@@ -22,8 +23,9 @@ pub struct AnonymizedGroup {
     /// Retained for verification and evaluation; a real data release would
     /// strip this field (see [`PublishedDataset::strip_members`]).
     pub members: Vec<u32>,
-    /// Published QID item sets, aligned with `members`.
-    pub qid_rows: Vec<Vec<ItemId>>,
+    /// Published QID item sets, aligned with `members`: one flat array of
+    /// items and one of row offsets for the whole group.
+    pub qid_rows: FlatRows,
     /// `(sensitive item, occurrence count)` pairs, sorted by item id;
     /// counts are always >= 1.
     pub sensitive_counts: Vec<(ItemId, u32)>,
@@ -34,32 +36,36 @@ impl AnonymizedGroup {
     /// transaction indices: exact QID rows plus the sensitive frequency
     /// summary. Used by the baselines and by custom grouping strategies.
     pub fn from_members(data: &TransactionSet, sensitive: &SensitiveSet, members: &[u32]) -> Self {
-        AnonymizedGroup::assemble(members.to_vec(), sensitive, |mt, counts| {
-            let txn = data.transaction(mt);
-            let mut qid = Vec::with_capacity(txn.len());
-            for &item in txn {
-                match sensitive.index_of(item) {
-                    Some(r) => counts[r] += 1,
-                    None => qid.push(item),
-                }
+        let qid = |mt: usize| {
+            data.transaction(mt)
+                .iter()
+                .copied()
+                .filter(|&item| !sensitive.contains(item))
+        };
+        let nnz = members.iter().map(|&mt| qid(mt as usize).count()).sum();
+        AnonymizedGroup::assemble(members.to_vec(), sensitive, nnz, |mt, counts| {
+            for r in sensitive.ranks(data.transaction(mt)) {
+                counts[r] += 1;
             }
-            qid
+            qid(mt)
         })
     }
 
     /// The group of `members`, in one pass over them: `row(member,
     /// counts)` returns the member's published QID row and adds one to
-    /// `counts[r]` for each of its sensitive ranks `r`.
-    pub(crate) fn assemble(
+    /// `counts[r]` for each of its sensitive ranks `r`. The rows, `nnz`
+    /// items in all, go into one [`FlatRows`] of exactly that size.
+    pub(crate) fn assemble<R: IntoIterator<Item = ItemId>>(
         members: Vec<u32>,
         sensitive: &SensitiveSet,
-        mut row: impl FnMut(usize, &mut [u32]) -> Vec<ItemId>,
+        nnz: usize,
+        mut row: impl FnMut(usize, &mut [u32]) -> R,
     ) -> Self {
         let mut counts = vec![0u32; sensitive.len()];
-        let qid_rows: Vec<Vec<ItemId>> = members
-            .iter()
-            .map(|&mt| row(mt as usize, &mut counts))
-            .collect();
+        let mut qid_rows = FlatRows::with_capacity(members.len(), nnz);
+        for &mt in &members {
+            qid_rows.push_row(row(mt as usize, &mut counts));
+        }
         let sensitive_counts: Vec<(ItemId, u32)> = counts
             .iter()
             .enumerate()
@@ -71,6 +77,7 @@ impl AnonymizedGroup {
             members.len(),
             "one published QID row per member"
         );
+        strict_invariant_eq!(qid_rows.nnz(), nnz, "the rows fill the capacity given");
         strict_invariant!(
             sensitive_counts.windows(2).all(|w| w[0].0 < w[1].0),
             "sensitive summary must be sorted by item id"
@@ -185,7 +192,7 @@ mod tests {
     fn group(size: usize, counts: &[(ItemId, u32)]) -> AnonymizedGroup {
         AnonymizedGroup {
             members: (0..size as u32).collect(),
-            qid_rows: vec![vec![]; size],
+            qid_rows: FlatRows::from_rows(&vec![vec![]; size]),
             sensitive_counts: counts.to_vec(),
         }
     }

@@ -70,6 +70,7 @@ pub use pipeline::{Anonymizer, AnonymizerConfig, PipelineResult, RobustResult};
 pub use recovery::RecoveryConfig;
 pub use refine::{intra_group_overlap, refine_groups, OverlapCounter, RefineStats};
 pub use shard::{cahd_sharded, cahd_sharded_traced, ParallelConfig, ShardedStats};
+pub use split::FlatRows;
 pub use streaming::{ReleaseChunk, StreamingAnonymizer};
 pub use verify::{verify_all, verify_published, VerificationError};
 pub use weighted::{cahd_weighted, verify_weighted, WeightedPublished, WeightedSimilarity};

@@ -16,6 +16,7 @@ use cahd_data::{ItemId, SensitiveSet, TransactionSet};
 
 use crate::group::{AnonymizedGroup, PublishedDataset};
 use crate::invariant::strict_invariant;
+use crate::split::FlatRows;
 
 /// Outcome counters of a refinement pass.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -76,12 +77,7 @@ impl OverlapCounter {
     /// A counter for `published` (and rows of the same data): it tallies
     /// items below `min(n_items, release nonzeros)` in place.
     pub fn for_release(published: &PublishedDataset, n_items: usize) -> Self {
-        let nnz: usize = published
-            .groups
-            .iter()
-            .flat_map(|g| &g.qid_rows)
-            .map(Vec::len)
-            .sum();
+        let nnz: usize = published.groups.iter().map(|g| g.qid_rows.nnz()).sum();
         OverlapCounter {
             counts: vec![0; nnz.min(n_items)],
             ..OverlapCounter::default()
@@ -183,10 +179,8 @@ fn overlap(a: &[ItemId], b: &[ItemId]) -> u64 {
 
 /// Sum of a row's overlap with every other row of a group, skipping index
 /// `skip` (use `usize::MAX` to include all rows).
-fn affinity(group: &AnonymizedGroup, row: &[ItemId], skip: usize) -> u64 {
-    group
-        .qid_rows
-        .iter()
+fn affinity(rows: &[Vec<ItemId>], row: &[ItemId], skip: usize) -> u64 {
+    rows.iter()
         .enumerate()
         .filter(|&(k, _)| k != skip)
         .map(|(_, r)| overlap(row, r))
@@ -272,6 +266,20 @@ pub fn refine_groups(
 ) -> RefineStats {
     let txn = |id: u32| data.transaction(id as usize);
     let mut stats = RefineStats::default();
+    // A working copy of each refinable group's rows, so that a swap moves
+    // two rows; the groups a swap touched are rebuilt once at the end.
+    let mut rows: Vec<Vec<Vec<ItemId>>> = published
+        .groups
+        .iter()
+        .map(|g| {
+            if g.size() > MAX_REFINE_GROUP {
+                Vec::new()
+            } else {
+                g.qid_rows.to_rows()
+            }
+        })
+        .collect();
+    let mut swapped = vec![false; rows.len()];
     for _ in 0..max_sweeps {
         stats.sweeps += 1;
         let mut improved = false;
@@ -283,15 +291,18 @@ pub fn refine_groups(
                 if ga.size() > MAX_REFINE_GROUP || gb.size() > MAX_REFINE_GROUP {
                     continue;
                 }
+                let (left, right) = rows.split_at_mut(gj);
+                let (rows_a, rows_b) = (&mut left[gi], &mut right[0]);
                 let mut best: Option<(i64, usize, usize)> = None;
-                for a in 0..ga.qid_rows.len() {
-                    for b in 0..gb.qid_rows.len() {
+                for a in 0..rows_a.len() {
+                    for b in 0..rows_b.len() {
                         stats.swaps_tried += 1;
-                        let row_a = &ga.qid_rows[a];
-                        let row_b = &gb.qid_rows[b];
-                        let gain = affinity(ga, row_b, a) as i64 + affinity(gb, row_a, b) as i64
-                            - affinity(ga, row_a, a) as i64
-                            - affinity(gb, row_b, b) as i64;
+                        let row_a = &rows_a[a];
+                        let row_b = &rows_b[b];
+                        let gain = affinity(rows_a, row_b, a) as i64
+                            + affinity(rows_b, row_a, b) as i64
+                            - affinity(rows_a, row_a, a) as i64
+                            - affinity(rows_b, row_b, b) as i64;
                         if gain <= best.map_or(0, |(g, _, _)| g) {
                             continue;
                         }
@@ -306,10 +317,9 @@ pub fn refine_groups(
                 if let Some((gain, a, b)) = best {
                     let (txn_a, txn_b) = (txn(ga.members[a]), txn(gb.members[b]));
                     std::mem::swap(&mut ga.members[a], &mut gb.members[b]);
-                    let row_a = std::mem::take(&mut ga.qid_rows[a]);
-                    let row_b = std::mem::take(&mut gb.qid_rows[b]);
-                    ga.qid_rows[a] = row_b;
-                    gb.qid_rows[b] = row_a;
+                    std::mem::swap(&mut rows_a[a], &mut rows_b[b]);
+                    swapped[gi] = true;
+                    swapped[gj] = true;
                     adjust_counts(ga, txn_a, txn_b, sensitive);
                     adjust_counts(gb, txn_b, txn_a, sensitive);
                     strict_invariant!(
@@ -324,6 +334,11 @@ pub fn refine_groups(
         }
         if !improved {
             break;
+        }
+    }
+    for ((g, rows), swapped) in published.groups.iter_mut().zip(&rows).zip(swapped) {
+        if swapped {
+            g.qid_rows = FlatRows::from_rows(rows);
         }
     }
     stats
@@ -409,7 +424,11 @@ mod tests {
             sensitive_items: Vec::new(),
             groups: vec![AnonymizedGroup {
                 members: vec![0, 1, 2],
-                qid_rows: vec![vec![3, 1, 1], vec![1, 3], vec![u32::MAX, 3, u32::MAX]],
+                qid_rows: FlatRows::from_rows(&[
+                    vec![3, 1, 1],
+                    vec![1, 3],
+                    vec![u32::MAX, 3, u32::MAX],
+                ]),
                 sensitive_counts: Vec::new(),
             }],
         };

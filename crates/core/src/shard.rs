@@ -50,9 +50,11 @@ use std::time::Instant;
 use cahd_data::{SensitiveSet, TransactionSet};
 use cahd_obs::{Histogram, Recorder};
 
-use crate::cahd::{cahd_traced, form_groups, make_group, CahdConfig, CahdStats, FeasibilityCheck};
+use crate::cahd::{
+    cahd_traced, form_groups, publish_groups, CahdConfig, CahdStats, FeasibilityCheck,
+};
 use crate::error::CahdError;
-use crate::group::{AnonymizedGroup, PublishedDataset};
+use crate::group::PublishedDataset;
 use crate::invariant::{strict_invariant, strict_invariant_eq};
 use crate::kernel::SimilarityKernel;
 use crate::split::RowSplit;
@@ -346,13 +348,7 @@ pub fn cahd_sharded_traced(
     rec.add("core.fallback_group_size", leftover.len() as u64);
     drop(merge_span);
 
-    let mut groups: Vec<AnonymizedGroup> = member_groups
-        .iter()
-        .map(|members| make_group(members, sensitive, &split))
-        .collect();
-    if !leftover.is_empty() {
-        groups.push(make_group(&leftover, sensitive, &split));
-    }
+    let groups = publish_groups(member_groups, leftover, sensitive, &split);
     stats.cahd.elapsed = t_start.elapsed();
 
     let published = PublishedDataset {

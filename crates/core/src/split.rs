@@ -12,17 +12,23 @@
 //! directly, so [`Rows::slice`] hands a shard its rows without copying,
 //! and the view's entries are exactly the items of those rows.
 
+use std::fmt;
 use std::ops::Range;
 
 use cahd_data::{ItemId, SensitiveSet, TransactionSet, WeightedTransactionSet};
+use serde::{Deserialize, Reader, Serialize, Writer};
 
 use crate::invariant::strict_invariant;
 
 /// Rows of `u32` entries stored back to back: row `r` is
 /// `items[indptr[r]..indptr[r + 1]]`. The owned form that [`Rows`]
-/// borrows; at most `u32::MAX` entries, like the relabel ranks the
-/// kernel builds from them.
-#[derive(Clone, Debug)]
+/// borrows, and the form a published group keeps its QID rows in: two
+/// arrays per group, whatever its size. At most `u32::MAX` entries, like
+/// the relabel ranks the kernel builds from them.
+///
+/// Its JSON is that of the `Vec<Vec<u32>>` it stands for, `[[..],[..]]`,
+/// written and read directly; `Debug` prints the same list of lists.
+#[derive(Clone, PartialEq, Eq)]
 pub struct FlatRows {
     indptr: Vec<u32>,
     items: Vec<u32>,
@@ -30,7 +36,7 @@ pub struct FlatRows {
 
 impl FlatRows {
     /// No rows yet, with room for `n_rows` rows of `nnz` entries in all.
-    fn with_capacity(n_rows: usize, nnz: usize) -> Self {
+    pub(crate) fn with_capacity(n_rows: usize, nnz: usize) -> Self {
         let mut indptr = Vec::with_capacity(n_rows + 1);
         indptr.push(0);
         FlatRows {
@@ -43,10 +49,26 @@ impl FlatRows {
     pub fn from_rows(rows: &[Vec<u32>]) -> Self {
         let mut flat = FlatRows::with_capacity(rows.len(), rows.iter().map(Vec::len).sum());
         for row in rows {
-            flat.items.extend_from_slice(row);
-            flat.end_row();
+            flat.push_row(row.iter().copied());
         }
         flat
+    }
+
+    /// Rows `picks` of `rows`, in that order, at exactly the capacity
+    /// they need.
+    pub fn gather(rows: Rows<'_>, picks: &[usize]) -> Self {
+        let nnz = picks.iter().map(|&r| rows.range(r).len()).sum();
+        let mut flat = FlatRows::with_capacity(picks.len(), nnz);
+        for &r in picks {
+            flat.push_row(rows.row(r).iter().copied());
+        }
+        flat
+    }
+
+    /// Appends one row.
+    pub(crate) fn push_row(&mut self, row: impl IntoIterator<Item = u32>) {
+        self.items.extend(row);
+        self.end_row();
     }
 
     /// Closes the row the entries pushed since the last call form.
@@ -58,6 +80,54 @@ impl FlatRows {
         self.indptr.push(self.items.len() as u32);
     }
 
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.indptr.len() - 1
+    }
+
+    /// Whether there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Entries over all rows.
+    pub fn nnz(&self) -> usize {
+        self.items.len()
+    }
+
+    /// Row `r`.
+    ///
+    /// # Panics
+    /// If `r >= self.len()`.
+    #[inline]
+    pub fn row(&self, r: usize) -> &[u32] {
+        self.rows().row(r)
+    }
+
+    /// Row `r`, or `None` past the last row.
+    pub fn get(&self, r: usize) -> Option<&[u32]> {
+        (r < self.len()).then(|| self.row(r))
+    }
+
+    /// Every row, in order.
+    pub fn iter(&self) -> RowIter<'_> {
+        self.rows().iter()
+    }
+
+    /// Every row copied into a `Vec` of its own: a working copy to edit
+    /// row by row, turned back with [`FlatRows::from_rows`].
+    pub fn to_rows(&self) -> Vec<Vec<u32>> {
+        self.iter().map(<[u32]>::to_vec).collect()
+    }
+
+    /// Rewrites the rows through a working copy ([`FlatRows::to_rows`]),
+    /// rebuilt once when `edit` returns.
+    pub fn edit_rows(&mut self, edit: impl FnOnce(&mut Vec<Vec<u32>>)) {
+        let mut rows = self.to_rows();
+        edit(&mut rows);
+        *self = FlatRows::from_rows(&rows);
+    }
+
     /// The borrowed view of every row.
     pub fn rows(&self) -> Rows<'_> {
         Rows {
@@ -66,6 +136,79 @@ impl FlatRows {
         }
     }
 }
+
+impl fmt::Debug for FlatRows {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<'a> IntoIterator for &'a FlatRows {
+    type Item = &'a [u32];
+    type IntoIter = RowIter<'a>;
+
+    fn into_iter(self) -> RowIter<'a> {
+        self.iter()
+    }
+}
+
+impl Serialize for FlatRows {
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.begin_array();
+        for row in self {
+            w.element();
+            row.serialize(w);
+        }
+        w.end_array();
+    }
+}
+
+impl Deserialize for FlatRows {
+    /// Reads `[[..],[..]]` straight into the two arrays, failing with the
+    /// messages a `Vec<Vec<u32>>` read would give.
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, serde::Error> {
+        let mut flat = FlatRows::with_capacity(0, 0);
+        r.array("array", |r| {
+            r.array("array", |r| {
+                flat.items.push(u32::deserialize(r)?);
+                Ok(())
+            })?;
+            if flat.items.len() > u32::MAX as usize {
+                return Err(serde::Error::custom("more than u32::MAX row entries"));
+            }
+            flat.indptr.push(flat.items.len() as u32);
+            Ok(())
+        })?;
+        Ok(flat)
+    }
+}
+
+/// The rows of a [`Rows`] view (or a [`FlatRows`]), in order.
+#[derive(Clone, Debug)]
+pub struct RowIter<'a> {
+    rows: Rows<'a>,
+    next: usize,
+}
+
+impl<'a> Iterator for RowIter<'a> {
+    type Item = &'a [u32];
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a [u32]> {
+        let r = self.next;
+        (r < self.rows.len()).then(|| {
+            self.next += 1;
+            self.rows.row(r)
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.rows.len() - self.next;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for RowIter<'_> {}
 
 /// A borrowed run of rows: row `r` is `items[indptr[r]..indptr[r + 1]]`.
 /// `indptr` indexes the whole shared `items`, so rows `lo..hi` of a
@@ -108,6 +251,14 @@ impl<'a> Rows<'a> {
     /// The entries of the view's own rows, back to back.
     pub fn entries(&self) -> &'a [u32] {
         &self.items[self.base()..self.indptr[self.len()] as usize]
+    }
+
+    /// Every row of the view, in order.
+    pub fn iter(&self) -> RowIter<'a> {
+        RowIter {
+            rows: *self,
+            next: 0,
+        }
     }
 
     /// Rows `lo..hi` of this view, sharing its item array.

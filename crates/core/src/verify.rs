@@ -174,7 +174,7 @@ pub fn verify_all(
                 summary_defined = false;
                 continue;
             }
-            let row = g.qid_rows.get(k).map(Vec::as_slice);
+            let row = g.qid_rows.get(k);
             if !tally_member(data.transaction(mt as usize), sensitive, row, &mut counts) {
                 errors.push(VerificationError::QidMismatch {
                     group: gi,
@@ -247,6 +247,7 @@ mod tests {
     use super::*;
     use crate::cahd::{cahd, CahdConfig};
     use crate::group::AnonymizedGroup;
+    use crate::split::FlatRows;
 
     fn setup() -> (TransactionSet, SensitiveSet, PublishedDataset) {
         let data =
@@ -280,7 +281,7 @@ mod tests {
     #[test]
     fn detects_tampered_qid() {
         let (data, sens, mut pub_) = setup();
-        pub_.groups[0].qid_rows[0] = vec![5];
+        pub_.groups[0].qid_rows.edit_rows(|rows| rows[0] = vec![5]);
         let err = verify_published(&data, &sens, &pub_, 2).unwrap_err();
         assert!(matches!(
             err,
@@ -313,7 +314,7 @@ mod tests {
         let (data, sens, mut pub_) = setup();
         pub_.groups.push(AnonymizedGroup {
             members: vec![0],
-            qid_rows: vec![vec![0, 1]],
+            qid_rows: FlatRows::from_rows(&[vec![0, 1]]),
             sensitive_counts: vec![],
         });
         let err = verify_published(&data, &sens, &pub_, 2).unwrap_err();
@@ -352,7 +353,7 @@ mod tests {
     fn verify_all_collects_multiple_violations() {
         let (data, sens, mut pub_) = setup();
         pub_.sensitive_items = vec![1];
-        pub_.groups[0].qid_rows[0] = vec![5];
+        pub_.groups[0].qid_rows.edit_rows(|rows| rows[0] = vec![5]);
         let all = verify_all(&data, &sens, &pub_, 2);
         assert!(all.len() >= 2, "expected several violations, got {all:?}");
         assert!(all.contains(&VerificationError::SensitiveItemsMismatch));

@@ -28,7 +28,7 @@ use crate::error::CahdError;
 use crate::group::{AnonymizedGroup, PublishedDataset};
 use crate::invariant::strict_invariant;
 use crate::kernel::{MinCountScorer, SimilarityKernel};
-use crate::split::RowSplit;
+use crate::split::{FlatRows, RowSplit};
 
 /// How candidate similarity is computed from counts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -102,14 +102,17 @@ impl WeightedPublished {
             groups: self
                 .groups
                 .iter()
-                .map(|g| AnonymizedGroup {
-                    members: g.members.clone(),
-                    qid_rows: g
-                        .qid_rows
-                        .iter()
-                        .map(|row| row.iter().map(|&(item, _)| item).collect())
-                        .collect(),
-                    sensitive_counts: g.sensitive_counts.clone(),
+                .map(|g| {
+                    let nnz = g.qid_rows.iter().map(Vec::len).sum();
+                    let mut qid_rows = FlatRows::with_capacity(g.qid_rows.len(), nnz);
+                    for row in &g.qid_rows {
+                        qid_rows.push_row(row.iter().map(|&(item, _)| item));
+                    }
+                    AnonymizedGroup {
+                        members: g.members.clone(),
+                        qid_rows,
+                        sensitive_counts: g.sensitive_counts.clone(),
+                    }
                 })
                 .collect(),
         }

@@ -23,7 +23,7 @@
 //!       11); else it is formed and `remaining` falls by `p`.
 //! 3. Every transaction still ungrouped forms one final group.
 
-use cahd_core::{AnonymizedGroup, PublishedDataset};
+use cahd_core::{AnonymizedGroup, FlatRows, PublishedDataset};
 
 /// What the oracle produced: the groups in band positions plus the run
 /// counters it can state without reference to how an engine scores.
@@ -167,16 +167,17 @@ pub fn release(
         .iter()
         .map(|g| AnonymizedGroup {
             members: g.iter().map(|&t| original(t)).collect(),
-            qid_rows: g
-                .iter()
-                .map(|&t| {
-                    rows[t]
-                        .iter()
-                        .copied()
-                        .filter(|i| !sensitive.contains(i))
-                        .collect()
-                })
-                .collect(),
+            qid_rows: FlatRows::from_rows(
+                &g.iter()
+                    .map(|&t| {
+                        rows[t]
+                            .iter()
+                            .copied()
+                            .filter(|i| !sensitive.contains(i))
+                            .collect()
+                    })
+                    .collect::<Vec<_>>(),
+            ),
             sensitive_counts: sensitive
                 .iter()
                 .map(|&s| {

@@ -3,7 +3,7 @@
 //! This suite checks it against the definition itself: the pairwise
 //! merge sum over every unordered pair of rows in every group.
 
-use cahd_core::{intra_group_overlap, AnonymizedGroup, PublishedDataset};
+use cahd_core::{intra_group_overlap, AnonymizedGroup, FlatRows, PublishedDataset};
 use proptest::prelude::*;
 
 /// The oracle: Σ over groups, Σ over row pairs `a < b`, of the size of
@@ -13,7 +13,7 @@ fn pairwise_overlap(published: &PublishedDataset) -> u64 {
     for g in &published.groups {
         for a in 0..g.qid_rows.len() {
             for b in (a + 1)..g.qid_rows.len() {
-                total += merge_overlap(&g.qid_rows[a], &g.qid_rows[b]);
+                total += merge_overlap(g.qid_rows.row(a), g.qid_rows.row(b));
             }
         }
     }
@@ -36,10 +36,10 @@ fn merge_overlap(a: &[u32], b: &[u32]) -> u64 {
     n
 }
 
-fn group(qid_rows: Vec<Vec<u32>>) -> AnonymizedGroup {
+fn group(qid_rows: &[Vec<u32>]) -> AnonymizedGroup {
     AnonymizedGroup {
         members: (0..qid_rows.len() as u32).collect(),
-        qid_rows,
+        qid_rows: FlatRows::from_rows(qid_rows),
         sensitive_counts: Vec::new(),
     }
 }
@@ -60,8 +60,8 @@ fn arb_release() -> impl Strategy<Value = PublishedDataset> {
             Just(d),
         )
             .prop_map(|(small, leftover, at, d)| {
-                let mut groups: Vec<AnonymizedGroup> = small.into_iter().map(group).collect();
-                groups.insert(at.min(groups.len()), group(leftover));
+                let mut groups: Vec<AnonymizedGroup> = small.iter().map(|g| group(g)).collect();
+                groups.insert(at.min(groups.len()), group(&leftover));
                 PublishedDataset {
                     n_items: d as usize,
                     sensitive_items: Vec::new(),
@@ -86,9 +86,9 @@ fn empty_rows_and_groups_contribute_nothing() {
         n_items: 4,
         sensitive_items: Vec::new(),
         groups: vec![
-            group(Vec::new()),
-            group(vec![Vec::new(), Vec::new()]),
-            group(vec![vec![0, 1], Vec::new(), vec![1, 2]]),
+            group(&[]),
+            group(&[Vec::new(), Vec::new()]),
+            group(&[vec![0, 1], Vec::new(), vec![1, 2]]),
         ],
     };
     assert_eq!(intra_group_overlap(&published), 1);
@@ -101,7 +101,7 @@ fn leftover_group_of_identical_rows_counts_every_pair() {
     let published = PublishedDataset {
         n_items: 3,
         sensitive_items: Vec::new(),
-        groups: vec![group(vec![vec![0, 1, 2]; 1000])],
+        groups: vec![group(&vec![vec![0, 1, 2]; 1000])],
     };
     assert_eq!(intra_group_overlap(&published), 3 * 1000 * 999 / 2);
 }

@@ -273,11 +273,15 @@ mod tests {
         let (data, sens) = setup();
         let (published, _) = cahd(&data, &sens, &CahdConfig::new(3)).unwrap();
         let mut malformed = published.clone();
-        for row in malformed.groups.iter_mut().flat_map(|g| &mut g.qid_rows) {
-            row.reverse();
-            if let Some(&first) = row.last() {
-                row.push(first);
-            }
+        for g in &mut malformed.groups {
+            g.qid_rows.edit_rows(|rows| {
+                for row in rows {
+                    row.reverse();
+                    if let Some(&first) = row.last() {
+                        row.push(first);
+                    }
+                }
+            });
         }
         let plan = AttackPlan {
             trials: 300,

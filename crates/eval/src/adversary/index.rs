@@ -187,7 +187,7 @@ impl<'a> TargetIndex<'a> {
                     );
                     counts_start.push(counts.len());
                     for row in &g.qid_rows {
-                        rows.push(row.as_slice());
+                        rows.push(row);
                         row_group.push(gi as u32);
                     }
                 }
@@ -390,7 +390,7 @@ mod tests {
         release
             .groups
             .iter()
-            .flat_map(|g| g.qid_rows.iter().map(Vec::as_slice))
+            .flat_map(|g| g.qid_rows.iter())
             .collect()
     }
 
@@ -454,7 +454,9 @@ mod tests {
         assert_eq!(raw.qid_universe(), &[0, 5, 7, 1 << 20, 1 << 30]);
         let mut group = AnonymizedGroup::from_members(&data, &sens, &[0, 1, 2, 3]);
         // Repeated, unsorted and past-the-universe ids read as sets.
-        group.qid_rows[3] = vec![1 << 30, 7, 7, u32::MAX, top];
+        group
+            .qid_rows
+            .edit_rows(|rows| rows[3] = vec![1 << 30, 7, 7, u32::MAX, top]);
         let release = PublishedDataset {
             n_items,
             sensitive_items: vec![top],
@@ -480,10 +482,12 @@ mod tests {
             let mut group =
                 AnonymizedGroup::from_members(&data, &sens, &(0..12).collect::<Vec<u32>>());
             let rows = 1 + next(12) as usize;
-            group.qid_rows.truncate(rows);
-            for row in &mut group.qid_rows {
-                *row = (0..next(6)).map(|_| next(20) as ItemId).collect();
-            }
+            group.qid_rows.edit_rows(|qid_rows| {
+                qid_rows.truncate(rows);
+                for row in qid_rows {
+                    *row = (0..next(6)).map(|_| next(20) as ItemId).collect();
+                }
+            });
             let release = PublishedDataset {
                 n_items: 16,
                 sensitive_items: vec![15],
@@ -499,7 +503,9 @@ mod tests {
         let (data, sens) = setup();
         let pop = Population::new(&data, &sens);
         let mut group = AnonymizedGroup::from_members(&data, &sens, &[0, 1, 2, 3]);
-        group.qid_rows[0] = vec![1, 0, 1, 999, u32::MAX];
+        group
+            .qid_rows
+            .edit_rows(|rows| rows[0] = vec![1, 0, 1, 999, u32::MAX]);
         group.sensitive_counts.push((3, 1)); // not sensitive
         group.sensitive_counts.push((999, 3)); // outside the universe
         let release = PublishedDataset {

@@ -342,11 +342,15 @@ mod tests {
         let (data, sens) = setup();
         let (a, _) = cahd(&data, &sens, &CahdConfig::new(3)).unwrap();
         let mut b = a.clone();
-        for row in b.groups.iter_mut().flat_map(|g| g.qid_rows.iter_mut()) {
-            row.reverse();
-            if let Some(&last) = row.last() {
-                row.push(last);
-            }
+        for g in &mut b.groups {
+            g.qid_rows.edit_rows(|rows| {
+                for row in rows {
+                    row.reverse();
+                    if let Some(&last) = row.last() {
+                        row.push(last);
+                    }
+                }
+            });
         }
         let names = vec!["a".to_string(), "b".to_string()];
         for k in [1, 2] {

@@ -256,9 +256,9 @@ mod tests {
         let (data, sens) = setup();
         let (mut published, _) = cahd(&data, &sens, &CahdConfig::new(3)).unwrap();
         for g in &mut published.groups {
-            for row in &mut g.qid_rows {
-                *row = vec![19]; // an item no victim knows
-            }
+            // Item 19: one no victim knows.
+            g.qid_rows
+                .edit_rows(|rows| rows.iter_mut().for_each(|row| *row = vec![19]));
         }
         let mut rng = StdRng::seed_from_u64(8);
         let out = attack_published(&data, &sens, &published, 2, 50, &mut rng).unwrap();

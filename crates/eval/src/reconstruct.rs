@@ -119,7 +119,7 @@ impl<'a> WorkloadIndex<'a> {
         let rows: Vec<&[ItemId]> = published
             .groups
             .iter()
-            .flat_map(|g| g.qid_rows.iter().map(Vec::as_slice))
+            .flat_map(|g| g.qid_rows.iter())
             .collect();
         let (sets, released) = CsrMatrix::from_sets(&rows, data.n_items());
         let ColumnSpace { matrix, relabel } = ColumnSpace::of(data.matrix());

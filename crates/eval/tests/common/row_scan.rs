@@ -412,7 +412,7 @@ fn flatten_release(published: &PublishedDataset) -> FlatRows {
             .map(|&(_, f)| f as f64 / size)
             .fold(0.0f64, f64::max);
         for row in &g.qid_rows {
-            rows.push(row.clone());
+            rows.push(row.to_vec());
             claim_posterior.push(worst);
         }
     }
@@ -635,7 +635,7 @@ fn evidence<'a>(
         for row in &g.qid_rows {
             if known.iter().all(|i| row.binary_search(i).is_ok()) {
                 b += 1;
-                contents.insert(row.as_slice());
+                contents.insert(row);
             }
         }
         if b == 0 {

@@ -380,48 +380,6 @@ impl Recorder {
         }
     }
 
-    /// Absorbs everything `other` recorded into this recorder: span
-    /// counts/times and counters add, histograms merge, gauges overwrite
-    /// (last write wins, as always).
-    ///
-    /// This is the *speculative attempt* pattern: run an attempt against a
-    /// scratch recorder and merge it only if the attempt is accepted, so a
-    /// retried computation never double-counts its deterministic counters. A disabled recorder on either side
-    /// makes this a no-op.
-    pub fn merge_from(&self, other: &Recorder) {
-        let (Some(inner), Some(other_inner)) = (&self.inner, &other.inner) else {
-            return;
-        };
-        // cahd-lint: allow(L003, reason = "recorder methods never panic while holding the lock; poisoning implies a foreign panic worth re-surfacing")
-        let o = other_inner.lock().expect("obs recorder poisoned");
-        // cahd-lint: allow(L003, reason = "recorder methods never panic while holding the lock; poisoning implies a foreign panic worth re-surfacing")
-        let mut g = inner.lock().expect("obs recorder poisoned");
-        for (path, &(count, ns)) in &o.spans {
-            let e = g.spans.entry(path.clone()).or_insert((0, 0));
-            e.0 += count;
-            e.1 = e.1.saturating_add(ns);
-        }
-        for (path, m) in &o.span_mem {
-            let e = g.span_mem.entry(path.clone()).or_default();
-            e.count += m.count;
-            e.alloc_bytes = e.alloc_bytes.saturating_add(m.alloc_bytes);
-            e.dealloc_bytes = e.dealloc_bytes.saturating_add(m.dealloc_bytes);
-            e.peak_bytes = e.peak_bytes.max(m.peak_bytes);
-        }
-        for (name, &v) in &o.counters {
-            *g.counters.entry(name.clone()).or_insert(0) += v;
-        }
-        for (name, &v) in &o.gauges {
-            g.gauges.insert(name.clone(), v);
-        }
-        for (name, h) in &o.histograms {
-            g.histograms
-                .entry(name.clone())
-                .or_insert_with(Histogram::new)
-                .merge(h);
-        }
-    }
-
     /// An immutable snapshot of everything recorded so far, with every
     /// section sorted by name (snapshots of the same events are therefore
     /// byte-identical regardless of recording order).
@@ -1368,30 +1326,6 @@ mod tests {
         assert!(text.contains("core.groups_formed"), "{text}");
         assert!(text.contains("core.shards"), "{text}");
         assert!(text.contains("eval.query_ns"), "{text}");
-    }
-
-    #[test]
-    fn merge_from_absorbs_a_scratch_recorder() {
-        let rec = Recorder::new();
-        rec.add("c", 2);
-        rec.record_span_ns("pipeline", 10);
-        let scratch = Recorder::new();
-        scratch.add("c", 3);
-        scratch.record_span_ns("pipeline", 5);
-        scratch.gauge("g", 7.0);
-        scratch.observe("h", 4);
-        rec.merge_from(&scratch);
-        let report = rec.snapshot();
-        assert_eq!(report.counter("c"), Some(5));
-        let span = report.span("pipeline").unwrap();
-        assert_eq!((span.count, span.total_ns), (2, 15));
-        assert_eq!(report.gauge("g"), Some(7.0));
-        assert_eq!(report.histogram("h").unwrap().count, 1);
-        // A dropped scratch recorder leaves the target untouched, and a
-        // disabled target ignores merges.
-        let disabled = Recorder::disabled();
-        disabled.merge_from(&scratch);
-        assert_eq!(disabled.snapshot(), TraceReport::default());
     }
 
     #[test]

@@ -111,27 +111,6 @@ fn tracking_allocator_end_to_end() {
     let back: TraceReport = serde_json::from_str(&json).expect("report re-parses");
     assert_eq!(report, back);
 
-    // --- merge_from folds scratch windows into the target ---------------
-    let target = Recorder::new().with_memory();
-    {
-        let _s = target.span("pipeline/group");
-        let _v = vec![0u8; 512];
-    }
-    let scratch = Recorder::new().with_memory();
-    {
-        let _s = scratch.span("pipeline/group");
-        let _v = vec![0u8; 512];
-    }
-    target.merge_from(&scratch);
-    let merged = target.snapshot();
-    let w = merged
-        .memory
-        .as_ref()
-        .and_then(|m| m.span("pipeline/group"))
-        .expect("merged window");
-    assert_eq!(w.count, 2);
-    assert!(w.alloc_bytes >= 1024);
-
     // --- reset_peak() rebaselines the high-water mark -------------------
     memtrack::reset_peak();
     let s1 = memtrack::stats();

@@ -74,7 +74,7 @@ fn main() {
     let qid_rows: Vec<Vec<ItemId>> = release
         .groups
         .iter()
-        .flat_map(|g| g.qid_rows.iter().cloned())
+        .flat_map(|g| g.qid_rows.iter().map(<[ItemId]>::to_vec))
         .collect();
     let qid_data = TransactionSet::from_rows(&qid_rows, release.n_items);
     cahd::data::io::write_dat_file(&out, &qid_data).expect("writable temp dir");

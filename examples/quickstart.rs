@@ -63,7 +63,7 @@ fn main() {
         "example group: {} members, sensitive summary {:?}, first QID row {:?}",
         group.size(),
         group.sensitive_counts,
-        group.qid_rows[0]
+        group.qid_rows.row(0)
     );
 
     // 6. Measure utility: how well can an analyst reconstruct the

@@ -5,7 +5,7 @@
 //! the same message. It imports nothing from `serde`/`serde_json`.
 
 use cahd::core::checkpoint::StreamingCheckpoint;
-use cahd::core::{AnonymizedGroup, PublishedDataset};
+use cahd::core::{AnonymizedGroup, FlatRows, PublishedDataset};
 
 /// A parsed JSON document.
 #[derive(Clone, Debug, PartialEq)]
@@ -149,7 +149,7 @@ impl FromTree for AnonymizedGroup {
     fn from_tree(v: &Tree) -> Result<Self, String> {
         Ok(AnonymizedGroup {
             members: field(v, "members")?,
-            qid_rows: field(v, "qid_rows")?,
+            qid_rows: FlatRows::from_rows(&field::<Vec<Vec<u32>>>(v, "qid_rows")?),
             sensitive_counts: field(v, "sensitive_counts")?,
         })
     }
